@@ -8,19 +8,19 @@ the first argument) recording the numbers the perf trajectory tracks:
   cascaded-PAND family instance,
 * wall time of the fused compose+maximal-progress path vs the unfused
   compose-then-reduce baseline,
-* minimisation v2: the Paige-Tarjan smaller-half strong engine vs the
-  vendored PR 3 baseline on a tau-heavy chain (gated >= 2x), the weak
-  engine's non-regression on the largest fused product (gated >= 0.9x,
-  identical quotients), a parallel modular-aggregation identity spot check,
-  and the process's peak RSS,
+* a parallel modular-aggregation identity spot check and the process's
+  peak RSS,
 * curve evaluation on the paper's cascaded-PAND CTMC: one vectorised
   100-point uniformisation sweep vs 100 per-point calls (the two must agree
   to 1e-9; the sweep must be faster),
 * a batch/corpus spot-check over generated random trees,
 * a 50-sample failure-rate sweep on the CPS: the sweep engine (one
-  aggregation, per-sample CTMC instantiation) vs 50 naive full-pipeline
-  evaluations — results must agree to 1e-9 and CI gates the speedup at
-  >= 5x,
+  aggregation, per-sample kernel refills) vs per-sample instantiation and
+  vs 50 naive full-pipeline evaluations — results must agree to 1e-9 and CI
+  gates the speedups at >= 1.5x and >= 20x,
+* a CTMDP bound sweep on a five-channel race bank: the kernel vs per-sample
+  instantiation (1e-12) and vs the pre-kernel reference engine (1e-9,
+  gated >= 10x),
 * design-space optimisation on the seeded CAS spares scenario: the pruned
   Russian-doll branch-and-bound vs the exhaustive reference — identical
   optimum gated exactly, leaf evaluations gated at <= 50% of the feasible
@@ -30,6 +30,9 @@ Runs on a plain Python interpreter — no pytest-benchmark required — so CI ca
 execute it as a single cheap step::
 
     PYTHONPATH=src python benchmarks/smoke_fig2.py
+
+The per-sample reference rows come from ``tests/sweep_reference.py``; the
+script puts the repository root on ``sys.path`` to import it.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import platform
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -69,8 +73,10 @@ from repro.systems import (
     random_corpus,
 )
 
-import legacy_splitter
-from workloads import largest_minimisation_workload, tau_heavy_chain
+from workloads import largest_minimisation_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sweep_reference import per_sample_rows  # noqa: E402
 
 MISSION_TIME = 1.0
 FAMILY_INSTANCE = (3, 5)  # (AND modules, basic events per module)
@@ -220,47 +226,13 @@ def bench_minimisation(num_modules: int = 3, events_per_module: int = 6) -> dict
     }
 
 
-def bench_minimisation_v2(chain_states: int = 8581) -> dict:
-    """Minimisation v2: current engines vs the vendored PR 3 baseline.
+def bench_parallel_aggregation() -> dict:
+    """Parallel modular aggregation (``processes=2``) vs the serial plan.
 
-    Two workloads, both sized at 8581 states so the numbers line up with the
-    ``bench_minimisation`` row above:
-
-    * a tau-heavy interactive chain whose quotient is the input itself —
-      the strong engine's refinement loop splits down to singletons, where
-      the Paige-Tarjan smaller-half discipline beats the PR 3 splitter
-      scheduling asymptotically (measured ~5x; CI gates >= 2x);
-    * the largest tau-heavy fused product of the (3, 6) cascaded-PAND
-      family on the weak path.  The weak engine's cost is dominated by
-      tau-closure saturation, which the smaller-half discipline cannot
-      bypass, so the gate is a non-regression bound (>= 0.9x the PR 3
-      baseline; measured ~1.1x) with identical quotients.
-
-    Also spot-checks parallel modular aggregation (``processes=2``) against
-    the serial plan: the quotient must be structurally identical; the
-    speedup is recorded, not gated (single-core CI runners make it < 1).
-    Peak RSS is recorded so the memory trajectory is tracked per PR.
+    The quotient must be structurally identical; the speedup is recorded,
+    not gated (single-core CI runners make it < 1).  Peak RSS is recorded so
+    the memory trajectory is tracked per PR.
     """
-    chain = tau_heavy_chain(chain_states)
-    strong_model, strong_seconds = _timed(lambda: minimize_strong(chain))
-    legacy_strong_model, legacy_strong_seconds = _timed(
-        lambda: legacy_splitter.minimize_strong(chain)
-    )
-    assert strong_model.num_states == legacy_strong_model.num_states
-    assert strong_model.num_transitions == legacy_strong_model.num_transitions
-
-    workload = largest_minimisation_workload(3, 6)
-    # Pinned to the splitter engine: this row tracks the PR 6 engine against
-    # the PR 3 baseline; the closure engine gets its own v3 section.
-    weak_model, weak_seconds = _timed(
-        lambda: minimize_weak(workload, algorithm="splitter")
-    )
-    legacy_weak_model, legacy_weak_seconds = _timed(
-        lambda: legacy_splitter.minimize_weak(workload)
-    )
-    assert weak_model.num_states == legacy_weak_model.num_states
-    assert weak_model.num_transitions == legacy_weak_model.num_transitions
-
     community = convert(cascaded_pand_family(3, 5))
 
     def aggregate(processes):
@@ -274,33 +246,12 @@ def bench_minimisation_v2(chain_states: int = 8581) -> dict:
 
     serial_model, serial_seconds = _timed(lambda: aggregate(1))
     parallel_model, parallel_seconds = _timed(lambda: aggregate(2))
-
     return {
-        "chain": {
-            "input_states": chain.num_states,
-            "quotient_states": strong_model.num_states,
-            "strong_wall_seconds": strong_seconds,
-            "legacy_strong_wall_seconds": legacy_strong_seconds,
-            "strong_speedup": (
-                legacy_strong_seconds / strong_seconds if strong_seconds else None
-            ),
-        },
-        "product": {
-            "input_states": workload.num_states,
-            "quotient_states": weak_model.num_states,
-            "weak_wall_seconds": weak_seconds,
-            "legacy_weak_wall_seconds": legacy_weak_seconds,
-            "weak_ratio": (
-                legacy_weak_seconds / weak_seconds if weak_seconds else None
-            ),
-        },
-        "parallel_aggregation": {
-            "processes": 2,
-            "serial_wall_seconds": serial_seconds,
-            "parallel_wall_seconds": parallel_seconds,
-            "speedup": serial_seconds / parallel_seconds if parallel_seconds else None,
-            "identical_to_serial": parallel_model.to_dot() == serial_model.to_dot(),
-        },
+        "processes": 2,
+        "serial_wall_seconds": serial_seconds,
+        "parallel_wall_seconds": parallel_seconds,
+        "speedup": serial_seconds / parallel_seconds if parallel_seconds else None,
+        "identical_to_serial": parallel_model.to_dot() == serial_model.to_dot(),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
@@ -311,8 +262,7 @@ def bench_minimisation_v3(num_modules: int = 3, events_per_module: int = 6) -> d
     this comparison and the differential tests stay honest).
 
     One workload, the 8581-state tau-heavy fused product of the (3, 6)
-    cascaded-PAND family — the same weak path the v2 section could only gate
-    as a non-regression.  The closure engine saturates the weak relation once
+    cascaded-PAND family.  The closure engine saturates the weak relation once
     at construction and refines in batched frontier rounds, so this time the
     target is a real speedup: >= 3x measured on an idle machine, gated >= 2x
     in CI (loaded-runner margin).  The quotients must be byte-identical.
@@ -404,14 +354,14 @@ def bench_batch(corpus_size: int = 6, num_basic_events: int = 6) -> dict:
 
 
 def bench_sweep(num_samples: int = 50, mission_time: float = 1.0) -> dict:
-    """50-sample CPS rate sweep: shared-structure kernel vs PR 4 vs naive.
+    """50-sample CPS rate sweep: shared-structure kernel vs per-sample vs naive.
 
     Three engines on identical samples:
 
     * the shared-structure kernel (one CSR pattern, per-sample data refills),
-    * the PR 4 per-sample path (full CTMC instantiation per sample,
-      ``use_kernel=False``) — the kernel must beat its per-sample cost by
-      >= 1.5x (gated in CI),
+    * per-sample instantiation (a full CTMC per sample, the test-side
+      reference rows) — the kernel must beat its per-sample cost by >= 1.5x
+      (gated in CI),
     * ``num_samples`` naive full-pipeline evaluations — the sweep must beat
       them by >= 20x while agreeing to 1e-9 on every sample (gated in CI).
 
@@ -443,19 +393,19 @@ def bench_sweep(num_samples: int = 50, mission_time: float = 1.0) -> dict:
         for row, ref in zip(result.rows, references)
     )
 
-    # Kernel vs PR 4 per-sample cost, on one warm study (pipeline excluded,
+    # Kernel vs per-sample cost, on one warm study (pipeline excluded,
     # best-of-3 so a one-off stall cannot skew the gated ratio either way).
     warm = SweepStudy(tree)
-    warm.skeleton
+    skeleton = warm.skeleton
     kernel_result, kernel_samples_seconds = _timed(
         lambda: warm.run(RateSweep(query, samples))
     )
-    legacy_result, legacy_samples_seconds = _timed(
-        lambda: warm.run(RateSweep(query, samples), use_kernel=False)
+    legacy_rows, legacy_samples_seconds = _timed(
+        lambda: per_sample_rows(skeleton, query, samples, tree.parameters)
     )
     kernel_vs_legacy_difference = max(
         abs(a - b)
-        for mine, theirs in zip(kernel_result.rows, legacy_result.rows)
+        for mine, theirs in zip(kernel_result.rows, legacy_rows)
         for a, b in zip(mine["unreliability"].values, theirs["unreliability"].values)
     )
 
@@ -505,8 +455,9 @@ def bench_ctmdp_kernel(channels: int = 5, num_samples: int = 8) -> dict:
 
     * the ``CtmdpKernel`` sweep path (one CSR pattern + vanishing-resolver
       shared across samples, per-sample data refills),
-    * the same sweep with ``use_kernel=False`` (per-sample ``instantiate``
-      feeding the kernel-backed CTMDP curve) — bounds must agree to 1e-12,
+    * per-sample instantiation (the test-side reference rows: a concrete
+      CTMDP per sample feeding its kernel-backed curve) — bounds must agree
+      to 1e-12,
     * the legacy pre-kernel engine (per-sample ``instantiate`` plus
       ``time_bounded_reachability_curve_reference`` in both directions, i.e.
       the dense per-step round-robin code path) — bounds must agree to 1e-9
@@ -529,9 +480,7 @@ def bench_ctmdp_kernel(channels: int = 5, num_samples: int = 8) -> dict:
     kernel_result, kernel_seconds = _timed(
         lambda: study.run(RateSweep(query, samples))
     )
-    per_sample_result, _ = _timed(
-        lambda: study.run(RateSweep(query, samples), use_kernel=False), repeats=1
-    )
+    per_sample_result = per_sample_rows(skeleton, query, samples, tree.parameters)
 
     def legacy():
         rows = []
@@ -559,12 +508,12 @@ def bench_ctmdp_kernel(channels: int = 5, num_samples: int = 8) -> dict:
             )
         return worst
 
-    per_sample_rows = [
+    per_sample_bounds = [
         (
             np.asarray(row["unreliability_bounds"].lower),
             np.asarray(row["unreliability_bounds"].upper),
         )
-        for row in per_sample_result.rows
+        for row in per_sample_result
     ]
     return {
         "channels": channels,
@@ -575,7 +524,7 @@ def bench_ctmdp_kernel(channels: int = 5, num_samples: int = 8) -> dict:
         "kernel_wall_seconds": kernel_seconds,
         "legacy_wall_seconds": legacy_seconds,
         "speedup": legacy_seconds / kernel_seconds if kernel_seconds else None,
-        "kernel_vs_per_sample_difference": worst_row_difference(per_sample_rows),
+        "kernel_vs_per_sample_difference": worst_row_difference(per_sample_bounds),
         "kernel_vs_reference_difference": worst_row_difference(legacy_rows),
     }
 
@@ -630,7 +579,7 @@ def main(argv) -> int:
         "fusion": bench_fusion(*FAMILY_INSTANCE),
         "fusion_step": bench_fusion_step(3, 6),
         "minimisation": bench_minimisation(3, 6),
-        "minimisation_v2": bench_minimisation_v2(),
+        "parallel_aggregation": bench_parallel_aggregation(),
         "minimisation_v3": bench_minimisation_v3(),
         "curve": bench_curve(),
         "batch": bench_batch(),
@@ -665,27 +614,7 @@ def main(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    v2 = report["minimisation_v2"]
-    # Minimisation-v2 gate, strong path: the Paige-Tarjan smaller-half
-    # engine must beat the vendored PR 3 splitter >= 2x on the tau-heavy
-    # chain (measured ~5x; the margin absorbs loaded shared runners).
-    if v2["chain"]["strong_speedup"] is None or v2["chain"]["strong_speedup"] < 2.0:
-        print(
-            "FAIL: strong smaller-half engine is not >= 2x faster than the "
-            f"PR 3 baseline on the tau-heavy chain (got {v2['chain']['strong_speedup']})",
-            file=sys.stderr,
-        )
-        return 1
-    # Weak path: tau-closure saturation dominates, so the honest bound is a
-    # non-regression gate against the PR 3 baseline (measured ~1.1x).
-    if v2["product"]["weak_ratio"] is None or v2["product"]["weak_ratio"] < 0.9:
-        print(
-            "FAIL: weak minimisation regressed below 0.9x of the PR 3 "
-            f"baseline on the 8581-state product (got {v2['product']['weak_ratio']})",
-            file=sys.stderr,
-        )
-        return 1
-    if not v2["parallel_aggregation"]["identical_to_serial"]:
+    if not report["parallel_aggregation"]["identical_to_serial"]:
         print(
             "FAIL: parallel modular aggregation changed the final quotient",
             file=sys.stderr,
@@ -748,7 +677,7 @@ def main(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    # The kernel itself must beat PR 4's per-sample cost by >= 1.5x
+    # The kernel itself must beat per-sample instantiation by >= 1.5x
     # (measured ~4-6x; the gate has margin for loaded shared runners).
     if sweep["structure_speedup"] is None or sweep["structure_speedup"] < 1.5:
         print(

@@ -974,8 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=0,
-        help="worker processes for /analyze requests, each holding its own "
-        "warm kernel pool (default: 0, evaluate in-process)",
+        help="worker processes for /analyze, /sweep and /batch evaluations, "
+        "each keeping its compiled models warm (default: 0, evaluate in-process)",
     )
     serve.add_argument(
         "--max-cache-bytes",

@@ -46,8 +46,6 @@ import time as _time
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton
-from ..ctmc.kernel import CtmdpKernel, TransientKernel
 from ..dft.elements import (
     BasicEvent,
     Element,
@@ -68,7 +66,8 @@ from .results import (
     OptimizeResult,
     SchedulerChoice,
 )
-from .study import StudyOptions
+from .measures import Unreliability, UnreliabilityBounds
+from .study import CompiledModel, StudyOptions
 
 #: Pruning slack: a partial assignment is discarded only when its optimistic
 #: lower bound exceeds the incumbent by more than this, so bound-vs-leaf
@@ -365,13 +364,13 @@ def monotonicity_warnings(problem: DesignProblem) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 class _Evaluator:
-    """Leaf/bound evaluation with entry + kernel reuse.
+    """Leaf/bound evaluation with one compiled model per structural class.
 
     Every candidate tree resolves to its structural class's skeleton entry —
     through a :class:`~repro.service.store.SkeletonStore` when one is given
     (so candidates persist across runs), through an in-memory dict otherwise —
-    and each entry gets one lazily-built kernel, so re-bounding the same
-    optimistic completion costs a single uniformisation sweep.
+    compiled once, so re-bounding the same optimistic completion costs a
+    single uniformisation sweep.
     """
 
     def __init__(
@@ -383,19 +382,18 @@ class _Evaluator:
         self.options = options or StudyOptions()
         self.store = store
         self.tolerance = tolerance
-        self._entries: Dict[str, object] = {}
-        self._kernels: Dict[str, Union[TransientKernel, CtmdpKernel]] = {}
+        self._models: Dict[str, CompiledModel] = {}
         self.builds = 0
         self.cache_hits = 0
 
-    def entry_for(self, tree: DynamicFaultTree):
+    def model_for(self, tree: DynamicFaultTree) -> CompiledModel:
         from ..service.store import build_entry, cache_key
 
         key = cache_key(tree, self.options)
-        entry = self._entries.get(key)
-        if entry is not None:
+        model = self._models.get(key)
+        if model is not None:
             self.cache_hits += 1
-            return entry
+            return model
         if self.store is not None:
             entry, hit = self.store.get_or_build(tree, self.options)
             if hit:
@@ -405,47 +403,32 @@ class _Evaluator:
         else:
             entry = build_entry(tree, self.options, key=key)
             self.builds += 1
-        self._entries[key] = entry
-        return entry
-
-    def kernel_for(self, entry) -> Union[TransientKernel, CtmdpKernel]:
-        kernel = self._kernels.get(entry.key)
-        if kernel is None:
-            if isinstance(entry.skeleton, CtmcSkeleton):
-                kernel = TransientKernel(entry.skeleton, buffer=entry.buffer)
-            else:
-                kernel = entry.skeleton.ctmdp_kernel()
-            self._kernels[entry.key] = kernel
-        return kernel
+        model = self._models[key] = CompiledModel(entry.skeleton, buffer=entry.buffer)
+        return model
 
     def unreliability(
         self, tree: DynamicFaultTree, time: float
     ) -> Tuple[float, float, bool]:
         """(lower, upper, nondeterministic) failure probability at ``time``."""
-        entry = self.entry_for(tree)
-        kernel = self.kernel_for(entry)
-        kernel.load(canonical_assignment(tree))
-        if isinstance(kernel, TransientKernel):
-            curve = kernel.probability_of_label_curve(
-                signals.FAILED_LABEL, [time], self.tolerance
-            )
-            value = float(curve[0])
-            return value, value, False
-        lower, upper = kernel.reachability_bounds_curve(
-            signals.FAILED_LABEL, [time], tolerance=self.tolerance
-        )
-        return float(lower[0]), float(upper[0]), True
+        model = self.model_for(tree)
+        measure = UnreliabilityBounds if model.nondeterministic else Unreliability
+        (result,) = model.evaluate(
+            measure([time]), canonical_assignment(tree), tolerance=self.tolerance
+        ).measures
+        if model.nondeterministic:
+            return result.lower[0], result.upper[0], True
+        return result.values[0], result.values[0], False
 
     def scheduler(
         self, tree: DynamicFaultTree, time: float, maximize: bool
     ) -> Tuple[SchedulerChoice, ...]:
         """The argbest scheduler of ``tree``'s bound (empty for CTMCs)."""
-        entry = self.entry_for(tree)
-        kernel = self.kernel_for(entry)
-        if not isinstance(kernel, CtmdpKernel):
+        model = self.model_for(tree)
+        if not model.nondeterministic:
             return ()
+        kernel = model.kernel
         kernel.load(canonical_assignment(tree))
-        picks = kernel.optimal_choices(
+        picks = kernel.optimal_choices(  # type: ignore[union-attr]
             signals.FAILED_LABEL, [time], maximize=maximize, tolerance=self.tolerance
         )
         return tuple(

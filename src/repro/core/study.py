@@ -36,6 +36,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     TextIO,
@@ -45,7 +46,7 @@ from typing import (
 
 from ..ctmc import CTMC, CTMDP, ctmc_from_ioimc, ctmdp_from_ioimc
 from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton, ctmdp_skeleton_from_ioimc
-from ..ctmc.kernel import CtmdpKernel, TransientKernel
+from ..ctmc.kernel import CsrBuffer, CtmdpKernel, TransientKernel
 from ..dft.hashing import canonical_assignment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
@@ -137,19 +138,6 @@ def _as_query(query: QueryLike) -> Query:
 # model-level evaluation (shared by Study and the rate-sweep engine)
 # ---------------------------------------------------------------------------
 
-def _ctmc_point_values(
-    model: CTMC, query: Query, tolerance: float
-) -> Dict[float, float]:
-    """Failed-state occupancy at the union of all requested times (one sweep)."""
-    times = query.transient_times()
-    if not times:
-        return {}
-    curve = model.probability_of_label_curve(
-        signals.FAILED_LABEL, times, tolerance=tolerance
-    )
-    return dict(zip(times, (float(value) for value in curve)))
-
-
 def _query_bound_times(query: Query) -> Tuple[float, ...]:
     """Sorted union of the mission times of every bound measure in ``query``."""
     return tuple(
@@ -164,20 +152,37 @@ def _query_bound_times(query: Query) -> Tuple[float, ...]:
     )
 
 
-def _ctmdp_bound_values(
-    model: CTMDP, query: Query, tolerance: float
-) -> Dict[float, Tuple[float, float]]:
-    """Reachability bounds at the union of all bound times (one sweep pair)."""
-    times = _query_bound_times(query)
-    if not times:
-        return {}
-    lower, upper = model.reachability_bounds_curve(
-        signals.FAILED_LABEL, times, tolerance=tolerance
-    )
-    return {
-        time: (float(low), float(high))
-        for time, low, high in zip(times, lower, upper)
-    }
+def _curves(
+    solver: Union[CTMC, CTMDP, TransientKernel, CtmdpKernel],
+    query: Query,
+    tolerance: float,
+) -> Tuple[Dict[float, float], Dict[float, Tuple[float, float]]]:
+    """Point values and bound curves at the union of all requested times.
+
+    ``solver`` is a concrete model or a loaded kernel (both expose the same
+    curve methods).  A deterministic one runs one transient sweep, and its
+    bounds coincide with the point values; a non-deterministic one runs one
+    bound-sweep pair and has no point values.
+    """
+    if isinstance(solver, (CTMDP, CtmdpKernel)):
+        times = _query_bound_times(query)
+        if not times:
+            return {}, {}
+        lower, upper = solver.reachability_bounds_curve(
+            signals.FAILED_LABEL, times, tolerance=tolerance
+        )
+        return {}, {
+            time: (float(low), float(high))
+            for time, low, high in zip(times, lower, upper)
+        }
+    times = query.transient_times()
+    point_values: Dict[float, float] = {}
+    if times:
+        curve = solver.probability_of_label_curve(
+            signals.FAILED_LABEL, times, tolerance=tolerance
+        )
+        point_values = dict(zip(times, (float(value) for value in curve)))
+    return point_values, {time: (value, value) for time, value in point_values.items()}
 
 
 #: Per-direction gradient payload of the parametric CTMDP kernel:
@@ -314,9 +319,8 @@ def query_needs_model(query: QueryLike) -> bool:
     """True iff evaluating ``query`` needs more than transient point values.
 
     MTTF and steady-state unavailability read the generator itself; every
-    other measure is assembled from the failed-state occupancy curve alone.
-    The rate-sweep kernel uses this to skip building a concrete CTMC per
-    sample whenever the query is purely transient.
+    other measure is assembled from the failed-state occupancy curve alone,
+    so a purely transient query never builds a concrete CTMC per sample.
     """
     return any(_measure_needs_model(measure) for measure in _as_query(query))
 
@@ -378,21 +382,11 @@ def evaluate_query_on_model(
     This is the planning core of :meth:`Study.evaluate` without the pipeline:
     one vectorised transient sweep over the union of all mission times (or one
     bound-curve sweep pair for CTMDPs), then each measure reads its values.
-    The rate-sweep engine calls it once per instantiated sample.  Importance
-    rankings need ``gradient_values`` from a parametric kernel (a concrete
-    model carries evaluated floats, so it cannot be differentiated itself).
+    Importance rankings need ``gradient_values`` from a parametric kernel (a
+    concrete model carries evaluated floats, so it cannot be differentiated).
     """
-    if on_error not in ("raise", "record"):
-        raise AnalysisError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     query = _as_query(query)
-    if isinstance(model, CTMC):
-        point_values = _ctmc_point_values(model, query, tolerance)
-        bound_curves: Dict[float, Tuple[float, float]] = {
-            time: (value, value) for time, value in point_values.items()
-        }
-    else:
-        point_values = {}
-        bound_curves = _ctmdp_bound_values(model, query, tolerance)
+    point_values, bound_curves = _curves(model, query, tolerance)
     return measures_from_curves(
         model,
         query,
@@ -422,85 +416,150 @@ def _degenerate_envelope(skeleton: CtmcSkeleton) -> CtmdpSkeleton:
     )
 
 
+class Evaluation(NamedTuple):
+    """One evaluation of a :class:`CompiledModel` under one rate assignment.
+
+    ``load_seconds`` covers the rate refill (plus a concrete model build when
+    a measure reads the generator), ``solve_seconds`` the sweeps; the
+    optional ``gradients`` map each parameter to its gradient curve.
+    """
+
+    measures: Tuple[MeasureResult, ...]
+    load_seconds: float
+    solve_seconds: float
+    gradients: Optional[Dict[str, Tuple[float, ...]]] = None
+
+
+class CompiledModel:
+    """A rate-independent skeleton together with its reusable solver kernels.
+
+    The kernel (a :class:`TransientKernel` for CTMC skeletons, reusing a
+    prebuilt :class:`~repro.ctmc.kernel.CsrBuffer` when one is given, or a
+    :class:`CtmdpKernel`) and the gradient kernel (the CTMDP kernel itself,
+    or the choice-free envelope of a CTMC skeleton) are built on first use
+    and kept, so every later :meth:`evaluate` only refills rate data.
+    ``Study``'s cached path, sweep rows, the optimiser and the service all
+    evaluate skeletons through this one class.
+    """
+
+    __slots__ = ("skeleton", "_buffer", "_kernel", "_gradient_kernel")
+
+    def __init__(
+        self,
+        skeleton: Union[CtmcSkeleton, CtmdpSkeleton],
+        buffer: Optional[CsrBuffer] = None,
+    ):
+        self.skeleton = skeleton
+        self._buffer = buffer
+        self._kernel: Optional[Union[TransientKernel, CtmdpKernel]] = None
+        self._gradient_kernel: Optional[CtmdpKernel] = None
+
+    @property
+    def nondeterministic(self) -> bool:
+        return isinstance(self.skeleton, CtmdpSkeleton)
+
+    @property
+    def kernel(self) -> Union[TransientKernel, CtmdpKernel]:
+        """The skeleton's bound or transient solver (built once)."""
+        if self._kernel is None:
+            if isinstance(self.skeleton, CtmcSkeleton):
+                self._kernel = TransientKernel(self.skeleton, buffer=self._buffer)
+            else:
+                self._kernel = self.skeleton.ctmdp_kernel()
+        return self._kernel
+
+    @property
+    def gradient_kernel(self) -> CtmdpKernel:
+        """The parametric CTMDP kernel that differentiates this model."""
+        if self._gradient_kernel is None:
+            kernel = self.kernel
+            self._gradient_kernel = (
+                kernel
+                if isinstance(kernel, CtmdpKernel)
+                else _degenerate_envelope(self.skeleton).ctmdp_kernel()  # type: ignore[arg-type]
+            )
+        return self._gradient_kernel
+
+    def evaluate(
+        self,
+        query: QueryLike,
+        assignment: Optional[Mapping[str, float]] = None,
+        tolerance: float = 1e-12,
+        on_error: str = "raise",
+        rate_floor: Optional[float] = None,
+        gradients: bool = False,
+    ) -> Evaluation:
+        """Evaluate ``query`` under ``assignment``; see :func:`evaluate_skeleton_query`."""
+        return evaluate_skeleton_query(
+            self, query, assignment, tolerance, on_error, rate_floor, gradients
+        )
+
+
 def evaluate_skeleton_query(
-    skeleton: Union[CtmcSkeleton, CtmdpSkeleton],
+    model: CompiledModel,
     query: QueryLike,
     assignment: Optional[Mapping[str, float]] = None,
     tolerance: float = 1e-12,
     on_error: str = "raise",
-    kernel: Optional[Union[TransientKernel, CtmdpKernel]] = None,
-) -> Tuple[MeasureResult, ...]:
-    """Evaluate ``query`` on a rate-independent skeleton under ``assignment``.
+    rate_floor: Optional[float] = None,
+    gradients: bool = False,
+) -> Evaluation:
+    """Evaluate ``query`` on a compiled skeleton under ``assignment``.
 
     This is the cached-pipeline analogue of :func:`evaluate_query_on_model`:
-    CTMC skeletons run on a shared-structure :class:`TransientKernel` and
-    CTMDP skeletons on a :class:`CtmdpKernel` (pass ``kernel`` to reuse one
-    across calls — its CSR pattern and Poisson terms then survive between
-    requests), instantiating a concrete model only when a measure reads the
-    generator itself.  The skeleton store's serving paths and ``Study``'s
-    ``skeleton_cache=`` mode both evaluate through here, which is what makes
-    a served response bit-identical to the in-process result.
+    the model's kernel refills its shared CSR pattern with the assignment's
+    rates and runs one uniformisation sweep over the union of mission times
+    (CTMC) or one bound-sweep pair (CTMDP); a concrete model is instantiated
+    only when a measure reads the generator itself.  ``rate_floor`` pins the
+    uniformisation rate (see :meth:`TransientKernel.load`); ``gradients``
+    attaches per-parameter gradient curves of the max bound to the result.
+
+    Every skeleton evaluation — ``Study``'s ``skeleton_cache=`` mode, sweep
+    rows, the optimiser and the service — runs through here (via
+    :meth:`CompiledModel.evaluate`), which is what makes a served response
+    bit-identical to the in-process result.  It stays a module-level function
+    so profilers can wrap it by name.
     """
     query = _as_query(query)
-    if isinstance(skeleton, CtmcSkeleton):
-        if isinstance(kernel, CtmdpKernel):
-            raise AnalysisError("a CTMC skeleton needs a TransientKernel, not a CtmdpKernel")
-        if kernel is not None and kernel.skeleton is not skeleton:
-            raise AnalysisError("the transient kernel belongs to a different skeleton")
-        if kernel is None:
-            kernel = TransientKernel(skeleton)
-        kernel.load(None if assignment is None else dict(assignment))
-        times = query.transient_times()
-        curve = kernel.probability_of_label_curve(
-            signals.FAILED_LABEL, times, tolerance
-        )
-        point_values = dict(zip(times, (float(value) for value in curve)))
-        bound_curves = {time: (value, value) for time, value in point_values.items()}
-        gradient_values: Optional[GradientValues] = None
-        if _query_wants_gradients(query):
-            envelope_kernel = _degenerate_envelope(skeleton).ctmdp_kernel()
-            envelope_kernel.load(None if assignment is None else dict(assignment))
-            gradient_values = gradient_values_from_kernel(
-                envelope_kernel, query, tolerance
+    start = _time.perf_counter()
+    kernel = model.kernel
+    kernel.load(assignment, rate_floor=rate_floor)
+    load_seconds = _time.perf_counter() - start
+    point_values, bound_curves = _curves(kernel, query, tolerance)
+    concrete: Optional[CTMC] = None
+    if not model.nondeterministic and query_needs_model(query):
+        model_start = _time.perf_counter()
+        concrete = model.skeleton.instantiate(assignment)  # type: ignore[assignment]
+        load_seconds += _time.perf_counter() - model_start
+    gradient_values: Optional[GradientValues] = None
+    row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
+    if gradients or _query_wants_gradients(query):
+        gradient_kernel = model.gradient_kernel
+        if gradient_kernel is not kernel:
+            gradient_kernel.load(assignment, rate_floor=rate_floor)
+        gradient_values = gradient_values_from_kernel(gradient_kernel, query, tolerance)
+        if gradients:
+            _curve, grads = gradient_kernel.gradient_curve(
+                signals.FAILED_LABEL,
+                query.transient_times(),
+                maximize=True,
+                tolerance=tolerance,
             )
-        model: Optional[Union[CTMC, CTMDP]] = None
-        if query_needs_model(query):
-            model = skeleton.instantiate(assignment)
-        return measures_from_curves(
-            model,
-            query,
-            point_values,
-            bound_curves,
-            on_error=on_error,
-            gradient_values=gradient_values,
-        )
-    if isinstance(kernel, TransientKernel):
-        raise AnalysisError("a CTMDP skeleton needs a CtmdpKernel, not a TransientKernel")
-    if kernel is not None and kernel.skeleton is not skeleton:
-        raise AnalysisError("the CTMDP kernel belongs to a different skeleton")
-    if kernel is None:
-        kernel = skeleton.ctmdp_kernel()
-    kernel.load(None if assignment is None else dict(assignment))
-    bound_times = _query_bound_times(query)
-    bound_curves = {}
-    if bound_times:
-        lower, upper = kernel.reachability_bounds_curve(
-            signals.FAILED_LABEL, bound_times, tolerance=tolerance
-        )
-        bound_curves = {
-            time: (float(low), float(high))
-            for time, low, high in zip(bound_times, lower, upper)
-        }
-    gradient_values = gradient_values_from_kernel(kernel, query, tolerance)
-    return measures_from_curves(
-        None,
+            row_gradients = {
+                name: tuple(float(value) for value in grads[:, j])
+                for j, name in enumerate(gradient_kernel.parameters)
+            }
+    measures = measures_from_curves(
+        concrete,
         query,
-        {},
+        point_values,
         bound_curves,
         on_error=on_error,
-        nondeterministic=True,
+        nondeterministic=model.nondeterministic,
         gradient_values=gradient_values,
     )
+    wall = _time.perf_counter() - start
+    return Evaluation(measures, load_seconds, wall - load_seconds, row_gradients)
 
 
 class Study:
@@ -529,7 +588,7 @@ class Study:
         self._timings: Dict[str, float] = {}
         self._cache_entry = None
         self._cache_hit = False
-        self._cache_kernel: Optional[Union[TransientKernel, CtmdpKernel]] = None
+        self._compiled: Optional[CompiledModel] = None
         self._cache_assignment: Optional[Dict[str, float]] = None
         self._gradient_kernel: Optional[CtmdpKernel] = None
 
@@ -601,22 +660,16 @@ class Study:
     def _evaluate_cached(self, query: Query, on_error: str) -> StudyResult:
         entry = self._cached_entry()
         start = _time.perf_counter()
-        if self._cache_kernel is None:
-            if isinstance(entry.skeleton, CtmcSkeleton):
-                self._cache_kernel = TransientKernel(entry.skeleton, buffer=entry.buffer)
-            elif isinstance(entry.skeleton, CtmdpSkeleton):
-                self._cache_kernel = entry.skeleton.ctmdp_kernel()
-        if self._cache_assignment is None:
+        if self._compiled is None:
+            self._compiled = CompiledModel(entry.skeleton, buffer=entry.buffer)
             # One canonical tree walk per Study, not per evaluate() call.
             self._cache_assignment = canonical_assignment(self.tree)
-        measures = evaluate_skeleton_query(
-            entry.skeleton,
+        measures = self._compiled.evaluate(
             query,
             self._cache_assignment,
             tolerance=self.options.tolerance,
             on_error=on_error,
-            kernel=self._cache_kernel,
-        )
+        ).measures
         self._timings["evaluation"] = _time.perf_counter() - start
         self._timings["total"] = self._timings.get("cache", 0.0) + self._timings["evaluation"]
         options = self.options.to_dict()
@@ -659,9 +712,9 @@ class Study:
             # aggregated I/O-IMC's envelope (deterministic models included —
             # their envelope has no choices and both bounds coincide).
             if self._gradient_kernel is None:
-                self._gradient_kernel = ctmdp_skeleton_from_ioimc(
-                    self.final_ioimc
-                ).ctmdp_kernel()
+                self._gradient_kernel = CompiledModel(
+                    ctmdp_skeleton_from_ioimc(self.final_ioimc)
+                ).gradient_kernel
                 self._gradient_kernel.load()
             gradient_values = gradient_values_from_kernel(
                 self._gradient_kernel, query, self.options.tolerance
@@ -682,18 +735,18 @@ class Study:
             tree_name=self.tree.name,
             tree_summary=self.tree.summary(),
             measures=measures,
-            model=self._model_info(model),
+            model=self._model_info(model.num_states, isinstance(model, CTMDP)),
             statistics=self.statistics,
             options=self.options.to_dict(),
             timings=self.timings,
         )
 
-    def _model_info(self, model: Union[CTMC, CTMDP]) -> ModelInfo:
+    def _model_info(self, states: int, nondeterministic: bool) -> ModelInfo:
         final = self.final_ioimc
         return ModelInfo(
-            kind="ctmdp" if isinstance(model, CTMDP) else "ctmc",
-            states=model.num_states,
-            nondeterministic=isinstance(model, CTMDP),
+            kind="ctmdp" if nondeterministic else "ctmc",
+            states=states,
+            nondeterministic=nondeterministic,
             final_ioimc_states=final.num_states,
             final_ioimc_transitions=final.num_transitions,
             community_size=len(self.community.members),
@@ -769,6 +822,49 @@ def _evaluate_batch_item(
         )
 
 
+def resolve_workers(processes: Optional[int], num_items: int) -> int:
+    """The worker count for ``num_items`` items (1 unless there is work to share)."""
+    workers = 1 if processes is None else int(processes)
+    if workers < 1:
+        raise AnalysisError(f"processes must be >= 1, got {processes}")
+    return workers if num_items > 1 else 1
+
+
+def chunked_pool_map(
+    function,
+    items: Sequence,
+    workers: int,
+    chunk_size: Optional[int] = None,
+    initializer=None,
+    initargs: Tuple = (),
+) -> Iterator:
+    """Yield ``function(chunk)``'s results over ``items``' chunks, in order.
+
+    ``items`` are cut into chunks of ``chunk_size`` (default: about four per
+    worker, so stragglers rebalance, and at most 64) and at most
+    ``workers + 2`` chunks are in flight at any time, so huge inputs neither
+    materialise all results nor flood the executor.  Batch corpora and
+    rate sweeps share this scheduler.
+    """
+    if chunk_size is None:
+        chunk = max(1, min(64, len(items) // (workers * 4) or 1))
+    else:
+        chunk = int(chunk_size)
+        if chunk < 1:
+            raise AnalysisError(f"chunk_size must be >= 1, got {chunk_size}")
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=initializer, initargs=initargs
+    ) as pool:
+        pending: Deque = deque()
+        next_index = 0
+        while next_index < len(items) or pending:
+            while next_index < len(items) and len(pending) < workers + 2:
+                batch = list(items[next_index : next_index + chunk])
+                pending.append(pool.submit(function, batch))
+                next_index += len(batch)
+            yield from pending.popleft().result()
+
+
 class BatchStudy:
     """Evaluates one query over many trees (a corpus), optionally in parallel.
 
@@ -823,12 +919,6 @@ class BatchStudy:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _resolve_workers(self, processes: Optional[int]) -> int:
-        workers = 1 if processes is None else int(processes)
-        if workers < 1:
-            raise AnalysisError(f"processes must be >= 1, got {processes}")
-        return workers if len(self._items) > 1 else 1
-
     def iter_rows(
         self,
         processes: Optional[int] = None,
@@ -841,31 +931,13 @@ class BatchStudy:
         window of chunks is in flight at any time — so a million-tree corpus
         neither materialises all rows nor floods the executor with futures.
         """
-        workers = self._resolve_workers(processes)
+        workers = resolve_workers(processes, len(self._items))
         jobs = [(item, self.query, self.options) for item in self._items]
         if workers == 1:
             for job in jobs:
                 yield _evaluate_batch_item(job)
             return
-        if chunk_size is None:
-            # Aim for ~4 chunks per worker so stragglers rebalance, but never
-            # sub-single-tree chunks.
-            chunk = max(1, min(64, len(jobs) // (workers * 4) or 1))
-        else:
-            chunk = int(chunk_size)
-            if chunk < 1:
-                raise AnalysisError(f"chunk_size must be >= 1, got {chunk_size}")
-        max_pending = workers + 2
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending: Deque = deque()
-            next_index = 0
-            while next_index < len(jobs) or pending:
-                while next_index < len(jobs) and len(pending) < max_pending:
-                    batch = jobs[next_index : next_index + chunk]
-                    pending.append(pool.submit(_evaluate_batch_chunk, batch))
-                    next_index += len(batch)
-                for row in pending.popleft().result():
-                    yield row
+        yield from chunked_pool_map(_evaluate_batch_chunk, jobs, workers, chunk_size)
 
     def run(
         self,
@@ -881,7 +953,7 @@ class BatchStudy:
         (``rows=()``); :func:`repro.core.results.read_batch_jsonl` loads the
         rows back.
         """
-        workers = self._resolve_workers(processes)
+        workers = resolve_workers(processes, len(self._items))
         rows_iter = self.iter_rows(processes=workers, chunk_size=chunk_size)
         if sink is not None:
             return write_batch_jsonl(rows_iter, sink, processes=workers)

@@ -15,15 +15,14 @@ This module exploits that invariance:
    captured as a rate-independent skeleton
    (:class:`~repro.ctmc.builders.CtmcSkeleton` /
    :class:`~repro.ctmc.builders.CtmdpSkeleton`);
-3. :class:`RateSweep` evaluation instantiates only the CTMC/CTMDP generator
-   per sample — and, on the CTMC path, not even that: a per-process
-   :class:`~repro.ctmc.kernel.TransientKernel` keeps the uniformised CSR
-   pattern, Poisson term cache and matvec workspace alive across samples, so
-   each sample refills rate data in place and runs the solve with zero
-   sparse-structure allocations.  Samples are embarrassingly parallel:
-   ``run(..., processes=N)`` fans them out over a chunked, windowed process
-   pool (one kernel per worker) and yields rows in sample order,
-   bit-identical to a serial run.
+3. :class:`RateSweep` evaluation does not even instantiate the generator
+   per sample: a per-process :class:`~repro.core.study.CompiledModel` keeps
+   the skeleton's uniformised CSR pattern, Poisson term cache and matvec
+   workspace alive across samples, so each sample refills rate data in
+   place and runs the solve with zero sparse-structure allocations.
+   Samples are embarrassingly parallel: ``run(..., processes=N)`` fans them
+   out over a chunked, windowed process pool (one compiled model per
+   worker) and yields rows in sample order, bit-identical to a serial run.
 
 The cost drops from ``O(samples x pipeline)`` to
 ``O(pipeline + samples x uniformisation)`` — the same amortisation the query
@@ -43,12 +42,9 @@ from __future__ import annotations
 import itertools
 import math
 import time as _time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -69,7 +65,7 @@ from ..ctmc.builders import (
     ctmc_skeleton_from_ioimc,
     ctmdp_skeleton_from_ioimc,
 )
-from ..ctmc.kernel import CsrBuffer, CtmdpKernel, TransientKernel
+from ..ctmc.kernel import CsrBuffer
 from ..dft.elements import BasicEvent
 from ..dft.hashing import (
     canonical_assignment,
@@ -78,22 +74,17 @@ from ..dft.hashing import (
 )
 from ..dft.tree import DynamicFaultTree
 from ..errors import AnalysisError, FaultTreeError, NondeterminismError, ReproError
-from . import signals
 from .measures import Query
-from .results import ModelInfo, SweepResult, SweepRow
+from .results import SweepResult, SweepRow
 from .study import (
-    GradientValues,
+    CompiledModel,
     QueryLike,
     Study,
     StudyOptions,
     _as_query,
-    _degenerate_envelope,
-    _query_bound_times,
     _query_wants_gradients,
-    evaluate_query_on_model,
-    gradient_values_from_kernel,
-    measures_from_curves,
-    query_needs_model,
+    chunked_pool_map,
+    resolve_workers,
 )
 
 Sample = Dict[str, float]
@@ -173,6 +164,17 @@ class RateSweep:
         """Sorted union of the parameters any sample assigns."""
         return tuple(sorted({name for sample in self.samples for name in sample}))
 
+    def require_declared(self, tree: DynamicFaultTree) -> None:
+        """Raise unless ``tree`` declares every parameter the sweep varies."""
+        unknown = [name for name in self.parameters if name not in tree.parameters]
+        if unknown:
+            raise AnalysisError(
+                "the sweep varies parameters the tree does not declare: "
+                + ", ".join(sorted(unknown))
+                + " (declare them with 'param <name> = <value>;' or "
+                "DynamicFaultTree.declare_parameter)"
+            )
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -193,7 +195,6 @@ class _SweepPlan:
     declared: Dict[str, float]
     query: Query
     tolerance: float
-    use_kernel: bool = True
     #: One uniformisation rate for the whole grid (>= every sample's natural
     #: maximal exit rate): the kernel then reuses one Poisson term table
     #: across all samples instead of rebuilding it per sample.
@@ -220,199 +221,62 @@ class _SweepPlan:
         return assignment
 
 
-class _SampleEvaluator:
-    """Per-process sweep state: the plan plus lazily built solver kernels.
-
-    The kernels allocate the shared CSR pattern once (on construction) and
-    every :meth:`evaluate` call only refills rate data — the whole point of
-    the shared-structure engine.  CTMC skeletons run on a
-    :class:`TransientKernel`, CTMDP skeletons on a :class:`CtmdpKernel`;
-    ``use_kernel=False`` falls back to a full per-sample instantiation.
-    A gradient-enabled plan additionally keeps a parametric CTMDP kernel
-    (the skeleton's own, or the choice-free envelope of a CTMC skeleton)
-    for the analytic ∂measure/∂parameter sweeps.
-    """
-
-    __slots__ = ("plan", "_kernel", "_ctmdp_kernel", "_gradient_kernel", "_needs_model")
-
-    def __init__(self, plan: _SweepPlan):
-        self.plan = plan
-        self._kernel: Optional[TransientKernel] = (
-            TransientKernel(plan.skeleton)
-            if plan.use_kernel and isinstance(plan.skeleton, CtmcSkeleton)
-            else None
+def _evaluate_row(
+    model: CompiledModel, plan: _SweepPlan, sample: Mapping[str, float]
+) -> SweepRow:
+    """One sample's row; any pipeline error becomes the row's error."""
+    assignment = plan.assignment_of(sample)
+    start = _time.perf_counter()
+    try:
+        evaluation = model.evaluate(
+            plan.query,
+            assignment,
+            tolerance=plan.tolerance,
+            on_error="record",
+            rate_floor=plan.shared_rate,
+            gradients=plan.gradients,
         )
-        self._ctmdp_kernel: Optional[CtmdpKernel] = (
-            plan.skeleton.ctmdp_kernel()
-            if plan.use_kernel and isinstance(plan.skeleton, CtmdpSkeleton)
-            else None
+    except ReproError as error:
+        return SweepRow(
+            sample=dict(sample),
+            measures=(),
+            wall_seconds=_time.perf_counter() - start,
+            error=str(error),
         )
-        self._gradient_kernel: Optional[CtmdpKernel] = None
-        if plan.gradients or _query_wants_gradients(plan.query):
-            if self._ctmdp_kernel is not None:
-                self._gradient_kernel = self._ctmdp_kernel
-            elif isinstance(plan.skeleton, CtmdpSkeleton):
-                self._gradient_kernel = plan.skeleton.ctmdp_kernel()
-            else:
-                self._gradient_kernel = _degenerate_envelope(
-                    plan.skeleton
-                ).ctmdp_kernel()
-        self._needs_model = query_needs_model(plan.query)
-
-    @property
-    def kernel(self) -> Optional[TransientKernel]:
-        return self._kernel
-
-    def _load_gradient_kernel(
-        self, assignment: Dict[str, float], already_loaded: bool
-    ) -> CtmdpKernel:
-        assert self._gradient_kernel is not None
-        if not already_loaded:
-            self._gradient_kernel.load(
-                assignment, rate_floor=self.plan.shared_rate
-            )
-        return self._gradient_kernel
-
-    def evaluate(self, sample: Mapping[str, float]) -> SweepRow:
-        """One sample's row; any pipeline error becomes the row's error."""
-        plan = self.plan
-        assignment = plan.assignment_of(sample)
-        start = _time.perf_counter()
-        instantiate_seconds = 0.0
-        # The gradient kernel is the CTMDP kernel itself when the measure path
-        # already runs on it, so one refill serves both sweeps.
-        gradient_loaded = False
-        try:
-            gradient_values: Optional[GradientValues] = None
-            if self._kernel is not None:
-                self._kernel.load(assignment, rate_floor=plan.shared_rate)
-                instantiate_seconds = _time.perf_counter() - start
-                times = plan.query.transient_times()
-                curve = self._kernel.probability_of_label_curve(
-                    signals.FAILED_LABEL, times, plan.tolerance
-                )
-                point_values = dict(zip(times, (float(value) for value in curve)))
-                bound_curves = {
-                    time: (value, value) for time, value in point_values.items()
-                }
-                model = None
-                if self._needs_model:
-                    model_start = _time.perf_counter()
-                    model = plan.skeleton.instantiate(assignment)
-                    instantiate_seconds += _time.perf_counter() - model_start
-                if self._gradient_kernel is not None and _query_wants_gradients(
-                    plan.query
-                ):
-                    gradient_values = gradient_values_from_kernel(
-                        self._load_gradient_kernel(assignment, gradient_loaded),
-                        plan.query,
-                        plan.tolerance,
-                    )
-                    gradient_loaded = True
-                measures = measures_from_curves(
-                    model,
-                    plan.query,
-                    point_values,
-                    bound_curves,
-                    on_error="record",
-                    gradient_values=gradient_values,
-                )
-            elif self._ctmdp_kernel is not None:
-                self._ctmdp_kernel.load(assignment, rate_floor=plan.shared_rate)
-                instantiate_seconds = _time.perf_counter() - start
-                gradient_loaded = self._gradient_kernel is self._ctmdp_kernel
-                bound_times = _query_bound_times(plan.query)
-                bound_curves = {}
-                if bound_times:
-                    lower, upper = self._ctmdp_kernel.reachability_bounds_curve(
-                        signals.FAILED_LABEL, bound_times, tolerance=plan.tolerance
-                    )
-                    bound_curves = {
-                        time: (float(low), float(high))
-                        for time, low, high in zip(bound_times, lower, upper)
-                    }
-                if self._gradient_kernel is not None and _query_wants_gradients(
-                    plan.query
-                ):
-                    gradient_values = gradient_values_from_kernel(
-                        self._load_gradient_kernel(assignment, gradient_loaded),
-                        plan.query,
-                        plan.tolerance,
-                    )
-                    gradient_loaded = True
-                measures = measures_from_curves(
-                    None,
-                    plan.query,
-                    {},
-                    bound_curves,
-                    on_error="record",
-                    nondeterministic=True,
-                    gradient_values=gradient_values,
-                )
-            else:
-                model = plan.skeleton.instantiate(assignment)
-                instantiate_seconds = _time.perf_counter() - start
-                if self._gradient_kernel is not None and _query_wants_gradients(
-                    plan.query
-                ):
-                    gradient_values = gradient_values_from_kernel(
-                        self._load_gradient_kernel(assignment, gradient_loaded),
-                        plan.query,
-                        plan.tolerance,
-                    )
-                    gradient_loaded = True
-                measures = evaluate_query_on_model(
-                    model,
-                    plan.query,
-                    tolerance=plan.tolerance,
-                    on_error="record",
-                    gradient_values=gradient_values,
-                )
-            row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
-            if plan.gradients and self._gradient_kernel is not None:
-                times = plan.query.transient_times()
-                kernel = self._load_gradient_kernel(assignment, gradient_loaded)
-                _curve, grads = kernel.gradient_curve(
-                    signals.FAILED_LABEL,
-                    times,
-                    maximize=True,
-                    tolerance=plan.tolerance,
-                )
-                row_gradients = {
-                    name: tuple(float(value) for value in grads[:, j])
-                    for j, name in enumerate(kernel.parameters)
-                }
-            wall = _time.perf_counter() - start
-            return SweepRow(
-                sample=dict(sample),
-                measures=measures,
-                wall_seconds=wall,
-                instantiate_seconds=instantiate_seconds,
-                solve_seconds=wall - instantiate_seconds,
-                gradients=row_gradients,
-            )
-        except ReproError as error:
-            return SweepRow(
-                sample=dict(sample),
-                measures=(),
-                wall_seconds=_time.perf_counter() - start,
-                error=str(error),
-            )
+    return SweepRow(
+        sample=dict(sample),
+        measures=evaluation.measures,
+        wall_seconds=evaluation.load_seconds + evaluation.solve_seconds,
+        instantiate_seconds=evaluation.load_seconds,
+        solve_seconds=evaluation.solve_seconds,
+        gradients=evaluation.gradients,
+    )
 
 
-_WORKER_EVALUATOR: Optional[_SampleEvaluator] = None
+def _compile(plan: _SweepPlan) -> CompiledModel:
+    """The plan's compiled model, its kernels built before any row is timed."""
+    model = CompiledModel(plan.skeleton)
+    model.kernel
+    if plan.gradients or _query_wants_gradients(plan.query):
+        model.gradient_kernel
+    return model
+
+
+#: The pool worker's plan and compiled model (built once per process).
+_WORKER_STATE: Optional[Tuple[_SweepPlan, CompiledModel]] = None
 
 
 def _init_sweep_worker(plan: _SweepPlan) -> None:
-    """Pool initializer: build the per-process evaluator (and its kernel) once."""
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = _SampleEvaluator(plan)
+    """Pool initializer: compile the plan's skeleton once per worker."""
+    global _WORKER_STATE
+    _WORKER_STATE = (plan, _compile(plan))
 
 
 def _evaluate_sweep_chunk(samples: Sequence[Sample]) -> List[SweepRow]:
-    """Worker entry point: evaluate one chunk on the process-local kernel."""
-    assert _WORKER_EVALUATOR is not None
-    return [_WORKER_EVALUATOR.evaluate(sample) for sample in samples]
+    """Worker entry point: evaluate one chunk on the process-local model."""
+    assert _WORKER_STATE is not None
+    plan, model = _WORKER_STATE
+    return [_evaluate_row(model, plan, sample) for sample in samples]
 
 
 def _scan_shared_rate(plan: _SweepPlan, samples: Sequence[Sample]) -> Optional[float]:
@@ -436,13 +300,6 @@ def _scan_shared_rate(plan: _SweepPlan, samples: Sequence[Sample]) -> Optional[f
     return shared
 
 
-def _resolve_sweep_workers(processes: Optional[int], num_samples: int) -> int:
-    workers = 1 if processes is None else int(processes)
-    if workers < 1:
-        raise AnalysisError(f"processes must be >= 1, got {processes}")
-    return workers if num_samples > 1 else 1
-
-
 def iter_sweep_rows(
     plan: _SweepPlan,
     samples: Sequence[Sample],
@@ -451,40 +308,26 @@ def iter_sweep_rows(
 ) -> Iterator[SweepRow]:
     """Yield one row per sample, in sample order, optionally process-parallel.
 
-    Mirrors :meth:`repro.core.study.BatchStudy.iter_rows`: with
-    ``processes > 1`` the samples are cut into chunks and a bounded window of
-    chunks is in flight at any time, so huge sweeps neither materialise all
-    rows nor flood the executor.  Error rows keep their sample's position.
+    With ``processes > 1`` the samples run on the chunked, windowed pool of
+    :func:`repro.core.study.chunked_pool_map`, like batch corpora.  Error
+    rows keep their sample's position.
     Every path (serial and all worker counts) runs the identical per-sample
     code, so parallel rows are bit-identical to serial ones.
     """
-    workers = _resolve_sweep_workers(processes, len(samples))
+    workers = resolve_workers(processes, len(samples))
     if workers == 1:
-        evaluator = _SampleEvaluator(plan)
+        model = _compile(plan)
         for sample in samples:
-            yield evaluator.evaluate(sample)
+            yield _evaluate_row(model, plan, sample)
         return
-    if chunk_size is None:
-        # Aim for ~4 chunks per worker so stragglers rebalance, but never
-        # sub-single-sample chunks.
-        chunk = max(1, min(64, len(samples) // (workers * 4) or 1))
-    else:
-        chunk = int(chunk_size)
-        if chunk < 1:
-            raise AnalysisError(f"chunk_size must be >= 1, got {chunk_size}")
-    max_pending = workers + 2
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_sweep_worker, initargs=(plan,)
-    ) as pool:
-        pending: Deque = deque()
-        next_index = 0
-        while next_index < len(samples) or pending:
-            while next_index < len(samples) and len(pending) < max_pending:
-                batch = list(samples[next_index : next_index + chunk])
-                pending.append(pool.submit(_evaluate_sweep_chunk, batch))
-                next_index += len(batch)
-            for row in pending.popleft().result():
-                yield row
+    yield from chunked_pool_map(
+        _evaluate_sweep_chunk,
+        samples,
+        workers,
+        chunk_size,
+        initializer=_init_sweep_worker,
+        initargs=(plan,),
+    )
 
 
 class SweepStudy:
@@ -505,20 +348,17 @@ class SweepStudy:
         skeleton_cache: Optional["SkeletonStore"] = None,
     ):
         self.tree = tree
-        self.study = Study(tree, options)
+        self.study = Study(tree, options, skeleton_cache=skeleton_cache)
         self.skeleton_cache = skeleton_cache
         self._skeleton: Optional[Union[CtmcSkeleton, CtmdpSkeleton]] = None
         self._skeleton_seconds = 0.0
-        self._cache_entry = None
-        self._cache_hit = False
-        self._cache_seconds = 0.0
 
     # ------------------------------------------------------------- skeleton
     @property
     def skeleton(self) -> Union[CtmcSkeleton, CtmdpSkeleton]:
         """The rate-independent final-model structure (cached)."""
         if self.skeleton_cache is not None:
-            return self._cached_entry().skeleton
+            return self.study._cached_entry().skeleton
         if self._skeleton is None:
             final = self.study.final_ioimc
             start = _time.perf_counter()
@@ -529,34 +369,21 @@ class SweepStudy:
             self._skeleton_seconds = _time.perf_counter() - start
         return self._skeleton
 
-    def _cached_entry(self):
-        if self._cache_entry is None:
-            assert self.skeleton_cache is not None
-            start = _time.perf_counter()
-            self._cache_entry, self._cache_hit = self.skeleton_cache.get_or_build(
-                self.tree, self.study.options
-            )
-            self._cache_seconds = _time.perf_counter() - start
-        return self._cache_entry
-
     # ------------------------------------------------------------------ run
     def run(
         self,
         sweep: RateSweep,
         processes: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        use_kernel: bool = True,
         share_uniformisation: bool = False,
         gradients: bool = False,
     ) -> SweepResult:
         """Evaluate the sweep; sample failures become per-row errors.
 
         With ``processes > 1`` the samples fan out over a chunked process
-        pool (each worker builds one shared-structure kernel and keeps it
+        pool (each worker compiles the skeleton once and keeps its kernels
         across its chunks); rows always come back in sample order and are
-        bit-identical to a serial run.  ``use_kernel=False`` forces the
-        legacy per-sample full instantiation — kept for differential tests
-        and the benchmark's kernel-vs-legacy split.
+        bit-identical to a serial run.
 
         ``share_uniformisation=True`` scans the grid for the largest natural
         uniformisation rate and pins that one Lambda for every sample, so the
@@ -573,15 +400,7 @@ class SweepStudy:
         non-deterministic models, the plain unreliability on deterministic
         ones.
         """
-        declared = self.tree.parameters
-        unknown = [name for name in sweep.parameters if name not in declared]
-        if unknown:
-            raise AnalysisError(
-                "the sweep varies parameters the tree does not declare: "
-                + ", ".join(sorted(unknown))
-                + " (declare them with 'param <name> = <value>;' or "
-                "DynamicFaultTree.declare_parameter)"
-            )
+        sweep.require_declared(self.tree)
         skeleton = self.skeleton
         if self.skeleton_cache is not None:
             # The cached skeleton speaks canonical per-event parameters;
@@ -591,7 +410,7 @@ class SweepStudy:
                 canonical_parameter_map(self.tree)
             )
         else:
-            plan_declared = dict(declared)
+            plan_declared = dict(self.tree.parameters)
             parameter_map = None
         if gradients and self.skeleton_cache is not None:
             raise AnalysisError(
@@ -599,17 +418,16 @@ class SweepStudy:
                 "canonical per-event parameters, not the tree's; run the sweep "
                 "without a skeleton cache to get gradients"
             )
-        workers = _resolve_sweep_workers(processes, len(sweep.samples))
+        workers = resolve_workers(processes, len(sweep.samples))
         plan = _SweepPlan(
             skeleton=skeleton,
             declared=plan_declared,
             query=sweep.query,
             tolerance=self.study.options.tolerance,
-            use_kernel=use_kernel,
             parameter_map=parameter_map,
             gradients=gradients,
         )
-        if share_uniformisation and use_kernel:
+        if share_uniformisation:
             shared_rate = _scan_shared_rate(plan, sweep.samples)
             if shared_rate is not None:
                 plan = replace(plan, shared_rate=shared_rate)
@@ -622,7 +440,7 @@ class SweepStudy:
             study_timings.get("conversion", 0.0)
             + study_timings.get("aggregation", 0.0)
             + self._skeleton_seconds
-            + self._cache_seconds
+            + study_timings.get("cache", 0.0)
         )
         timings = {
             "conversion": study_timings.get("conversion", 0.0),
@@ -634,11 +452,10 @@ class SweepStudy:
             "solve": sum(row.solve_seconds or 0.0 for row in rows),
             "total": shared + samples_seconds,
         }
-        if self.skeleton_cache is not None:
-            timings["cache"] = self._cache_seconds
         options = self.study.options.to_dict()
         if self.skeleton_cache is not None:
-            options["skeleton_cache"] = "hit" if self._cache_hit else "miss"
+            timings["cache"] = study_timings["cache"]
+            options["skeleton_cache"] = "hit" if self.study._cache_hit else "miss"
         if plan.shared_rate is not None:
             options["shared_uniformisation_rate"] = plan.shared_rate
         if gradients:
@@ -647,24 +464,16 @@ class SweepStudy:
             tree_name=self.tree.name,
             parameters=sweep.parameters,
             rows=tuple(rows),
-            model=self._model_info(skeleton),
+            model=(
+                self.study._cached_entry().model
+                if self.skeleton_cache is not None
+                else self.study._model_info(
+                    skeleton.num_states, isinstance(skeleton, CtmdpSkeleton)
+                )
+            ),
             options=options,
             timings=timings,
             processes=workers,
-        )
-
-    def _model_info(self, skeleton: Union[CtmcSkeleton, CtmdpSkeleton]) -> ModelInfo:
-        if self.skeleton_cache is not None:
-            return self._cached_entry().model
-        final = self.study.final_ioimc
-        nondeterministic = isinstance(skeleton, CtmdpSkeleton)
-        return ModelInfo(
-            kind="ctmdp" if nondeterministic else "ctmc",
-            states=skeleton.num_states,
-            nondeterministic=nondeterministic,
-            final_ioimc_states=final.num_states,
-            final_ioimc_transitions=final.num_transitions,
-            community_size=len(self.study.community.members),
         )
 
 

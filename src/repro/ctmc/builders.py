@@ -14,9 +14,10 @@ Both conversions factor through a **skeleton**: the rate-independent
 structure (tangible states, labels, vanishing-state elimination, transition
 end-points) computed once, plus the per-transition rate values — possibly
 symbolic :class:`~repro.ioimc.rates.ParametricRate` forms.  The rate-sweep
-engine (:mod:`repro.core.sweep`) builds the skeleton once per tree and calls
-:meth:`CtmcSkeleton.instantiate` per parameter sample, which is how a sweep
-shares one conversion + aggregation across all samples.
+engine (:mod:`repro.core.sweep`) builds the skeleton once per tree and only
+refills its solver kernels per parameter sample
+(:class:`~repro.core.study.CompiledModel`), which is how a sweep shares one
+conversion + aggregation across all samples.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tupl
 from ..errors import ModelError, NondeterminismError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
-    from scipy import sparse
-
-    from .kernel import CsrBuffer, CtmdpKernel, TransientKernel
+    from .kernel import CtmdpKernel
 from ..ioimc.model import IOIMC
 from ..ioimc.rates import RateLike, evaluate_rate, rate_parameters
 from .ctmc import CTMC
@@ -88,28 +87,11 @@ class CtmcSkeleton:
         names = {name for _s, _t, rate in self.edges for name in rate_parameters(rate)}
         return tuple(sorted(names))
 
-    def instantiate(
-        self,
-        assignment: Optional[Mapping[str, float]] = None,
-        *,
-        into: Optional["CsrBuffer"] = None,
-    ) -> Union[CTMC, Tuple["sparse.csr_matrix", float]]:
+    def instantiate(self, assignment: Optional[Mapping[str, float]] = None) -> CTMC:
         """A concrete CTMC with the rates evaluated under ``assignment``.
 
         Without an assignment every parametric rate takes its nominal value.
-
-        With ``into`` (a :class:`~repro.ctmc.kernel.CsrBuffer` built for this
-        skeleton) no CTMC is constructed at all: the buffer's preallocated
-        uniformised CSR matrix is refilled in place and ``(matrix, Lambda)``
-        is returned — the zero-structure-allocation path the rate-sweep
-        kernel uses per sample.
         """
-        if into is not None:
-            if into.skeleton is not self:
-                raise ModelError(
-                    "the CSR buffer was preallocated for a different skeleton"
-                )
-            return into.refill(None if assignment is None else dict(assignment))
         ctmc = CTMC(max(self.num_states, 1), 0)
         for state in range(self.num_states):
             ctmc.set_labels(state, self.labels[state])
@@ -119,12 +101,6 @@ class CtmcSkeleton:
             ctmc.add_rate(source, target, _instantiate_edge_rate(rate, assignment))
         ctmc.set_initial(self.initial)
         return ctmc
-
-    def transient_kernel(self) -> "TransientKernel":
-        """A fresh shared-structure transient solver for this skeleton."""
-        from .kernel import TransientKernel
-
-        return TransientKernel(self)
 
 
 @dataclass(frozen=True)

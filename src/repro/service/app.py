@@ -8,22 +8,28 @@ testable without a socket.
 
 Bit-identity is the design invariant: a served ``/analyze`` response carries
 exactly the measures an in-process ``Study(tree, skeleton_cache=store)``
-computes, because both paths evaluate through
-:func:`repro.core.study.evaluate_skeleton_query` on the same store entry.
-With ``processes > 0`` single-tree analyses fan out over a pool of worker
-processes, each holding its own store handle and a small pool of per-key
-transient kernels (CSR pattern + Poisson terms survive between requests); a
-worker failure of any kind falls back to the in-process path, never to an
-error response.
+computes, because both paths evaluate a
+:class:`repro.core.study.CompiledModel` of the same store entry.  Every
+process — the service's own and, with ``processes > 0``, each worker of its
+pool — keeps a small LRU of compiled models keyed by entry, so a hot entry's
+CSR pattern, Poisson terms and gradient kernel survive between requests.  A
+failure of the pool itself (a dead worker, a pickling or OS error, an entry
+the worker's store lost) falls back to the in-process path, counted as
+``pool_fallbacks`` in ``/metrics`` and logged; any other worker exception
+propagates like an in-process one.
 """
 
 from __future__ import annotations
 
+import logging
+import pickle
 import threading
 import time as _time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..core.measures import (
     MTTF,
@@ -41,15 +47,15 @@ from ..core.results import (
     SweepResult,
     SweepRow,
 )
-from ..core.study import StudyOptions, evaluate_skeleton_query
+from ..core.study import CompiledModel, StudyOptions
 from ..core.sweep import RateSweep, SweepStudy, with_rate_parameters
-from ..ctmc.builders import CtmcSkeleton
-from ..ctmc.kernel import TransientKernel
 from ..dft import galileo
 from ..dft.elements import BasicEvent
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
-from .store import SkeletonStore
+from .store import SkeletonEntry, SkeletonStore
+
+LOGGER = logging.getLogger("repro.service.app")
 
 #: Service response envelope version (additive ``service`` key on results).
 SERVICE_SCHEMA = "repro.service/1"
@@ -108,6 +114,7 @@ class ServiceMetrics:
         self._latencies: Dict[str, Deque[float]] = {}
         self._window = int(window)
         self._started = _time.time()
+        self._pool_fallbacks = 0
 
     def record(self, endpoint: str, seconds: float, ok: bool = True) -> None:
         with self._lock:
@@ -118,6 +125,10 @@ class ServiceMetrics:
                 endpoint, deque(maxlen=self._window)
             )
             window.append(seconds)
+
+    def record_pool_fallback(self) -> None:
+        with self._lock:
+            self._pool_fallbacks += 1
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -133,64 +144,74 @@ class ServiceMetrics:
             return {
                 "uptime_seconds": _time.time() - self._started,
                 "endpoints": endpoints,
+                "pool_fallbacks": self._pool_fallbacks,
             }
 
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing (per-process kernel pool)
+# compiled-model cache (one per process: the parent and every pool worker)
 # ---------------------------------------------------------------------------
 
-class _WorkerKernels:
-    """Per-process serving state: a store handle + an LRU of warm kernels."""
+#: Exceptions that mean the worker pool, not the request, failed: a dead
+#: worker, an unpicklable payload, an OS-level spawn/pipe error, or the
+#: worker's store lost the entry (:func:`_worker_entry`).  Anything else a
+#: worker raises is a bug and propagates.
+POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, OSError, KeyError)
 
-    def __init__(self, root: str, max_bytes: Optional[int], capacity: int = 8):
-        self.store = SkeletonStore(root, max_bytes=max_bytes)
+
+class _ModelCache:
+    """An LRU of :class:`~repro.core.study.CompiledModel` s keyed by entry key.
+
+    A hot entry's CSR pattern, Poisson terms and gradient kernel survive
+    between requests.  Not thread-safe: the service holds a lock around it.
+    """
+
+    def __init__(self, capacity: int = 8):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+        self._models: "OrderedDict[str, CompiledModel]" = OrderedDict()
 
     def evaluate(
         self,
         key: str,
-        assignment: Dict[str, float],
-        query_payload: Optional[Dict[str, object]],
+        load_entry: Callable[[], SkeletonEntry],
+        assignment: Mapping[str, float],
+        query_payload: Optional[Mapping[str, object]],
         tolerance: float,
-        on_error: str,
     ) -> Tuple[MeasureResult, ...]:
-        cached = self._entries.get(key)
-        if cached is None:
-            entry = self.store.load(key)
-            if entry is None:
-                # Evicted between the parent's get_or_build and our load
-                # (cap pressure): signal the parent to evaluate inline.
-                raise KeyError(key)
-            kernel = (
-                TransientKernel(entry.skeleton, buffer=entry.buffer)
-                if isinstance(entry.skeleton, CtmcSkeleton)
-                else None
-            )
-            self._entries[key] = cached = (entry, kernel)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        """Per-measure failures are recorded in the results, as the CLI does."""
+        model = self._models.get(key)
+        if model is None:
+            entry = load_entry()
+            model = self._models[key] = CompiledModel(entry.skeleton, buffer=entry.buffer)
+            while len(self._models) > self.capacity:
+                self._models.popitem(last=False)
         else:
-            self._entries.move_to_end(key)
-        entry, kernel = cached
-        query = query_from_payload(query_payload, nondeterministic=entry.nondeterministic)
-        return evaluate_skeleton_query(
-            entry.skeleton,
-            query,
-            assignment,
-            tolerance=tolerance,
-            on_error=on_error,
-            kernel=kernel,
-        )
+            self._models.move_to_end(key)
+        query = query_from_payload(query_payload, nondeterministic=model.nondeterministic)
+        return model.evaluate(
+            query, assignment, tolerance=tolerance, on_error="record"
+        ).measures
 
 
-_WORKER_KERNELS: Optional[_WorkerKernels] = None
+#: A pool worker's store handle and compiled models (set by its initializer).
+_WORKER_STORE: Optional[SkeletonStore] = None
+_WORKER_MODELS: Optional[_ModelCache] = None
 
 
 def _init_service_worker(root: str, max_bytes: Optional[int]) -> None:
-    global _WORKER_KERNELS
-    _WORKER_KERNELS = _WorkerKernels(root, max_bytes)
+    global _WORKER_STORE, _WORKER_MODELS
+    _WORKER_STORE = SkeletonStore(root, max_bytes=max_bytes)
+    _WORKER_MODELS = _ModelCache()
+
+
+def _worker_entry(key: str) -> SkeletonEntry:
+    assert _WORKER_STORE is not None
+    entry = _WORKER_STORE.load(key)
+    if entry is None:
+        # Evicted between the parent's get_or_build and this load (cap
+        # pressure): the parent evaluates inline instead.
+        raise KeyError(key)
+    return entry
 
 
 def _service_evaluate(
@@ -198,24 +219,12 @@ def _service_evaluate(
     assignment: Dict[str, float],
     query_payload: Optional[Dict[str, object]],
     tolerance: float,
-    on_error: str,
-) -> Tuple[MeasureResult, ...]:
-    assert _WORKER_KERNELS is not None
-    return _WORKER_KERNELS.evaluate(key, assignment, query_payload, tolerance, on_error)
-
-
-def _service_evaluate_row(
-    key: str,
-    assignment: Dict[str, float],
-    query_payload: Optional[Dict[str, object]],
-    tolerance: float,
-    on_error: str,
 ) -> Tuple[Tuple[MeasureResult, ...], float]:
-    """One sweep/batch row in a pool worker, with its worker-side wall time."""
-    assert _WORKER_KERNELS is not None
+    """One evaluation in a pool worker, with its worker-side wall time."""
+    assert _WORKER_MODELS is not None
     start = _time.perf_counter()
-    measures = _WORKER_KERNELS.evaluate(
-        key, assignment, query_payload, tolerance, on_error
+    measures = _WORKER_MODELS.evaluate(
+        key, partial(_worker_entry, key), assignment, query_payload, tolerance
     )
     return measures, _time.perf_counter() - start
 
@@ -227,10 +236,10 @@ def _service_evaluate_row(
 class AnalysisService:
     """Serves analyses from a skeleton store; every handler is dict -> dict.
 
-    ``processes > 0`` attaches a pool of worker processes for ``/analyze``
-    requests (each worker keeps its own kernel pool warm); ``processes = 0``
-    evaluates inline with one warm kernel per cache key.  Sweeps and batches
-    always run in-process (the sweep engine parallelises internally).
+    ``processes > 0`` attaches a pool of worker processes that evaluate
+    ``/analyze`` requests, ``/batch`` rows and plain ``/sweep`` rows (each
+    worker keeps its own compiled models warm); ``processes = 0`` evaluates
+    in-process with one compiled model per cache key.
     """
 
     def __init__(
@@ -247,8 +256,7 @@ class AnalysisService:
         self.metrics = ServiceMetrics()
         self._build_lock = threading.Lock()
         self._eval_lock = threading.Lock()
-        self._kernels: "OrderedDict[str, tuple]" = OrderedDict()
-        self._kernel_capacity = 8
+        self._models = _ModelCache()
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.processes > 0:
             self._pool = ProcessPoolExecutor(
@@ -312,55 +320,47 @@ class AnalysisService:
         with self._build_lock:
             return self.store.get_or_build(tree, self.options, profile=profile)
 
-    def _evaluate_inline(
-        self, entry, assignment, query_payload, on_error: str
-    ) -> Tuple[MeasureResult, ...]:
-        with self._eval_lock:
-            cached = self._kernels.get(entry.key)
-            if cached is None:
-                kernel = (
-                    TransientKernel(entry.skeleton, buffer=entry.buffer)
-                    if isinstance(entry.skeleton, CtmcSkeleton)
-                    else None
-                )
-                self._kernels[entry.key] = cached = (entry, kernel)
-                while len(self._kernels) > self._kernel_capacity:
-                    self._kernels.popitem(last=False)
-            else:
-                self._kernels.move_to_end(entry.key)
-            held_entry, kernel = cached
-            query = query_from_payload(
-                query_payload, nondeterministic=held_entry.nondeterministic
+    def _pool_fallback(self, error: BaseException) -> None:
+        """Count and log a pool failure the in-process path absorbs."""
+        self.metrics.record_pool_fallback()
+        LOGGER.warning("worker pool failed (%r); evaluating in-process", error)
+
+    def _submit(self, entry, assignment, query_payload) -> Optional[Future]:
+        """Queue one evaluation on the worker pool (``None``: evaluate here)."""
+        if self._pool is None:
+            return None
+        try:
+            return self._pool.submit(
+                _service_evaluate,
+                entry.key,
+                dict(assignment),
+                None if query_payload is None else dict(query_payload),
+                self.options.tolerance,
             )
-            return evaluate_skeleton_query(
-                held_entry.skeleton,
-                query,
-                assignment,
-                tolerance=self.options.tolerance,
-                on_error=on_error,
-                kernel=kernel,
-            )
+        except POOL_FAILURES as error:
+            self._pool_fallback(error)
+            return None
 
     def _evaluate(
-        self, entry, assignment, query_payload, on_error: str = "record"
-    ) -> Tuple[MeasureResult, ...]:
-        if self._pool is not None:
+        self, entry, assignment, query_payload, future: Optional[Future] = None
+    ) -> Tuple[Tuple[MeasureResult, ...], float]:
+        """One tree's measures and evaluation seconds.
+
+        Reads ``future`` (the tree's :meth:`_submit`) when there is one; a
+        pool failure, or no future at all, evaluates in-process, so the
+        response never depends on pool health.
+        """
+        if future is not None:
             try:
-                return self._pool.submit(
-                    _service_evaluate,
-                    entry.key,
-                    dict(assignment),
-                    None if query_payload is None else dict(query_payload),
-                    self.options.tolerance,
-                    on_error,
-                ).result()
-            except ReproError:
-                raise
-            except Exception:
-                # Broken pool, unpicklable surprise, worker-side cache
-                # eviction — the response must not depend on pool health.
-                pass
-        return self._evaluate_inline(entry, assignment, query_payload, on_error)
+                return future.result()
+            except POOL_FAILURES as error:
+                self._pool_fallback(error)
+        start = _time.perf_counter()
+        with self._eval_lock:
+            measures = self._models.evaluate(
+                entry.key, lambda: entry, assignment, query_payload, self.options.tolerance
+            )
+        return measures, _time.perf_counter() - start
 
     @staticmethod
     def _query_payload(payload) -> Optional[Mapping[str, object]]:
@@ -368,15 +368,6 @@ class AnalysisService:
         if query_payload is not None and not isinstance(query_payload, Mapping):
             raise AnalysisError("the 'query' field must be an object")
         return query_payload
-
-    def _study_result(
-        self, tree, payload, entry, hit, assignment: Dict[str, float]
-    ) -> StudyResult:
-        query_payload = self._query_payload(payload)
-        start = _time.perf_counter()
-        measures = self._evaluate(entry, assignment, query_payload, on_error="record")
-        evaluation = _time.perf_counter() - start
-        return self._wrap_study_result(tree, entry, hit, measures, evaluation)
 
     def _wrap_study_result(
         self, tree, entry, hit, measures, evaluation: float
@@ -404,7 +395,17 @@ class AnalysisService:
         tree = self._parse_tree(payload)
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
-        result = self._study_result(tree, payload, entry, hit, profile.assignment)
+        query_payload = self._query_payload(payload)
+        start = _time.perf_counter()
+        measures, _seconds = self._evaluate(
+            entry,
+            profile.assignment,
+            query_payload,
+            self._submit(entry, profile.assignment, query_payload),
+        )
+        result = self._wrap_study_result(
+            tree, entry, hit, measures, _time.perf_counter() - start
+        )
         response = result.to_dict(include_steps=False)
         response["service"] = {
             "schema": SERVICE_SCHEMA,
@@ -486,7 +487,7 @@ class AnalysisService:
         """Fan the sweep's rows out over the service worker pool.
 
         All rows are submitted concurrently, so one big ``POST /sweep``
-        saturates every pool worker (each holding a warm per-key kernel)
+        saturates every pool worker (each holding warm compiled models)
         instead of spinning up a fresh per-request pool.  Rows come back in
         sample order with the same per-row measures as the inline engine.
         Returns ``None`` on any pool failure — the caller falls back to the
@@ -494,51 +495,28 @@ class AnalysisService:
         inline path up front: the pinned Poisson table is per-plan state the
         pooled rows do not share).
         """
-        declared = tree.parameters
-        unknown = [name for name in rate_sweep.parameters if name not in declared]
-        if unknown:
-            raise AnalysisError(
-                "the sweep varies parameters the tree does not declare: "
-                + ", ".join(sorted(unknown))
-                + " (declare them with 'param <name> = <value>;' or "
-                "DynamicFaultTree.declare_parameter)"
-            )
+        rate_sweep.require_declared(tree)
         query_payload = self._query_payload(payload)
-        parameter_map = profile.parameter_map
-        base = profile.assignment
-        pool = self._pool
-        assert pool is not None
         start = _time.perf_counter()
+        futures = []
+        for sample in rate_sweep.samples:
+            assignment = {
+                **profile.assignment,
+                **translate_sample(sample, profile.parameter_map),
+            }
+            future = self._submit(entry, assignment, query_payload)
+            if future is None:
+                return None
+            futures.append(future)
         try:
-            futures = []
-            for sample in rate_sweep.samples:
-                assignment = dict(base)
-                assignment.update(translate_sample(sample, parameter_map))
-                futures.append(
-                    pool.submit(
-                        _service_evaluate_row,
-                        entry.key,
-                        assignment,
-                        None if query_payload is None else dict(query_payload),
-                        self.options.tolerance,
-                        "record",
-                    )
-                )
-            rows = []
-            for sample, future in zip(rate_sweep.samples, futures):
-                measures, seconds = future.result()
-                rows.append(
-                    SweepRow(
-                        sample=dict(sample),
-                        measures=measures,
-                        wall_seconds=seconds,
-                    )
-                )
-        except ReproError:
-            raise
-        except Exception:
-            # Broken pool / worker-side eviction: inline engine takes over.
+            results = [future.result() for future in futures]
+        except POOL_FAILURES as error:
+            self._pool_fallback(error)
             return None
+        rows = [
+            SweepRow(sample=dict(sample), measures=measures, wall_seconds=seconds)
+            for sample, (measures, seconds) in zip(rate_sweep.samples, results)
+        ]
         samples_seconds = _time.perf_counter() - start
         options = self.options.to_dict()
         options["skeleton_cache"] = "hit" if hit else "miss"
@@ -595,24 +573,15 @@ class AnalysisService:
                 )
         # Second pass: evaluate the parsed rows — concurrently over the
         # service pool when it is healthy, inline otherwise.
-        futures: Dict[int, object] = {}
-        if self._pool is not None:
-            for index, item in enumerate(prepared):
-                if isinstance(item, BatchRow):
-                    continue
-                tree, profile, entry, hit, row_start = item
-                try:
-                    futures[index] = self._pool.submit(
-                        _service_evaluate_row,
-                        entry.key,
-                        dict(profile.assignment),
-                        None if query_payload is None else dict(query_payload),
-                        self.options.tolerance,
-                        "record",
-                    )
-                except Exception:
-                    # Broken pool: leave the row to the inline path below.
-                    break
+        futures: Dict[int, Future] = {}
+        for index, item in enumerate(prepared):
+            if isinstance(item, BatchRow):
+                continue
+            _tree, profile, entry, _hit, _row_start = item
+            future = self._submit(entry, profile.assignment, query_payload)
+            if future is None:
+                break  # no (healthy) pool: the rest evaluate in-process
+            futures[index] = future
         rows = []
         for index, item in enumerate(prepared):
             if isinstance(item, BatchRow):
@@ -620,20 +589,9 @@ class AnalysisService:
                 continue
             tree, profile, entry, hit, row_start = item
             try:
-                future = futures.get(index)
-                if future is not None:
-                    try:
-                        measures, evaluation = future.result()  # type: ignore[attr-defined]
-                    except ReproError:
-                        raise
-                    except Exception:
-                        future = None
-                if future is None:
-                    eval_start = _time.perf_counter()
-                    measures = self._evaluate_inline(
-                        entry, profile.assignment, query_payload, "record"
-                    )
-                    evaluation = _time.perf_counter() - eval_start
+                measures, evaluation = self._evaluate(
+                    entry, profile.assignment, query_payload, futures.get(index)
+                )
                 result = self._wrap_study_result(tree, entry, hit, measures, evaluation)
                 rows.append(
                     BatchRow(

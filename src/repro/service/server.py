@@ -8,10 +8,11 @@ handler forwards every request to an :class:`~repro.service.app.AnalysisService`
 * ``POST /sweep``   — one tree, a sample grid (``repro.sweep/3`` + ``service``);
 * ``POST /batch``   — many trees, one query (``repro.batch/1`` + ``service``);
 * ``GET /healthz``  — liveness + store shape;
-* ``GET /metrics``  — per-endpoint counts/latency percentiles + store stats.
+* ``GET /metrics``  — per-endpoint counts/latency percentiles, worker-pool
+  fallbacks + store stats.
 
 The threading server gives every connection its own handler thread; the
-service object is thread-safe (kernel reuse is serialised, the optional
+service object is thread-safe (compiled-model reuse is serialised, the optional
 worker pool parallelises analyses across processes).  ``port=0`` binds an
 ephemeral port — read it back from :attr:`AnalysisServer.server_address`.
 """

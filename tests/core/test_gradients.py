@@ -23,7 +23,7 @@ from repro.core import (
     signals,
 )
 from repro.core.results import MeasureResult, SweepRow
-from repro.core.study import evaluate_skeleton_query
+from repro.core.study import CompiledModel
 from repro.core.sweep import with_rate_parameters
 from repro.ctmc.builders import ctmdp_skeleton_from_ioimc
 from repro.dft.builder import FaultTreeBuilder
@@ -176,9 +176,9 @@ class TestStudyIntegration:
     def test_skeleton_query_ctmdp_path(self):
         tree = with_rate_parameters(pand_race_system())
         skeleton = ctmdp_skeleton_from_ioimc(Study(tree).final_ioimc)
-        measures = evaluate_skeleton_query(
-            skeleton, UnreliabilityBounds(TIMES) + ImportanceRanking(TIMES)
-        )
+        measures = CompiledModel(skeleton).evaluate(
+            UnreliabilityBounds(TIMES) + ImportanceRanking(TIMES)
+        ).measures
         by_kind = {measure.kind: measure for measure in measures}
         assert by_kind["importance_ranking"].ranking is not None
         reference = Study(tree).evaluate(UnreliabilityBounds(TIMES))

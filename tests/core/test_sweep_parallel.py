@@ -16,6 +16,7 @@ from repro.ctmc.builders import CtmcSkeleton
 from repro.dft import FaultTreeBuilder
 from repro.errors import AnalysisError
 from repro.ioimc.rates import ParametricRate
+from tests.sweep_reference import per_sample_rows
 
 PROCESS_COUNTS = [1, 2, 4]
 
@@ -158,25 +159,44 @@ class TestErrorRowOrdering:
             edges=((0, 1, dipping), (1, 2, 2.0)),
         )
 
-    @pytest.mark.parametrize("use_kernel", [True, False])
-    @pytest.mark.parametrize("processes", PROCESS_COUNTS)
-    def test_error_rows_keep_sample_order(self, processes, use_kernel):
-        plan = _SweepPlan(
+    #: Samples 1 and 3 (lam <= 0.5) drive the edge rate non-positive.
+    SAMPLES = [{"lam": 2.0}, {"lam": 0.2}, {"lam": 1.5}, {"lam": 0.5}, {"lam": 3.0}]
+
+    def failing_plan(self):
+        return _SweepPlan(
             skeleton=self.failing_skeleton(),
             declared={"lam": 1.0},
             query=Query(Unreliability([1.0])),
             tolerance=1e-12,
-            use_kernel=use_kernel,
         )
-        # Samples 1 and 3 (lam <= 0.5) drive the edge rate non-positive.
-        samples = [{"lam": 2.0}, {"lam": 0.2}, {"lam": 1.5}, {"lam": 0.5}, {"lam": 3.0}]
-        rows = list(iter_sweep_rows(plan, samples, processes=processes, chunk_size=2))
-        assert [row.sample for row in rows] == samples
+
+    @pytest.mark.parametrize("processes", PROCESS_COUNTS)
+    def test_error_rows_keep_sample_order(self, processes):
+        rows = list(
+            iter_sweep_rows(self.failing_plan(), self.SAMPLES, processes=processes, chunk_size=2)
+        )
+        assert [row.sample for row in rows] == self.SAMPLES
         assert [row.ok for row in rows] == [True, False, True, False, True]
         for row in rows:
             if not row.ok:
                 assert "non-positive" in row.error
                 assert row.measures == ()
+
+    @pytest.mark.parametrize("processes", PROCESS_COUNTS)
+    def test_error_rows_match_per_sample_reference(self, processes):
+        """The per-sample instantiation reference fails on the same samples
+        and agrees with the kernel rows on the others."""
+        plan = self.failing_plan()
+        rows = list(iter_sweep_rows(plan, self.SAMPLES, processes=processes, chunk_size=2))
+        reference = per_sample_rows(plan.skeleton, plan.query, self.SAMPLES, plan.declared)
+        assert [row.ok for row in rows] == [row.ok for row in reference]
+        for row, expected in zip(rows, reference):
+            if expected.ok:
+                assert row["unreliability"].values == pytest.approx(
+                    expected["unreliability"].values, abs=1e-12
+                )
+            else:
+                assert "non-positive" in expected.error
 
     def test_error_rows_identical_across_worker_counts(self):
         plan = _SweepPlan(

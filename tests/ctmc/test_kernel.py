@@ -59,7 +59,7 @@ class TestCsrBuffer:
     def test_refill_matches_uniformized_matrix(self, assignment, dense_limit):
         skeleton, _ = tree_skeleton(parametric_tree())
         buffer = CsrBuffer(skeleton, dense_limit=dense_limit)
-        matrix, rate = skeleton.instantiate(assignment, into=buffer)
+        matrix, rate = buffer.refill(assignment)
         reference, ref_rate = skeleton.instantiate(assignment).uniformized_matrix()
         assert rate == ref_rate
         assert np.allclose(matrix.toarray(), reference.toarray(), atol=1e-15)
@@ -110,7 +110,7 @@ class TestCsrBuffer:
         skeleton_b, _ = tree_skeleton(parametric_tree())
         buffer = CsrBuffer(skeleton_a)
         with pytest.raises(ModelError, match="different skeleton"):
-            skeleton_b.instantiate(into=buffer)
+            TransientKernel(skeleton_b, buffer=buffer)
 
 
 class TestDenseLimitResolution:

@@ -8,8 +8,8 @@ naive path re-runs the whole pipeline per sample.  Two ratios are pinned:
 * sweep vs naive — the end-to-end acceptance number (measured ~30x; the PR 4
   per-sample-instantiation engine managed ~12x, so the floor below also
   catches a regression to that path);
-* kernel vs legacy per-sample cost — the shared-structure refill must beat a
-  full CTMC instantiation per sample by >= 1.5x (measured ~4-7x).
+* kernel vs per-sample cost — the shared-structure refill must beat a full
+  CTMC instantiation per sample (``tests/sweep_reference.py``) by >= 1.5x.
 
 The same numbers are recorded per PR in BENCH_fig2.json (section ``sweep``)
 by ``benchmarks/smoke_fig2.py``, where CI gates the end-to-end ratio at 20x.
@@ -22,6 +22,7 @@ import pytest
 from repro import RateSweep, SweepStudy, Unreliability, evaluate
 from repro.core.sweep import substitute_parameters, with_rate_parameters
 from repro.systems import cascaded_pand_system
+from tests.sweep_reference import per_sample_rows
 
 NUM_SAMPLES = 50
 MISSION_TIME = 1.0
@@ -92,12 +93,14 @@ def test_kernel_beats_per_sample_instantiation(parametric_cps, samples):
     kernel_result, kernel_seconds = best_of(
         lambda: study.run(RateSweep(query, samples))
     )
-    legacy_result, legacy_seconds = best_of(
-        lambda: study.run(RateSweep(query, samples), use_kernel=False)
+    legacy_rows, legacy_seconds = best_of(
+        lambda: per_sample_rows(
+            study.skeleton, query, samples, parametric_cps.parameters
+        )
     )
     worst = max(
         abs(mine["unreliability"].values[0] - theirs["unreliability"].values[0])
-        for mine, theirs in zip(kernel_result.rows, legacy_result.rows)
+        for mine, theirs in zip(kernel_result.rows, legacy_rows)
     )
     assert worst <= 1e-9
 

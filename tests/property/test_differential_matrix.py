@@ -46,6 +46,8 @@ from repro.systems import (
     shared_spare_race_system,
 )
 
+from tests.sweep_reference import per_sample_rows
+
 MISSION_TIMES = (0.5, 1.0)
 TOLERANCE = 1e-9
 MINIMISERS = ("splitter", "signature")
@@ -226,14 +228,14 @@ def assert_ctmdp_cell(tree, samples, gradient_samples=0):
 
 def assert_ctmdp_sweep_cell(tree, samples):
     """The sweep paths over a CTMDP skeleton: shared-structure kernel rows vs
-    legacy per-sample instantiation rows agree on both bounds."""
+    per-sample instantiation rows agree on both bounds."""
     study = SweepStudy(tree)
     sweep = RateSweep(UnreliabilityBounds(MISSION_TIMES), samples)
     fast = study.run(sweep)
-    slow = study.run(sweep, use_kernel=False)
+    slow = per_sample_rows(study.skeleton, sweep.query, samples, tree.parameters)
     assert fast.num_failed == 0
-    assert slow.num_failed == 0
-    for mine, theirs in zip(fast.rows, slow.rows):
+    assert all(row.ok for row in slow)
+    for mine, theirs in zip(fast.rows, slow):
         assert mine.sample == theirs.sample
         bounds = mine["unreliability_bounds"]
         reference = theirs["unreliability_bounds"]

@@ -292,3 +292,62 @@ class TestWorkerPool:
         finally:
             inline.close()
             pooled.close()
+
+
+class TestPoolFallbacks:
+    """Only a failure of the pool itself falls back in-process, and it is
+    counted; any other worker exception reaches the caller."""
+
+    REQUEST = {"tree": AND_TREE, "query": {"times": [1.0, 2.0], "mttf": True}}
+
+    def test_killed_worker_falls_back_bit_identically(self, tmp_path):
+        store = SkeletonStore(tmp_path / "cache")
+        service = AnalysisService(store, processes=1)
+        try:
+            _, pooled = service.handle("POST", "/analyze", self.REQUEST)
+            assert service.metrics_payload()["pool_fallbacks"] == 0
+            for process in list(service._pool._processes.values()):
+                process.kill()
+                process.join()
+            status, response = service.handle("POST", "/analyze", self.REQUEST)
+            assert status == 200
+            assert service.metrics_payload()["pool_fallbacks"] >= 1
+        finally:
+            service.close()
+        assert response["measures"] == pooled["measures"]
+        local = _local_study_dict(
+            AND_TREE, store, query_from_payload(self.REQUEST["query"])
+        )
+        assert _strip(response) == local
+
+    def test_worker_bug_propagates(self, tmp_path):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        store = SkeletonStore(tmp_path / "cache")
+        service = AnalysisService(store, processes=1)
+        service._pool.shutdown()
+        service._pool = ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_buggy_worker_init,
+            initargs=(str(store.root), store.max_bytes),
+        )
+        try:
+            with pytest.raises(ValueError, match="injected worker bug"):
+                service.handle("POST", "/analyze", self.REQUEST)
+            assert service.metrics_payload()["pool_fallbacks"] == 0
+        finally:
+            service.close()
+
+
+def _buggy_worker_init(root, max_bytes):
+    """Service pool initializer that plants a bug in the worker process only."""
+    from repro.service import app
+
+    app._init_service_worker(root, max_bytes)
+    app._worker_entry = _raise_worker_bug
+
+
+def _raise_worker_bug(key):
+    raise ValueError(f"injected worker bug for {key}")
