@@ -105,7 +105,6 @@ def _analysis_options(args: argparse.Namespace) -> StudyOptions:
         aggregation=AggregationOptions(
             method=args.aggregation,
             minimiser=getattr(args, "minimiser", "closure"),
-            minimisation_processes=getattr(args, "minimisation_processes", 1),
         ),
         fuse=not getattr(args, "no_fuse", False),
         tolerance=getattr(args, "tolerance", 1e-12),
@@ -755,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for collapsing independent module groups "
             "under --ordering modular (default: 1, serial; the result is "
             "identical to a serial run)",
-        )
-        sub.add_argument(
-            "--minimisation-processes",
-            type=int,
-            default=1,
-            help="worker processes for one minimisation: connected components "
-            "of the transition graph refine in parallel (default: 1; "
-            "single-component models always refine serially)",
         )
 
     def add_measures(sub: argparse.ArgumentParser) -> None:

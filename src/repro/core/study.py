@@ -126,7 +126,6 @@ class StudyOptions:
             "fuse": self.fuse,
             "tolerance": self.tolerance,
             "aggregation_processes": self.aggregation_processes,
-            "minimisation_processes": self.aggregation.minimisation_processes,
         }
 
 

@@ -28,6 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalysisError, ModelError
+from ..graph import strongly_connected_components
 from .transient import PoissonTermCache, SweepWeights, validate_times
 
 
@@ -58,7 +59,15 @@ class VanishingResolver:
         self._plan: List[tuple] = []
         if not vanishing:
             return
-        order = self._condense(choices, vanishing)
+        # The vanishing-state dependency graph: tangible successors end a
+        # dependency chain, so they are not part of it.
+        graph: List[Sequence[int]] = [()] * num_states
+        for state in vanishing:
+            graph[state] = [target for target in choices[state] if choices[target]]
+        order = [
+            tuple(sorted(members))
+            for members in strongly_connected_components(graph, roots=vanishing)
+        ]
         unit_of: Dict[int, int] = {}
         for unit, members in enumerate(order):
             for state in members:
@@ -91,58 +100,6 @@ class VanishingResolver:
                 self._plan.append(
                     ("cycle", tuple((state, choices[state]) for state in members))
                 )
-
-    @staticmethod
-    def _condense(
-        choices: Sequence[Tuple[int, ...]], vanishing: List[int]
-    ) -> List[Tuple[int, ...]]:
-        """Tarjan SCCs of the vanishing subgraph, successors-first (iterative)."""
-        index: Dict[int, int] = {}
-        lowlink: Dict[int, int] = {}
-        on_stack: Dict[int, bool] = {}
-        stack: List[int] = []
-        order: List[Tuple[int, ...]] = []
-        counter = 0
-        for root in vanishing:
-            if root in index:
-                continue
-            work = [(root, iter(choices[root]))]
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            while work:
-                state, successors = work[-1]
-                advanced = False
-                for target in successors:
-                    if not choices[target]:
-                        continue  # tangible successor: not part of the graph
-                    if target not in index:
-                        index[target] = lowlink[target] = counter
-                        counter += 1
-                        stack.append(target)
-                        on_stack[target] = True
-                        work.append((target, iter(choices[target])))
-                        advanced = True
-                        break
-                    if on_stack[target]:
-                        lowlink[state] = min(lowlink[state], index[target])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[state])
-                if lowlink[state] == index[state]:
-                    members = []
-                    while True:
-                        popped = stack.pop()
-                        on_stack[popped] = False
-                        members.append(popped)
-                        if popped == state:
-                            break
-                    order.append(tuple(sorted(members)))
-        return order
 
     @classmethod
     def _wave(cls, states: List[int], choices: Sequence[Tuple[int, ...]]) -> tuple:

@@ -17,71 +17,19 @@ from typing import List
 import numpy as np
 
 from ..errors import AnalysisError
+from ..graph import strongly_connected_components
 from .ctmc import CTMC
-
-
-def _strongly_connected_components(ctmc: CTMC) -> List[List[int]]:
-    """Tarjan's algorithm (iterative) over the transition graph."""
-    index_counter = 0
-    stack: List[int] = []
-    lowlink = [0] * ctmc.num_states
-    index = [-1] * ctmc.num_states
-    on_stack = [False] * ctmc.num_states
-    components: List[List[int]] = []
-
-    for root in ctmc.states():
-        if index[root] != -1:
-            continue
-        work = [(root, iter([t for t, _r in ctmc.rates_from(root)]))]
-        index[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if index[successor] == -1:
-                    index[successor] = lowlink[successor] = index_counter
-                    index_counter += 1
-                    stack.append(successor)
-                    on_stack[successor] = True
-                    work.append(
-                        (successor, iter([t for t, _r in ctmc.rates_from(successor)]))
-                    )
-                    advanced = True
-                    break
-                if on_stack[successor]:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
 
 
 def bottom_strongly_connected_components(ctmc: CTMC) -> List[List[int]]:
     """Terminal SCCs (no transition leaving the component)."""
+    successors = [
+        [target for target, _rate in ctmc.rates_from(state)] for state in ctmc.states()
+    ]
     bottoms = []
-    for component in _strongly_connected_components(ctmc):
+    for component in strongly_connected_components(successors):
         members = set(component)
-        is_bottom = all(
-            target in members
-            for state in component
-            for target, _rate in ctmc.rates_from(state)
-        )
-        if is_bottom:
+        if all(target in members for state in component for target in successors[state]):
             bottoms.append(sorted(component))
     return bottoms
 

@@ -71,6 +71,7 @@ the transitions they are given.
 
 from __future__ import annotations
 
+import logging
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -85,6 +86,8 @@ from .partition import (
     canonical_rate,
     refine,
 )
+
+LOGGER = logging.getLogger("repro.ioimc.bisimulation")
 
 Partition = List[FrozenSet[int]]
 
@@ -584,8 +587,13 @@ def _weak_engine(
     if algorithm == "closure":
         try:
             return _WeakClosureEngine(model, respect_labels, rate_digits)
-        except _SaturationOverflow:
-            pass
+        except _SaturationOverflow as overflow:
+            LOGGER.info(
+                "closure engine: saturating %d tau-SCCs exceeds the cap of %d "
+                "entries; falling back to the splitter engine",
+                overflow.num_sccs,
+                overflow.cap,
+            )
     return _WeakSplitterEngine(model, respect_labels, rate_digits)
 
 
@@ -1338,6 +1346,11 @@ class _WeakSplitterEngine(_WeakEngineBase):
 class _SaturationOverflow(Exception):
     """The saturated weak relation exceeded the closure engine's linear cap."""
 
+    def __init__(self, num_sccs: int, cap: int):
+        super().__init__(num_sccs, cap)
+        self.num_sccs = num_sccs
+        self.cap = cap
+
 
 class _WeakClosureEngine(_WeakEngineBase):
     """Closure-then-strong weak engine with batched-frontier refinement.
@@ -1399,7 +1412,7 @@ class _WeakClosureEngine(_WeakEngineBase):
             bck[scc] = row
             total += row.size
             if total > budget:
-                raise _SaturationOverflow(total)
+                raise _SaturationOverflow(num_sccs, budget)
         sizes = np.fromiter((row.size for row in bck), dtype=np.int64, count=num_sccs)
         self._bck_off = np.concatenate(([0], np.cumsum(sizes)))
         if not num_sccs:
@@ -1421,7 +1434,7 @@ class _WeakClosureEngine(_WeakEngineBase):
             # The packed (target, action, source) keys of the vectorised
             # direct-edge build would overflow int64; treat like a blown
             # saturation cap and let the splitter engine take over.
-            raise _SaturationOverflow(total)
+            raise _SaturationOverflow(num_sccs, budget)
 
         # Direct weak-visible arrivals, globally vectorised: every explicit
         # in-edge (and input gap, whose "source" is the SCC itself)
@@ -1439,7 +1452,7 @@ class _WeakClosureEngine(_WeakEngineBase):
             cnt = self._bck_off[src_all + 1] - self._bck_off[src_all]
             expanded = int(cnt.sum())
             if expanded > 8 * budget:
-                raise _SaturationOverflow(expanded)
+                raise _SaturationOverflow(num_sccs, 8 * budget)
             slot_all = np.searchsorted(sat, aid_all)
             codes = np.repeat(slot_all, cnt) * num_sccs + self._bck_val[
                 _csr_flat(self._bck_off, src_all)
@@ -1476,7 +1489,7 @@ class _WeakClosureEngine(_WeakEngineBase):
             win[scc] = row
             total += row.size
             if total > budget:
-                raise _SaturationOverflow(total)
+                raise _SaturationOverflow(num_sccs, budget)
 
         #: Retained closure-matrix entries — the benchmark tier pins this
         #: linear on tau-chains with a tracemalloc test.
@@ -1843,8 +1856,13 @@ def _build_weak_quotient(
         sat = _sorted_unique(aid)
         span = sat.size * num_blocks
         if num_sccs and span >= 2**62 // num_sccs:
-            # Packed (source, slot, block) keys would overflow int64.
-            return _build_weak_quotient_scalar(model, condensation, partition, name)
+            # Packed (source, slot, block) keys would overflow int64 — far
+            # beyond any model that fits in memory.
+            raise ModelError(
+                f"weak quotient too large: {sat.size} visible actions x "
+                f"{num_blocks} blocks x {num_sccs} tau-SCCs overflows the "
+                "packed int64 keys"
+            )
         slot = np.searchsorted(sat, aid)
         cnt = tau_off[dst + 1] - tau_off[dst]
         codes = np.repeat(slot, cnt) * num_blocks + tau_val[_csr_flat(tau_off, dst)]
@@ -1960,113 +1978,6 @@ def _build_weak_quotient(
     return quotient
 
 
-def _build_weak_quotient_scalar(
-    model: IOIMC,
-    condensation: TauCondensation,
-    partition: Partition,
-    name: str | None = None,
-) -> IOIMC:
-    """Interned-frozenset fallback of :func:`_build_weak_quotient`.
-
-    Kept for models whose packed ``(source, action, block)`` keys would
-    overflow int64 — same sweeps, Python sets instead of packed rows.
-    """
-    block_of = _block_map(partition)
-    input_ids = model.signature.input_ids
-    internal_ids = model.signature.internal_ids
-    scc_of = condensation.scc_of
-
-    interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
-
-    def intern(blocks: Set[int]) -> FrozenSet[int]:
-        key = frozenset(blocks)
-        return interned.setdefault(key, key)
-
-    num_sccs = condensation.num_sccs
-    # First pass, in id order (tau successors first): blocks reachable via
-    # internal moves alone.  Visible targets may live in later SCCs, so the
-    # visible reach needs a second pass once every tau closure is known.
-    tau_blocks: List[FrozenSet[int]] = [frozenset()] * num_sccs
-    for scc in range(num_sccs):
-        reach: Set[int] = {block_of[state] for state in condensation.members[scc]}
-        for successor in condensation.tau_succ[scc]:
-            reach |= tau_blocks[successor]
-        tau_blocks[scc] = intern(reach)
-    visible: List[Dict[int, FrozenSet[int]]] = [{} for _ in range(num_sccs)]
-
-    def merge(per_action: Dict[int, FrozenSet[int]], aid: int, blocks: FrozenSet[int]) -> None:
-        # Every value is an interned frozenset, so equal sets are the same
-        # object and the identity/subset checks skip most re-unions on
-        # shared tau-chain tails.
-        current = per_action.get(aid)
-        if current is None:
-            per_action[aid] = blocks
-        elif current is not blocks and not blocks <= current:
-            per_action[aid] = intern(current | blocks)
-
-    for scc in range(num_sccs):  # id order again: tau successors come first
-        per_action: Dict[int, FrozenSet[int]] = {}
-        for successor in condensation.tau_succ[scc]:
-            for aid, blocks in visible[successor].items():
-                merge(per_action, aid, blocks)
-        closure_blocks = tau_blocks[scc]
-        for state in condensation.members[scc]:
-            for aid, target in model.interactive_pairs(state):
-                if aid in internal_ids:
-                    continue
-                merge(per_action, aid, tau_blocks[scc_of[target]])
-            if input_ids:
-                enabled = model.enabled_ids(state)
-                for aid in input_ids:
-                    if aid not in enabled:
-                        merge(per_action, aid, closure_blocks)
-        visible[scc] = per_action
-
-    stable = [model.is_stable(state) for state in model.states()]
-    internal_actions = sorted(model.signature.internals)
-    tau_id = intern_action(internal_actions[0]) if internal_actions else None
-
-    quotient = IOIMC(name if name is not None else model.name, model.signature)
-    for block_id, block in enumerate(partition):
-        rep = min(block)
-        quotient.add_state(labels=model.labels(rep), name=f"B{block_id}")
-
-    for block_id, block in enumerate(partition):
-        rep = min(block)
-        rep_scc = scc_of[rep]
-
-        pairs: List[Tuple[int, int]] = []
-        for aid, target_blocks in visible[rep_scc].items():
-            is_input = aid in input_ids
-            for target_block in sorted(target_blocks):
-                if target_block == block_id and is_input:
-                    continue  # implicit input self-loop
-                pairs.append((aid, target_block))
-
-        tau_targets = set(tau_blocks[rep_scc]) - {block_id}
-        if tau_targets and tau_id is None:
-            raise AssertionError(
-                "internal moves present but the signature declares no internal action"
-            )
-        for target_block in sorted(tau_targets):
-            pairs.append((tau_id, target_block))
-        if pairs:
-            quotient._add_interactive_bulk(block_id, pairs)
-
-        stable_member = next((state for state in sorted(block) if stable[state]), None)
-        if stable_member is not None:
-            rates: Dict[int, float] = {}
-            for target, rate in model.markovian_dict(stable_member).items():
-                if block_of[target] == block_id:
-                    continue  # intra-class movement is invisible in the quotient
-                rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
-            for target_block, total in rates.items():
-                quotient.add_markovian(block_id, total, target_block)
-
-    quotient.set_initial(block_of[model.initial])
-    return quotient
-
-
 def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -> IOIMC:
     """Quotient of ``model`` under a weak bisimulation partition.
 
@@ -2088,56 +1999,13 @@ def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -
     return _build_weak_quotient(model, TauCondensation(model), partition, name)
 
 
-def _strong_quotient_unrestricted(
-    model: IOIMC,
-    respect_labels: bool,
-    algorithm: str,
-    rate_digits: int,
-) -> IOIMC:
-    """Strong quotient over *all* states (no reachability restriction)."""
-    partition = strong_bisimulation_partition(
-        model, respect_labels=respect_labels, algorithm=algorithm, rate_digits=rate_digits
-    )
-    return quotient_strong(model, partition)
-
-
-def _weak_quotient_unrestricted(
-    model: IOIMC,
-    respect_labels: bool,
-    algorithm: str,
-    rate_digits: int,
-) -> IOIMC:
-    """Weak quotient over *all* states (no reachability restriction)."""
-    _check_algorithm(algorithm)
-    if algorithm == "signature":
-        partition = _weak_partition_signature(model, respect_labels, rate_digits)
-        return quotient_weak(model, partition)
-    if _has_no_internal_transitions(model):
-        partition = _strong_partition_splitter(model, respect_labels, rate_digits)
-        return _build_weak_quotient(model, TauCondensation(model), partition)
-    engine = _weak_engine(model, respect_labels, rate_digits, algorithm)
-    return engine.quotient()
-
-
 def minimize_strong(
     model: IOIMC,
     respect_labels: bool = True,
     algorithm: str = "closure",
     rate_digits: int = DEFAULT_RATE_DIGITS,
-    processes: int = 1,
 ) -> IOIMC:
-    """Minimise ``model`` modulo strong bisimulation.
-
-    ``processes > 1`` refines connected components of the transition graph in
-    worker processes (see :func:`minimize_weak` for the decomposition and its
-    limits); a single-component model always refines serially.
-    """
-    if processes > 1:
-        reduced = _minimize_components_parallel(
-            model, "strong", respect_labels, algorithm, rate_digits, processes
-        )
-        if reduced is not None:
-            return reduced
+    """Minimise ``model`` modulo strong bisimulation."""
     partition = strong_bisimulation_partition(
         model, respect_labels=respect_labels, algorithm=algorithm, rate_digits=rate_digits
     )
@@ -2149,173 +2017,20 @@ def minimize_weak(
     respect_labels: bool = True,
     algorithm: str = "closure",
     rate_digits: int = DEFAULT_RATE_DIGITS,
-    processes: int = 1,
 ) -> IOIMC:
     """Minimise ``model`` modulo weak bisimulation.
 
     With the closure and splitter engines one tau-SCC condensation is shared
     between the partition refinement and the quotient construction, so the
     internal-closure work happens exactly once per minimisation.
-
-    ``processes > 1`` enables intra-minimisation multi-core: the transition
-    graph is split into (undirected) connected components, each component is
-    refined and quotiented in a worker process, and the disjoint union of the
-    component quotients gets one serial merge pass (which coarsens
-    cross-component equivalent blocks) before the usual reachability
-    restriction.  States in different components never share a transition, so
-    the composed partition reaches the same coarsest fixpoint as a global
-    serial run; on models with divergent vanishing states (tau self-loops or
-    cycles that never reach stability) the merge pass performs one extra
-    normalisation step — the same step the aggregation pipeline's
-    iterate-to-fixpoint loop applies after a serial minimisation.  The
-    decomposition only pays off on genuinely disconnected models (scenario
-    unions, batch corpora): a reachability-restricted product of one root is
-    a single component and always refines serially.
     """
     _check_algorithm(algorithm)
-    if processes > 1:
-        reduced = _minimize_components_parallel(
-            model, "weak", respect_labels, algorithm, rate_digits, processes
-        )
-        if reduced is not None:
-            return reduced
-    quotient = _weak_quotient_unrestricted(model, respect_labels, algorithm, rate_digits)
+    if algorithm == "signature":
+        partition = _weak_partition_signature(model, respect_labels, rate_digits)
+        quotient = quotient_weak(model, partition)
+    elif _has_no_internal_transitions(model):
+        partition = _strong_partition_splitter(model, respect_labels, rate_digits)
+        quotient = quotient_weak(model, partition)
+    else:
+        quotient = _weak_engine(model, respect_labels, rate_digits, algorithm).quotient()
     return quotient.restrict_to_reachable(model.name)
-
-
-# ---------------------------------------------------------------------------
-# intra-minimisation multi-core: connected-component fan-out
-# ---------------------------------------------------------------------------
-
-def _connected_components(model: IOIMC) -> List[List[int]]:
-    """Undirected connected components of the full transition graph.
-
-    Interactive and Markovian edges both connect; the components are exactly
-    the finest grouping with no cross-group transitions, so refinement
-    signatures never cross a component boundary.
-    """
-    num_states = model.num_states
-    parent = list(range(num_states))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for state in range(num_states):
-        for _aid, target in model._itrans[state]:
-            ra, rb = find(state), find(target)
-            if ra != rb:
-                parent[rb] = ra
-        for target in model._mtrans[state]:
-            ra, rb = find(state), find(target)
-            if ra != rb:
-                parent[rb] = ra
-    groups: Dict[int, List[int]] = {}
-    for state in range(num_states):
-        groups.setdefault(find(state), []).append(state)
-    return [groups[root] for root in sorted(groups)]
-
-
-def _extract_component(model: IOIMC, states: List[int]) -> IOIMC:
-    """The submodel induced by ``states`` (a transition-closed set).
-
-    The component keeps the full action signature (worker results are
-    re-unioned under it) and uses its smallest member as the initial state
-    when the model's initial lies elsewhere — the per-component quotient is
-    built over *all* component states, so the placeholder never influences
-    the result.
-    """
-    remap = {old: new for new, old in enumerate(states)}
-    sub = IOIMC(model.name, model.signature)
-    for old in states:
-        sub.add_state(labels=model.labels(old), name=model.state_name(old))
-    for old in states:
-        new = remap[old]
-        sub._set_interactive_raw(
-            new, [(aid, remap[target]) for aid, target in model._itrans[old]]
-        )
-        sub._set_markovian_raw(
-            new, {remap[target]: rate for target, rate in model._mtrans[old].items()}
-        )
-    initial = model._initial
-    sub.set_initial(remap[initial] if initial is not None and initial in remap else 0)
-    return sub
-
-
-def _minimize_component_job(
-    job: Tuple[str, IOIMC, bool, str, int],
-) -> IOIMC:
-    """Worker entry point: quotient one component, no reachability restriction."""
-    kind, sub, respect_labels, algorithm, rate_digits = job
-    if kind == "weak":
-        return _weak_quotient_unrestricted(sub, respect_labels, algorithm, rate_digits)
-    return _strong_quotient_unrestricted(sub, respect_labels, algorithm, rate_digits)
-
-
-def _minimize_components_parallel(
-    model: IOIMC,
-    kind: str,
-    respect_labels: bool,
-    algorithm: str,
-    rate_digits: int,
-    processes: int,
-) -> Optional[IOIMC]:
-    """Fan per-component quotients out to worker processes, then merge.
-
-    Returns ``None`` when the model is a single connected component (nothing
-    to fan out — the caller runs the serial path).  Models cross the process
-    boundary by action *name* (see ``IOIMC.__getstate__``), the same
-    plan-shipping discipline as the parallel modular aggregator.
-    """
-    components = _connected_components(model)
-    if len(components) < 2:
-        return None
-    jobs = [
-        (kind, _extract_component(model, states), respect_labels, algorithm, rate_digits)
-        for states in components
-    ]
-    workers = min(processes, len(jobs))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        quotients = list(pool.map(_minimize_component_job, jobs))
-
-    # Disjoint union of the component quotients, then one serial merge pass:
-    # per-component refinement cannot merge equivalent states of *different*
-    # components, so the union is re-minimised (it is already small) to reach
-    # the global coarsest partition before the reachability restriction.
-    union = IOIMC(model.name, model.signature)
-    offsets: List[int] = []
-    for quotient in quotients:
-        offsets.append(union.num_states)
-        base = union.num_states
-        for state in range(quotient.num_states):
-            union.add_state(
-                labels=quotient.labels(state), name=quotient.state_name(state)
-            )
-        for state in range(quotient.num_states):
-            union._set_interactive_raw(
-                base + state,
-                [(aid, base + target) for aid, target in quotient._itrans[state]],
-            )
-            union._set_markovian_raw(
-                base + state,
-                {base + target: rate for target, rate in quotient._mtrans[state].items()},
-            )
-    initial = model._initial
-    if initial is not None:
-        for index, states in enumerate(components):
-            if initial in set(states):
-                union.set_initial(offsets[index] + quotients[index].initial)
-                break
-    else:
-        union.set_initial(0)
-    if kind == "weak":
-        merged = _weak_quotient_unrestricted(union, respect_labels, algorithm, rate_digits)
-    else:
-        merged = _strong_quotient_unrestricted(union, respect_labels, algorithm, rate_digits)
-    return merged.restrict_to_reachable(model.name)

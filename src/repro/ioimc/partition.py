@@ -40,10 +40,11 @@ enqueues both halves (its splitters are tau-closure sweeps, for which no
 count-based complement trick applies) but memoises the backward closures.
 
 :class:`TauCondensation` complements the partition for *weak* bisimulation:
-an iterative Tarjan pass condenses the internal(tau)-transition graph into
-its strongly connected components, so tau-closures are represented once per
-SCC (as reachability over the condensation DAG) instead of one frozenset per
-state — the quadratic-memory failure mode of tau-chains never materialises.
+the shared Tarjan pass of :mod:`repro.graph` condenses the internal(tau)-
+transition graph into its strongly connected components, so tau-closures are
+represented once per SCC (as reachability over the condensation DAG) instead
+of one frozenset per state — the quadratic-memory failure mode of tau-chains
+never materialises.
 Backward closures that the weak engine requests repeatedly (the same
 (tau-SCC x label) splitter units re-enter the worklist many times on
 tau-heavy products) are memoised in a bounded LRU
@@ -70,6 +71,7 @@ from typing import (
 
 import numpy as np
 
+from ..graph import strongly_connected_components
 from .rates import ParametricRate
 
 #: Default number of significant digits used when comparing aggregate
@@ -569,9 +571,10 @@ CLOSURE_CACHE_LIMIT = 64
 class TauCondensation:
     """Condensation of a model's internal-transition graph.
 
-    Computed with an iterative Tarjan pass (explicit stack — the fused
-    products this runs on routinely exceed Python's recursion limit).  SCC
-    ids are assigned in reverse topological order: every tau successor of an
+    Computed with the shared iterative Tarjan pass
+    (:func:`repro.graph.strongly_connected_components` — the fused products
+    this runs on routinely exceed Python's recursion limit).  SCC ids are
+    assigned in reverse topological order: every tau successor of an
     SCC has a *smaller* id, so a single id-ordered sweep visits successors
     before their predecessors — the property the weak-bisimulation engine
     uses to share tau-closure information per SCC instead of materialising a
@@ -588,57 +591,13 @@ class TauCondensation:
             for state in range(num_states)
         ]
 
+        #: Member states of every SCC.
+        self.members: List[List[int]] = strongly_connected_components(succ)
         #: SCC id of every state.
         self.scc_of: List[int] = [-1] * num_states
-        #: Member states of every SCC.
-        self.members: List[List[int]] = []
-
-        index = [-1] * num_states
-        low = [0] * num_states
-        on_stack = [False] * num_states
-        tarjan_stack: List[int] = []
-        counter = 0
-        for root in range(num_states):
-            if index[root] != -1:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                state, edge = work[-1]
-                if edge == 0:
-                    index[state] = low[state] = counter
-                    counter += 1
-                    tarjan_stack.append(state)
-                    on_stack[state] = True
-                descended = False
-                edges = succ[state]
-                while edge < len(edges):
-                    target = edges[edge]
-                    edge += 1
-                    if index[target] == -1:
-                        work[-1] = (state, edge)
-                        work.append((target, 0))
-                        descended = True
-                        break
-                    if on_stack[target] and index[target] < low[state]:
-                        low[state] = index[target]
-                if descended:
-                    continue
-                work.pop()
-                if low[state] == index[state]:
-                    scc = len(self.members)
-                    group: List[int] = []
-                    while True:
-                        member = tarjan_stack.pop()
-                        on_stack[member] = False
-                        self.scc_of[member] = scc
-                        group.append(member)
-                        if member == state:
-                            break
-                    self.members.append(group)
-                if work:
-                    parent = work[-1][0]
-                    if low[state] < low[parent]:
-                        low[parent] = low[state]
+        for scc, group in enumerate(self.members):
+            for member in group:
+                self.scc_of[member] = scc
 
         num_sccs = len(self.members)
         succ_sets: List[Set[int]] = [set() for _ in range(num_sccs)]

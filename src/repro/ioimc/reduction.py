@@ -19,7 +19,8 @@ the pipeline records before/after statistics so benchmarks can report the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ModelError
@@ -27,6 +28,13 @@ from .bisimulation import ALGORITHMS, minimize_strong, minimize_weak
 from .maximal_progress import apply_maximal_progress
 from .model import IOIMC
 from .partition import DEFAULT_RATE_DIGITS
+
+LOGGER = logging.getLogger("repro.ioimc.reduction")
+
+#: Rounds of the reduction fixpoint in :func:`aggregate`.  Two or three
+#: rounds reach the fixpoint in practice; a run that is still shrinking
+#: after the last round stops there with a warning.
+MAX_AGGREGATION_ROUNDS = 10
 
 
 @dataclass
@@ -54,12 +62,6 @@ class AggregationOptions:
         tested for equality during refinement (default
         :data:`~repro.ioimc.partition.DEFAULT_RATE_DIGITS`); all engines
         honour the same precision.
-    minimisation_processes:
-        Worker processes for intra-minimisation multi-core (1 = serial).
-        Connected components of the transition graph refine in parallel; a
-        single-component model — every reachability-restricted product of one
-        root — always refines serially, so this only pays off on disconnected
-        scenario unions.
     """
 
     method: str = "weak"
@@ -67,7 +69,6 @@ class AggregationOptions:
     respect_labels: bool = True
     minimiser: str = "closure"
     rate_digits: int = DEFAULT_RATE_DIGITS
-    minimisation_processes: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in {"weak", "strong", "tau", "none"}:
@@ -79,11 +80,6 @@ class AggregationOptions:
         if not isinstance(self.rate_digits, int) or self.rate_digits < 1:
             raise ModelError(
                 f"rate_digits must be a positive integer, got {self.rate_digits!r}"
-            )
-        if int(self.minimisation_processes) < 1:
-            raise ModelError(
-                "minimisation_processes must be >= 1, got "
-                f"{self.minimisation_processes!r}"
             )
 
 
@@ -215,9 +211,8 @@ def aggregate(
     if options.method != "none":
         # The individual reductions can enable each other (e.g. quotienting may
         # create a deterministic internal chain that can then be compressed),
-        # so the sequence is iterated until a fixpoint is reached.  Two or
-        # three rounds suffice in practice; the bound is purely defensive.
-        for _round in range(10):
+        # so the sequence is iterated until a fixpoint is reached.
+        for _round in range(MAX_AGGREGATION_ROUNDS):
             size_before = (reduced.num_states, reduced.num_transitions)
             reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
             reduced = remove_internal_self_loops(reduced)
@@ -229,7 +224,6 @@ def aggregate(
                     respect_labels=options.respect_labels,
                     algorithm=options.minimiser,
                     rate_digits=options.rate_digits,
-                    processes=options.minimisation_processes,
                 )
             elif options.method == "strong":
                 reduced = minimize_strong(
@@ -237,13 +231,21 @@ def aggregate(
                     respect_labels=options.respect_labels,
                     algorithm=options.minimiser,
                     rate_digits=options.rate_digits,
-                    processes=options.minimisation_processes,
                 )
             # re-run maximal progress: quotienting may have exposed new urgency
             reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
             reduced = reduced.restrict_to_reachable()
             if (reduced.num_states, reduced.num_transitions) == size_before:
                 break
+        else:
+            LOGGER.warning(
+                "aggregation of %r stopped at the %d-round cap while still "
+                "shrinking (%d states, %d transitions after the last round)",
+                model.name,
+                MAX_AGGREGATION_ROUNDS,
+                reduced.num_states,
+                reduced.num_transitions,
+            )
 
     reduced.name = model.name
     stats.states_after = reduced.num_states

@@ -1,8 +1,11 @@
 """Tests for the aggregation pipeline (reduction module)."""
 
+import logging
+
 import pytest
 
 from repro.errors import ModelError
+from repro.ioimc import reduction
 from repro.ioimc import (
     AggregationOptions,
     IOIMC,
@@ -107,3 +110,22 @@ class TestAggregate:
         reduced, stats = aggregate(stats_model)
         assert reduced.num_states == 1
         assert stats.state_reduction == 0.0
+
+    def test_round_cap_warns_when_still_shrinking(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.ioimc.reduction"):
+            uncapped, _ = aggregate(chain_with_taus())
+        # The fixpoint is reached within the default cap: no warning.
+        assert not [r for r in caplog.records if r.name == "repro.ioimc.reduction"]
+        monkeypatch.setattr(reduction, "MAX_AGGREGATION_ROUNDS", 1)
+        with caplog.at_level(logging.WARNING, logger="repro.ioimc.reduction"):
+            capped, stats = aggregate(chain_with_taus())
+        # Round 1 shrinks the chain (4 states -> fewer), so the single allowed
+        # round ends while the size is still changing.
+        assert stats.states_after < stats.states_before
+        warnings = [r for r in caplog.records if r.name == "repro.ioimc.reduction"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "1-round cap" in warnings[0].getMessage()
+        # Here round 1 already reaches the fixpoint: the result is unchanged.
+        assert capped.to_dot() == uncapped.to_dot()
+

@@ -17,6 +17,7 @@ up (saturation cap), fall back to the splitter engine and keep its peak
 memory linear in the chain length.
 """
 
+import logging
 import random
 import tracemalloc
 
@@ -34,6 +35,7 @@ from repro.ioimc import (
 )
 from repro.ioimc.bisimulation import (
     DEFAULT_RATE_DIGITS,
+    SATURATION_FLOOR,
     _weak_engine,
     _WeakSplitterEngine,
 )
@@ -150,10 +152,17 @@ def _tau_chain(num_states: int) -> IOIMC:
 class TestClosureMemoryOnTauChains:
     """The saturation cap keeps the closure path linear on deep tau-chains."""
 
-    def test_deep_chain_falls_back_to_splitter(self):
+    def test_deep_chain_falls_back_to_splitter(self, caplog):
         # A 3000-state tau-chain has ~n^2/2 closure entries — over the cap.
-        engine = _weak_engine(_tau_chain(3000), True, DEFAULT_RATE_DIGITS, "closure")
+        with caplog.at_level(logging.INFO, logger="repro.ioimc.bisimulation"):
+            engine = _weak_engine(_tau_chain(3000), True, DEFAULT_RATE_DIGITS, "closure")
         assert isinstance(engine, _WeakSplitterEngine)
+        # The fallback is logged once, naming the SCC count and the cap.
+        (record,) = [r for r in caplog.records if r.name == "repro.ioimc.bisimulation"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert "3000 tau-SCCs" in message
+        assert f"cap of {SATURATION_FLOOR} entries" in message
 
     def test_peak_memory_linear_not_quadratic(self):
         # Quadratic closure-matrix memory would quadruple from n to 2n; the

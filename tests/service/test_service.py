@@ -320,25 +320,58 @@ class TestPoolFallbacks:
         )
         assert _strip(response) == local
 
-    def test_worker_bug_propagates(self, tmp_path):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
+    def test_evicted_entry_falls_back_bit_identically(self, tmp_path):
+        # The worker's store no longer holds the entry the parent just built
+        # (evicted between dispatch and load): the worker raises KeyError and
+        # the parent evaluates in-process.
+        inline = AnalysisService(SkeletonStore(tmp_path / "inline"))
         store = SkeletonStore(tmp_path / "cache")
         service = AnalysisService(store, processes=1)
-        service._pool.shutdown()
-        service._pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_buggy_worker_init,
-            initargs=(str(store.root), store.max_bytes),
-        )
+        _spawn_pool(service, _evicting_worker_init)
+        try:
+            _, expected = inline.handle("POST", "/analyze", self.REQUEST)
+            status, response = service.handle("POST", "/analyze", self.REQUEST)
+            assert status == 200
+            assert service.metrics_payload()["pool_fallbacks"] >= 1
+        finally:
+            service.close()
+            inline.close()
+        assert response["measures"] == expected["measures"]
+        assert _strip(response) == _strip(expected)
+
+    def test_worker_bug_propagates(self, tmp_path):
+        store = SkeletonStore(tmp_path / "cache")
+        service = AnalysisService(store, processes=1)
+        _spawn_pool(service, _buggy_worker_init)
         try:
             with pytest.raises(ValueError, match="injected worker bug"):
                 service.handle("POST", "/analyze", self.REQUEST)
             assert service.metrics_payload()["pool_fallbacks"] == 0
         finally:
             service.close()
+
+
+def _spawn_pool(service, initializer):
+    """Replace ``service``'s pool by a one-worker spawn pool run through
+    ``initializer`` (the service's own worker setup plus an injected fault)."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    service._pool.shutdown()
+    service._pool = ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=initializer,
+        initargs=(str(service.store.root), service.store.max_bytes),
+    )
+
+
+def _evicting_worker_init(root, max_bytes):
+    """Service pool initializer whose worker store has lost every entry."""
+    from repro.service import app
+
+    app._init_service_worker(root, max_bytes)
+    app._WORKER_STORE.load = lambda key: None
 
 
 def _buggy_worker_init(root, max_bytes):

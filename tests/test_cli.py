@@ -122,7 +122,6 @@ class TestAnalyzeJson:
             "fuse",
             "tolerance",
             "aggregation_processes",
-            "minimisation_processes",
         }
         assert payload["options"]["minimiser"] == "closure"
         assert set(payload["model"]) == {
