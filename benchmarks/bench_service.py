@@ -3,19 +3,24 @@
 Starts the HTTP serving layer in-process (ephemeral port, temporary cache
 directory), measures a cold ``/analyze`` (full pipeline: conversion,
 aggregation, minimisation) against warm repeats served from the skeleton
-store, then drives a mixed concurrent load and reports throughput and
+store, then drives a concurrent warm load — each client on one keep-alive
+connection, as a pooled HTTP client would be — and reports throughput and
 latency percentiles.  The ``service`` section is merged into an existing
 ``BENCH_fig2.json`` report (or a fresh one is created)::
 
     PYTHONPATH=src python benchmarks/bench_service.py [BENCH_fig2.json]
 
 Fails (exit 1) if the warm path is not at least 10x faster than the cold
-path, if fewer than 4 clients were exercised, or if any served response is
-not bit-identical to the in-process result.
+path, if the warm load test's median latency reaches
+:data:`MAX_WARM_P50_MS` (a response stalled by Nagle's algorithm waits
+~40 ms for the client's delayed ACK), if fewer than 4 clients were
+exercised, or if any served response is not bit-identical to the in-process
+result.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import statistics
 import sys
@@ -39,6 +44,8 @@ WARM_REPEATS = 5
 MISSION_TIMES = [0.5, 1.0, 2.0]
 SWEEP_ROWS = 48
 SWEEP_POOL_PROCESSES = 4
+#: Ceiling on the warm load test's median latency (ms).
+MAX_WARM_P50_MS = 20.0
 
 SWEEP_TREE = """
 param lam = 0.5;
@@ -102,19 +109,42 @@ def bench_service() -> dict:
                 _strip(cold) == local_dict and _strip(warm) == local_dict
             )
 
-            # Concurrent load: NUM_CLIENTS threads, warm requests only.
+            # Concurrent load: NUM_CLIENTS threads, warm requests only, each
+            # thread on one keep-alive connection (a closing connection
+            # flushes the response and would hide a Nagle stall).
             latencies = []
+            load_identical = []
             lock = threading.Lock()
+            host, port = server.server_address[:2]
+            body = json.dumps(
+                {"tree": text, "query": {"times": MISSION_TIMES}}
+            ).encode("utf-8")
 
             def client_loop():
-                worker = ServiceClient(server.url)
+                connection = http.client.HTTPConnection(host, port, timeout=60)
                 mine = []
-                for _ in range(REQUESTS_PER_CLIENT):
-                    start = time.perf_counter()
-                    worker.analyze(text, times=MISSION_TIMES)
-                    mine.append(time.perf_counter() - start)
+                identical = True
+                try:
+                    for _ in range(REQUESTS_PER_CLIENT):
+                        start = time.perf_counter()
+                        connection.request(
+                            "POST",
+                            "/analyze",
+                            body=body,
+                            headers={"Content-Type": "application/json"},
+                        )
+                        response = connection.getresponse()
+                        payload = response.read()
+                        mine.append(time.perf_counter() - start)
+                        identical = identical and (
+                            response.status == 200
+                            and _strip(json.loads(payload)) == local_dict
+                        )
+                finally:
+                    connection.close()
                 with lock:
                     latencies.extend(mine)
+                    load_identical.append(identical)
 
             wall_start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=NUM_CLIENTS) as pool:
@@ -137,7 +167,7 @@ def bench_service() -> dict:
         "cold_analyze_seconds": cold_seconds,
         "warm_analyze_seconds": warm_seconds,
         "warm_speedup": cold_seconds / warm_seconds,
-        "bit_identical": bit_identical,
+        "bit_identical": bit_identical and all(load_identical),
         "load": {
             "clients": NUM_CLIENTS,
             "requests": total_requests,
@@ -226,6 +256,11 @@ def main(argv) -> int:
         failures.append(
             f"warm analyze only {section['warm_speedup']:.1f}x faster than cold "
             "(need >= 10x)"
+        )
+    if section["load"]["p50_ms"] >= MAX_WARM_P50_MS:
+        failures.append(
+            f"warm load p50 {section['load']['p50_ms']:.1f} ms "
+            f"(need < {MAX_WARM_P50_MS:.0f} ms)"
         )
     if section["load"]["clients"] < 4:
         failures.append("load test ran fewer than 4 concurrent clients")

@@ -11,7 +11,8 @@ query).  This package exploits that split for traffic:
   skips straight to the kernel;
 * :mod:`repro.service.app` — the transport-free application object
   (request dict in, response dict out) with per-endpoint metrics and an
-  optional worker pool; every process keeps its compiled models warm;
+  optional worker pool; every process keeps its recently used entries
+  decoded, with their compiled models, so a warm hit is answered from memory;
 * :mod:`repro.service.server` — a stdlib-only threading HTTP server exposing
   ``POST /analyze``, ``/sweep``, ``/batch`` and ``GET /healthz``, ``/metrics``
   with the existing ``repro.study/1`` / ``repro.sweep/3`` JSON schemas as the

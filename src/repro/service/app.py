@@ -11,12 +11,17 @@ exactly the measures an in-process ``Study(tree, skeleton_cache=store)``
 computes, because both paths evaluate a
 :class:`repro.core.study.CompiledModel` of the same store entry.  Every
 process — the service's own and, with ``processes > 0``, each worker of its
-pool — keeps a small LRU of compiled models keyed by entry, so a hot entry's
-CSR pattern, Poisson terms and gradient kernel survive between requests.  A
+pool — keeps a small LRU of decoded entries and their compiled models, so a
+warm hit neither reads nor unpickles the entry file and a hot entry's CSR
+pattern, Poisson terms and gradient kernel survive between requests.  The
+service still touches the store on such a hit (:meth:`SkeletonStore.touch`),
+so the store's hit counter and its on-disk LRU order stay truthful; hits
+answered from memory are counted as ``memory_hits`` in ``/metrics``.  A
 failure of the pool itself (a dead worker, a pickling or OS error, an entry
 the worker's store lost) falls back to the in-process path, counted as
 ``pool_fallbacks`` in ``/metrics`` and logged; any other worker exception
-propagates like an in-process one.
+propagates like an in-process one.  An unexpected exception in a handler
+becomes a logged 500 response instead of escaping to the transport.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from ..dft import galileo
 from ..dft.elements import BasicEvent
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
-from .store import SkeletonEntry, SkeletonStore
+from .store import SkeletonEntry, SkeletonStore, cache_key
 
 LOGGER = logging.getLogger("repro.service.app")
 
@@ -115,6 +120,7 @@ class ServiceMetrics:
         self._window = int(window)
         self._started = _time.time()
         self._pool_fallbacks = 0
+        self._memory_hits = 0
 
     def record(self, endpoint: str, seconds: float, ok: bool = True) -> None:
         with self._lock:
@@ -129,6 +135,10 @@ class ServiceMetrics:
     def record_pool_fallback(self) -> None:
         with self._lock:
             self._pool_fallbacks += 1
+
+    def record_memory_hit(self) -> None:
+        with self._lock:
+            self._memory_hits += 1
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -145,6 +155,7 @@ class ServiceMetrics:
                 "uptime_seconds": _time.time() - self._started,
                 "endpoints": endpoints,
                 "pool_fallbacks": self._pool_fallbacks,
+                "memory_hits": self._memory_hits,
             }
 
 
@@ -160,15 +171,43 @@ POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, OSError, KeyError)
 
 
 class _ModelCache:
-    """An LRU of :class:`~repro.core.study.CompiledModel` s keyed by entry key.
+    """An LRU of decoded :class:`~repro.service.store.SkeletonEntry` s and
+    their :class:`~repro.core.study.CompiledModel` s, keyed by entry key.
 
-    A hot entry's CSR pattern, Poisson terms and gradient kernel survive
-    between requests.  Not thread-safe: the service holds a lock around it.
+    Each slot pairs an entry with its model, so one capacity and one
+    eviction order govern both: a hot entry is never read from disk or
+    unpickled again, and its CSR pattern, Poisson terms and gradient kernel
+    survive between requests.  Not thread-safe: the service holds one lock
+    around every use.
     """
 
     def __init__(self, capacity: int = 8):
         self.capacity = capacity
-        self._models: "OrderedDict[str, CompiledModel]" = OrderedDict()
+        self._slots: "OrderedDict[str, Tuple[SkeletonEntry, CompiledModel]]" = (
+            OrderedDict()
+        )
+
+    def entry(self, key: str) -> Optional[SkeletonEntry]:
+        """The cached entry of ``key`` (now the most recent), or ``None``."""
+        slot = self._slots.get(key)
+        if slot is None:
+            return None
+        self._slots.move_to_end(key)
+        return slot[0]
+
+    def put(self, entry: SkeletonEntry) -> CompiledModel:
+        """Cache ``entry`` (or mark it most recent); returns its model."""
+        slot = self._slots.get(entry.key)
+        if slot is None:
+            slot = self._slots[entry.key] = (
+                entry,
+                CompiledModel(entry.skeleton, buffer=entry.buffer),
+            )
+            while len(self._slots) > self.capacity:
+                self._slots.popitem(last=False)
+        else:
+            self._slots.move_to_end(entry.key)
+        return slot[1]
 
     def evaluate(
         self,
@@ -179,14 +218,8 @@ class _ModelCache:
         tolerance: float,
     ) -> Tuple[MeasureResult, ...]:
         """Per-measure failures are recorded in the results, as the CLI does."""
-        model = self._models.get(key)
-        if model is None:
-            entry = load_entry()
-            model = self._models[key] = CompiledModel(entry.skeleton, buffer=entry.buffer)
-            while len(self._models) > self.capacity:
-                self._models.popitem(last=False)
-        else:
-            self._models.move_to_end(key)
+        entry = self.entry(key)
+        model = self.put(load_entry() if entry is None else entry)
         query = query_from_payload(query_payload, nondeterministic=model.nondeterministic)
         return model.evaluate(
             query, assignment, tolerance=tolerance, on_error="record"
@@ -239,7 +272,9 @@ class AnalysisService:
     ``processes > 0`` attaches a pool of worker processes that evaluate
     ``/analyze`` requests, ``/batch`` rows and plain ``/sweep`` rows (each
     worker keeps its own compiled models warm); ``processes = 0`` evaluates
-    in-process with one compiled model per cache key.
+    in-process with one compiled model per cache key.  Either way the
+    service's own LRU answers warm structural hits without touching the
+    entry file beyond an mtime bump.
     """
 
     def __init__(
@@ -254,8 +289,10 @@ class AnalysisService:
         self.options = options or StudyOptions()
         self.processes = int(processes)
         self.metrics = ServiceMetrics()
+        # Builds are serialised apart from the LRU, so a cold build never
+        # holds up a warm hit; one lock guards every use of the LRU.
         self._build_lock = threading.Lock()
-        self._eval_lock = threading.Lock()
+        self._models_lock = threading.Lock()
         self._models = _ModelCache()
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.processes > 0:
@@ -280,7 +317,9 @@ class AnalysisService:
         """Route one request; returns ``(http_status, response_dict)``.
 
         Domain errors (bad trees, bad queries) become 400 responses; unknown
-        paths 404; method mismatches 405.  Every request is recorded in
+        paths 404; method mismatches 405; any other exception is a bug of the
+        service, logged with its traceback and answered with 500 so the
+        connection stays usable.  Every request is recorded in
         :attr:`metrics` under its endpoint.
         """
         endpoint = path.rstrip("/") or "/"
@@ -302,6 +341,10 @@ class AnalysisService:
         except ReproError as error:
             self.metrics.record(endpoint, _time.perf_counter() - start, ok=False)
             return 400, {"error": str(error)}
+        except Exception as error:  # noqa: BLE001 - answer, never drop the connection
+            self.metrics.record(endpoint, _time.perf_counter() - start, ok=False)
+            LOGGER.exception("%s %s failed", method, endpoint)
+            return 500, {"error": f"internal error: {error!r}"}
         self.metrics.record(endpoint, _time.perf_counter() - start, ok=True)
         return 200, response
 
@@ -316,9 +359,27 @@ class AnalysisService:
                                 "Galileo description string")
         return galileo.parse(text, name="<request>")
 
-    def _get_entry(self, tree, profile: Optional[CanonicalProfile] = None):
+    def _get_entry(
+        self, tree, profile: CanonicalProfile
+    ) -> Tuple[SkeletonEntry, bool]:
+        """``(entry, hit)`` of ``tree``'s structural class.
+
+        A hit in the LRU is answered from memory and only touches the store
+        (:meth:`SkeletonStore.touch`); a miss goes through the store, which
+        decodes or builds the entry, and fills the LRU.
+        """
+        key = cache_key(tree, self.options, tree_hash=profile.hash)
+        with self._models_lock:
+            entry = self._models.entry(key)
+            if entry is not None:
+                self.store.touch(key)
+                self.metrics.record_memory_hit()
+                return entry, True
         with self._build_lock:
-            return self.store.get_or_build(tree, self.options, profile=profile)
+            entry, hit = self.store.get_or_build(tree, self.options, profile=profile)
+        with self._models_lock:
+            self._models.put(entry)
+        return entry, hit
 
     def _pool_fallback(self, error: BaseException) -> None:
         """Count and log a pool failure the in-process path absorbs."""
@@ -356,7 +417,7 @@ class AnalysisService:
             except POOL_FAILURES as error:
                 self._pool_fallback(error)
         start = _time.perf_counter()
-        with self._eval_lock:
+        with self._models_lock:
             measures = self._models.evaluate(
                 entry.key, lambda: entry, assignment, query_payload, self.options.tolerance
             )

@@ -7,9 +7,10 @@ in-memory :class:`~repro.dft.tree.DynamicFaultTree` objects (serialised with
 ``%.10g``, so an exact-comparison harness should parse the written text on
 both sides).
 
-Transport failures (connection refused, 5xx) are retried with exponential
-backoff; 4xx responses raise :class:`ServiceError` immediately with the
-server's error message attached.
+Transport failures (connection refused, 502/503/504) are retried with
+exponential backoff; 4xx responses and 500 (a request the server failed on,
+which a retry would only fail again) raise :class:`ServiceError` immediately
+with the server's error message attached.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class ServiceClient:
                 except (ValueError, UnicodeDecodeError):
                     pass
                 message = str(detail.get("error", f"HTTP {error.code}"))
-                if error.code < 500:
+                if error.code <= 500:
                     raise ServiceError(
                         f"{method} {path} failed: {message}",
                         status=error.code,

@@ -9,11 +9,14 @@ handler forwards every request to an :class:`~repro.service.app.AnalysisService`
 * ``POST /batch``   — many trees, one query (``repro.batch/1`` + ``service``);
 * ``GET /healthz``  — liveness + store shape;
 * ``GET /metrics``  — per-endpoint counts/latency percentiles, worker-pool
-  fallbacks + store stats.
+  fallbacks, warm hits answered from memory + store stats.
 
 The threading server gives every connection its own handler thread; the
 service object is thread-safe (compiled-model reuse is serialised, the optional
-worker pool parallelises analyses across processes).  ``port=0`` binds an
+worker pool parallelises analyses across processes).  Connections keep alive
+(HTTP/1.1) and set ``TCP_NODELAY``: a response goes out as a header write and
+a body write, and with Nagle's algorithm the body would wait for the
+client's delayed ACK of the headers (~40 ms on Linux).  ``port=0`` binds an
 ephemeral port — read it back from :attr:`AnalysisServer.server_address`.
 """
 
@@ -38,6 +41,8 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class _ServiceHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # StreamRequestHandler sets TCP_NODELAY on each accepted connection.
+    disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -18,8 +18,9 @@ half's output under that hash:
   corrupt structure;
 * writes are atomic (temp file + ``os.replace``) so concurrent builders and
   readers only ever observe complete entries;
-* an optional byte cap turns the directory into an mtime-LRU: loads touch the
-  entry, stores evict the oldest entries beyond the cap.
+* an optional byte cap turns the directory into an mtime-LRU: loads (and
+  :meth:`SkeletonStore.touch`, for hits served from a decoded copy held in
+  memory) touch the entry, stores evict the oldest entries beyond the cap.
 
 :class:`~repro.core.study.Study` and :class:`~repro.core.sweep.SweepStudy`
 accept a store via ``skeleton_cache=`` and skip conversion + aggregation +
@@ -257,8 +258,23 @@ class SkeletonStore:
         if entry is None:
             self.misses += 1
             return None
+        self.touch(key)
+        return entry
+
+    def touch(self, key: str) -> None:
+        """Count a hit on ``key`` and bump the entry in the LRU order.
+
+        :meth:`load` ends here; a caller that answers from an entry it
+        already decoded calls it directly, so the hit counter and the byte
+        cap's mtime order follow what is actually used without reading the
+        file again.  An entry no longer on disk is left gone: the caller's
+        copy stays valid because entries are content-addressed and immutable.
+        """
+        path = self.path_of(key)
         try:
-            os.utime(path)  # LRU touch
+            os.utime(path)
+        except FileNotFoundError:
+            pass
         except OSError as error:
             # A read-only or shared (NFS) store cannot take the LRU touch;
             # the entry itself is perfectly good, so serve it anyway and say
@@ -274,7 +290,6 @@ class SkeletonStore:
                     error,
                 )
         self.hits += 1
-        return entry
 
     def _decode(
         self, raw: bytes, path: Path, key: str

@@ -7,8 +7,13 @@ same skeleton cache computes (timings are wall-clock and excluded).
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
+import socket
+import statistics
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,7 +24,7 @@ from repro.core.sweep import RateSweep, SweepStudy
 from repro.dft import galileo
 from repro.service.app import AnalysisService, query_from_payload
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import serve
+from repro.service.server import _ServiceHandler, serve
 from repro.service.store import SkeletonStore
 
 AND_TREE = """
@@ -27,6 +32,14 @@ toplevel "sys";
 "sys" and "a" "b";
 "a" lambda=0.5;
 "b" lambda=0.7;
+"""
+
+# AND_TREE's structural class under other names and rates.
+AND_TWIN_TREE = """
+toplevel "top";
+"top" and "x" "y";
+"x" lambda=0.3;
+"y" lambda=0.9;
 """
 
 PARAM_TREE = """
@@ -56,8 +69,8 @@ def _strip(response):
     return slim
 
 
-def _local_study_dict(text, store, query, options=None):
-    tree = galileo.parse(text, name="<request>")
+def _local_study_dict(text, store, query, options=None, name="<request>"):
+    tree = galileo.parse(text, name=name)
     result = Study(tree, options or StudyOptions(), skeleton_cache=store).evaluate(
         query, on_error="record"
     )
@@ -191,6 +204,83 @@ class TestDictHandlers:
         assert analyze["errors"] == 1
         assert payload["store"]["entries"] == 1
 
+    def test_metrics_count_memory_hits(self, service):
+        for _ in range(3):
+            service.handle("POST", "/analyze", {"tree": AND_TREE})
+        service.handle("POST", "/analyze", {"tree": AND_TWIN_TREE})
+        payload = service.metrics_payload()
+        assert payload["memory_hits"] == 3  # the miss decodes nothing
+        # Memory hits still count as store hits (one miss: the build).
+        assert payload["store"]["hits"] == 3
+        assert payload["store"]["misses"] == 1
+
+
+class TestWarmHitsFromMemory:
+    """A warm structural hit is answered from the service's LRU: the store
+    file is neither read nor unpickled, and the response is unchanged."""
+
+    QUERY = {"times": [1.0, 2.0], "mttf": True}
+
+    @staticmethod
+    def _forbid_decoding(service, monkeypatch):
+        def load(key):
+            raise AssertionError(f"warm hit decoded store entry {key}")
+
+        monkeypatch.setattr(service.store, "load", load)
+
+    def test_warm_analyze_and_batch_never_decode(self, service, monkeypatch):
+        request = {"tree": AND_TREE, "query": self.QUERY}
+        assert service.handle("POST", "/analyze", request)[1]["service"]["cache"] == "miss"
+        self._forbid_decoding(service, monkeypatch)
+        status, warm = service.handle("POST", "/analyze", request)
+        assert status == 200
+        assert warm["service"]["cache"] == "hit"
+        status, batch = service.handle(
+            "POST", "/batch", {"trees": [AND_TREE, AND_TWIN_TREE], "query": self.QUERY}
+        )
+        assert status == 200
+        assert batch["service"]["cache_hits"] == 2
+        assert batch["service"]["cache_misses"] == 0
+        assert [row["result"]["options"]["skeleton_cache"] for row in batch["rows"]] == [
+            "hit",
+            "hit",
+        ]
+        monkeypatch.undo()
+        query = query_from_payload(self.QUERY)
+        assert _strip(warm) == _local_study_dict(AND_TREE, service.store, query)
+        for index, text in enumerate((AND_TREE, AND_TWIN_TREE)):
+            assert _strip(batch["rows"][index]["result"]) == _local_study_dict(
+                text, service.store, query, name=f"<batch#{index}>"
+            )
+
+    def test_concurrent_warm_hits_bit_identical(self, service, monkeypatch):
+        request = {"tree": AND_TREE, "query": self.QUERY}
+        _, first = service.handle("POST", "/analyze", request)
+        self._forbid_decoding(service, monkeypatch)
+
+        def client(_):
+            return [service.handle("POST", "/analyze", request) for _ in range(10)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = [item for batch in pool.map(client, range(4)) for item in batch]
+        assert len(outcomes) == 40
+        assert all(status == 200 for status, _ in outcomes)
+        assert all(response["service"]["cache"] == "hit" for _, response in outcomes)
+        expected = _strip(first)
+        assert all(_strip(response) == expected for _, response in outcomes)
+        assert service.metrics_payload()["memory_hits"] == 40
+
+    def test_lru_capacity_bounds_the_cached_entries(self, service):
+        service._models.capacity = 1
+        service.handle("POST", "/analyze", {"tree": AND_TREE})
+        service.handle("POST", "/analyze", {"tree": PARAM_TREE})
+        # AND_TREE's entry was dropped from memory: the store decodes it.
+        hits_before = service.store.stats()["hits"]
+        _, response = service.handle("POST", "/analyze", {"tree": AND_TREE})
+        assert response["service"]["cache"] == "hit"
+        assert service.metrics_payload()["memory_hits"] == 0
+        assert service.store.stats()["hits"] == hits_before + 1
+
 
 @pytest.fixture
 def http_server(tmp_path):
@@ -279,6 +369,90 @@ class TestHttpRoundTrip:
             pytest.fail("expected a 400 response")
 
 
+def _request(connection, method, path, payload=None):
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    connection.request(method, path, body=body, headers=headers)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read().decode("utf-8"))
+
+
+class TestHandlerCrash:
+    """An unexpected exception in a handler is a logged 500 on a connection
+    that stays usable, not a reset keep-alive socket."""
+
+    @staticmethod
+    def _crash(service, monkeypatch, calls=None):
+        def analyze(payload):
+            if calls is not None:
+                calls.append(payload)
+            raise RuntimeError("injected handler crash")
+
+        monkeypatch.setattr(service, "analyze", analyze)
+
+    def test_crash_is_500_and_connection_survives(self, http_server, monkeypatch, caplog):
+        self._crash(http_server.service, monkeypatch)
+        host, port = http_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.service.app"):
+                status, body = _request(connection, "POST", "/analyze", {"tree": AND_TREE})
+            assert status == 500
+            assert "injected handler crash" in body["error"]
+            status, body = _request(connection, "GET", "/healthz")
+            assert status == 200
+            assert body["status"] == "ok"
+            status, metrics = _request(connection, "GET", "/metrics")
+        finally:
+            connection.close()
+        assert metrics["endpoints"]["/analyze"]["errors"] == 1
+        assert metrics["endpoints"]["/analyze"]["requests"] == 1
+        crashes = [record for record in caplog.records if record.exc_info]
+        assert len(crashes) == 1
+        assert crashes[0].exc_info[0] is RuntimeError
+
+    def test_client_does_not_resend_a_crashing_request(self, http_server, monkeypatch):
+        calls = []
+        self._crash(http_server.service, monkeypatch, calls)
+        client = ServiceClient(http_server.url, retries=3, backoff=0.01)
+        with pytest.raises(ServiceError, match="injected handler crash") as caught:
+            client.analyze(AND_TREE)
+        assert caught.value.status == 500
+        assert len(calls) == 1
+
+
+class TestNoNagleStall:
+    def test_connections_set_tcp_nodelay(self, http_server, monkeypatch):
+        flags = []
+        setup = _ServiceHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_ServiceHandler, "setup", recording_setup)
+        assert ServiceClient(http_server.url).healthz()["status"] == "ok"
+        assert flags and all(flag != 0 for flag in flags)
+
+    def test_keep_alive_round_trips_do_not_stall(self, http_server):
+        # Nagle's algorithm would hold each response body back until the
+        # client's delayed ACK of the headers: a ~40 ms floor per request.
+        host, port = http_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                status, _body = _request(connection, "GET", "/healthz")
+                latencies.append(time.perf_counter() - start)
+                assert status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.020
+
+
 class TestWorkerPool:
     def test_pool_measures_match_inline(self, tmp_path):
         request = {"tree": AND_TREE, "query": {"times": [1.0, 2.0], "mttf": True}}
@@ -345,7 +519,11 @@ class TestPoolFallbacks:
         _spawn_pool(service, _buggy_worker_init)
         try:
             with pytest.raises(ValueError, match="injected worker bug"):
-                service.handle("POST", "/analyze", self.REQUEST)
+                service.analyze(self.REQUEST)
+            # At the dispatch boundary the bug becomes a 500, not a fallback.
+            status, response = service.handle("POST", "/analyze", self.REQUEST)
+            assert status == 500
+            assert "injected worker bug" in response["error"]
             assert service.metrics_payload()["pool_fallbacks"] == 0
         finally:
             service.close()

@@ -416,3 +416,86 @@ class TestStaleTempReclaim:
         # Just past it: reclaimed.
         assert store._reclaim_stale_temps(now=mtime + TEMP_GRACE_SECONDS + 1) == 1
         assert not temp.exists()
+
+
+class TestTouch:
+    """``touch`` records a hit answered from a decoded copy held in memory:
+    the hit counter and the byte cap's mtime-LRU order see it like a load."""
+
+    @staticmethod
+    def _backdate(path, seconds):
+        stamp = path.stat().st_mtime - seconds
+        os.utime(path, (stamp, stamp))
+        return stamp
+
+    def test_touch_advances_mtime_and_counts_a_hit(self, store):
+        entry, _ = store.get_or_build(_tree(), StudyOptions())
+        path = store.path_of(entry.key)
+        backdated = self._backdate(path, 100.0)
+        store.touch(entry.key)
+        assert path.stat().st_mtime > backdated
+        stats = store.stats()
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1  # the build
+
+    def test_touch_of_a_removed_entry_is_silent(self, store, caplog):
+        entry, _ = store.get_or_build(_tree(), StudyOptions())
+        store.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.service.store"):
+            store.touch(entry.key)
+        assert not store.path_of(entry.key).exists()  # not recreated
+        assert caplog.records == []
+
+    def test_utime_failure_warns_once(self, store, caplog, monkeypatch):
+        entry, _ = store.get_or_build(_tree(), StudyOptions())
+
+        def deny(path, *args, **kwargs):
+            raise PermissionError(13, "Read-only file system", str(path))
+
+        monkeypatch.setattr("repro.service.store.os.utime", deny)
+        with caplog.at_level(logging.WARNING, logger="repro.service.store"):
+            store.touch(entry.key)
+            store.touch(entry.key)
+            assert store.load(entry.key) is not None
+        assert store.stats()["hits"] == 3
+        touch_warnings = [
+            record for record in caplog.records if "LRU" in record.message
+        ]
+        assert len(touch_warnings) == 1
+
+    def test_cap_keeps_an_entry_served_only_from_service_memory(self, tmp_path):
+        from repro.dft import galileo
+        from repro.service.app import AnalysisService
+
+        hot, cold, new = _tree(), _bigger_tree(3), _bigger_tree(4)
+        probe = SkeletonStore(tmp_path / "probe")
+        sizes = []
+        for tree in (hot, cold, new):
+            entry, _ = probe.get_or_build(tree, StudyOptions())
+            sizes.append(probe.path_of(entry.key).stat().st_size)
+        # Room for any two entries, not for all three.
+        store = SkeletonStore(
+            tmp_path / "capped", max_bytes=sum(sizes) - min(sizes) // 2
+        )
+        service = AnalysisService(store)
+        try:
+            keys = {}
+            for label, tree in (("hot", hot), ("cold", cold)):
+                _, response = service.handle(
+                    "POST", "/analyze", {"tree": galileo.write(tree)}
+                )
+                keys[label] = response["service"]["key"]
+            # Written hot first: by write time it is the older entry.
+            self._backdate(store.path_of(keys["hot"]), 100.0)
+            self._backdate(store.path_of(keys["cold"]), 50.0)
+            _, warm = service.handle(
+                "POST", "/analyze", {"tree": galileo.write(hot)}
+            )
+            assert warm["service"]["cache"] == "hit"
+            assert service.metrics_payload()["memory_hits"] == 1
+            service.handle("POST", "/analyze", {"tree": galileo.write(new)})
+        finally:
+            service.close()
+        assert store.path_of(keys["hot"]).exists()
+        assert not store.path_of(keys["cold"]).exists()
+        assert store.stats()["evictions"] == 1
