@@ -10,11 +10,11 @@ Paper claims reproduced here:
 
 import pytest
 
-from repro import CompositionalAnalyzer
+from repro import Study
 from repro.baselines import DiftreeAnalyzer
 from repro.systems import CAS_PAPER_UNRELIABILITY, cardiac_assist_system
 
-from conftest import record
+from conftest import record, unreliability
 
 MISSION_TIME = 1.0
 
@@ -22,8 +22,8 @@ MISSION_TIME = 1.0
 @pytest.mark.benchmark(group="cas")
 def test_cas_compositional_unreliability(benchmark):
     def run():
-        analyzer = CompositionalAnalyzer(cardiac_assist_system())
-        return analyzer.unreliability(MISSION_TIME), analyzer.statistics
+        study = Study(cardiac_assist_system())
+        return unreliability(study, MISSION_TIME), study.statistics
 
     value, statistics = benchmark(run)
     record(
@@ -77,7 +77,7 @@ def test_cas_unit_models_aggregate_small(benchmark):
 
     def run():
         return {
-            unit: CompositionalAnalyzer(unit_tree(unit)).final_ioimc.num_states
+            unit: Study(unit_tree(unit)).final_ioimc.num_states
             for unit in ("CPU_unit", "Motor_unit", "Pump_unit")
         }
 

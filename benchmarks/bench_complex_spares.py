@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from repro import CompositionalAnalyzer
+from repro import Study
 from repro.baselines import monolithic_unreliability
 from repro.systems import and_spare_system, nested_spare_system
 
-from conftest import record
+from conftest import record, unreliability
 
 
 def ctmc_transient_probability(generator, initial, goal, time):
@@ -32,7 +32,7 @@ def test_and_spare_system(benchmark):
     tree = and_spare_system()
 
     def run():
-        return CompositionalAnalyzer(tree).unreliability(MISSION_TIME)
+        return unreliability(Study(tree), MISSION_TIME)
 
     value = benchmark(run)
     # Phase-type ground truth: two hot components must fail (rates 2,1), then
@@ -66,7 +66,7 @@ def test_nested_spare_system(benchmark):
     tree = nested_spare_system()
 
     def run():
-        return CompositionalAnalyzer(tree).unreliability(MISSION_TIME)
+        return unreliability(Study(tree), MISSION_TIME)
 
     value = benchmark(run)
     reference = monolithic_unreliability(tree, MISSION_TIME)

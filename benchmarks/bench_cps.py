@@ -12,7 +12,7 @@ Paper claims reproduced here:
 
 import pytest
 
-from repro import CompositionalAnalyzer
+from repro import Study
 from repro.baselines import MonolithicMarkovGenerator
 from repro.core import compositional_aggregate, convert
 from repro.ctmc.transient import probability_reach_label
@@ -26,7 +26,7 @@ from repro.systems import (
     cascaded_pand_system,
 )
 
-from conftest import record
+from conftest import record, unreliability
 
 MISSION_TIME = 1.0
 
@@ -34,8 +34,8 @@ MISSION_TIME = 1.0
 @pytest.mark.benchmark(group="cps")
 def test_cps_compositional_pipeline(benchmark):
     def run():
-        analyzer = CompositionalAnalyzer(cascaded_pand_system())
-        return analyzer.unreliability(MISSION_TIME), analyzer.statistics
+        study = Study(cascaded_pand_system())
+        return unreliability(study, MISSION_TIME), study.statistics
 
     value, statistics = benchmark(run)
     record(

@@ -8,12 +8,12 @@ baseline and against a hand-derived bound) and measures the pipeline.
 
 import pytest
 
-from repro import CompositionalAnalyzer
+from repro import Study
 from repro.baselines import monolithic_unreliability
 from repro.dft import FaultTreeBuilder
 from repro.systems import fdep_gate_trigger_system
 
-from conftest import record
+from conftest import record, unreliability
 
 MISSION_TIME = 1.0
 
@@ -43,11 +43,11 @@ def test_fdep_gate_dependent(benchmark):
     tree = fdep_gate_trigger_system(trigger_rate=0.5, component_rate=1.0)
 
     def run():
-        return CompositionalAnalyzer(tree).unreliability(MISSION_TIME)
+        return unreliability(Study(tree), MISSION_TIME)
 
     value = benchmark(run)
     reference = monolithic_unreliability(tree, MISSION_TIME)
-    event_level = CompositionalAnalyzer(event_level_variant()).unreliability(MISSION_TIME)
+    event_level = unreliability(Study(event_level_variant()), MISSION_TIME)
     record(
         benchmark,
         experiment="E6 (Figure 10c, FDEP triggering a gate)",

@@ -9,11 +9,11 @@ import math
 
 import pytest
 
-from repro import CompositionalAnalyzer
+from repro import Study
 from repro.baselines import monolithic_unreliability
 from repro.systems import inhibition_pair, mutually_exclusive_switch
 
-from conftest import record
+from conftest import record, unreliability
 
 MISSION_TIME = 1.0
 
@@ -27,7 +27,7 @@ def test_inhibition_pair(benchmark):
     tree = inhibition_pair(inhibitor_rate=rate_a, target_rate=rate_b)
 
     def run():
-        return CompositionalAnalyzer(tree).unreliability(MISSION_TIME)
+        return unreliability(Study(tree), MISSION_TIME)
 
     value = benchmark(run)
     combined = rate_a + rate_b
@@ -47,7 +47,7 @@ def test_mutually_exclusive_switch(benchmark):
     tree = mutually_exclusive_switch(fail_open_rate=0.3, fail_closed_rate=0.7, pump_rate=1.0)
 
     def run():
-        return CompositionalAnalyzer(tree).unreliability(MISSION_TIME)
+        return unreliability(Study(tree), MISSION_TIME)
 
     value = benchmark(run)
     reference = monolithic_unreliability(tree, MISSION_TIME)
@@ -62,7 +62,7 @@ def test_mutually_exclusive_switch(benchmark):
     builder.basic_event("Pump", 1.0)
     builder.and_gate("OpenAndPump", ["SO", "Pump"])
     builder.or_gate("system", ["SC", "OpenAndPump"])
-    independent = CompositionalAnalyzer(builder.build("system")).unreliability(MISSION_TIME)
+    independent = unreliability(Study(builder.build("system")), MISSION_TIME)
 
     record(
         benchmark,

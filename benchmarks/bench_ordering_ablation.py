@@ -10,7 +10,7 @@ sizes.
 
 import pytest
 
-from repro import AnalysisOptions, CompositionalAnalyzer
+from repro import Study, StudyOptions, UnreliabilityBounds
 from repro.ioimc import AggregationOptions
 from repro.systems import cardiac_assist_system, cascaded_pand_system
 
@@ -21,12 +21,12 @@ ORDERINGS = ["linked", "smallest", "sequential"]
 
 
 def run_variant(tree, ordering="linked", method="weak"):
-    options = AnalysisOptions(
+    options = StudyOptions(
         ordering=ordering, aggregation=AggregationOptions(method=method)
     )
-    analyzer = CompositionalAnalyzer(tree, options)
-    bounds = analyzer.unreliability_bounds(MISSION_TIME)
-    return bounds, analyzer.statistics
+    study = Study(tree, options)
+    result = study.evaluate(UnreliabilityBounds([MISSION_TIME]))
+    return result["unreliability_bounds"].bounds, study.statistics
 
 
 @pytest.mark.benchmark(group="ordering-ablation")

@@ -8,7 +8,7 @@ exercises the repairable OR/AND behaviours together.
 
 import pytest
 
-from repro import CompositionalAnalyzer
+from repro import Study, Unavailability
 from repro.ctmc import ctmc_from_ioimc
 from repro.systems import repairable_and_system, repairable_plant, repairable_voting_system
 
@@ -23,8 +23,8 @@ def test_repairable_and_unavailability(benchmark):
     tree = repairable_and_system(failure_rate=FAILURE_RATE, repair_rate=REPAIR_RATE)
 
     def run():
-        analyzer = CompositionalAnalyzer(tree)
-        return analyzer.unavailability(), analyzer.final_ioimc
+        study = Study(tree)
+        return study.evaluate(Unavailability())["unavailability"].value, study.final_ioimc
 
     value, final = benchmark(run)
     closed_form = (FAILURE_RATE / (FAILURE_RATE + REPAIR_RATE)) ** 2
@@ -47,7 +47,7 @@ def test_repairable_voting_unavailability(benchmark):
                                     failure_rate=1.0, repair_rate=5.0)
 
     def run():
-        return CompositionalAnalyzer(tree).unavailability()
+        return Study(tree).evaluate(Unavailability())["unavailability"].value
 
     value = benchmark(run)
     # Closed form for 2-out-of-3 identical independent repairable components.
@@ -69,8 +69,9 @@ def test_repairable_plant_transient_unavailability(benchmark):
     tree = repairable_plant()
 
     def run():
-        analyzer = CompositionalAnalyzer(tree)
-        return analyzer.unavailability(time=2.0), analyzer.unavailability()
+        result = Study(tree).evaluate(Unavailability(2.0) + Unavailability())
+        transient, steady = result.measures
+        return transient.value, steady.value
 
     transient, steady = benchmark(run)
     record(

@@ -17,9 +17,9 @@ import pytest
 import numpy as np
 
 from repro import (
-    AnalysisOptions,
-    CompositionalAnalyzer,
     RateSweep,
+    Study,
+    StudyOptions,
     SweepStudy,
     UnreliabilityBounds,
 )
@@ -29,7 +29,7 @@ from repro.core.sweep import with_rate_parameters
 from repro.ioimc import minimize_strong, minimize_weak
 from repro.systems import cascaded_pand_family, pand_race_bank
 
-from conftest import record
+from conftest import record, unreliability
 from workloads import largest_minimisation_workload, tau_heavy_chain
 
 MISSION_TIME = 1.0
@@ -75,8 +75,8 @@ def test_compositional_scaling(benchmark, num_modules, events_per_module):
     tree = cascaded_pand_family(num_modules, events_per_module)
 
     def run():
-        analyzer = CompositionalAnalyzer(tree)
-        return analyzer.unreliability(MISSION_TIME), analyzer.statistics
+        study = Study(tree)
+        return unreliability(study, MISSION_TIME), study.statistics
 
     value, statistics = benchmark(run)
     record(
@@ -127,14 +127,10 @@ def test_modular_plan_peak_not_worse_than_linked(
     tree = cascaded_pand_family(num_modules, events_per_module)
 
     def run():
-        analyzer = CompositionalAnalyzer(tree, AnalysisOptions(ordering="modular"))
-        analyzer.final_ioimc
-        return analyzer.statistics
+        return Study(tree, StudyOptions(ordering="modular")).statistics
 
     modular_stats = benchmark(run)
-    linked = CompositionalAnalyzer(tree, AnalysisOptions(ordering="linked"))
-    linked.final_ioimc
-    linked_stats = linked.statistics
+    linked_stats = Study(tree, StudyOptions(ordering="linked")).statistics
     record(
         benchmark,
         experiment="E11 (modular plan vs linked ordering)",
@@ -155,18 +151,14 @@ def test_fused_composition_faster_than_compose_then_reduce(benchmark):
     tree = cascaded_pand_family(3, 6)
 
     def run_fused():
-        analyzer = CompositionalAnalyzer(
-            tree, AnalysisOptions(ordering="modular", fuse=True)
-        )
-        return analyzer.unreliability(MISSION_TIME), analyzer.statistics
+        study = Study(tree, StudyOptions(ordering="modular", fuse=True))
+        return unreliability(study, MISSION_TIME), study.statistics
 
     value, fused_stats = benchmark(run_fused)
 
     start = time.perf_counter()
-    unfused = CompositionalAnalyzer(
-        tree, AnalysisOptions(ordering="modular", fuse=False)
-    )
-    unfused_value = unfused.unreliability(MISSION_TIME)
+    unfused = Study(tree, StudyOptions(ordering="modular", fuse=False))
+    unfused_value = unreliability(unfused, MISSION_TIME)
     unfused_elapsed = time.perf_counter() - start
 
     # Isolated composition step on the two largest community members: the
@@ -233,8 +225,8 @@ def test_large_configurations_full_pipeline(benchmark, num_modules, events_per_m
     tree = cascaded_pand_family(num_modules, events_per_module)
 
     def run():
-        analyzer = CompositionalAnalyzer(tree, AnalysisOptions(ordering="modular"))
-        return analyzer.unreliability(MISSION_TIME), analyzer.statistics
+        study = Study(tree, StudyOptions(ordering="modular"))
+        return unreliability(study, MISSION_TIME), study.statistics
 
     value, statistics = benchmark(run)
 
@@ -503,8 +495,7 @@ def test_paper_instance_gap(benchmark):
     tree = cascaded_pand_family(3, 4)
 
     def run():
-        analyzer = CompositionalAnalyzer(tree)
-        peak = analyzer.statistics.peak_product_states
+        peak = Study(tree).statistics.peak_product_states
         monolithic = MonolithicMarkovGenerator(tree).build()
         return peak, monolithic.num_states
 

@@ -10,6 +10,13 @@ benchmark fails rather than silently reporting a timing.
 
 from __future__ import annotations
 
+from repro import Unreliability
+
+
+def unreliability(study, time: float) -> float:
+    """The unreliability of ``study``'s tree at mission ``time``."""
+    return study.evaluate(Unreliability([time]))["unreliability"].value
+
 
 def record(benchmark, **extra_info):
     """Attach reproduction metadata to a pytest-benchmark record."""

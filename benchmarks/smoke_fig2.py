@@ -47,10 +47,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    AnalysisOptions,
     BatchStudy,
-    CompositionalAnalyzer,
     RateSweep,
+    Study,
+    StudyOptions,
     SweepStudy,
     Unreliability,
     UnreliabilityBounds,
@@ -116,9 +116,9 @@ def bench_orderings(num_modules: int, events_per_module: int) -> dict:
     result = {"num_modules": num_modules, "events_per_module": events_per_module}
     for ordering in ("linked", "modular"):
         def run():
-            analyzer = CompositionalAnalyzer(tree, AnalysisOptions(ordering=ordering))
-            value = analyzer.unreliability(MISSION_TIME)
-            return value, analyzer.statistics
+            study = Study(tree, StudyOptions(ordering=ordering))
+            result = study.evaluate(Unreliability([MISSION_TIME]))
+            return result["unreliability"].value, study.statistics
 
         (value, statistics), seconds = _timed(run)
         result[ordering] = {
@@ -136,11 +136,9 @@ def bench_fusion(num_modules: int, events_per_module: int) -> dict:
     result = {"num_modules": num_modules, "events_per_module": events_per_module}
     for label, fuse in (("fused", True), ("compose_then_reduce", False)):
         def run():
-            analyzer = CompositionalAnalyzer(
-                tree, AnalysisOptions(ordering="modular", fuse=fuse)
-            )
-            value = analyzer.unreliability(MISSION_TIME)
-            return value, analyzer.statistics
+            study = Study(tree, StudyOptions(ordering="modular", fuse=fuse))
+            result = study.evaluate(Unreliability([MISSION_TIME]))
+            return result["unreliability"].value, study.statistics
 
         (value, statistics), seconds = _timed(run)
         result[label] = {
@@ -315,8 +313,7 @@ def bench_curve(num_points: int = 100, horizon: float = 5.0) -> dict:
     the shared ``pi(0)·P^k`` series must reproduce per-point uniformisation
     to 1e-9 while being measurably faster.
     """
-    analyzer = CompositionalAnalyzer(cascaded_pand_system())
-    model = analyzer.markov_model
+    model = Study(cascaded_pand_system()).markov_model
     times = np.linspace(0.0, horizon, num_points)
 
     def vectorised():

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import CompositionalAnalyzer
+from repro import Study, Unreliability
 from repro.baselines import DiftreeAnalyzer
 from repro.systems import CAS_PAPER_UNRELIABILITY, cardiac_assist_system
 
@@ -24,12 +24,12 @@ def main() -> None:
     print("Fault tree:", tree.summary())
     print()
 
-    analyzer = CompositionalAnalyzer(tree)
-    unreliability = analyzer.unreliability(1.0)
+    study = Study(tree)
+    unreliability = study.evaluate(Unreliability([1.0]))["unreliability"].value
     print("Compositional I/O-IMC analysis")
     print("------------------------------")
-    print("Community   :", analyzer.community.summary())
-    print("Aggregation :", analyzer.statistics.summary())
+    print("Community   :", study.community.summary())
+    print("Aggregation :", study.statistics.summary())
     print(f"Unreliability(t=1) = {unreliability:.6f}   (paper: {CAS_PAPER_UNRELIABILITY})")
     print()
 
@@ -44,7 +44,7 @@ def main() -> None:
     print("Unreliability curve")
     print("-------------------")
     times = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-    values = analyzer.unreliability_curve(times)
+    values = study.evaluate(Unreliability(times))["unreliability"].values
     for time, value in zip(times, values):
         bar = "#" * int(round(value * 50))
         print(f"  t={time:>5}: {value:.6f} {bar}")

@@ -15,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import CompositionalAnalyzer
+from repro import Study, Unreliability
 from repro.baselines import MonolithicMarkovGenerator
 from repro.ctmc.transient import probability_reach_label
 from repro.systems import (
@@ -33,16 +33,16 @@ def main() -> None:
 
     print("Compositional aggregation (per composition step)")
     print("-------------------------------------------------")
-    analyzer = CompositionalAnalyzer(tree)
-    value = analyzer.unreliability(1.0)
-    for step in analyzer.statistics.steps:
+    study = Study(tree)
+    value = study.evaluate(Unreliability([1.0]))["unreliability"].value
+    for step in study.statistics.steps:
         print(
             f"  {step.left:<55} + {step.right:<20} "
             f"product {step.product_states:>4} states -> aggregated {step.reduced_states:>3}"
         )
     print()
-    print("Peak intermediate:", analyzer.statistics.peak_product_states, "states /",
-          analyzer.statistics.peak_product_transitions, "transitions")
+    print("Peak intermediate:", study.statistics.peak_product_states, "states /",
+          study.statistics.peak_product_transitions, "transitions")
     print(f"Unreliability(t=1) = {value:.6f}   (paper: {CPS_PAPER_UNRELIABILITY})")
     print()
 
@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  Unreliability(t=1) = {mono_value:.6f}")
     print()
 
-    factor_states = monolithic.num_states / analyzer.statistics.peak_product_states
+    factor_states = monolithic.num_states / study.statistics.peak_product_states
     print(
         f"State-space reduction of the compositional approach: "
         f"{factor_states:.1f}x fewer states at the peak"

@@ -9,8 +9,7 @@ analyse any user-supplied ``.dft`` file from the command line::
 
 ``UnreliabilityBounds`` is used as the measure because it is safe for *any*
 tree: on a deterministic model the bounds coincide with the unreliability,
-and on a non-deterministic one they are the (min, max) envelope.  (The legacy
-``CompositionalAnalyzer`` facade offers the same numbers one call at a time.)
+and on a non-deterministic one they are the (min, max) envelope.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import CompositionalAnalyzer, detect_nondeterminism
+from repro import Study, Unreliability, detect_nondeterminism
 from repro.baselines import monolithic_unreliability
 from repro.systems import (
     and_spare_system,
@@ -46,8 +46,8 @@ def study_mutual_exclusion() -> None:
     print("2. Mutually exclusive switch failure modes (Figure 12)")
     print("------------------------------------------------------")
     tree = mutually_exclusive_switch()
-    analyzer = CompositionalAnalyzer(tree)
-    print(f"   Unreliability(t=1) with mutual exclusion   : {analyzer.unreliability(1.0):.6f}")
+    value = Study(tree).evaluate(Unreliability([1.0]))["unreliability"].value
+    print(f"   Unreliability(t=1) with mutual exclusion   : {value:.6f}")
     print()
 
 
@@ -55,10 +55,11 @@ def study_complex_spares() -> None:
     print("3. Complex spare modules (Figure 10)")
     print("------------------------------------")
     for tree in (and_spare_system(), nested_spare_system()):
-        analyzer = CompositionalAnalyzer(tree)
+        study = Study(tree)
+        value = study.evaluate(Unreliability([1.0]))["unreliability"].value
         print(
-            f"   {tree.name:<25} unreliability(t=1) = {analyzer.unreliability(1.0):.6f}  "
-            f"({analyzer.statistics.summary()})"
+            f"   {tree.name:<25} unreliability(t=1) = {value:.6f}  "
+            f"({study.statistics.summary()})"
         )
     print()
 

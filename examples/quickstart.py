@@ -7,8 +7,7 @@ pattern of the paper's pump unit (Figure 7, right branch).
 Analysis goes through the declarative query API: bundle every measure you
 want into one :class:`~repro.core.measures.Query`, evaluate it once, and read
 values (plus provenance and timings) off the structured result.  All mission
-times share a single vectorised uniformisation sweep.  (The older
-``CompositionalAnalyzer`` facade still works, but is legacy.)
+times share a single vectorised uniformisation sweep.
 
 Run with::
 

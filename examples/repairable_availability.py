@@ -16,8 +16,14 @@ Run with::
 
 from __future__ import annotations
 
-from repro import CompositionalAnalyzer
+from repro import Query, Study, Unavailability
 from repro.systems import repairable_and_system, repairable_plant
+
+
+def unavailabilities(study, times):
+    """Steady-state, then per-time unavailability, from one query."""
+    query = Query([Unavailability()] + [Unavailability(time) for time in times])
+    return study.evaluate(query).measures
 
 
 def main() -> None:
@@ -25,24 +31,25 @@ def main() -> None:
     tree = repairable_and_system(failure_rate=failure_rate, repair_rate=repair_rate)
     print("Repairable AND (Figure 15)")
     print("--------------------------")
-    analyzer = CompositionalAnalyzer(tree)
-    print("Final aggregated model:", analyzer.final_ioimc.summary())
-    steady = analyzer.unavailability()
+    study = Study(tree)
+    print("Final aggregated model:", study.final_ioimc.summary())
+    steady, *transient = unavailabilities(study, (0.25, 0.5, 1.0, 2.0, 5.0))
     closed_form = (failure_rate / (failure_rate + repair_rate)) ** 2
-    print(f"Steady-state unavailability = {steady:.6f} (closed form {closed_form:.6f})")
-    for time in (0.25, 0.5, 1.0, 2.0, 5.0):
-        print(f"  unavailability at t={time:>4}: {analyzer.unavailability(time):.6f}")
+    print(f"Steady-state unavailability = {steady.value:.6f} (closed form {closed_form:.6f})")
+    for measure in transient:
+        print(f"  unavailability at t={measure.times[0]:>4}: {measure.value:.6f}")
     print()
 
     print("Repairable production plant")
     print("---------------------------")
     plant = repairable_plant()
     print("Fault tree:", plant.summary())
-    plant_analyzer = CompositionalAnalyzer(plant)
-    print("Aggregation:", plant_analyzer.statistics.summary())
-    print(f"Steady-state unavailability = {plant_analyzer.unavailability():.6f}")
-    for time in (1.0, 5.0, 20.0):
-        print(f"  unavailability at t={time:>4}: {plant_analyzer.unavailability(time):.6f}")
+    plant_study = Study(plant)
+    print("Aggregation:", plant_study.statistics.summary())
+    steady, *transient = unavailabilities(plant_study, (1.0, 5.0, 20.0))
+    print(f"Steady-state unavailability = {steady.value:.6f}")
+    for measure in transient:
+        print(f"  unavailability at t={measure.times[0]:>4}: {measure.value:.6f}")
 
 
 if __name__ == "__main__":

@@ -38,11 +38,9 @@ Quick start::
 from . import ctmc, dft, errors, ioimc
 from .core import (
     MTTF,
-    AnalysisOptions,
     ImportanceRanking,
     BatchResult,
     BatchStudy,
-    CompositionalAnalyzer,
     DesignProblem,
     MeasureResult,
     OptimizeResult,
@@ -65,10 +63,6 @@ from .core import (
     run_sweep,
     substitute_parameters,
     with_rate_parameters,
-    mean_time_to_failure,
-    unavailability,
-    unreliability,
-    unreliability_bounds,
 )
 from .core.sweep import sweep
 from .dft import DynamicFaultTree, FaultTreeBuilder
@@ -76,10 +70,8 @@ from .dft import DynamicFaultTree, FaultTreeBuilder
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnalysisOptions",
     "BatchResult",
     "BatchStudy",
-    "CompositionalAnalyzer",
     "DesignProblem",
     "DynamicFaultTree",
     "FaultTreeBuilder",
@@ -112,8 +104,4 @@ __all__ = [
     "run_sweep",
     "sweep",
     "with_rate_parameters",
-    "mean_time_to_failure",
-    "unavailability",
-    "unreliability",
-    "unreliability_bounds",
 ]

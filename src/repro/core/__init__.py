@@ -6,9 +6,9 @@
 * :mod:`repro.core.aggregation` — the compositional aggregation engine,
 * :mod:`repro.core.measures` — declarative measure specs and queries,
 * :mod:`repro.core.study` — the query engine (:class:`Study`, :func:`evaluate`,
-  :class:`BatchStudy`) with vectorised multi-time evaluation,
+  :class:`BatchStudy`): every measure is evaluated on the final model's
+  skeleton through one compiled model, with vectorised multi-time sweeps,
 * :mod:`repro.core.results` — structured, JSON-serialisable results,
-* :mod:`repro.core.analysis` — the legacy one-call-per-measure facade,
 * :mod:`repro.core.nondeterminism` — detection of inherent non-determinism.
 """
 
@@ -19,14 +19,6 @@ from .aggregation import (
     CompositionalAggregationOptions,
     CompositionalAggregator,
     compositional_aggregate,
-)
-from .analysis import (
-    AnalysisOptions,
-    CompositionalAnalyzer,
-    mean_time_to_failure,
-    unavailability,
-    unreliability,
-    unreliability_bounds,
 )
 from .conversion import (
     Community,
@@ -86,7 +78,6 @@ from . import sweep
 
 __all__ = [
     "AggregationPlan",
-    "AnalysisOptions",
     "BatchResult",
     "BatchRow",
     "BatchStudy",
@@ -96,7 +87,6 @@ __all__ = [
     "CompositionStep",
     "CompositionalAggregationOptions",
     "CompositionalAggregator",
-    "CompositionalAnalyzer",
     "ConversionOptions",
     "DesignProblem",
     "DftToIoimcConverter",
@@ -141,9 +131,5 @@ __all__ = [
     "SweepResult",
     "SweepStudy",
     "RateSweep",
-    "mean_time_to_failure",
     "signals",
-    "unavailability",
-    "unreliability",
-    "unreliability_bounds",
 ]

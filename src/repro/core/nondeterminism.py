@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..ctmc import CTMDP
+from ..ctmc.builders import CtmdpSkeleton
 from ..dft.tree import DynamicFaultTree
-from .analysis import AnalysisOptions, CompositionalAnalyzer
+from .measures import UnreliabilityBounds
+from .study import Study, StudyOptions
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,21 @@ class NondeterminismReport:
 def detect_nondeterminism(
     tree: DynamicFaultTree,
     time: float = 1.0,
-    options: Optional[AnalysisOptions] = None,
+    options: Optional[StudyOptions] = None,
 ) -> NondeterminismReport:
     """Analyse ``tree`` and report whether its semantics is non-deterministic."""
-    analyzer = CompositionalAnalyzer(tree, options)
-    model = analyzer.markov_model
-    if isinstance(model, CTMDP):
-        choice_states = sum(
-            1 for state in model.states() if len(model.choices(state)) > 1
-        )
-        bounds = analyzer.unreliability_bounds(time)
-        return NondeterminismReport(
-            nondeterministic=True, choice_states=choice_states, bounds=bounds, time=time
-        )
-    value = analyzer.unreliability(time)
+    study = Study(tree, options)
+    (result,) = study.evaluate(UnreliabilityBounds([time])).measures
+    skeleton = study.skeleton
+    nondeterministic = isinstance(skeleton, CtmdpSkeleton)
+    choice_states = (
+        sum(1 for choices in skeleton.choices if len(choices) > 1)
+        if nondeterministic
+        else 0
+    )
     return NondeterminismReport(
-        nondeterministic=False, choice_states=0, bounds=(value, value), time=time
+        nondeterministic=nondeterministic,
+        choice_states=choice_states,
+        bounds=(result.lower[0], result.upper[0]),
+        time=time,
     )

@@ -5,14 +5,16 @@ A :class:`Study` owns the pipeline for one tree —
     DFT  ->  I/O-IMC community  ->  compositional aggregation  ->  CTMC/CTMDP
 
 — caches every intermediate artefact, and evaluates a declarative
-:class:`~repro.core.measures.Query` against the final Markov model.  The
-engine plans shared work across the query's measures:
+:class:`~repro.core.measures.Query` on the final model's rate-independent
+skeleton through one :class:`CompiledModel`, whether the skeleton comes from
+the Study's own pipeline or from a skeleton store.  The engine plans shared
+work across the query's measures:
 
 * one conversion and one aggregation per tree, whatever the query asks for;
 * one **vectorised uniformisation sweep** over the union of all requested
   mission times (the matvec series ``pi(0) * P^k`` is shared, only the
   per-time Poisson weights differ — see
-  :func:`repro.ctmc.transient.transient_distributions`);
+  :class:`repro.ctmc.kernel.TransientKernel`);
 * for non-deterministic models, one backward value-iteration sweep per bound
   direction over all bound times, with a shared Poisson term cache.
 
@@ -44,8 +46,13 @@ from typing import (
     Union,
 )
 
-from ..ctmc import CTMC, CTMDP, ctmc_from_ioimc, ctmdp_from_ioimc
-from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton, ctmdp_skeleton_from_ioimc
+from ..ctmc import CTMC, CTMDP
+from ..ctmc.builders import (
+    CtmcSkeleton,
+    CtmdpSkeleton,
+    ctmc_skeleton_from_ioimc,
+    ctmdp_skeleton_from_ioimc,
+)
 from ..ctmc.kernel import CsrBuffer, CtmdpKernel, TransientKernel
 from ..dft.hashing import canonical_assignment
 
@@ -376,10 +383,11 @@ def evaluate_query_on_model(
     on_error: str = "raise",
     gradient_values: Optional[GradientValues] = None,
 ) -> Tuple[MeasureResult, ...]:
-    """Evaluate every measure of ``query`` directly on a Markov model.
+    """Evaluate every measure of ``query`` directly on a concrete Markov model.
 
-    This is the planning core of :meth:`Study.evaluate` without the pipeline:
-    one vectorised transient sweep over the union of all mission times (or one
+    The concrete-model counterpart of :meth:`CompiledModel.evaluate` (which
+    every :class:`Study` uses), kept as an independent reference: one
+    vectorised transient sweep over the union of all mission times (or one
     bound-curve sweep pair for CTMDPs), then each measure reads its values.
     Importance rankings need ``gradient_values`` from a parametric kernel (a
     concrete model carries evaluated floats, so it cannot be differentiated).
@@ -437,8 +445,8 @@ class CompiledModel:
     :class:`CtmdpKernel`) and the gradient kernel (the CTMDP kernel itself,
     or the choice-free envelope of a CTMC skeleton) are built on first use
     and kept, so every later :meth:`evaluate` only refills rate data.
-    ``Study``'s cached path, sweep rows, the optimiser and the service all
-    evaluate skeletons through this one class.
+    ``Study`` (with or without a skeleton cache), sweep rows, the optimiser
+    and the service all evaluate skeletons through this one class.
     """
 
     __slots__ = ("skeleton", "_buffer", "_kernel", "_gradient_kernel")
@@ -505,16 +513,17 @@ def evaluate_skeleton_query(
 ) -> Evaluation:
     """Evaluate ``query`` on a compiled skeleton under ``assignment``.
 
-    This is the cached-pipeline analogue of :func:`evaluate_query_on_model`:
-    the model's kernel refills its shared CSR pattern with the assignment's
+    This is the skeleton counterpart of :func:`evaluate_query_on_model`: the
+    model's kernel refills its shared CSR pattern with the assignment's
     rates and runs one uniformisation sweep over the union of mission times
     (CTMC) or one bound-sweep pair (CTMDP); a concrete model is instantiated
     only when a measure reads the generator itself.  ``rate_floor`` pins the
     uniformisation rate (see :meth:`TransientKernel.load`); ``gradients``
     attaches per-parameter gradient curves of the max bound to the result.
 
-    Every skeleton evaluation — ``Study``'s ``skeleton_cache=`` mode, sweep
-    rows, the optimiser and the service — runs through here (via
+    Every measure the library computes — ``Study`` with or without a
+    skeleton cache, sweep rows, the optimiser and the service — runs through
+    here (via
     :meth:`CompiledModel.evaluate`), which is what makes a served response
     bit-identical to the in-process result.  It stays a module-level function
     so profilers can wrap it by name.
@@ -561,14 +570,26 @@ def evaluate_skeleton_query(
     return Evaluation(measures, load_seconds, wall - load_seconds, row_gradients)
 
 
+#: Why a skeleton-cached Study refuses importance rankings.
+_CACHED_RANKING_ERROR = (
+    "importance rankings on a cached skeleton would rank the store's canonical "
+    "per-event parameters, not the tree's; evaluate them on a Study without a "
+    "skeleton cache"
+)
+
+
 class Study:
     """Plans and runs the compositional pipeline for one fault tree.
 
-    With a ``skeleton_cache`` (a :class:`~repro.service.store.SkeletonStore`)
-    the pipeline is content-addressed: a hit on the tree's structural hash
-    skips conversion, aggregation and minimisation entirely and evaluates on
-    the cached skeleton under the tree's canonical rate assignment; a miss
-    builds and persists the entry for every later tree of the same structure.
+    Every measure is read off the final model's rate-independent skeleton
+    through one :class:`CompiledModel`: without a cache the skeleton comes
+    from this Study's own pipeline and is evaluated at the tree's nominal
+    rates.  With a ``skeleton_cache`` (a
+    :class:`~repro.service.store.SkeletonStore`) the pipeline is
+    content-addressed: a hit on the tree's structural hash skips conversion,
+    aggregation and minimisation entirely and evaluates on the cached
+    skeleton under the tree's canonical rate assignment; a miss builds and
+    persists the entry for every later tree of the same structure.
     """
 
     def __init__(
@@ -583,13 +604,13 @@ class Study:
         self._community: Optional[Community] = None
         self._final: Optional[IOIMC] = None
         self._statistics: Optional[CompositionStatistics] = None
+        self._skeleton: Optional[Union[CtmcSkeleton, CtmdpSkeleton]] = None
         self._markov: Optional[Union[CTMC, CTMDP]] = None
         self._timings: Dict[str, float] = {}
         self._cache_entry = None
         self._cache_hit = False
         self._compiled: Optional[CompiledModel] = None
-        self._cache_assignment: Optional[Dict[str, float]] = None
-        self._gradient_kernel: Optional[CtmdpKernel] = None
+        self._assignment: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------- pipeline
     @property
@@ -625,26 +646,38 @@ class Study:
         return self._statistics
 
     @property
-    def markov_model(self) -> Union[CTMC, CTMDP]:
-        """The final CTMC, or CTMDP if non-determinism remains (cached)."""
-        if self._markov is None:
+    def skeleton(self) -> Union[CtmcSkeleton, CtmdpSkeleton]:
+        """The final CTMC skeleton, or CTMDP skeleton if non-determinism remains.
+
+        With a skeleton cache this is the store entry's canonically
+        parametrised skeleton; otherwise it is extracted once from
+        :attr:`final_ioimc`.
+        """
+        if self.skeleton_cache is not None:
+            return self._cached_entry().skeleton
+        if self._skeleton is None:
             final = self.final_ioimc
             start = _time.perf_counter()
             try:
-                self._markov = ctmc_from_ioimc(final)
+                self._skeleton = ctmc_skeleton_from_ioimc(final)
             except NondeterminismError:
-                self._markov = ctmdp_from_ioimc(final)
+                self._skeleton = ctmdp_skeleton_from_ioimc(final)
             self._timings["markov"] = _time.perf_counter() - start
+        return self._skeleton
+
+    @property
+    def markov_model(self) -> Union[CTMC, CTMDP]:
+        """The final CTMC, or CTMDP if non-determinism remains (cached)."""
+        if self._markov is None:
+            model = self._compiled_model()
+            self._markov = model.skeleton.instantiate(self._assignment)
         return self._markov
 
     @property
     def is_nondeterministic(self) -> bool:
         """True iff the aggregated model is a CTMDP rather than a CTMC."""
-        if self.skeleton_cache is not None:
-            return self._cached_entry().nondeterministic
-        return isinstance(self.markov_model, CTMDP)
+        return isinstance(self.skeleton, CtmdpSkeleton)
 
-    # ----------------------------------------------------------- cached path
     def _cached_entry(self):
         """The store entry of this tree's structural class (fetched once)."""
         if self._cache_entry is None:
@@ -656,31 +689,36 @@ class Study:
             self._timings["cache"] = _time.perf_counter() - start
         return self._cache_entry
 
-    def _evaluate_cached(self, query: Query, on_error: str) -> StudyResult:
-        entry = self._cached_entry()
-        start = _time.perf_counter()
+    def _compiled_model(self) -> CompiledModel:
+        """The skeleton's compiled model, with :attr:`_assignment` its rates.
+
+        A cached skeleton speaks the store's canonical parameters, so it is
+        evaluated under the tree's canonical assignment (one tree walk per
+        Study); the Study's own skeleton takes its nominal rates (``None``).
+        """
         if self._compiled is None:
-            self._compiled = CompiledModel(entry.skeleton, buffer=entry.buffer)
-            # One canonical tree walk per Study, not per evaluate() call.
-            self._cache_assignment = canonical_assignment(self.tree)
-        measures = self._compiled.evaluate(
-            query,
-            self._cache_assignment,
-            tolerance=self.options.tolerance,
-            on_error=on_error,
-        ).measures
-        self._timings["evaluation"] = _time.perf_counter() - start
-        self._timings["total"] = self._timings.get("cache", 0.0) + self._timings["evaluation"]
-        options = self.options.to_dict()
-        options["skeleton_cache"] = "hit" if self._cache_hit else "miss"
-        return StudyResult(
-            tree_name=self.tree.name,
-            tree_summary=self.tree.summary(),
-            measures=measures,
-            model=entry.model,
-            statistics=RestoredStatistics(dict(entry.statistics)),
-            options=options,
-            timings=self.timings,
+            if self.skeleton_cache is not None:
+                entry = self._cached_entry()
+                self._compiled = CompiledModel(entry.skeleton, buffer=entry.buffer)
+                self._assignment = canonical_assignment(self.tree)
+            else:
+                self._compiled = CompiledModel(self.skeleton)
+        return self._compiled
+
+    def _model_info(self) -> ModelInfo:
+        """The final model's sizes (the store entry's on a cached Study)."""
+        if self.skeleton_cache is not None:
+            return self._cached_entry().model
+        skeleton = self.skeleton
+        nondeterministic = isinstance(skeleton, CtmdpSkeleton)
+        final = self.final_ioimc
+        return ModelInfo(
+            kind="ctmdp" if nondeterministic else "ctmc",
+            states=skeleton.num_states,
+            nondeterministic=nondeterministic,
+            final_ioimc_states=final.num_states,
+            final_ioimc_transitions=final.num_transitions,
+            community_size=len(self.community.members),
         )
 
     @property
@@ -700,55 +738,64 @@ class Study:
         the batch runner use this mode).
         """
         query = _as_query(query)
-        if self.skeleton_cache is not None:
-            return self._evaluate_cached(query, on_error)
-        model = self.markov_model
+        model = self._compiled_model()
         start = _time.perf_counter()
-        gradient_values: Optional[GradientValues] = None
-        if _query_wants_gradients(query):
-            # Differentiation needs the symbolic rates, which the concrete
-            # model no longer carries: run the parametric CTMDP kernel on the
-            # aggregated I/O-IMC's envelope (deterministic models included —
-            # their envelope has no choices and both bounds coincide).
-            if self._gradient_kernel is None:
-                self._gradient_kernel = CompiledModel(
-                    ctmdp_skeleton_from_ioimc(self.final_ioimc)
-                ).gradient_kernel
-                self._gradient_kernel.load()
-            gradient_values = gradient_values_from_kernel(
-                self._gradient_kernel, query, self.options.tolerance
-            )
-        measures = evaluate_query_on_model(
-            model,
-            query,
-            tolerance=self.options.tolerance,
-            on_error=on_error,
-            gradient_values=gradient_values,
-        )
+        if self.skeleton_cache is not None and _query_wants_gradients(query):
+            measures = self._evaluate_without_rankings(model, query, on_error)
+        else:
+            measures = model.evaluate(
+                query,
+                self._assignment,
+                tolerance=self.options.tolerance,
+                on_error=on_error,
+            ).measures
         self._timings["evaluation"] = _time.perf_counter() - start
         self._timings["total"] = sum(
             self._timings.get(key, 0.0)
-            for key in ("conversion", "aggregation", "markov", "evaluation")
+            for key in ("conversion", "aggregation", "markov", "cache", "evaluation")
         )
+        options = self.options.to_dict()
+        if self.skeleton_cache is None:
+            statistics: Union[CompositionStatistics, RestoredStatistics] = self.statistics
+        else:
+            statistics = RestoredStatistics(dict(self._cached_entry().statistics))
+            options["skeleton_cache"] = "hit" if self._cache_hit else "miss"
         return StudyResult(
             tree_name=self.tree.name,
             tree_summary=self.tree.summary(),
             measures=measures,
-            model=self._model_info(model.num_states, isinstance(model, CTMDP)),
-            statistics=self.statistics,
-            options=self.options.to_dict(),
+            model=self._model_info(),
+            statistics=statistics,
+            options=options,
             timings=self.timings,
         )
 
-    def _model_info(self, states: int, nondeterministic: bool) -> ModelInfo:
-        final = self.final_ioimc
-        return ModelInfo(
-            kind="ctmdp" if nondeterministic else "ctmc",
-            states=states,
-            nondeterministic=nondeterministic,
-            final_ioimc_states=final.num_states,
-            final_ioimc_transitions=final.num_transitions,
-            community_size=len(self.community.members),
+    def _evaluate_without_rankings(
+        self, model: CompiledModel, query: Query, on_error: str
+    ) -> Tuple[MeasureResult, ...]:
+        """A cached Study's measures, each importance ranking recorded as failed.
+
+        The store's skeleton is parametrised per basic event, so its
+        gradients name canonical parameters rather than the tree's own.
+        """
+        if on_error == "raise":
+            raise AnalysisError(_CACHED_RANKING_ERROR)
+        others = [m for m in query if not isinstance(m, ImportanceRanking)]
+        evaluated = iter(
+            model.evaluate(
+                Query(others),
+                self._assignment,
+                tolerance=self.options.tolerance,
+                on_error=on_error,
+            ).measures
+            if others
+            else ()
+        )
+        return tuple(
+            MeasureResult(kind=measure.kind, error=_CACHED_RANKING_ERROR)
+            if isinstance(measure, ImportanceRanking)
+            else next(evaluated)
+            for measure in query
         )
 
 

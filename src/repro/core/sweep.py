@@ -59,12 +59,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
     from ..service.store import SkeletonStore
 
-from ..ctmc.builders import (
-    CtmcSkeleton,
-    CtmdpSkeleton,
-    ctmc_skeleton_from_ioimc,
-    ctmdp_skeleton_from_ioimc,
-)
+from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton
 from ..ctmc.kernel import CsrBuffer
 from ..dft.elements import BasicEvent
 from ..dft.hashing import (
@@ -73,7 +68,7 @@ from ..dft.hashing import (
     translate_sample,
 )
 from ..dft.tree import DynamicFaultTree
-from ..errors import AnalysisError, FaultTreeError, NondeterminismError, ReproError
+from ..errors import AnalysisError, FaultTreeError, ReproError
 from .measures import Query
 from .results import SweepResult, SweepRow
 from .study import (
@@ -350,24 +345,12 @@ class SweepStudy:
         self.tree = tree
         self.study = Study(tree, options, skeleton_cache=skeleton_cache)
         self.skeleton_cache = skeleton_cache
-        self._skeleton: Optional[Union[CtmcSkeleton, CtmdpSkeleton]] = None
-        self._skeleton_seconds = 0.0
 
     # ------------------------------------------------------------- skeleton
     @property
     def skeleton(self) -> Union[CtmcSkeleton, CtmdpSkeleton]:
-        """The rate-independent final-model structure (cached)."""
-        if self.skeleton_cache is not None:
-            return self.study._cached_entry().skeleton
-        if self._skeleton is None:
-            final = self.study.final_ioimc
-            start = _time.perf_counter()
-            try:
-                self._skeleton = ctmc_skeleton_from_ioimc(final)
-            except NondeterminismError:
-                self._skeleton = ctmdp_skeleton_from_ioimc(final)
-            self._skeleton_seconds = _time.perf_counter() - start
-        return self._skeleton
+        """The rate-independent final-model structure (see :attr:`Study.skeleton`)."""
+        return self.study.skeleton
 
     # ------------------------------------------------------------------ run
     def run(
@@ -436,16 +419,17 @@ class SweepStudy:
         samples_seconds = _time.perf_counter() - samples_start
 
         study_timings = self.study.timings
+        skeleton_seconds = study_timings.get("markov", 0.0)
         shared = (
             study_timings.get("conversion", 0.0)
             + study_timings.get("aggregation", 0.0)
-            + self._skeleton_seconds
+            + skeleton_seconds
             + study_timings.get("cache", 0.0)
         )
         timings = {
             "conversion": study_timings.get("conversion", 0.0),
             "aggregation": study_timings.get("aggregation", 0.0),
-            "skeleton": self._skeleton_seconds,
+            "skeleton": skeleton_seconds,
             "shared": shared,
             "samples": samples_seconds,
             "instantiate": sum(row.instantiate_seconds or 0.0 for row in rows),
@@ -464,13 +448,7 @@ class SweepStudy:
             tree_name=self.tree.name,
             parameters=sweep.parameters,
             rows=tuple(rows),
-            model=(
-                self.study._cached_entry().model
-                if self.skeleton_cache is not None
-                else self.study._model_info(
-                    skeleton.num_states, isinstance(skeleton, CtmdpSkeleton)
-                )
-            ),
+            model=self.study._model_info(),
             options=options,
             timings=timings,
             processes=workers,

@@ -13,11 +13,16 @@ Two cases arise (Section 5, step 6 of the paper's algorithm):
 Both conversions factor through a **skeleton**: the rate-independent
 structure (tangible states, labels, vanishing-state elimination, transition
 end-points) computed once, plus the per-transition rate values — possibly
-symbolic :class:`~repro.ioimc.rates.ParametricRate` forms.  The rate-sweep
-engine (:mod:`repro.core.sweep`) builds the skeleton once per tree and only
-refills its solver kernels per parameter sample
-(:class:`~repro.core.study.CompiledModel`), which is how a sweep shares one
-conversion + aggregation across all samples.
+symbolic :class:`~repro.ioimc.rates.ParametricRate` forms.  The query
+engine extracts the skeleton once per tree (:attr:`repro.core.study.Study.skeleton`)
+and evaluates every measure on it through
+:class:`~repro.core.study.CompiledModel`, whose solver kernels only refill
+rate data per assignment: that is how a study shares one conversion +
+aggregation across queries and a sweep across all samples.
+:func:`ctmc_from_ioimc`, :func:`ctmdp_from_ioimc` and
+:func:`markov_model_from_ioimc` instantiate a concrete model at the nominal
+rates for callers that want one (the baselines, and the tests' concrete-model
+reference).
 """
 
 from __future__ import annotations

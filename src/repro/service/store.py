@@ -44,12 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.results import ModelInfo
 from ..core.study import Study, StudyOptions
-from ..ctmc.builders import (
-    CtmcSkeleton,
-    CtmdpSkeleton,
-    ctmc_skeleton_from_ioimc,
-    ctmdp_skeleton_from_ioimc,
-)
+from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton
 from ..ctmc.kernel import CsrBuffer
 from ..dft import galileo
 from ..dft.hashing import (
@@ -59,7 +54,7 @@ from ..dft.hashing import (
     structural_hash,
 )
 from ..dft.tree import DynamicFaultTree
-from ..errors import AnalysisError, NondeterminismError, ReproError
+from ..errors import AnalysisError, ReproError
 
 LOGGER = logging.getLogger("repro.service.store")
 
@@ -161,26 +156,12 @@ def build_entry(
         key = f"{tree_hash}-{_options_fingerprint(options)}"
     canonical = canonical_parametrisation(tree)
     study = Study(canonical, options)
-    final = study.final_ioimc
+    skeleton = study.skeleton
     start = _time.perf_counter()
-    buffer: Optional[CsrBuffer] = None
-    skeleton: Union[CtmcSkeleton, CtmdpSkeleton]
-    try:
-        skeleton = ctmc_skeleton_from_ioimc(final)
-        buffer = CsrBuffer(skeleton)
-    except NondeterminismError:
-        skeleton = ctmdp_skeleton_from_ioimc(final)
-    skeleton_seconds = _time.perf_counter() - start
-    nondeterministic = isinstance(skeleton, CtmdpSkeleton)
-    model = ModelInfo(
-        kind="ctmdp" if nondeterministic else "ctmc",
-        states=skeleton.num_states,
-        nondeterministic=nondeterministic,
-        final_ioimc_states=final.num_states,
-        final_ioimc_transitions=final.num_transitions,
-        community_size=len(study.community.members),
-    )
+    buffer = None if study.is_nondeterministic else CsrBuffer(skeleton)
+    buffer_seconds = _time.perf_counter() - start
     study_timings = study.timings
+    skeleton_seconds = study_timings.get("markov", 0.0) + buffer_seconds
     timings = {
         "conversion": study_timings.get("conversion", 0.0),
         "aggregation": study_timings.get("aggregation", 0.0),
@@ -197,7 +178,7 @@ def build_entry(
         hash_version=HASH_VERSION,
         skeleton=skeleton,
         buffer=buffer,
-        model=model,
+        model=study._model_info(),
         statistics=dict(study.statistics.to_dict(include_steps=False)),
         timings=timings,
         canonical_params=tuple(canonical.parameters),

@@ -1,21 +1,32 @@
 """Tests for the top-level analysis API against closed-form results."""
 
-import math
-
 import pytest
 
 from repro import (
-    AnalysisOptions,
-    CompositionalAnalyzer,
-    mean_time_to_failure,
-    unavailability,
-    unreliability,
-    unreliability_bounds,
+    MTTF,
+    Study,
+    StudyOptions,
+    Unavailability,
+    Unreliability,
+    UnreliabilityBounds,
+    evaluate,
 )
 from repro.ctmc import CTMC
 from repro.dft import FaultTreeBuilder
 from repro.errors import AnalysisError
 from tests import analytic
+
+
+def unreliability(tree, time, options=None):
+    return evaluate(tree, Unreliability([time]), options)["unreliability"].value
+
+
+def mean_time_to_failure(tree):
+    return evaluate(tree, MTTF())["mttf"].value
+
+
+def unavailability(tree, time=None):
+    return evaluate(tree, Unavailability(time))["unavailability"].value
 
 
 class TestStaticGates:
@@ -120,35 +131,32 @@ class TestOtherMeasures:
         assert transient == pytest.approx(limit, abs=1e-6)
 
     def test_unreliability_curve_monotone(self, cold_spare_tree):
-        analyzer = CompositionalAnalyzer(cold_spare_tree)
-        curve = analyzer.unreliability_curve([0.0, 0.5, 1.0, 2.0])
+        curve = evaluate(cold_spare_tree, Unreliability([0.0, 0.5, 1.0, 2.0]))[
+            "unreliability"
+        ].values
         assert list(curve) == sorted(curve)
 
     def test_bounds_collapse_for_deterministic_model(self, and_tree):
-        low, high = unreliability_bounds(and_tree, 1.0)
+        low, high = evaluate(and_tree, UnreliabilityBounds([1.0]))[
+            "unreliability_bounds"
+        ].bounds
         assert low == pytest.approx(high)
 
-    def test_report_contains_key_facts(self, and_tree):
-        analyzer = CompositionalAnalyzer(and_tree)
-        report = analyzer.report(1.0)
-        assert "Unreliability" in report
-        assert "Community" in report
-
     def test_caching_returns_same_objects(self, and_tree):
-        analyzer = CompositionalAnalyzer(and_tree)
-        assert analyzer.final_ioimc is analyzer.final_ioimc
-        assert analyzer.markov_model is analyzer.markov_model
-        assert isinstance(analyzer.markov_model, CTMC)
+        study = Study(and_tree)
+        assert study.final_ioimc is study.final_ioimc
+        assert study.markov_model is study.markov_model
+        assert isinstance(study.markov_model, CTMC)
 
 
 class TestErrorHandling:
     def test_unreliability_on_nondeterministic_model_raises(self):
         from repro.systems import pand_race_system
 
-        analyzer = CompositionalAnalyzer(pand_race_system())
+        study = Study(pand_race_system())
         with pytest.raises(AnalysisError):
-            analyzer.unreliability(1.0)
-        low, high = analyzer.unreliability_bounds(1.0)
+            study.evaluate(Unreliability([1.0]))
+        low, high = study.evaluate(UnreliabilityBounds([1.0]))["unreliability_bounds"].bounds
         assert low < high
 
     def test_mttf_raises_when_failure_not_certain(self, pand_tree):
@@ -157,6 +165,6 @@ class TestErrorHandling:
             mean_time_to_failure(pand_tree)
 
     def test_options_can_switch_orderings(self, and_tree):
-        value_linked = unreliability(and_tree, 1.0, AnalysisOptions(ordering="linked"))
-        value_sequential = unreliability(and_tree, 1.0, AnalysisOptions(ordering="sequential"))
+        value_linked = unreliability(and_tree, 1.0, StudyOptions(ordering="linked"))
+        value_sequential = unreliability(and_tree, 1.0, StudyOptions(ordering="sequential"))
         assert value_linked == pytest.approx(value_sequential, abs=1e-12)

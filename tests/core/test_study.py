@@ -7,7 +7,6 @@ import pytest
 from repro import (
     MTTF,
     BatchStudy,
-    CompositionalAnalyzer,
     Query,
     Study,
     StudyOptions,
@@ -16,6 +15,7 @@ from repro import (
     UnreliabilityBounds,
     evaluate,
 )
+from repro.core.signals import FAILED_LABEL
 from repro.dft import galileo
 from repro.errors import AnalysisError
 from repro.systems import (
@@ -27,13 +27,18 @@ from repro.systems import (
 
 
 class TestStudyEvaluate:
-    def test_matches_legacy_analyzer(self, cold_spare_tree):
-        analyzer = CompositionalAnalyzer(cold_spare_tree)
-        result = evaluate(cold_spare_tree, Unreliability([0.5, 1.0]) + MTTF())
+    def test_matches_per_time_concrete_model(self, cold_spare_tree):
+        study = Study(cold_spare_tree)
+        result = study.evaluate(Unreliability([0.5, 1.0]) + MTTF())
+        model = study.markov_model
         unrel = result["unreliability"]
-        assert unrel.values[0] == pytest.approx(analyzer.unreliability(0.5), abs=1e-12)
-        assert unrel.values[1] == pytest.approx(analyzer.unreliability(1.0), abs=1e-12)
-        assert result["mttf"].value == pytest.approx(analyzer.mean_time_to_failure())
+        assert unrel.values[0] == pytest.approx(
+            model.probability_of_label(FAILED_LABEL, 0.5), abs=1e-12
+        )
+        assert unrel.values[1] == pytest.approx(
+            model.probability_of_label(FAILED_LABEL, 1.0), abs=1e-12
+        )
+        assert result["mttf"].value == pytest.approx(model.mean_time_to_label(FAILED_LABEL))
 
     def test_single_measure_without_query_wrapper(self, and_tree):
         result = evaluate(and_tree, Unreliability(1.0))

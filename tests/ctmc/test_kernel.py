@@ -114,24 +114,13 @@ class TestCsrBuffer:
 
 
 class TestDenseLimitResolution:
-    """The dense/sparse crossover: argument > environment > module default."""
+    """The dense/sparse crossover: an explicit argument, else the module default."""
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(kernel_module.DENSE_LIMIT_ENV, "999")
+    def test_explicit_argument_wins(self):
         assert kernel_module.resolve_dense_limit(4) == 4
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(kernel_module.DENSE_LIMIT_ENV, "17")
-        assert kernel_module.resolve_dense_limit() == 17
-
-    def test_module_default(self, monkeypatch):
-        monkeypatch.delenv(kernel_module.DENSE_LIMIT_ENV, raising=False)
+    def test_module_default(self):
         assert kernel_module.resolve_dense_limit() == kernel_module.DENSE_STATE_LIMIT
-
-    def test_non_integer_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel_module.DENSE_LIMIT_ENV, "not-a-number")
-        with pytest.raises(AnalysisError):
-            kernel_module.resolve_dense_limit()
 
     def test_negative_limit_rejected(self):
         with pytest.raises(AnalysisError):

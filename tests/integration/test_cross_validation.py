@@ -8,7 +8,7 @@ range of trees is therefore strong evidence for the correctness of both.
 
 import pytest
 
-from repro import AnalysisOptions, CompositionalAnalyzer, unreliability
+from repro import StudyOptions, Unreliability, UnreliabilityBounds, evaluate
 from repro.baselines import DiftreeAnalyzer, monolithic_unreliability
 from repro.dft import FaultTreeBuilder, galileo
 from repro.ioimc import AggregationOptions
@@ -79,12 +79,11 @@ def tree_catalogue():
 @pytest.mark.parametrize("tree", tree_catalogue(), ids=lambda tree: tree.name)
 class TestCompositionalVsMonolithic:
     def test_agreement_across_mission_times(self, tree):
-        analyzer = CompositionalAnalyzer(tree)
-        for time in MISSION_TIMES:
-            compositional = analyzer.unreliability_bounds(time)
+        bounds = evaluate(tree, UnreliabilityBounds(MISSION_TIMES))["unreliability_bounds"]
+        for time, low, high in zip(bounds.times, bounds.lower, bounds.upper):
             reference = monolithic_unreliability(tree, time)
-            assert compositional[0] == pytest.approx(compositional[1], abs=1e-9), tree.name
-            assert compositional[0] == pytest.approx(reference, abs=1e-7), tree.name
+            assert low == pytest.approx(high, abs=1e-9), tree.name
+            assert low == pytest.approx(reference, abs=1e-7), tree.name
 
 
 @pytest.mark.parametrize(
@@ -98,10 +97,10 @@ class TestAggregationStrengthEquivalence:
         interleaving diamonds created by hiding; strong aggregation may leave
         such spurious choices behind, in which case the resulting CTMDP bounds
         must still pin down exactly the weak value."""
-        weak = unreliability(tree, 1.0, AnalysisOptions())
-        strong_options = AnalysisOptions(aggregation=AggregationOptions(method="strong"))
-        strong_analyzer = CompositionalAnalyzer(tree, strong_options)
-        low, high = strong_analyzer.unreliability_bounds(1.0)
+        weak = evaluate(tree, Unreliability([1.0]), StudyOptions())["unreliability"].value
+        strong_options = StudyOptions(aggregation=AggregationOptions(method="strong"))
+        strong = evaluate(tree, UnreliabilityBounds([1.0]), strong_options)
+        low, high = strong["unreliability_bounds"].bounds
         assert low == pytest.approx(weak, abs=1e-7)
         assert high == pytest.approx(weak, abs=1e-7)
 
@@ -110,7 +109,7 @@ class TestDiftreeAgreement:
     @pytest.mark.parametrize("time", MISSION_TIMES)
     def test_cas(self, time):
         cas = cardiac_assist_system()
-        compositional = CompositionalAnalyzer(cas).unreliability(time)
+        compositional = evaluate(cas, Unreliability([time]))["unreliability"].value
         modular = DiftreeAnalyzer(cas).unreliability(time)
         assert compositional == pytest.approx(modular, abs=1e-9)
 
@@ -119,6 +118,7 @@ class TestGalileoRoundTripAnalysis:
     def test_parsed_tree_gives_same_result(self):
         original = cardiac_assist_system()
         parsed = galileo.parse(galileo.write(original))
-        assert CompositionalAnalyzer(parsed).unreliability(1.0) == pytest.approx(
-            CompositionalAnalyzer(original).unreliability(1.0), abs=1e-12
+        query = Unreliability([1.0])
+        assert evaluate(parsed, query)["unreliability"].value == pytest.approx(
+            evaluate(original, query)["unreliability"].value, abs=1e-12
         )

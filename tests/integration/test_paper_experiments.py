@@ -7,7 +7,7 @@ as correctness assertions.
 
 import pytest
 
-from repro import CompositionalAnalyzer, detect_nondeterminism, unavailability
+from repro import Study, Unavailability, Unreliability, detect_nondeterminism, evaluate
 from repro.baselines import DiftreeAnalyzer, MonolithicMarkovGenerator
 from repro.core import compositional_aggregate, convert
 from repro.ctmc import ctmc_from_ioimc, markov_model_from_ioimc
@@ -23,6 +23,10 @@ from repro.systems import (
     pand_race_system,
     repairable_and_system,
 )
+
+
+def unreliability(study, time):
+    return study.evaluate(Unreliability([time]))["unreliability"].value
 
 
 class TestFigure2:
@@ -45,17 +49,17 @@ class TestCardiacAssistSystem:
     """E2: the CAS (Section 5.1) — unreliability 0.6579 at t=1, small modules."""
 
     @pytest.fixture(scope="class")
-    def analyzer(self):
-        return CompositionalAnalyzer(cardiac_assist_system())
+    def study(self):
+        return Study(cardiac_assist_system())
 
-    def test_compositional_unreliability_matches_paper(self, analyzer):
-        assert analyzer.unreliability(1.0) == pytest.approx(
+    def test_compositional_unreliability_matches_paper(self, study):
+        assert unreliability(study, 1.0) == pytest.approx(
             CAS_PAPER_UNRELIABILITY, abs=5e-5
         )
 
-    def test_diftree_baseline_agrees(self, analyzer):
+    def test_diftree_baseline_agrees(self, study):
         diftree = DiftreeAnalyzer(cardiac_assist_system()).analyze(1.0)
-        assert diftree.unreliability == pytest.approx(analyzer.unreliability(1.0), abs=1e-9)
+        assert diftree.unreliability == pytest.approx(unreliability(study, 1.0), abs=1e-9)
 
     def test_galileo_biggest_module_is_the_pump_unit_with_8_states(self):
         result = DiftreeAnalyzer(cardiac_assist_system()).analyze(1.0)
@@ -77,27 +81,26 @@ class TestCardiacAssistSystem:
                     if name not in subtree:
                         subtree.add(cas.element(name))
             subtree.set_top(unit)
-            analyzer = CompositionalAnalyzer(subtree)
-            assert analyzer.final_ioimc.num_states <= 8
+            assert Study(subtree).final_ioimc.num_states <= 8
 
-    def test_compositional_peak_far_below_monolithic(self, analyzer):
+    def test_compositional_peak_far_below_monolithic(self, study):
         monolithic = MonolithicMarkovGenerator(cardiac_assist_system()).build()
-        assert analyzer.statistics.peak_product_states < monolithic.num_states
+        assert study.statistics.peak_product_states < monolithic.num_states
 
 
 class TestCascadedPandSystem:
     """E3: the CPS (Section 5.2) — the state-space-explosion comparison."""
 
     @pytest.fixture(scope="class")
-    def analyzer(self):
-        return CompositionalAnalyzer(cascaded_pand_system())
+    def study(self):
+        return Study(cascaded_pand_system())
 
     @pytest.fixture(scope="class")
     def monolithic(self):
         return MonolithicMarkovGenerator(cascaded_pand_system()).build()
 
-    def test_unreliability_matches_paper(self, analyzer):
-        assert analyzer.unreliability(1.0) == pytest.approx(
+    def test_unreliability_matches_paper(self, study):
+        assert unreliability(study, 1.0) == pytest.approx(
             CPS_PAPER_UNRELIABILITY, abs=5e-5
         )
 
@@ -105,15 +108,15 @@ class TestCascadedPandSystem:
         assert monolithic.num_states == PAPER_DIFTREE_STATES
         assert monolithic.num_transitions == PAPER_DIFTREE_TRANSITIONS
 
-    def test_monolithic_value_agrees_with_compositional(self, analyzer):
+    def test_monolithic_value_agrees_with_compositional(self, study):
         from repro.ctmc.transient import probability_reach_label
 
         monolithic = MonolithicMarkovGenerator(cascaded_pand_system()).build()
         value = probability_reach_label(monolithic.ctmc, "failed", 1.0)
-        assert value == pytest.approx(analyzer.unreliability(1.0), abs=1e-9)
+        assert value == pytest.approx(unreliability(study, 1.0), abs=1e-9)
 
-    def test_compositional_peak_is_orders_of_magnitude_smaller(self, analyzer, monolithic):
-        stats = analyzer.statistics
+    def test_compositional_peak_is_orders_of_magnitude_smaller(self, study, monolithic):
+        stats = study.statistics
         assert stats.peak_product_states < 200
         assert stats.peak_product_transitions < 600
         assert stats.peak_product_states * 20 < monolithic.num_states
@@ -158,15 +161,15 @@ class TestRepairableSystem:
     """E8: the repairable AND of Figures 13-15 (unavailability)."""
 
     def test_final_model_is_the_small_birth_death_chain(self):
-        analyzer = CompositionalAnalyzer(repairable_and_system())
-        ctmc = ctmc_from_ioimc(analyzer.final_ioimc)
+        ctmc = ctmc_from_ioimc(Study(repairable_and_system()).final_ioimc)
         assert ctmc.num_states <= 5
 
     def test_steady_state_unavailability_closed_form(self):
-        value = unavailability(repairable_and_system(failure_rate=1.0, repair_rate=2.0))
+        tree = repairable_and_system(failure_rate=1.0, repair_rate=2.0)
+        value = evaluate(tree, Unavailability())["unavailability"].value
         assert value == pytest.approx((1.0 / 3.0) ** 2, abs=1e-9)
 
     def test_transient_unavailability_below_steady_state_bound(self):
-        analyzer = CompositionalAnalyzer(repairable_and_system())
-        limit = analyzer.unavailability()
-        assert analyzer.unavailability(time=0.2) < limit
+        result = evaluate(repairable_and_system(), Unavailability() + Unavailability(0.2))
+        limit, transient = (measure.value for measure in result.measures)
+        assert transient < limit

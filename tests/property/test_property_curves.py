@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CompositionalAnalyzer, signals
+from repro.core import Study, signals
 from repro.ctmc import CTMC, CTMDP, ctmc_from_ioimc
 from repro.ioimc import minimize_weak, parallel
 from repro.systems import (
@@ -40,8 +40,8 @@ def paper_ctmcs():
     """label -> CTMC for figure2, CAS and CPS (built once per module)."""
     return {
         "figure2": _figure2_ctmc(),
-        "cas": CompositionalAnalyzer(cardiac_assist_system()).markov_model,
-        "cps": CompositionalAnalyzer(cascaded_pand_system()).markov_model,
+        "cas": Study(cardiac_assist_system()).markov_model,
+        "cps": Study(cascaded_pand_system()).markov_model,
     }
 
 
@@ -60,7 +60,7 @@ def _hand_built_ctmdp() -> CTMDP:
 def paper_ctmdps():
     """Non-deterministic models: the paper's PAND race plus a hand-built one."""
     models = {
-        "pand_race": CompositionalAnalyzer(pand_race_system()).markov_model,
+        "pand_race": Study(pand_race_system()).markov_model,
         "vanishing_choice": _hand_built_ctmdp(),
     }
     assert all(isinstance(model, CTMDP) for model in models.values())

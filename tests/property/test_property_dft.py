@@ -8,9 +8,17 @@ semantics — must agree on the unreliability of randomly generated trees.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CompositionalAnalyzer, unreliability
+from repro import Unreliability, UnreliabilityBounds, evaluate
 from repro.baselines import DiftreeAnalyzer, monolithic_unreliability
 from repro.dft import FaultTreeBuilder, galileo
+
+
+def unreliability(tree, time):
+    return evaluate(tree, Unreliability([time]))["unreliability"].value
+
+
+def unreliability_bounds(tree, time):
+    return evaluate(tree, UnreliabilityBounds([time]))["unreliability_bounds"].bounds
 
 
 @st.composite
@@ -104,8 +112,8 @@ class TestStaticTrees:
     @settings(max_examples=15, deadline=None)
     @given(tree=random_static_tree())
     def test_unreliability_is_monotone_in_time(self, tree):
-        analyzer = CompositionalAnalyzer(tree)
-        values = analyzer.unreliability_curve([0.0, 0.5, 1.0, 2.0, 4.0])
+        query = Unreliability([0.0, 0.5, 1.0, 2.0, 4.0])
+        values = evaluate(tree, query)["unreliability"].values
         assert all(later >= earlier - 1e-12 for earlier, later in zip(values, values[1:]))
         assert 0.0 <= values[0] <= 1e-12
         assert values[-1] <= 1.0 + 1e-12
@@ -115,8 +123,7 @@ class TestDynamicTrees:
     @settings(max_examples=15, deadline=None)
     @given(tree=random_dynamic_tree(), time=st.floats(min_value=0.3, max_value=1.5))
     def test_compositional_matches_monolithic(self, tree, time):
-        analyzer = CompositionalAnalyzer(tree)
-        low, high = analyzer.unreliability_bounds(time)
+        low, high = unreliability_bounds(tree, time)
         reference = monolithic_unreliability(tree, time)
         assert low == pytest.approx(high, abs=1e-9)
         assert low == pytest.approx(reference, abs=1e-7)
@@ -132,5 +139,5 @@ class TestDynamicTrees:
     @settings(max_examples=10, deadline=None)
     @given(tree=random_dynamic_tree(), time=st.floats(min_value=0.3, max_value=1.5))
     def test_bounds_always_bracket_point_values(self, tree, time):
-        low, high = CompositionalAnalyzer(tree).unreliability_bounds(time)
+        low, high = unreliability_bounds(tree, time)
         assert 0.0 - 1e-12 <= low <= high <= 1.0 + 1e-12

@@ -17,7 +17,7 @@ quotients, same measures.  Pinned three ways:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import AnalysisOptions, CompositionalAnalyzer
+from repro import Study, StudyOptions, Unreliability
 from repro.core import convert
 from repro.ioimc import (
     IOIMC,
@@ -40,8 +40,12 @@ from repro.systems import (
 MISSION_TIME = 1.0
 
 
-def _options(minimiser: str) -> AnalysisOptions:
-    return AnalysisOptions(aggregation=AggregationOptions(minimiser=minimiser))
+def _options(minimiser: str) -> StudyOptions:
+    return StudyOptions(aggregation=AggregationOptions(minimiser=minimiser))
+
+
+def _unreliability(study: Study) -> float:
+    return study.evaluate(Unreliability([MISSION_TIME]))["unreliability"].value
 
 
 class TestPaperSystemsEndToEnd:
@@ -53,10 +57,10 @@ class TestPaperSystemsEndToEnd:
     )
     def test_minimisers_agree_on_unreliability(self, factory):
         tree = factory()
-        splitter = CompositionalAnalyzer(tree, _options("splitter"))
-        reference = CompositionalAnalyzer(tree, _options("signature"))
-        assert splitter.unreliability(MISSION_TIME) == pytest.approx(
-            reference.unreliability(MISSION_TIME), abs=1e-12
+        splitter = Study(tree, _options("splitter"))
+        reference = Study(tree, _options("signature"))
+        assert _unreliability(splitter) == pytest.approx(
+            _unreliability(reference), abs=1e-12
         )
         assert splitter.final_ioimc.num_states == reference.final_ioimc.num_states
         assert (
@@ -112,10 +116,10 @@ class TestRandomCorpora:
     )
     def test_random_tree_measures_identical(self, num_basic_events, seed):
         tree = random_dft(num_basic_events=num_basic_events, seed=seed)
-        splitter = CompositionalAnalyzer(tree, _options("splitter"))
-        reference = CompositionalAnalyzer(tree, _options("signature"))
-        assert splitter.unreliability(MISSION_TIME) == pytest.approx(
-            reference.unreliability(MISSION_TIME), abs=1e-12
+        splitter = Study(tree, _options("splitter"))
+        reference = Study(tree, _options("signature"))
+        assert _unreliability(splitter) == pytest.approx(
+            _unreliability(reference), abs=1e-12
         )
 
 

@@ -11,7 +11,7 @@ cascaded-PAND family.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import AnalysisOptions, CompositionalAnalyzer
+from repro import Study, StudyOptions, Unreliability
 from repro.core import compositional_aggregate, convert
 from repro.ctmc import ctmc_from_ioimc
 from repro.ioimc import minimize_weak
@@ -25,13 +25,15 @@ from repro.systems import (
 MISSION_TIME = 1.0
 
 
+def _unreliability(study):
+    return study.evaluate(Unreliability([MISSION_TIME]))["unreliability"].value
+
+
 def _assert_orderings_agree(tree):
-    linked = CompositionalAnalyzer(tree, AnalysisOptions(ordering="linked"))
-    modular = CompositionalAnalyzer(tree, AnalysisOptions(ordering="modular"))
+    linked = Study(tree, StudyOptions(ordering="linked"))
+    modular = Study(tree, StudyOptions(ordering="modular"))
     # Identical top-event CTMC unreliability...
-    assert modular.unreliability(MISSION_TIME) == pytest.approx(
-        linked.unreliability(MISSION_TIME), abs=1e-9
-    )
+    assert _unreliability(modular) == pytest.approx(_unreliability(linked), abs=1e-9)
     # ... and weak-bisimilar final models: both are already weak-bisimulation
     # quotients, so their sizes coincide and re-minimising does not shrink them.
     final_linked = linked.final_ioimc
@@ -63,12 +65,8 @@ class TestPaperSystems:
         _assert_orderings_agree(cascaded_pand_system())
 
     def test_cascaded_pand_ctmc_identical(self):
-        linked = CompositionalAnalyzer(
-            cascaded_pand_system(), AnalysisOptions(ordering="linked")
-        )
-        modular = CompositionalAnalyzer(
-            cascaded_pand_system(), AnalysisOptions(ordering="modular")
-        )
+        linked = Study(cascaded_pand_system(), StudyOptions(ordering="linked"))
+        modular = Study(cascaded_pand_system(), StudyOptions(ordering="modular"))
         ctmc_linked = ctmc_from_ioimc(linked.final_ioimc)
         ctmc_modular = ctmc_from_ioimc(modular.final_ioimc)
         assert ctmc_modular.num_states == ctmc_linked.num_states
@@ -91,8 +89,8 @@ class TestCascadedPandFamily:
     )
     def test_family_modular_peak_not_worse(self, num_modules, events_per_module):
         tree = cascaded_pand_family(num_modules, events_per_module)
-        linked = CompositionalAnalyzer(tree, AnalysisOptions(ordering="linked"))
-        modular = CompositionalAnalyzer(tree, AnalysisOptions(ordering="modular"))
+        linked = Study(tree, StudyOptions(ordering="linked"))
+        modular = Study(tree, StudyOptions(ordering="modular"))
         linked.final_ioimc
         modular.final_ioimc
         assert (

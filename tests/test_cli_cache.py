@@ -181,6 +181,17 @@ class TestSkeletonCacheFlag:
             for a, b in zip(ours["values"], theirs["values"]):
                 assert a == pytest.approx(b, abs=1e-9)
 
+    def test_importance_needs_an_uncached_study(self, cas_file, cache_dir, capsys):
+        args = ["analyze", cas_file, "--time", "1.0", "--importance"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert "Importance ranking: " in plain
+        assert main(args + ["--skeleton-cache", cache_dir]) == 2
+        captured = capsys.readouterr()
+        assert "Unreliability(t=1) = 0.657900" in captured.out
+        assert "Importance ranking" not in captured.out
+        assert "without a skeleton cache" in captured.err
+
     def test_sweep_with_cache_and_shared_rate(self, tmp_path, cache_dir, capsys):
         path = tmp_path / "param.dft"
         path.write_text(
