@@ -69,6 +69,28 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _best_of(function, repeats):
+    """``(last result, best wall seconds)`` over ``repeats`` timed runs."""
+    result, best = None, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = function()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return result, best
+
+
+def _benchmark_min(benchmark, function, repeats):
+    """The fixture's fastest round of ``function``.
+
+    Under ``--benchmark-disable`` the fixture runs ``function`` once and
+    keeps no statistics; the best of ``repeats`` manual runs stands in.
+    """
+    if benchmark.stats is not None:
+        return benchmark.stats.stats.min
+    return _best_of(function, repeats)[1]
+
+
 @pytest.mark.benchmark(group="scalability-compositional")
 @pytest.mark.parametrize("num_modules,events_per_module", SWEEP)
 def test_compositional_scaling(benchmark, num_modules, events_per_module):
@@ -173,19 +195,12 @@ def test_fused_composition_faster_than_compose_then_reduce(benchmark):
     models = sorted(convert(tree).models(), key=lambda m: -m.num_states)
     left, right = models[0], models[1]
 
-    def best_of(fn, repeats=5):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - t0)
-        return result, min(times)
-
-    fused_model, fused_step = best_of(lambda: parallel(left, right, fuse=True))
-    reduced_model, unfused_step = best_of(
+    fused_model, fused_step = _best_of(lambda: parallel(left, right, fuse=True), 5)
+    reduced_model, unfused_step = _best_of(
         lambda: remove_internal_self_loops(
             apply_maximal_progress(parallel(left, right))
-        ).restrict_to_reachable()
+        ).restrict_to_reachable(),
+        5,
     )
 
     record(
@@ -256,22 +271,19 @@ def test_large_configurations_full_pipeline(benchmark, num_modules, events_per_m
 def _minimisation_comparison(benchmark, num_modules, events_per_module, repeats=3):
     workload = largest_minimisation_workload(num_modules, events_per_module)
 
-    minimised = benchmark(lambda: minimize_weak(workload))
+    def splitter():
+        return minimize_weak(workload)
+
+    minimised = benchmark(splitter)
 
     # Same best-of-N policy on both sides: pytest-benchmark reports the min
     # over its rounds for the splitter, so take the min of `repeats` manual
     # runs for the signature reference (one slow outlier must not skew the
     # recorded speedup either way).
-    reference = None
-    signature_seconds = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        reference = minimize_weak(workload, algorithm="signature")
-        elapsed = time.perf_counter() - start
-        signature_seconds = elapsed if signature_seconds is None else min(
-            signature_seconds, elapsed
-        )
-    splitter_seconds = benchmark.stats.stats.min
+    reference, signature_seconds = _best_of(
+        lambda: minimize_weak(workload, algorithm="signature"), repeats
+    )
+    splitter_seconds = _benchmark_min(benchmark, splitter, repeats)
 
     record(
         benchmark,
@@ -324,16 +336,18 @@ def test_strong_minimisation_growth(benchmark, num_states):
     RSS recorded next to the wall time.
     """
     chain = tau_heavy_chain(num_states)
-    minimised = benchmark.pedantic(
-        lambda: minimize_strong(chain), rounds=1, iterations=1
-    )
+
+    def minimise():
+        return minimize_strong(chain)
+
+    minimised = benchmark.pedantic(minimise, rounds=1, iterations=1)
     record(
         benchmark,
         experiment="E15 (strong minimisation growth, tau-heavy chain)",
         input_states=chain.num_states,
         input_transitions=chain.num_transitions,
         minimised_states=minimised.num_states,
-        wall_seconds=benchmark.stats.stats.min,
+        wall_seconds=_benchmark_min(benchmark, minimise, 1),
         peak_rss_kb=_peak_rss_kb(),
     )
     # No two chain states are bisimilar: the quotient must be the input.
@@ -447,8 +461,11 @@ def test_ctmdp_kernel_sweep_big_tier(benchmark):
     skeleton = study.skeleton  # shared pipeline warmed outside the timing
     sweep = RateSweep(UnreliabilityBounds(times), samples)
 
-    result = benchmark.pedantic(lambda: study.run(sweep), rounds=1, iterations=1)
-    kernel_seconds = benchmark.stats.stats.min
+    def run_sweep():
+        return study.run(sweep)
+
+    result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    kernel_seconds = _benchmark_min(benchmark, run_sweep, 1)
     assert result.num_failed == 0
 
     legacy_start = time.perf_counter()

@@ -500,7 +500,11 @@ class SweepRow:
     ``instantiate_seconds`` / ``solve_seconds`` split the row's wall time
     into rate instantiation (CSR refill, plus a full CTMC build when a
     measure needs it) and the uniformisation solve — the per-sample numbers
-    the shared-structure kernel optimises.
+    the shared-structure kernel optimises.  Samples are solved in batches (a
+    serial run or one pool chunk, capped by the kernel's stacked-operator
+    memory, :data:`repro.ctmc.kernel.BATCH_OPERATOR_BYTES`), so all three
+    times are the row's equal share of its batch's refill and solve plus its
+    own per-sample work; the measures are bit-identical whatever the batch.
     """
 
     sample: Dict[str, float]

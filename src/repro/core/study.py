@@ -46,6 +46,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from ..ctmc import CTMC, CTMDP
 from ..ctmc.builders import (
     CtmcSkeleton,
@@ -162,33 +164,43 @@ def _curves(
     solver: Union[CTMC, CTMDP, TransientKernel, CtmdpKernel],
     query: Query,
     tolerance: float,
-) -> Tuple[Dict[float, float], Dict[float, Tuple[float, float]]]:
+    blocks: int = 1,
+) -> List[Tuple[Dict[float, float], Dict[float, Tuple[float, float]]]]:
     """Point values and bound curves at the union of all requested times.
 
-    ``solver`` is a concrete model or a loaded kernel (both expose the same
-    curve methods).  A deterministic one runs one transient sweep, and its
-    bounds coincide with the point values; a non-deterministic one runs one
-    bound-sweep pair and has no point values.
+    ``solver`` is a concrete model or a kernel with ``blocks`` loaded
+    samples (both expose the same curve methods); the result holds one
+    ``(point values, bound curves)`` pair per sample.  A deterministic
+    solver runs one transient sweep, and its bounds coincide with the point
+    values; a non-deterministic one runs one bound-sweep pair and has no
+    point values.
     """
     if isinstance(solver, (CTMDP, CtmdpKernel)):
         times = _query_bound_times(query)
         if not times:
-            return {}, {}
+            return [({}, {}) for _block in range(blocks)]
         lower, upper = solver.reachability_bounds_curve(
             signals.FAILED_LABEL, times, tolerance=tolerance
         )
-        return {}, {
-            time: (float(low), float(high))
-            for time, low, high in zip(times, lower, upper)
-        }
+        return [
+            ({}, {time: bounds for time, bounds in zip(times, zip(lows, highs))})
+            for lows, highs in zip(
+                np.atleast_2d(lower).tolist(), np.atleast_2d(upper).tolist()
+            )
+        ]
     times = query.transient_times()
-    point_values: Dict[float, float] = {}
-    if times:
-        curve = solver.probability_of_label_curve(
-            signals.FAILED_LABEL, times, tolerance=tolerance
+    if not times:
+        return [({}, {}) for _block in range(blocks)]
+    curves = solver.probability_of_label_curve(
+        signals.FAILED_LABEL, times, tolerance=tolerance
+    )
+    return [
+        (
+            dict(zip(times, values)),
+            {time: (value, value) for time, value in zip(times, values)},
         )
-        point_values = dict(zip(times, (float(value) for value in curve)))
-    return point_values, {time: (value, value) for time, value in point_values.items()}
+        for values in np.atleast_2d(curves).tolist()
+    ]
 
 
 #: Per-direction gradient payload of the parametric CTMDP kernel:
@@ -385,15 +397,16 @@ def evaluate_query_on_model(
 ) -> Tuple[MeasureResult, ...]:
     """Evaluate every measure of ``query`` directly on a concrete Markov model.
 
-    The concrete-model counterpart of :meth:`CompiledModel.evaluate` (which
-    every :class:`Study` uses), kept as an independent reference: one
-    vectorised transient sweep over the union of all mission times (or one
-    bound-curve sweep pair for CTMDPs), then each measure reads its values.
+    The concrete-model counterpart of :meth:`CompiledModel.evaluate_many`
+    (which every :class:`Study` and sweep uses), kept as an independent
+    reference: one vectorised transient sweep over the union of all mission
+    times (or one bound-curve sweep pair for CTMDPs), then each measure
+    reads its values.
     Importance rankings need ``gradient_values`` from a parametric kernel (a
     concrete model carries evaluated floats, so it cannot be differentiated).
     """
     query = _as_query(query)
-    point_values, bound_curves = _curves(model, query, tolerance)
+    ((point_values, bound_curves),) = _curves(model, query, tolerance)
     return measures_from_curves(
         model,
         query,
@@ -427,14 +440,18 @@ class Evaluation(NamedTuple):
     """One evaluation of a :class:`CompiledModel` under one rate assignment.
 
     ``load_seconds`` covers the rate refill (plus a concrete model build when
-    a measure reads the generator), ``solve_seconds`` the sweeps; the
-    optional ``gradients`` map each parameter to its gradient curve.
+    a measure reads the generator), ``solve_seconds`` the sweeps — each the
+    sample's share of its batch plus its own per-sample work; the optional
+    ``gradients`` map each parameter to its gradient curve.  ``error`` is
+    the error that failed the sample as a whole (a non-positive rate, or a
+    measure under ``on_error="raise"``); its ``measures`` are then empty.
     """
 
     measures: Tuple[MeasureResult, ...]
     load_seconds: float
     solve_seconds: float
     gradients: Optional[Dict[str, Tuple[float, ...]]] = None
+    error: Optional[ReproError] = None
 
 
 class CompiledModel:
@@ -444,9 +461,10 @@ class CompiledModel:
     prebuilt :class:`~repro.ctmc.kernel.CsrBuffer` when one is given, or a
     :class:`CtmdpKernel`) and the gradient kernel (the CTMDP kernel itself,
     or the choice-free envelope of a CTMC skeleton) are built on first use
-    and kept, so every later :meth:`evaluate` only refills rate data.
+    and kept, so every later evaluation only refills rate data.
     ``Study`` (with or without a skeleton cache), sweep rows, the optimiser
-    and the service all evaluate skeletons through this one class.
+    and the service all evaluate skeletons through :meth:`evaluate_many`
+    (:meth:`evaluate` is its batch of one).
     """
 
     __slots__ = ("skeleton", "_buffer", "_kernel", "_gradient_kernel")
@@ -501,6 +519,156 @@ class CompiledModel:
             self, query, assignment, tolerance, on_error, rate_floor, gradients
         )
 
+    def evaluate_many(
+        self,
+        query: QueryLike,
+        assignments: Sequence[Optional[Mapping[str, float]]],
+        tolerance: float = 1e-12,
+        on_error: str = "raise",
+        rate_floor: Optional[float] = None,
+        gradients: bool = False,
+    ) -> List[Evaluation]:
+        """Evaluate ``query`` under every assignment, one evaluation each.
+
+        The assignments run in as few even batches of at most
+        :attr:`~repro.ctmc.kernel.CsrBuffer.max_blocks` as they need: the
+        kernel loads a batch as the diagonal blocks of one stacked operator
+        and runs one uniformisation series (CTMC) or one bound-sweep pair
+        (CTMDP) for all of them.  Every block keeps its own uniformisation rate and Poisson
+        truncation, so an evaluation is bit-identical whatever batch it
+        shares.  Concrete-model measures (MTTF, steady state) and gradient
+        sweeps run per sample.  ``rate_floor`` pins the uniformisation rate
+        (see :meth:`TransientKernel.load`); ``gradients`` attaches
+        per-parameter gradient curves of the max bound to each result.
+        A sample that fails as a whole — a non-positive rate, or any measure
+        under ``on_error="raise"`` — carries its error in
+        :attr:`Evaluation.error` and leaves the others untouched.
+        """
+        if on_error not in ("raise", "record"):
+            raise AnalysisError(f"on_error must be 'raise' or 'record', got {on_error!r}")
+        query = _as_query(query)
+        assignments = list(assignments)
+        kernel = self.kernel
+        # As few batches as the cap allows, of even sizes.
+        batches = max(1, -(-len(assignments) // kernel.buffer.max_blocks))
+        size = max(1, -(-len(assignments) // batches))
+        evaluations: List[Evaluation] = []
+        for begin in range(0, len(assignments), size):
+            evaluations.extend(
+                self._evaluate_batch(
+                    query,
+                    assignments[begin : begin + size],
+                    tolerance,
+                    on_error,
+                    rate_floor,
+                    gradients,
+                )
+            )
+        # The stacked operator is rebuilt by the next batch; holding it in
+        # between would only add its memory to every model a process keeps.
+        kernel.release()
+        return evaluations
+
+    def _evaluate_batch(
+        self,
+        query: Query,
+        assignments: List[Optional[Mapping[str, float]]],
+        tolerance: float,
+        on_error: str,
+        rate_floor: Optional[float],
+        gradients: bool,
+    ) -> List[Evaluation]:
+        """One stacked kernel pass; each sample pays an equal share of it."""
+        start = _time.perf_counter()
+        kernel = self.kernel
+        errors: List[Optional[ReproError]] = list(
+            kernel.load_many(assignments, rate_floor=rate_floor)
+        )
+        loaded = _time.perf_counter()
+        curves: Iterator = iter(())
+        if kernel.blocks:
+            try:
+                curves = iter(_curves(kernel, query, tolerance, kernel.blocks))
+            except ReproError as error:
+                errors = [error if known is None else known for known in errors]
+        solved = _time.perf_counter()
+        load_share = (loaded - start) / len(assignments)
+        solve_share = (solved - loaded) / len(assignments)
+        evaluations = []
+        for assignment, error in zip(assignments, errors):
+            row_start = _time.perf_counter()
+            measures, model_seconds, row_gradients = (), 0.0, None
+            if error is None:
+                try:
+                    measures, model_seconds, row_gradients = self._finish(
+                        query,
+                        assignment,
+                        *next(curves),
+                        tolerance,
+                        on_error,
+                        rate_floor,
+                        gradients,
+                    )
+                except ReproError as failure:
+                    error = failure
+            own = _time.perf_counter() - row_start
+            evaluations.append(
+                Evaluation(
+                    measures,
+                    load_share + model_seconds,
+                    solve_share + own - model_seconds,
+                    row_gradients,
+                    error,
+                )
+            )
+        return evaluations
+
+    def _finish(
+        self,
+        query: Query,
+        assignment: Optional[Mapping[str, float]],
+        point_values: Dict[float, float],
+        bound_curves: Dict[float, Tuple[float, float]],
+        tolerance: float,
+        on_error: str,
+        rate_floor: Optional[float],
+        gradients: bool,
+    ) -> Tuple[Tuple[MeasureResult, ...], float, Optional[Dict[str, Tuple[float, ...]]]]:
+        """One sample's own work: ``(measures, model build seconds, gradients)``."""
+        concrete: Optional[CTMC] = None
+        model_seconds = 0.0
+        if not self.nondeterministic and query_needs_model(query):
+            start = _time.perf_counter()
+            concrete = self.skeleton.instantiate(assignment)  # type: ignore[assignment]
+            model_seconds = _time.perf_counter() - start
+        gradient_values: Optional[GradientValues] = None
+        row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
+        if gradients or _query_wants_gradients(query):
+            gradient_kernel = self.gradient_kernel
+            gradient_kernel.load(assignment, rate_floor=rate_floor)
+            gradient_values = gradient_values_from_kernel(gradient_kernel, query, tolerance)
+            if gradients:
+                _curve, grads = gradient_kernel.gradient_curve(
+                    signals.FAILED_LABEL,
+                    query.transient_times(),
+                    maximize=True,
+                    tolerance=tolerance,
+                )
+                row_gradients = {
+                    name: tuple(float(value) for value in grads[:, j])
+                    for j, name in enumerate(gradient_kernel.parameters)
+                }
+        measures = measures_from_curves(
+            concrete,
+            query,
+            point_values,
+            bound_curves,
+            on_error=on_error,
+            nondeterministic=self.nondeterministic,
+            gradient_values=gradient_values,
+        )
+        return measures, model_seconds, row_gradients
+
 
 def evaluate_skeleton_query(
     model: CompiledModel,
@@ -513,61 +681,24 @@ def evaluate_skeleton_query(
 ) -> Evaluation:
     """Evaluate ``query`` on a compiled skeleton under ``assignment``.
 
-    This is the skeleton counterpart of :func:`evaluate_query_on_model`: the
-    model's kernel refills its shared CSR pattern with the assignment's
-    rates and runs one uniformisation sweep over the union of mission times
-    (CTMC) or one bound-sweep pair (CTMDP); a concrete model is instantiated
-    only when a measure reads the generator itself.  ``rate_floor`` pins the
-    uniformisation rate (see :meth:`TransientKernel.load`); ``gradients``
-    attaches per-parameter gradient curves of the max bound to the result.
+    The batch of one of :meth:`CompiledModel.evaluate_many` — the same code
+    every sweep runs — raising the sample's error instead of returning it.
+    It is the skeleton counterpart of :func:`evaluate_query_on_model`: a
+    concrete model is instantiated only when a measure reads the generator
+    itself.
 
     Every measure the library computes — ``Study`` with or without a
     skeleton cache, sweep rows, the optimiser and the service — runs through
-    here (via
-    :meth:`CompiledModel.evaluate`), which is what makes a served response
-    bit-identical to the in-process result.  It stays a module-level function
-    so profilers can wrap it by name.
+    :meth:`CompiledModel.evaluate_many`, which is what makes a served
+    response bit-identical to the in-process result.  This function stays a
+    module-level function so profilers can wrap single evaluations by name.
     """
-    query = _as_query(query)
-    start = _time.perf_counter()
-    kernel = model.kernel
-    kernel.load(assignment, rate_floor=rate_floor)
-    load_seconds = _time.perf_counter() - start
-    point_values, bound_curves = _curves(kernel, query, tolerance)
-    concrete: Optional[CTMC] = None
-    if not model.nondeterministic and query_needs_model(query):
-        model_start = _time.perf_counter()
-        concrete = model.skeleton.instantiate(assignment)  # type: ignore[assignment]
-        load_seconds += _time.perf_counter() - model_start
-    gradient_values: Optional[GradientValues] = None
-    row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
-    if gradients or _query_wants_gradients(query):
-        gradient_kernel = model.gradient_kernel
-        if gradient_kernel is not kernel:
-            gradient_kernel.load(assignment, rate_floor=rate_floor)
-        gradient_values = gradient_values_from_kernel(gradient_kernel, query, tolerance)
-        if gradients:
-            _curve, grads = gradient_kernel.gradient_curve(
-                signals.FAILED_LABEL,
-                query.transient_times(),
-                maximize=True,
-                tolerance=tolerance,
-            )
-            row_gradients = {
-                name: tuple(float(value) for value in grads[:, j])
-                for j, name in enumerate(gradient_kernel.parameters)
-            }
-    measures = measures_from_curves(
-        concrete,
-        query,
-        point_values,
-        bound_curves,
-        on_error=on_error,
-        nondeterministic=model.nondeterministic,
-        gradient_values=gradient_values,
+    (evaluation,) = model.evaluate_many(
+        query, [assignment], tolerance, on_error, rate_floor, gradients
     )
-    wall = _time.perf_counter() - start
-    return Evaluation(measures, load_seconds, wall - load_seconds, row_gradients)
+    if evaluation.error is not None:
+        raise evaluation.error
+    return evaluation
 
 
 #: Why a skeleton-cached Study refuses importance rankings.
@@ -688,6 +819,24 @@ class Study:
             )
             self._timings["cache"] = _time.perf_counter() - start
         return self._cache_entry
+
+    def adopt_entry(self, entry, model: CompiledModel, hit: bool) -> None:
+        """Evaluate on an already fetched store entry and its compiled model.
+
+        For a Study with a skeleton cache whose caller holds the entry of
+        this tree's structural class in memory (the service's LRU): the
+        entry is neither read nor decoded again, and evaluations reuse the
+        model's kernels.
+        """
+        if self.skeleton_cache is None or model.skeleton is not entry.skeleton:
+            raise AnalysisError(
+                "only a skeleton-cached Study adopts a store entry, with that "
+                "entry's compiled model"
+            )
+        self._cache_entry, self._cache_hit = entry, hit
+        self._timings["cache"] = 0.0
+        self._compiled = model
+        self._assignment = canonical_assignment(self.tree)
 
     def _compiled_model(self) -> CompiledModel:
         """The skeleton's compiled model, with :attr:`_assignment` its rates.

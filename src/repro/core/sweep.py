@@ -16,13 +16,16 @@ This module exploits that invariance:
    (:class:`~repro.ctmc.builders.CtmcSkeleton` /
    :class:`~repro.ctmc.builders.CtmdpSkeleton`);
 3. :class:`RateSweep` evaluation does not even instantiate the generator
-   per sample: a per-process :class:`~repro.core.study.CompiledModel` keeps
-   the skeleton's uniformised CSR pattern, Poisson term cache and matvec
-   workspace alive across samples, so each sample refills rate data in
-   place and runs the solve with zero sparse-structure allocations.
-   Samples are embarrassingly parallel: ``run(..., processes=N)`` fans them
-   out over a chunked, windowed process pool (one compiled model per
-   worker) and yields rows in sample order, bit-identical to a serial run.
+   per sample: a :class:`~repro.core.study.CompiledModel` (the Study's own
+   for a serial run, one per pool worker) keeps the skeleton's uniformised
+   CSR pattern, Poisson term cache and matvec workspaces alive, and
+   :meth:`~repro.core.study.CompiledModel.evaluate_many` loads a whole batch
+   of samples as the diagonal blocks of one stacked operator, so the
+   uniformisation series runs once per batch with zero sparse-structure
+   allocations.  Samples are embarrassingly parallel: ``run(...,
+   processes=N)`` fans them out over a chunked, windowed process pool (each
+   chunk one batch) and yields rows in sample order, bit-identical to a
+   serial run.
 
 The cost drops from ``O(samples x pipeline)`` to
 ``O(pipeline + samples x uniformisation)`` — the same amortisation the query
@@ -216,41 +219,54 @@ class _SweepPlan:
         return assignment
 
 
-def _evaluate_row(
-    model: CompiledModel, plan: _SweepPlan, sample: Mapping[str, float]
-) -> SweepRow:
-    """One sample's row; any pipeline error becomes the row's error."""
-    assignment = plan.assignment_of(sample)
-    start = _time.perf_counter()
-    try:
-        evaluation = model.evaluate(
-            plan.query,
-            assignment,
-            tolerance=plan.tolerance,
-            on_error="record",
-            rate_floor=plan.shared_rate,
-            gradients=plan.gradients,
-        )
-    except ReproError as error:
-        return SweepRow(
-            sample=dict(sample),
-            measures=(),
-            wall_seconds=_time.perf_counter() - start,
-            error=str(error),
-        )
-    return SweepRow(
-        sample=dict(sample),
-        measures=evaluation.measures,
-        wall_seconds=evaluation.load_seconds + evaluation.solve_seconds,
-        instantiate_seconds=evaluation.load_seconds,
-        solve_seconds=evaluation.solve_seconds,
-        gradients=evaluation.gradients,
+def _evaluate_rows(
+    model: CompiledModel, plan: _SweepPlan, samples: Sequence[Mapping[str, float]]
+) -> List[SweepRow]:
+    """The samples' rows from one batched evaluation; errors stay per row.
+
+    A row's times are its share of its batch (a serial run or one pool
+    chunk, cut at the kernel's stacked-operator cap) plus its own
+    per-sample work.
+    """
+    evaluations = model.evaluate_many(
+        plan.query,
+        [plan.assignment_of(sample) for sample in samples],
+        tolerance=plan.tolerance,
+        on_error="record",
+        rate_floor=plan.shared_rate,
+        gradients=plan.gradients,
     )
+    rows = []
+    for sample, evaluation in zip(samples, evaluations):
+        wall_seconds = evaluation.load_seconds + evaluation.solve_seconds
+        if evaluation.error is not None:
+            rows.append(
+                SweepRow(
+                    sample=dict(sample),
+                    measures=(),
+                    wall_seconds=wall_seconds,
+                    error=str(evaluation.error),
+                )
+            )
+            continue
+        rows.append(
+            SweepRow(
+                sample=dict(sample),
+                measures=evaluation.measures,
+                wall_seconds=wall_seconds,
+                instantiate_seconds=evaluation.load_seconds,
+                solve_seconds=evaluation.solve_seconds,
+                gradients=evaluation.gradients,
+            )
+        )
+    return rows
 
 
-def _compile(plan: _SweepPlan) -> CompiledModel:
-    """The plan's compiled model, its kernels built before any row is timed."""
-    model = CompiledModel(plan.skeleton)
+def _compile(plan: _SweepPlan, model: Optional[CompiledModel] = None) -> CompiledModel:
+    """The plan's compiled model (``model`` if given), its kernels built
+    before any row is timed."""
+    if model is None:
+        model = CompiledModel(plan.skeleton)
     model.kernel
     if plan.gradients or _query_wants_gradients(plan.query):
         model.gradient_kernel
@@ -271,7 +287,7 @@ def _evaluate_sweep_chunk(samples: Sequence[Sample]) -> List[SweepRow]:
     """Worker entry point: evaluate one chunk on the process-local model."""
     assert _WORKER_STATE is not None
     plan, model = _WORKER_STATE
-    return [_evaluate_row(model, plan, sample) for sample in samples]
+    return _evaluate_rows(model, plan, samples)
 
 
 def _scan_shared_rate(plan: _SweepPlan, samples: Sequence[Sample]) -> Optional[float]:
@@ -300,20 +316,21 @@ def iter_sweep_rows(
     samples: Sequence[Sample],
     processes: Optional[int] = None,
     chunk_size: Optional[int] = None,
+    model: Optional[CompiledModel] = None,
 ) -> Iterator[SweepRow]:
     """Yield one row per sample, in sample order, optionally process-parallel.
 
-    With ``processes > 1`` the samples run on the chunked, windowed pool of
-    :func:`repro.core.study.chunked_pool_map`, like batch corpora.  Error
-    rows keep their sample's position.
-    Every path (serial and all worker counts) runs the identical per-sample
-    code, so parallel rows are bit-identical to serial ones.
+    Serially the samples are one batch of :meth:`CompiledModel.evaluate_many`
+    on ``model`` (a fresh compile of the plan's skeleton by default).  With
+    ``processes > 1`` they run on the chunked, windowed pool of
+    :func:`repro.core.study.chunked_pool_map`, like batch corpora, each chunk
+    one batch.  Error rows keep their sample's position.  A row does not
+    depend on the batch it shares, so parallel rows are bit-identical to
+    serial ones.
     """
     workers = resolve_workers(processes, len(samples))
     if workers == 1:
-        model = _compile(plan)
-        for sample in samples:
-            yield _evaluate_row(model, plan, sample)
+        yield from _evaluate_rows(_compile(plan, model), plan, samples)
         return
     yield from chunked_pool_map(
         _evaluate_sweep_chunk,
@@ -363,9 +380,11 @@ class SweepStudy:
     ) -> SweepResult:
         """Evaluate the sweep; sample failures become per-row errors.
 
-        With ``processes > 1`` the samples fan out over a chunked process
-        pool (each worker compiles the skeleton once and keeps its kernels
-        across its chunks); rows always come back in sample order and are
+        Serially all samples are evaluated in batches on the Study's own
+        compiled model (kernels built once, kept across runs); with
+        ``processes > 1`` they fan out over a chunked process pool (each
+        worker compiles the skeleton once and evaluates each chunk as one
+        batch).  Rows always come back in sample order and are
         bit-identical to a serial run.
 
         ``share_uniformisation=True`` scans the grid for the largest natural
@@ -415,7 +434,11 @@ class SweepStudy:
             if shared_rate is not None:
                 plan = replace(plan, shared_rate=shared_rate)
         samples_start = _time.perf_counter()
-        rows = list(iter_sweep_rows(plan, sweep.samples, workers, chunk_size))
+        rows = list(
+            iter_sweep_rows(
+                plan, sweep.samples, workers, chunk_size, self.study._compiled_model()
+            )
+        )
         samples_seconds = _time.perf_counter() - samples_start
 
         study_timings = self.study.timings

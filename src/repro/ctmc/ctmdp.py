@@ -116,7 +116,27 @@ class VanishingResolver:
             if len(states) < cls._SCALAR_LEVEL_LIMIT
             else None
         )
-        return ("wave", np.asarray(states, dtype=np.int64), targets, offsets, counts, scalar)
+        # Every state's k-th successor as column k, padded with its first
+        # successor (max and min ignore a repeat): a stack of blocks takes a
+        # running max/min over the columns, where a segmented reduction
+        # would dispatch once per segment and block.
+        width = int(counts.max())
+        columns = np.array(
+            [
+                list(choices[state]) + [choices[state][0]] * (width - len(choices[state]))
+                for state in states
+            ],
+            dtype=np.int64,
+        ).T
+        return (
+            "wave",
+            np.asarray(states, dtype=np.int64),
+            targets,
+            offsets,
+            counts,
+            scalar,
+            columns,
+        )
 
     def resolve(
         self,
@@ -127,40 +147,54 @@ class VanishingResolver:
     ) -> np.ndarray:
         """Overwrite vanishing states with their optimal successor value.
 
-        ``values`` is mutated in place (and returned).  ``companion`` is an
+        ``values`` is mutated in place (and returned); it is one
+        ``(num_states,)`` vector or a ``(blocks, num_states)`` stack of them,
+        each resolved on its own (max/min are exact, so a stacked reduction
+        gives every block the value it gets alone).  ``companion`` is an
         optional ``(num_states, k)`` array whose rows follow the same
         successor selection — the CTMDP kernel's gradient block rides along
         through it.  ``choice_out`` is an optional ``(num_states,)`` integer
         array that receives, for every vanishing state, the first successor
         attaining the optimum — the per-state argbest the scheduler
-        extraction records.
+        extraction records.  Both need a single vector.
         """
+        tracking = companion is not None or choice_out is not None
+        if tracking and values.ndim != 1:
+            raise AnalysisError("successor tracking resolves one vector at a time")
+        reducer = np.maximum if maximize else np.minimum
         for entry in self._plan:
             if entry[0] == "wave":
-                _tag, states, targets, offsets, counts, scalar = entry
-                if scalar is not None and companion is None and choice_out is None:
+                _tag, states, targets, offsets, counts, scalar, columns = entry
+                if values.ndim > 1:
+                    best = values[:, columns[0]]
+                    for column in columns[1:]:
+                        reducer(best, values[:, column], out=best)
+                    values[:, states] = best
+                elif scalar is not None and not tracking:
                     best_of = max if maximize else min
                     for state, successors in scalar:
                         values[state] = best_of(values[t] for t in successors)
-                    continue
-                picked = values[targets]
-                reducer = np.maximum if maximize else np.minimum
-                best = reducer.reduceat(picked, offsets)
-                if companion is not None or choice_out is not None:
-                    # First successor attaining the optimum, per segment.
-                    matches = np.where(
-                        picked == np.repeat(best, counts),
-                        np.arange(len(targets)),
-                        len(targets),
-                    )
-                    chosen = targets[np.minimum.reduceat(matches, offsets)]
-                    if companion is not None:
-                        companion[states] = companion[chosen]
-                    if choice_out is not None:
-                        choice_out[states] = chosen
-                values[states] = best
-            else:
+                else:
+                    picked = values[targets]
+                    best = reducer.reduceat(picked, offsets)
+                    if tracking:
+                        # First successor attaining the optimum, per segment.
+                        matches = np.where(
+                            picked == np.repeat(best, counts),
+                            np.arange(len(targets)),
+                            len(targets),
+                        )
+                        chosen = targets[np.minimum.reduceat(matches, offsets)]
+                        if companion is not None:
+                            companion[states] = companion[chosen]
+                        if choice_out is not None:
+                            choice_out[states] = chosen
+                    values[states] = best
+            elif values.ndim == 1:
                 self._resolve_cycle(values, maximize, entry[1], companion, choice_out)
+            else:
+                for row in values:
+                    self._resolve_cycle(row, maximize, entry[1], None)
         return values
 
     @staticmethod

@@ -195,8 +195,12 @@ class _ModelCache:
         self._slots.move_to_end(key)
         return slot[0]
 
-    def put(self, entry: SkeletonEntry) -> CompiledModel:
-        """Cache ``entry`` (or mark it most recent); returns its model."""
+    def put(self, entry: SkeletonEntry) -> Tuple[SkeletonEntry, CompiledModel]:
+        """Cache ``entry`` (or mark its key most recent); returns the slot.
+
+        A slot already holding ``entry.key`` keeps its own (equal) entry
+        object, which its model was compiled from.
+        """
         slot = self._slots.get(entry.key)
         if slot is None:
             slot = self._slots[entry.key] = (
@@ -207,7 +211,7 @@ class _ModelCache:
                 self._slots.popitem(last=False)
         else:
             self._slots.move_to_end(entry.key)
-        return slot[1]
+        return slot
 
     def evaluate(
         self,
@@ -219,7 +223,7 @@ class _ModelCache:
     ) -> Tuple[MeasureResult, ...]:
         """Per-measure failures are recorded in the results, as the CLI does."""
         entry = self.entry(key)
-        model = self.put(load_entry() if entry is None else entry)
+        _entry, model = self.put(load_entry() if entry is None else entry)
         query = query_from_payload(query_payload, nondeterministic=model.nondeterministic)
         return model.evaluate(
             query, assignment, tolerance=tolerance, on_error="record"
@@ -529,11 +533,16 @@ class AnalysisService:
             result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, payload)
         if result is None:
             study = SweepStudy(tree, self.options, skeleton_cache=self.store)
-            result = study.run(
-                rate_sweep,
-                processes=int(payload.get("processes", 1)),  # type: ignore[arg-type]
-                share_uniformisation=share,
-            )
+            # The LRU's entry and compiled model: no second decode, and the
+            # rows run on the kernels the warm requests keep (under the lock
+            # that guards every use of them).
+            with self._models_lock:
+                study.study.adopt_entry(*self._models.put(entry), hit=hit)
+                result = study.run(
+                    rate_sweep,
+                    processes=int(payload.get("processes", 1)),  # type: ignore[arg-type]
+                    share_uniformisation=share,
+                )
         response = result.to_dict()
         response["service"] = {
             "schema": SERVICE_SCHEMA,

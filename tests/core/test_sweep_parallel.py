@@ -7,8 +7,15 @@ sample dicts, measure values, error strings and their ordering — must be
 fields may differ, so the JSON comparison strips exactly those.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.core.sweep as sweep_module
 from repro import Query, RateSweep, SweepStudy, Unreliability, UnreliabilityBounds
 from repro.core.measures import MTTF
 from repro.core.sweep import _SweepPlan, iter_sweep_rows
@@ -213,3 +220,52 @@ class TestErrorRowOrdering:
             )
             assert_rows_bit_identical(serial, parallel)
             assert [row.error for row in serial] == [row.error for row in parallel]
+
+
+#: The sample whose pool chunk kills its own worker process.
+POISON = 0.777
+_REAL_CHUNK = sweep_module._evaluate_sweep_chunk
+
+
+def _chunk_killing_its_worker(samples):
+    """The pool's chunk entry point, except that a chunk holding the poison
+    sample SIGKILLs the worker evaluating it (a crash no Python handler sees)."""
+    if any(sample.get("lam") == POISON for sample in samples):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_CHUNK(samples)
+
+
+class TestWorkerDeath:
+    """A worker killed mid-sweep fails the whole run promptly and cleanly."""
+
+    DEADLINE = 60
+
+    def test_killed_worker_fails_fast_without_rows_or_orphans(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_evaluate_sweep_chunk", _chunk_killing_its_worker)
+        values = [0.1, 0.3, 0.5, POISON, 1.1, 1.4, 1.9, 2.5]
+        sweep = RateSweep(Unreliability([0.5, 1.0]), [{"lam": lam} for lam in values])
+        study = SweepStudy(parametric_tree())
+        study.skeleton  # build the model outside the timed call
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def overran(_signum, _frame):
+            raise TimeoutError("the sweep hung after its worker died")
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        signal.alarm(self.DEADLINE)
+        result = None
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                result = study.run(sweep, processes=2, chunk_size=1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < self.DEADLINE
+        assert result is None
+        leftover = [
+            child
+            for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert leftover == [], f"worker processes outlived the sweep: {leftover}"

@@ -217,3 +217,83 @@ class TestCtmdpKernel:
         kernel.load({"T": 1.0, "A": 1.0, "B": 1.0})
         again = kernel.time_bounded_reachability_curve(signals.FAILED_LABEL, TIMES)
         assert np.array_equal(again, slow)
+
+
+def race_bank_samples(channels=3):
+    """A parametric race-bank envelope and rate-scaled samples of it (their
+    uniformisation rates, and so their series depths, all differ)."""
+    tree = with_rate_parameters(pand_race_bank(channels))
+    samples = [
+        {name: nominal * scale for name, nominal in tree.parameters.items()}
+        for scale in (0.35, 1.0, 2.9, 0.7)
+    ]
+    return envelope_of(tree), samples
+
+
+class TestBatchedCtmdpKernel:
+    """A stacked backward sweep gives every sample its lone-sweep bounds."""
+
+    @pytest.mark.parametrize("dense_limit", [None, 0])
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_batched_bounds_equal_per_sample_sweeps_bitwise(self, dense_limit, maximize):
+        from tests.kernel_reference import per_sample_bound_curve
+
+        skeleton, samples = race_bank_samples()
+        kernel = CtmdpKernel(skeleton, dense_limit=dense_limit)
+        assert kernel.load_many(samples) == [None] * len(samples)
+        assert len(set(kernel.buffer.block_rates)) == len(samples)
+        curves = kernel.time_bounded_reachability_curve(
+            signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
+        )
+        assert curves.shape == (len(samples), len(TIMES))
+        alone = CtmdpKernel(skeleton, dense_limit=dense_limit)
+        for sample, curve in zip(samples, curves):
+            expected = per_sample_bound_curve(
+                alone, sample, signals.FAILED_LABEL, TIMES, maximize, tolerance=1e-12
+            )
+            assert np.array_equal(curve, expected)
+
+    def test_gradients_and_schedulers_need_a_single_load(self):
+        skeleton, samples = race_bank_samples()
+        kernel = skeleton.ctmdp_kernel()
+        kernel.load_many(samples)
+        with pytest.raises(AnalysisError, match="one sample at a time"):
+            kernel.gradient_curve(signals.FAILED_LABEL, TIMES)
+        with pytest.raises(AnalysisError, match="one sample at a time"):
+            kernel.optimal_choices(signals.FAILED_LABEL, TIMES)
+
+
+class TestStackedResolver:
+    """Resolving a stack of value vectors equals resolving each alone."""
+
+    @staticmethod
+    def random_choices(seed, num_states=60):
+        rng = np.random.default_rng(seed)
+        choices = []
+        for state in range(num_states):
+            if state < 40 and rng.random() < 0.7:
+                # Successors only among later states: acyclic waves.
+                width = int(rng.integers(1, 4))
+                choices.append(tuple(int(t) for t in rng.choice(
+                    range(state + 1, num_states), size=width, replace=False)))
+            else:
+                choices.append(())
+        # A benign two-state cycle of instantaneous moves.
+        choices[50], choices[51] = (51, 55), (50, 56)
+        return choices
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_stack_equals_rows(self, seed, maximize):
+        choices = self.random_choices(seed)
+        resolver = VanishingResolver(len(choices), choices)
+        stack = np.random.default_rng(100 + seed).random((5, len(choices)))
+        rows = [resolver.resolve(row.copy(), maximize) for row in stack]
+        resolver.resolve(stack, maximize)
+        for resolved, row in zip(stack, rows):
+            assert np.array_equal(resolved, row)
+
+    def test_tracking_needs_a_single_vector(self):
+        resolver = VanishingResolver(3, ((1, 2), (), ()))
+        with pytest.raises(AnalysisError, match="one vector at a time"):
+            resolver.resolve(np.zeros((2, 3)), True, choice_out=np.zeros(3, dtype=np.int64))

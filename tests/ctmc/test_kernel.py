@@ -243,3 +243,154 @@ class TestStructureReuseRegression:
             "a purely transient sweep built a full CTMC per sample instead of "
             "reusing the kernel's shared structure"
         )
+
+
+def cps_kernel_inputs():
+    """The CPS sweep skeleton with one rate parameter, plus samples of it."""
+    events = {f"{m}{i}": "lam" for m in ("A", "C", "D") for i in range(1, 5)}
+    skeleton, declared = tree_skeleton(with_rate_parameters(cascaded_pand_system(), events))
+    samples = [{**declared, "lam": lam} for lam in (0.05, 0.4, 1.1, 2.0, 0.7)]
+    return skeleton, samples
+
+
+class TestBatchedBuffer:
+    """refill_blocks stacks samples as diagonal blocks of one operator."""
+
+    @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
+    def test_every_block_is_its_single_refill(self, dense_limit):
+        skeleton, _ = tree_skeleton(parametric_tree())
+        batch = [assignment for assignment in ASSIGNMENTS]
+        stacked = CsrBuffer(skeleton, dense_limit=dense_limit)
+        assert stacked.refill_blocks(batch) == [None] * len(batch)
+        assert stacked.blocks == len(batch)
+        nnz = len(stacked.matrix.data) // len(batch)
+        single = CsrBuffer(skeleton, dense_limit=dense_limit)
+        for block, assignment in enumerate(batch):
+            matrix, rate = single.refill(assignment)
+            assert stacked.block_rates[block] == rate
+            assert np.array_equal(
+                stacked.matrix.data[block * nnz : (block + 1) * nnz], matrix.data
+            )
+            if dense_limit:
+                assert np.array_equal(stacked.dense[block], single.dense)
+            else:
+                assert np.array_equal(
+                    stacked.transposed.data[block * nnz : (block + 1) * nnz],
+                    single.transposed.data,
+                )
+        assert stacked.uniformisation_rate == max(stacked.block_rates)
+
+    def test_failing_assignment_is_left_out_of_the_batch(self):
+        from repro.ctmc.builders import CtmcSkeleton
+        from repro.ioimc.rates import ParametricRate
+
+        dipping = ParametricRate(-0.5, {"lam": 1.0}, {"lam": 1.0})
+        skeleton = CtmcSkeleton(
+            num_states=3,
+            initial=0,
+            labels=(frozenset(), frozenset(), frozenset({"failed"})),
+            state_names=(None, None, None),
+            edges=((0, 1, dipping), (1, 2, 2.0)),
+        )
+        buffer = CsrBuffer(skeleton)
+        errors = buffer.refill_blocks([{"lam": 2.0}, {"lam": 0.2}, {"lam": 3.0}])
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ModelError) and "non-positive" in str(errors[1])
+        assert buffer.blocks == 2
+        assert list(buffer.block_rates) == [2.0, 2.5]
+
+    def test_pickled_buffer_reloads_its_pattern(self):
+        import pickle
+
+        skeleton, samples = cps_kernel_inputs()
+        buffer = CsrBuffer(skeleton)
+        buffer.refill_blocks(samples)
+        restored = pickle.loads(pickle.dumps(buffer))
+        assert restored.structure_builds == 1
+        assert restored.blocks == 0
+        kernel = TransientKernel(restored.skeleton, buffer=restored)
+        fresh = TransientKernel(restored.skeleton)
+        for sample in samples:
+            kernel.load(sample)
+            fresh.load(sample)
+            assert np.array_equal(
+                kernel.probability_of_label_curve("failed", TIMES),
+                fresh.probability_of_label_curve("failed", TIMES),
+            )
+
+
+class TestBatchedTransientKernel:
+    @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
+    def test_batched_curves_equal_per_sample_series_bitwise(self, dense_limit):
+        from tests.kernel_reference import per_sample_label_curve
+
+        skeleton, samples = cps_kernel_inputs()
+        kernel = TransientKernel(skeleton, dense_limit=dense_limit)
+        kernel.load_many(samples)
+        curves = kernel.probability_of_label_curve("failed", TIMES)
+        assert curves.shape == (len(samples), len(TIMES))
+        alone = TransientKernel(skeleton, dense_limit=dense_limit)
+        for sample, curve in zip(samples, curves):
+            assert np.array_equal(
+                curve, per_sample_label_curve(alone, sample, "failed", TIMES)
+            )
+
+    def test_batches_span_several_history_chunks(self, monkeypatch):
+        from tests.kernel_reference import per_sample_label_curve
+
+        monkeypatch.setattr(kernel_module, "HISTORY_BYTES", 1)
+        skeleton, samples = cps_kernel_inputs()
+        kernel = TransientKernel(skeleton)
+        kernel.load_many(samples)
+        curves = kernel.probability_of_label_curve("failed", TIMES)
+        alone = TransientKernel(skeleton)
+        for sample, curve in zip(samples, curves):
+            assert np.array_equal(
+                curve, per_sample_label_curve(alone, sample, "failed", TIMES)
+            )
+
+    def test_curve_shape_follows_the_load(self):
+        skeleton, samples = cps_kernel_inputs()
+        kernel = TransientKernel(skeleton)
+        kernel.load(samples[0])
+        assert kernel.probability_of_label_curve("failed", TIMES).shape == (len(TIMES),)
+        kernel.load_many(samples[:1])
+        assert kernel.probability_of_label_curve("failed", TIMES).shape == (1, len(TIMES))
+
+    def test_wide_goal_sets_sum_like_a_lone_vector(self):
+        # Goal sets wider than eight states are summed pairwise; each block's
+        # sums must still equal the ones a lone vector gets.
+        from repro.ctmc.builders import CtmcSkeleton
+        from repro.ioimc.rates import ParametricRate
+        from tests.kernel_reference import per_sample_label_curve
+
+        rng = np.random.default_rng(7)
+        num_states = 60
+        edges = tuple(
+            (int(source), int(target), ParametricRate(0.0, {"lam": factor}, {"lam": 1.0}))
+            for source, target, factor in zip(
+                rng.integers(0, num_states, 400),
+                rng.integers(0, num_states, 400),
+                rng.uniform(0.1, 2.0, 400),
+            )
+            if source != target
+        )
+        skeleton = CtmcSkeleton(
+            num_states=num_states,
+            initial=0,
+            labels=tuple(
+                frozenset({"failed"}) if state % 2 else frozenset()
+                for state in range(num_states)
+            ),
+            state_names=(None,) * num_states,
+            edges=edges,
+        )
+        samples = [{"lam": lam} for lam in (0.3, 0.9, 1.7, 2.6)]
+        kernel = TransientKernel(skeleton)
+        kernel.load_many(samples)
+        curves = kernel.probability_of_label_curve("failed", TIMES)
+        alone = TransientKernel(skeleton)
+        for sample, curve in zip(samples, curves):
+            assert np.array_equal(
+                curve, per_sample_label_curve(alone, sample, "failed", TIMES)
+            )

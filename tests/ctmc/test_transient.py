@@ -73,6 +73,40 @@ class TestPoissonTermsDifferential:
             poisson_terms_reference(1.0, 0.0)
 
 
+class TestPoissonTruncation:
+    """The vectorised quantile is ``scipy.stats.poisson.ppf``'s, without it."""
+
+    #: Sub-epsilon tolerances exercise the clamp to nextafter(1, 0).
+    TOLERANCES = (0.5, 1e-4, 1e-8, 1e-10, 1e-12, 1e-15, 1e-17, 1e-300)
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_depths_equal_the_scipy_stats_quantile(self, tolerance):
+        from scipy import stats
+
+        from repro.ctmc.transient import _poisson_truncation
+
+        rng = np.random.default_rng(16)
+        rates = np.concatenate([10.0 ** rng.uniform(-3.0, 4.0, 5000), [1e-3, 1.0, 1e4]])
+        quantile = min(1.0 - tolerance, math.nextafter(1.0, 0.0))
+        expected = np.maximum(stats.poisson.ppf(quantile, rates).astype(np.int64) + 2, 1)
+        assert np.array_equal(_poisson_truncation(rates, tolerance), expected)
+
+    def test_many_rates_in_one_pass_equal_each_alone(self):
+        from repro.ctmc.transient import poisson_terms_many
+
+        rates = [0.0, 1e-3, 0.4, 7.3, 7.3, 0.0, 50.0, 400.0]
+        batch = poisson_terms_many(rates, 1e-12)
+        for rate, terms in zip(rates, batch):
+            assert np.array_equal(terms, poisson_terms(rate, 1e-12))
+
+    def test_cache_fills_every_miss_at_once(self):
+        cache = PoissonTermCache()
+        first = cache.get_many([1.5, 3.0, 1.5], 1e-12)
+        assert first[0] is first[2]
+        assert cache.get(3.0, 1e-12) is first[1]
+        assert np.array_equal(first[1], poisson_terms(3.0, 1e-12))
+
+
 class TestTransient:
     def test_matches_matrix_exponential(self):
         chain = erlang_chain()

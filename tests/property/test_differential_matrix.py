@@ -9,7 +9,7 @@ patterns) crossed with
   pool, and naive full-pipeline re-runs per sample —
 
 asserting row-for-row agreement to ``<= 1e-9`` (and bit-identity between the
-serial and parallel kernel paths).  The figure 2 composition example is
+serial and parallel kernel paths and batches of one sample).  The figure 2 composition example is
 covered at the I/O-IMC level, where the sweep kernel's refilled matrix must
 reproduce a numeric rebuild of the whole compose + hide + minimise pipeline.
 
@@ -46,7 +46,7 @@ from repro.systems import (
     shared_spare_race_system,
 )
 
-from tests.sweep_reference import per_sample_rows
+from tests.sweep_reference import batches_of, per_sample_rows
 
 MISSION_TIMES = (0.5, 1.0)
 TOLERANCE = 1e-9
@@ -91,16 +91,25 @@ def _study(name, minimiser):
     return _STUDIES[key]
 
 
-def assert_matrix_cell(tree, study, query, samples, bounds=False):
-    """One corpus x engine cell: serial == parallel (bit), both == naive (1e-9)."""
-    sweep = RateSweep(query, samples)
-    serial = study.run(sweep)
-    parallel_run = study.run(sweep, processes=2, chunk_size=2)
-    assert serial.num_failed == 0
-    for mine, theirs in zip(serial.rows, parallel_run.rows):
+def assert_rows_match_bitwise(rows, others):
+    assert len(rows) == len(others)
+    for mine, theirs in zip(rows, others):
         assert mine.sample == theirs.sample
         assert mine.measures == theirs.measures  # bit-identical floats
         assert mine.error == theirs.error
+
+
+def assert_matrix_cell(tree, study, query, samples, bounds=False):
+    """One corpus x engine cell: serial == parallel == batches of one (bit),
+    all == naive (1e-9)."""
+    sweep = RateSweep(query, samples)
+    serial = study.run(sweep)
+    assert serial.num_failed == 0
+    assert_rows_match_bitwise(
+        serial.rows, study.run(sweep, processes=2, chunk_size=2).rows
+    )
+    with batches_of(1):
+        assert_rows_match_bitwise(serial.rows, study.run(sweep).rows)
     for row, sample in zip(serial.rows, samples):
         reference = evaluate(
             substitute_parameters(tree, sample), query, study.study.options
@@ -227,11 +236,13 @@ def assert_ctmdp_cell(tree, samples, gradient_samples=0):
 
 
 def assert_ctmdp_sweep_cell(tree, samples):
-    """The sweep paths over a CTMDP skeleton: shared-structure kernel rows vs
-    per-sample instantiation rows agree on both bounds."""
+    """The sweep paths over a CTMDP skeleton: batched kernel rows equal
+    batches of one (bit) and per-sample instantiation rows on both bounds."""
     study = SweepStudy(tree)
     sweep = RateSweep(UnreliabilityBounds(MISSION_TIMES), samples)
     fast = study.run(sweep)
+    with batches_of(1):
+        assert_rows_match_bitwise(fast.rows, study.run(sweep).rows)
     slow = per_sample_rows(study.skeleton, sweep.query, samples, tree.parameters)
     assert fast.num_failed == 0
     assert all(row.ok for row in slow)

@@ -253,6 +253,25 @@ class TestWarmHitsFromMemory:
                 text, service.store, query, name=f"<batch#{index}>"
             )
 
+    def test_warm_inline_sweep_never_decodes(self, service, monkeypatch):
+        axes = {"lam": [0.1, 0.5, 1.0, 2.0]}
+        assert service.handle("POST", "/analyze", {"tree": PARAM_TREE})[0] == 200
+        self._forbid_decoding(service, monkeypatch)
+        status, served = service.handle(
+            "POST", "/sweep", {"tree": PARAM_TREE, "axes": axes, "query": self.QUERY}
+        )
+        assert status == 200
+        assert served["service"]["cache"] == "hit"
+        monkeypatch.undo()
+        tree = galileo.parse(PARAM_TREE, name="<request>")
+        local = SweepStudy(tree, StudyOptions(), skeleton_cache=service.store).run(
+            RateSweep.grid(query_from_payload(self.QUERY), **axes)
+        )
+        assert len(served["rows"]) == len(axes["lam"])
+        for mine, theirs in zip(served["rows"], local.to_dict()["rows"]):
+            assert mine["sample"] == theirs["sample"]
+            assert mine["measures"] == theirs["measures"]
+
     def test_concurrent_warm_hits_bit_identical(self, service, monkeypatch):
         request = {"tree": AND_TREE, "query": self.QUERY}
         _, first = service.handle("POST", "/analyze", request)
