@@ -160,6 +160,11 @@ def _csr_flat(offsets: np.ndarray, idx: np.ndarray) -> np.ndarray:
     )
 
 
+def _input_bits(is_input: Sequence[bool]) -> int:
+    """Code bits of a predicate chunk's input-action predicates."""
+    return sum(1 << position for position, flag in enumerate(is_input) if flag)
+
+
 def _check_algorithm(algorithm: str) -> None:
     if algorithm not in ALGORITHMS:
         raise ModelError(
@@ -272,7 +277,10 @@ def _strong_partition_signature(
 
 
 def _strong_partition_splitter(
-    model: IOIMC, respect_labels: bool, rate_digits: int
+    model: IOIMC,
+    respect_labels: bool,
+    rate_digits: int,
+    own_inputs_invisible: bool = False,
 ) -> Partition:
     """Paige-Tarjan three-way smaller-half refinement (on states).
 
@@ -296,6 +304,13 @@ def _strong_partition_splitter(
     The fixpoint — every current block processed as a rate splitter in its
     final membership, the partition stable under every compound family —
     is exactly the signature engine's equivalence.
+
+    With ``own_inputs_invisible`` (the weak relation of a model without
+    internal moves) input moves into a state's own class are ignored, like
+    its intra-class rates: input edges then leave the compound families and
+    ride along with the rates in the per-block worklist, whose splitter
+    never splits itself.  Implicit input self-loops always stay inside the
+    own class, so input gaps drop out of that relation entirely.
     """
     num_states = model.num_states
     if num_states == 0:
@@ -308,14 +323,20 @@ def _strong_partition_splitter(
     # member states' in-edges.
     interactive_pred: List[List[Tuple[int, int]]] = [[] for _ in range(num_states)]
     markovian_pred: List[List[Tuple[int, float]]] = [[] for _ in range(num_states)]
+    #: Input in-edges ``(aid, source)`` of the own-class-blind relation.
+    input_pred: List[List[Tuple[int, int]]] = [[] for _ in range(num_states)]
     input_ids = model.signature.input_ids
     input_gaps: List[Tuple[int, ...]] = [()] * num_states
     for state in range(num_states):
         for aid, target in model.interactive_pairs(state):
-            interactive_pred[target].append((aid, state))
+            if own_inputs_invisible and aid in input_ids:
+                if target != state:
+                    input_pred[target].append((aid, state))
+            else:
+                interactive_pred[target].append((aid, state))
         for target, rate in model.markovian_dict(state).items():
             markovian_pred[target].append((state, rate))
-        if input_ids:
+        if input_ids and not own_inputs_invisible:
             enabled = model.enabled_ids(state)
             input_gaps[state] = tuple(aid for aid in input_ids if aid not in enabled)
 
@@ -338,7 +359,10 @@ def _strong_partition_splitter(
     # `process_rates` snapshots the whole block every time, the measured
     # quadratic term on singleton-quotient chains.
     has_mpred = np.fromiter(
-        (bool(markovian_pred[state]) for state in range(num_states)),
+        (
+            bool(markovian_pred[state] or input_pred[state])
+            for state in range(num_states)
+        ),
         dtype=bool,
         count=num_states,
     )
@@ -352,17 +376,17 @@ def _strong_partition_splitter(
     # valid.  The two-level layout keeps the per-edge work of a compound
     # round to plain int-keyed dict hits instead of 3-tuple hashing.
     counts: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for state in range(num_states):
-        for aid, _target in model.interactive_pairs(state):
+    for target in range(num_states):
+        for aid, state in interactive_pred[target]:
             per_state = counts.get((0, aid))
             if per_state is None:
                 per_state = counts[(0, aid)] = {}
             per_state[state] = per_state.get(state, 0) + 1
-        for aid in input_gaps[state]:
+        for aid in input_gaps[target]:
             per_state = counts.get((0, aid))
             if per_state is None:
                 per_state = counts[(0, aid)] = {}
-            per_state[state] = per_state.get(state, 0) + 1
+            per_state[target] = per_state.get(target, 0) + 1
 
     compound_of: Dict[int, int] = {block: 0 for block in part.blocks()}
     compound_blocks: List[Set[int]] = [set(part.blocks())]
@@ -461,12 +485,21 @@ def _strong_partition_splitter(
                 if source in splitter_set:
                     continue
                 weights[source] = weights.get(source, 0.0) + rate
-        if not weights:
+        # Input moves into the splitter (own-class-blind relation only): a
+        # bitmask of the input actions per outside predecessor.
+        inputs: Dict[int, int] = {}
+        for target in states:
+            for aid, source in input_pred[target]:
+                if source not in splitter_set:
+                    inputs[source] = inputs.get(source, 0) | (1 << aid)
+        if not weights and not inputs:
             return
-        part.mark_all(list(weights), assume_unique=True)
+        part.mark_all(list(weights.keys() | inputs.keys()), assume_unique=True)
 
-        def rate_key(source: int) -> float:
-            return canonical_rate(weights[source], rate_digits)
+        def rate_key(source: int):
+            weight = weights.get(source)
+            key = None if weight is None else canonical_rate(weight, rate_digits)
+            return (key, inputs.get(source, 0)) if inputs else key
 
         for marked, rest in part.split_marked():
             # The marked part holds exactly the positive-weight states of one
@@ -557,20 +590,36 @@ def weak_bisimulation_partition(
     Two states are equivalent iff (respecting labels)
 
     * for every visible action, the classes reachable via a weak move
-      (``τ* a τ*``, implicit input self-loops included) coincide,
+      (``τ* a τ*``, implicit input self-loops included) coincide — except
+      that for an *input* action a state's own class is ignored (the
+      input own-block rule),
     * the classes reachable via internal moves alone coincide,
     * the sets of canonical Markovian rate vectors of the *stable* states
       reachable via internal moves coincide (maximal progress means only
-      those states can let time pass).
+      those states can let time pass) — where a tau-cycle with no way out
+      counts as a stable state without rates (the divergence rule).
+
+    Both rules describe what the weak quotient realises.  The quotient
+    leaves an input move back into its own block implicit, so two states
+    that differ only there are the same quotient state; the input own-block
+    rule mirrors the own-class exclusion of the rate vectors.  The quotient
+    drops tau moves inside a block, so a block on a tau-cycle with no exit
+    becomes a stable state without rates.  With both rules, minimising a
+    weak quotient again changes nothing (:func:`minimize_weak` is
+    idempotent).  Every engine applies them; a splitter block's
+    input-action predicate never splits the splitter itself.
     """
     _check_algorithm(algorithm)
     if algorithm == "signature":
         return _weak_partition_signature(model, respect_labels, rate_digits)
     if _has_no_internal_transitions(model):
         # Without internal moves every tau-closure is a singleton and every
-        # state is stable: weak and strong bisimulation coincide, and the
-        # strong splitter avoids the condensation and rate-class machinery.
-        return _strong_partition_splitter(model, respect_labels, rate_digits)
+        # state is stable: weak bisimulation is strong bisimulation under the
+        # input own-block rule, and the strong splitter avoids the
+        # condensation and rate-class machinery.
+        return _strong_partition_splitter(
+            model, respect_labels, rate_digits, own_inputs_invisible=True
+        )
     return _weak_engine(model, respect_labels, rate_digits, algorithm).state_partition()
 
 
@@ -611,13 +660,29 @@ def _weak_partition_signature(
     closures = _internal_closure(model)
     visible_reach = _weak_visible_reach(model, closures)
     stable = [model.is_stable(state) for state in model.states()]
+    input_ids = model.signature.input_ids
+    # Divergence rule: a state that can reach a tau-cycle with no way out
+    # (a closure without stable states) weakly reaches "time stops", which
+    # the quotient renders as a stable state without rates.
+    timelocked = [not any(stable[target] for target in closure) for closure in closures]
+    reaches_timelock = [any(timelocked[target] for target in closure) for closure in closures]
 
     block_of = _initial_blocks(model, respect_labels)
     while True:
         signatures: Dict[int, object] = {}
         for state in model.states():
+            own_block = block_of[state]
+            # Input own-block rule: an input move back into the state's own
+            # class is invisible, exactly as the quotient leaves it implicit.
             visible_sig = frozenset(
-                (action, frozenset(block_of[target] for target in targets))
+                (
+                    action,
+                    frozenset(
+                        block
+                        for block in (block_of[target] for target in targets)
+                        if block != own_block or action not in input_ids
+                    ),
+                )
                 for action, targets in visible_reach[state].items()
             )
             tau_sig = frozenset(block_of[target] for target in closures[state])
@@ -637,6 +702,8 @@ def _weak_partition_signature(
                         for block, total in rates.items()
                     )
                 )
+            if reaches_timelock[state]:
+                rate_vectors.add(frozenset())
             signatures[state] = (visible_sig, tau_sig, frozenset(rate_vectors))
         block_of, changed = _refine_by_signature(block_of, signatures)
         if not changed:
@@ -655,9 +722,15 @@ class _WeakEngineBase:
 
     * a partition block ``B``: split every block by "can tau-reach ``B``"
       and, per visible action ``a``, by "can weakly do ``a`` into ``B``"
-      (implicit input self-loops included);
+      (implicit input self-loops included).  For an input action ``a``
+      the predicate never splits ``B`` itself (the input own-block rule of
+      :func:`weak_bisimulation_partition`): when ``B`` splits, both pieces
+      re-enter the worklist, and each piece's predicate then separates
+      the other piece's members;
     * a Markovian *rate class* (stable states with equal canonical rate
-      vectors): split every block by "can tau-reach a member of the class".
+      vectors; units of a bottom tau-SCC without stable states join the
+      empty vector's class for good): split every block by "can tau-reach
+      a member of the class".
 
     When a block splits, the rate vectors of the stable states pointing into
     the moved states (and of the moved/remaining stable states themselves,
@@ -820,10 +893,13 @@ class _WeakEngineBase:
         for scc, units in enumerate(self.scc_units):
             unit_counts[scc + 1] = len(units)
         self._unit_off = np.cumsum(unit_counts)
+        #: Whether some SCC splits into several units (by label set).
+        self._multi_unit = len(self.unit_states) != num_sccs
         self._unit_scc_arr = np.asarray(self.unit_scc, dtype=np.int64)
         #: Scratch: composite predicate code per unit, valid for the units
         #: scattered during the current mark/split round only.
         self._unit_code = np.zeros(len(self.unit_states), dtype=np.int64)
+        self._input_ids = input_ids
 
         # ---- partition over units ----------------------------------------
         self.part = RefinablePartition(len(self.unit_states))
@@ -840,6 +916,12 @@ class _WeakEngineBase:
         for unit, stable in enumerate(self.unit_stable):
             if stable:
                 self._assign_rate_class(unit)
+            elif not cond.tau_succ[self.unit_scc[unit]]:
+                # Divergence rule: an unstable unit of a bottom tau-SCC sits
+                # on a tau-cycle with no way out, where time stops.  It
+                # carries the empty rate vector for good, as the quotient
+                # renders its block as a stable state without rates.
+                self._assign_rate_class(unit, frozenset())
 
         self._refined = False
 
@@ -859,9 +941,13 @@ class _WeakEngineBase:
             for block, total in rates.items()
         )
 
-    def _assign_rate_class(self, unit: int) -> Optional[Tuple[int, ...]]:
-        """(Re)bucket a stable unit by rate vector; return the changed classes."""
-        key = self._vector_key(unit)
+    def _assign_rate_class(
+        self, unit: int, key: Optional[FrozenSet[Tuple[int, float]]] = None
+    ) -> Optional[Tuple[int, ...]]:
+        """(Re)bucket a stable unit by rate vector (``key``, when given);
+        return the changed classes."""
+        if key is None:
+            key = self._vector_key(unit)
         new_class = self.class_by_key.get(key)
         if new_class is None:
             new_class = len(self.class_members)
@@ -958,8 +1044,20 @@ class _WeakEngineBase:
             self.part.mark_all(units, assume_unique=True)
             self._finish_binary(push)
 
-    def _scatter_and_split(self, sccs: np.ndarray, codes: np.ndarray, push) -> None:
-        """One vectorised mark/split round over the touched SCCs and codes."""
+    def _scatter_and_split(
+        self,
+        sccs: np.ndarray,
+        codes: np.ndarray,
+        push,
+        own: Optional[np.ndarray] = None,
+        own_bits: int = 0,
+    ) -> None:
+        """One vectorised mark/split round over the touched SCCs and codes.
+
+        ``own_bits`` are the code bits of input-action predicates of the
+        splitter whose units are ``own``: those units ignore them (the
+        input own-block rule), so the predicates never split the splitter.
+        """
         part = self.part
         unit_off = self._unit_off
         units = _csr_flat(unit_off, sccs)
@@ -968,34 +1066,13 @@ class _WeakEngineBase:
         counts = unit_off[sccs + 1] - unit_off[sccs]
         unit_code = self._unit_code
         unit_code[units] = np.repeat(codes, counts)
+        if own_bits:
+            unit_code[own] &= ~own_bits
+            units = units[unit_code[units] != 0]
+            if not units.size:
+                return
         part.mark_all(units, assume_unique=True)
         self._finish_codes(unit_code.__getitem__, push)
-
-    def _apply_codes(self, predicates: List[np.ndarray], push) -> None:
-        """Fold closure index-array ``predicates`` into codes and split."""
-        for begin in range(0, len(predicates), self._CODE_BITS):
-            chunk = predicates[begin : begin + self._CODE_BITS]
-            if len(chunk) == 1:
-                self._apply_binary(chunk[0], push)
-                continue
-            idx = np.concatenate(chunk)
-            if not idx.size:
-                continue
-            bits = np.concatenate(
-                [
-                    np.full(pred.size, 1 << position, dtype=np.int64)
-                    for position, pred in enumerate(chunk)
-                ]
-            )
-            order = np.argsort(idx, kind="stable")
-            idx = idx[order]
-            bits = bits[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(idx[1:] != idx[:-1]) + 1)
-            )
-            self._scatter_and_split(
-                idx[starts], np.bitwise_or.reduceat(bits, starts), push
-            )
 
     def _flush_dirty(self, push) -> None:
         """Re-bucket every stale stable unit; re-enqueue the changed classes."""
@@ -1150,14 +1227,15 @@ class _WeakSplitterEngine(_WeakEngineBase):
                 mark(unit)
         self._finish_binary(push)
 
-    def _process_sparse(self, reach: List[int], push) -> None:
+    def _process_sparse(self, reach: List[int], own: List[int], push) -> None:
         """Scalar path for splitters with small tau-closures.
 
         Builds the visible-action predicates with dict/set bookkeeping and
         marks units one by one — on the ~tens-of-SCCs closures that dominate
         refinement this beats the vectorised pipeline's fixed numpy call
         overhead — then runs the same composite-code mark/split rounds as
-        the dense path.
+        the dense path.  The splitter's ``own`` units ignore its
+        input-action predicates.
         """
         edge_aid = self._edge_aid_l
         edge_src = self._edge_src_l
@@ -1183,28 +1261,37 @@ class _WeakSplitterEngine(_WeakEngineBase):
             self._apply_binary_seq(reach, push)
             return
         predicates: List[List[int]] = [reach]
-        for sources in buckets.values():
+        is_input = [False]
+        input_ids = self._input_ids
+        for aid, sources in buckets.items():
             packed = self._or_rows(list(sources))
             predicates.append(self._decode(packed, packed.nonzero()[0]))
+            is_input.append(aid in input_ids)
+        own_set = set(own)
         mark = self.part.mark
         scc_units = self.scc_units
         for begin in range(0, len(predicates), self._CODE_BITS):
             chunk = predicates[begin : begin + self._CODE_BITS]
-            if len(chunk) == 1:
-                self._apply_binary_seq(chunk[0], push)
-                continue
             codes: Dict[int, int] = {}
             get = codes.get
             bit = 1
-            for predicate in chunk:
+            own_bits = 0
+            for predicate, input_predicate in zip(chunk, is_input[begin:]):
                 for scc in predicate:
                     codes[scc] = get(scc, 0) | bit
+                if input_predicate:
+                    own_bits |= bit
                 bit <<= 1
             unit_code: Dict[int, int] = {}
             for scc, value in codes.items():
                 for unit in scc_units[scc]:
+                    if unit in own_set:
+                        if not value & ~own_bits:
+                            continue
+                        unit_code[unit] = value & ~own_bits
+                    else:
+                        unit_code[unit] = value
                     mark(unit)
-                    unit_code[unit] = value
             self._finish_codes(unit_code.__getitem__, push)
 
     def _process(self, splitter, push) -> None:
@@ -1253,7 +1340,7 @@ class _WeakSplitterEngine(_WeakEngineBase):
             )
         nzb = tau_packed.nonzero()[0]
         if nzb.size <= self._SPARSE_BYTES:
-            self._process_sparse(self._decode(tau_packed, nzb), push)
+            self._process_sparse(self._decode(tau_packed, nzb), units, push)
             return
         # Vectorised path for large closures (deep tau structure): the CSR
         # gathers pull every in-edge of the closure in one shot, a stable
@@ -1291,18 +1378,16 @@ class _WeakSplitterEngine(_WeakEngineBase):
                     ancestors[srcs], axis=0, out=group_packed[position]
                 )
         all_packed = np.concatenate([tau_packed[None, :], group_packed], axis=0)
+        is_input = [False, *(aid in self._input_ids for aid in groups.tolist())]
+        own = np.asarray(units, dtype=np.int64)
         for begin in range(0, all_packed.shape[0], self._CODE_BITS):
             chunk = all_packed[begin : begin + self._CODE_BITS]
-            if chunk.shape[0] == 1:
-                self._apply_binary(
-                    np.flatnonzero(np.unpackbits(chunk[0], count=num_sccs)), push
-                )
-                continue
             union = np.bitwise_or.reduce(chunk, axis=0)
             touched = np.flatnonzero(np.unpackbits(union, count=num_sccs))
             membership = (chunk[:, touched >> 3] & _BIT_MASK[touched & 7]) != 0
             codes = _CODE_WEIGHTS[: chunk.shape[0]] @ membership
-            self._scatter_and_split(touched, codes, push)
+            own_bits = _input_bits(is_input[begin : begin + chunk.shape[0]])
+            self._scatter_and_split(touched, codes, push, own, own_bits)
 
     def _process_fallback(self, units: List[int], push) -> None:
         """Block-splitter path when the packed reach matrix is unavailable
@@ -1328,11 +1413,34 @@ class _WeakSplitterEngine(_WeakEngineBase):
             ([0], np.flatnonzero(group_aid[1:] != group_aid[:-1]) + 1)
         )
         predicates = [reach]
+        is_input = [False]
         bounds = [*starts.tolist(), key.size]
-        for position in range(len(bounds) - 1):
-            group = group_src[bounds[position] : bounds[position + 1]]
-            predicates.append(self._closure_idx(group))
-        self._apply_codes(predicates, push)
+        for low, high in zip(bounds[:-1], bounds[1:]):
+            predicates.append(self._closure_idx(group_src[low:high]))
+            is_input.append(int(group_aid[low]) in self._input_ids)
+        own = np.asarray(units, dtype=np.int64)
+        for begin in range(0, len(predicates), self._CODE_BITS):
+            chunk = predicates[begin : begin + self._CODE_BITS]
+            idx = np.concatenate(chunk)
+            bits = np.concatenate(
+                [
+                    np.full(pred.size, 1 << position, dtype=np.int64)
+                    for position, pred in enumerate(chunk)
+                ]
+            )
+            order = np.argsort(idx, kind="stable")
+            idx = idx[order]
+            bits = bits[order]
+            starts = np.concatenate(
+                ([0], np.flatnonzero(idx[1:] != idx[:-1]) + 1)
+            )
+            self._scatter_and_split(
+                idx[starts],
+                np.bitwise_or.reduceat(bits, starts),
+                push,
+                own,
+                _input_bits(is_input[begin : begin + len(chunk)]),
+            )
 
     def _run(self) -> None:
         if self._refined:
@@ -1430,6 +1538,12 @@ class _WeakClosureEngine(_WeakEngineBase):
         #: Action id of each saturated-edge slot (sorted for determinism).
         self.sat_actions: List[int] = sat.tolist()
         num_actions = sat.size
+        #: Per slot: whether the action is an input (own-block rule).
+        self._sat_input = np.fromiter(
+            (aid in self._input_ids for aid in self.sat_actions),
+            dtype=bool,
+            count=num_actions,
+        )
         if num_actions and num_actions * num_sccs * num_sccs >= 2**62:
             # The packed (target, action, source) keys of the vectorised
             # direct-edge build would overflow int64; treat like a blown
@@ -1498,25 +1612,25 @@ class _WeakClosureEngine(_WeakEngineBase):
         self._win_off = np.concatenate(([0], np.cumsum(sizes)))
         self._win_val = np.concatenate(win) if num_sccs else _EMPTY_I64
 
-    def _gather(self, offsets: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Stacked CSR row slice: the concatenated rows ``idx``."""
-        return values[_csr_flat(offsets, idx)]
+    #: Exclusive bound of the packed ``unit * P + pred`` keys of one round.
+    _KEY_LIMIT = 2**62
 
     def _refine_round(self, blocks: List[int], classes: List[int], push) -> None:
         """One batched frontier round over all pending splitters at once.
 
         Every predicate of the round — per rate class the backward closure
         of its members' SCCs, per block its backward closure plus one
-        saturated in-edge set per visible action — is an SCC set, so all
-        units of one SCC satisfy exactly the same predicates.  The round
+        saturated in-edge set per visible action — is an SCC set.  The round
         therefore tags each closure/in-edge entry with its predicate id
         (``scc * P + pred``), deduplicates the whole frontier with a single
-        ``np.unique``, and reads each touched SCC's *signature* (its sorted
-        predicate list) straight off the group boundaries.  Splitting every
-        touched block by signature id reaches the same common refinement as
-        splitting by each predicate in sequence, for one vectorised
-        mark/split pass per round instead of one per splitter — the
-        per-splitter ``np.unique`` storm of the chunked path is gone.
+        sort, spreads the entries over the SCC's units (one unit per SCC
+        unless label sets split it), drops each unit's input-action
+        predicates of its own splitter block (the input own-block rule) and
+        reads each touched unit's *signature* (its sorted predicate list)
+        straight off the group boundaries.  Splitting every touched block by
+        signature id reaches the same common refinement as splitting by each
+        predicate in sequence, for one vectorised mark/split pass per round
+        instead of one per splitter.
         """
         num_sccs = self.condensation.num_sccs
         num_actions = len(self.sat_actions)
@@ -1534,15 +1648,21 @@ class _WeakClosureEngine(_WeakEngineBase):
             )
         k_cls = len(class_seeds)
         k_blk = len(blocks)
-        preds_total = k_cls + k_blk + k_blk * num_actions
+        vis_base = k_cls + k_blk
+        preds_total = vis_base + k_blk * num_actions
         if not preds_total:
             return
-        if num_sccs and preds_total >= 2**62 // num_sccs:
-            # Packed (scc, predicate) keys would overflow int64: process the
-            # splitters through the chunked per-predicate path instead.
-            predicates = self._frontier_predicates(blocks, classes)
-            if predicates:
-                self._apply_codes(predicates, push)
+        num_units = len(self.unit_states)  # >= num_sccs
+        splitters = len(blocks) + len(classes)
+        if splitters > 1 and preds_total >= self._KEY_LIMIT // num_units:
+            # Packed (unit, predicate) keys would overflow int64: run the
+            # frontier as two smaller rounds (any current block or class is
+            # a sound splitter, and every piece they cut off is re-pushed).
+            half_blocks, half_classes = len(blocks) // 2, len(classes) // 2
+            if not half_blocks + half_classes:  # one block and one class
+                half_blocks = 1
+            self._refine_round(blocks[:half_blocks], classes[:half_classes], push)
+            self._refine_round(blocks[half_blocks:], classes[half_classes:], push)
             return
         streams: List[np.ndarray] = []
         if k_cls:
@@ -1571,19 +1691,47 @@ class _WeakClosureEngine(_WeakEngineBase):
             if wvals.size:
                 slots = wvals // num_sccs
                 sources = wvals - slots * num_sccs
-                vis_base = k_cls + k_blk
                 streams.append(
                     sources * preds_total
                     + (vis_base + np.repeat(owner, wcnt) * num_actions + slots)
                 )
         codes = _sorted_unique(np.concatenate(streams))
-        sccs = codes // preds_total
-        preds = codes - sccs * preds_total
+        owners = codes // preds_total
+        preds = codes - owners * preds_total
+        unit_off = self._unit_off
+        if self._multi_unit:
+            # Some SCC holds several units (label sets), which may sit in
+            # different blocks: key the entries by unit from here on.
+            cnt = unit_off[owners + 1] - unit_off[owners]
+            codes = np.sort(
+                _csr_flat(unit_off, owners) * preds_total + np.repeat(preds, cnt)
+            )
+            owners = codes // preds_total
+            preds = codes - owners * preds_total
+        # Without multi-unit SCCs unit ids coincide with SCC ids.
+        if k_blk and self._sat_input.any():
+            # Input own-block rule: a unit ignores the input-action
+            # predicates of the splitter block it belongs to.
+            visible = preds - vis_base
+            candidates = np.flatnonzero(visible >= 0)
+            splitter = visible[candidates] // num_actions
+            slot = visible[candidates] - splitter * num_actions
+            own = self._sat_input[slot] & (
+                np.asarray(blocks, dtype=np.int64)[splitter]
+                == self.part._block_of[owners[candidates]]
+            )
+            if own.any():
+                keep = np.ones(codes.size, dtype=bool)
+                keep[candidates[own]] = False
+                owners = owners[keep]
+                preds = preds[keep]
+                if not owners.size:
+                    return
         bounds = np.concatenate(
-            ([0], np.flatnonzero(sccs[1:] != sccs[:-1]) + 1, [codes.size])
+            ([0], np.flatnonzero(owners[1:] != owners[:-1]) + 1, [owners.size])
         )
         lows = bounds[:-1]
-        touched = sccs[lows]
+        touched = owners[lows]
         group_sizes = np.diff(bounds)
         # Signature ids must be injective on signature equality (two units of
         # one block with equal signatures must NOT separate): single-predicate
@@ -1609,62 +1757,13 @@ class _WeakClosureEngine(_WeakEngineBase):
                     code = next_id + len(sig_of)
                     sig_of[key] = code
                 sig_ids[position] = code
-        unit_off = self._unit_off
-        units = _csr_flat(unit_off, touched)
-        if not units.size:
-            return
-        self._unit_code[units] = np.repeat(
-            sig_ids, unit_off[touched + 1] - unit_off[touched]
-        )
-        self.part.mark_all(units, assume_unique=True)
+        self._unit_code[touched] = sig_ids
+        self.part.mark_all(touched, assume_unique=True)
         pieces, moved = self.part.split_marked_by_codes(self._unit_code)
         for piece in pieces:
             push(("block", piece))
         if moved:
             self._track_dirty(moved, push)
-
-    def _frontier_predicates(
-        self, blocks: List[int], classes: List[int]
-    ) -> List[np.ndarray]:
-        """Predicate index arrays (sets of satisfying SCCs) for one round.
-
-        Chunked fallback of :meth:`_refine_round` for frontiers whose packed
-        (scc, predicate) keys would overflow int64.  Rate-class predicates
-        are the backward closures of the class members' SCCs; block
-        predicates are the backward closure of the block's SCCs (the
-        weak-tau predicate) plus, per visible action, the saturated in-edge
-        sources — read straight out of the precomputed CSR rows, grouped by
-        the action slot of their packed keys.
-        """
-        num_sccs = self.condensation.num_sccs
-        part = self.part
-        unit_scc = self._unit_scc_arr
-        predicates: List[np.ndarray] = []
-        for index in classes:
-            members = self.class_members[index]
-            if not members:
-                continue  # class emptied by re-bucketing
-            seeds = np.unique(
-                unit_scc[np.fromiter(members, dtype=np.int64, count=len(members))]
-            )
-            row = self._gather(self._bck_off, self._bck_val, seeds)
-            predicates.append(np.unique(row) if seeds.size > 1 else row)
-        for block in blocks:
-            sccs = unit_scc[part.member_array(block)]
-            if sccs.size > 1:
-                sccs = np.unique(sccs)
-            row = self._gather(self._bck_off, self._bck_val, sccs)
-            predicates.append(np.unique(row) if sccs.size > 1 else row)
-            keys = self._gather(self._win_off, self._win_val, sccs)
-            if not keys.size:
-                continue
-            keys = np.unique(keys)  # sorted by (action slot, source SCC)
-            slots = keys // num_sccs
-            starts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), keys.size]
-            for position in range(len(starts) - 1):
-                group = keys[starts[position] : starts[position + 1]]
-                predicates.append(group - slots[starts[position]] * num_sccs)
-        return predicates
 
     def _run(self) -> None:
         if self._refined:
@@ -1750,6 +1849,13 @@ def _build_weak_quotient(
     ascending accumulation.  Assembly is one global decode of the
     representatives' rows into pair lists — no per-state closure frozensets
     and no per-SCC Python set unions.
+
+    An input move from a block back into itself is left implicit (no
+    explicit self-loop), and a tau move inside a block is dropped.  These
+    are the input own-block and divergence rules of
+    :func:`weak_bisimulation_partition`, so the quotient realises the
+    relation the partition was computed for, and minimising the quotient
+    again finds nothing to merge.
 
     ``precomputed``, when given, is the weak engines' already-extracted
     ``(vis_src, vis_aid, vis_off, gap_scc, gap_aid, stable_flags)`` edge
@@ -2009,7 +2115,7 @@ def minimize_strong(
     partition = strong_bisimulation_partition(
         model, respect_labels=respect_labels, algorithm=algorithm, rate_digits=rate_digits
     )
-    return quotient_strong(model, partition).restrict_to_reachable(model.name)
+    return quotient_strong(model, partition)._reachable_part()
 
 
 def minimize_weak(
@@ -2029,8 +2135,11 @@ def minimize_weak(
         partition = _weak_partition_signature(model, respect_labels, rate_digits)
         quotient = quotient_weak(model, partition)
     elif _has_no_internal_transitions(model):
-        partition = _strong_partition_splitter(model, respect_labels, rate_digits)
+        partition = _strong_partition_splitter(
+            model, respect_labels, rate_digits, own_inputs_invisible=True
+        )
         quotient = quotient_weak(model, partition)
     else:
         quotient = _weak_engine(model, respect_labels, rate_digits, algorithm).quotient()
-    return quotient.restrict_to_reachable(model.name)
+    # The quotient is fresh and already carries ``model.name``.
+    return quotient._reachable_part()

@@ -36,6 +36,17 @@ def apply_maximal_progress(
     return pruned
 
 
+def _prune_urgent_rates(model: IOIMC, urgent_outputs: bool = True) -> IOIMC:
+    """:func:`apply_maximal_progress`, but ``model`` itself (no copy) when no
+    urgent state has a Markovian transition — for pipelines that own it."""
+    mask = model.signature.urgent_mask if urgent_outputs else model.signature.internal_mask
+    mtrans = model._mtrans
+    enabled_mask = model.enabled_mask
+    if any(mtrans[state] and enabled_mask(state) & mask for state in model.states()):
+        return apply_maximal_progress(model, urgent_outputs)
+    return model
+
+
 def count_pruned_transitions(model: IOIMC, urgent_outputs: bool = True) -> int:
     """Number of Markovian transitions that maximal progress would remove."""
     removed = 0

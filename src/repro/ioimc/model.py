@@ -506,9 +506,16 @@ class IOIMC:
 
     def restrict_to_reachable(self, name: Optional[str] = None) -> "IOIMC":
         """Return a copy containing only states reachable from the initial state."""
+        restricted = self._reachable_part(name)
+        return self.copy(name) if restricted is self else restricted
+
+    def _reachable_part(self, name: Optional[str] = None) -> "IOIMC":
+        """:meth:`restrict_to_reachable` without the copy when every state is
+        reachable: then the model itself comes back, ``name`` ignored.  For
+        pipelines that own the model they restrict."""
         reachable = sorted(self.reachable_states())
         if len(reachable) == self.num_states:
-            return self.copy(name)
+            return self
         remap = {old: new for new, old in enumerate(reachable)}
         restricted = IOIMC(name if name is not None else self.name, self.signature)
         for old in reachable:

@@ -2,15 +2,24 @@
 
 The paper's compositional aggregation interleaves parallel composition with
 state-space reduction.  This module wires the individual reductions into a
-single :func:`aggregate` entry point:
+single :func:`aggregate` entry point, one pass over the model:
 
 1. restriction to reachable states,
 2. maximal progress (urgency) pruning,
 3. removal of internal self-loops,
 4. compression of deterministic internal transitions (vanishing states whose
-   only behaviour is a single internal step),
+   only behaviour is a single internal step), and reachability again,
 5. bisimulation minimisation (weak by default, strong as a cross-check),
-6. another reachability restriction.
+6. maximal progress and compression once more, then reachability: the
+   quotient can leave an urgent state with rates or a vanishing state,
+7. a second minimisation, only if step 6 removed a state (its removal can
+   expose a plain lumping).
+
+Weak minimisation is idempotent (the partition honours the input own-block
+and divergence rules of
+:func:`~repro.ioimc.bisimulation.weak_bisimulation_partition`), so this one
+pass lands on the fixpoint that repeating the sequence would reach.  Steps
+with nothing to do hand their input on instead of copying it.
 
 Every step preserves the reliability measures computed by the analysis layer;
 the pipeline records before/after statistics so benchmarks can report the
@@ -19,22 +28,14 @@ the pipeline records before/after statistics so benchmarks can report the
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ModelError
 from .bisimulation import ALGORITHMS, minimize_strong, minimize_weak
-from .maximal_progress import apply_maximal_progress
+from .maximal_progress import _prune_urgent_rates
 from .model import IOIMC
 from .partition import DEFAULT_RATE_DIGITS
-
-LOGGER = logging.getLogger("repro.ioimc.reduction")
-
-#: Rounds of the reduction fixpoint in :func:`aggregate`.  Two or three
-#: rounds reach the fixpoint in practice; a run that is still shrinking
-#: after the last round stops there with a warning.
-MAX_AGGREGATION_ROUNDS = 10
 
 
 @dataclass
@@ -193,13 +194,27 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
     return compressed
 
 
+def _drop_internal_self_loops(model: IOIMC) -> IOIMC:
+    """:func:`remove_internal_self_loops`, but ``model`` itself (no copy)
+    when it has none."""
+    internal = model.signature.internal_ids
+    if any(
+        target == state and aid in internal
+        for state in model.states()
+        for aid, target in model.interactive_pairs(state)
+    ):
+        return remove_internal_self_loops(model)
+    return model
+
+
 def aggregate(
     model: IOIMC,
     options: Optional[AggregationOptions] = None,
 ) -> tuple[IOIMC, AggregationStatistics]:
     """Run the full aggregation pipeline on ``model``.
 
-    Returns the reduced model together with before/after statistics.
+    Returns the reduced model (never ``model`` itself) together with
+    before/after statistics.
     """
     options = options or AggregationOptions()
     stats = AggregationStatistics(
@@ -207,47 +222,48 @@ def aggregate(
         transitions_before=model.num_transitions,
     )
 
-    reduced = model.restrict_to_reachable()
+    # The steps around the minimiser hand their input on when they have
+    # nothing to do, so an already-reduced model is not copied over and over.
+    reduced = model._reachable_part()
     if options.method != "none":
-        # The individual reductions can enable each other (e.g. quotienting may
-        # create a deterministic internal chain that can then be compressed),
-        # so the sequence is iterated until a fixpoint is reached.
-        for _round in range(MAX_AGGREGATION_ROUNDS):
-            size_before = (reduced.num_states, reduced.num_transitions)
-            reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
-            reduced = remove_internal_self_loops(reduced)
-            reduced = compress_deterministic_tau(reduced)
-            reduced = reduced.restrict_to_reachable()
-            if options.method == "weak":
-                reduced = minimize_weak(
-                    reduced,
-                    respect_labels=options.respect_labels,
-                    algorithm=options.minimiser,
-                    rate_digits=options.rate_digits,
-                )
-            elif options.method == "strong":
-                reduced = minimize_strong(
-                    reduced,
-                    respect_labels=options.respect_labels,
-                    algorithm=options.minimiser,
-                    rate_digits=options.rate_digits,
-                )
-            # re-run maximal progress: quotienting may have exposed new urgency
-            reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
-            reduced = reduced.restrict_to_reachable()
-            if (reduced.num_states, reduced.num_transitions) == size_before:
-                break
-        else:
-            LOGGER.warning(
-                "aggregation of %r stopped at the %d-round cap while still "
-                "shrinking (%d states, %d transitions after the last round)",
-                model.name,
-                MAX_AGGREGATION_ROUNDS,
-                reduced.num_states,
-                reduced.num_transitions,
-            )
+        reduced = _minimise(_settle(reduced, options), options)
+        # The quotient can leave an urgent state with rates, or a vanishing
+        # state whose removal exposes a plain lumping: settle both, and
+        # minimise once more only in the second case.
+        settled = _settle(reduced, options)
+        if settled.num_states < reduced.num_states:
+            settled = _settle(_minimise(settled, options), options)
+        reduced = settled
 
+    if reduced is model:
+        reduced = model.copy()
     reduced.name = model.name
     stats.states_after = reduced.num_states
     stats.transitions_after = reduced.num_transitions
     return reduced, stats
+
+
+def _minimise(model: IOIMC, options: AggregationOptions) -> IOIMC:
+    """Quotient of ``model`` modulo the relation of ``options.method``
+    (the model itself for ``"tau"``)."""
+    if options.method == "weak":
+        minimiser = minimize_weak
+    elif options.method == "strong":
+        minimiser = minimize_strong
+    else:
+        return model
+    return minimiser(
+        model,
+        respect_labels=options.respect_labels,
+        algorithm=options.minimiser,
+        rate_digits=options.rate_digits,
+    )
+
+
+def _settle(model: IOIMC, options: AggregationOptions) -> IOIMC:
+    """Maximal progress, internal self-loop removal and deterministic-tau
+    compression, then reachability (steps 2-4, and step 6: a strong
+    quotient or a compressed tau-cycle can carry internal self-loops)."""
+    settled = _prune_urgent_rates(model, options.urgent_outputs)
+    settled = _drop_internal_self_loops(settled)
+    return compress_deterministic_tau(settled)._reachable_part()

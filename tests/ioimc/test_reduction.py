@@ -1,9 +1,9 @@
 """Tests for the aggregation pipeline (reduction module)."""
 
-import logging
-
 import pytest
 
+from repro import Study
+from repro.core import aggregation as core_aggregation
 from repro.errors import ModelError
 from repro.ioimc import reduction
 from repro.ioimc import (
@@ -11,9 +11,12 @@ from repro.ioimc import (
     IOIMC,
     aggregate,
     compress_deterministic_tau,
+    minimize_weak,
     remove_internal_self_loops,
     signature,
 )
+from repro.systems import cardiac_assist_system
+from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 
 def chain_with_taus() -> IOIMC:
@@ -111,21 +114,51 @@ class TestAggregate:
         assert reduced.num_states == 1
         assert stats.state_reduction == 0.0
 
-    def test_round_cap_warns_when_still_shrinking(self, monkeypatch, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.ioimc.reduction"):
-            uncapped, _ = aggregate(chain_with_taus())
-        # The fixpoint is reached within the default cap: no warning.
-        assert not [r for r in caplog.records if r.name == "repro.ioimc.reduction"]
-        monkeypatch.setattr(reduction, "MAX_AGGREGATION_ROUNDS", 1)
-        with caplog.at_level(logging.WARNING, logger="repro.ioimc.reduction"):
-            capped, stats = aggregate(chain_with_taus())
-        # Round 1 shrinks the chain (4 states -> fewer), so the single allowed
-        # round ends while the size is still changing.
-        assert stats.states_after < stats.states_before
-        warnings = [r for r in caplog.records if r.name == "repro.ioimc.reduction"]
-        assert len(warnings) == 1
-        assert warnings[0].levelno == logging.WARNING
-        assert "1-round cap" in warnings[0].getMessage()
-        # Here round 1 already reaches the fixpoint: the result is unchanged.
-        assert capped.to_dot() == uncapped.to_dot()
+    @pytest.mark.parametrize("method", ["weak", "strong", "tau", "none"])
+    def test_result_is_never_the_input(self, method):
+        # Steps with nothing to do hand their input on instead of copying
+        # it, but the caller still gets a model of its own.
+        model = IOIMC("reduced", signature(outputs=["done"]))
+        start = model.add_state(initial=True)
+        model.add_markovian(start, 1.0, model.add_state(labels=["failed"]))
+        reduced, _ = aggregate(model, AggregationOptions(method=method))
+        assert reduced is not model
+        assert canonical_form(reduced) == canonical_form(model)
+        reduced.add_state()
+        assert model.num_states == 2
 
+
+def _cas_final_product():
+    """The input of the last aggregate() call of a cache-less CAS Study."""
+    inputs = []
+
+    def capture(model, options=None):
+        inputs.append(model)
+        return reduction.aggregate(model, options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_aggregation, "aggregate", capture)
+        Study(cardiac_assist_system()).final_ioimc
+    return inputs[-1]
+
+
+class TestSinglePass:
+    def test_cas_final_product_minimises_twice(self, monkeypatch):
+        # The quotient of the CAS final product leaves one vanishing state;
+        # compressing it exposes a plain lumping, and only then does the
+        # pass call the minimiser a second time (21 -> 13 states).
+        product = _cas_final_product()
+        calls = []
+
+        def counting(model, **kwargs):
+            quotient = minimize_weak(model, **kwargs)
+            calls.append((model.num_states, quotient.num_states))
+            return quotient
+
+        monkeypatch.setattr(reduction, "minimize_weak", counting)
+        reduced, _ = aggregate(product)
+        assert calls == [(42, 22), (21, 13)]
+        assert reduced.num_states == 13
+        reference, rounds = aggregate_to_fixpoint(product)
+        assert rounds > 1
+        assert canonical_form(reduced) == canonical_form(reference)

@@ -37,6 +37,7 @@ from repro.ioimc.bisimulation import (
     DEFAULT_RATE_DIGITS,
     SATURATION_FLOOR,
     _weak_engine,
+    _WeakClosureEngine,
     _WeakSplitterEngine,
 )
 from repro.systems import (
@@ -136,6 +137,16 @@ class TestQuotientIdentity:
             for engine in ENGINES
         }
         assert dots["closure"] == dots["splitter"] == dots["signature"]
+
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_halved_frontier_cell(self, seed, monkeypatch):
+        # A packed-key bound below the unit count makes every batched round
+        # of the closure engine halve its frontier down to single splitters.
+        model = random_tau_cycle_model(seed)
+        expected = minimize_weak(model, algorithm="signature").to_dot()
+        monkeypatch.setattr(_WeakClosureEngine, "_KEY_LIMIT", 8)
+        assert minimize_weak(model, algorithm="closure").to_dot() == expected
 
 
 def _tau_chain(num_states: int) -> IOIMC:

@@ -18,16 +18,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Study, StudyOptions, Unreliability
-from repro.core import convert
+from repro.core import aggregation as core_aggregation
+from repro.core import conversion, convert
 from repro.ioimc import (
     IOIMC,
     AggregationOptions,
+    aggregate,
     minimize_weak,
     parallel,
+    reduction,
     signature,
     strong_bisimulation_partition,
     weak_bisimulation_partition,
 )
+from repro.ioimc.bisimulation import ALGORITHMS
 from repro.systems import (
     cardiac_assist_system,
     cascaded_pand_system,
@@ -36,6 +40,7 @@ from repro.systems import (
     mutually_exclusive_switch,
     random_dft,
 )
+from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 MISSION_TIME = 1.0
 
@@ -163,3 +168,90 @@ class TestCondensationOnInternalCycles:
         reference = minimize_weak(model, algorithm="signature")
         assert fused.num_states == reference.num_states
         assert fused.num_transitions == reference.num_transitions
+
+
+class TestWeakMinimisationIdempotent:
+    """Minimising a weak quotient again changes nothing, for every engine.
+
+    The quotient leaves input moves back into their own block implicit and
+    renders a tau-cycle without exit as a stable state without rates; the
+    partition ignores the former (input own-block rule) and treats the
+    latter alike (divergence rule), so it computes the relation the
+    quotient realises.
+    """
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), respect_labels=st.booleans())
+    def test_random_models(self, algorithm, data, respect_labels):
+        model = random_tau_model(data.draw)
+        once = minimize_weak(model, respect_labels=respect_labels, algorithm=algorithm)
+        twice = minimize_weak(once, respect_labels=respect_labels, algorithm=algorithm)
+        assert canonical_form(twice) == canonical_form(once)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        num_basic_events=st.integers(min_value=3, max_value=7),
+        seed=st.integers(min_value=0, max_value=40),
+    )
+    def test_random_products(self, algorithm, num_basic_events, seed):
+        product = _intermediate_product(random_dft(num_basic_events=num_basic_events, seed=seed))
+        once = minimize_weak(product, algorithm=algorithm)
+        assert canonical_form(minimize_weak(once, algorithm=algorithm)) == canonical_form(once)
+
+
+#: Every aggregation method with every minimiser (the minimiser is unused by
+#: ``"tau"`` and ``"none"``, which the matrix still crosses).
+METHOD_MINIMISER = [
+    (method, minimiser)
+    for method in ("weak", "strong", "tau", "none")
+    for minimiser in ALGORITHMS
+]
+
+
+class TestOnePassMatchesRoundLoop:
+    """One ``aggregate()`` pass lands on the round loop's fixpoint."""
+
+    @pytest.mark.parametrize("method,minimiser", METHOD_MINIMISER)
+    @settings(max_examples=6, deadline=None)
+    @given(
+        num_basic_events=st.integers(min_value=3, max_value=7),
+        seed=st.integers(min_value=0, max_value=40),
+        dynamic=st.booleans(),
+    )
+    def test_random_products(self, method, minimiser, num_basic_events, seed, dynamic):
+        options = AggregationOptions(method=method, minimiser=minimiser)
+        tree = random_dft(num_basic_events=num_basic_events, seed=seed, dynamic=dynamic)
+        product = _intermediate_product(tree)
+        reduced, _ = aggregate(product, options)
+        reference, _rounds = aggregate_to_fixpoint(product, options)
+        assert canonical_form(reduced) == canonical_form(reference)
+
+    @pytest.mark.parametrize("method,minimiser", METHOD_MINIMISER)
+    @settings(max_examples=3, deadline=None)
+    @given(
+        num_basic_events=st.integers(min_value=3, max_value=6),
+        seed=st.integers(min_value=0, max_value=40),
+        pattern=st.sampled_from(["plain", "fdep", "shared_spares"]),
+    )
+    def test_random_trees(self, method, minimiser, num_basic_events, seed, pattern):
+        # Every aggregate() call of a whole Study, against the reference.
+        options = AggregationOptions(method=method, minimiser=minimiser)
+        calls = []
+
+        def recording(model, call_options=None):
+            reduced, stats = reduction.aggregate(model, call_options)
+            calls.append((model, call_options, reduced))
+            return reduced, stats
+
+        extra = {} if pattern == "plain" else {pattern: True}
+        tree = random_dft(num_basic_events=num_basic_events, seed=seed, **extra)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core_aggregation, "aggregate", recording)
+            patch.setattr(conversion, "aggregate", recording)
+            Study(tree, StudyOptions(aggregation=options)).final_ioimc
+        assert calls
+        for model, call_options, reduced in calls:
+            reference, _rounds = aggregate_to_fixpoint(model, call_options)
+            assert canonical_form(reduced) == canonical_form(reference)
