@@ -8,8 +8,9 @@ the first argument) recording the numbers the perf trajectory tracks:
   cascaded-PAND family instance,
 * wall time of the fused compose+maximal-progress path vs the unfused
   compose-then-reduce baseline,
-* a parallel modular-aggregation identity spot check and the process's
-  peak RSS,
+* the modular plan's quotient reuse on repeated modules (aggregate()
+  calls vs composition steps, same final model as the linked order) and the
+  process's peak RSS,
 * curve evaluation on the paper's cascaded-PAND CTMC: one vectorised
   100-point uniformisation sweep vs 100 per-point calls (the two must agree
   to 1e-9; the sweep must be faster),
@@ -57,12 +58,14 @@ from repro import (
     evaluate,
 )
 from repro.core.sweep import substitute_parameters, with_rate_parameters
-from repro.core import compositional_aggregate, convert, signals
+from repro.core import aggregation as core_aggregation
+from repro.core import convert, signals
 from repro.ioimc import (
     apply_maximal_progress,
     minimize_strong,
     minimize_weak,
     parallel,
+    reduction,
     remove_internal_self_loops,
 )
 from repro.systems import (
@@ -224,32 +227,48 @@ def bench_minimisation(num_modules: int = 3, events_per_module: int = 6) -> dict
     }
 
 
-def bench_parallel_aggregation() -> dict:
-    """Parallel modular aggregation (``processes=2``) vs the serial plan.
+def bench_quotient_reuse() -> dict:
+    """Repeated modules aggregated once: the modular plan's quotient memo.
 
-    The quotient must be structurally identical; the speedup is recorded,
-    not gated (single-core CI runners make it < 1).  Peak RSS is recorded so
-    the memory trajectory is tracked per PR.
+    The cascaded-PAND family instance repeats one module structure, so some
+    hidden products of a run repeat an earlier one up to action renaming and
+    reuse its quotient instead of calling ``aggregate()``.  The modular
+    plan's final quotient must equal the linked order's.  Peak RSS is
+    recorded so the memory trajectory is tracked per PR.
     """
-    community = convert(cascaded_pand_family(3, 5))
+    tree = cascaded_pand_family(3, 5)
+    runs = {}
+    for ordering in ("linked", "modular"):
+        calls = []
 
-    def aggregate(processes):
-        model, _ = compositional_aggregate(
-            community.models(),
-            ordering="modular",
-            community=community,
-            processes=processes,
-        )
-        return model
+        def counting(model, options=None):
+            calls.append(model.num_states)
+            return reduction.aggregate(model, options)
 
-    serial_model, serial_seconds = _timed(lambda: aggregate(1))
-    parallel_model, parallel_seconds = _timed(lambda: aggregate(2))
+        original = core_aggregation.aggregate
+        core_aggregation.aggregate = counting
+        try:
+            start = time.perf_counter()
+            study = Study(tree, StudyOptions(ordering=ordering))
+            final = study.final_ioimc
+            seconds = time.perf_counter() - start
+        finally:
+            core_aggregation.aggregate = original
+        runs[ordering] = {
+            "steps": len(study.statistics.steps),
+            "aggregate_calls": len(calls),
+            "final_states": final.num_states,
+            "final_transitions": final.num_transitions,
+            "wall_seconds": seconds,
+        }
+    modular = runs["modular"]
     return {
-        "processes": 2,
-        "serial_wall_seconds": serial_seconds,
-        "parallel_wall_seconds": parallel_seconds,
-        "speedup": serial_seconds / parallel_seconds if parallel_seconds else None,
-        "identical_to_serial": parallel_model.to_dot() == serial_model.to_dot(),
+        **runs,
+        "reused_steps": modular["steps"] - modular["aggregate_calls"],
+        "same_final_model": all(
+            runs["linked"][key] == modular[key]
+            for key in ("final_states", "final_transitions")
+        ),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
@@ -576,7 +595,7 @@ def main(argv) -> int:
         "fusion": bench_fusion(*FAMILY_INSTANCE),
         "fusion_step": bench_fusion_step(3, 6),
         "minimisation": bench_minimisation(3, 6),
-        "parallel_aggregation": bench_parallel_aggregation(),
+        "quotient_reuse": bench_quotient_reuse(),
         "minimisation_v3": bench_minimisation_v3(),
         "curve": bench_curve(),
         "batch": bench_batch(),
@@ -611,9 +630,11 @@ def main(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    if not report["parallel_aggregation"]["identical_to_serial"]:
+    reuse = report["quotient_reuse"]
+    if not reuse["same_final_model"] or reuse["reused_steps"] < 1:
         print(
-            "FAIL: parallel modular aggregation changed the final quotient",
+            "FAIL: the modular plan's final quotient differs from the linked "
+            "order's, or no repeated module reused its quotient",
             file=sys.stderr,
         )
         return 1

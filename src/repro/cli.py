@@ -82,8 +82,12 @@ from .ctmc.builders import CtmdpSkeleton
 from .dft.elements import BasicEvent
 from .dft import diftree_modules, galileo, independent_modules
 from .dft.visualization import to_dot
+from .core.aggregation import ORDERING_STRATEGIES
 from .errors import ReproError
-from .ioimc import AggregationOptions
+from .ioimc import ALGORITHMS, AggregationOptions
+
+#: Every pipeline flag's default is the library's own.
+DEFAULTS = StudyOptions()
 
 
 def _load_tree(path: str):
@@ -102,13 +106,9 @@ def _add_tree_argument(parser: argparse.ArgumentParser) -> None:
 def _analysis_options(args: argparse.Namespace) -> StudyOptions:
     return StudyOptions(
         ordering=args.ordering,
-        aggregation=AggregationOptions(
-            method=args.aggregation,
-            minimiser=getattr(args, "minimiser", "closure"),
-        ),
-        fuse=not getattr(args, "no_fuse", False),
-        tolerance=getattr(args, "tolerance", 1e-12),
-        aggregation_processes=getattr(args, "aggregation_processes", 1),
+        aggregation=AggregationOptions(method=args.aggregation, minimiser=args.minimiser),
+        fuse=not args.no_fuse,
+        tolerance=getattr(args, "tolerance", DEFAULTS.tolerance),
     )
 
 
@@ -721,16 +721,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--ordering",
-            choices=["linked", "smallest", "sequential", "modular"],
-            default="linked",
-            help="composition ordering strategy (default: linked; 'modular' "
-            "follows the tree's independent-module decomposition)",
+            choices=ORDERING_STRATEGIES,
+            default=DEFAULTS.ordering,
+            help=f"composition ordering strategy (default: {DEFAULTS.ordering}; "
+            "'modular' follows the tree's independent-module decomposition, "
+            "'linked' composes the smallest communicating pair)",
         )
         sub.add_argument(
             "--aggregation",
             choices=["weak", "strong", "tau", "none"],
-            default="weak",
-            help="aggregation method applied after every composition (default: weak)",
+            default=DEFAULTS.aggregation.method,
+            help="aggregation method applied after every composition "
+            f"(default: {DEFAULTS.aggregation.method})",
         )
         sub.add_argument(
             "--no-fuse",
@@ -740,20 +742,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--minimiser",
-            choices=["closure", "splitter", "signature"],
-            default="closure",
-            help="bisimulation refinement engine (default: closure, the "
-            "saturation-free batched-frontier engine; 'splitter' is the "
-            "per-splitter engine, 'signature' the slower reference "
-            "implementation — all three compute identical quotients)",
-        )
-        sub.add_argument(
-            "--aggregation-processes",
-            type=int,
-            default=1,
-            help="worker processes for collapsing independent module groups "
-            "under --ordering modular (default: 1, serial; the result is "
-            "identical to a serial run)",
+            choices=ALGORITHMS,
+            default=DEFAULTS.aggregation.minimiser,
+            help=f"bisimulation refinement engine (default: "
+            f"{DEFAULTS.aggregation.minimiser}, the saturation-free "
+            "batched-frontier engine; 'splitter' is the per-splitter engine, "
+            "'signature' the slower reference implementation — all three "
+            "compute identical quotients)",
         )
 
     def add_measures(sub: argparse.ArgumentParser) -> None:
@@ -776,8 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--tolerance",
             type=float,
-            default=1e-12,
-            help="truncation tolerance of the uniformisation series (default: 1e-12)",
+            default=DEFAULTS.tolerance,
+            help="truncation tolerance of the uniformisation series "
+            f"(default: {DEFAULTS.tolerance:g})",
         )
         sub.add_argument(
             "--json",
@@ -899,8 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--tolerance",
         type=float,
-        default=1e-12,
-        help="truncation tolerance of the uniformisation series (default: 1e-12)",
+        default=DEFAULTS.tolerance,
+        help="truncation tolerance of the uniformisation series "
+        f"(default: {DEFAULTS.tolerance:g})",
     )
     optimize.add_argument(
         "--json",
@@ -977,8 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tolerance",
         type=float,
-        default=1e-12,
-        help="truncation tolerance of the uniformisation series (default: 1e-12)",
+        default=DEFAULTS.tolerance,
+        help="truncation tolerance of the uniformisation series "
+        f"(default: {DEFAULTS.tolerance:g})",
     )
     add_common(serve)
     serve.set_defaults(handler=command_serve)
@@ -1023,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_warm.add_argument(
         "--tolerance",
         type=float,
-        default=1e-12,
+        default=DEFAULTS.tolerance,
         help="truncation tolerance recorded with the built entries",
     )
     add_common(cache_warm)

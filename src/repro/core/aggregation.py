@@ -1,39 +1,49 @@
 """The compositional aggregation engine (Steps 2-5 of the paper's algorithm).
 
-Given the community of I/O-IMC produced by :mod:`repro.core.conversion`, the
-engine repeatedly
+Given the community of I/O-IMC produced by :mod:`repro.core.conversion` (the
+elementary models as built), the engine repeatedly
 
 1. picks two I/O-IMC (according to a configurable ordering strategy),
 2. parallel composes them (with maximal progress fused into the exploration
    by default, see :func:`repro.ioimc.composition.parallel`),
 3. hides every output signal that no remaining community member listens to,
-4. aggregates the result (weak bisimulation by default; the splitter-based
-   refinement engine of :mod:`repro.ioimc.bisimulation` unless
-   ``AggregationOptions.minimiser`` selects the signature reference),
+4. aggregates the result (weak bisimulation by default; the closure engine
+   of :mod:`repro.ioimc.bisimulation` unless ``AggregationOptions.minimiser``
+   selects another),
 
-until a single I/O-IMC is left.  The engine records the size of every
-intermediate model; the *peak* sizes are the numbers the paper reports when
-comparing against the monolithic DIFTree state spaces (Section 5.2: 156 states
-/ 490 transitions for the cascaded PAND system versus 4113 / 24608).
+until a single I/O-IMC is left.  An elementary model is thus reduced, under
+the run's own aggregation options, in the first step that composes it.  The
+engine records the size of every intermediate model; the *peak* sizes are
+the numbers the paper reports when comparing against the monolithic DIFTree
+state spaces (Section 5.2: 156 states / 490 transitions for the cascaded
+PAND system versus 4113 / 24608).
+
+Each distinct hidden product is aggregated once per run.  ``aggregate()``
+reads action names only through their order within each role (the tau
+representative of a weak quotient is the smallest internal name), so a
+product that equals an earlier one once every action is replaced by its role
+and the rank of its name within that role gets the earlier quotient, renamed
+(:class:`_QuotientMemo`).  Rates must match exactly, so repeated modules
+with equal rates, such as the cascaded PAND's identical cascades, are
+minimised once.  The memo lives for one :meth:`CompositionalAggregator.run`.
 
 Ordering strategies
 -------------------
 
-``linked`` (default)
-    Compose the smallest pair of models that actually communicate (share an
-    action).  Because children and parents share their firing signals, this
-    effectively walks the fault tree bottom-up and keeps intermediate products
-    small — it is the automated counterpart of the paper's per-module analysis.
-    Candidate pairs come from the incrementally maintained
-    :class:`~repro.core.planning.SharedActionIndex`, not from an ``O(k^2)``
-    rescan of all pairs.
-``modular``
+``modular`` (default, :data:`DEFAULT_ORDERING`)
     Follow a precomputed :class:`~repro.core.planning.AggregationPlan`: the
     independent modules of the fault tree are collapsed innermost-first, each
     group ordered by the shared-action index; the cross-module residue is
     composed last.  Requires the :class:`~repro.core.conversion.Community`
-    (for the tree and member provenance); without it the strategy degrades to
-    ``linked``.
+    (for the tree and member provenance); without it, or in a tree without
+    independent modules, the strategy is ``linked``.
+``linked``
+    Compose the smallest pair of models that actually communicate (share an
+    action).  Because children and parents share their firing signals, this
+    effectively walks the fault tree bottom-up and keeps intermediate products
+    small.  Candidate pairs come from the incrementally maintained
+    :class:`~repro.core.planning.SharedActionIndex`, not from an ``O(k^2)``
+    rescan of all pairs.
 ``smallest``
     Compose the pair with the smallest state-count product, whether or not the
     two models communicate.
@@ -44,17 +54,21 @@ Ordering strategies
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import CompositionError
+from ..ioimc.actions import intern_action
 from ..ioimc.composition import parallel
 from ..ioimc.model import IOIMC
 from ..ioimc.reduction import AggregationOptions, aggregate
 from .planning import AggregationPlan, PlanNode, SharedActionIndex, build_plan
 
 ORDERING_STRATEGIES = ("linked", "smallest", "sequential", "modular")
+#: The ordering of every Study, engine and CLI run that does not name one.
+DEFAULT_ORDERING = "modular"
 
 
 @dataclass
@@ -140,7 +154,7 @@ class CompositionStatistics:
 class CompositionalAggregationOptions:
     """Options of the engine."""
 
-    ordering: str = "linked"
+    ordering: str = DEFAULT_ORDERING
     aggregation: AggregationOptions = field(default_factory=AggregationOptions)
     #: Output actions that must never be hidden (observable to the end).
     keep_visible: Tuple[str, ...] = ()
@@ -148,10 +162,6 @@ class CompositionalAggregationOptions:
     #: composition exploration (lowers peak product sizes; disable to measure
     #: the compose-then-reduce baseline).
     fuse: bool = True
-    #: Worker processes for collapsing independent module groups of the
-    #: ``modular`` plan in parallel (1 = serial; ignored by the flat
-    #: orderings, which have no independent groups to fan out).
-    processes: int = 1
 
     def __post_init__(self) -> None:
         if self.ordering not in ORDERING_STRATEGIES:
@@ -159,19 +169,77 @@ class CompositionalAggregationOptions:
                 f"unknown ordering strategy {self.ordering!r}; "
                 f"choose one of {ORDERING_STRATEGIES}"
             )
-        if int(self.processes) < 1:
-            raise CompositionError(
-                f"processes must be >= 1, got {self.processes}"
-            )
+
+
+def _renaming_key(model: IOIMC) -> Tuple[Tuple[str, ...], tuple]:
+    """``(names, key)``: the model's action names by role (inputs, outputs,
+    internals), each role sorted, and a key in which every action is its
+    position in ``names``.
+
+    Two models with equal keys are equal up to a renaming that keeps the
+    name order within each role: the role sizes are part of the key.  The
+    rates are kept as they are — exact floats, and parametric forms with
+    their parameter names, which no action renaming touches.  States and
+    moves are packed into one byte string, so a run's memo stays small next
+    to the products it describes.
+    """
+    sig = model.signature
+    roles = (sorted(sig.inputs), sorted(sig.outputs), sorted(sig.internals))
+    names = tuple(name for role in roles for name in role)
+    rank = {intern_action(name): position for position, name in enumerate(names)}
+    label_sets: Dict[FrozenSet[str], int] = {}
+    ints = [len(role) for role in roles]
+    ints += (model.num_states, model.initial)
+    rates: List[object] = []
+    for state in model.states():
+        moves = sorted((rank[aid], target) for aid, target in model.interactive_pairs(state))
+        markovian = sorted(model.markovian_dict(state).items())
+        ints += (label_sets.setdefault(model.labels(state), len(label_sets)), len(moves))
+        ints += chain.from_iterable(moves)
+        ints.append(len(markovian))
+        for target, rate in markovian:
+            ints.append(target)
+            rates.append(rate)
+    key = (tuple(label_sets), array("q", ints).tobytes(), tuple(rates))
+    return names, key
+
+
+class _QuotientMemo:
+    """``aggregate()`` under fixed options, each distinct product once.
+
+    ``aggregate()`` depends on action names only through their order within
+    each role, so a product whose :func:`_renaming_key` equals an earlier
+    product's gets that product's quotient with its actions renamed, rank for
+    rank.  A hit returns a fresh copy (:meth:`IOIMC.rename_actions`), never
+    the kept quotient; the models a run composes are never modified, so the
+    quotient a miss returns may stay in the memo.
+    """
+
+    def __init__(self, options: AggregationOptions) -> None:
+        self.options = options
+        self._quotients: Dict[tuple, Tuple[IOIMC, Tuple[str, ...]]] = {}
+
+    def aggregate(self, model: IOIMC) -> IOIMC:
+        names, key = _renaming_key(model)
+        known = self._quotients.get(key)
+        if known is not None:
+            quotient, known_names = known
+            mapping = {old: new for old, new in zip(known_names, names) if old != new}
+            return quotient.rename_actions(mapping, name=model.name)
+        quotient, _stats = aggregate(model, self.options)
+        self._quotients[key] = (quotient, names)
+        return quotient
 
 
 class _Workspace:
-    """The live models of a run, keyed, with the shared-action index."""
+    """The live models of a run, keyed, with the shared-action index and the
+    run's quotient memo."""
 
-    def __init__(self) -> None:
+    def __init__(self, aggregation: AggregationOptions) -> None:
         self.models: Dict[int, IOIMC] = {}
         self.order: List[int] = []  # insertion order (sequential/smallest picks)
         self.index = SharedActionIndex()
+        self.quotients = _QuotientMemo(aggregation)
         self._next_key = 0
 
     def add(self, model: IOIMC) -> int:
@@ -230,17 +298,12 @@ class CompositionalAggregator:
             statistics.final_transitions = only.num_transitions
             return only, statistics
 
-        workspace = _Workspace()
+        workspace = _Workspace(self.options.aggregation)
         keys = [workspace.add(model) for model in self._models]
 
         plan = self._plan(keys)
         if plan is not None:
-            if self.options.processes > 1:
-                final_key = self._collapse_parallel(
-                    plan.root, workspace, statistics, keys
-                )
-            else:
-                final_key = self._collapse(plan.root, workspace, statistics, keys)
+            final_key = self._collapse(plan.root, workspace, statistics, keys)
         else:
             final_key = self._collapse_group(keys, workspace, statistics)
 
@@ -268,74 +331,6 @@ class CompositionalAggregator:
     ) -> int:
         """Collapse a plan node (children first) to a single model key."""
         group = [self._collapse(child, workspace, statistics, keys) for child in node.children]
-        group.extend(keys[index] for index in node.member_indices)
-        return self._collapse_group(group, workspace, statistics)
-
-    def _collapse_parallel(
-        self,
-        node: PlanNode,
-        workspace: _Workspace,
-        statistics: CompositionStatistics,
-        keys: Sequence[int],
-    ) -> int:
-        """Collapse the root node with its module children fanned out to workers.
-
-        Independent module groups of the modular plan share no live state: a
-        module talks to the rest of the tree only through its root's firing
-        signal, and community outputs are unique, so an input of a model
-        *outside* a subtree can never be composed away by outside-only steps.
-        Handing each worker the union of the outside models' original inputs
-        therefore reproduces the serial engine's hiding decisions exactly, and
-        worker-local workspace keys are assigned in the same relative order as
-        the serial run's — the parallel result is identical, step for step.
-
-        Only the root's children fan out (one job per module subtree); nested
-        modules collapse serially inside their worker.
-        """
-        eligible: Dict[int, List[int]] = {}
-        for position, child in enumerate(node.children):
-            indices = sorted(
-                index for sub in child.walk() for index in sub.member_indices
-            )
-            if len(indices) >= 2:  # a one-member subtree has nothing to compose
-                eligible[position] = indices
-        if len(eligible) < 2:
-            # At most one parallelisable group: no fan-out to be had.
-            return self._collapse(node, workspace, statistics, keys)
-
-        input_sets = [model.signature.inputs for model in self._models]
-        jobs: Dict[int, Tuple[PlanNode, List[IOIMC], Tuple[str, ...]]] = {}
-        for position, indices in eligible.items():
-            inside = set(indices)
-            outside_inputs: set = set()
-            for index, inputs in enumerate(input_sets):
-                if index not in inside:
-                    outside_inputs |= inputs
-            mapping = {index: local for local, index in enumerate(indices)}
-            local_node = _localise_node(node.children[position], mapping)
-            models = [workspace.pop(keys[index]) for index in indices]
-            jobs[position] = (local_node, models, tuple(sorted(outside_inputs)))
-
-        workers = min(self.options.processes, len(jobs))
-        worker_options = replace(self.options, processes=1)
-        group: List[int] = []
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_aggregation_worker,
-            initargs=(worker_options,),
-        ) as pool:
-            futures = {
-                position: pool.submit(_collapse_subtree, job)
-                for position, job in jobs.items()
-            }
-            for position, child in enumerate(node.children):
-                future = futures.get(position)
-                if future is None:
-                    group.append(self._collapse(child, workspace, statistics, keys))
-                else:
-                    model, steps = future.result()
-                    statistics.steps.extend(steps)
-                    group.append(workspace.add(model))
         group.extend(keys[index] for index in node.member_indices)
         return self._collapse_group(group, workspace, statistics)
 
@@ -379,7 +374,7 @@ class CompositionalAggregator:
         composite = self._hide(composite, workspace.external_inputs())
         hidden_actions = tuple(sorted(hidden_before - composite.signature.outputs))
 
-        composite, _agg_stats = aggregate(composite, self.options.aggregation)
+        composite = workspace.quotients.aggregate(composite)
 
         statistics.steps.append(
             CompositionStep(
@@ -447,64 +442,13 @@ class CompositionalAggregator:
         return best
 
 
-# ---------------------------------------------------------------------------
-# module-group worker machinery (the PR 5 initializer pattern from core.sweep)
-# ---------------------------------------------------------------------------
-
-def _localise_node(node: PlanNode, mapping: Dict[int, int]) -> PlanNode:
-    """A copy of ``node`` with member indices remapped into a subtree-local
-    model list (models travel to the worker as a dense list)."""
-    return PlanNode(
-        root=node.root,
-        member_indices=[mapping[index] for index in node.member_indices],
-        children=[_localise_node(child, mapping) for child in node.children],
-    )
-
-
-_WORKER_AGG_OPTIONS: Optional[CompositionalAggregationOptions] = None
-
-
-def _init_aggregation_worker(options: CompositionalAggregationOptions) -> None:
-    """Pool initializer: ship the (serial) engine options once per process."""
-    global _WORKER_AGG_OPTIONS
-    _WORKER_AGG_OPTIONS = options
-
-
-def _collapse_subtree(
-    job: Tuple[PlanNode, List[IOIMC], Tuple[str, ...]],
-) -> Tuple[IOIMC, List[CompositionStep]]:
-    """Worker entry point: serially collapse one independent module subtree.
-
-    ``outside_inputs`` — the original inputs of every community model outside
-    the subtree — joins ``keep_visible``, so the hide step sees exactly the
-    listeners the serial engine would see (outside inputs of a subtree output
-    can never be composed away by outside-only steps; see
-    :meth:`CompositionalAggregator._collapse_parallel`).
-    """
-    assert _WORKER_AGG_OPTIONS is not None
-    node, models, outside_inputs = job
-    options = replace(
-        _WORKER_AGG_OPTIONS,
-        keep_visible=tuple(
-            sorted(set(_WORKER_AGG_OPTIONS.keep_visible) | set(outside_inputs))
-        ),
-    )
-    aggregator = CompositionalAggregator(models, options)
-    workspace = _Workspace()
-    keys = [workspace.add(model) for model in models]
-    statistics = CompositionStatistics()
-    final_key = aggregator._collapse(node, workspace, statistics, keys)
-    return workspace.models[final_key], statistics.steps
-
-
 def compositional_aggregate(
     models: Sequence[IOIMC],
-    ordering: str = "linked",
+    ordering: str = DEFAULT_ORDERING,
     aggregation: Optional[AggregationOptions] = None,
     keep_visible: Iterable[str] = (),
     community=None,
     fuse: bool = True,
-    processes: int = 1,
 ) -> Tuple[IOIMC, CompositionStatistics]:
     """Convenience wrapper around :class:`CompositionalAggregator`."""
     options = CompositionalAggregationOptions(
@@ -512,6 +456,5 @@ def compositional_aggregate(
         aggregation=aggregation or AggregationOptions(),
         keep_visible=tuple(keep_visible),
         fuse=fuse,
-        processes=processes,
     )
     return CompositionalAggregator(models, options, community=community).run()

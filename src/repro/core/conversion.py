@@ -2,8 +2,12 @@
 
 This module implements Step 1 of the paper's analysis algorithm (Section 5):
 "Map each DFT element to its corresponding (aggregated) I/O-IMC and match all
-inputs and outputs."  The mapping is one-to-one except for the auxiliary
-models:
+inputs and outputs."  The models enter the community as built: the
+aggregation engine (:mod:`repro.core.aggregation`) reduces each one, under
+the analysis's own aggregation options, in the first composition step that
+takes it.  Weak bisimulation is a congruence for parallel composition and
+hiding, so the final quotient is the one pre-aggregated elements would give.
+The mapping is one-to-one except for the auxiliary models:
 
 * a **firing auxiliary** per functionally dependent element (Section 4.3),
 * an **inhibition auxiliary** per inhibited element (Section 7.1),
@@ -46,7 +50,6 @@ from ..dft.tree import DynamicFaultTree
 from ..errors import ConversionError
 from ..ioimc.behavior import ElementBehavior
 from ..ioimc.model import IOIMC
-from ..ioimc.reduction import AggregationOptions, aggregate
 from . import signals
 from .semantics import (
     ActivationAuxiliaryBehavior,
@@ -131,10 +134,6 @@ class Community:
 class ConversionOptions:
     """Options controlling the DFT -> I/O-IMC conversion."""
 
-    #: Aggregate every elementary model before composing (paper: "aggregated").
-    pre_aggregate: bool = True
-    #: Aggregation settings used for the per-element minimisation.
-    aggregation: AggregationOptions = field(default_factory=AggregationOptions)
     #: Add the analysis monitor listening to the top event.
     include_monitor: bool = True
 
@@ -167,17 +166,16 @@ class DftToIoimcConverter:
             top_fire_action=signals.fire(self.tree.top),
         )
         for kind, element, behavior in behaviors:
-            model = behavior.to_ioimc()
-            if self.options.pre_aggregate:
-                model, _stats = aggregate(model, self.options.aggregation)
             community.members.append(
-                CommunityMember(name=behavior.name, kind=kind, model=model, element=element)
+                CommunityMember(
+                    name=behavior.name, kind=kind, model=behavior.to_ioimc(), element=element
+                )
             )
         self._check_community(community)
         return community
 
     def elementary_model(self, element: str) -> IOIMC:
-        """The (aggregated) elementary I/O-IMC of a single element."""
+        """The elementary I/O-IMC of a single element, as built."""
         community = self.convert()
         return community.member_for_element(element).model
 

@@ -67,6 +67,7 @@ from ..ioimc.model import IOIMC
 from ..ioimc.reduction import AggregationOptions
 from . import signals
 from .aggregation import (
+    DEFAULT_ORDERING,
     CompositionStatistics,
     CompositionalAggregationOptions,
     CompositionalAggregator,
@@ -100,23 +101,16 @@ class StudyOptions:
 
     conversion: ConversionOptions = field(default_factory=ConversionOptions)
     aggregation: AggregationOptions = field(default_factory=AggregationOptions)
-    ordering: str = "linked"
+    ordering: str = DEFAULT_ORDERING
     #: Fuse maximal progress into composition (see the aggregation engine).
     fuse: bool = True
     #: Truncation tolerance of the uniformisation series.
     tolerance: float = 1e-12
-    #: Worker processes for collapsing independent module groups of the
-    #: ``modular`` plan in parallel (1 = serial; flat orderings ignore it).
-    aggregation_processes: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tolerance < 1.0:
             raise AnalysisError(
                 f"the truncation tolerance must be in (0, 1), got {self.tolerance}"
-            )
-        if int(self.aggregation_processes) < 1:
-            raise AnalysisError(
-                f"aggregation_processes must be >= 1, got {self.aggregation_processes}"
             )
 
     def composition_options(self) -> CompositionalAggregationOptions:
@@ -124,7 +118,6 @@ class StudyOptions:
             ordering=self.ordering,
             aggregation=self.aggregation,
             fuse=self.fuse,
-            processes=self.aggregation_processes,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -134,7 +127,6 @@ class StudyOptions:
             "minimiser": self.aggregation.minimiser,
             "fuse": self.fuse,
             "tolerance": self.tolerance,
-            "aggregation_processes": self.aggregation_processes,
         }
 
 

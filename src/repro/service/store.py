@@ -83,12 +83,10 @@ TEMP_GRACE_SECONDS = 3600.0
 def _options_fingerprint(options: Optional[StudyOptions]) -> str:
     """A short digest of the options that shape the cached structure.
 
-    Tolerance and worker counts do not: the truncation tolerance only affects
-    evaluation, and parallel aggregation is pinned identical to serial.
+    The truncation tolerance does not: it only affects evaluation.
     """
     payload = (options or StudyOptions()).to_dict()
     payload.pop("tolerance", None)
-    payload.pop("aggregation_processes", None)
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 

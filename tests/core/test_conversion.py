@@ -5,6 +5,7 @@ import pytest
 from repro.core import ConversionOptions, DftToIoimcConverter, convert, signals
 from repro.dft import FaultTreeBuilder
 from repro.errors import ConversionError
+from repro.ioimc import reduction
 from repro.systems import cardiac_assist_system, cascaded_pand_system
 
 
@@ -44,10 +45,19 @@ class TestCommunityShape:
             assert not overlap
             seen |= member.model.signature.outputs
 
-    def test_pre_aggregation_reduces_or_preserves_sizes(self, fdep_tree):
-        raw = convert(fdep_tree, ConversionOptions(pre_aggregate=False))
-        aggregated = convert(fdep_tree, ConversionOptions(pre_aggregate=True))
-        assert aggregated.total_states <= raw.total_states
+    def test_members_enter_as_built(self, fdep_tree, monkeypatch):
+        # Elements are reduced in the first composition step that takes
+        # them, under the analysis's own options: conversion minimises nothing.
+        calls = []
+
+        def refuse(model, **_kwargs):
+            calls.append(model.name)
+            return model
+
+        monkeypatch.setattr(reduction, "minimize_weak", refuse)
+        monkeypatch.setattr(reduction, "minimize_strong", refuse)
+        community = convert(fdep_tree)
+        assert community.members and calls == []
 
     def test_member_lookup(self, and_tree):
         community = convert(and_tree)

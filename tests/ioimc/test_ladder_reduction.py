@@ -4,8 +4,9 @@ The twelve trees are those of the repository benchmark's ``cold_ladder``
 workload at seed 1 (``perfbench/inputs.py``): CAS, CPS, the cascaded PAND
 4x5, the four-channel race bank and eight random trees (``fdep`` and
 shared-spare patterns) with seeded rate jitter.  One cache-less Study per
-tree records every ``aggregate()`` call and every weak minimiser call
-inside it; the cells below then check
+tree records every ``aggregate()`` call (the products that missed the
+run's quotient memo) and every weak minimiser call inside it; the cells
+below then check
 
 * that weak minimisation is idempotent on every recorded input (this
   failed before the input own-block rule, e.g. 9 -> 8 -> 7 states on an
@@ -25,7 +26,6 @@ import pytest
 
 from repro import Study
 from repro.core import aggregation as core_aggregation
-from repro.core import conversion
 from repro.dft.elements import BasicEvent
 from repro.dft.tree import DynamicFaultTree
 from repro.ioimc import IOIMC, aggregate, bisimulation, minimize_weak, reduction
@@ -77,11 +77,13 @@ class LadderRecord(NamedTuple):
     aggregates: List[Tuple[IOIMC, IOIMC]]
     #: Input of every weak minimiser call made by aggregate().
     minimiser_inputs: List[IOIMC]
+    #: Composition steps of every Study.
+    steps: List[int]
 
 
 @pytest.fixture(scope="module")
 def ladder() -> LadderRecord:
-    record = LadderRecord([], [])
+    record = LadderRecord([], [], [])
 
     def recording_aggregate(model, options=None):
         reduced, stats = reduction.aggregate(model, options)
@@ -94,16 +96,21 @@ def ladder() -> LadderRecord:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core_aggregation, "aggregate", recording_aggregate)
-        patch.setattr(conversion, "aggregate", recording_aggregate)
         patch.setattr(reduction, "minimize_weak", recording_minimiser)
         for tree in ladder_trees():
-            Study(tree).final_ioimc
+            record.steps.append(len(Study(tree).statistics.steps))
     return record
 
 
 def test_ladder_records_one_minimiser_call_per_aggregate(ladder):
-    # The trailing compression re-minimises only a handful of calls.
-    assert len(ladder.aggregates) > 400
+    # Only composition steps aggregate (the elements enter as built), and
+    # a product that repeats an earlier one of its run reuses its quotient:
+    # about 185 of the 206 steps call aggregate().
+    steps = sum(ladder.steps)
+    assert steps > 200
+    assert steps // 2 < len(ladder.aggregates) < steps
+    # The trailing compression re-minimises only a handful of the calls
+    # that missed the memo.
     extra = len(ladder.minimiser_inputs) - len(ladder.aggregates)
     assert 0 <= extra <= len(ladder.aggregates) // 100
 

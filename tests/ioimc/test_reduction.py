@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Study
+from repro import Study, StudyOptions
 from repro.core import aggregation as core_aggregation
 from repro.errors import ModelError
 from repro.ioimc import reduction
@@ -129,7 +129,9 @@ class TestAggregate:
 
 
 def _cas_final_product():
-    """The input of the last aggregate() call of a cache-less CAS Study."""
+    """The input of the last aggregate() call of a cache-less CAS Study in
+    the linked order (the modular plan's last product is already minimal
+    after one call)."""
     inputs = []
 
     def capture(model, options=None):
@@ -138,7 +140,7 @@ def _cas_final_product():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core_aggregation, "aggregate", capture)
-        Study(cardiac_assist_system()).final_ioimc
+        Study(cardiac_assist_system(), StudyOptions(ordering="linked")).final_ioimc
     return inputs[-1]
 
 

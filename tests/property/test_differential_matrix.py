@@ -46,6 +46,7 @@ from repro.systems import (
     shared_spare_race_system,
 )
 
+from tests.reduction_reference import canonical_form
 from tests.sweep_reference import batches_of, per_sample_rows
 
 MISSION_TIMES = (0.5, 1.0)
@@ -128,39 +129,36 @@ def assert_matrix_cell(tree, study, query, samples, bounds=False):
                 )
 
 
-def _mode_study(tree, minimiser, processes):
-    return Study(
-        tree,
-        StudyOptions(
-            ordering="modular",
-            aggregation=AggregationOptions(minimiser=minimiser),
-            aggregation_processes=processes,
-        ),
-    )
+ORDERINGS = ("linked", "modular")
 
 
 def assert_aggregation_mode_cell(tree, query, bounds=False):
-    """{serial, parallel-modular} x {smaller-half splitter, signature}.
+    """{linked, modular ordering} x {smaller-half splitter, signature}.
 
-    Per engine the parallel quotient must be *structurally identical* to the
-    serial one (same dot rendering, not just equal sizes); across engines the
-    quotients agree on size and every cell agrees on the measures to
-    ``<= 1e-9``.
+    Per engine the two orderings must reach the *same* final quotient (equal
+    canonical forms, not just equal sizes); across engines the quotients
+    agree on size and every cell agrees on the measures to ``<= 1e-9``.
     """
     finals = {}
     results = {}
     for minimiser in MINIMISERS:
-        for processes in (1, 2):
-            study = _mode_study(tree, minimiser, processes)
-            finals[minimiser, processes] = study.final_ioimc
-            results[minimiser, processes] = study.evaluate(query)
-        assert finals[minimiser, 2].to_dot() == finals[minimiser, 1].to_dot(), (
-            f"parallel modular aggregation changed the {minimiser} quotient"
-        )
+        for ordering in ORDERINGS:
+            study = Study(
+                tree,
+                StudyOptions(
+                    ordering=ordering, aggregation=AggregationOptions(minimiser=minimiser)
+                ),
+            )
+            finals[minimiser, ordering] = study.final_ioimc
+            results[minimiser, ordering] = study.evaluate(query)
+        assert canonical_form(finals[minimiser, "modular"]) == canonical_form(
+            finals[minimiser, "linked"]
+        ), f"the modular plan changed the {minimiser} quotient"
+
     assert (
-        finals["splitter", 1].num_states == finals["signature", 1].num_states
+        finals["splitter", "modular"].num_states == finals["signature", "modular"].num_states
     ), "the two engines disagree on the quotient size"
-    baseline = results[MINIMISERS[0], 1]
+    baseline = results[MINIMISERS[0], "modular"]
     for result in results.values():
         for measure, reference in zip(result.measures, baseline.measures):
             assert measure.kind == reference.kind
@@ -268,7 +266,7 @@ class TestTier1Smoke:
         )
 
     def test_cps_aggregation_modes(self):
-        # Multi-module system: the modular plan actually fans out workers.
+        # Multi-module system: the modular plan differs from the linked order.
         assert_aggregation_mode_cell(
             cascaded_pand_system(), Unreliability(MISSION_TIMES)
         )
@@ -282,7 +280,7 @@ class TestTier1Smoke:
 
 @pytest.mark.slow
 class TestAggregationModeMatrix:
-    """{serial, parallel} x {smaller-half, signature} on paper + random trees."""
+    """{linked, modular} x {smaller-half, signature} on paper + random trees."""
 
     @pytest.mark.parametrize("system", ["cas", "mutex"])
     def test_paper_system_cell(self, system):

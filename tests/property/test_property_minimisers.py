@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Study, StudyOptions, Unreliability
 from repro.core import aggregation as core_aggregation
-from repro.core import conversion, convert
+from repro.core import convert
 from repro.ioimc import (
     IOIMC,
     AggregationOptions,
@@ -249,7 +249,6 @@ class TestOnePassMatchesRoundLoop:
         tree = random_dft(num_basic_events=num_basic_events, seed=seed, **extra)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core_aggregation, "aggregate", recording)
-            patch.setattr(conversion, "aggregate", recording)
             Study(tree, StudyOptions(aggregation=options)).final_ioimc
         assert calls
         for model, call_options, reduced in calls:

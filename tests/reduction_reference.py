@@ -79,7 +79,7 @@ def canonical_form(model: IOIMC, digits: int = 10) -> tuple:
         rates: Dict[int, float] = {}
         for target, rate in model.markovian_dict(state).items():
             rates[colour[target]] = rates.get(colour[target], 0.0) + rate
-        markovian = sorted((key, canonical_rate(rate, digits)) for key, rate in rates.items())
+        markovian = sorted((key, _rate_token(rate, digits)) for key, rate in rates.items())
         return tuple(interactive), tuple(markovian)
 
     def ranked(signatures: List[tuple]) -> List[int]:
@@ -97,3 +97,10 @@ def canonical_form(model: IOIMC, digits: int = 10) -> tuple:
         for state in states
     )
     return colour[model.initial], tuple(rows)
+
+
+def _rate_token(rate, digits: int) -> tuple:
+    """:func:`canonical_rate` tagged by kind, so that plain and parametric
+    rates of one model stay comparable when states are ranked."""
+    token = canonical_rate(rate, digits)
+    return token if isinstance(token, tuple) else ("float", token)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _analysis_options, build_parser, main
+from repro.core import StudyOptions
 from repro.dft import galileo
+from repro.service.store import cache_key
 from repro.systems import (
     cardiac_assist_system,
     pand_race_system,
@@ -88,6 +90,25 @@ class TestAnalyzeCommand:
         assert "Unreliability(t=1) = 0.657900" in reference_output
         assert default_output == reference_output
 
+    def test_no_flags_means_the_library_defaults(self, cas_file, capsys):
+        # A CLI default of its own would store service entries under a key
+        # that library Studies never look up.
+        for command in (["analyze", cas_file], ["serve", "--cache-dir", "store"]):
+            options = _analysis_options(build_parser().parse_args(command))
+            assert options == StudyOptions()
+            assert cache_key(cardiac_assist_system(), options) == cache_key(
+                cardiac_assist_system(), StudyOptions()
+            )
+        assert main(["analyze", cas_file, "--json"]) == 0
+        options = json.loads(capsys.readouterr().out)["options"]
+        assert options == StudyOptions().to_dict()
+
+    def test_removed_aggregation_processes_flag_is_an_error(self, cas_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", cas_file, "--aggregation-processes", "2"])
+        assert exit_info.value.code == 2
+        assert "--aggregation-processes" in capsys.readouterr().err
+
     def test_missing_file_is_an_error(self, capsys):
         assert main(["analyze", "/does/not/exist.dft"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -121,7 +142,6 @@ class TestAnalyzeJson:
             "minimiser",
             "fuse",
             "tolerance",
-            "aggregation_processes",
         }
         assert payload["options"]["minimiser"] == "closure"
         assert set(payload["model"]) == {
