@@ -18,6 +18,7 @@ from .aggregation import (
     CompositionStep,
     CompositionalAggregationOptions,
     CompositionalAggregator,
+    QuotientMemo,
     compositional_aggregate,
 )
 from .conversion import (
@@ -100,6 +101,7 @@ __all__ = [
     "OptimizeChoice",
     "OptimizeResult",
     "PlanNode",
+    "QuotientMemo",
     "Query",
     "RepairChoice",
     "SchedulerChoice",

@@ -18,14 +18,26 @@ the numbers the paper reports when comparing against the monolithic DIFTree
 state spaces (Section 5.2: 156 states / 490 transitions for the cascaded
 PAND system versus 4113 / 24608).
 
-Each distinct hidden product is aggregated once per run.  ``aggregate()``
+Each distinct hidden product is aggregated once per memo.  ``aggregate()``
 reads action names only through their order within each role (the tau
-representative of a weak quotient is the smallest internal name), so a
-product that equals an earlier one once every action is replaced by its role
-and the rank of its name within that role gets the earlier quotient, renamed
-(:class:`_QuotientMemo`).  Rates must match exactly, so repeated modules
-with equal rates, such as the cascaded PAND's identical cascades, are
-minimised once.  The memo lives for one :meth:`CompositionalAggregator.run`.
+representative of a weak quotient is the smallest internal name), and rate
+parameters only through structural equality, their sorted order and
+positivity checks.  So a product that equals an earlier one once every
+action is replaced by its role and the rank of its name within that role,
+and every rate parameter by the rank of its name among the product's
+parameters, gets the earlier quotient, renamed (:class:`QuotientMemo`); its
+renamed rates take the asking product's nominal values.  Repeated modules
+such as the cascaded PAND's identical cascades, or the channels of a
+parametric race bank whose per-event parameters differ only in name, are
+minimised once; concrete rates must still match exactly, so modules with
+staggered numeric rates are not.  The key also carries the aggregation
+options.  A cache-less run keeps its own memo for one
+:meth:`CompositionalAggregator.run`; a
+:class:`~repro.service.store.SkeletonStore` owns one memo that every entry
+it builds shares.  A memo keeps at most :data:`QUOTIENT_MEMO_CAPACITY`
+quotients, least recently used out first.  The last product of a run, the
+whole tree, is aggregated without the memo: it is usually the largest, and
+only an equal tree could ask for it again.
 
 Ordering strategies
 -------------------
@@ -54,15 +66,19 @@ Ordering strategies
 
 from __future__ import annotations
 
+import pickle
+import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import CompositionError
 from ..ioimc.actions import intern_action
 from ..ioimc.composition import parallel
 from ..ioimc.model import IOIMC
+from ..ioimc.rates import ParametricRate
 from ..ioimc.reduction import AggregationOptions, aggregate
 from .planning import AggregationPlan, PlanNode, SharedActionIndex, build_plan
 
@@ -171,17 +187,35 @@ class CompositionalAggregationOptions:
             )
 
 
-def _renaming_key(model: IOIMC) -> Tuple[Tuple[str, ...], tuple]:
-    """``(names, key)``: the model's action names by role (inputs, outputs,
-    internals), each role sorted, and a key in which every action is its
-    position in ``names``.
+#: Quotients a :class:`QuotientMemo` keeps; beyond this many the least
+#: recently used goes.  A service's stream of cold trees keeps most of its
+#: reuse well below it, and the bound keeps a long-lived store's memo small.
+QUOTIENT_MEMO_CAPACITY = 256
 
-    Two models with equal keys are equal up to a renaming that keeps the
-    name order within each role: the role sizes are part of the key.  The
-    rates are kept as they are — exact floats, and parametric forms with
-    their parameter names, which no action renaming touches.  States and
-    moves are packed into one byte string, so a run's memo stays small next
-    to the products it describes.
+
+class _Key(NamedTuple):
+    """A product's memo key and what a hit needs to rename a quotient."""
+
+    #: Action names by role (inputs, outputs, internals), each role sorted.
+    names: Tuple[str, ...]
+    #: Rate parameter names, sorted.
+    parameters: Tuple[str, ...]
+    #: Nominal value of every parameter of the product.
+    nominals: Dict[str, float]
+    key: bytes
+
+
+def _renaming_key(model: IOIMC, options: AggregationOptions) -> _Key:
+    """The memo key of ``model`` under ``options``.
+
+    Every action is its role and the rank of its name within the role, and
+    every parameter of a parametric rate the rank of its name among the
+    model's parameters: two models with equal keys are equal up to a
+    renaming that keeps the name order within each role and among the
+    parameters.  Plain rates, constants and coefficients are exact doubles;
+    nominal values are left out (a hit takes the asking model's).  States,
+    moves, rates, labels and the aggregation options are packed into one
+    byte string, so a memo stays small next to the products it describes.
     """
     sig = model.signature
     roles = (sorted(sig.inputs), sorted(sig.outputs), sorted(sig.internals))
@@ -190,56 +224,144 @@ def _renaming_key(model: IOIMC) -> Tuple[Tuple[str, ...], tuple]:
     label_sets: Dict[FrozenSet[str], int] = {}
     ints = [len(role) for role in roles]
     ints += (model.num_states, model.initial)
-    rates: List[object] = []
+    # One double per Markovian move: the rate, or a parametric rate's
+    # constant (``slots`` marks those, ``forms`` holds their rates).
+    floats: List[float] = []
+    slots: List[int] = []
+    forms: List[ParametricRate] = []
     for state in model.states():
         moves = sorted((rank[aid], target) for aid, target in model.interactive_pairs(state))
-        markovian = sorted(model.markovian_dict(state).items())
+        markovian = model.markovian_dict(state)
+        targets = sorted(markovian)
         ints += (label_sets.setdefault(model.labels(state), len(label_sets)), len(moves))
         ints += chain.from_iterable(moves)
-        ints.append(len(markovian))
-        for target, rate in markovian:
-            ints.append(target)
-            rates.append(rate)
-    key = (tuple(label_sets), array("q", ints).tobytes(), tuple(rates))
-    return names, key
+        ints.append(len(targets))
+        ints += targets
+        for target in targets:
+            rate = markovian[target]
+            if type(rate) is ParametricRate:
+                slots.append(len(floats))
+                forms.append(rate)
+                floats.append(rate.const)
+            else:
+                floats.append(rate)
+    nominals: Dict[str, float] = {}
+    for rate in forms:
+        nominals.update(rate.nominals)
+    parameters = tuple(sorted(nominals))
+    ints.append(len(parameters))
+    ints += slots
+    if forms:
+        position = {name: index for index, name in enumerate(parameters)}
+        for rate in forms:
+            coeffs = rate.coeffs
+            ints.append(len(coeffs))
+            for name in sorted(coeffs) if len(coeffs) > 1 else coeffs:
+                ints.append(position[name])
+                floats.append(coeffs[name])
+    text = repr(
+        (
+            [sorted(labels) for labels in label_sets],
+            options.method,
+            options.urgent_outputs,
+            options.respect_labels,
+            options.minimiser,
+            options.rate_digits,
+        )
+    )
+    key = b"".join(
+        (
+            array("q", (len(ints), len(floats), len(slots))).tobytes(),
+            array("q", ints).tobytes(),
+            array("d", floats).tobytes(),
+            text.encode(),
+        )
+    )
+    return _Key(names, parameters, nominals, key)
 
 
-class _QuotientMemo:
-    """``aggregate()`` under fixed options, each distinct product once.
+class QuotientMemo:
+    """``aggregate()``, each distinct product once, with a bounded memory.
 
-    ``aggregate()`` depends on action names only through their order within
-    each role, so a product whose :func:`_renaming_key` equals an earlier
-    product's gets that product's quotient with its actions renamed, rank for
-    rank.  A hit returns a fresh copy (:meth:`IOIMC.rename_actions`), never
-    the kept quotient; the models a run composes are never modified, so the
-    quotient a miss returns may stay in the memo.
+    ``aggregate()`` reads action names only through their order within each
+    role, and rate parameters only through structural equality, their sorted
+    order (:meth:`~repro.ioimc.rates.ParametricRate.canonical_key`) and
+    positivity checks.  So a product whose :func:`_renaming_key` equals an
+    earlier product's gets that product's quotient renamed, action for
+    action and parameter for parameter, every renamed rate taking the asking
+    model's nominal values.
+
+    A quotient is kept pickled: a kept model's parametric rates and lazy
+    per-state caches would cost several times its pickle, and no caller can
+    ever hold, or modify, what the memo keeps.  A hit unpickles a fresh
+    copy.  The memo keeps the :data:`QUOTIENT_MEMO_CAPACITY` most recently
+    used quotients, counts its hits and misses, and may be shared by the
+    runs of several threads (a lock guards the table; ``aggregate()`` runs
+    outside it).  A cache-less run makes its own; a
+    :class:`~repro.service.store.SkeletonStore` owns one for all its builds.
     """
 
-    def __init__(self, options: AggregationOptions) -> None:
-        self.options = options
-        self._quotients: Dict[tuple, Tuple[IOIMC, Tuple[str, ...]]] = {}
+    def __init__(self) -> None:
+        self.capacity = QUOTIENT_MEMO_CAPACITY
+        self.hits = 0
+        self.misses = 0
+        #: key -> (pickled quotient, its product's action and parameter names)
+        self._quotients: "OrderedDict[bytes, Tuple[bytes, Tuple[str, ...], Tuple[str, ...]]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
 
-    def aggregate(self, model: IOIMC) -> IOIMC:
-        names, key = _renaming_key(model)
-        known = self._quotients.get(key)
+    def aggregate(self, model: IOIMC, options: AggregationOptions) -> IOIMC:
+        """The quotient of ``model`` under ``options``."""
+        asked = _renaming_key(model, options)
+        with self._lock:
+            known = self._quotients.get(asked.key)
+            if known is None:
+                self.misses += 1
+            else:
+                self._quotients.move_to_end(asked.key)
+                self.hits += 1
         if known is not None:
-            quotient, known_names = known
-            mapping = {old: new for old, new in zip(known_names, names) if old != new}
-            return quotient.rename_actions(mapping, name=model.name)
-        quotient, _stats = aggregate(model, self.options)
-        self._quotients[key] = (quotient, names)
+            blob, names, parameters = known
+            quotient = pickle.loads(blob)
+            mapping = {old: new for old, new in zip(names, asked.names) if old != new}
+            if mapping:
+                quotient = quotient.rename_actions(mapping)
+            if parameters:
+                quotient = quotient.rename_parameters(
+                    dict(zip(parameters, asked.parameters)), asked.nominals
+                )
+            quotient.name = model.name
+            return quotient
+        quotient, _stats = aggregate(model, options)
+        blob = pickle.dumps(quotient, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._quotients[asked.key] = (blob, asked.names, asked.parameters)
+            self._quotients.move_to_end(asked.key)
+            while len(self._quotients) > self.capacity:
+                self._quotients.popitem(last=False)
         return quotient
+
+    def stats(self) -> Dict[str, int]:
+        """``entries``, ``capacity``, ``hits`` and ``misses``, JSON-safe."""
+        with self._lock:
+            return {
+                "entries": len(self._quotients),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
 
 
 class _Workspace:
     """The live models of a run, keyed, with the shared-action index and the
     run's quotient memo."""
 
-    def __init__(self, aggregation: AggregationOptions) -> None:
+    def __init__(self, quotients: QuotientMemo) -> None:
         self.models: Dict[int, IOIMC] = {}
         self.order: List[int] = []  # insertion order (sequential/smallest picks)
         self.index = SharedActionIndex()
-        self.quotients = _QuotientMemo(aggregation)
+        self.quotients = quotients
         self._next_key = 0
 
     def add(self, model: IOIMC) -> int:
@@ -269,7 +391,8 @@ class CompositionalAggregator:
 
     ``community`` (optional) supplies the fault tree and member provenance
     needed by the ``modular`` ordering; the models must then be exactly
-    ``community.models()``.
+    ``community.models()``.  ``memo`` (optional) is a :class:`QuotientMemo`
+    shared with other runs; without one each :meth:`run` makes its own.
     """
 
     def __init__(
@@ -277,11 +400,13 @@ class CompositionalAggregator:
         models: Sequence[IOIMC],
         options: Optional[CompositionalAggregationOptions] = None,
         community=None,
+        memo: Optional[QuotientMemo] = None,
     ):
         if not models:
             raise CompositionError("the community is empty")
         self._models: List[IOIMC] = list(models)
         self._community = community
+        self._memo = memo
         self.options = options or CompositionalAggregationOptions()
 
     # ------------------------------------------------------------ public API
@@ -298,7 +423,7 @@ class CompositionalAggregator:
             statistics.final_transitions = only.num_transitions
             return only, statistics
 
-        workspace = _Workspace(self.options.aggregation)
+        workspace = _Workspace(self._memo if self._memo is not None else QuotientMemo())
         keys = [workspace.add(model) for model in self._models]
 
         plan = self._plan(keys)
@@ -374,7 +499,12 @@ class CompositionalAggregator:
         composite = self._hide(composite, workspace.external_inputs())
         hidden_actions = tuple(sorted(hidden_before - composite.signature.outputs))
 
-        composite = workspace.quotients.aggregate(composite)
+        if workspace.models:
+            composite = workspace.quotients.aggregate(composite, self.options.aggregation)
+        else:
+            # The whole tree's product: no later step asks for it, and a later
+            # equal tree is answered from its skeleton entry, so it is not kept.
+            composite, _stats = aggregate(composite, self.options.aggregation)
 
         statistics.steps.append(
             CompositionStep(

@@ -60,6 +60,7 @@ from ..dft.modules import independent_modules, module_members, module_subtree
 from ..dft.tree import DynamicFaultTree
 from ..errors import AnalysisError
 from . import signals
+from .aggregation import QuotientMemo
 from .results import (
     ModuleTableInfo,
     OptimizeChoice,
@@ -370,7 +371,9 @@ class _Evaluator:
     through a :class:`~repro.service.store.SkeletonStore` when one is given
     (so candidates persist across runs), through an in-memory dict otherwise —
     compiled once, so re-bounding the same optimistic completion costs a
-    single uniformisation sweep.
+    single uniformisation sweep.  Without a store the builds of one run
+    share one :class:`~repro.core.aggregation.QuotientMemo`, as a store's
+    builds share the store's.
     """
 
     def __init__(
@@ -383,6 +386,7 @@ class _Evaluator:
         self.store = store
         self.tolerance = tolerance
         self._models: Dict[str, CompiledModel] = {}
+        self._quotients = QuotientMemo()
         self.builds = 0
         self.cache_hits = 0
 
@@ -401,7 +405,7 @@ class _Evaluator:
             else:
                 self.builds += 1
         else:
-            entry = build_entry(tree, self.options, key=key)
+            entry = build_entry(tree, self.options, key=key, quotient_memo=self._quotients)
             self.builds += 1
         model = self._models[key] = CompiledModel(entry.skeleton, buffer=entry.buffer)
         return model

@@ -71,6 +71,7 @@ from .aggregation import (
     CompositionStatistics,
     CompositionalAggregationOptions,
     CompositionalAggregator,
+    QuotientMemo,
 )
 from .conversion import Community, ConversionOptions, DftToIoimcConverter
 from .measures import (
@@ -713,6 +714,11 @@ class Study:
     aggregation and minimisation entirely and evaluates on the cached
     skeleton under the tree's canonical rate assignment; a miss builds and
     persists the entry for every later tree of the same structure.
+
+    ``quotient_memo`` (a :class:`~repro.core.aggregation.QuotientMemo`)
+    lets this Study's pipeline reuse the quotients of earlier runs that
+    shared it (a store hands its own to the Study that builds an entry);
+    without one the pipeline reuses quotients within its own run only.
     """
 
     def __init__(
@@ -720,10 +726,12 @@ class Study:
         tree: DynamicFaultTree,
         options: Optional[StudyOptions] = None,
         skeleton_cache: Optional["SkeletonStore"] = None,
+        quotient_memo: Optional[QuotientMemo] = None,
     ):
         self.tree = tree
         self.options = options or StudyOptions()
         self.skeleton_cache = skeleton_cache
+        self.quotient_memo = quotient_memo
         self._community: Optional[Community] = None
         self._final: Optional[IOIMC] = None
         self._statistics: Optional[CompositionStatistics] = None
@@ -756,6 +764,7 @@ class Study:
                 community.models(),
                 self.options.composition_options(),
                 community=community,
+                memo=self.quotient_memo,
             )
             self._final, self._statistics = aggregator.run()
             self._timings["aggregation"] = _time.perf_counter() - start

@@ -72,6 +72,7 @@ the transitions they are given.
 from __future__ import annotations
 
 import logging
+import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -102,6 +103,23 @@ ALGORITHMS = ("closure", "splitter", "signature")
 #: to the splitter engine (same partition, per-splitter closures).
 SATURATION_FACTOR = 64
 SATURATION_FLOOR = 2_000_000
+
+#: Closure-engine constructions that tripped the cap and fell back to the
+#: splitter engine in this process (:func:`saturation_overflows`).
+_saturation_overflows = 0
+_overflow_lock = threading.Lock()
+
+
+def saturation_overflows() -> int:
+    """How many weak minimisations of this process fell back from the
+    closure engine to the splitter engine on a saturation overflow."""
+    return _saturation_overflows
+
+
+def _count_saturation_overflow() -> None:
+    global _saturation_overflows
+    with _overflow_lock:
+        _saturation_overflows += 1
 
 #: Up to this many tau-SCCs the weak engine precomputes a bit-packed
 #: backward-reachability matrix over the condensation (num_sccs^2 bits,
@@ -637,6 +655,7 @@ def _weak_engine(
         try:
             return _WeakClosureEngine(model, respect_labels, rate_digits)
         except _SaturationOverflow as overflow:
+            _count_saturation_overflow()
             LOGGER.info(
                 "closure engine: saturating %d tau-SCCs exceeds the cap of %d "
                 "entries; falling back to the splitter engine",

@@ -8,7 +8,7 @@ the basic structural operations used throughout the library:
 * building models state by state (:meth:`IOIMC.add_state`,
   :meth:`IOIMC.add_interactive`, :meth:`IOIMC.add_markovian`),
 * querying transitions and stability of states,
-* hiding and renaming actions,
+* hiding and renaming actions, renaming rate parameters,
 * restriction to reachable states,
 * export to Graphviz ``dot`` for inspection.
 
@@ -59,6 +59,7 @@ from typing import (
 
 from ..errors import ModelError, SignatureError
 from .actions import ACTIONS, ActionSignature, ActionType, format_action, intern_action
+from .rates import ParametricRate
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,6 +487,29 @@ class IOIMC:
                 [(id_map.get(aid, aid), target) for aid, target in self._itrans[state]],
             )
             renamed._set_markovian_raw(state, dict(self._mtrans[state]))
+        return renamed
+
+    def rename_parameters(
+        self, mapping: Mapping[str, str], nominals: Mapping[str, float]
+    ) -> "IOIMC":
+        """Return a copy whose parametric rates are renamed by ``mapping``
+        (:meth:`~repro.ioimc.rates.ParametricRate.renamed`), every renamed
+        form taking its parameters' nominal values from ``nominals``; plain
+        float rates are kept."""
+        renamed = self._skeleton()
+        for state in self.states():
+            renamed._set_interactive_raw(state, list(self._itrans[state]))
+            renamed._set_markovian_raw(
+                state,
+                {
+                    target: (
+                        rate.renamed(mapping, nominals)
+                        if isinstance(rate, ParametricRate)
+                        else rate
+                    )
+                    for target, rate in self._mtrans[state].items()
+                },
+            )
         return renamed
 
     def reachable_states(self) -> FrozenSet[int]:

@@ -164,6 +164,14 @@ class ParametricRate:
     def parameters(self) -> Tuple[str, ...]:
         return tuple(sorted(self.coeffs))
 
+    def renamed(
+        self, mapping: Mapping[str, str], nominals: Mapping[str, float]
+    ) -> "ParametricRate":
+        """The same form over the parameters ``mapping`` names (absent ones
+        keep their name), each taking its nominal value from ``nominals``."""
+        coeffs = {mapping.get(name, name): value for name, value in self.coeffs.items()}
+        return ParametricRate(self.const, coeffs, {name: nominals[name] for name in coeffs})
+
     # ------------------------------------------------------------- canonical
     def canonical_key(self, round_to: "_Rounder") -> Tuple[object, ...]:
         """A hashable token for rate-class bucketing during minimisation.

@@ -22,6 +22,9 @@ the worker's store lost) falls back to the in-process path, counted as
 ``pool_fallbacks`` in ``/metrics`` and logged; any other worker exception
 propagates like an in-process one.  An unexpected exception in a handler
 becomes a logged 500 response instead of escaping to the transport.
+``/metrics`` also carries the store's counters (its quotient memo's among
+them) and ``saturation_overflows``, the weak minimisations of the service
+process that fell back from the closure engine to the splitter engine.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from ..dft import galileo
 from ..dft.elements import BasicEvent
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
+from ..ioimc.bisimulation import saturation_overflows
 from .store import SkeletonEntry, SkeletonStore, cache_key
 
 LOGGER = logging.getLogger("repro.service.app")
@@ -709,4 +713,5 @@ class AnalysisService:
         payload = self.metrics.snapshot()
         payload["schema"] = SERVICE_SCHEMA
         payload["store"] = self.store.stats()
+        payload["saturation_overflows"] = saturation_overflows()
         return payload

@@ -20,7 +20,14 @@ half's output under that hash:
   readers only ever observe complete entries;
 * an optional byte cap turns the directory into an mtime-LRU: loads (and
   :meth:`SkeletonStore.touch`, for hits served from a decoded copy held in
-  memory) touch the entry, stores evict the oldest entries beyond the cap.
+  memory) touch the entry, stores evict the oldest entries beyond the cap;
+* every entry one store object builds shares that object's in-memory
+  :class:`~repro.core.aggregation.QuotientMemo`: a miss whose tree repeats
+  a building block of an earlier build (the same hidden product up to the
+  names of its actions and canonical parameters) reuses that block's
+  quotient instead of minimising it again.  The memo is bounded, never
+  written to disk, and reported by :meth:`SkeletonStore.stats` as
+  ``quotient_memo``.
 
 :class:`~repro.core.study.Study` and :class:`~repro.core.sweep.SweepStudy`
 accept a store via ``skeleton_cache=`` and skip conversion + aggregation +
@@ -42,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..core.aggregation import QuotientMemo
 from ..core.results import ModelInfo
 from ..core.study import Study, StudyOptions
 from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton
@@ -141,19 +149,21 @@ def build_entry(
     options: Optional[StudyOptions] = None,
     key: Optional[str] = None,
     tree_hash: Optional[str] = None,
+    quotient_memo: Optional[QuotientMemo] = None,
 ) -> SkeletonEntry:
     """Run the expensive pipeline once for ``tree``'s structural class.
 
     The pipeline runs on the canonical parametrisation, so the resulting
     skeleton is rate-free: concrete rates of the source tree never leak into
-    the cached structure.
+    the cached structure.  ``quotient_memo`` is shared with earlier builds
+    (the store's own, from :meth:`SkeletonStore.get_or_build`).
     """
     if tree_hash is None:
         tree_hash = structural_hash(tree)
     if key is None:
         key = f"{tree_hash}-{_options_fingerprint(options)}"
     canonical = canonical_parametrisation(tree)
-    study = Study(canonical, options)
+    study = Study(canonical, options, quotient_memo=quotient_memo)
     skeleton = study.skeleton
     start = _time.perf_counter()
     buffer = None if study.is_nondeterministic else CsrBuffer(skeleton)
@@ -190,7 +200,8 @@ class SkeletonStore:
     entries being immutable once written: concurrent builders of the same key
     race benignly (last write wins, both writes are identical up to timings)
     and readers only ever see complete files.  Counters (hits, misses,
-    corrupt evictions, ...) are per-store-object.
+    corrupt evictions, ...) and the :attr:`quotient_memo` every build of
+    this object shares are per-store-object.
     """
 
     def __init__(
@@ -208,6 +219,8 @@ class SkeletonStore:
         self.corrupt_evictions = 0
         self.temp_reclaimed = 0
         self._utime_warned = False
+        #: Shared by every entry this store object builds.
+        self.quotient_memo = QuotientMemo()
 
     # ------------------------------------------------------------------ paths
     def path_of(self, key: str) -> Path:
@@ -432,7 +445,9 @@ class SkeletonStore:
         entry = self.load(key)
         if entry is not None:
             return entry, True
-        entry = build_entry(tree, options, key=key, tree_hash=tree_hash)
+        entry = build_entry(
+            tree, options, key=key, tree_hash=tree_hash, quotient_memo=self.quotient_memo
+        )
         try:
             self.store(entry)
         except OSError as error:
@@ -544,4 +559,5 @@ class SkeletonStore:
             "evictions": self.evictions,
             "corrupt_evictions": self.corrupt_evictions,
             "temp_reclaimed": self.temp_reclaimed,
+            "quotient_memo": self.quotient_memo.stats(),
         }

@@ -141,8 +141,11 @@ def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
     # A zero saturation budget overflows on every model with an SCC.
     monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
     monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)
+    overflows = bisimulation.saturation_overflows()
     with caplog.at_level(logging.INFO, logger="repro.ioimc.bisimulation"):
         actual = [minimize_weak(model, algorithm="closure").to_dot() for model in models]
     fallbacks = [r for r in caplog.records if "falling back" in r.getMessage()]
     assert len(fallbacks) == len(models) > 100
+    # Every fallback is counted beside its log record.
+    assert bisimulation.saturation_overflows() - overflows == len(models)
     assert actual == expected

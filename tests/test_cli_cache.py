@@ -26,6 +26,7 @@ STATS_KEYS = {
     "payload_bytes",
     "compressed_bytes",
     "compression_ratio",
+    "quotient_memo",
 }
 
 
@@ -63,6 +64,7 @@ class TestCacheStats:
             "evictions": 0,
             "corrupt_evictions": 0,
             "temp_reclaimed": 0,
+            "quotient_memo": {"entries": 0, "capacity": 256, "hits": 0, "misses": 0},
         }
         assert stats == golden
 
