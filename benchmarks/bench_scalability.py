@@ -30,6 +30,7 @@ from repro.ioimc import minimize_strong, minimize_weak
 from repro.systems import cascaded_pand_family, pand_race_bank
 
 from conftest import record, unreliability
+from tests.series_reference import time_bounded_reachability_curve_reference
 from workloads import largest_minimisation_workload, tau_heavy_chain
 
 MISSION_TIME = 1.0
@@ -474,8 +475,8 @@ def test_ctmdp_kernel_sweep_big_tier(benchmark):
         model = skeleton.instantiate(sample)
         legacy_rows.append(
             tuple(
-                model.time_bounded_reachability_curve_reference(
-                    signals.FAILED_LABEL, times, maximize=maximize
+                time_bounded_reachability_curve_reference(
+                    model, signals.FAILED_LABEL, times, maximize=maximize
                 )
                 for maximize in (False, True)
             )

@@ -12,8 +12,9 @@ the first argument) recording the numbers the perf trajectory tracks:
   calls vs composition steps, same final model as the linked order) and the
   process's peak RSS,
 * curve evaluation on the paper's cascaded-PAND CTMC: one vectorised
-  100-point uniformisation sweep vs 100 per-point calls (the two must agree
-  to 1e-9; the sweep must be faster),
+  100-point uniformisation sweep (the chain's kernel) vs 100 per-point calls
+  of the per-state reference series (the two must agree to 1e-9; the sweep
+  must be faster),
 * a batch/corpus spot-check over generated random trees,
 * a 50-sample failure-rate sweep on the CPS: the sweep engine (one
   aggregation, per-sample kernel refills) vs per-sample instantiation and
@@ -32,8 +33,9 @@ execute it as a single cheap step::
 
     PYTHONPATH=src python benchmarks/smoke_fig2.py
 
-The per-sample reference rows come from ``tests/sweep_reference.py``; the
-script puts the repository root on ``sys.path`` to import it.
+The per-sample reference rows come from ``tests/sweep_reference.py`` and
+the per-state reference series from ``tests/series_reference.py``; the
+script puts the repository root on ``sys.path`` to import them.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ from repro.systems import (
 from workloads import largest_minimisation_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.series_reference import (  # noqa: E402
+    probability_of_label,
+    time_bounded_reachability_curve_reference,
+)
 from tests.sweep_reference import per_sample_rows  # noqa: E402
 
 MISSION_TIME = 1.0
@@ -340,7 +346,7 @@ def bench_curve(num_points: int = 100, horizon: float = 5.0) -> dict:
 
     def per_point():
         return np.array(
-            [model.probability_of_label(signals.FAILED_LABEL, float(t)) for t in times]
+            [probability_of_label(model, signals.FAILED_LABEL, float(t)) for t in times]
         )
 
     curve, vectorised_seconds = _timed(vectorised)
@@ -502,11 +508,11 @@ def bench_ctmdp_kernel(channels: int = 5, num_samples: int = 8) -> dict:
         rows = []
         for sample in samples:
             model = skeleton.instantiate(sample)
-            low = model.time_bounded_reachability_curve_reference(
-                signals.FAILED_LABEL, times, maximize=False
+            low = time_bounded_reachability_curve_reference(
+                model, signals.FAILED_LABEL, times, maximize=False
             )
-            high = model.time_bounded_reachability_curve_reference(
-                signals.FAILED_LABEL, times, maximize=True
+            high = time_bounded_reachability_curve_reference(
+                model, signals.FAILED_LABEL, times, maximize=True
             )
             rows.append((low, high))
         return rows

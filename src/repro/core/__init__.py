@@ -63,7 +63,7 @@ from .results import (
     read_batch_jsonl,
     write_batch_jsonl,
 )
-from .study import BatchStudy, Study, StudyOptions, evaluate, evaluate_query_on_model
+from .study import BatchStudy, Study, StudyOptions, evaluate
 from .sweep import (
     RateSweep,
     SweepStudy,
@@ -119,7 +119,6 @@ __all__ = [
     "convert",
     "detect_nondeterminism",
     "evaluate",
-    "evaluate_query_on_model",
     "monotonicity_warnings",
     "objective_measure",
     "optimize",

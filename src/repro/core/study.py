@@ -154,21 +154,20 @@ def _query_bound_times(query: Query) -> Tuple[float, ...]:
 
 
 def _curves(
-    solver: Union[CTMC, CTMDP, TransientKernel, CtmdpKernel],
+    solver: Union[TransientKernel, CtmdpKernel],
     query: Query,
     tolerance: float,
-    blocks: int = 1,
+    blocks: int,
 ) -> List[Tuple[Dict[float, float], Dict[float, Tuple[float, float]]]]:
     """Point values and bound curves at the union of all requested times.
 
-    ``solver`` is a concrete model or a kernel with ``blocks`` loaded
-    samples (both expose the same curve methods); the result holds one
-    ``(point values, bound curves)`` pair per sample.  A deterministic
-    solver runs one transient sweep, and its bounds coincide with the point
-    values; a non-deterministic one runs one bound-sweep pair and has no
-    point values.
+    ``solver`` is a kernel with ``blocks`` loaded samples; the result holds
+    one ``(point values, bound curves)`` pair per sample.  A transient
+    kernel runs one forward series, and its bounds coincide with the point
+    values; a CTMDP kernel runs one bound-sweep pair and has no point
+    values.
     """
-    if isinstance(solver, (CTMDP, CtmdpKernel)):
+    if isinstance(solver, CtmdpKernel):
         times = _query_bound_times(query)
         if not times:
             return [({}, {}) for _block in range(blocks)]
@@ -379,35 +378,6 @@ def measures_from_curves(
                 raise
             evaluated.append(MeasureResult(kind=measure.kind, error=str(error)))
     return tuple(evaluated)
-
-
-def evaluate_query_on_model(
-    model: Union[CTMC, CTMDP],
-    query: QueryLike,
-    tolerance: float = 1e-12,
-    on_error: str = "raise",
-    gradient_values: Optional[GradientValues] = None,
-) -> Tuple[MeasureResult, ...]:
-    """Evaluate every measure of ``query`` directly on a concrete Markov model.
-
-    The concrete-model counterpart of :meth:`CompiledModel.evaluate_many`
-    (which every :class:`Study` and sweep uses), kept as an independent
-    reference: one vectorised transient sweep over the union of all mission
-    times (or one bound-curve sweep pair for CTMDPs), then each measure
-    reads its values.
-    Importance rankings need ``gradient_values`` from a parametric kernel (a
-    concrete model carries evaluated floats, so it cannot be differentiated).
-    """
-    query = _as_query(query)
-    ((point_values, bound_curves),) = _curves(model, query, tolerance)
-    return measures_from_curves(
-        model,
-        query,
-        point_values,
-        bound_curves,
-        on_error=on_error,
-        gradient_values=gradient_values,
-    )
 
 
 def _query_wants_gradients(query: Query) -> bool:
@@ -676,9 +646,8 @@ def evaluate_skeleton_query(
 
     The batch of one of :meth:`CompiledModel.evaluate_many` — the same code
     every sweep runs — raising the sample's error instead of returning it.
-    It is the skeleton counterpart of :func:`evaluate_query_on_model`: a
-    concrete model is instantiated only when a measure reads the generator
-    itself.
+    A concrete model is instantiated only when a measure reads the
+    generator itself.
 
     Every measure the library computes — ``Study`` with or without a
     skeleton cache, sweep rows, the optimiser and the service — runs through
@@ -1019,11 +988,12 @@ def _evaluate_batch_item(
 
 
 def resolve_workers(processes: Optional[int], num_items: int) -> int:
-    """The worker count for ``num_items`` items (1 unless there is work to share)."""
+    """The worker count for ``num_items`` items: ``processes``, but never
+    more workers than items (so 1 unless there is work to share)."""
     workers = 1 if processes is None else int(processes)
     if workers < 1:
         raise AnalysisError(f"processes must be >= 1, got {processes}")
-    return workers if num_items > 1 else 1
+    return max(1, min(workers, num_items))
 
 
 def chunked_pool_map(

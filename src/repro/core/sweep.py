@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass, replace
 from typing import (
@@ -91,6 +92,8 @@ AxisLike = Union[float, int, Sequence[float]]
 
 def _check_sample_value(parameter: str, value: object) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise AnalysisError(
@@ -124,6 +127,10 @@ class RateSweep:
         object.__setattr__(self, "query", _as_query(query))
         normalised: List[Sample] = []
         for sample in samples:
+            if not isinstance(sample, Mapping):
+                raise AnalysisError(
+                    f"a rate-sweep sample must map parameter names to rates, got {sample!r}"
+                )
             if not sample:
                 raise AnalysisError("a rate-sweep sample must assign at least one parameter")
             normalised.append(
@@ -145,9 +152,13 @@ class RateSweep:
         columns: List[List[float]] = []
         for name in names:
             axis = axes[name]
-            if isinstance(axis, (int, float)):
+            if isinstance(axis, numbers.Real):
                 axis = (axis,)
-            values = [float(value) for value in axis]
+            elif isinstance(axis, (str, bytes, Mapping)) or not isinstance(axis, Iterable):
+                raise AnalysisError(
+                    f"sweep axis {name!r} must be a number or a list of numbers, got {axis!r}"
+                )
+            values = [_check_sample_value(name, value) for value in axis]
             if not values:
                 raise AnalysisError(f"sweep axis {name!r} has no values")
             columns.append(values)

@@ -5,6 +5,13 @@ single closed model: transient analysis via uniformisation (unreliability),
 steady-state analysis (unavailability of repairable systems), expected hitting
 times (mean time to failure) and CTMDP time-bounded reachability bounds for
 non-deterministic models.
+
+Every uniformisation series runs in :mod:`repro.ctmc.kernel`: the forward
+series of :class:`TransientKernel` behind every CTMC curve, distribution and
+reachability probability, and the backward series of :class:`CtmdpKernel`
+behind every CTMDP bound.  Studies and sweeps load rate samples into kernels
+built from a skeleton; a concrete :class:`CTMC` or :class:`CTMDP` keeps one
+kernel of its own edges.
 """
 
 from .builders import (
@@ -29,9 +36,7 @@ from .transient import (
     probability_of_label_curve,
     probability_reach_label,
     transient_distribution,
-    transient_distribution_expm,
     transient_distributions,
-    unreliability_curve,
 )
 
 __all__ = [
@@ -55,7 +60,5 @@ __all__ = [
     "probability_reach_label",
     "steady_state_distribution",
     "transient_distribution",
-    "transient_distribution_expm",
     "transient_distributions",
-    "unreliability_curve",
 ]

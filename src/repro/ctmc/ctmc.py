@@ -9,19 +9,33 @@ with the measures needed by the paper:
 * steady-state probabilities (for unavailability of repairable systems),
 * mean time to absorption (mean time to failure).
 
-Numerical routines live in :mod:`repro.ctmc.transient` and
-:mod:`repro.ctmc.steady_state`; this class is a thin, well-typed container
-around a sparse generator matrix.
+Transient measures run on the package's one uniformisation series,
+:class:`~repro.ctmc.kernel.TransientKernel`: the chain builds a kernel of its
+own edges on the first curve call and keeps it until a mutator changes the
+chain.  Steady-state analysis lives in :mod:`repro.ctmc.steady_state`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 from scipy import sparse
 
 from ..errors import AnalysisError, ModelError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
+    from .kernel import TransientKernel
 
 
 class CTMC:
@@ -37,6 +51,10 @@ class CTMC:
         self._rates: List[Dict[int, float]] = [dict() for _ in range(num_states)]
         self._labels: List[FrozenSet[str]] = [frozenset() for _ in range(num_states)]
         self._state_names: List[Optional[str]] = [None] * num_states
+        # Structure version: bumped by every mutator so the cached transient
+        # kernel is rebuilt exactly when needed (as CTMDP does).
+        self._version = 0
+        self._engine: Optional[Tuple[int, "TransientKernel"]] = None
 
     # ------------------------------------------------------------------ build
     def add_rate(self, source: int, target: int, rate: float) -> None:
@@ -49,18 +67,22 @@ class CTMC:
             # A rate back to the same state has no observable effect on a CTMC.
             return
         self._rates[source][target] = self._rates[source].get(target, 0.0) + rate
+        self._version += 1
 
     def set_labels(self, state: int, labels: Iterable[str]) -> None:
         self._check(state)
         self._labels[state] = frozenset(labels)
+        self._version += 1
 
     def set_state_name(self, state: int, name: str) -> None:
         self._check(state)
         self._state_names[state] = name
+        self._version += 1
 
     def set_initial(self, state: int) -> None:
         self._check(state)
         self._initial = state
+        self._version += 1
 
     # ---------------------------------------------------------------- queries
     @property
@@ -149,30 +171,65 @@ class CTMC:
         return vector
 
     # ---------------------------------------------------------------- measures
-    def transient_distribution(self, time: float, tolerance: float = 1e-12) -> np.ndarray:
+    def _kernel(self) -> "TransientKernel":
+        """The (cached) transient kernel of this chain, its one sample loaded."""
+        from .builders import CtmcSkeleton
+        from .kernel import TransientKernel
+
+        cached = self._engine
+        if cached is None or cached[0] != self._version:
+            skeleton = CtmcSkeleton(
+                num_states=self._num_states,
+                initial=self._initial,
+                labels=tuple(self._labels),
+                state_names=tuple(self._state_names),
+                edges=tuple(
+                    (source, target, rate)
+                    for source, row in enumerate(self._rates)
+                    for target, rate in row.items()
+                ),
+            )
+            kernel = TransientKernel(skeleton)
+            kernel.load()
+            cached = (self._version, kernel)
+            self._engine = cached
+        return cached[1]
+
+    def transient_distribution(
+        self,
+        time: float,
+        tolerance: float = 1e-12,
+        initial_distribution: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """State distribution at ``time`` via uniformisation."""
-        from .transient import transient_distribution
+        return self.transient_distributions(
+            [time], tolerance=tolerance, initial_distribution=initial_distribution
+        )[0]
 
-        return transient_distribution(self, time, tolerance=tolerance)
+    def transient_distributions(
+        self,
+        times: Sequence[float],
+        tolerance: float = 1e-12,
+        initial_distribution: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """State distributions at all ``times`` from one uniformisation sweep.
 
-    def transient_distributions(self, times: Sequence[float], tolerance: float = 1e-12) -> np.ndarray:
-        """State distributions at all ``times`` from one uniformisation sweep."""
-        from .transient import transient_distributions
-
-        return transient_distributions(self, times, tolerance=tolerance)
+        Returns an array of shape ``(len(times), num_states)``; the start is
+        ``initial_distribution`` (default: all mass on the initial state).
+        """
+        return self._kernel().transient_distributions(
+            times, tolerance=tolerance, initial_distribution=initial_distribution
+        )
 
     def probability_of_label(self, label: str, time: float, tolerance: float = 1e-12) -> float:
         """Probability of being in a ``label``-state at ``time``."""
-        distribution = self.transient_distribution(time, tolerance=tolerance)
-        return float(sum(distribution[s] for s in self.states_with_label(label)))
+        return float(self.probability_of_label_curve(label, [time], tolerance=tolerance)[0])
 
     def probability_of_label_curve(
         self, label: str, times: Sequence[float], tolerance: float = 1e-12
     ) -> np.ndarray:
         """Probability of being in a ``label``-state at each time (one sweep)."""
-        from .transient import probability_of_label_curve
-
-        return probability_of_label_curve(self, label, times, tolerance=tolerance)
+        return self._kernel().probability_of_label_curve(label, times, tolerance=tolerance)
 
     def steady_state_distribution(self) -> np.ndarray:
         """Long-run distribution (see :mod:`repro.ctmc.steady_state`)."""

@@ -18,7 +18,10 @@ iteration: the tangible dynamics are uniformised with a global rate and, after
 every step, vanishing states take the max (or min) over their successors'
 values.  For time-abstract schedulers this is exact up to the Poisson
 truncation error; it is reported as the optimistic/pessimistic bound pair used
-in the benchmarks.
+in the benchmarks.  The value iteration runs on the backward series of
+:class:`~repro.ctmc.kernel.CtmdpKernel`, which a model builds from its own
+edges and keeps until it changes; :class:`VanishingResolver` is the kernel's
+vanishing-state step.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from ..errors import AnalysisError, ModelError
 from ..graph import strongly_connected_components
-from .transient import PoissonTermCache, SweepWeights, validate_times
 
 
 class VanishingResolver:
@@ -249,10 +251,9 @@ class CTMDP:
         self._rates: List[Dict[int, float]] = [dict() for _ in range(num_states)]
         self._choices: List[Tuple[int, ...]] = [() for _ in range(num_states)]
         self._labels: List[FrozenSet[str]] = [frozenset() for _ in range(num_states)]
-        # Structure version: bumped by every mutator so the cached resolver
-        # and backward-sweep kernel are rebuilt exactly when needed.
+        # Structure version: bumped by every mutator so the cached
+        # backward-sweep kernel is rebuilt exactly when needed.
         self._version = 0
-        self._resolver: Optional[Tuple[int, VanishingResolver]] = None
         self._engine: Optional[Tuple[int, object]] = None
 
     # ------------------------------------------------------------------ build
@@ -335,25 +336,6 @@ class CTMDP:
         return any(len(choice) > 1 for choice in self._choices)
 
     # --------------------------------------------------------------- analysis
-    def _vanishing_resolver(self) -> VanishingResolver:
-        """The (cached) topological resolver of this model's choice structure."""
-        cached = self._resolver
-        if cached is None or cached[0] != self._version:
-            cached = (self._version, VanishingResolver(self._num_states, self._choices))
-            self._resolver = cached
-        return cached[1]
-
-    def _resolve_vanishing(self, values: np.ndarray, maximize: bool) -> np.ndarray:
-        """Propagate values through vanishing states (max/min of successors).
-
-        Acyclic vanishing states resolve in one reverse-topological pass;
-        cyclic SCCs iterate with a round cap and a cycle of instantaneous
-        internal moves that fails to stabilise is rejected (see
-        :class:`VanishingResolver`).
-        """
-        resolved = np.asarray(values, dtype=float).copy()
-        return self._vanishing_resolver().resolve(resolved, maximize)
-
     def _kernel(self):
         """The (cached) shared-structure backward-sweep kernel of this model."""
         from .builders import CtmdpSkeleton
@@ -384,102 +366,17 @@ class CTMDP:
         times: Sequence[float],
         maximize: bool = True,
         tolerance: float = 1e-10,
-        term_cache: Optional[PoissonTermCache] = None,
     ) -> np.ndarray:
         """Optimal reach-``label`` probability at each of ``times``, one sweep.
 
         The backward value-iteration iterates do not depend on the time point,
         only the Poisson weights do, so all time points share one sweep up to
-        the deepest truncation (the curve analogue of
-        :func:`repro.ctmc.transient.transient_distributions`).  The sweep runs
-        on the vectorised :class:`~repro.ctmc.kernel.CtmdpKernel`;
-        :meth:`time_bounded_reachability_curve_reference` keeps the original
-        per-state Python engine for differential testing.
+        the deepest truncation.  The sweep runs on the model's cached
+        :class:`~repro.ctmc.kernel.CtmdpKernel`.
         """
         return self._kernel().time_bounded_reachability_curve(
-            label, times, maximize=maximize, tolerance=tolerance, term_cache=term_cache
+            label, times, maximize=maximize, tolerance=tolerance
         )
-
-    def time_bounded_reachability_curve_reference(
-        self,
-        label: str,
-        times: Sequence[float],
-        maximize: bool = True,
-        tolerance: float = 1e-10,
-        term_cache: Optional[PoissonTermCache] = None,
-    ) -> np.ndarray:
-        """Reference implementation of the reachability-bound curve.
-
-        The original per-state Python backward value iteration, kept (like
-        :func:`repro.ctmc.transient.poisson_terms_reference`) as an
-        independent implementation for the cross-engine differential tests;
-        the production path is the vectorised kernel behind
-        :meth:`time_bounded_reachability_curve`.
-        """
-        times_list = validate_times(times)
-        if not times_list:
-            return np.zeros(0)
-        goal = self.states_with_label(label)
-        if not goal:
-            return np.zeros(len(times_list))
-
-        uniformization_rate = max(
-            (self.exit_rate(s) for s in self.states() if s not in goal), default=0.0
-        )
-        values = np.array([1.0 if s in goal else 0.0 for s in self.states()])
-        values = self._resolve_vanishing(values, maximize)
-        if uniformization_rate == 0.0:
-            return np.full(len(times_list), float(values[self._initial]))
-
-        weights = SweepWeights(uniformization_rate, times_list, tolerance, term_cache)
-        depth = weights.depth
-        # Markovian step structure, hoisted out of the sweep: for every
-        # tangible non-goal state its stay-probability and jump distribution
-        # under the uniformised chain.
-        steps: List[Tuple[int, float, Tuple[Tuple[int, float], ...]]] = []
-        for state in self.states():
-            if state in goal or self._choices[state]:
-                continue
-            steps.append(
-                (
-                    state,
-                    1.0 - self.exit_rate(state) / uniformization_rate,
-                    tuple(
-                        (target, rate / uniformization_rate)
-                        for target, rate in self._rates[state].items()
-                    ),
-                )
-            )
-
-        # Backward value iteration: after k steps ``current`` holds the
-        # probability of reaching the goal within k uniformisation steps.
-        results = np.zeros(len(times_list))
-        accumulated = np.zeros(len(times_list))
-        current = values
-        for step in range(depth):
-            rows, column = weights.column(step)
-            results[rows] += column * current[self._initial]
-            accumulated[rows] += column
-            if step + 1 == depth:
-                break
-            nxt = current.copy()
-            for state, stay, jumps in steps:
-                total = stay * current[state]
-                for target, probability in jumps:
-                    total += probability * current[target]
-                nxt[state] = total
-            current = self._resolve_vanishing(nxt, maximize)
-        # Account for the truncated tail: the remaining Poisson mass
-        # contributes at most its weight (upper bound) and at least its
-        # weight times the deepest computed iterate — the reach probabilities
-        # v_k are non-decreasing in k, so the final iterate is a valid lower
-        # bound on every truncated term.  (The minimise branch used to drop
-        # the tail entirely, biasing the lower bound down by ~tolerance.)
-        if maximize:
-            results = np.minimum(1.0, results + (1.0 - accumulated))
-        else:
-            results = results + (1.0 - accumulated) * float(current[self._initial])
-        return np.clip(results, 0.0, 1.0)
 
     def time_bounded_reachability(
         self,
@@ -523,17 +420,10 @@ class CTMDP:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(minimum, maximum) reach-``label`` probability curves over ``times``.
 
-        The min and max sweeps share one Poisson term cache (they use the same
-        uniformisation rate, so every weight array is computed once).
+        The min and max sweeps share the kernel's Poisson term cache (they use
+        the same uniformisation rate, so every weight array is computed once).
         """
-        cache = PoissonTermCache()
-        lower = self.time_bounded_reachability_curve(
-            label, times, maximize=False, tolerance=tolerance, term_cache=cache
-        )
-        upper = self.time_bounded_reachability_curve(
-            label, times, maximize=True, tolerance=tolerance, term_cache=cache
-        )
-        return lower, upper
+        return self._kernel().reachability_bounds_curve(label, times, tolerance=tolerance)
 
     def reachability_bounds(
         self, label: str, time: float, tolerance: float = 1e-10

@@ -36,12 +36,15 @@ This module eliminates that rebuild, and steps many samples at once:
 The rate-sweep engine (:mod:`repro.core.sweep`) drives one kernel per worker
 process through :meth:`repro.core.study.CompiledModel.evaluate_many`; after
 the first batch every further one costs only the refill and the stacked
-uniformisation series itself.
+uniformisation series itself.  A concrete :class:`~repro.ctmc.ctmc.CTMC` or
+:class:`~repro.ctmc.ctmdp.CTMDP` keeps a one-sample kernel of its own edges,
+so this module holds the only uniformisation series of the package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import math
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -63,8 +66,8 @@ DENSE_STATE_LIMIT = 256
 #: caller hands in.
 BATCH_OPERATOR_BYTES = 2 << 20
 
-#: The most bytes of forward iterates the transient kernel keeps before
-#: reducing them to goal and total masses in one pass.
+#: The most bytes of forward iterates the transient kernel keeps before a
+#: reducer (label masses or state distributions) reads them in one pass.
 HISTORY_BYTES = 1 << 18
 
 Assignment = Optional[Mapping[str, float]]
@@ -201,64 +204,53 @@ class CsrBuffer:
         num_states = skeleton.num_states
         edges = skeleton.edges
 
-        # --- CSR pattern: per row the sorted unique targets plus the diagonal.
-        row_targets: List[set] = [set() for _ in range(num_states)]
-        for source, target, _rate in edges:
-            row_targets[source].add(target)
-        indptr = np.zeros(num_states + 1, dtype=np.int64)
-        indices: List[int] = []
-        diag = np.empty(num_states, dtype=np.int64)
-        slot_of: Dict[Tuple[int, int], int] = {}
-        for row in range(num_states):
-            columns = sorted(row_targets[row] | {row})
-            base = len(indices)
-            for offset, column in enumerate(columns):
-                if column == row:
-                    diag[row] = base + offset
-                else:
-                    slot_of[(row, column)] = base + offset
-            indices.extend(columns)
-            indptr[row + 1] = len(indices)
-        self._diag = diag
-        self._slots = np.fromiter(
-            (slot_of[(source, target)] for source, target, _rate in edges),
-            dtype=np.int64,
-            count=len(edges),
-        )
+        # --- CSR pattern: per row the sorted unique targets plus the diagonal
+        # (one sort of the row-major (row, column) keys), and each edge's slot.
+        count = len(edges)
         self._sources = np.fromiter(
-            (source for source, _target, _rate in edges),
-            dtype=np.int64,
-            count=len(edges),
+            (source for source, _target, _rate in edges), dtype=np.int64, count=count
         )
         self._targets = np.fromiter(
-            (target for _source, target, _rate in edges),
-            dtype=np.int64,
-            count=len(edges),
+            (target for _source, target, _rate in edges), dtype=np.int64, count=count
         )
+        states = np.arange(num_states, dtype=np.int64)
+        keys = np.concatenate([self._sources, states]) * num_states + np.concatenate(
+            [self._targets, states]
+        )
+        pattern, position = np.unique(keys, return_inverse=True)
+        position = position.astype(np.int64).ravel()
+        self._slots = position[:count]
+        self._diag = position[count:]
+        indptr = np.zeros(num_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pattern // num_states, minlength=num_states), out=indptr[1:])
+        indices = pattern % num_states
 
         # --- vectorised linear forms: rate_e = const_e + coeffs[e] @ params.
         params = skeleton.parameters
-        index = {name: position for position, name in enumerate(params)}
-        const = np.zeros(len(edges))
-        coeffs = np.zeros((len(edges), len(params)))
+        const = np.fromiter(
+            (
+                rate.const if isinstance(rate, ParametricRate) else rate
+                for _source, _target, rate in edges
+            ),
+            dtype=float,
+            count=count,
+        )
+        coeffs = np.zeros((count, len(params)))
         nominals = np.zeros(len(params))
-        for edge, (_source, _target, rate) in enumerate(edges):
-            if isinstance(rate, ParametricRate):
-                const[edge] = rate.const
-                for name, coefficient in rate.coeffs.items():
-                    coeffs[edge, index[name]] = coefficient
-                    nominals[index[name]] = rate.nominals[name]
-            else:
-                const[edge] = float(rate)
+        if params:
+            index = {name: column for column, name in enumerate(params)}
+            for edge, (_source, _target, rate) in enumerate(edges):
+                if isinstance(rate, ParametricRate):
+                    for name, coefficient in rate.coeffs.items():
+                        coeffs[edge, index[name]] = coefficient
+                        nominals[index[name]] = rate.nominals[name]
         self._params = params
         self._const = const
         self._coeffs = coeffs
         self._nominals = nominals
         self.structure_builds = 1
         self.refills = 0
-        self._prepare(
-            indptr, np.asarray(indices, dtype=np.int64), num_states <= dense_limit
-        )
+        self._prepare(indptr, indices, num_states <= dense_limit)
 
     def _prepare(self, indptr: np.ndarray, indices: np.ndarray, dense: bool) -> None:
         """Derive the stepping structures of the pattern; load no sample."""
@@ -647,15 +639,11 @@ class _SampleKernel:
         return arrays
 
     def _block_terms(
-        self,
-        times: List[float],
-        tolerance: float,
-        term_cache: Optional[PoissonTermCache] = None,
+        self, times: List[float], tolerance: float
     ) -> Tuple[List[List[np.ndarray]], List[int]]:
         """Each block's Poisson term arrays per time, and its truncation depth."""
-        cache = term_cache if term_cache is not None else self.term_cache
         products = [rate * time for rate in self.buffer.block_rates.tolist() for time in times]
-        arrays = cache.get_many(products, tolerance)
+        arrays = self.term_cache.get_many(products, tolerance)
         count = len(times)
         terms = [arrays[start : start + count] for start in range(0, len(arrays), count)]
         return terms, [max(len(array) for array in row) for row in terms]
@@ -683,10 +671,14 @@ class TransientKernel(_SampleKernel):
 
     Owns the shared CSR buffer, the Poisson term cache and the ``pi(0)``
     workspaces; :meth:`load` switches the kernel to one parameter assignment
-    (:meth:`load_many` to a batch of them) and
-    :meth:`probability_of_label_curve` runs the uniformisation sweep on the
-    in-place refreshed operator.  ``dense_limit`` overrides the dense/sparse
-    stepping crossover of the underlying buffer.
+    (:meth:`load_many` to a batch of them).  One forward series
+    (:meth:`_forward_series`) runs on the in-place refreshed operator and
+    feeds two reducers: :meth:`probability_of_label_curve` (label masses,
+    any batch) and :meth:`transient_distributions` (full state
+    distributions of one sample, from any initial distribution).  Every
+    concrete :class:`~repro.ctmc.ctmc.CTMC` curve runs on such a kernel too.
+    ``dense_limit`` overrides the dense/sparse stepping crossover of the
+    underlying buffer.
     """
 
     __slots__ = ()
@@ -716,12 +708,11 @@ class TransientKernel(_SampleKernel):
     ) -> np.ndarray:
         """Probability of occupying a ``label``-state at each time, one sweep.
 
-        The numerical scheme is identical to
-        :func:`repro.ctmc.transient.probability_of_label_curve`; only the
-        matrix comes from the shared buffer (call :meth:`load` or
-        :meth:`load_many` first), the Poisson term arrays are cached across
-        samples, and the per-time weights are applied after the shared
-        matvec series instead of inside the step loop.
+        Call :meth:`load` (curve of shape ``(times,)``) or :meth:`load_many`
+        (``(blocks, times)``) first.  All time points share one forward
+        series; each time's Poisson weights are applied to the recorded goal
+        and total masses afterwards, and the Poisson term arrays are cached
+        across samples.
         """
         self._require_loaded("transient")
         times_list = validate_times(times)
@@ -733,39 +724,97 @@ class TransientKernel(_SampleKernel):
         terms, depths = self._block_terms(times_list, tolerance)
         depth = max(depths)
 
-        # Shared matvec series: only the goal and total masses of each
-        # iterate are needed.  The iterates are written into a history of up
-        # to HISTORY_BYTES and reduced one chunk at a time, so a step costs
-        # one matvec call; take() keeps the goal entries C-contiguous, so
-        # each block's sums are the pairwise sums a lone vector gets.
+        # Only the goal and total masses of each iterate are needed; take()
+        # keeps the goal entries C-contiguous, so each block's sums are the
+        # pairwise sums a lone vector gets.
         shape = self._vector(row=True)
-        chunk = max(1, min(depth, HISTORY_BYTES // (8 * blocks * shape[-1])))
-        history, spare = self._buffers((chunk,) + shape, shape)
         goal_series = np.empty((depth,) + shape[:-1])
         total_series = np.empty((depth,) + shape[:-1])
-        buffer = self.buffer
-        history[0] = 0.0
-        history[0, ..., self.skeleton.initial] = 1.0
-        start = 0
-        while True:
-            count = min(chunk, depth - start)
-            for step in range(1, count):
-                buffer.step(history[step - 1], history[step])
-            iterates = history[:count]
-            np.add.reduce(
-                iterates.take(goal, axis=-1), axis=-1, out=goal_series[start : start + count]
-            )
-            np.add.reduce(iterates, axis=-1, out=total_series[start : start + count])
-            start += count
-            if start == depth:
-                break
-            history[0] = buffer.step(history[count - 1], spare)
+        for start, iterates in self._forward_series(depth):
+            stop = start + len(iterates)
+            np.add.reduce(iterates.take(goal, axis=-1), axis=-1, out=goal_series[start:stop])
+            np.add.reduce(iterates, axis=-1, out=total_series[start:stop])
 
         goal_mass = _weigh(terms, np.ascontiguousarray(goal_series.reshape(depth, -1).T))
         total_mass = _weigh(terms, np.ascontiguousarray(total_series.reshape(depth, -1).T))
         # Renormalise the (tiny) truncated mass, as transient_distributions does.
         np.divide(goal_mass, total_mass, out=goal_mass, where=total_mass > 0.0)
         return self._shaped(goal_mass)
+
+    def transient_distributions(
+        self,
+        times: Sequence[float],
+        tolerance: float = 1e-12,
+        initial_distribution: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """State distributions at each of ``times`` from one forward series.
+
+        Needs one sample loaded through :meth:`load`.  Returns an array of
+        shape ``(len(times), num_states)`` whose ``i``-th row is the
+        distribution at ``times[i]``, started from ``initial_distribution``
+        (default: all mass on the skeleton's initial state).  Each row is
+        renormalised by its (tiny) truncated mass, like the label curves.
+        """
+        self._require_loaded("transient")
+        if self._batched:
+            raise AnalysisError(
+                "state distributions are computed one sample at a time; "
+                "load() a single assignment"
+            )
+        times_list = validate_times(times)
+        num_states = self.skeleton.num_states
+        start_vector = None
+        if initial_distribution is not None:
+            start_vector = np.asarray(initial_distribution, dtype=float)
+            if start_vector.shape != (num_states,):
+                raise AnalysisError("initial distribution has the wrong dimension")
+            if not math.isclose(float(start_vector.sum()), 1.0, rel_tol=1e-9, abs_tol=1e-9):
+                raise AnalysisError("initial distribution must sum to one")
+        result = np.zeros((len(times_list), num_states))
+        if not times_list:
+            return result
+
+        (terms,), (depth,) = self._block_terms(times_list, tolerance)
+        for start, iterates in self._forward_series(depth, start_vector):
+            for row, array in zip(result, terms):
+                weights = array[start : start + len(iterates)]
+                row += weights @ iterates[: len(weights)]
+        totals = result.sum(axis=1, keepdims=True)
+        np.divide(result, totals, out=result, where=totals > 0.0)
+        return result
+
+    def _forward_series(
+        self, depth: int, initial_distribution: Optional[np.ndarray] = None
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """The iterates ``pi(0) P^k``, ``k < depth``, of every loaded block.
+
+        Yields ``(start, iterates)`` chunks: ``iterates[i]`` is step
+        ``start + i``, in the shape :meth:`CsrBuffer.step` takes, prefixed
+        by the chunk axis.  The iterates live in a reused history of up to
+        :data:`HISTORY_BYTES`, valid until the generator resumes, so a step
+        costs one matvec call and a reducer sees many steps at once.
+        ``pi(0)`` is all mass on the initial state unless a one-block
+        ``initial_distribution`` is given.
+        """
+        shape = self._vector(row=True)
+        chunk = max(1, min(depth, HISTORY_BYTES // (8 * self.buffer.blocks * shape[-1])))
+        history, spare = self._buffers((chunk,) + shape, shape)
+        buffer = self.buffer
+        if initial_distribution is None:
+            history[0] = 0.0
+            history[0, ..., self.skeleton.initial] = 1.0
+        else:
+            history[0] = initial_distribution
+        start = 0
+        while True:
+            count = min(chunk, depth - start)
+            for step in range(1, count):
+                buffer.step(history[step - 1], history[step])
+            yield start, history[:count]
+            start += count
+            if start == depth:
+                return
+            history[0] = buffer.step(history[count - 1], spare)
 
     def point_values(
         self,
@@ -787,9 +836,9 @@ class CtmdpKernel(_SampleKernel):
     The backward-sweep analogue of :class:`TransientKernel`: the uniformised
     CSR pattern and the vectorised linear-form rate table live in a shared
     :class:`CsrBuffer`, :meth:`load` / :meth:`load_many` refill the data in
-    place, and :meth:`time_bounded_reachability_curve` replaces the per-state
-    Python value iteration of :meth:`repro.ctmc.ctmdp.CTMDP` with stacked
-    sparse (or small-dense) matvecs plus a topologically-ordered
+    place, and :meth:`time_bounded_reachability_curve` runs the backward
+    value iteration as stacked sparse (or small-dense) matvecs plus a
+    topologically-ordered
     vanishing-state resolution (:class:`~repro.ctmc.ctmdp.VanishingResolver`,
     whose max/min reductions act on every block at once).
 
@@ -801,8 +850,9 @@ class CtmdpKernel(_SampleKernel):
     of the bound curve w.r.t. every failure-rate parameter in one extra pass
     (Birnbaum-style component importance).
 
-    Numerical conventions (both differ from the reference engine only within
-    the truncation tolerance, which the differential tests pin):
+    Numerical conventions (both differ from the tests' per-state reference
+    engine only within the truncation tolerance, which the differential tests
+    pin):
 
     * the uniformisation rate is the maximal exit rate over *all* tangible
       states (label-independent, so one Lambda serves every label and both
@@ -897,7 +947,6 @@ class CtmdpKernel(_SampleKernel):
         times: Sequence[float],
         maximize: bool = True,
         tolerance: float = 1e-10,
-        term_cache: Optional[PoissonTermCache] = None,
     ) -> np.ndarray:
         """Optimal reach-``label`` probability at each of ``times``, one sweep.
 
@@ -908,7 +957,7 @@ class CtmdpKernel(_SampleKernel):
         :meth:`TransientKernel.probability_of_label_curve`).
         """
         curve, _gradients = self._sweep(
-            label, times, maximize, tolerance, term_cache, with_gradients=False
+            label, times, maximize, tolerance, with_gradients=False
         )
         return self._shaped(curve)
 
@@ -918,7 +967,6 @@ class CtmdpKernel(_SampleKernel):
         times: Sequence[float],
         maximize: bool = True,
         tolerance: float = 1e-10,
-        term_cache: Optional[PoissonTermCache] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The bound curve plus its gradient w.r.t. every rate parameter.
 
@@ -938,7 +986,7 @@ class CtmdpKernel(_SampleKernel):
                 "gradient sweeps run one sample at a time; load() a single assignment"
             )
         curve, gradients = self._sweep(
-            label, times, maximize, tolerance, term_cache, with_gradients=True
+            label, times, maximize, tolerance, with_gradients=True
         )
         assert gradients is not None
         return curve[0], gradients
@@ -1038,7 +1086,6 @@ class CtmdpKernel(_SampleKernel):
         times: Sequence[float],
         maximize: bool,
         tolerance: float,
-        term_cache: Optional[PoissonTermCache],
         with_gradients: bool,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """``(blocks, times)`` bound curves, plus the lone block's gradients."""
@@ -1059,7 +1106,7 @@ class CtmdpKernel(_SampleKernel):
             return np.full((blocks, len(times_list)), float(values[initial])), empty
 
         buffer = self.buffer
-        terms, depths = self._block_terms(times_list, tolerance, term_cache)
+        terms, depths = self._block_terms(times_list, tolerance)
         depth = max(depths)
         update = self.update_indices(label)
         stacked_update = self._stacked_update(label)

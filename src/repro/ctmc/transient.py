@@ -1,26 +1,25 @@
 """Transient analysis of CTMCs.
 
 The unreliability of a DFT at mission time ``t`` is the probability of being in
-a ``"failed"`` state of the final CTMC at time ``t``.  The work-horse here is
+a ``"failed"`` state of the final CTMC at time ``t``.  It is computed by
 *uniformisation* (also called Jensen's method or randomisation), the standard
 numerically robust technique for transient CTMC analysis (Stewart, 1994):
 
 ``pi(t) = sum_k PoissonPMF(k; Lambda*t) * pi(0) * P^k`` with
 ``P = I + Q / Lambda`` and ``Lambda >= max exit rate``.
 
-The series is truncated adaptively once the accumulated Poisson mass exceeds
+The series is truncated once the accumulated Poisson mass exceeds
 ``1 - tolerance``; the truncation error of the result is then bounded by
-``tolerance``.
+``tolerance``.  The iterates ``pi(0) * P^k`` do not depend on the time point,
+only the Poisson weights do, so a curve over many mission times costs one
+series to the deepest truncation.
 
-Curve evaluation (many mission times on one chain) is vectorised: the matvec
-series ``pi(0) * P^k`` does not depend on the time point, only the Poisson
-weights do, so :func:`transient_distributions` runs a **single** sweep up to
-the largest truncation depth and accumulates every time point's result from
-the shared iterates.  A 100-point unreliability curve therefore costs one
-uniformisation pass instead of 100.
-
-A dense matrix-exponential variant (:func:`transient_distribution_expm`) is
-provided as an independent cross-check used by the test-suite on small models.
+This module holds the Poisson weights (:func:`poisson_terms` and its
+vectorised, cached variants) and the public entry points over a concrete
+:class:`~repro.ctmc.ctmc.CTMC`.  The series itself runs in one place,
+:class:`~repro.ctmc.kernel.TransientKernel`: every function here that takes
+a chain ends in a call on the chain's cached kernel, the same series every
+:class:`~repro.core.study.Study` and rate sweep steps.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg as dense_linalg
-from scipy import special, stats
+from scipy import special
 from scipy.special import gammaln
 
 from ..errors import AnalysisError
@@ -123,22 +121,6 @@ def poisson_terms(rate: float, tolerance: float) -> np.ndarray:
     return poisson_terms_many([rate], tolerance)[0]
 
 
-def poisson_terms_reference(rate: float, tolerance: float) -> np.ndarray:
-    """The pre-gammaln term computation (``scipy.stats`` quantile and PMF).
-
-    Kept as the differential baseline for :func:`poisson_terms`: both paths
-    must agree to within a few ulps on every index of the shared truncation
-    range (the test-suite pins ``<= 1e-12``).
-    """
-    _check_term_arguments(rate, tolerance)
-    if rate == 0.0:
-        return np.array([1.0])
-    quantile = min(1.0 - tolerance, math.nextafter(1.0, 0.0))
-    truncation = max(int(stats.poisson.ppf(quantile, rate)) + 2, 1)
-    terms = stats.poisson.pmf(np.arange(truncation + 1), rate)
-    return np.asarray(terms, dtype=float)
-
-
 class PoissonTermCache:
     """Memoises :func:`poisson_terms` arrays within one evaluation sweep.
 
@@ -175,6 +157,10 @@ class PoissonTermCache:
 class SweepWeights:
     """Per-time Poisson weight arrays for one shared uniformisation sweep.
 
+    No production series uses this class any more: it serves the per-state
+    reference series kept as test oracles, and perfbench counts calls of
+    :meth:`column` as series steps.
+
     Stored ragged (one term array per time point) rather than as a dense
     ``(times, depth)`` matrix: one mission time with a deep truncation must
     not inflate memory for every other time point.  :meth:`column` yields, for
@@ -190,9 +176,8 @@ class SweepWeights:
         uniformization_rate: float,
         times: Sequence[float],
         tolerance: float,
-        term_cache: Optional[PoissonTermCache] = None,
     ) -> None:
-        cache = term_cache if term_cache is not None else PoissonTermCache()
+        cache = PoissonTermCache()
         arrays = [cache.get(uniformization_rate * time, tolerance) for time in times]
         lengths = np.array([len(array) for array in arrays], dtype=int)
         self.depth = int(lengths.max())
@@ -217,42 +202,16 @@ def transient_distributions(
     times: Sequence[float],
     tolerance: float = 1e-12,
     initial_distribution: Optional[np.ndarray] = None,
-    term_cache: Optional[PoissonTermCache] = None,
 ) -> np.ndarray:
     """State distributions at each of ``times`` from one uniformisation sweep.
 
     Returns an array of shape ``(len(times), num_states)`` whose ``i``-th row
-    is the distribution at ``times[i]``.  All rows share the matvec series
-    ``pi(0) * P^k``; only the Poisson weights differ per time point, so the
-    cost is one sweep to the deepest truncation instead of one per time.
+    is the distribution at ``times[i]``, started from
+    ``initial_distribution`` (default: all mass on the initial state).
     """
-    times_list = validate_times(times)
-    distribution = (
-        ctmc.initial_distribution()
-        if initial_distribution is None
-        else np.asarray(initial_distribution, dtype=float)
+    return ctmc.transient_distributions(
+        times, tolerance=tolerance, initial_distribution=initial_distribution
     )
-    if distribution.shape != (ctmc.num_states,):
-        raise AnalysisError("initial distribution has the wrong dimension")
-    if not math.isclose(float(distribution.sum()), 1.0, rel_tol=1e-9, abs_tol=1e-9):
-        raise AnalysisError("initial distribution must sum to one")
-    if not times_list:
-        return np.zeros((0, ctmc.num_states))
-
-    matrix, uniformization_rate = ctmc.uniformized_matrix()
-    weights = SweepWeights(uniformization_rate, times_list, tolerance, term_cache)
-
-    result = np.zeros((len(times_list), ctmc.num_states))
-    current = distribution.copy()
-    for step in range(weights.depth):
-        rows, column = weights.column(step)
-        result[rows] += np.outer(column, current)
-        if step + 1 < weights.depth:
-            current = current @ matrix
-    # Renormalise the (tiny) truncated mass so every row is a distribution.
-    totals = result.sum(axis=1, keepdims=True)
-    np.divide(result, totals, out=result, where=totals > 0.0)
-    return result
 
 
 def transient_distribution(
@@ -262,33 +221,9 @@ def transient_distribution(
     initial_distribution: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """State distribution of ``ctmc`` at ``time`` via uniformisation."""
-    if time < 0.0:
-        raise AnalysisError("mission time must be non-negative")
-    distributions = transient_distributions(
-        ctmc, [time], tolerance=tolerance, initial_distribution=initial_distribution
+    return ctmc.transient_distribution(
+        time, tolerance=tolerance, initial_distribution=initial_distribution
     )
-    return distributions[0]
-
-
-def transient_distribution_expm(
-    ctmc: CTMC,
-    time: float,
-    initial_distribution: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """State distribution at ``time`` via a dense matrix exponential.
-
-    Exact up to floating point error, but dense: intended as an independent
-    cross-check for small models in the test-suite, not for production use.
-    """
-    if time < 0.0:
-        raise AnalysisError("mission time must be non-negative")
-    distribution = (
-        ctmc.initial_distribution()
-        if initial_distribution is None
-        else np.asarray(initial_distribution, dtype=float)
-    )
-    generator = ctmc.generator_matrix("csr").toarray()
-    return distribution @ dense_linalg.expm(generator * time)
 
 
 def probability_reach_label(
@@ -310,8 +245,7 @@ def probability_reach_label(
             continue
         for target, rate in ctmc.rates_from(state):
             absorbing.add_rate(state, target, rate)
-    distribution = transient_distribution(absorbing, time, tolerance=tolerance)
-    return float(sum(distribution[state] for state in goal))
+    return absorbing.probability_of_label(label, time, tolerance=tolerance)
 
 
 def probability_of_label_curve(
@@ -319,40 +253,11 @@ def probability_of_label_curve(
     label: str,
     times: Sequence[float],
     tolerance: float = 1e-12,
-    term_cache: Optional[PoissonTermCache] = None,
 ) -> np.ndarray:
     """Probability of occupying a ``label``-state at each time, one sweep.
 
-    Accumulates the per-time goal mass directly during the sweep instead of
-    materialising the full ``(times, states)`` distribution matrix, so the
-    memory cost is ``O(states + times)`` — the same as one per-point call —
-    no matter how many time points the curve has.
+    The series records only the goal and total mass of each iterate, so the
+    memory cost is ``O(states + times)`` no matter how many time points the
+    curve has.
     """
-    times_list = validate_times(times)
-    goal = ctmc.states_with_label(label)
-    if not goal or not times_list:
-        return np.zeros(len(times_list))
-
-    matrix, uniformization_rate = ctmc.uniformized_matrix()
-    weights = SweepWeights(uniformization_rate, times_list, tolerance, term_cache)
-    goal_indices = np.fromiter(goal, dtype=int)
-
-    goal_mass = np.zeros(len(times_list))
-    total_mass = np.zeros(len(times_list))
-    current = ctmc.initial_distribution()
-    for step in range(weights.depth):
-        rows, column = weights.column(step)
-        goal_mass[rows] += column * float(current[goal_indices].sum())
-        total_mass[rows] += column * float(current.sum())
-        if step + 1 < weights.depth:
-            current = current @ matrix
-    # Renormalise the (tiny) truncated mass, as transient_distributions does.
-    np.divide(goal_mass, total_mass, out=goal_mass, where=total_mass > 0.0)
-    return goal_mass
-
-
-def unreliability_curve(
-    ctmc: CTMC, label: str, times, tolerance: float = 1e-12
-) -> np.ndarray:
-    """Probability of occupying a ``label``-state for each time in ``times``."""
-    return probability_of_label_curve(ctmc, label, times, tolerance=tolerance)
+    return ctmc.probability_of_label_curve(label, times, tolerance=tolerance)

@@ -30,6 +30,7 @@ process that fell back from the closure engine to the splitter engine.
 from __future__ import annotations
 
 import logging
+import os
 import pickle
 import threading
 import time as _time
@@ -81,6 +82,8 @@ def query_from_payload(
     model is non-deterministic the unreliability measure is upgraded to
     bounds automatically, mirroring the CLI.
     """
+    if payload is not None and not isinstance(payload, Mapping):
+        raise AnalysisError("the 'query' field must be an object")
     payload = {} if payload is None else dict(payload)
     known = {"times", "bounds", "mttf", "unavailability"}
     unknown = sorted(set(payload) - known)
@@ -484,9 +487,20 @@ class AnalysisService:
         return response
 
     def sweep(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
-        """``POST /sweep``: one tree, axes or samples -> ``repro.sweep/3``."""
+        """``POST /sweep``: one tree, axes or samples -> ``repro.sweep/3``.
+
+        ``processes`` (a JSON integer >= 1, default 1) asks for a per-request
+        worker pool; the service never starts more workers than it has CPUs.
+        ``share_uniformisation`` must be a JSON boolean.
+        """
         tree = self._parse_tree(payload)
         assert payload is not None
+        processes = payload.get("processes", 1)
+        if isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
+            raise AnalysisError(f"'processes' must be an integer >= 1, got {processes!r}")
+        share = payload.get("share_uniformisation", False)
+        if not isinstance(share, bool):
+            raise AnalysisError(f"'share_uniformisation' must be true or false, got {share!r}")
         axes = payload.get("axes")
         samples = payload.get("samples")
         if (axes is None) == (samples is None):
@@ -531,7 +545,6 @@ class AnalysisService:
             if not isinstance(samples, (list, tuple)):
                 raise AnalysisError("'samples' must be a list of parameter assignments")
             rate_sweep = RateSweep(query, samples)  # type: ignore[arg-type]
-        share = bool(payload.get("share_uniformisation", False))
         result = None
         if self._pool is not None and not share:
             result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, payload)
@@ -544,7 +557,7 @@ class AnalysisService:
                 study.study.adopt_entry(*self._models.put(entry), hit=hit)
                 result = study.run(
                     rate_sweep,
-                    processes=int(payload.get("processes", 1)),  # type: ignore[arg-type]
+                    processes=min(processes, os.cpu_count() or 1),
                     share_uniformisation=share,
                 )
         response = result.to_dict()

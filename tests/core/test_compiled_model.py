@@ -15,7 +15,7 @@ from repro.core.measures import (
     Unreliability,
     UnreliabilityBounds,
 )
-from repro.core.study import CompiledModel, Study, evaluate_query_on_model
+from repro.core.study import CompiledModel, Study
 from repro.core.sweep import with_rate_parameters
 from repro.ctmc import CTMC
 from repro.ctmc.builders import ctmc_skeleton_from_ioimc, ctmdp_skeleton_from_ioimc
@@ -31,6 +31,8 @@ from repro.systems import (
     pand_race_system,
     repairable_and_system,
 )
+
+from tests.series_reference import evaluate_query_on_model
 
 TIMES = (0.5, 1.0)
 

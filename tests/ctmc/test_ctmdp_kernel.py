@@ -4,8 +4,8 @@ Covers the three correctness fixes this engine landed with:
 
 * the truncated-tail correction on the ``maximize=False`` branch (the min
   bound used to silently drop the Poisson tail mass),
-* the topological vanishing-state resolution (``_resolve_vanishing`` used to
-  round-robin all vanishing states for up to ``num_states + 1`` rounds —
+* the topological vanishing-state resolution (the reference engine's
+  ``_resolve_vanishing`` used to round-robin all vanishing states for up to ``num_states + 1`` rounds —
   quadratic on long chains),
 * the deduplicated exit-rate accumulation shared by
   ``CsrBuffer.max_exit_rate`` and ``refill``.
@@ -28,6 +28,8 @@ from repro.systems import (
     pand_race_system,
     shared_spare_race_system,
 )
+
+from tests.series_reference import time_bounded_reachability_curve_reference
 
 TIMES = (0.25, 0.5, 1.0, 2.0)
 
@@ -111,11 +113,11 @@ class TestMinBoundTailCorrection:
         # entirely, so a coarse tolerance understated the min bound by far
         # more than the tolerance itself.
         model = ctmdp_skeleton_from_ioimc(Study(tree).final_ioimc).instantiate()
-        coarse = model.time_bounded_reachability_curve_reference(
-            signals.FAILED_LABEL, TIMES, maximize=False, tolerance=1e-6
+        coarse = time_bounded_reachability_curve_reference(
+            model, signals.FAILED_LABEL, TIMES, maximize=False, tolerance=1e-6
         )
-        fine = model.time_bounded_reachability_curve_reference(
-            signals.FAILED_LABEL, TIMES, maximize=False, tolerance=1e-13
+        fine = time_bounded_reachability_curve_reference(
+            model, signals.FAILED_LABEL, TIMES, maximize=False, tolerance=1e-13
         )
         assert np.max(np.abs(coarse - fine)) <= 1e-6
 
@@ -149,8 +151,8 @@ class TestCtmdpKernel:
             fast = kernel.time_bounded_reachability_curve(
                 signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
             )
-            slow = model.time_bounded_reachability_curve_reference(
-                signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
+            slow = time_bounded_reachability_curve_reference(
+                model, signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
             )
             assert np.max(np.abs(fast - slow)) <= 1e-9
 
@@ -162,8 +164,8 @@ class TestCtmdpKernel:
         fast = model.time_bounded_reachability_curve(
             signals.FAILED_LABEL, TIMES, maximize=True
         )
-        slow = model.time_bounded_reachability_curve_reference(
-            signals.FAILED_LABEL, TIMES, maximize=True
+        slow = time_bounded_reachability_curve_reference(
+            model, signals.FAILED_LABEL, TIMES, maximize=True
         )
         assert np.max(np.abs(fast - slow)) <= 1e-9
 

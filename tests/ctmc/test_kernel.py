@@ -4,7 +4,7 @@ The kernel's contract has two halves:
 
 * **numerics** — refilled matrices and label-probability curves must agree
   with the fully instantiated per-sample path (`CtmcSkeleton.instantiate`
-  + :func:`repro.ctmc.transient.probability_of_label_curve`);
+  + the per-state reference series of ``tests/series_reference.py``);
 * **structure reuse** — after the first sample a sweep performs **zero**
   sparse-structure allocations: the CSR pattern is built exactly once and
   every further sample only rewrites ``data``.  Pinned here with constructor
@@ -20,10 +20,11 @@ from repro import RateSweep, SweepStudy, Unreliability
 from repro.core.sweep import with_rate_parameters
 from repro.ctmc.builders import ctmc_skeleton_from_ioimc
 from repro.ctmc.kernel import CsrBuffer, TransientKernel
-from repro.ctmc.transient import probability_of_label_curve
 from repro.dft import FaultTreeBuilder
 from repro.errors import AnalysisError, ModelError
 from repro.systems import cascaded_pand_system
+
+from tests.series_reference import probability_of_label_curve
 
 TIMES = [0.25, 1.0, 3.0]
 

@@ -1,4 +1,9 @@
-"""Tests for transient analysis (uniformisation vs. matrix exponential)."""
+"""Tests for transient analysis (uniformisation vs. matrix exponential).
+
+The functions under test run on the chain's transient kernel; the matrix
+exponential and the ``scipy.stats`` Poisson terms come from the oracle
+module ``tests/series_reference.py``.
+"""
 
 import math
 
@@ -12,11 +17,11 @@ from repro.ctmc import (
     probability_of_label_curve,
     probability_reach_label,
     transient_distribution,
-    transient_distribution_expm,
     transient_distributions,
-    unreliability_curve,
 )
 from repro.errors import AnalysisError
+
+from tests.series_reference import poisson_terms_reference, transient_distribution_expm
 
 
 def erlang_chain(stages: int = 3, rate: float = 2.0) -> CTMC:
@@ -57,16 +62,12 @@ class TestPoissonTermsDifferential:
     @pytest.mark.parametrize("rate", [1e-6, 1e-3, 0.1, 1.0, 7.3, 50.0, 400.0, 2500.0])
     @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
     def test_matches_reference_within_1e_minus_12(self, rate, tolerance):
-        from repro.ctmc.transient import poisson_terms_reference
-
         fast = poisson_terms(rate, tolerance)
         reference = poisson_terms_reference(rate, tolerance)
         assert fast.shape == reference.shape  # identical truncation point
         assert np.max(np.abs(fast - reference)) <= 1e-12
 
     def test_reference_rejects_bad_inputs_like_the_fast_path(self):
-        from repro.ctmc.transient import poisson_terms_reference
-
         with pytest.raises(AnalysisError):
             poisson_terms_reference(-1.0, 1e-12)
         with pytest.raises(AnalysisError):
@@ -185,7 +186,7 @@ class TestReachability:
     def test_unreliability_curve_monotone_for_absorbing_failures(self):
         chain = erlang_chain()
         times = [0.0, 0.5, 1.0, 2.0, 4.0]
-        curve = unreliability_curve(chain, "failed", times)
+        curve = probability_of_label_curve(chain, "failed", times)
         assert list(curve) == sorted(curve)
         assert curve[0] == pytest.approx(0.0)
 
@@ -255,6 +256,5 @@ class TestPoissonTermCache:
 
     def test_duplicate_times_share_terms_within_a_sweep(self):
         chain = erlang_chain()
-        cache = PoissonTermCache()
-        transient_distributions(chain, [1.0, 1.0, 2.0], term_cache=cache)
-        assert len(cache._cache) == 2
+        transient_distributions(chain, [1.0, 1.0, 2.0])
+        assert len(chain._kernel().term_cache._cache) == 2

@@ -47,6 +47,10 @@ from repro.systems import (
 )
 
 from tests.reduction_reference import canonical_form
+from tests.series_reference import (
+    probability_of_label_curve,
+    time_bounded_reachability_curve_reference,
+)
 from tests.sweep_reference import batches_of, per_sample_rows
 
 MISSION_TIMES = (0.5, 1.0)
@@ -218,8 +222,8 @@ def assert_ctmdp_cell(tree, samples, gradient_samples=0):
             fast = kernel.time_bounded_reachability_curve(
                 signals.FAILED_LABEL, MISSION_TIMES, maximize=maximize, tolerance=1e-12
             )
-            slow = legacy.time_bounded_reachability_curve_reference(
-                signals.FAILED_LABEL, MISSION_TIMES, maximize=maximize, tolerance=1e-12
+            slow = time_bounded_reachability_curve_reference(
+                legacy, signals.FAILED_LABEL, MISSION_TIMES, maximize=maximize, tolerance=1e-12
             )
             assert np.max(np.abs(fast - slow)) <= TOLERANCE
             if index < gradient_samples:
@@ -350,7 +354,7 @@ class TestFigure2Matrix:
         curve = kernel.probability_of_label_curve("failed", MISSION_TIMES)
 
         numeric = ctmc_skeleton_from_ioimc(build(rate)).instantiate()
-        reference = numeric.probability_of_label_curve("failed", MISSION_TIMES)
+        reference = probability_of_label_curve(numeric, "failed", MISSION_TIMES)
         assert curve == pytest.approx(reference, abs=TOLERANCE)
 
 

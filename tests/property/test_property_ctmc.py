@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ctmc import CTMC, poisson_terms, transient_distribution, transient_distribution_expm
+from repro.ctmc import CTMC, poisson_terms, transient_distribution
 from repro.ctmc.steady_state import steady_state_distribution
+
+from tests.series_reference import transient_distribution_expm
 
 
 @st.composite

@@ -1,9 +1,9 @@
 """Property tests: vectorised curve evaluation vs per-point evaluation.
 
-The vectorised transient sweep (:func:`repro.ctmc.transient.
-transient_distributions`) must agree with per-point
-``probability_of_label`` on the paper's systems — the figure 2 pair, the
-cardiac assist system (CAS) and the cascaded PAND system (CPS) — and the
+The vectorised transient sweep (a CTMC's kernel curve) must agree with
+per-point ``probability_of_label`` of the per-state reference series
+(``tests/series_reference.py``) on the paper's systems — the figure 2 pair,
+the cardiac assist system (CAS) and the cascaded PAND system (CPS) — and the
 CTMDP bound sweeps must produce monotone (min, max) envelopes that agree
 with the per-point bounds.
 """
@@ -21,6 +21,8 @@ from repro.systems import (
     figure2_models,
     pand_race_system,
 )
+
+from tests.series_reference import probability_of_label
 
 times_strategy = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -74,7 +76,7 @@ class TestVectorisedCtmcCurves:
     def test_curve_equals_per_point(self, paper_ctmcs, system, times):
         ctmc = paper_ctmcs[system]
         curve = ctmc.probability_of_label_curve(signals.FAILED_LABEL, times)
-        expected = [ctmc.probability_of_label(signals.FAILED_LABEL, t) for t in times]
+        expected = [probability_of_label(ctmc, signals.FAILED_LABEL, t) for t in times]
         assert curve == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("system", ["figure2", "cas", "cps"])
@@ -83,7 +85,7 @@ class TestVectorisedCtmcCurves:
         ctmc = paper_ctmcs[system]
         times = np.linspace(0.0, 5.0, 100)
         curve = ctmc.probability_of_label_curve(signals.FAILED_LABEL, times)
-        expected = [ctmc.probability_of_label(signals.FAILED_LABEL, t) for t in times]
+        expected = [probability_of_label(ctmc, signals.FAILED_LABEL, t) for t in times]
         assert float(np.max(np.abs(curve - np.asarray(expected)))) <= 1e-9
         # Failed states of a DFT are absorbing: the curve is monotone.
         assert np.all(np.diff(curve) >= -1e-12)

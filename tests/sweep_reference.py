@@ -14,9 +14,10 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from unittest import mock
 
 from repro.core.results import SweepRow
-from repro.core.study import evaluate_query_on_model
 from repro.ctmc.kernel import CsrBuffer
 from repro.errors import ReproError
+
+from tests.series_reference import evaluate_query_on_model
 
 
 def per_sample_rows(
