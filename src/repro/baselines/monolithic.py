@@ -105,9 +105,8 @@ class MonolithicMarkovGenerator:
             )
         self._members = self._relevant_elements()
         self._order = [name for name in tree.topological_order() if name in self._members]
-        self._basic_events = [
-            name for name in self._order if isinstance(tree.element(name), BasicEvent)
-        ]
+        events = {event.name for event in tree.basic_events()}
+        self._basic_events = [name for name in self._order if name in events]
         self._seq_successor_of: Dict[str, str] = {}
         for gate in tree.seq_gates():
             if gate.name not in self._members:

@@ -64,22 +64,16 @@ from typing import Iterable, List, Optional, Tuple
 from . import __version__
 from .baselines import DiftreeAnalyzer
 from .core import (
-    MTTF,
     BatchStudy,
     ImportanceRanking,
     MeasureResult,
-    Query,
-    RateSweep,
     Study,
     StudyOptions,
     SweepStudy,
-    Unavailability,
-    Unreliability,
-    UnreliabilityBounds,
     with_rate_parameters,
 )
+from .core.requests import QuerySpec, SweepSpec
 from .ctmc.builders import CtmdpSkeleton
-from .dft.elements import BasicEvent
 from .dft import diftree_modules, galileo, independent_modules
 from .dft.visualization import to_dot
 from .core.aggregation import ORDERING_STRATEGIES
@@ -112,16 +106,8 @@ def _analysis_options(args: argparse.Namespace) -> StudyOptions:
     )
 
 
-def _build_query(args: argparse.Namespace, bounds: bool) -> Query:
-    """The measure bundle requested by analyze/batch flags."""
-    measures = [UnreliabilityBounds(args.time) if bounds else Unreliability(args.time)]
-    if args.mttf:
-        measures.append(MTTF())
-    if args.unavailability:
-        measures.append(Unavailability())
-    if getattr(args, "importance", False):
-        measures.append(ImportanceRanking(args.time))
-    return Query(measures)
+def _query_spec(args: argparse.Namespace, bounds: bool) -> QuerySpec:
+    return QuerySpec(args.time, bounds, args.mttf, args.unavailability)
 
 
 def _format_measure_lines(measure: MeasureResult) -> List[str]:
@@ -165,6 +151,14 @@ def _format_measure_lines(measure: MeasureResult) -> List[str]:
     return lines
 
 
+def _measures_text(measures: Iterable[MeasureResult]) -> str:
+    return "  ".join(line for measure in measures for line in _format_measure_lines(measure))
+
+
+def _failed_measures(measure_lists: Iterable[Iterable[MeasureResult]]) -> int:
+    return sum(1 for measures in measure_lists for measure in measures if not measure.ok)
+
+
 # ---------------------------------------------------------------------------
 # sub-commands
 # ---------------------------------------------------------------------------
@@ -186,7 +180,9 @@ def command_analyze(args: argparse.Namespace) -> int:
         # per basic event so plain Galileo files can be ranked directly.
         tree = with_rate_parameters(tree)
     study = Study(tree, _analysis_options(args), skeleton_cache=_open_skeleton_cache(args))
-    query = _build_query(args, bounds=args.bounds or study.is_nondeterministic)
+    query = _query_spec(args, args.bounds).query(study.is_nondeterministic)
+    if args.importance:
+        query = query + ImportanceRanking(args.time)
     # Record per-measure failures so e.g. an unsupported MTTF still lets the
     # unreliability values the user also asked for reach the output.
     result = study.evaluate(query, on_error="record")
@@ -235,20 +231,24 @@ def _expand_batch_sources(patterns: Iterable[str]) -> Tuple[List[str], List[str]
     return list(dict.fromkeys(paths)), unmatched
 
 
-def command_batch(args: argparse.Namespace) -> int:
-    paths, unmatched = _expand_batch_sources(args.trees)
-    if unmatched:
-        for pattern in unmatched:
-            print(f"error: pattern matched no files: {pattern}", file=sys.stderr)
-        return 2
-    if not paths:
+def _corpus(patterns: Iterable[str]) -> Optional[List[str]]:
+    """The corpus paths, or None after reporting a pattern that matched nothing."""
+    paths, unmatched = _expand_batch_sources(patterns)
+    for pattern in unmatched:
+        print(f"error: pattern matched no files: {pattern}", file=sys.stderr)
+    if not paths and not unmatched:
         print("error: no input files matched", file=sys.stderr)
+    return None if unmatched or not paths else paths
+
+
+def command_batch(args: argparse.Namespace) -> int:
+    paths = _corpus(args.trees)
+    if paths is None:
         return 2
     # Bounds are the batch default measure: they are exact for deterministic
     # trees and still well-defined when a corpus member turns out to be
     # non-deterministic, so one query fits the whole corpus.
-    query = _build_query(args, bounds=True)
-    batch = BatchStudy(paths, query, _analysis_options(args))
+    batch = BatchStudy(paths, _query_spec(args, True).query(), _analysis_options(args))
     if args.output_jsonl:
         if args.json:
             print(
@@ -270,20 +270,10 @@ def command_batch(args: argparse.Namespace) -> int:
                 continue
             assert row.result is not None
             states = row.result.model.states
-            values = "  ".join(
-                line
-                for measure in row.result.measures
-                for line in _format_measure_lines(measure)
-            )
+            values = _measures_text(row.result.measures)
             print(f"{row.name:<{name_width}}  {states:>5} states  {values}  [{row.wall_seconds:.3f}s]")
         print(result.summary())
-    measure_failures = sum(
-        1
-        for row in result.rows
-        if row.ok
-        for measure in row.result.measures
-        if not measure.ok
-    )
+    measure_failures = _failed_measures(row.result.measures for row in result.rows if row.ok)
     if measure_failures:
         print(
             f"error: {measure_failures} measure(s) could not be evaluated "
@@ -296,33 +286,21 @@ def command_batch(args: argparse.Namespace) -> int:
 def _parse_sweep_axis(spec: str) -> Tuple[str, List[float]]:
     """Parse ``NAME=SPEC`` where SPEC is ``start:stop:count``, a comma list
     or a single value."""
-    name, separator, body = spec.partition("=")
-    name = name.strip()
-    body = body.strip()
-    if not separator or not name or not body:
-        raise ReproError(
-            f"cannot parse sweep axis {spec!r}; expected NAME=start:stop:count, "
-            "NAME=v1,v2,... or NAME=value"
-        )
+    name, separator, body = (part.strip() for part in spec.partition("="))
     try:
+        if not separator or not name or not body:
+            raise ValueError
         if ":" in body:
-            parts = body.split(":")
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = body.split(":")
+            start, stop, count = float(start), float(stop), int(count)
             if count < 1:
                 raise ValueError
-            if count == 1:
-                values = [start]
-            else:
-                step = (stop - start) / (count - 1)
-                values = [start + step * index for index in range(count)]
-        elif "," in body:
+            step = (stop - start) / max(count - 1, 1)
+            values = [start + step * index for index in range(count)]
+        else:
             values = [float(part) for part in body.split(",") if part.strip()]
             if not values:
                 raise ValueError
-        else:
-            values = [float(body)]
     except ValueError:
         raise ReproError(
             f"cannot parse sweep axis {spec!r}; expected NAME=start:stop:count, "
@@ -332,7 +310,6 @@ def _parse_sweep_axis(spec: str) -> Tuple[str, List[float]]:
 
 
 def command_sweep(args: argparse.Namespace) -> int:
-    tree = _load_tree(args.tree)
     axes: dict = {}
     for spec in args.param:
         name, values = _parse_sweep_axis(spec)
@@ -340,42 +317,23 @@ def command_sweep(args: argparse.Namespace) -> int:
             print(f"error: sweep axis {name!r} given twice", file=sys.stderr)
             return 2
         axes[name] = values
-    # An axis naming a basic event (rather than a declared parameter) attaches
-    # a parameter of the same name to that event's failure rate, so plain
-    # Galileo files can be swept without editing them.
-    attach = [
-        name
-        for name in axes
-        if name not in tree.parameters
-        and name in tree
-        and isinstance(tree.element(name), BasicEvent)
-    ]
-    if attach:
-        tree = with_rate_parameters(tree, {name: name for name in attach})
-    # Reject unknown axes (and non-positive sample values, via RateSweep's
-    # validation below) BEFORE paying for conversion + aggregation: a typo'd
-    # parameter name on a large tree must fail in milliseconds, not minutes.
-    unknown = sorted(name for name in axes if name not in tree.parameters)
-    if unknown:
-        print(
-            "error: the sweep varies parameters the tree does not declare: "
-            + ", ".join(unknown)
-            + " (declare them with 'param <name> = <value>;' or name a basic event)",
-            file=sys.stderr,
-        )
-        return 2
-    placeholder = Unreliability(args.time)
-    samples = RateSweep.grid(placeholder, **axes).samples
+    spec = SweepSpec(
+        axes=axes,
+        query=_query_spec(args, args.bounds),
+        processes=args.processes,
+        share_uniformisation=args.share_uniformisation,
+    )
+    # Basic-event axes get their parameters and unknown axes fail here,
+    # before conversion and aggregation run.
+    tree = spec.prepare(_load_tree(args.tree))
     study = SweepStudy(
         tree, _analysis_options(args), skeleton_cache=_open_skeleton_cache(args)
     )
-    bounds = args.bounds or isinstance(study.skeleton, CtmdpSkeleton)
-    query = _build_query(args, bounds=bounds)
     result = study.run(
-        RateSweep(query, samples),
-        processes=args.processes,
+        spec.rate_sweep(isinstance(study.skeleton, CtmdpSkeleton)),
+        processes=spec.processes,
         chunk_size=args.chunk_size,
-        share_uniformisation=args.share_uniformisation,
+        share_uniformisation=spec.share_uniformisation,
         gradients=args.gradients,
     )
     if args.json:
@@ -388,11 +346,7 @@ def command_sweep(args: argparse.Namespace) -> int:
             if not row.ok:
                 print(f"[{point}]  FAILED: {row.error}")
                 continue
-            values = "  ".join(
-                line
-                for measure in row.measures
-                for line in _format_measure_lines(measure)
-            )
+            values = _measures_text(row.measures)
             if row.gradients:
                 gradient_text = ", ".join(
                     f"d/d{name}={curve[-1]:+.4g}"
@@ -401,13 +355,7 @@ def command_sweep(args: argparse.Namespace) -> int:
                 values = f"{values}  [{gradient_text}]"
             print(f"[{point}]  {values}")
     row_failures = result.num_failed
-    measure_failures = sum(
-        1
-        for row in result.rows
-        if row.ok
-        for measure in row.measures
-        if not measure.ok
-    )
+    measure_failures = _failed_measures(row.measures for row in result.rows if row.ok)
     if row_failures or measure_failures:
         print(
             f"error: {row_failures} sample(s) and {measure_failures} measure(s) "
@@ -427,9 +375,7 @@ def _run_batch_streaming(args: argparse.Namespace, batch: BatchStudy) -> int:
         # failures are only visible row by row, so tally them in passing.
         for row in rows:
             if row.ok and row.result is not None:
-                counters["measure_failures"] += sum(
-                    1 for measure in row.result.measures if not measure.ok
-                )
+                counters["measure_failures"] += _failed_measures([row.result.measures])
             yield row
 
     from .core.results import write_batch_jsonl
@@ -645,13 +591,8 @@ def command_cache(args: argparse.Namespace) -> int:
         )
         return 0
     assert args.cache_command == "warm"
-    paths, unmatched = _expand_batch_sources(args.trees)
-    if unmatched:
-        for pattern in unmatched:
-            print(f"error: pattern matched no files: {pattern}", file=sys.stderr)
-        return 2
-    if not paths:
-        print("error: no input files matched", file=sys.stderr)
+    paths = _corpus(args.trees)
+    if paths is None:
         return 2
     counters = store.warm(paths, _analysis_options(args))
     print(
@@ -751,12 +692,19 @@ def build_parser() -> argparse.ArgumentParser:
             "compute identical quotients)",
         )
 
+    def add_tolerance(
+        sub: argparse.ArgumentParser,
+        text: str = "truncation tolerance of the uniformisation series "
+        f"(default: {DEFAULTS.tolerance:g})",
+    ) -> None:
+        sub.add_argument("--tolerance", type=float, default=DEFAULTS.tolerance, help=text)
+
     def add_measures(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--time",
             type=float,
             nargs="+",
-            default=[1.0],
+            default=list(QuerySpec.times),
             help="mission time(s) at which to evaluate the unreliability (default: 1.0); "
             "all times share one vectorised transient sweep",
         )
@@ -768,13 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="also report the steady-state unavailability (repairable trees)",
         )
-        sub.add_argument(
-            "--tolerance",
-            type=float,
-            default=DEFAULTS.tolerance,
-            help="truncation tolerance of the uniformisation series "
-            f"(default: {DEFAULTS.tolerance:g})",
-        )
+        add_tolerance(sub)
         sub.add_argument(
             "--json",
             action="store_true",
@@ -835,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--processes",
         type=int,
-        default=1,
+        default=SweepSpec.processes,
         help="worker processes for the per-sample solves (default: 1, serial; "
         "rows are bit-identical to a serial run)",
     )
@@ -892,13 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate every feasible design instead of pruning "
         "(differential reference for the branch-and-bound)",
     )
-    optimize.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULTS.tolerance,
-        help="truncation tolerance of the uniformisation series "
-        f"(default: {DEFAULTS.tolerance:g})",
-    )
+    add_tolerance(optimize)
     optimize.add_argument(
         "--json",
         action="store_true",
@@ -971,13 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="LRU byte cap of the skeleton store (default: unlimited)",
     )
-    serve.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULTS.tolerance,
-        help="truncation tolerance of the uniformisation series "
-        f"(default: {DEFAULTS.tolerance:g})",
-    )
+    add_tolerance(serve)
     add_common(serve)
     serve.set_defaults(handler=command_serve)
 
@@ -1018,12 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trees", nargs="+", help="paths or glob patterns of Galileo .dft files"
     )
     add_cache_dir(cache_warm)
-    cache_warm.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULTS.tolerance,
-        help="truncation tolerance recorded with the built entries",
-    )
+    add_tolerance(cache_warm, "truncation tolerance recorded with the built entries")
     add_common(cache_warm)
     cache_warm.set_defaults(handler=command_cache)
 

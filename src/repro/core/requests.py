@@ -1,0 +1,168 @@
+"""The questions every entry point puts to the pipeline, each defined once.
+
+A :class:`QuerySpec` asks for the unreliability (or its bounds) at a set of
+mission times, optionally with the MTTF and the unavailability; a
+:class:`SweepSpec` asks that query at every sample of a rate grid or list.
+The CLI builds both from its flags, the service decodes them from JSON
+bodies with ``from_payload`` and the client encodes them with
+``to_payload``, so the field names, the defaults and the type checks live
+only here.  The checks are strict: a flag must be a boolean, a time or a
+rate a number (never a boolean or a numeric string), ``processes`` an
+integer, and a field a request does not define is an error naming it.
+"""
+
+from __future__ import annotations
+
+import numbers
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+
+from ..ctmc.transient import validate_times
+from ..dft.elements import BasicEvent
+from ..dft.tree import DynamicFaultTree
+from ..errors import AnalysisError
+from .measures import MTTF, Query, Unavailability, objective_measure
+from .sweep import RateSweep, axis_values, require_declared, sample_values, with_rate_parameters
+
+
+def check_fields(payload: object, where: str, known: Iterable[str]) -> Dict[str, object]:
+    """``payload`` as a dict, or an error unless it is an object of ``known`` fields."""
+    if not isinstance(payload, Mapping):
+        raise AnalysisError(f"the {where} must be a JSON object")
+    known = sorted(known)
+    unknown = sorted(str(name) for name in payload if name not in known)
+    if unknown:
+        raise AnalysisError(
+            f"unknown {where} field(s): {', '.join(unknown)} (expected a subset of {known})"
+        )
+    return dict(payload)
+
+
+def _list(value: object, what: str) -> Tuple[object, ...]:
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise AnalysisError(f"{what} must be a list")
+    return tuple(value)
+
+
+def _flag(name: str, value: object) -> None:
+    if not isinstance(value, bool):
+        raise AnalysisError(f"{name!r} must be true or false, got {value!r}")
+
+
+def _decode(cls, payload: object, where: str, envelope: Sequence[str] = ()):
+    """``cls`` from a JSON object; ``envelope`` names fields the caller reads."""
+    body = check_fields(payload, where, [f.name for f in fields(cls)] + list(envelope))
+    for name in envelope:
+        body.pop(name, None)
+    if "query" in body:
+        body["query"] = QuerySpec.from_payload(body["query"])
+    return cls(**body)
+
+
+@dataclass(frozen=True)
+class QuerySpec:
+    """The unreliability, or its bounds, at ``times``; MTTF and unavailability on request."""
+
+    times: Tuple[float, ...] = (1.0,)
+    bounds: bool = False
+    mttf: bool = False
+    unavailability: bool = False
+
+    def __post_init__(self) -> None:
+        times = _list(self.times, "query 'times'")
+        if not times:
+            raise AnalysisError("query 'times' must be a non-empty list of mission times")
+        for time in times:
+            if isinstance(time, bool) or not isinstance(time, numbers.Real):
+                raise AnalysisError(f"query 'times' must be numbers, got {time!r}")
+        object.__setattr__(self, "times", tuple(validate_times(times)))
+        for name in ("bounds", "mttf", "unavailability"):
+            _flag(name, getattr(self, name))
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "QuerySpec":
+        """Decode a wire ``query`` object."""
+        return _decode(cls, payload, "query")
+
+    def to_payload(self) -> Dict[str, object]:
+        return asdict(self)
+
+    def query(self, nondeterministic: bool = False) -> Query:
+        """The measures; a non-deterministic model always gets bounds."""
+        measures = [objective_measure(self.bounds or nondeterministic, self.times)]
+        if self.mttf:
+            measures.append(MTTF())
+        if self.unavailability:
+            measures.append(Unavailability())
+        return Query(measures)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A query over exactly one of ``axes`` (parameter -> values, swept as a
+    grid) or ``samples`` (a list of parameter -> rate assignments).
+
+    ``processes`` is the worker count of the per-sample solves and
+    ``share_uniformisation`` pins one uniformisation rate for every sample
+    (see :meth:`repro.core.sweep.SweepStudy.run`).
+    """
+
+    axes: Optional[Mapping[str, Tuple[float, ...]]] = None
+    samples: Optional[Tuple[Mapping[str, float], ...]] = None
+    query: QuerySpec = QuerySpec()
+    processes: int = 1
+    share_uniformisation: bool = False
+
+    def __post_init__(self) -> None:
+        if (self.axes is None) == (self.samples is None):
+            raise AnalysisError(
+                "a sweep needs exactly one of 'axes' (parameter -> value list) "
+                "or 'samples' (list of parameter assignments)"
+            )
+        if self.axes is not None:
+            if not isinstance(self.axes, Mapping) or not self.axes:
+                raise AnalysisError("'axes' must map parameter names to value lists")
+            axes = {str(name): tuple(axis_values(name, axis)) for name, axis in self.axes.items()}
+            object.__setattr__(self, "axes", axes)
+        else:
+            object.__setattr__(self, "samples", sample_values(_list(self.samples, "'samples'")))
+        if not isinstance(self.query, QuerySpec):
+            raise AnalysisError(f"a sweep's query must be a QuerySpec, got {self.query!r}")
+        processes = self.processes
+        if isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
+            raise AnalysisError(f"'processes' must be an integer >= 1, got {processes!r}")
+        _flag("share_uniformisation", self.share_uniformisation)
+
+    @classmethod
+    def from_payload(cls, payload: object, envelope: Sequence[str] = ()) -> "SweepSpec":
+        """Decode a sweep request body; ``envelope`` names the fields the
+        caller reads itself (the service's ``tree``)."""
+        return _decode(cls, payload, "sweep request", envelope)
+
+    def to_payload(self) -> Dict[str, object]:
+        return {name: value for name, value in asdict(self).items() if value is not None}
+
+    def prepare(self, tree: DynamicFaultTree) -> DynamicFaultTree:
+        """``tree`` ready to sweep: a swept name that is a basic event rather
+        than a declared parameter gets a parameter of its own name attached to
+        that event's failure rate; any other undeclared name is an error,
+        raised before anything is built."""
+        swept = self.axes or sorted({name for sample in self.samples for name in sample})
+        attach = [
+            name
+            for name in swept
+            if name not in tree.parameters
+            and name in tree
+            and isinstance(tree.element(name), BasicEvent)
+        ]
+        if attach:
+            tree = with_rate_parameters(tree, {name: name for name in attach})
+        require_declared(tree, swept)
+        return tree
+
+    def rate_sweep(self, nondeterministic: bool = False) -> RateSweep:
+        """The :class:`RateSweep` of this spec (bounds on a non-deterministic model)."""
+        query = self.query.query(nondeterministic)
+        if self.axes is not None:
+            return RateSweep.grid(query, **self.axes)
+        return RateSweep(query, self.samples)

@@ -553,6 +553,14 @@ class CompiledModel:
             try:
                 curves = iter(_curves(kernel, query, tolerance, kernel.blocks))
             except ReproError as error:
+                if len(assignments) > 1:  # solve each alone: one bad sample fails one row
+                    return [
+                        evaluation
+                        for single in assignments
+                        for evaluation in self._evaluate_batch(
+                            query, [single], tolerance, on_error, rate_floor, gradients
+                        )
+                    ]
                 errors = [error if known is None else known for known in errors]
         solved = _time.perf_counter()
         load_share = (loaded - start) / len(assignments)

@@ -91,20 +91,64 @@ AxisLike = Union[float, int, Sequence[float]]
 
 
 def _check_sample_value(parameter: str, value: object) -> float:
-    try:
-        if isinstance(value, bool):
-            raise TypeError(value)
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise AnalysisError(
             f"sample value for parameter {parameter!r} is not a number: {value!r}"
-        ) from None
+        )
+    number = float(value)
     if not (number > 0.0 and math.isfinite(number)):
         raise AnalysisError(
             f"rate-sweep samples must be positive finite rates; parameter "
             f"{parameter!r} got {number}"
         )
     return number
+
+
+def axis_values(name: str, axis: AxisLike) -> List[float]:
+    """The checked rates of one grid axis: a number or a list of numbers."""
+    if isinstance(axis, numbers.Real):
+        axis = (axis,)
+    elif isinstance(axis, (str, bytes, Mapping)) or not isinstance(axis, Iterable):
+        raise AnalysisError(
+            f"sweep axis {name!r} must be a number or a list of numbers, got {axis!r}"
+        )
+    values = [_check_sample_value(name, value) for value in axis]
+    if not values:
+        raise AnalysisError(f"sweep axis {name!r} has no values")
+    return values
+
+
+def sample_values(samples: Iterable[Mapping[str, float]]) -> Tuple[Sample, ...]:
+    """The checked samples: non-empty maps of parameter -> positive finite rate."""
+    normalised: List[Sample] = []
+    for sample in samples:
+        if not isinstance(sample, Mapping):
+            raise AnalysisError(
+                f"a rate-sweep sample must map parameter names to rates, got {sample!r}"
+            )
+        if not sample:
+            raise AnalysisError("a rate-sweep sample must assign at least one parameter")
+        normalised.append(
+            {
+                str(parameter): _check_sample_value(parameter, value)
+                for parameter, value in sample.items()
+            }
+        )
+    if not normalised:
+        raise AnalysisError("a rate sweep needs at least one sample")
+    return tuple(normalised)
+
+
+def require_declared(tree: DynamicFaultTree, names: Iterable[str]) -> None:
+    """Raise unless ``tree`` declares every parameter in ``names``."""
+    unknown = sorted(name for name in names if name not in tree.parameters)
+    if unknown:
+        raise AnalysisError(
+            "the sweep varies parameters the tree does not declare: " + ", ".join(unknown)
+            + " (declare them with 'param <name> = <value>;' or "
+            "DynamicFaultTree.declare_parameter; a CLI or service sweep may also "
+            "name a basic event)"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,23 +169,7 @@ class RateSweep:
 
     def __init__(self, query: QueryLike, samples: Iterable[Mapping[str, float]]):
         object.__setattr__(self, "query", _as_query(query))
-        normalised: List[Sample] = []
-        for sample in samples:
-            if not isinstance(sample, Mapping):
-                raise AnalysisError(
-                    f"a rate-sweep sample must map parameter names to rates, got {sample!r}"
-                )
-            if not sample:
-                raise AnalysisError("a rate-sweep sample must assign at least one parameter")
-            normalised.append(
-                {
-                    str(parameter): _check_sample_value(parameter, value)
-                    for parameter, value in sample.items()
-                }
-            )
-        if not normalised:
-            raise AnalysisError("a rate sweep needs at least one sample")
-        object.__setattr__(self, "samples", tuple(normalised))
+        object.__setattr__(self, "samples", sample_values(samples))
 
     @classmethod
     def grid(cls, query: QueryLike, **axes: AxisLike) -> "RateSweep":
@@ -149,19 +177,7 @@ class RateSweep:
         if not axes:
             raise AnalysisError("a sweep grid needs at least one parameter axis")
         names = list(axes)
-        columns: List[List[float]] = []
-        for name in names:
-            axis = axes[name]
-            if isinstance(axis, numbers.Real):
-                axis = (axis,)
-            elif isinstance(axis, (str, bytes, Mapping)) or not isinstance(axis, Iterable):
-                raise AnalysisError(
-                    f"sweep axis {name!r} must be a number or a list of numbers, got {axis!r}"
-                )
-            values = [_check_sample_value(name, value) for value in axis]
-            if not values:
-                raise AnalysisError(f"sweep axis {name!r} has no values")
-            columns.append(values)
+        columns = [axis_values(name, axes[name]) for name in names]
         samples = [
             dict(zip(names, combination))
             for combination in itertools.product(*columns)
@@ -172,17 +188,6 @@ class RateSweep:
     def parameters(self) -> Tuple[str, ...]:
         """Sorted union of the parameters any sample assigns."""
         return tuple(sorted({name for sample in self.samples for name in sample}))
-
-    def require_declared(self, tree: DynamicFaultTree) -> None:
-        """Raise unless ``tree`` declares every parameter the sweep varies."""
-        unknown = [name for name in self.parameters if name not in tree.parameters]
-        if unknown:
-            raise AnalysisError(
-                "the sweep varies parameters the tree does not declare: "
-                + ", ".join(sorted(unknown))
-                + " (declare them with 'param <name> = <value>;' or "
-                "DynamicFaultTree.declare_parameter)"
-            )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -413,7 +418,7 @@ class SweepStudy:
         non-deterministic models, the plain unreliability on deterministic
         ones.
         """
-        sweep.require_declared(self.tree)
+        require_declared(self.tree, sweep.parameters)
         skeleton = self.skeleton
         if self.skeleton_cache is not None:
             # The cached skeleton speaks canonical per-event parameters;

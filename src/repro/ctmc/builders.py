@@ -28,6 +28,7 @@ reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ModelError, NondeterminismError
@@ -70,8 +71,24 @@ def _instantiate_edge_rate(
     return value
 
 
+class _EdgeParameters:
+    """A skeleton's ``parameters``, computed once from its ``edges``."""
+
+    @cached_property
+    def parameters(self) -> Tuple[str, ...]:
+        """Sorted union of the rate parameters the skeleton depends on."""
+        edges = self.edges  # type: ignore[attr-defined]
+        return tuple(sorted({name for _s, _t, rate in edges for name in rate_parameters(rate)}))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickles carry the fields only, as they did before the cache existed.
+        state = dict(self.__dict__)
+        state.pop("parameters", None)
+        return state
+
+
 @dataclass(frozen=True)
-class CtmcSkeleton:
+class CtmcSkeleton(_EdgeParameters):
     """The rate-independent structure of a CTMC extracted from an I/O-IMC.
 
     ``edges`` holds ``(source, target, rate)`` triples where ``rate`` may be a
@@ -85,12 +102,6 @@ class CtmcSkeleton:
     labels: Tuple[FrozenSet[str], ...]
     state_names: Tuple[Optional[str], ...]
     edges: Tuple[Tuple[int, int, RateLike], ...]
-
-    @property
-    def parameters(self) -> Tuple[str, ...]:
-        """Sorted union of the rate parameters the skeleton depends on."""
-        names = {name for _s, _t, rate in self.edges for name in rate_parameters(rate)}
-        return tuple(sorted(names))
 
     def instantiate(self, assignment: Optional[Mapping[str, float]] = None) -> CTMC:
         """A concrete CTMC with the rates evaluated under ``assignment``.
@@ -109,7 +120,7 @@ class CtmcSkeleton:
 
 
 @dataclass(frozen=True)
-class CtmdpSkeleton:
+class CtmdpSkeleton(_EdgeParameters):
     """The rate-independent structure of a CTMDP (vanishing choices kept)."""
 
     num_states: int
@@ -117,11 +128,6 @@ class CtmdpSkeleton:
     labels: Tuple[FrozenSet[str], ...]
     choices: Tuple[Tuple[int, ...], ...]
     edges: Tuple[Tuple[int, int, RateLike], ...]
-
-    @property
-    def parameters(self) -> Tuple[str, ...]:
-        names = {name for _s, _t, rate in self.edges for name in rate_parameters(rate)}
-        return tuple(sorted(names))
 
     def instantiate(self, assignment: Optional[Mapping[str, float]] = None) -> CTMDP:
         ctmdp = CTMDP(self.num_states, self.initial)

@@ -67,6 +67,13 @@ def _poisson_truncation(rates: np.ndarray, tolerance: float) -> np.ndarray:
     upper = np.ceil(special.pdtrik(quantile, rates))
     lower = np.maximum(upper - 1.0, 0.0)
     quantiles = np.where(special.pdtr(lower, rates) >= quantile, lower, upper)
+    # NaN beyond Λt ~ 1e11; a depth past int64 would wrap in the cast below.
+    unrepresentable = ~(quantiles < 2.0 ** 62)
+    if unrepresentable.any():
+        raise AnalysisError(
+            f"the uniformisation series at Λt = {rates[unrepresentable][0]:g} is too "
+            "deep: no truncation depth below 2**62 could be computed"
+        )
     return np.maximum(quantiles.astype(np.int64) + 2, 1)
 
 

@@ -91,9 +91,11 @@ class BasicEvent:
                 f"basic event {self.name!r}: dormancy factor must lie in [0, 1], "
                 f"got {self.dormancy}"
             )
-        if self.repair_rate is not None and not self.repair_rate > 0.0:
+        if self.repair_rate is not None and not (
+            self.repair_rate > 0.0 and math.isfinite(self.repair_rate)
+        ):
             raise FaultTreeError(
-                f"basic event {self.name!r}: repair rate must be positive, "
+                f"basic event {self.name!r}: repair rate must be positive and finite, "
                 f"got {self.repair_rate}"
             )
 

@@ -40,13 +40,8 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
-from ..core.measures import (
-    MTTF,
-    Query,
-    Unavailability,
-    Unreliability,
-    UnreliabilityBounds,
-)
+from ..core.measures import Query
+from ..core.requests import QuerySpec, SweepSpec, check_fields
 from ..core.results import (
     BatchResult,
     BatchRow,
@@ -57,9 +52,8 @@ from ..core.results import (
     SweepRow,
 )
 from ..core.study import CompiledModel, StudyOptions
-from ..core.sweep import RateSweep, SweepStudy, with_rate_parameters
+from ..core.sweep import SweepStudy
 from ..dft import galileo
-from ..dft.elements import BasicEvent
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
 from ..ioimc.bisimulation import saturation_overflows
@@ -74,38 +68,24 @@ SERVICE_SCHEMA = "repro.service/1"
 def query_from_payload(
     payload: Optional[Mapping[str, object]], nondeterministic: bool = False
 ) -> Query:
-    """Build a measure :class:`Query` from the wire query payload.
+    """The :class:`Query` of a wire ``query`` object (``None``: the defaults);
+    see :class:`~repro.core.requests.QuerySpec`."""
+    spec = QuerySpec() if payload is None else QuerySpec.from_payload(payload)
+    return spec.query(nondeterministic)
 
-    Keys (all optional): ``times`` — mission times for the unreliability
-    curve (default ``[1.0]``); ``bounds`` — report (min, max) envelopes;
-    ``mttf`` / ``unavailability`` — extra scalar measures.  When the target
-    model is non-deterministic the unreliability measure is upgraded to
-    bounds automatically, mirroring the CLI.
-    """
-    if payload is not None and not isinstance(payload, Mapping):
-        raise AnalysisError("the 'query' field must be an object")
-    payload = {} if payload is None else dict(payload)
-    known = {"times", "bounds", "mttf", "unavailability"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise AnalysisError(
-            "unknown query field(s): " + ", ".join(unknown)
-            + f" (expected a subset of {sorted(known)})"
-        )
-    raw_times = payload.get("times", [1.0])
-    if not isinstance(raw_times, (list, tuple)) or not raw_times:
-        raise AnalysisError("query 'times' must be a non-empty list of mission times")
-    try:
-        times = [float(value) for value in raw_times]
-    except (TypeError, ValueError):
-        raise AnalysisError(f"query 'times' must be numbers, got {raw_times!r}") from None
-    bounds = bool(payload.get("bounds", False)) or nondeterministic
-    measures = [UnreliabilityBounds(times) if bounds else Unreliability(times)]
-    if payload.get("mttf"):
-        measures.append(MTTF())
-    if payload.get("unavailability"):
-        measures.append(Unavailability())
-    return Query(measures)
+
+def _request_query(payload: object, envelope: str) -> QuerySpec:
+    """The query of an ``/analyze`` or ``/batch`` body, whose other field is ``envelope``."""
+    body = check_fields(payload, "request", (envelope, "query"))
+    return QuerySpec.from_payload(body["query"]) if "query" in body else QuerySpec()
+
+
+def _served(response: Dict[str, object], entry, hit: bool) -> Dict[str, object]:
+    """``response`` with the service envelope of one tree's entry."""
+    response["service"] = {
+        "schema": SERVICE_SCHEMA, "cache": "hit" if hit else "miss", "key": entry.key
+    }
+    return response
 
 
 def _percentile(samples: Tuple[float, ...], fraction: float) -> float:
@@ -225,15 +205,15 @@ class _ModelCache:
         key: str,
         load_entry: Callable[[], SkeletonEntry],
         assignment: Mapping[str, float],
-        query_payload: Optional[Mapping[str, object]],
+        query: QuerySpec,
         tolerance: float,
     ) -> Tuple[MeasureResult, ...]:
         """Per-measure failures are recorded in the results, as the CLI does."""
         entry = self.entry(key)
         _entry, model = self.put(load_entry() if entry is None else entry)
-        query = query_from_payload(query_payload, nondeterministic=model.nondeterministic)
         return model.evaluate(
-            query, assignment, tolerance=tolerance, on_error="record"
+            query.query(model.nondeterministic), assignment, tolerance=tolerance,
+            on_error="record",
         ).measures
 
 
@@ -261,14 +241,14 @@ def _worker_entry(key: str) -> SkeletonEntry:
 def _service_evaluate(
     key: str,
     assignment: Dict[str, float],
-    query_payload: Optional[Dict[str, object]],
+    query: QuerySpec,
     tolerance: float,
 ) -> Tuple[Tuple[MeasureResult, ...], float]:
     """One evaluation in a pool worker, with its worker-side wall time."""
     assert _WORKER_MODELS is not None
     start = _time.perf_counter()
     measures = _WORKER_MODELS.evaluate(
-        key, partial(_worker_entry, key), assignment, query_payload, tolerance
+        key, partial(_worker_entry, key), assignment, query, tolerance
     )
     return measures, _time.perf_counter() - start
 
@@ -360,14 +340,11 @@ class AnalysisService:
         return 200, response
 
     # -------------------------------------------------------------- handlers
-    def _parse_tree(self, payload: Optional[Mapping[str, object]], field: str = "tree"):
-        if payload is None or field not in payload:
-            raise AnalysisError(f"the request body needs a {field!r} field "
-                                "holding a Galileo fault-tree description")
-        text = payload[field]
+    def _parse_tree(self, payload: Mapping[str, object]):
+        text = payload.get("tree")
         if not isinstance(text, str) or not text.strip():
-            raise AnalysisError(f"request field {field!r} must be a non-empty "
-                                "Galileo description string")
+            raise AnalysisError("the request needs a 'tree' field holding a "
+                                "non-empty Galileo fault-tree description")
         return galileo.parse(text, name="<request>")
 
     def _get_entry(
@@ -397,7 +374,7 @@ class AnalysisService:
         self.metrics.record_pool_fallback()
         LOGGER.warning("worker pool failed (%r); evaluating in-process", error)
 
-    def _submit(self, entry, assignment, query_payload) -> Optional[Future]:
+    def _submit(self, entry, assignment, query: QuerySpec) -> Optional[Future]:
         """Queue one evaluation on the worker pool (``None``: evaluate here)."""
         if self._pool is None:
             return None
@@ -406,7 +383,7 @@ class AnalysisService:
                 _service_evaluate,
                 entry.key,
                 dict(assignment),
-                None if query_payload is None else dict(query_payload),
+                query,
                 self.options.tolerance,
             )
         except POOL_FAILURES as error:
@@ -414,7 +391,7 @@ class AnalysisService:
             return None
 
     def _evaluate(
-        self, entry, assignment, query_payload, future: Optional[Future] = None
+        self, entry, assignment, query: QuerySpec, future: Optional[Future] = None
     ) -> Tuple[Tuple[MeasureResult, ...], float]:
         """One tree's measures and evaluation seconds.
 
@@ -430,16 +407,9 @@ class AnalysisService:
         start = _time.perf_counter()
         with self._models_lock:
             measures = self._models.evaluate(
-                entry.key, lambda: entry, assignment, query_payload, self.options.tolerance
+                entry.key, lambda: entry, assignment, query, self.options.tolerance
             )
         return measures, _time.perf_counter() - start
-
-    @staticmethod
-    def _query_payload(payload) -> Optional[Mapping[str, object]]:
-        query_payload = payload.get("query") if payload else None
-        if query_payload is not None and not isinstance(query_payload, Mapping):
-            raise AnalysisError("the 'query' field must be an object")
-        return query_payload
 
     def _wrap_study_result(
         self, tree, entry, hit, measures, evaluation: float
@@ -464,90 +434,36 @@ class AnalysisService:
         key's structural hash and the canonical rate assignment, so a cache
         hit evaluates without touching the tree again.
         """
+        query = _request_query(payload, "tree")
         tree = self._parse_tree(payload)
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
-        query_payload = self._query_payload(payload)
         start = _time.perf_counter()
         measures, _seconds = self._evaluate(
             entry,
             profile.assignment,
-            query_payload,
-            self._submit(entry, profile.assignment, query_payload),
+            query,
+            self._submit(entry, profile.assignment, query),
         )
         result = self._wrap_study_result(
             tree, entry, hit, measures, _time.perf_counter() - start
         )
-        response = result.to_dict(include_steps=False)
-        response["service"] = {
-            "schema": SERVICE_SCHEMA,
-            "cache": "hit" if hit else "miss",
-            "key": entry.key,
-        }
-        return response
+        return _served(result.to_dict(include_steps=False), entry, hit)
 
     def sweep(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
-        """``POST /sweep``: one tree, axes or samples -> ``repro.sweep/3``.
+        """``POST /sweep``: one tree plus a :class:`SweepSpec` -> ``repro.sweep/3``.
 
-        ``processes`` (a JSON integer >= 1, default 1) asks for a per-request
-        worker pool; the service never starts more workers than it has CPUs.
-        ``share_uniformisation`` must be a JSON boolean.
+        The spec's ``processes`` asks for a per-request worker pool; the
+        service never starts more workers than it has CPUs.
         """
-        tree = self._parse_tree(payload)
-        assert payload is not None
-        processes = payload.get("processes", 1)
-        if isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
-            raise AnalysisError(f"'processes' must be an integer >= 1, got {processes!r}")
-        share = payload.get("share_uniformisation", False)
-        if not isinstance(share, bool):
-            raise AnalysisError(f"'share_uniformisation' must be true or false, got {share!r}")
-        axes = payload.get("axes")
-        samples = payload.get("samples")
-        if (axes is None) == (samples is None):
-            raise AnalysisError(
-                "a sweep request needs exactly one of 'axes' "
-                "(parameter -> value list) or 'samples' (list of assignments)"
-            )
-        if axes is not None and isinstance(axes, Mapping):
-            swept = [str(name) for name in axes]
-        elif isinstance(samples, (list, tuple)):
-            swept = sorted(
-                {
-                    str(name)
-                    for sample in samples
-                    if isinstance(sample, Mapping)
-                    for name in sample
-                }
-            )
-        else:
-            swept = []
-        # Mirror the CLI: an axis naming a basic event (not a declared
-        # parameter) attaches a parameter of the same name to that event.
-        attach = [
-            name
-            for name in swept
-            if name not in tree.parameters
-            and name in tree
-            and isinstance(tree.element(name), BasicEvent)
-        ]
-        if attach:
-            tree = with_rate_parameters(tree, {name: name for name in attach})
+        spec = SweepSpec.from_payload(payload, envelope=("tree",))
+        tree = spec.prepare(self._parse_tree(payload))
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
-        query = query_from_payload(
-            payload.get("query"), nondeterministic=entry.nondeterministic  # type: ignore[arg-type]
-        )
-        if axes is not None:
-            if not isinstance(axes, Mapping) or not axes:
-                raise AnalysisError("'axes' must map parameter names to value lists")
-            rate_sweep = RateSweep.grid(query, **{str(k): v for k, v in axes.items()})  # type: ignore[arg-type]
-        else:
-            if not isinstance(samples, (list, tuple)):
-                raise AnalysisError("'samples' must be a list of parameter assignments")
-            rate_sweep = RateSweep(query, samples)  # type: ignore[arg-type]
+        rate_sweep = spec.rate_sweep(entry.nondeterministic)
         result = None
-        if self._pool is not None and not share:
-            result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, payload)
+        if self._pool is not None and not spec.share_uniformisation:
+            result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, spec.query)
         if result is None:
             study = SweepStudy(tree, self.options, skeleton_cache=self.store)
             # The LRU's entry and compiled model: no second decode, and the
@@ -557,19 +473,13 @@ class AnalysisService:
                 study.study.adopt_entry(*self._models.put(entry), hit=hit)
                 result = study.run(
                     rate_sweep,
-                    processes=min(processes, os.cpu_count() or 1),
-                    share_uniformisation=share,
+                    processes=min(spec.processes, os.cpu_count() or 1),
+                    share_uniformisation=spec.share_uniformisation,
                 )
-        response = result.to_dict()
-        response["service"] = {
-            "schema": SERVICE_SCHEMA,
-            "cache": "hit" if hit else "miss",
-            "key": entry.key,
-        }
-        return response
+        return _served(result.to_dict(), entry, hit)
 
     def _sweep_pooled(
-        self, tree, profile: CanonicalProfile, entry, hit, rate_sweep, payload
+        self, tree, profile: CanonicalProfile, entry, hit, rate_sweep, query: QuerySpec
     ) -> Optional[SweepResult]:
         """Fan the sweep's rows out over the service worker pool.
 
@@ -582,8 +492,6 @@ class AnalysisService:
         inline path up front: the pinned Poisson table is per-plan state the
         pooled rows do not share).
         """
-        rate_sweep.require_declared(tree)
-        query_payload = self._query_payload(payload)
         start = _time.perf_counter()
         futures = []
         for sample in rate_sweep.samples:
@@ -591,7 +499,7 @@ class AnalysisService:
                 **profile.assignment,
                 **translate_sample(sample, profile.parameter_map),
             }
-            future = self._submit(entry, assignment, query_payload)
+            future = self._submit(entry, assignment, query)
             if future is None:
                 return None
             futures.append(future)
@@ -620,14 +528,12 @@ class AnalysisService:
 
     def batch(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /batch``: many trees, one query -> ``repro.batch/1``."""
-        if payload is None or not isinstance(payload.get("trees"), (list, tuple)):
+        query = _request_query(payload, "trees")
+        trees = payload.get("trees")  # type: ignore[union-attr]
+        if not isinstance(trees, (list, tuple)) or not trees:
             raise AnalysisError(
-                "a batch request needs a 'trees' list of Galileo descriptions"
+                "a batch request needs a non-empty 'trees' list of Galileo descriptions"
             )
-        trees = payload["trees"]
-        if not trees:
-            raise AnalysisError("a batch request needs at least one tree")
-        query_payload = self._query_payload(payload)
         hits = 0
         misses = 0
         start = _time.perf_counter()
@@ -665,7 +571,7 @@ class AnalysisService:
             if isinstance(item, BatchRow):
                 continue
             _tree, profile, entry, _hit, _row_start = item
-            future = self._submit(entry, profile.assignment, query_payload)
+            future = self._submit(entry, profile.assignment, query)
             if future is None:
                 break  # no (healthy) pool: the rest evaluate in-process
             futures[index] = future
@@ -675,30 +581,23 @@ class AnalysisService:
                 rows.append(item)
                 continue
             tree, profile, entry, hit, row_start = item
+            result, error = None, None
             try:
                 measures, evaluation = self._evaluate(
-                    entry, profile.assignment, query_payload, futures.get(index)
+                    entry, profile.assignment, query, futures.get(index)
                 )
                 result = self._wrap_study_result(tree, entry, hit, measures, evaluation)
-                rows.append(
-                    BatchRow(
-                        name=tree.name,
-                        source=None,
-                        result=result,
-                        error=None,
-                        wall_seconds=_time.perf_counter() - row_start,
-                    )
+            except ReproError as failure:
+                error = str(failure)
+            rows.append(
+                BatchRow(
+                    name=tree.name,
+                    source=None,
+                    result=result,
+                    error=error,
+                    wall_seconds=_time.perf_counter() - row_start,
                 )
-            except ReproError as error:
-                rows.append(
-                    BatchRow(
-                        name=tree.name,
-                        source=None,
-                        result=None,
-                        error=str(error),
-                        wall_seconds=_time.perf_counter() - row_start,
-                    )
-                )
+            )
         batch_result = BatchResult(
             rows=tuple(rows),
             wall_seconds=_time.perf_counter() - start,

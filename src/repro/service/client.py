@@ -7,7 +7,10 @@ in-memory :class:`~repro.dft.tree.DynamicFaultTree` objects (serialised with
 ``%.10g``, so an exact-comparison harness should parse the written text on
 both sides).
 
-Transport failures (connection refused, 502/503/504) are retried with
+Requests are built as :class:`~repro.core.requests.QuerySpec` and
+:class:`~repro.core.requests.SweepSpec`, the server's own decoders, so a bad
+value fails here before anything is sent.  Transport failures (connection
+refused, 502/503/504) are retried with
 exponential backoff; 4xx responses and 500 (a request the server failed on,
 which a retry would only fail again) raise :class:`ServiceError` immediately
 with the server's error message attached.
@@ -19,8 +22,9 @@ import json
 import time as _time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
+from ..core.requests import QuerySpec, SweepSpec
 from ..core.results import StudyResult
 from ..dft import galileo
 from ..dft.tree import DynamicFaultTree
@@ -51,24 +55,6 @@ def _tree_text(tree: TreeLike) -> str:
             "a tree must be a DynamicFaultTree or a Galileo description string"
         )
     return tree
-
-
-def _query_payload(
-    times: Optional[Sequence[float]],
-    bounds: bool,
-    mttf: bool,
-    unavailability: bool,
-) -> Optional[Dict[str, object]]:
-    payload: Dict[str, object] = {}
-    if times is not None:
-        payload["times"] = [float(value) for value in times]
-    if bounds:
-        payload["bounds"] = True
-    if mttf:
-        payload["mttf"] = True
-    if unavailability:
-        payload["unavailability"] = True
-    return payload or None
 
 
 class ServiceClient:
@@ -131,17 +117,16 @@ class ServiceClient:
     def analyze(
         self,
         tree: TreeLike,
-        times: Optional[Sequence[float]] = None,
+        times: Sequence[float] = QuerySpec.times,
         bounds: bool = False,
         mttf: bool = False,
         unavailability: bool = False,
     ) -> Dict[str, object]:
         """``POST /analyze``: the raw ``repro.study/1`` response dict."""
-        payload: Dict[str, object] = {"tree": _tree_text(tree)}
-        query = _query_payload(times, bounds, mttf, unavailability)
-        if query is not None:
-            payload["query"] = query
-        return self._request("POST", "/analyze", payload)
+        query = QuerySpec(times, bounds, mttf, unavailability)
+        return self._request(
+            "POST", "/analyze", {"tree": _tree_text(tree), "query": query.to_payload()}
+        )
 
     def analyze_result(self, tree: TreeLike, **kwargs) -> StudyResult:
         """Like :meth:`analyze`, parsed back into a :class:`StudyResult`."""
@@ -152,44 +137,35 @@ class ServiceClient:
         tree: TreeLike,
         axes: Optional[Mapping[str, Sequence[float]]] = None,
         samples: Optional[Sequence[Mapping[str, float]]] = None,
-        times: Optional[Sequence[float]] = None,
+        times: Sequence[float] = QuerySpec.times,
         bounds: bool = False,
         mttf: bool = False,
         unavailability: bool = False,
-        processes: int = 1,
+        processes: int = SweepSpec.processes,
         share_uniformisation: bool = False,
     ) -> Dict[str, object]:
         """``POST /sweep``: the raw ``repro.sweep/3`` response dict."""
-        payload: Dict[str, object] = {"tree": _tree_text(tree)}
-        if axes is not None:
-            payload["axes"] = {str(k): [float(x) for x in v] for k, v in axes.items()}
-        if samples is not None:
-            payload["samples"] = [dict(sample) for sample in samples]
-        query = _query_payload(times, bounds, mttf, unavailability)
-        if query is not None:
-            payload["query"] = query
-        if processes != 1:
-            payload["processes"] = int(processes)
-        if share_uniformisation:
-            payload["share_uniformisation"] = True
-        return self._request("POST", "/sweep", payload)
+        spec = SweepSpec(
+            axes, samples, QuerySpec(times, bounds, mttf, unavailability),
+            processes, share_uniformisation,
+        )
+        return self._request("POST", "/sweep", {"tree": _tree_text(tree), **spec.to_payload()})
 
     def batch(
         self,
         trees: Sequence[TreeLike],
-        times: Optional[Sequence[float]] = None,
+        times: Sequence[float] = QuerySpec.times,
         bounds: bool = False,
         mttf: bool = False,
         unavailability: bool = False,
     ) -> Dict[str, object]:
         """``POST /batch``: the raw ``repro.batch/1`` response dict."""
-        payload: Dict[str, object] = {
-            "trees": [_tree_text(tree) for tree in trees]
-        }
-        query = _query_payload(times, bounds, mttf, unavailability)
-        if query is not None:
-            payload["query"] = query
-        return self._request("POST", "/batch", payload)
+        query = QuerySpec(times, bounds, mttf, unavailability)
+        return self._request(
+            "POST",
+            "/batch",
+            {"trees": [_tree_text(tree) for tree in trees], "query": query.to_payload()},
+        )
 
     def healthz(self) -> Dict[str, object]:
         return self._request("GET", "/healthz")

@@ -73,9 +73,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             self._respond(400, {"error": f"request body is not valid JSON: {error}"})
             return
-        if payload is not None and not isinstance(payload, dict):
-            self._respond(400, {"error": "request body must be a JSON object"})
-            return
         status, response = service.handle("POST", self.path, payload)
         self._respond(status, response)
 

@@ -92,6 +92,13 @@ class TestPoissonTruncation:
         expected = np.maximum(stats.poisson.ppf(quantile, rates).astype(np.int64) + 2, 1)
         assert np.array_equal(_poisson_truncation(rates, tolerance), expected)
 
+    @pytest.mark.parametrize("rate", [1e12, 1e20, 1e300])
+    def test_a_depth_past_int64_names_lambda_t(self, rate):
+        from repro.ctmc.transient import _poisson_truncation
+
+        with pytest.raises(AnalysisError, match="Λt = "):
+            _poisson_truncation(np.array([1.0, rate]), 1e-12)
+
     def test_many_rates_in_one_pass_equal_each_alone(self):
         from repro.ctmc.transient import poisson_terms_many
 

@@ -1,10 +1,13 @@
 """Tests for DFT element dataclasses and their validation."""
 
+import math
+
 import pytest
 
 from repro.dft import (
     AndGate,
     BasicEvent,
+    FaultTreeBuilder,
     FdepGate,
     InhibitionConstraint,
     OrGate,
@@ -54,6 +57,13 @@ class TestBasicEvent:
     def test_invalid_repair_rate(self):
         with pytest.raises(FaultTreeError):
             BasicEvent("A", 1.0, repair_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_repair_rate_rejected(self, rate):
+        with pytest.raises(FaultTreeError, match="repair rate must be positive and finite"):
+            BasicEvent("A", 1.0, repair_rate=rate)
+        with pytest.raises(FaultTreeError, match="repair rate"):
+            FaultTreeBuilder("t").basic_event("A", 1.0, repair_rate=rate)
 
     def test_empty_name_rejected(self):
         with pytest.raises(FaultTreeError):

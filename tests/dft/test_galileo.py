@@ -14,7 +14,7 @@ from repro.dft import (
     VotingGate,
     galileo,
 )
-from repro.errors import GalileoSyntaxError
+from repro.errors import FaultTreeError, GalileoSyntaxError
 from repro.systems import cardiac_assist_system, cascaded_pand_system
 
 CAS_TEXT = """
@@ -93,6 +93,10 @@ class TestParsing:
         tree = galileo.parse(text)
         assert tree.element("A").repair_rate == 2.0
         assert tree.is_repairable
+
+    def test_infinite_repair_rate_is_a_fault_tree_error(self):
+        with pytest.raises(FaultTreeError, match="repair rate must be positive and finite"):
+            galileo.parse('toplevel "A";\n"A" lambda=1 repair=1e400;\n')
 
     def test_unquoted_names_allowed(self):
         text = "toplevel Top; Top and A B; A lambda=1; B lambda=2;"

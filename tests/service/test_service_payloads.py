@@ -2,10 +2,13 @@
 
 Runs :meth:`AnalysisService.handle` in-process (``processes=0``) with the
 per-request sweep pool replaced by a serial stand-in that records how many
-workers a request asked for, so no test here starts a process.  The
+workers a request asked for, so no test here starts a process.  The first
 Hypothesis property replaces one top-level field, or one ``query`` field, of
 a valid ``/analyze``, ``/sweep`` or ``/batch`` payload with a value of each
-other JSON type; every answer must be a 200 or a 400.
+other JSON type; every answer must be a 200 or a 400.  The second puts a
+value of another JSON type into each boolean or number slot (the query
+flags, a mission time, ``processes``, ``share_uniformisation``, an axis or
+sample rate); every answer must be a 400.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from hypothesis import given, strategies as st
 
 import repro.core.study as study_module
 import repro.core.sweep as sweep_module
+import repro.service.app as app_module
+from repro.core.requests import QuerySpec
 from repro.core.study import resolve_workers
+from repro.errors import AnalysisError
 from repro.service.app import AnalysisService
+from repro.service.client import ServiceClient
 from repro.service.store import SkeletonStore
 
 PARAM_TREE = """
@@ -235,3 +242,204 @@ def test_payload_field_of_another_type_never_gives_500(
     path = endpoint.split("?")[0]
     status, body = service.handle("POST", path, payload)
     assert status in (200, 400), (status, body)
+
+
+# ---------------------------------------------------------------------------
+# strict wire types
+# ---------------------------------------------------------------------------
+
+def analyze_payload(**fields):
+    payload = {"tree": PARAM_TREE, "query": QUERY}
+    payload.update(fields)
+    return payload
+
+
+class TestStrictWireTypes:
+    """Values of the wrong JSON type are errors, not truthy or coerced values."""
+
+    @pytest.mark.parametrize(
+        "path, payload, named",
+        [
+            ("/analyze", analyze_payload(query={"bounds": "false"}), "bounds"),
+            ("/analyze", analyze_payload(query={"mttf": "no"}), "mttf"),
+            ("/analyze", analyze_payload(query={"unavailability": "false"}), "unavailability"),
+            ("/analyze", analyze_payload(query={"times": [1, True]}), "times"),
+            ("/analyze", analyze_payload(query={"times": ["1.5"]}), "times"),
+            ("/analyze", {"tree": PARAM_TREE, "querry": {"times": [2]}}, "querry"),
+            ("/batch", {"trees": [PARAM_TREE], "querry": {"times": [2]}}, "querry"),
+            ("/batch", {"trees": [PARAM_TREE], "query": {"bounds": "false"}}, "bounds"),
+            ("/sweep", sweep_payload(axes={"lam": [0.4]}, share_uniformization=True),
+             "share_uniformization"),
+            ("/sweep", sweep_payload(samples=[{"lam": "0.4"}]), "lam"),
+            ("/sweep", sweep_payload(axes={"lam": ["0.4"]}), "lam"),
+            ("/sweep", sweep_payload(axes={"lam": [0.4]}, query={"times": [1], "tims": [2]}),
+             "tims"),
+        ],
+        ids=[
+            "bounds-string",
+            "mttf-string",
+            "unavailability-string",
+            "times-boolean",
+            "times-string",
+            "analyze-unknown-field",
+            "batch-unknown-field",
+            "batch-bounds-string",
+            "sweep-unknown-field",
+            "sample-rate-string",
+            "axis-rate-string",
+            "sweep-unknown-query-field",
+        ],
+    )
+    def test_answers_400_naming_the_field(self, service, path, payload, named):
+        status, body = service.handle("POST", path, payload)
+        assert status == 400, body
+        assert named in body["error"]
+
+    def test_non_object_body_answers_400(self, service):
+        for path in ("/analyze", "/sweep", "/batch"):
+            for payload in (None, [PARAM_TREE], PARAM_TREE):
+                status, body = service.handle("POST", path, payload)
+                assert status == 400, (path, payload, body)
+                assert "JSON object" in body["error"]
+
+    def test_undeclared_axis_answers_400_before_any_build(self, tmp_path):
+        service = AnalysisService(SkeletonStore(tmp_path / "store"), processes=0)
+        try:
+            status, body = service.handle(
+                "POST", "/sweep", sweep_payload(axes={"lam": [0.4], "nope": [1.0]})
+            )
+        finally:
+            service.close()
+        assert status == 400, body
+        assert "nope" in body["error"]
+        assert service.store.stats()["entries"] == 0
+
+    def test_infinite_repair_rate_answers_400(self, service):
+        tree = 'toplevel "A";\n"A" lambda=1 repair=1e400;\n'
+        status, body = service.handle("POST", "/analyze", {"tree": tree})
+        assert status == 400, body
+        assert "repair rate" in body["error"]
+
+    def test_too_deep_series_answers_400(self, service):
+        status, body = service.handle(
+            "POST", "/analyze", {"tree": 'toplevel "A";\n"A" lambda=1e20;\n'}
+        )
+        assert status == 400, body
+        assert "Λt" in body["error"]
+
+    def test_too_deep_sample_is_a_row_error(self, service):
+        status, body = service.handle(
+            "POST", "/sweep", sweep_payload(samples=[{"lam": 0.4}, {"lam": 1e20}])
+        )
+        assert status == 200, body
+        assert "error" not in body["rows"][0]
+        assert "Λt" in body["rows"][1]["error"]
+
+    def test_client_rejects_bad_values_before_sending(self):
+        # Nothing listens on the discard port; a request that were sent
+        # would fail with a transport error, not an AnalysisError.
+        client = ServiceClient("http://127.0.0.1:9", retries=0)
+        with pytest.raises(AnalysisError, match="times"):
+            client.analyze(PARAM_TREE, times=["1.5"])
+        with pytest.raises(AnalysisError, match="mttf"):
+            client.batch([PARAM_TREE], mttf="yes")
+        with pytest.raises(AnalysisError, match="processes"):
+            client.sweep(PARAM_TREE, axes={"lam": [0.4]}, processes=0)
+        with pytest.raises(AnalysisError, match="exactly one"):
+            client.sweep(PARAM_TREE)
+
+
+class RecordingServicePool:
+    """A serial stand-in for the service's worker pool that records submits."""
+
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
+        self.submitted = []
+        initializer(*initargs)
+
+    def submit(self, function, *args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_result(function(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_each_request_is_decoded_once_and_workers_get_the_spec(tmp_path, monkeypatch):
+    monkeypatch.setattr(app_module, "ProcessPoolExecutor", RecordingServicePool)
+    # The stand-in runs the worker initializer in this process.
+    monkeypatch.setattr(app_module, "_WORKER_STORE", None)
+    monkeypatch.setattr(app_module, "_WORKER_MODELS", None)
+    decoded = []
+    original = QuerySpec.from_payload.__func__
+    monkeypatch.setattr(
+        QuerySpec,
+        "from_payload",
+        classmethod(lambda cls, payload: decoded.append(payload) or original(cls, payload)),
+    )
+    service = AnalysisService(SkeletonStore(tmp_path / "store"), processes=1)
+    try:
+        status, body = service.handle(
+            "POST", "/batch", {"trees": [PARAM_TREE] * 3, "query": QUERY}
+        )
+        assert status == 200, body
+        status, body = service.handle("POST", "/sweep", sweep_payload(axes={"lam": [0.4, 0.9]}))
+        assert status == 200, body
+        submitted = service._pool.submitted
+    finally:
+        service.close()
+    assert decoded == [QUERY, QUERY]
+    assert len(submitted) == 5
+    queries = [args[2] for args in submitted]
+    assert all(isinstance(query, QuerySpec) for query in queries)
+    assert queries[0] is queries[1] is queries[2]
+    assert queries[3] is queries[4]
+
+
+# ---------------------------------------------------------------------------
+# the strictness property
+# ---------------------------------------------------------------------------
+
+#: Every boolean or number slot: (endpoint, path to the slot, JSON types it takes).
+TYPED_SLOTS = [
+    ("/analyze", ("query", "bounds"), {"boolean"}),
+    ("/analyze", ("query", "mttf"), {"boolean"}),
+    ("/analyze", ("query", "unavailability"), {"boolean"}),
+    ("/analyze", ("query", "times", 0), {"integer", "number"}),
+    ("/batch", ("query", "bounds"), {"boolean"}),
+    ("/batch", ("query", "times", 1), {"integer", "number"}),
+    ("/sweep", ("processes",), {"integer"}),
+    ("/sweep", ("share_uniformisation",), {"boolean"}),
+    ("/sweep", ("query", "mttf"), {"boolean"}),
+    ("/sweep", ("query", "times", 0), {"integer", "number"}),
+    ("/sweep", ("axes", "lam", 1), {"integer", "number"}),
+    ("/sweep?samples", ("samples", 0, "lam"), {"integer", "number"}),
+]
+
+
+def _typed_cases():
+    for endpoint, slot, accepted in TYPED_SLOTS:
+        for kind in JSON_TYPES:
+            if kind not in accepted:
+                name = ".".join(str(step) for step in slot)
+                yield pytest.param(endpoint, slot, kind, id=f"{endpoint}-{name}-{kind}")
+
+
+def _with_slot(payload, slot, value):
+    """A deep copy of ``payload`` with ``value`` at ``slot``."""
+    head, rest = slot[0], slot[1:]
+    copy = list(payload) if isinstance(payload, list) else dict(payload)
+    copy[head] = value if not rest else _with_slot(payload[head], rest, value)
+    return copy
+
+
+@pytest.mark.parametrize("endpoint, slot, kind", list(_typed_cases()))
+@given(data=st.data())
+def test_payload_field_of_another_type_in_a_typed_slot_gives_400(
+    service, endpoint, slot, kind, data
+):
+    value = data.draw(JSON_TYPES[kind], label=kind)
+    payload = _with_slot(BASE_PAYLOADS[endpoint], slot, value)
+    status, body = service.handle("POST", endpoint.split("?")[0], payload)
+    assert status == 400, (status, body)

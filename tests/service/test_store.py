@@ -12,11 +12,13 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import shutil
 
 import pytest
 
-from repro.core.measures import MTTF, Unreliability
+from repro.core.measures import MTTF, Unreliability, UnreliabilityBounds
 from repro.core.study import Study, StudyOptions
+from repro.dft import galileo
 from repro.dft.builder import FaultTreeBuilder
 from repro.dft.hashing import structural_hash
 from repro.service.store import (
@@ -499,3 +501,60 @@ class TestTouch:
         assert store.path_of(keys["hot"]).exists()
         assert not store.path_of(keys["cold"]).exists()
         assert store.stats()["evictions"] == 1
+
+
+ENTRY_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "store_entries")
+
+PARAM_AND = """param lam = 0.5;
+toplevel "sys";
+"sys" and "a" "b";
+"a" lambda=lam;
+"b" lambda=0.7;
+"""
+
+RACE = """toplevel "system";
+"T" lambda=1;
+"A" lambda=1;
+"B" lambda=2;
+"system" pand "A" "B";
+"F" fdep "T" "A" "B";
+"""
+
+
+class TestSkeletonParameters:
+    """``parameters`` is computed once per skeleton and never pickled."""
+
+    @pytest.mark.parametrize(
+        "text, kind, parameters",
+        [
+            (PARAM_AND, "CtmcSkeleton", ("sf1", "sf2")),
+            (RACE, "CtmdpSkeleton", ("sf1", "sf2", "sf4")),
+        ],
+        ids=["ctmc", "ctmdp"],
+    )
+    def test_entries_written_before_the_cache_still_load(
+        self, tmp_path, text, kind, parameters
+    ):
+        shutil.copytree(ENTRY_DIR, tmp_path / "cache")
+        store = SkeletonStore(tmp_path / "cache")
+        tree = galileo.parse(text, name="old-entry")
+        entry = store.load(cache_key(tree, StudyOptions()))
+        assert entry is not None and store.stats()["corrupt_evictions"] == 0
+        assert type(entry.skeleton).__name__ == kind
+        assert entry.skeleton.parameters == parameters
+        query = UnreliabilityBounds([0.5, 1.0])
+        cached = Study(tree, skeleton_cache=store).evaluate(query)
+        assert cached.options["skeleton_cache"] == "hit"
+        fresh = Study(tree).evaluate(query)
+        for mine, theirs in zip(cached.measures, fresh.measures):
+            assert mine.lower == pytest.approx(theirs.lower, abs=TOLERANCE)
+            assert mine.upper == pytest.approx(theirs.upper, abs=TOLERANCE)
+
+    @pytest.mark.parametrize("text", [PARAM_AND, RACE], ids=["ctmc", "ctmdp"])
+    def test_computed_once_and_left_out_of_pickles(self, text):
+        skeleton = Study(galileo.parse(text)).skeleton
+        before = pickle.dumps(skeleton)
+        first = skeleton.parameters
+        assert skeleton.parameters is first
+        assert pickle.dumps(skeleton) == before
+        assert pickle.loads(before).parameters == first
