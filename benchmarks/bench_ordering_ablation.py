@@ -1,8 +1,8 @@
 """E10 — ablation of the engine's design choices (composition order, equivalence).
 
 The paper's algorithm leaves the composition order open ("pick two I/O-IMC").
-This benchmark quantifies how much the order matters — the linked/smallest
-heuristics versus a naive sequential fold — and how much weak bisimulation
+This benchmark quantifies how much the order matters — the linked
+heuristic versus a naive sequential fold — and how much weak bisimulation
 buys over strong bisimulation during aggregation.  All variants must agree on
 the computed unreliability; the interesting outputs are the peak intermediate
 sizes.
@@ -17,7 +17,7 @@ from repro.systems import cardiac_assist_system, cascaded_pand_system
 from conftest import record
 
 MISSION_TIME = 1.0
-ORDERINGS = ["linked", "smallest", "sequential"]
+ORDERINGS = ["linked", "sequential"]
 
 
 def run_variant(tree, ordering="linked", method="weak"):

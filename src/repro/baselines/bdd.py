@@ -50,10 +50,6 @@ class BDDManager:
         self.one = BDDNode(variable=None, low=None, high=None, value=1)
 
     # ------------------------------------------------------------------ nodes
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self._order
-
     def variable_index(self, name: str) -> int:
         try:
             return self._index[name]

@@ -77,7 +77,7 @@ from .ctmc.builders import CtmdpSkeleton
 from .dft import diftree_modules, galileo, independent_modules
 from .dft.visualization import to_dot
 from .core.aggregation import ORDERING_STRATEGIES
-from .errors import ReproError
+from .errors import AnalysisError, ReproError
 from .ioimc import ALGORITHMS, AggregationOptions
 
 #: Every pipeline flag's default is the library's own.
@@ -404,12 +404,12 @@ def _load_design_problem(args: argparse.Namespace):
     """The DesignProblem named by ``repro optimize PROBLEM``.
 
     ``PROBLEM`` is either a built-in seeded scenario (``cas``, ``cps``) or a
-    path to a JSON spec ``{"tree": "model.dft", "budget": ..., "choices":
-    [...]}`` whose tree path resolves relative to the spec file.
+    path to a JSON :class:`~repro.core.requests.DesignSpec` whose tree path
+    resolves relative to the spec file.
     """
     import dataclasses
 
-    from .core.optimize import DesignProblem, RepairChoice, SpareCountChoice
+    from .core.requests import DesignSpec
 
     if args.problem in ("cas", "cps"):
         from .systems import cas_spares_scenario, cps_spares_scenario
@@ -418,47 +418,15 @@ def _load_design_problem(args: argparse.Namespace):
         problem = factory()
     else:
         with open(args.problem, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-        tree_path = spec["tree"]
+            try:
+                payload = json.load(handle)
+            except ValueError as error:
+                raise AnalysisError(f"{args.problem} is not valid JSON: {error}") from None
+        spec = DesignSpec.from_payload(payload)
+        tree_path = spec.tree
         if tree_path != "-" and not os.path.isabs(tree_path):
             tree_path = os.path.join(os.path.dirname(os.path.abspath(args.problem)), tree_path)
-        tree = _load_tree(tree_path)
-        choices = []
-        for entry in spec["choices"]:
-            kind = entry.get("kind")
-            costs = tuple(float(cost) for cost in entry.get("costs", ()))
-            if kind == "spares":
-                gate = entry.get("gates", entry.get("gate"))
-                if isinstance(gate, list):
-                    gate = tuple(gate)
-                choices.append(
-                    SpareCountChoice(
-                        gate,
-                        counts=tuple(int(c) for c in entry["counts"]),
-                        costs=costs or None,
-                    )
-                )
-            elif kind == "repair":
-                choices.append(
-                    RepairChoice(
-                        entry["event"],
-                        rates=tuple(
-                            None if rate is None else float(rate)
-                            for rate in entry["rates"]
-                        ),
-                        costs=costs or None,
-                    )
-                )
-            else:
-                raise ValueError(
-                    f"unknown design choice kind {kind!r}; expected 'spares' or 'repair'"
-                )
-        problem = DesignProblem(
-            tree=tree,
-            choices=tuple(choices),
-            mission_time=float(spec.get("mission_time", 1.0)),
-            budget=spec.get("budget"),
-        )
+        problem = spec.problem(_load_tree(tree_path))
     overrides = {}
     if getattr(args, "time", None) is not None:
         overrides["mission_time"] = args.time
@@ -666,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULTS.ordering,
             help=f"composition ordering strategy (default: {DEFAULTS.ordering}; "
             "'modular' follows the tree's independent-module decomposition, "
-            "'linked' composes the smallest communicating pair)",
+            "'linked' composes the smallest communicating pair, "
+            "'sequential' folds in conversion order)",
         )
         sub.add_argument(
             "--aggregation",

@@ -55,10 +55,8 @@ Ordering strategies
     effectively walks the fault tree bottom-up and keeps intermediate products
     small.  Candidate pairs come from the incrementally maintained
     :class:`~repro.core.planning.SharedActionIndex`, not from an ``O(k^2)``
-    rescan of all pairs.
-``smallest``
-    Compose the pair with the smallest state-count product, whether or not the
-    two models communicate.
+    rescan of all pairs.  When no two models communicate, the pair with the
+    smallest state-count product goes first.
 ``sequential``
     Fold the community in the order the converter emitted it (a deliberately
     naive baseline for the ordering ablation benchmark).
@@ -70,7 +68,7 @@ import pickle
 import threading
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -81,14 +79,15 @@ from ..ioimc.model import IOIMC
 from ..ioimc.rates import ParametricRate
 from ..ioimc.reduction import AggregationOptions, aggregate
 from .planning import AggregationPlan, PlanNode, SharedActionIndex, build_plan
+from .wire import Derived, Key, Layout, Record
 
-ORDERING_STRATEGIES = ("linked", "smallest", "sequential", "modular")
+ORDERING_STRATEGIES = ("linked", "sequential", "modular")
 #: The ordering of every Study, engine and CLI run that does not name one.
 DEFAULT_ORDERING = "modular"
 
 
 @dataclass
-class CompositionStep:
+class CompositionStep(Record):
     """Record of one compose/hide/aggregate iteration."""
 
     left: str
@@ -99,25 +98,55 @@ class CompositionStep:
     reduced_states: int
     reduced_transitions: int
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "product_states": self.product_states,
-            "product_transitions": self.product_transitions,
-            "hidden_actions": list(self.hidden_actions),
-            "reduced_states": self.reduced_states,
-            "reduced_transitions": self.reduced_transitions,
-        }
+    WIRE = Layout("composition step")
+
+
+@dataclass(frozen=True)
+class StatisticsSummary(Record):
+    """Peaks and final sizes of an aggregation run: the fields of
+    :meth:`CompositionStatistics.to_dict` without the per-step records, which
+    batch rows, skeleton store entries and brief payloads keep."""
+
+    num_steps: int
+    peak_product_states: int
+    peak_product_transitions: int
+    peak_reduced_states: int
+    peak_reduced_transitions: int
+    final_states: int
+    final_transitions: int
+
+    WIRE = Layout("statistics")
+
+    def summary(self) -> str:
+        return (
+            f"{self.num_steps} composition steps, "
+            f"peak product {self.peak_product_states} states / "
+            f"{self.peak_product_transitions} transitions, "
+            f"peak aggregated {self.peak_reduced_states} states / "
+            f"{self.peak_reduced_transitions} transitions, "
+            f"final {self.final_states} states / {self.final_transitions} transitions"
+        )
 
 
 @dataclass
-class CompositionStatistics:
+class CompositionStatistics(Record):
     """Aggregate statistics of a full compositional aggregation run."""
 
     steps: List[CompositionStep] = field(default_factory=list)
     final_states: int = 0
     final_transitions: int = 0
+
+    WIRE = Layout(
+        "statistics",
+        *(Derived(f.name) for f in fields(StatisticsSummary)[:5]),
+        "final_states",
+        "final_transitions",
+        Key("steps", detail=True),
+    )
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.steps)
 
     @property
     def peak_product_states(self) -> int:
@@ -141,29 +170,11 @@ class CompositionStatistics:
             (step.reduced_transitions for step in self.steps), default=self.final_transitions
         )
 
-    def to_dict(self, include_steps: bool = True) -> dict:
-        payload = {
-            "num_steps": len(self.steps),
-            "peak_product_states": self.peak_product_states,
-            "peak_product_transitions": self.peak_product_transitions,
-            "peak_reduced_states": self.peak_reduced_states,
-            "peak_reduced_transitions": self.peak_reduced_transitions,
-            "final_states": self.final_states,
-            "final_transitions": self.final_transitions,
-        }
-        if include_steps:
-            payload["steps"] = [step.to_dict() for step in self.steps]
-        return payload
+    def summary_record(self) -> StatisticsSummary:
+        return StatisticsSummary(*(getattr(self, f.name) for f in fields(StatisticsSummary)))
 
     def summary(self) -> str:
-        return (
-            f"{len(self.steps)} composition steps, "
-            f"peak product {self.peak_product_states} states / "
-            f"{self.peak_product_transitions} transitions, "
-            f"peak aggregated {self.peak_reduced_states} states / "
-            f"{self.peak_reduced_transitions} transitions, "
-            f"final {self.final_states} states / {self.final_transitions} transitions"
-        )
+        return self.summary_record().summary()
 
 
 @dataclass
@@ -359,7 +370,7 @@ class _Workspace:
 
     def __init__(self, quotients: QuotientMemo) -> None:
         self.models: Dict[int, IOIMC] = {}
-        self.order: List[int] = []  # insertion order (sequential/smallest picks)
+        self.order: List[int] = []  # insertion order (sequential picks, smallest-product fallback)
         self.index = SharedActionIndex()
         self.quotients = quotients
         self._next_key = 0
@@ -534,8 +545,6 @@ class CompositionalAggregator:
             group_set = set(group)
             ordered = [key for key in workspace.order if key in group_set]
             return ordered[0], ordered[1]
-        if strategy == "smallest":
-            return self._pick_smallest(group, workspace)
         # "linked" and "modular" groups: smallest communicating pair from the
         # shared-action index; fall back to the smallest product overall when
         # nothing communicates.

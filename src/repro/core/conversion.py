@@ -105,16 +105,6 @@ class Community:
                 return member
         raise ConversionError(f"no community member models element {element!r}")
 
-    def plan(self):
-        """The modular aggregation plan of this community.
-
-        Derived from the fault tree's independent-module decomposition; used
-        by the ``ordering="modular"`` strategy of the aggregation engine.
-        """
-        from .planning import build_plan
-
-        return build_plan(self)
-
     @property
     def total_states(self) -> int:
         return sum(member.num_states for member in self.members)
@@ -173,11 +163,6 @@ class DftToIoimcConverter:
             )
         self._check_community(community)
         return community
-
-    def elementary_model(self, element: str) -> IOIMC:
-        """The elementary I/O-IMC of a single element, as built."""
-        community = self.convert()
-        return community.member_for_element(element).model
 
     # ------------------------------------------------------- relevant elements
     def _relevant_elements(self) -> FrozenSet[str]:

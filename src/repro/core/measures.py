@@ -23,6 +23,7 @@ from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..ctmc.transient import validate_times
 from ..errors import AnalysisError
+from .wire import Derived, Key, Layout, Record
 
 TimesLike = Union[float, int, Sequence[float]]
 
@@ -37,17 +38,15 @@ def _normalise_times(times: TimesLike) -> Tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """Base class of all measure specs (a single requested quantity)."""
 
     kind: ClassVar[str] = "measure"
+    WIRE = Layout("measure", Derived("kind"))
 
     def transient_times(self) -> Tuple[float, ...]:
         """Mission times whose transient state distribution this measure needs."""
         return ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind}
 
     def __add__(self, other: Union["Measure", "Query"]) -> "Query":
         return Query(self, other)
@@ -59,14 +58,13 @@ class _TimedMeasure(Measure):
 
     times: TimesLike = (1.0,)
 
+    WIRE = Layout("measure", Derived("kind"), "times")
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", _normalise_times(self.times))
 
     def transient_times(self) -> Tuple[float, ...]:
         return self.times  # type: ignore[return-value]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "times": list(self.times)}  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,8 @@ class Unavailability(Measure):
     kind: ClassVar[str] = "unavailability"
     time: Optional[float] = None
 
+    WIRE = Layout("measure", Derived("kind"), Derived("steady_state"), Key("time", omit=None))
+
     def __post_init__(self) -> None:
         if self.time is not None:
             object.__setattr__(self, "time", validate_times([self.time])[0])
@@ -109,11 +109,6 @@ class Unavailability(Measure):
 
     def transient_times(self) -> Tuple[float, ...]:
         return () if self.time is None else (self.time,)
-
-    def to_dict(self) -> Dict[str, object]:
-        if self.time is None:
-            return {"kind": self.kind, "steady_state": True}
-        return {"kind": self.kind, "steady_state": False, "time": self.time}
 
 
 @dataclass(frozen=True)
@@ -132,17 +127,14 @@ class ImportanceRanking(_TimedMeasure):
     kind: ClassVar[str] = "importance_ranking"
     direction: str = "max"
 
+    WIRE = Layout("measure", Derived("kind"), "times", "direction")
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.direction not in ("max", "min"):
             raise AnalysisError(
                 f"importance direction must be 'max' or 'min', not {self.direction!r}"
             )
-
-    def to_dict(self) -> Dict[str, object]:
-        payload = super().to_dict()
-        payload["direction"] = self.direction
-        return payload
 
 
 def objective_measure(nondeterministic: bool, times: TimesLike) -> Measure:

@@ -69,6 +69,7 @@ from .results import (
 )
 from .measures import Unreliability, UnreliabilityBounds
 from .study import CompiledModel, StudyOptions
+from .wire import Key, Layout, Tag
 
 #: Pruning slack: a partial assignment is discarded only when its optimistic
 #: lower bound exceeds the incumbent by more than this, so bound-vs-leaf
@@ -102,6 +103,11 @@ class SpareCountChoice:
     gate: Union[str, Tuple[str, ...]]
     counts: Tuple[int, ...]
     costs: Tuple[float, ...]
+
+    WIRE = Layout(
+        "spares choice", Tag("kind", "spares"), Key("gate", aliases=("gates",)), "counts", "costs",
+        strict=True,
+    )
 
     def __post_init__(self) -> None:
         gates = (self.gate,) if isinstance(self.gate, str) else tuple(self.gate)
@@ -169,6 +175,8 @@ class RepairChoice:
     event: str
     rates: Tuple[Optional[float], ...]
     costs: Tuple[float, ...]
+
+    WIRE = Layout("repair choice", Tag("kind", "repair"), "event", "rates", "costs", strict=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(

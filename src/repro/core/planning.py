@@ -128,11 +128,6 @@ class PlanNode:
     member_indices: List[int] = field(default_factory=list)
     children: List["PlanNode"] = field(default_factory=list)
 
-    @property
-    def group_size(self) -> int:
-        """Number of models composed at this node."""
-        return len(self.member_indices) + len(self.children)
-
     def walk(self) -> Iterator["PlanNode"]:
         """Depth-first iteration (children before the node itself)."""
         for child in self.children:
@@ -147,10 +142,6 @@ class AggregationPlan:
     root: PlanNode
     #: Module roots in collapse order (innermost first), for diagnostics.
     module_order: Tuple[str, ...] = ()
-
-    @property
-    def num_groups(self) -> int:
-        return sum(1 for _ in self.root.walk())
 
     def describe(self) -> str:
         """Human-readable plan summary (used by tests and diagnostics)."""

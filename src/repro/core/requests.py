@@ -2,19 +2,21 @@
 
 A :class:`QuerySpec` asks for the unreliability (or its bounds) at a set of
 mission times, optionally with the MTTF and the unavailability; a
-:class:`SweepSpec` asks that query at every sample of a rate grid or list.
-The CLI builds both from its flags, the service decodes them from JSON
-bodies with ``from_payload`` and the client encodes them with
-``to_payload``, so the field names, the defaults and the type checks live
-only here.  The checks are strict: a flag must be a boolean, a time or a
-rate a number (never a boolean or a numeric string), ``processes`` an
-integer, and a field a request does not define is an error naming it.
+:class:`SweepSpec` asks that query at every sample of a rate grid or list;
+a :class:`DesignSpec` is a ``repro optimize`` problem file.  The CLI builds
+the first two from its flags, the service decodes them from JSON bodies
+with ``from_payload`` and the client encodes them with ``to_payload``, so
+the field names and the defaults live only here; the wire rules are those
+of :mod:`repro.core.wire`, shared with the results.  The checks are strict:
+a flag must be a boolean, a time or a rate a number (never a boolean or a
+numeric string), ``processes`` an integer, and a field a request does not
+define is an error naming it.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..ctmc.transient import validate_times
@@ -22,20 +24,9 @@ from ..dft.elements import BasicEvent
 from ..dft.tree import DynamicFaultTree
 from ..errors import AnalysisError
 from .measures import MTTF, Query, Unavailability, objective_measure
+from .optimize import DesignChoice, DesignProblem
 from .sweep import RateSweep, axis_values, require_declared, sample_values, with_rate_parameters
-
-
-def check_fields(payload: object, where: str, known: Iterable[str]) -> Dict[str, object]:
-    """``payload`` as a dict, or an error unless it is an object of ``known`` fields."""
-    if not isinstance(payload, Mapping):
-        raise AnalysisError(f"the {where} must be a JSON object")
-    known = sorted(known)
-    unknown = sorted(str(name) for name in payload if name not in known)
-    if unknown:
-        raise AnalysisError(
-            f"unknown {where} field(s): {', '.join(unknown)} (expected a subset of {known})"
-        )
-    return dict(payload)
+from .wire import Key, Layout, decode, encode
 
 
 def _list(value: object, what: str) -> Tuple[object, ...]:
@@ -49,16 +40,6 @@ def _flag(name: str, value: object) -> None:
         raise AnalysisError(f"{name!r} must be true or false, got {value!r}")
 
 
-def _decode(cls, payload: object, where: str, envelope: Sequence[str] = ()):
-    """``cls`` from a JSON object; ``envelope`` names fields the caller reads."""
-    body = check_fields(payload, where, [f.name for f in fields(cls)] + list(envelope))
-    for name in envelope:
-        body.pop(name, None)
-    if "query" in body:
-        body["query"] = QuerySpec.from_payload(body["query"])
-    return cls(**body)
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """The unreliability, or its bounds, at ``times``; MTTF and unavailability on request."""
@@ -67,6 +48,8 @@ class QuerySpec:
     bounds: bool = False
     mttf: bool = False
     unavailability: bool = False
+
+    WIRE = Layout("query", strict=True)
 
     def __post_init__(self) -> None:
         times = _list(self.times, "query 'times'")
@@ -82,10 +65,10 @@ class QuerySpec:
     @classmethod
     def from_payload(cls, payload: object) -> "QuerySpec":
         """Decode a wire ``query`` object."""
-        return _decode(cls, payload, "query")
+        return decode(cls, payload)
 
     def to_payload(self) -> Dict[str, object]:
-        return asdict(self)
+        return encode(self)
 
     def query(self, nondeterministic: bool = False) -> Query:
         """The measures; a non-deterministic model always gets bounds."""
@@ -113,6 +96,11 @@ class SweepSpec:
     processes: int = 1
     share_uniformisation: bool = False
 
+    WIRE = Layout(
+        "sweep request", Key("axes", omit=None), Key("samples", omit=None), "query",
+        "processes", "share_uniformisation", strict=True,
+    )
+
     def __post_init__(self) -> None:
         if (self.axes is None) == (self.samples is None):
             raise AnalysisError(
@@ -137,10 +125,10 @@ class SweepSpec:
     def from_payload(cls, payload: object, envelope: Sequence[str] = ()) -> "SweepSpec":
         """Decode a sweep request body; ``envelope`` names the fields the
         caller reads itself (the service's ``tree``)."""
-        return _decode(cls, payload, "sweep request", envelope)
+        return decode(cls, payload, envelope)
 
     def to_payload(self) -> Dict[str, object]:
-        return {name: value for name, value in asdict(self).items() if value is not None}
+        return encode(self)
 
     def prepare(self, tree: DynamicFaultTree) -> DynamicFaultTree:
         """``tree`` ready to sweep: a swept name that is a basic event rather
@@ -166,3 +154,28 @@ class SweepSpec:
         if self.axes is not None:
             return RateSweep.grid(query, **self.axes)
         return RateSweep(query, self.samples)
+
+
+@dataclass(frozen=True)
+class DesignSpec:
+    """A ``repro optimize`` problem: the tree file, the mission time, the
+    budget (``None``: unconstrained) and the design choices, each a
+    :class:`~repro.core.optimize.SpareCountChoice` (``kind`` ``spares``) or
+    a :class:`~repro.core.optimize.RepairChoice` (``kind`` ``repair``).
+    """
+
+    tree: str
+    choices: Tuple[DesignChoice, ...]
+    mission_time: float = 1.0
+    budget: Optional[float] = None
+
+    WIRE = Layout("design spec", strict=True)
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "DesignSpec":
+        """Decode a JSON design spec."""
+        return decode(cls, payload)
+
+    def problem(self, tree: DynamicFaultTree) -> DesignProblem:
+        """The design problem of this spec over ``tree``, the file it names."""
+        return DesignProblem(tree, self.choices, self.mission_time, self.budget)

@@ -72,6 +72,7 @@ from .aggregation import (
     CompositionalAggregationOptions,
     CompositionalAggregator,
     QuotientMemo,
+    StatisticsSummary,
 )
 from .conversion import Community, ConversionOptions, DftToIoimcConverter
 from .measures import (
@@ -88,7 +89,6 @@ from .results import (
     BatchRow,
     MeasureResult,
     ModelInfo,
-    RestoredStatistics,
     StudyResult,
     write_batch_jsonl,
 )
@@ -883,9 +883,9 @@ class Study:
         )
         options = self.options.to_dict()
         if self.skeleton_cache is None:
-            statistics: Union[CompositionStatistics, RestoredStatistics] = self.statistics
+            statistics: Union[CompositionStatistics, StatisticsSummary] = self.statistics
         else:
-            statistics = RestoredStatistics(dict(self._cached_entry().statistics))
+            statistics = StatisticsSummary(**self._cached_entry().statistics)
             options["skeleton_cache"] = "hit" if self._cache_hit else "miss"
         return StudyResult(
             tree_name=self.tree.name,

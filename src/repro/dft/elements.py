@@ -360,11 +360,6 @@ def is_dynamic(element: Element) -> bool:
     return isinstance(element, DYNAMIC_GATES) or isinstance(element, InhibitionConstraint)
 
 
-def element_inputs(element: Element) -> Tuple[str, ...]:
-    """Uniform access to the input names of any element."""
-    return element.inputs
-
-
 def _check_distinct_inputs(gate) -> None:
     if len(set(gate.inputs)) != len(gate.inputs):
         raise FaultTreeError(f"gate {gate.name!r} lists the same input twice")

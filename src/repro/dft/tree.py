@@ -134,10 +134,6 @@ class DynamicFaultTree:
         except KeyError:
             raise FaultTreeError(f"unknown rate parameter {name!r}") from None
 
-    def parametric_events(self) -> Tuple[BasicEvent, ...]:
-        """Basic events with at least one rate bound to a parameter."""
-        return tuple(e for e in self.basic_events() if e.is_parametric)
-
     def gates(self) -> Tuple[Element, ...]:
         return tuple(e for e in self._elements.values() if is_gate(e))
 

@@ -225,18 +225,6 @@ class ActionSignature:
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "internals", internals)
 
-    def classify_id(self, aid: int) -> ActionType:
-        """Return the :class:`ActionType` of an interned action id."""
-        if aid in self.input_ids:
-            return ActionType.INPUT
-        if aid in self.output_ids:
-            return ActionType.OUTPUT
-        if aid in self.internal_ids:
-            return ActionType.INTERNAL
-        raise SignatureError(
-            f"action {ACTIONS.name(aid)!r} is not part of the signature"
-        )
-
     def classify(self, action: str) -> ActionType:
         """Return the :class:`ActionType` of ``action``.
 

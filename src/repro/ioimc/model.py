@@ -230,10 +230,6 @@ class IOIMC:
             raise ModelError(f"I/O-IMC {self.name!r} has no initial state")
         return self._initial
 
-    @property
-    def has_initial(self) -> bool:
-        return self._initial is not None
-
     def states(self) -> range:
         return range(self.num_states)
 

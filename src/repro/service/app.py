@@ -40,19 +40,20 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
+from ..core.aggregation import StatisticsSummary
 from ..core.measures import Query
-from ..core.requests import QuerySpec, SweepSpec, check_fields
+from ..core.requests import QuerySpec, SweepSpec
 from ..core.results import (
     BatchResult,
     BatchRow,
     MeasureResult,
-    RestoredStatistics,
     StudyResult,
     SweepResult,
     SweepRow,
 )
 from ..core.study import CompiledModel, StudyOptions
 from ..core.sweep import SweepStudy
+from ..core.wire import check_fields
 from ..dft import galileo
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
@@ -421,7 +422,7 @@ class AnalysisService:
             tree_summary=tree.summary(),
             measures=measures,
             model=entry.model,
-            statistics=RestoredStatistics(dict(entry.statistics)),
+            statistics=StatisticsSummary(**entry.statistics),
             options=options,
             timings={"evaluation": evaluation, "total": evaluation},
         )

@@ -114,58 +114,37 @@ class ServiceClient:
         )
 
     # ------------------------------------------------------------- endpoints
-    def analyze(
-        self,
-        tree: TreeLike,
-        times: Sequence[float] = QuerySpec.times,
-        bounds: bool = False,
-        mttf: bool = False,
-        unavailability: bool = False,
-    ) -> Dict[str, object]:
+    # ``**query`` takes the fields of a QuerySpec: times, bounds, mttf and
+    # unavailability.
+    def analyze(self, tree: TreeLike, **query) -> Dict[str, object]:
         """``POST /analyze``: the raw ``repro.study/1`` response dict."""
-        query = QuerySpec(times, bounds, mttf, unavailability)
-        return self._request(
-            "POST", "/analyze", {"tree": _tree_text(tree), "query": query.to_payload()}
-        )
+        payload = {"tree": _tree_text(tree), "query": QuerySpec(**query).to_payload()}
+        return self._request("POST", "/analyze", payload)
 
-    def analyze_result(self, tree: TreeLike, **kwargs) -> StudyResult:
+    def analyze_result(self, tree: TreeLike, **query) -> StudyResult:
         """Like :meth:`analyze`, parsed back into a :class:`StudyResult`."""
-        return StudyResult.from_dict(self.analyze(tree, **kwargs))
+        return StudyResult.from_dict(self.analyze(tree, **query))
 
     def sweep(
         self,
         tree: TreeLike,
         axes: Optional[Mapping[str, Sequence[float]]] = None,
         samples: Optional[Sequence[Mapping[str, float]]] = None,
-        times: Sequence[float] = QuerySpec.times,
-        bounds: bool = False,
-        mttf: bool = False,
-        unavailability: bool = False,
         processes: int = SweepSpec.processes,
         share_uniformisation: bool = False,
+        **query,
     ) -> Dict[str, object]:
         """``POST /sweep``: the raw ``repro.sweep/3`` response dict."""
-        spec = SweepSpec(
-            axes, samples, QuerySpec(times, bounds, mttf, unavailability),
-            processes, share_uniformisation,
-        )
+        spec = SweepSpec(axes, samples, QuerySpec(**query), processes, share_uniformisation)
         return self._request("POST", "/sweep", {"tree": _tree_text(tree), **spec.to_payload()})
 
-    def batch(
-        self,
-        trees: Sequence[TreeLike],
-        times: Sequence[float] = QuerySpec.times,
-        bounds: bool = False,
-        mttf: bool = False,
-        unavailability: bool = False,
-    ) -> Dict[str, object]:
+    def batch(self, trees: Sequence[TreeLike], **query) -> Dict[str, object]:
         """``POST /batch``: the raw ``repro.batch/1`` response dict."""
-        query = QuerySpec(times, bounds, mttf, unavailability)
-        return self._request(
-            "POST",
-            "/batch",
-            {"trees": [_tree_text(tree) for tree in trees], "query": query.to_payload()},
-        )
+        payload = {
+            "trees": [_tree_text(tree) for tree in trees],
+            "query": QuerySpec(**query).to_payload(),
+        }
+        return self._request("POST", "/batch", payload)
 
     def healthz(self) -> Dict[str, object]:
         return self._request("GET", "/healthz")

@@ -63,7 +63,7 @@ class TestEngineBasics:
 
 
 class TestOrderings:
-    @pytest.mark.parametrize("ordering", ["linked", "smallest", "sequential"])
+    @pytest.mark.parametrize("ordering", ["linked", "sequential"])
     def test_all_orderings_produce_equivalent_measures(self, shared_spare_tree, ordering):
         community = convert(shared_spare_tree)
         final, _ = compositional_aggregate(community.models(), ordering=ordering)

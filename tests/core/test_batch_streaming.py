@@ -108,7 +108,7 @@ class TestJsonlRoundTrip:
         assert "4 trees analysed (1 failed)" in result.summary()
 
     def test_restored_results_survive_pickle_and_deepcopy(self, corpus):
-        """RestoredStatistics must not recurse on dunder probes."""
+        """Restored results (typed statistics summaries) pickle and deep-copy."""
         import copy
         import pickle
 
@@ -176,3 +176,71 @@ class TestStreamingEquivalence:
         assert [normalise(row) for row in restored.rows] == [
             normalise(row) for row in in_memory.rows
         ]
+
+
+class TestMalformedRecords:
+    """A damaged record is an AnalysisError naming the line and the field."""
+
+    @pytest.fixture
+    def records(self):
+        batch = BatchStudy([small_tree("t1", 0.5), small_tree("t2", 1.5)], Unreliability([1.0]))
+        sink = io.StringIO()
+        batch.run(sink=sink)
+        return [json.loads(line) for line in sink.getvalue().splitlines()]
+
+    @staticmethod
+    def read(records):
+        return read_batch_jsonl(io.StringIO("\n".join(json.dumps(r) for r in records)))
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda row: row.pop("name"), "batch row field 'name' is missing"),
+            (lambda row: row["result"].pop("model"), "batch row field 'result.model' is missing"),
+            (lambda row: row.update(wall_seconds="abc"), "'wall_seconds' must be a number"),
+            (lambda row: row["result"]["measures"][0].update(values=["x"]),
+             "'result.measures[0].values[0]' must be a number"),
+            (lambda row: row["result"]["tree"].pop("name"), "'result.tree.name' is missing"),
+        ],
+        ids=["no-name", "result-without-model", "string-seconds", "string-value", "tree-name"],
+    )
+    def test_damaged_row(self, records, damage, named):
+        damage(records[1])
+        with pytest.raises(AnalysisError, match="line 2 of the batch sink") as error:
+            self.read(records)
+        assert named in str(error.value)
+
+    def test_damaged_aggregate(self, records):
+        records[-1]["processes"] = "2"
+        with pytest.raises(AnalysisError, match="line 3 .*'processes' must be an integer"):
+            self.read(records)
+
+    def test_line_that_is_not_an_object(self, records):
+        records[0] = [1, 2]
+        with pytest.raises(AnalysisError, match="line 1 of the batch sink is not a JSON object"):
+            self.read(records)
+
+    def test_kind_that_is_not_a_string(self, records):
+        records[1]["kind"] = ["row"]
+        with pytest.raises(AnalysisError, match="line 2 of the batch sink has unknown kind"):
+            self.read(records)
+
+    def test_study_result_with_a_non_object_model(self, records):
+        from repro.core.results import StudyResult
+
+        payload = records[0]["result"]
+        payload["model"] = 1
+        with pytest.raises(AnalysisError, match="study result field 'model' must be a JSON object"):
+            StudyResult.from_dict(payload)
+        with pytest.raises(AnalysisError, match="'schema' is missing"):
+            StudyResult.from_dict({"model": 1})
+
+    def test_client_decode_path(self, records, monkeypatch):
+        from repro.service.client import ServiceClient
+
+        body = records[0]["result"]
+        body.pop("measures")
+        client = ServiceClient("http://127.0.0.1:9", retries=0)
+        monkeypatch.setattr(client, "analyze", lambda tree, **kwargs: body)
+        with pytest.raises(AnalysisError, match="study result field 'measures' is missing"):
+            client.analyze_result("ignored")

@@ -22,7 +22,8 @@ from repro.core import (
     UnreliabilityBounds,
     with_rate_parameters,
 )
-from repro.core.requests import QuerySpec, SweepSpec, check_fields
+from repro.core.requests import QuerySpec, SweepSpec
+from repro.core.wire import check_fields
 from repro.dft import galileo
 from repro.errors import AnalysisError
 

@@ -121,8 +121,8 @@ class TestStudyEvaluate:
             result["mttf"]
 
     def test_options_are_recorded(self, and_tree):
-        result = evaluate(and_tree, Unreliability([1.0]), StudyOptions(ordering="smallest"))
-        assert result.options["ordering"] == "smallest"
+        result = evaluate(and_tree, Unreliability([1.0]), StudyOptions(ordering="sequential"))
+        assert result.options["ordering"] == "sequential"
         assert result.options["tolerance"] == 1e-12
 
     def test_result_is_json_serialisable(self, and_tree):

@@ -371,13 +371,16 @@ def test_each_request_is_decoded_once_and_workers_get_the_spec(tmp_path, monkeyp
     # The stand-in runs the worker initializer in this process.
     monkeypatch.setattr(app_module, "_WORKER_STORE", None)
     monkeypatch.setattr(app_module, "_WORKER_MODELS", None)
+    # Every QuerySpec built while serving: a sweep's query is decoded by the
+    # codec as part of its SweepSpec, not through QuerySpec.from_payload.
     decoded = []
-    original = QuerySpec.from_payload.__func__
-    monkeypatch.setattr(
-        QuerySpec,
-        "from_payload",
-        classmethod(lambda cls, payload: decoded.append(payload) or original(cls, payload)),
-    )
+    original = QuerySpec.__post_init__
+
+    def counting(spec):
+        original(spec)
+        decoded.append(spec.to_payload())
+
+    monkeypatch.setattr(QuerySpec, "__post_init__", counting)
     service = AnalysisService(SkeletonStore(tmp_path / "store"), processes=1)
     try:
         status, body = service.handle(

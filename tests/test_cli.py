@@ -74,7 +74,7 @@ class TestAnalyzeCommand:
 
     def test_ordering_and_aggregation_options(self, cas_file, capsys):
         assert main(
-            ["analyze", cas_file, "--ordering", "smallest", "--aggregation", "strong"]
+            ["analyze", cas_file, "--ordering", "sequential", "--aggregation", "strong"]
         ) == 0
         assert "Unreliability" in capsys.readouterr().out
 
