@@ -77,6 +77,14 @@ def _poisson_truncation(rates: np.ndarray, tolerance: float) -> np.ndarray:
     return np.maximum(quantiles.astype(np.int64) + 2, 1)
 
 
+#: The most bytes one float64 Poisson term table may take.  A pass over
+#: several rates holds a few temporaries of this size, and the series behind
+#: a table this deep would take far longer than any caller waits, so a deeper
+#: request (Λt of about 3e7 and up at the default tolerance) is an error
+#: before anything is allocated.
+TERM_TABLE_BYTES = 1 << 28
+
+
 def _check_term_arguments(rate: float, tolerance: float) -> None:
     if not math.isfinite(rate) or rate < 0.0:
         raise AnalysisError("the uniformisation rate times time must be finite and non-negative")
@@ -99,6 +107,13 @@ def poisson_terms_many(rates: Sequence[float], tolerance: float) -> List[np.ndar
     if not len(positive):
         return [np.array([1.0]) for _rate in rates]
     lengths = _poisson_truncation(positive, tolerance) + 1
+    if 8 * int(lengths.sum()) > TERM_TABLE_BYTES:
+        deepest = int(lengths.argmax())
+        raise AnalysisError(
+            f"the uniformisation series at Λt = {positive[deepest]:g} is too deep: "
+            f"truncation depth {int(lengths[deepest]) - 1}, while one term table "
+            f"holds at most {TERM_TABLE_BYTES // 8} Poisson terms"
+        )
     ends = lengths.cumsum()
     starts = ends - lengths
     indices = np.arange(int(ends[-1]), dtype=float) - starts.repeat(lengths)

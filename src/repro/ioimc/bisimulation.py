@@ -64,6 +64,16 @@ constructions preserve state labels and the analysed reliability measures;
 the weak quotient is built from the tau-SCC condensation directly, so
 minimise-then-quotient does the closure work exactly once.
 
+Most weak inputs of a compositional run are small (on the benchmark ladder
+four in five have fewer than 20 states), and there the numpy set-up of the
+array engines costs more than the refinement itself.  Below
+:data:`SMALL_WEAK_STATES` states the closure and signature engines therefore
+share one plain-Python path: the per-state closure sets feed the signature
+refinement and :func:`_plain_weak_quotient`, which builds exactly the array
+quotient.  The splitter engine keeps its arrays at every size, so it stays
+an independent oracle.  Independently of size, :func:`minimize_weak` returns
+an input without internal moves whose partition is discrete as it is.
+
 Maximal progress should be applied *before* minimisation (the reduction
 pipeline in :mod:`repro.ioimc.reduction` does so); the algorithms here work on
 the transitions they are given.
@@ -103,6 +113,16 @@ ALGORITHMS = ("closure", "splitter", "signature")
 #: to the splitter engine (same partition, per-splitter closures).
 SATURATION_FACTOR = 64
 SATURATION_FLOOR = 2_000_000
+
+#: Weak inputs with fewer states than this skip the array engines under
+#: ``algorithm="closure"`` (and the array quotient under ``"signature"``):
+#: the per-state closure sets of :func:`_internal_closure` feed both the
+#: signature refinement and a plain-Python quotient.  Measured on a 2-vCPU
+#: host: on the benchmark ladder's inputs with internal moves the plain path
+#: is 3-5x faster below 20 states, but on one dense tau-SCC it breaks even
+#: at about 20 states and is 16x slower at 99 (its closure sets grow
+#: quadratically), so the cut-off sits at that crossover.
+SMALL_WEAK_STATES = 20
 
 #: Closure-engine constructions that tripped the cap and fell back to the
 #: splitter engine in this process (:func:`saturation_overflows`).
@@ -548,9 +568,10 @@ def _strong_partition_splitter(
 # ---------------------------------------------------------------------------
 
 def _internal_closure(model: IOIMC) -> List[FrozenSet[int]]:
-    """Per-state tau-closure frozensets — **signature reference engine only**.
+    """Per-state tau-closure frozensets — for the signature reference engine
+    and the small-input path (fewer than :data:`SMALL_WEAK_STATES` states).
 
-    The splitter engine never calls this: it shares closure information per
+    The array engines never call this: they share closure information per
     tau-SCC via :class:`~repro.ioimc.partition.TauCondensation`, which keeps
     the weak path linear in states + transitions where these frozensets are
     quadratic on tau-chains.
@@ -573,7 +594,8 @@ def _internal_closure(model: IOIMC) -> List[FrozenSet[int]]:
 def _weak_visible_reach(
     model: IOIMC, closures: Sequence[FrozenSet[int]]
 ) -> List[Dict[int, FrozenSet[int]]]:
-    """Per-state ``τ* a τ*`` reach sets — **signature reference engine only**.
+    """Per-state ``τ* a τ*`` reach sets — for the same two callers as
+    :func:`_internal_closure`.
 
     Implicit input self-loops are taken into account: a state that has no
     explicit transition for an input action can still (weakly) perform it and
@@ -628,7 +650,7 @@ def weak_bisimulation_partition(
     input-action predicate never splits the splitter itself.
     """
     _check_algorithm(algorithm)
-    if algorithm == "signature":
+    if algorithm == "signature" or _is_small_weak_input(model, algorithm):
         return _weak_partition_signature(model, respect_labels, rate_digits)
     if _has_no_internal_transitions(model):
         # Without internal moves every tau-closure is a singleton and every
@@ -665,6 +687,12 @@ def _weak_engine(
     return _WeakSplitterEngine(model, respect_labels, rate_digits)
 
 
+def _is_small_weak_input(model: IOIMC, algorithm: str) -> bool:
+    """Whether ``model`` takes the plain-Python path (closure and signature
+    engines only: the splitter engine stays an independent oracle)."""
+    return algorithm != "splitter" and model.num_states < SMALL_WEAK_STATES
+
+
 def _has_no_internal_transitions(model: IOIMC) -> bool:
     internal_mask = model.signature.internal_mask
     if not internal_mask:
@@ -673,11 +701,22 @@ def _has_no_internal_transitions(model: IOIMC) -> bool:
 
 
 def _weak_partition_signature(
-    model: IOIMC, respect_labels: bool, rate_digits: int
+    model: IOIMC,
+    respect_labels: bool,
+    rate_digits: int,
+    closures: Optional[List[FrozenSet[int]]] = None,
+    visible_reach: Optional[List[Dict[int, FrozenSet[int]]]] = None,
 ) -> Partition:
-    """Signature-refinement reference implementation (seed algorithm)."""
-    closures = _internal_closure(model)
-    visible_reach = _weak_visible_reach(model, closures)
+    """Signature-refinement reference implementation (seed algorithm).
+
+    ``closures`` and ``visible_reach``, when given, are the model's
+    :func:`_internal_closure` and :func:`_weak_visible_reach` sets, which
+    the small-input path shares with its quotient construction.
+    """
+    if closures is None:
+        closures = _internal_closure(model)
+    if visible_reach is None:
+        visible_reach = _weak_visible_reach(model, closures)
     stable = [model.is_stable(state) for state in model.states()]
     input_ids = model.signature.input_ids
     # Divergence rule: a state that can reach a tau-cycle with no way out
@@ -2103,6 +2142,81 @@ def _build_weak_quotient(
     return quotient
 
 
+def _plain_weak_quotient(
+    model: IOIMC,
+    partition: Partition,
+    closures: Sequence[FrozenSet[int]],
+    visible_reach: Sequence[Dict[int, FrozenSet[int]]],
+) -> IOIMC:
+    """:func:`_build_weak_quotient` from per-state reach sets, without numpy.
+
+    The small-input path already holds every state's tau-closure and
+    ``τ* a τ*`` reach sets from its partition refinement, so each block reads
+    its representative's sets directly.  The result is the array builder's
+    model exactly: blocks in partition order named ``B{i}``, the
+    representative's labels, visible moves sorted by (action id, block) and
+    then tau moves by block, input own-block moves and tau self-block moves
+    left out, and rates from the block's smallest stable member.
+    """
+    block_of = _block_map(partition)
+    input_ids = model.signature.input_ids
+    internal_actions = sorted(model.signature.internals)
+    tau_id = intern_action(internal_actions[0]) if internal_actions else None
+    mtrans = model._mtrans
+    quotient = IOIMC(model.name, model.signature)
+    reps = [min(block) for block in partition]
+    for block_id, rep in enumerate(reps):
+        quotient.add_state(labels=model._labels[rep], name=f"B{block_id}")
+    for block_id, rep in enumerate(reps):
+        visible = {
+            (aid, target_block)
+            for aid, targets in visible_reach[rep].items()
+            for target_block in {block_of[target] for target in targets}
+            if target_block != block_id or aid not in input_ids
+        }
+        tau_blocks = {block_of[target] for target in closures[rep]}
+        tau_blocks.discard(block_id)
+        pairs = sorted(visible) + [(tau_id, block) for block in sorted(tau_blocks)]
+        if pairs:
+            quotient._add_interactive_bulk(block_id, pairs)
+        stable_members = [
+            state for state in partition[block_id] if model.is_stable(state)
+        ]
+        if stable_members:
+            rates: Dict[int, float] = {}
+            for target, rate in mtrans[min(stable_members)].items():
+                target_block = block_of[target]
+                if target_block == block_id:
+                    continue  # intra-class movement is invisible in the quotient
+                rates[target_block] = rates.get(target_block, 0.0) + rate
+            for target_block, total in rates.items():
+                quotient.add_markovian(block_id, total, target_block)
+    quotient.set_initial(block_of[model.initial])
+    return quotient
+
+
+def _is_already_minimal(model: IOIMC, partition: Partition) -> bool:
+    """Whether the weak quotient of ``model`` under ``partition`` is
+    ``model`` itself up to state names and move order.
+
+    So it is when every block is a single state and the quotient has nothing
+    to drop: no internal moves (whose closure the quotient would saturate),
+    no explicit input self-loops (the quotient leaves them implicit) and no
+    Markovian self-loops (intra-class rates).
+    """
+    if len(partition) != model.num_states:
+        return False
+    internal_ids = model.signature.internal_ids
+    input_ids = model.signature.input_ids
+    for state in model.states():
+        if state in model._mtrans[state]:
+            return False
+        for aid, target in model._itrans[state]:
+            if aid in internal_ids or (target == state and aid in input_ids):
+                return False
+    return True
+
+
 def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -> IOIMC:
     """Quotient of ``model`` under a weak bisimulation partition.
 
@@ -2145,20 +2259,42 @@ def minimize_weak(
 ) -> IOIMC:
     """Minimise ``model`` modulo weak bisimulation.
 
-    With the closure and splitter engines one tau-SCC condensation is shared
-    between the partition refinement and the quotient construction, so the
-    internal-closure work happens exactly once per minimisation.
+    Inputs with fewer than :data:`SMALL_WEAK_STATES` states take a
+    plain-Python path under the closure and signature engines: one set of
+    per-state tau-closure and weak-reach sets feeds both the signature
+    refinement and :func:`_plain_weak_quotient`, with no numpy set-up.
+    Larger inputs keep the array engines: with the closure and splitter
+    engines one tau-SCC condensation is shared between the partition
+    refinement and the quotient construction, so the internal-closure work
+    happens exactly once per minimisation.
+
+    An input without internal moves whose partition is discrete (and that
+    has no explicit input or Markovian self-loop) is already minimal: its
+    reachable part comes back as it is (the input object itself when every
+    state is reachable), which equals the quotient up to state names and
+    move order.
     """
     _check_algorithm(algorithm)
-    if algorithm == "signature":
+    reach = None
+    if _is_small_weak_input(model, algorithm):
+        closures = _internal_closure(model)
+        reach = (closures, _weak_visible_reach(model, closures))
+        partition = _weak_partition_signature(model, respect_labels, rate_digits, *reach)
+    elif algorithm == "signature":
         partition = _weak_partition_signature(model, respect_labels, rate_digits)
-        quotient = quotient_weak(model, partition)
     elif _has_no_internal_transitions(model):
         partition = _strong_partition_splitter(
             model, respect_labels, rate_digits, own_inputs_invisible=True
         )
-        quotient = quotient_weak(model, partition)
     else:
-        quotient = _weak_engine(model, respect_labels, rate_digits, algorithm).quotient()
+        return _weak_engine(
+            model, respect_labels, rate_digits, algorithm
+        ).quotient()._reachable_part()
+    if _is_already_minimal(model, partition):
+        return model._reachable_part()
+    if reach is not None:
+        quotient = _plain_weak_quotient(model, partition, *reach)
+    else:
+        quotient = quotient_weak(model, partition)
     # The quotient is fresh and already carries ``model.name``.
     return quotient._reachable_part()

@@ -99,6 +99,18 @@ class TestPoissonTruncation:
         with pytest.raises(AnalysisError, match="Λt = "):
             _poisson_truncation(np.array([1.0, rate]), 1e-12)
 
+    def test_a_term_table_past_the_byte_budget_names_lambda_t(self, monkeypatch):
+        from repro.ctmc import transient
+
+        # Depth 1,000,222,459 at Λt = 1e9: refused before the table exists.
+        with pytest.raises(AnalysisError, match="Λt = 1e\\+09"):
+            transient.poisson_terms_many([1.0, 1e9], 1e-12)
+        # The budget counts the depths of all rates of one pass.
+        monkeypatch.setattr(transient, "TERM_TABLE_BYTES", 8 * 100)
+        assert len(transient.poisson_terms_many([20.0], 1e-12)[0]) < 100
+        with pytest.raises(AnalysisError, match="Λt = 20"):
+            transient.poisson_terms_many([20.0, 20.0, 20.0], 1e-12)
+
     def test_many_rates_in_one_pass_equal_each_alone(self):
         from repro.ctmc.transient import poisson_terms_many
 

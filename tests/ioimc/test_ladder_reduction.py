@@ -13,6 +13,8 @@ below then check
   ``fdep`` product and 115 -> 79 -> 27 on a larger one);
 * that every ``aggregate()`` output is its own fixpoint and equals the
   round-loop reference of ``tests/reduction_reference.py``;
+* that the small-input path builds the closure engine's quotient, dot for
+  dot, on every input below the cut-off;
 * that the splitter engine, forced in as the closure engine's fallback,
   builds the same quotients as the closure engine.
 """
@@ -36,6 +38,7 @@ from repro.systems import (
     pand_race_bank,
     random_dft,
 )
+from tests.ioimc.test_small_weak_path import assert_matches_closure_engine
 from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 #: ``perfbench/inputs.py``: the seed-1 rate stream and its jitter range.
@@ -131,6 +134,17 @@ def test_every_aggregate_output_is_a_fixpoint(ladder):
         assert canonical_form(reduced) == canonical_form(reference), model.name
 
 
+def test_small_path_builds_the_closure_engine_quotient(ladder):
+    small = [
+        model
+        for model in ladder.minimiser_inputs
+        if model.num_states < bisimulation.SMALL_WEAK_STATES
+    ]
+    assert len(small) > 100
+    for model in small:
+        assert_matches_closure_engine(model)
+
+
 def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
     models = [
         model
@@ -138,7 +152,9 @@ def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
         if not bisimulation._has_no_internal_transitions(model)
     ]
     expected = [minimize_weak(model, algorithm="closure").to_dot() for model in models]
-    # A zero saturation budget overflows on every model with an SCC.
+    # A zero saturation budget overflows on every model with an SCC; with
+    # no small-input cut-off every model reaches the closure engine.
+    monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
     monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
     monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)
     overflows = bisimulation.saturation_overflows()

@@ -14,6 +14,7 @@ sample rate); every answer must be a 400.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -326,6 +327,17 @@ class TestStrictWireTypes:
         )
         assert status == 400, body
         assert "Λt" in body["error"]
+
+    def test_series_too_deep_for_memory_answers_400_quickly(self, service):
+        # Λt = 1e9 has a computable depth (about 1e9 terms), whose term table
+        # alone would take several 8 GB temporaries: refused before any.
+        start = time.perf_counter()
+        status, body = service.handle(
+            "POST", "/analyze", {"tree": 'toplevel "A";\n"A" lambda=1e9;\n'}
+        )
+        assert status == 400, body
+        assert "Λt = 1e+09" in body["error"]
+        assert time.perf_counter() - start < 10.0
 
     def test_too_deep_sample_is_a_row_error(self, service):
         status, body = service.handle(
