@@ -87,7 +87,8 @@ def action_name(aid: int) -> str:
 
 
 def _intern_all(names: Iterable[str]) -> FrozenSet[int]:
-    return frozenset(ACTIONS.intern(name) for name in names)
+    # Name order: first-seen ids must not depend on string hashing.
+    return frozenset(ACTIONS.intern(name) for name in sorted(names))
 
 
 def _mask_of(ids: Iterable[int]) -> int:

@@ -80,7 +80,9 @@ def build_ioimc(behavior: ElementBehavior, max_states: int = 100_000) -> IOIMC:
     The exploration is a plain breadth-first reachability over abstract
     states.  Every input action of the signature is applied in every state so
     the result is input-enabled by construction; self-loop reactions are left
-    implicit (not stored).
+    implicit (not stored).  Inputs are applied in name order, so the state
+    numbering (and the order in which action names are first interned) does
+    not depend on string hashing.
     """
     sig = behavior.signature()
     model = IOIMC(behavior.name, sig)
@@ -107,7 +109,7 @@ def build_ioimc(behavior: ElementBehavior, max_states: int = 100_000) -> IOIMC:
     while worklist:
         state = worklist.pop()
         source = index[state]
-        for action in sig.inputs:
+        for action in sorted(sig.inputs):
             successor = behavior.on_input(state, action)
             if successor != state:
                 model.add_interactive(source, action, intern(successor))

@@ -64,15 +64,23 @@ constructions preserve state labels and the analysed reliability measures;
 the weak quotient is built from the tau-SCC condensation directly, so
 minimise-then-quotient does the closure work exactly once.
 
-Most weak inputs of a compositional run are small (on the benchmark ladder
-four in five have fewer than 20 states), and there the numpy set-up of the
-array engines costs more than the refinement itself.  Below
-:data:`SMALL_WEAK_STATES` states the closure and signature engines therefore
-share one plain-Python path: the per-state closure sets feed the signature
-refinement and :func:`_plain_weak_quotient`, which builds exactly the array
-quotient.  The splitter engine keeps its arrays at every size, so it stays
-an independent oracle.  Independently of size, :func:`minimize_weak` returns
-an input without internal moves whose partition is discrete as it is.
+Most weak inputs of a compositional run are small or mid-size (every input
+of the benchmark ladder has fewer than 350 states, most fewer than 20), and
+there the numpy set-up of the array engines costs more than the refinement
+itself.  Below :data:`SMALL_WEAK_STATES` states the closure engine therefore
+runs a plain-Python minimiser, with or without internal moves: per-state
+closure and weak-reach sets built once (:func:`_plain_weak_sets`), an
+incremental signature refinement in the style of Blom & Orzan (STTT 7(1),
+2005) that re-signs only the states reading a state that changed block
+(:func:`_plain_weak_partition`), and :func:`_plain_weak_quotient`, which
+builds exactly the array quotient.  An input whose closure and reach sets
+outgrow :data:`PLAIN_CLOSURE_FACTOR` entries per state and transition (a
+dense tau-SCC) goes to the array engine instead.  From the cut-off, inputs
+without internal moves take the strong splitter and the others the array
+closure engine.  The splitter and signature engines share no code with the
+plain path, so both stay independent oracles.  Independently of size,
+:func:`minimize_weak` returns an input without internal moves whose
+partition is discrete as it is.
 
 Maximal progress should be applied *before* minimisation (the reduction
 pipeline in :mod:`repro.ioimc.reduction` does so); the algorithms here work on
@@ -83,7 +91,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -114,15 +122,26 @@ ALGORITHMS = ("closure", "splitter", "signature")
 SATURATION_FACTOR = 64
 SATURATION_FLOOR = 2_000_000
 
-#: Weak inputs with fewer states than this skip the array engines under
-#: ``algorithm="closure"`` (and the array quotient under ``"signature"``):
-#: the per-state closure sets of :func:`_internal_closure` feed both the
-#: signature refinement and a plain-Python quotient.  Measured on a 2-vCPU
-#: host: on the benchmark ladder's inputs with internal moves the plain path
-#: is 3-5x faster below 20 states, but on one dense tau-SCC it breaks even
-#: at about 20 states and is 16x slower at 99 (its closure sets grow
-#: quadratically), so the cut-off sits at that crossover.
-SMALL_WEAK_STATES = 20
+#: Weak inputs with fewer states than this take the plain-Python path under
+#: ``algorithm="closure"`` (:func:`_plain_weak_sets`,
+#: :func:`_plain_weak_partition`, :func:`_plain_weak_quotient`), with or
+#: without internal moves.  Measured per input (2-vCPU host, best of 3-7)
+#: against the array closure engine, or the strong splitter on inputs
+#: without internal moves: the plain path takes 0.13-0.5x the time on every
+#: benchmark-ladder input (3-338 states) and 0.4-0.6x on the parametric
+#: race-bank sweep inputs (95-669 states, and 191-2063 for six channels);
+#: on the fused cascaded-PAND products it is at 0.5x at 614 states, 1.08x at
+#: 2246 and 1.2-1.4x at 8582.  The cut-off sits below that crossover.
+SMALL_WEAK_STATES = 2048
+
+#: The plain path gives up on an input once its per-state tau-closures and
+#: weak-reach sets hold more than this many entries per state and
+#: transition; the array closure engine, which shares closures per tau-SCC,
+#: takes it instead.  Pipeline inputs stay below 3 entries; a dense tau-SCC
+#: grows with its size (about 7 at 14 states, 15 at 30, 50 at 99), and there
+#: the plain path is 2x faster at 14 states, 1.3x slower at 30 and 10x slower
+#: at 99.
+PLAIN_CLOSURE_FACTOR = 8
 
 #: Closure-engine constructions that tripped the cap and fell back to the
 #: splitter engine in this process (:func:`saturation_overflows`).
@@ -568,13 +587,14 @@ def _strong_partition_splitter(
 # ---------------------------------------------------------------------------
 
 def _internal_closure(model: IOIMC) -> List[FrozenSet[int]]:
-    """Per-state tau-closure frozensets — for the signature reference engine
-    and the small-input path (fewer than :data:`SMALL_WEAK_STATES` states).
+    """Per-state tau-closure frozensets — **signature reference engine only**.
 
     The array engines never call this: they share closure information per
     tau-SCC via :class:`~repro.ioimc.partition.TauCondensation`, which keeps
     the weak path linear in states + transitions where these frozensets are
-    quadratic on tau-chains.
+    quadratic on tau-chains.  The plain path of the closure engine builds
+    its own sets (:func:`_plain_weak_sets`), so the oracle shares no code
+    with it.
     """
     closures: List[FrozenSet[int]] = []
     internal_succ = [model.internal_successors(state) for state in model.states()]
@@ -594,8 +614,7 @@ def _internal_closure(model: IOIMC) -> List[FrozenSet[int]]:
 def _weak_visible_reach(
     model: IOIMC, closures: Sequence[FrozenSet[int]]
 ) -> List[Dict[int, FrozenSet[int]]]:
-    """Per-state ``τ* a τ*`` reach sets — for the same two callers as
-    :func:`_internal_closure`.
+    """Per-state ``τ* a τ*`` reach sets — **signature reference engine only**.
 
     Implicit input self-loops are taken into account: a state that has no
     explicit transition for an input action can still (weakly) perform it and
@@ -650,8 +669,11 @@ def weak_bisimulation_partition(
     input-action predicate never splits the splitter itself.
     """
     _check_algorithm(algorithm)
-    if algorithm == "signature" or _is_small_weak_input(model, algorithm):
+    if algorithm == "signature":
         return _weak_partition_signature(model, respect_labels, rate_digits)
+    sets = _plain_path_sets(model, algorithm, rate_digits)
+    if sets is not None:
+        return _plain_weak_partition(model, sets, respect_labels, rate_digits)
     if _has_no_internal_transitions(model):
         # Without internal moves every tau-closure is a singleton and every
         # state is stable: weak bisimulation is strong bisimulation under the
@@ -687,10 +709,18 @@ def _weak_engine(
     return _WeakSplitterEngine(model, respect_labels, rate_digits)
 
 
-def _is_small_weak_input(model: IOIMC, algorithm: str) -> bool:
-    """Whether ``model`` takes the plain-Python path (closure and signature
-    engines only: the splitter engine stays an independent oracle)."""
-    return algorithm != "splitter" and model.num_states < SMALL_WEAK_STATES
+def _plain_path_sets(
+    model: IOIMC, algorithm: str, rate_digits: int
+) -> Optional["_PlainWeakSets"]:
+    """The plain path's sets when ``model`` takes it, else ``None``.
+
+    Only the closure engine has a plain path, below :data:`SMALL_WEAK_STATES`
+    states; an input whose sets outgrow :data:`PLAIN_CLOSURE_FACTOR` goes to
+    the array engine.
+    """
+    if algorithm != "closure" or model.num_states >= SMALL_WEAK_STATES:
+        return None
+    return _plain_weak_sets(model, rate_digits)
 
 
 def _has_no_internal_transitions(model: IOIMC) -> bool:
@@ -700,23 +730,307 @@ def _has_no_internal_transitions(model: IOIMC) -> bool:
     return not any(model.enabled_mask(state) & internal_mask for state in model.states())
 
 
-def _weak_partition_signature(
-    model: IOIMC,
-    respect_labels: bool,
-    rate_digits: int,
-    closures: Optional[List[FrozenSet[int]]] = None,
-    visible_reach: Optional[List[Dict[int, FrozenSet[int]]]] = None,
-) -> Partition:
-    """Signature-refinement reference implementation (seed algorithm).
+class _PlainWeakSets(NamedTuple):
+    """Per-state weak data of the plain-Python path, built once per input.
 
-    ``closures`` and ``visible_reach``, when given, are the model's
-    :func:`_internal_closure` and :func:`_weak_visible_reach` sets, which
-    the small-input path shares with its quotient construction.
+    ``closures[s]`` is the tau-closure of ``s``; ``in_reach[s]`` holds, per
+    input action in id order, the ``τ* a τ*`` reach of ``s`` (implicit input
+    self-loops included, so every state has every input);
+    ``out_actions[s]``/``out_reach[s]`` the same for the output actions the
+    closure enables.  ``stable_closure[s]`` lists the stable members of the
+    closure, plus the virtual state ``num_states`` (the empty rate vector)
+    when the closure reaches a tau-cycle without exit (the divergence rule).
+    ``rate_moves[t]`` are the Markovian moves of a stable ``t`` as
+    ``(target, rate, canonical key)``.
     """
-    if closures is None:
-        closures = _internal_closure(model)
-    if visible_reach is None:
-        visible_reach = _weak_visible_reach(model, closures)
+
+    input_ids: List[int]
+    closures: List[Tuple[int, ...]]
+    in_reach: List[Tuple[Tuple[int, ...], ...]]
+    out_actions: List[Tuple[int, ...]]
+    out_reach: List[Tuple[Tuple[int, ...], ...]]
+    stable: List[bool]
+    has_internal: bool
+    stable_closure: List[Tuple[int, ...]]
+    rate_moves: List[Tuple[Tuple[int, object, object], ...]]
+    #: Canonical rate keys per rate value, shared with the refinement's sums.
+    rate_keys: Dict[object, object]
+
+
+def _plain_weak_sets(model: IOIMC, rate_digits: int) -> Optional[_PlainWeakSets]:
+    """The per-state data of :func:`_plain_weak_partition`, or ``None`` when
+    the closure and reach sets outgrow :data:`PLAIN_CLOSURE_FACTOR` entries
+    per state and transition."""
+    num_states = model.num_states
+    itrans = model._itrans
+    internal_ids = model.signature.internal_ids
+    input_ids = sorted(model.signature.input_ids)
+    budget = PLAIN_CLOSURE_FACTOR * (num_states + model.num_transitions)
+
+    tau_succ = [[t for aid, t in pairs if aid in internal_ids] for pairs in itrans]
+    closures: List[Tuple[int, ...]] = []
+    total = 0
+    for start in range(num_states):
+        if not tau_succ[start]:
+            closures.append((start,))
+            total += 1
+            continue
+        seen = {start}
+        stack = [start]
+        while stack:
+            for target in tau_succ[stack.pop()]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        total += len(seen)
+        if total > budget:
+            return None
+        closures.append(tuple(seen))
+
+    # Weak moves leaving each state itself, then unioned over its closure.
+    direct: List[Dict[int, Set[int]]] = []
+    for state in range(num_states):
+        per_action: Dict[int, Set[int]] = {}
+        for aid, target in itrans[state]:
+            if aid in internal_ids:
+                continue
+            if aid in per_action:
+                per_action[aid].update(closures[target])
+            else:
+                per_action[aid] = set(closures[target])
+        for aid in input_ids:
+            if aid not in per_action:  # an implicit input self-loop
+                per_action[aid] = set(closures[state])
+        direct.append(per_action)
+
+    in_reach: List[Tuple[Tuple[int, ...], ...]] = []
+    out_actions: List[Tuple[int, ...]] = []
+    out_reach: List[Tuple[Tuple[int, ...], ...]] = []
+    num_inputs = len(input_ids)
+    input_set = model.signature.input_ids
+    for state in range(num_states):
+        closure = closures[state]
+        if len(closure) == 1:
+            per_action = direct[state]
+        else:
+            per_action = {}
+            for member in closure:
+                for aid, targets in direct[member].items():
+                    if aid in per_action:
+                        per_action[aid] |= targets
+                    else:
+                        per_action[aid] = set(targets)
+        total += sum(map(len, per_action.values()))
+        if total > budget:
+            return None
+        in_reach.append(tuple([tuple(per_action[aid]) for aid in input_ids]))
+        if len(per_action) > num_inputs:
+            outputs = tuple(sorted([aid for aid in per_action if aid not in input_set]))
+            out_reach.append(tuple([tuple(per_action[aid]) for aid in outputs]))
+        else:
+            outputs = ()
+            out_reach.append(())
+        out_actions.append(outputs)
+
+    stable = [not succs for succs in tau_succ]
+    has_internal = not all(stable)
+    if has_internal:
+        timelocked = [not any(stable[t] for t in closure) for closure in closures]
+        stable_closure = [
+            tuple([t for t in closure if stable[t]])
+            + ((num_states,) if any(timelocked[t] for t in closure) else ())
+            for closure in closures
+        ]
+    else:
+        stable_closure = closures
+    keys: Dict[object, object] = {}
+    rate_moves: List[Tuple[Tuple[int, object, object], ...]] = []
+    for state, moves in enumerate(model._mtrans):
+        if not (moves and stable[state]):
+            rate_moves.append(())
+            continue
+        entries = []
+        for target, rate in moves.items():
+            key = keys.get(rate)
+            if key is None:
+                key = keys[rate] = canonical_rate(rate, rate_digits)
+            entries.append((target, rate, key))
+        rate_moves.append(tuple(entries))
+    return _PlainWeakSets(
+        input_ids,
+        closures,
+        in_reach,
+        out_actions,
+        out_reach,
+        stable,
+        has_internal,
+        stable_closure,
+        rate_moves,
+        keys,
+    )
+
+
+def _plain_weak_partition(
+    model: IOIMC, sets: _PlainWeakSets, respect_labels: bool, rate_digits: int
+) -> Partition:
+    """Signature refinement on :class:`_PlainWeakSets`, signing each state
+    once per round and, after the first round, only the states whose sets
+    touch a state that changed block.
+
+    A state's signature is the blocks of its closure, the interned rate
+    vectors of its stable closure members and, per weak action, the blocks
+    it reaches (for an input action without its own block) — the relation of
+    :func:`_weak_partition_signature`.  Blocks keep their id when they split:
+    the largest part stays, the other parts get fresh ids and their states
+    count as moved, so a signature that reads no moved state is still valid.
+    The initial partition also separates states by their weak output
+    actions, which every signature carries.
+    """
+    num_states = model.num_states
+    closures = sets.closures
+    in_reach = sets.in_reach
+    out_reach = sets.out_reach
+    stable_closure = sets.stable_closure
+    rate_moves = sets.rate_moves
+    has_internal = sets.has_internal
+
+    block_ids: Dict[object, int] = {}
+    block_of: List[int] = []
+    labels = model._labels
+    for state in range(num_states):
+        key = (labels[state] if respect_labels else None, sets.out_actions[state])
+        block_of.append(block_ids.setdefault(key, len(block_ids)))
+    members: List[Set[int]] = [set() for _ in block_ids]
+    for state in range(num_states):
+        members[block_of[state]].add(state)
+    #: The signature every member of a block had when it was last signed.
+    block_signature: List[object] = [None] * len(members)
+
+    # Rate vectors are interned per call; id 0 is the empty vector, which the
+    # virtual state ``num_states`` carries for the divergence rule.
+    vector_ids: Dict[FrozenSet[Tuple[int, object]], int] = {frozenset(): 0}
+    vector_of = [0] * (num_states + 1)
+    canonical = sets.rate_keys
+    block_get = block_of.__getitem__
+    vector_get = vector_of.__getitem__
+
+    to_rate = [state for state in range(num_states) if rate_moves[state]]
+    to_sign: object = range(num_states)
+    dependants: Optional[List[List[int]]] = None
+    rate_sources: Optional[List[List[int]]] = None
+    while True:
+        for state in to_rate:
+            own = block_of[state]
+            totals: Dict[int, Tuple[object, object]] = {}
+            for target, rate, key in rate_moves[state]:
+                block = block_of[target]
+                if block == own:
+                    continue  # ordinary lumpability: ignore intra-class rates
+                if block in totals:
+                    totals[block] = (totals[block][0] + rate, None)
+                else:
+                    totals[block] = (rate, key)
+            entries = []
+            for block, (rate, key) in totals.items():
+                if key is None:
+                    key = canonical.get(rate)
+                    if key is None:
+                        key = canonical[rate] = canonical_rate(rate, rate_digits)
+                entries.append((block, key))
+            vector = frozenset(entries)
+            vector_id = vector_ids.get(vector)
+            if vector_id is None:
+                vector_id = vector_ids[vector] = len(vector_ids)
+            vector_of[state] = vector_id
+
+        # Signed states whose signature differs from their block's, grouped
+        # per block by signature; every other member keeps the block's.
+        changed: Dict[int, Dict[object, List[int]]] = {}
+        for state in to_sign:
+            own = block_of[state]
+            if len(members[own]) < 2:
+                continue  # a singleton block never splits
+            if has_internal:
+                signature = [
+                    frozenset(map(block_get, closures[state])),
+                    frozenset(map(vector_get, stable_closure[state])),
+                ]
+            else:
+                signature = [vector_of[state]]
+            for targets in in_reach[state]:
+                blocks = frozenset(map(block_get, targets))
+                if own in blocks:
+                    # Input own-block rule: an input move back into the
+                    # state's own class is invisible.
+                    blocks = blocks - {own}
+                signature.append(blocks)
+            for targets in out_reach[state]:
+                signature.append(frozenset(map(block_get, targets)))
+            signature = tuple(signature)
+            if signature != block_signature[own]:
+                changed.setdefault(own, {}).setdefault(signature, []).append(state)
+
+        moved: List[int] = []
+        for block, groups in changed.items():
+            current = members[block]
+            rest = len(current) - sum(map(len, groups.values()))
+            largest = max(groups, key=lambda signature: len(groups[signature]))
+            if len(groups[largest]) > rest:
+                # The largest changed group keeps the id; the members that
+                # kept the old signature (fewer than it) move out together.
+                if rest:
+                    leaving = set(current)
+                    for part in groups.values():
+                        leaving.difference_update(part)
+                    groups[block_signature[block]] = list(leaving)
+                members[block] = set(groups.pop(largest))
+                block_signature[block] = largest
+            else:
+                for part in groups.values():
+                    current.difference_update(part)
+            for signature, part in groups.items():
+                new_block = len(members)
+                members.append(set(part))
+                block_signature.append(signature)
+                for state in part:
+                    block_of[state] = new_block
+                moved.extend(part)
+        if not moved:
+            return _canonical_partition(members)
+
+        if dependants is None:
+            # Who reads whom: a state's signature reads its closure and reach
+            # targets; a stable state's rate vector reads its rate targets.
+            dependants = [[] for _ in range(num_states)]
+            rate_sources = [[] for _ in range(num_states)]
+            for state in range(num_states):
+                for target in closures[state]:
+                    dependants[target].append(state)
+                for per_action in (in_reach[state], out_reach[state]):
+                    for targets in per_action:
+                        for target in targets:
+                            dependants[target].append(state)
+                for target, _rate, _key in rate_moves[state]:
+                    rate_sources[target].append(state)
+        dirty = set(moved)
+        rates_dirty = set()
+        for state in moved:
+            dirty.update(dependants[state])
+            if rate_moves[state]:
+                rates_dirty.add(state)
+            for source in rate_sources[state]:
+                rates_dirty.add(source)
+                dirty.update(dependants[source])
+        to_sign = dirty
+        to_rate = rates_dirty
+
+
+def _weak_partition_signature(
+    model: IOIMC, respect_labels: bool, rate_digits: int
+) -> Partition:
+    """Signature-refinement reference implementation (seed algorithm)."""
+    closures = _internal_closure(model)
+    visible_reach = _weak_visible_reach(model, closures)
     stable = [model.is_stable(state) for state in model.states()]
     input_ids = model.signature.input_ids
     # Divergence rule: a state that can reach a tau-cycle with no way out
@@ -2143,54 +2457,58 @@ def _build_weak_quotient(
 
 
 def _plain_weak_quotient(
-    model: IOIMC,
-    partition: Partition,
-    closures: Sequence[FrozenSet[int]],
-    visible_reach: Sequence[Dict[int, FrozenSet[int]]],
+    model: IOIMC, partition: Partition, sets: _PlainWeakSets
 ) -> IOIMC:
-    """:func:`_build_weak_quotient` from per-state reach sets, without numpy.
+    """:func:`_build_weak_quotient` from :class:`_PlainWeakSets`, without numpy.
 
-    The small-input path already holds every state's tau-closure and
-    ``τ* a τ*`` reach sets from its partition refinement, so each block reads
-    its representative's sets directly.  The result is the array builder's
+    The plain path already holds every state's tau-closure and ``τ* a τ*``
+    reach sets from its partition refinement, so each block reads its
+    representative's sets directly.  The result is the array builder's
     model exactly: blocks in partition order named ``B{i}``, the
     representative's labels, visible moves sorted by (action id, block) and
     then tau moves by block, input own-block moves and tau self-block moves
     left out, and rates from the block's smallest stable member.
     """
-    block_of = _block_map(partition)
-    input_ids = model.signature.input_ids
+    block_of = [0] * model.num_states
+    for block_id, block in enumerate(partition):
+        for state in block:
+            block_of[state] = block_id
     internal_actions = sorted(model.signature.internals)
     tau_id = intern_action(internal_actions[0]) if internal_actions else None
     mtrans = model._mtrans
+    stable = sets.stable
     quotient = IOIMC(model.name, model.signature)
     reps = [min(block) for block in partition]
     for block_id, rep in enumerate(reps):
         quotient.add_state(labels=model._labels[rep], name=f"B{block_id}")
     for block_id, rep in enumerate(reps):
-        visible = {
-            (aid, target_block)
-            for aid, targets in visible_reach[rep].items()
-            for target_block in {block_of[target] for target in targets}
-            if target_block != block_id or aid not in input_ids
-        }
-        tau_blocks = {block_of[target] for target in closures[rep]}
+        visible = set()
+        for aid, targets in zip(sets.input_ids, sets.in_reach[rep]):
+            for target in targets:
+                target_block = block_of[target]
+                if target_block != block_id:
+                    visible.add((aid, target_block))
+        for aid, targets in zip(sets.out_actions[rep], sets.out_reach[rep]):
+            for target in targets:
+                visible.add((aid, block_of[target]))
+        tau_blocks = {block_of[target] for target in sets.closures[rep]}
         tau_blocks.discard(block_id)
         pairs = sorted(visible) + [(tau_id, block) for block in sorted(tau_blocks)]
         if pairs:
             quotient._add_interactive_bulk(block_id, pairs)
-        stable_members = [
-            state for state in partition[block_id] if model.is_stable(state)
-        ]
+        stable_members = [state for state in partition[block_id] if stable[state]]
         if stable_members:
+            # The sums of the array builder, whose rate dict starts every
+            # block at 0.0 (an exact no-op on the first rate).
             rates: Dict[int, float] = {}
             for target, rate in mtrans[min(stable_members)].items():
                 target_block = block_of[target]
                 if target_block == block_id:
                     continue  # intra-class movement is invisible in the quotient
-                rates[target_block] = rates.get(target_block, 0.0) + rate
-            for target_block, total in rates.items():
-                quotient.add_markovian(block_id, total, target_block)
+                rates[target_block] = (
+                    rates[target_block] + rate if target_block in rates else rate
+                )
+            quotient._set_markovian_raw(block_id, rates)
     quotient.set_initial(block_of[model.initial])
     return quotient
 
@@ -2259,14 +2577,20 @@ def minimize_weak(
 ) -> IOIMC:
     """Minimise ``model`` modulo weak bisimulation.
 
-    Inputs with fewer than :data:`SMALL_WEAK_STATES` states take a
-    plain-Python path under the closure and signature engines: one set of
-    per-state tau-closure and weak-reach sets feeds both the signature
-    refinement and :func:`_plain_weak_quotient`, with no numpy set-up.
-    Larger inputs keep the array engines: with the closure and splitter
-    engines one tau-SCC condensation is shared between the partition
-    refinement and the quotient construction, so the internal-closure work
-    happens exactly once per minimisation.
+    Under the closure engine, inputs with fewer than
+    :data:`SMALL_WEAK_STATES` states take a plain-Python path: one set of
+    per-state tau-closure and weak-reach sets, built once, feeds both the
+    incremental signature refinement and :func:`_plain_weak_quotient`, with
+    no numpy set-up.  An input whose sets outgrow
+    :data:`PLAIN_CLOSURE_FACTOR` entries per state and transition (a dense
+    tau-SCC) and every larger input keep the array route: the strong
+    splitter without internal moves, else the closure engine, which like
+    the splitter engine shares one tau-SCC condensation between the
+    partition refinement and the quotient construction, so the
+    internal-closure work happens exactly once per minimisation.  The
+    signature engine is the seed reference at every size (signature
+    refinement plus :func:`quotient_weak`) and shares no code with the
+    plain path, so it stays an independent oracle.
 
     An input without internal moves whose partition is discrete (and that
     has no explicit input or Markovian self-loop) is already minimal: its
@@ -2275,11 +2599,9 @@ def minimize_weak(
     move order.
     """
     _check_algorithm(algorithm)
-    reach = None
-    if _is_small_weak_input(model, algorithm):
-        closures = _internal_closure(model)
-        reach = (closures, _weak_visible_reach(model, closures))
-        partition = _weak_partition_signature(model, respect_labels, rate_digits, *reach)
+    sets = _plain_path_sets(model, algorithm, rate_digits)
+    if sets is not None:
+        partition = _plain_weak_partition(model, sets, respect_labels, rate_digits)
     elif algorithm == "signature":
         partition = _weak_partition_signature(model, respect_labels, rate_digits)
     elif _has_no_internal_transitions(model):
@@ -2292,8 +2614,8 @@ def minimize_weak(
         ).quotient()._reachable_part()
     if _is_already_minimal(model, partition):
         return model._reachable_part()
-    if reach is not None:
-        quotient = _plain_weak_quotient(model, partition, *reach)
+    if sets is not None:
+        quotient = _plain_weak_quotient(model, partition, sets)
     else:
         quotient = quotient_weak(model, partition)
     # The quotient is fresh and already carries ``model.name``.

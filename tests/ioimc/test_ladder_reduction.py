@@ -13,8 +13,9 @@ below then check
   ``fdep`` product and 115 -> 79 -> 27 on a larger one);
 * that every ``aggregate()`` output is its own fixpoint and equals the
   round-loop reference of ``tests/reduction_reference.py``;
-* that the small-input path builds the closure engine's quotient, dot for
-  dot, on every input below the cut-off;
+* that the plain path builds the array closure engine's quotient, dot for
+  dot, on every input below the cut-off, at seeds 1-3;
+* that the signature engine, perfbench's oracle, never runs the plain path;
 * that the splitter engine, forced in as the closure engine's fallback,
   builds the same quotients as the closure engine.
 """
@@ -41,8 +42,8 @@ from repro.systems import (
 from tests.ioimc.test_small_weak_path import assert_matches_closure_engine
 from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
-#: ``perfbench/inputs.py``: the seed-1 rate stream and its jitter range.
-LADDER_RATE_STREAM = "perfbench:cold_ladder:rates:1"
+#: ``perfbench/inputs.py``: the rate stream of a seed and its jitter range.
+LADDER_RATE_STREAM = "perfbench:cold_ladder:rates:{seed}"
 JITTER = (0.8, 1.25)
 
 
@@ -59,8 +60,8 @@ def _jittered(tree: DynamicFaultTree, rng: random.Random) -> DynamicFaultTree:
     return copy
 
 
-def ladder_trees() -> List[DynamicFaultTree]:
-    rng = random.Random(LADDER_RATE_STREAM)
+def ladder_trees(seed: int = 1) -> List[DynamicFaultTree]:
+    rng = random.Random(LADDER_RATE_STREAM.format(seed=seed))
     patterns = ({"fdep": True}, {"shared_spares": True})
     randoms = [
         _jittered(random_dft(8, seed=index, **patterns[index % 2]), rng)
@@ -84,8 +85,8 @@ class LadderRecord(NamedTuple):
     steps: List[int]
 
 
-@pytest.fixture(scope="module")
-def ladder() -> LadderRecord:
+def record_ladder(seed: int = 1) -> LadderRecord:
+    """One cache-less Study per tree of the ladder at ``seed``, recorded."""
     record = LadderRecord([], [], [])
 
     def recording_aggregate(model, options=None):
@@ -100,9 +101,14 @@ def ladder() -> LadderRecord:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core_aggregation, "aggregate", recording_aggregate)
         patch.setattr(reduction, "minimize_weak", recording_minimiser)
-        for tree in ladder_trees():
+        for tree in ladder_trees(seed):
             record.steps.append(len(Study(tree).statistics.steps))
     return record
+
+
+@pytest.fixture(scope="module")
+def ladder() -> LadderRecord:
+    return record_ladder()
 
 
 def test_ladder_records_one_minimiser_call_per_aggregate(ladder):
@@ -135,14 +141,35 @@ def test_every_aggregate_output_is_a_fixpoint(ladder):
 
 
 def test_small_path_builds_the_closure_engine_quotient(ladder):
-    small = [
-        model
-        for model in ladder.minimiser_inputs
-        if model.num_states < bisimulation.SMALL_WEAK_STATES
-    ]
-    assert len(small) > 100
-    for model in small:
+    # Every ladder input is below the cut-off.
+    assert max(m.num_states for m in ladder.minimiser_inputs) < bisimulation.SMALL_WEAK_STATES
+    for model in ladder.minimiser_inputs:
         assert_matches_closure_engine(model)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_small_path_on_the_other_seeds(seed):
+    # The seeds draw other rates for the same structures, so other rate
+    # classes may split the same products.
+    inputs = record_ladder(seed).minimiser_inputs
+    assert max(m.num_states for m in inputs) < bisimulation.SMALL_WEAK_STATES
+    for model in inputs:
+        assert_matches_closure_engine(model)
+
+
+def test_the_signature_oracle_shares_nothing_with_the_plain_path(ladder, monkeypatch):
+    expected = [minimize_weak(model).to_dot() for model in ladder.minimiser_inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the signature engine ran the plain path")
+
+    for name in ("_plain_weak_sets", "_plain_weak_partition", "_plain_weak_quotient"):
+        monkeypatch.setattr(bisimulation, name, refuse)
+    actual = [
+        minimize_weak(model, algorithm="signature").to_dot()
+        for model in ladder.minimiser_inputs
+    ]
+    assert actual == expected
 
 
 def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
@@ -153,7 +180,8 @@ def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
     ]
     expected = [minimize_weak(model, algorithm="closure").to_dot() for model in models]
     # A zero saturation budget overflows on every model with an SCC; with
-    # no small-input cut-off every model reaches the closure engine.
+    # a zero cut-off no model takes the plain path, so every model reaches
+    # the array closure engine (all of them are below the real cut-off).
     monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
     monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
     monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)

@@ -1,10 +1,14 @@
 """Three-engine differential cells: closure vs splitter vs signature.
 
-The closure-then-strong weak engine (PR 8) must be *bit-identical* to the
+The closure-then-strong weak engine must be *bit-identical* to the
 two older engines, not merely equivalent: every cell below asserts the
 engines produce byte-for-byte the same quotient dot rendering (the
 partitions are canonicalised by smallest member, so identical partitions
 force identical quotients) and measures that agree to ``1e-12``.
+
+Below ``SMALL_WEAK_STATES`` states ``algorithm="closure"`` runs the
+plain-Python path, which covers every model here; the model-level cells
+therefore also compare the array closure engine, called directly.
 
 The corpus crosses the paper systems (figure 2 at the I/O-IMC level, the
 cardiac assist system, the cascaded PAND system, the mutex switch) with
@@ -59,6 +63,12 @@ PAPER_SYSTEMS = {
 }
 
 
+def array_closure_dot(model: IOIMC, respect_labels: bool = True) -> str:
+    """The array closure engine's minimised ``model``, as a dot rendering."""
+    engine = _WeakClosureEngine(model, respect_labels, DEFAULT_RATE_DIGITS)
+    return engine.quotient()._reachable_part().to_dot()
+
+
 def random_tau_cycle_model(seed: int, num_states: int = 14) -> IOIMC:
     """A seeded model whose random tau back-edges form internal cycles."""
     rng = random.Random(seed)
@@ -98,6 +108,7 @@ class TestQuotientIdentity:
             for engine in ENGINES
         }
         assert dots["closure"] == dots["splitter"] == dots["signature"]
+        assert array_closure_dot(composed) == dots["closure"]
 
     @pytest.mark.parametrize("system", sorted(PAPER_SYSTEMS))
     def test_paper_system_cell(self, system):
@@ -126,6 +137,7 @@ class TestQuotientIdentity:
             for engine in ENGINES
         }
         assert dots["closure"] == dots["splitter"] == dots["signature"]
+        assert array_closure_dot(model) == dots["closure"]
 
     @pytest.mark.parametrize("seed", [3, 8])
     @pytest.mark.parametrize("respect_labels", [True, False])
@@ -138,7 +150,7 @@ class TestQuotientIdentity:
             for engine in ENGINES
         }
         assert dots["closure"] == dots["splitter"] == dots["signature"]
-
+        assert array_closure_dot(model, respect_labels) == dots["closure"]
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_halved_frontier_cell(self, seed, monkeypatch):
@@ -147,6 +159,7 @@ class TestQuotientIdentity:
         model = random_tau_cycle_model(seed)
         expected = minimize_weak(model, algorithm="signature").to_dot()
         monkeypatch.setattr(_WeakClosureEngine, "_KEY_LIMIT", 8)
+        # A zero cut-off sends the model to the array engine.
         monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
         assert minimize_weak(model, algorithm="closure").to_dot() == expected
 

@@ -220,7 +220,9 @@ class TestDictHandlers:
     def test_metrics_count_saturation_overflows(self, service, monkeypatch):
         assert "saturation_overflows" in service.metrics_payload()
         before = service.metrics_payload()["saturation_overflows"]
-        # A zero saturation budget overflows on every model with a tau-SCC.
+        # A zero saturation budget overflows on every model with a tau-SCC;
+        # a zero cut-off sends every model to the array closure engine.
+        monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
         monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
         monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)
         service.handle("POST", "/analyze", {"tree": galileo.write(cardiac_assist_system())})
