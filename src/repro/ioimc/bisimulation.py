@@ -74,8 +74,8 @@ incremental signature refinement in the style of Blom & Orzan (STTT 7(1),
 2005) that re-signs only the states reading a state that changed block
 (:func:`_plain_weak_partition`), and :func:`_plain_weak_quotient`, which
 builds exactly the array quotient.  An input whose closure and reach sets
-outgrow :data:`PLAIN_CLOSURE_FACTOR` entries per state and transition (a
-dense tau-SCC) goes to the array engine instead.  From the cut-off, inputs
+outgrow :data:`PLAIN_CLOSURE_FACTOR` entries per state, transition and
+state-input pair (a dense tau-SCC) goes to the array engine instead.  From the cut-off, inputs
 without internal moves take the strong splitter and the others the array
 closure engine.  The splitter and signature engines share no code with the
 plain path, so both stay independent oracles.  Independently of size,
@@ -135,9 +135,10 @@ SATURATION_FLOOR = 2_000_000
 SMALL_WEAK_STATES = 2048
 
 #: The plain path gives up on an input once its per-state tau-closures and
-#: weak-reach sets hold more than this many entries per state and
-#: transition; the array closure engine, which shares closures per tau-SCC,
-#: takes it instead.  Pipeline inputs stay below 3 entries; a dense tau-SCC
+#: weak-reach sets hold more than this many entries per state, transition
+#: and state-input pair (the pairs cover the implicit input self-loops, so a
+#: wide input alphabet alone never trips it); the array closure engine,
+#: which shares closures per tau-SCC, takes it instead.  Pipeline inputs stay below 3 entries; a dense tau-SCC
 #: grows with its size (about 7 at 14 states, 15 at 30, 50 at 99), and there
 #: the plain path is 2x faster at 14 states, 1.3x slower at 30 and 10x slower
 #: at 99.
@@ -760,12 +761,14 @@ class _PlainWeakSets(NamedTuple):
 def _plain_weak_sets(model: IOIMC, rate_digits: int) -> Optional[_PlainWeakSets]:
     """The per-state data of :func:`_plain_weak_partition`, or ``None`` when
     the closure and reach sets outgrow :data:`PLAIN_CLOSURE_FACTOR` entries
-    per state and transition."""
+    per state, transition and state-input pair."""
     num_states = model.num_states
     itrans = model._itrans
     internal_ids = model.signature.internal_ids
     input_ids = sorted(model.signature.input_ids)
-    budget = PLAIN_CLOSURE_FACTOR * (num_states + model.num_transitions)
+    budget = PLAIN_CLOSURE_FACTOR * (
+        num_states * (1 + len(input_ids)) + model.num_transitions
+    )
 
     tau_succ = [[t for aid, t in pairs if aid in internal_ids] for pairs in itrans]
     closures: List[Tuple[int, ...]] = []
@@ -2582,8 +2585,8 @@ def minimize_weak(
     per-state tau-closure and weak-reach sets, built once, feeds both the
     incremental signature refinement and :func:`_plain_weak_quotient`, with
     no numpy set-up.  An input whose sets outgrow
-    :data:`PLAIN_CLOSURE_FACTOR` entries per state and transition (a dense
-    tau-SCC) and every larger input keep the array route: the strong
+    :data:`PLAIN_CLOSURE_FACTOR` entries per state, transition and
+    state-input pair (a dense tau-SCC) and every larger input keep the array route: the strong
     splitter without internal moves, else the closure engine, which like
     the splitter engine shares one tau-SCC condensation between the
     partition refinement and the quotient construction, so the

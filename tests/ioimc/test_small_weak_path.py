@@ -16,8 +16,10 @@ which is what the array route runs for them):
   up to the cut-off;
 * the same on the products of a parametric CPS build and of the parametric
   race-bank sweep skeleton;
-* at the cut-off, n = T - 1 takes the plain path and n = T the engine; a
-  dense tau-SCC trips the closure budget and goes to the engine;
+* at the cut-off, n = T - 1 takes the plain path and n = T the engine,
+  both equal to the splitter engine; a dense tau-SCC trips the closure
+  budget and goes to the engine, while a wide input alphabet (implicit input
+  self-loops) does not trip it;
 * the already-minimal exit returns the input itself, which equals the full
   quotient under ``canonical_form``.
 
@@ -242,6 +244,31 @@ def fan_model(num_states: int) -> IOIMC:
     return model
 
 
+def wide_alphabet_model(num_states: int, internal: bool) -> IOIMC:
+    """A sparse model over 24 inputs: each state has one explicit move, so
+    almost every input of every state is an implicit self-loop.
+
+    State ``k`` takes input ``i{k mod 24}`` or, every fourth state, rate 1.0
+    to ``k + 1``; with ``internal``, every fifth state tau-moves there too.
+    """
+    inputs = [f"i{index}" for index in range(24)]
+    model = IOIMC(
+        "wide",
+        signature(inputs=inputs, internals=["tau"] if internal else []),
+    )
+    for index in range(num_states):
+        model.add_state(labels=("failed",) if index == num_states - 1 else ())
+    for index in range(num_states - 1):
+        if index % 4 == 3:
+            model.add_markovian(index, 1.0, index + 1)
+        else:
+            model.add_interactive(index, inputs[index % 24], index + 1)
+        if internal and index % 5 == 4:
+            model.add_interactive(index, "tau", index + 1)
+    model.set_initial(0)
+    return model
+
+
 def count_engine_builds(monkeypatch) -> list:
     builds = []
 
@@ -264,13 +291,15 @@ class TestCutOff:
         self, num_states, engine_builds, monkeypatch
     ):
         model = fan_model(num_states)
-        expected_partition, full = array_path(model, True)
+        expected_partition = weak_bisimulation_partition(model, algorithm="splitter")
+        expected = minimize_weak(model, algorithm="splitter")
         builds = count_engine_builds(monkeypatch)
         quotient = minimize_weak(model)
         partition = weak_bisimulation_partition(model)
         assert len(builds) == 2 * engine_builds
+        # The splitter engine shares no code with either route.
         assert partition == expected_partition
-        assert quotient.to_dot() == full._reachable_part().to_dot()
+        assert quotient.to_dot() == expected.to_dot()
 
     def test_a_dense_tau_scc_trips_the_closure_budget(self, monkeypatch):
         model = random_tau_cycle_model(0, num_states=99)
@@ -283,6 +312,22 @@ class TestCutOff:
             model, algorithm="splitter"
         )
         assert builds == [model, model]
+
+    @pytest.mark.parametrize("internal", [False, True], ids=["tau-free", "with-tau"])
+    def test_a_wide_input_alphabet_stays_on_the_plain_path(self, internal, monkeypatch):
+        model = wide_alphabet_model(64, internal)
+        assert _plain_weak_sets(model, DEFAULT_RATE_DIGITS) is not None
+        expected_partition = weak_bisimulation_partition(model, algorithm="splitter")
+        expected = minimize_weak(model, algorithm="splitter")
+        builds = count_engine_builds(monkeypatch)
+
+        def no_splitter(*args, **kwargs):
+            raise AssertionError("the strong splitter ran")
+
+        monkeypatch.setattr(bisimulation, "_strong_partition_splitter", no_splitter)
+        assert weak_bisimulation_partition(model) == expected_partition
+        assert minimize_weak(model).to_dot() == expected.to_dot()
+        assert builds == []
 
     def test_small_tau_cycles_stay_on_the_plain_path(self, monkeypatch):
         models = [random_tau_cycle_model(seed) for seed in range(12)]
