@@ -240,13 +240,14 @@ def _renaming_key(model: IOIMC, options: AggregationOptions) -> _Key:
     floats: List[float] = []
     slots: List[int] = []
     forms: List[ParametricRate] = []
-    for state in model.states():
-        moves = sorted((rank[aid], target) for aid, target in model.interactive_pairs(state))
-        markovian = model.markovian_dict(state)
+    for pairs, markovian, labels in zip(model._itrans, model._mtrans, model._labels):
+        ints += (label_sets.setdefault(labels, len(label_sets)), len(pairs))
+        if pairs:
+            ints += chain.from_iterable(sorted([(rank[aid], target) for aid, target in pairs]))
+        ints.append(len(markovian))
+        if not markovian:
+            continue
         targets = sorted(markovian)
-        ints += (label_sets.setdefault(model.labels(state), len(label_sets)), len(moves))
-        ints += chain.from_iterable(moves)
-        ints.append(len(targets))
         ints += targets
         for target in targets:
             rate = markovian[target]
@@ -426,10 +427,11 @@ class CompositionalAggregator:
         statistics = CompositionStatistics()
 
         if len(self._models) == 1:
-            only, _stats = aggregate(
-                self._hide(self._models[0], external_inputs=set()),
-                self.options.aggregation,
-            )
+            only = self._models[0]
+            hideable = self._hideable(only, external_inputs=())
+            if hideable:
+                only = only.hide(hideable, name=only.name)
+            only, _stats = aggregate(only, self.options.aggregation)
             statistics.final_states = only.num_states
             statistics.final_transitions = only.num_transitions
             return only, statistics
@@ -506,9 +508,11 @@ class CompositionalAggregator:
         product_states = composite.num_states
         product_transitions = composite.num_transitions
 
-        hidden_before = composite.signature.outputs
-        composite = self._hide(composite, workspace.external_inputs())
-        hidden_actions = tuple(sorted(hidden_before - composite.signature.outputs))
+        # The product is this step's own, so it is hidden in place.
+        hideable = self._hideable(composite, workspace.external_inputs())
+        if hideable:
+            composite.signature = composite.signature.hide(hideable)
+        hidden_actions = tuple(sorted(hideable))
 
         if workspace.models:
             composite = workspace.quotients.aggregate(composite, self.options.aggregation)
@@ -531,13 +535,10 @@ class CompositionalAggregator:
         return workspace.add(composite)
 
     # ---------------------------------------------------------------- helpers
-    def _hide(self, model: IOIMC, external_inputs: Iterable[str]) -> IOIMC:
-        """Hide outputs of ``model`` that no remaining member listens to."""
+    def _hideable(self, model: IOIMC, external_inputs: Iterable[str]) -> FrozenSet[str]:
+        """Outputs of ``model`` that no remaining member listens to."""
         keep = set(self.options.keep_visible) | set(external_inputs)
-        hideable = model.signature.outputs - keep
-        if not hideable:
-            return model
-        return model.hide(hideable, name=model.name)
+        return model.signature.outputs - keep
 
     def _pick_pair(self, group: Sequence[int], workspace: _Workspace) -> Tuple[int, int]:
         strategy = self.options.ordering

@@ -2179,30 +2179,34 @@ def quotient_strong(model: IOIMC, partition: Partition, name: str | None = None)
     """Quotient of ``model`` under a strong bisimulation partition."""
     block_of = _block_map(partition)
     input_ids = model.signature.input_ids
-    quotient = IOIMC(name if name is not None else model.name, model.signature)
+    itrans = model._itrans
+    mtrans = model._mtrans
     representatives = [min(block) for block in partition]
-    for block_id, block in enumerate(partition):
-        rep = representatives[block_id]
-        quotient.add_state(labels=model.labels(rep), name=f"B{block_id}")
-    for block_id, block in enumerate(partition):
-        rep = representatives[block_id]
+    quotient_itrans: List[List[Tuple[int, int]]] = []
+    quotient_mtrans: List[Dict[int, float]] = []
+    for block_id, rep in enumerate(representatives):
         pairs: Dict[Tuple[int, int], None] = {}
-        for aid, target in model.interactive_pairs(rep):
+        for aid, target in itrans[rep]:
             target_block = block_of[target]
             if target_block == block_id and aid in input_ids:
                 continue  # implicit input self-loop
             pairs[(aid, target_block)] = None
-        if pairs:
-            quotient._add_interactive_bulk(block_id, list(pairs))
+        quotient_itrans.append(list(pairs))
         rates: Dict[int, float] = {}
-        for target, rate in model.markovian_dict(rep).items():
+        for target, rate in mtrans[rep].items():
             if block_of[target] == block_id:
                 continue  # intra-class movement is invisible in the quotient
             rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
-        for target_block, total in rates.items():
-            quotient.add_markovian(block_id, total, target_block)
-    quotient.set_initial(block_of[model.initial])
-    return quotient
+        quotient_mtrans.append(rates)
+    return IOIMC._from_lists(
+        name if name is not None else model.name,
+        model.signature,
+        quotient_itrans,
+        quotient_mtrans,
+        [model._labels[rep] for rep in representatives],
+        [f"B{block_id}" for block_id in range(len(partition))],
+        block_of[model.initial],
+    )
 
 
 def _build_weak_quotient(
@@ -2378,11 +2382,7 @@ def _build_weak_quotient(
     internal_actions = sorted(model.signature.internals)
     tau_id = intern_action(internal_actions[0]) if internal_actions else None
 
-    quotient = IOIMC(name if name is not None else model.name, model.signature)
-    model_labels = model._labels
     reps = [min(block) for block in partition]
-    for block_id, rep in enumerate(reps):
-        quotient.add_state(labels=model_labels[rep], name=f"B{block_id}")
 
     # Minimal stable representative per block: a descending scatter makes
     # the smallest stable state win the last write.
@@ -2394,7 +2394,7 @@ def _build_weak_quotient(
     # Global assembly: decode every representative's visible and tau rows at
     # once, drop implicit input self-loops and tau self-block moves with
     # boolean masks, and materialise the pair lists with two C-level zips —
-    # the only per-block Python work left is list slicing and the bulk adds.
+    # the only per-block Python work left is list slicing and the rate sums.
     rep_scc_arr = scc_arr[np.fromiter(reps, dtype=np.int64, count=num_blocks)]
     block_ids = np.arange(num_blocks, dtype=np.int64)
 
@@ -2436,27 +2436,32 @@ def _build_weak_quotient(
         ([0], np.cumsum(np.bincount(towner, minlength=num_blocks)))
     ).tolist()
 
+    quotient_itrans: List[List[Tuple[int, int]]] = []
+    quotient_mtrans: List[Dict[int, float]] = []
     for block_id in range(num_blocks):
-        pairs = (
+        quotient_itrans.append(
             vis_pairs[voff[block_id] : voff[block_id + 1]]
             + tau_pairs[toff[block_id] : toff[block_id + 1]]
         )
-        if pairs:
-            quotient._add_interactive_bulk(block_id, pairs)
-
+        rates: Dict[int, float] = {}
         stable_member = int(stable_rep[block_id])
         if stable_member >= 0:
-            rates: Dict[int, float] = {}
             for target, rate in mtrans[stable_member].items():
                 target_block = int(block_arr[target])
                 if target_block == block_id:
                     continue  # intra-class movement is invisible in the quotient
                 rates[target_block] = rates.get(target_block, 0.0) + rate
-            for target_block, total in rates.items():
-                quotient.add_markovian(block_id, total, target_block)
+        quotient_mtrans.append(rates)
 
-    quotient.set_initial(int(block_arr[model.initial]))
-    return quotient
+    return IOIMC._from_lists(
+        name if name is not None else model.name,
+        model.signature,
+        quotient_itrans,
+        quotient_mtrans,
+        [model._labels[rep] for rep in reps],
+        [f"B{block_id}" for block_id in range(num_blocks)],
+        int(block_arr[model.initial]),
+    )
 
 
 def _plain_weak_quotient(
@@ -2480,10 +2485,9 @@ def _plain_weak_quotient(
     tau_id = intern_action(internal_actions[0]) if internal_actions else None
     mtrans = model._mtrans
     stable = sets.stable
-    quotient = IOIMC(model.name, model.signature)
     reps = [min(block) for block in partition]
-    for block_id, rep in enumerate(reps):
-        quotient.add_state(labels=model._labels[rep], name=f"B{block_id}")
+    quotient_itrans: List[List[Tuple[int, int]]] = []
+    quotient_mtrans: List[Dict[int, float]] = []
     for block_id, rep in enumerate(reps):
         visible = set()
         for aid, targets in zip(sets.input_ids, sets.in_reach[rep]):
@@ -2496,14 +2500,14 @@ def _plain_weak_quotient(
                 visible.add((aid, block_of[target]))
         tau_blocks = {block_of[target] for target in sets.closures[rep]}
         tau_blocks.discard(block_id)
-        pairs = sorted(visible) + [(tau_id, block) for block in sorted(tau_blocks)]
-        if pairs:
-            quotient._add_interactive_bulk(block_id, pairs)
+        quotient_itrans.append(
+            sorted(visible) + [(tau_id, block) for block in sorted(tau_blocks)]
+        )
+        rates: Dict[int, float] = {}
         stable_members = [state for state in partition[block_id] if stable[state]]
         if stable_members:
             # The sums of the array builder, whose rate dict starts every
             # block at 0.0 (an exact no-op on the first rate).
-            rates: Dict[int, float] = {}
             for target, rate in mtrans[min(stable_members)].items():
                 target_block = block_of[target]
                 if target_block == block_id:
@@ -2511,9 +2515,16 @@ def _plain_weak_quotient(
                 rates[target_block] = (
                     rates[target_block] + rate if target_block in rates else rate
                 )
-            quotient._set_markovian_raw(block_id, rates)
-    quotient.set_initial(block_of[model.initial])
-    return quotient
+        quotient_mtrans.append(rates)
+    return IOIMC._from_lists(
+        model.name,
+        model.signature,
+        quotient_itrans,
+        quotient_mtrans,
+        [model._labels[rep] for rep in reps],
+        [f"B{block_id}" for block_id in range(len(partition))],
+        block_of[model.initial],
+    )
 
 
 def _is_already_minimal(model: IOIMC, partition: Partition) -> bool:

@@ -19,7 +19,13 @@ Composition follows the input/output automata discipline used by the paper
 The composite is built by reachability exploration from the pair of initial
 states, so unreachable parts of the naive product are never materialised.  The
 exploration runs entirely on interned action ids (see
-:mod:`repro.ioimc.actions`), never comparing action names.
+:mod:`repro.ioimc.actions`), never comparing action names.  It reads the
+components' raw per-state lists, works out each component state's enabled
+actions, shared-action targets and urgency once, and writes the composite's
+adjacency lists, rate dicts, labels and names as whole lists that the bulk
+constructor takes over; no state goes through the checked per-state API.
+A composite state's moves keep their first-found order with repeats
+dropped, and parallel rates to one target are summed.
 
 Fused reduction
 ---------------
@@ -42,9 +48,12 @@ usual aggregation pipeline afterwards yields the identical reduced model.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import CompositionError, SignatureError
+from .actions import ActionSignature
+from .maximal_progress import _urgent_ids
 from .model import IOIMC
 
 
@@ -70,8 +79,6 @@ def parallel(
             f"cannot compose {left.name!r} and {right.name!r}: {exc}"
         ) from exc
 
-    composite = IOIMC(name if name is not None else f"{left.name}||{right.name}", signature)
-
     lsig = left.signature
     rsig = right.signature
     shared_ids = lsig.visible_ids & rsig.visible_ids
@@ -82,96 +89,151 @@ def parallel(
     left_out = lsig.output_ids
     right_out = rsig.output_ids
 
-    index: Dict[Tuple[int, int], int] = {}
-    worklist: List[Tuple[int, int]] = []
+    left_itrans, left_mtrans = left._itrans, left._mtrans
+    right_itrans, right_mtrans = right._itrans, right._mtrans
+    # Per component state, once: the enabled action ids, and the targets of
+    # each enabled shared action (the ``enabled_ids`` and
+    # ``interactive_on_id`` views; empty without a shared action).
+    left_enabled, left_on = _enabled_views(left_itrans, shared_ids)
+    right_enabled, right_on = _enabled_views(right_itrans, shared_ids)
+    if fuse:
+        # A composite state is urgent iff either component state is (a
+        # component's enabled output or internal transition is always enabled
+        # in the composite).
+        left_urgent = _urgent_states(lsig, left_enabled, urgent_outputs)
+        right_urgent = _urgent_states(rsig, right_enabled, urgent_outputs)
 
-    def intern(pair: Tuple[int, int]) -> int:
-        state = index.get(pair)
+    left_labels, right_labels = left._labels, right._labels
+    left_names, right_names = left._shown_names(), right._shown_names()
+    index: Dict[Tuple[int, int], int] = {}
+    worklist: List[Tuple[int, int, int]] = []
+    itrans: List[List[Tuple[int, int]]] = []
+    mtrans: List[Dict[int, float]] = []
+    labels: List[FrozenSet[str]] = []
+    names: List[Optional[str]] = []
+
+    def intern(s: int, t: int) -> int:
+        """The composite state of ``(s, t)``; a new one gets its labels,
+        name and empty moves, and joins the worklist."""
+        state = index.get((s, t))
         if state is None:
-            s, t = pair
-            state = composite.add_state(
-                labels=left.labels(s) | right.labels(t),
-                name=f"{left.state_name(s)}|{right.state_name(t)}",
-            )
-            index[pair] = state
-            worklist.append(pair)
+            state = index[s, t] = len(labels)
+            labels.append(left_labels[s] | right_labels[t])
+            names.append(f"{left_names[s]}|{right_names[t]}")
+            itrans.append([])
+            mtrans.append({})
+            worklist.append((s, t, state))
         return state
 
-    initial = (left.initial, right.initial)
-    composite.set_initial(intern(initial))
-
-    add_interactive = composite.add_interactive_id
-    add_markovian = composite.add_markovian
+    initial = intern(left.initial, right.initial)
 
     while worklist:
-        s, t = pair = worklist.pop()
-        source = index[pair]
+        s, t, source = worklist.pop()
+        # Candidate moves in exploration order; repeats are dropped below.
+        moves: List[Tuple[int, int]] = []
 
         # Markovian transitions interleave — unless the composite state is
-        # urgent and fused maximal progress prunes them up front.  A composite
-        # state is urgent iff either component state is (a component's enabled
-        # output or internal transition is always enabled in the composite).
-        if fuse:
-            if urgent_outputs:
-                urgent = left.is_urgent(s) or right.is_urgent(t)
-            else:
-                urgent = not (left.is_stable(s) and right.is_stable(t))
-        else:
-            urgent = False
-        if not urgent:
-            for rate, s_next in left.markovian_out(s):
-                add_markovian(source, rate, intern((s_next, t)))
-            for rate, t_next in right.markovian_out(t):
-                add_markovian(source, rate, intern((s, t_next)))
+        # urgent and fused maximal progress prunes them up front.
+        if not (fuse and (left_urgent[s] or right_urgent[t])):
+            rates = mtrans[source]
+            for s_next, rate in left_mtrans[s].items():
+                target = intern(s_next, t)
+                rates[target] = rates.get(target, 0.0) + rate
+            for t_next, rate in right_mtrans[t].items():
+                target = intern(s, t_next)
+                rates[target] = rates.get(target, 0.0) + rate
 
         # Internal and non-shared visible actions interleave (internal actions
         # never synchronise; implicit input self-loops stay implicit).
-        for aid, s_next in left.interactive_pairs(s):
+        for aid, s_next in left_itrans[s]:
             if aid in left_internal:
                 if fuse and s_next == s:
                     continue  # composite internal self-loop
-                add_interactive(source, aid, intern((s_next, t)))
+                moves.append((aid, intern(s_next, t)))
             elif aid in left_only_ids:
-                add_interactive(source, aid, intern((s_next, t)))
-        for aid, t_next in right.interactive_pairs(t):
+                moves.append((aid, intern(s_next, t)))
+        for aid, t_next in right_itrans[t]:
             if aid in right_internal:
                 if fuse and t_next == t:
                     continue  # composite internal self-loop
-                add_interactive(source, aid, intern((s, t_next)))
+                moves.append((aid, intern(s, t_next)))
             elif aid in right_only_ids:
-                add_interactive(source, aid, intern((s, t_next)))
+                moves.append((aid, intern(s, t_next)))
 
         # Shared visible actions synchronise.  Only actions enabled in at
         # least one component can produce a transition.
-        shared_enabled = (left.enabled_ids(s) | right.enabled_ids(t)) & shared_ids
-        for aid in shared_enabled:
-            if aid in left_out:
-                driver_moves = left.interactive_on_id(s, aid)
-                if not driver_moves:
-                    continue
-                reactions = right.interactive_on_id(t, aid) or (t,)
-                for s_next in driver_moves:
-                    for t_next in reactions:
-                        add_interactive(source, aid, intern((s_next, t_next)))
-            elif aid in right_out:
-                driver_moves = right.interactive_on_id(t, aid)
-                if not driver_moves:
-                    continue
-                reactions = left.interactive_on_id(s, aid) or (s,)
-                for t_next in driver_moves:
-                    for s_next in reactions:
-                        add_interactive(source, aid, intern((s_next, t_next)))
-            else:
-                # Input of both components: driven by the environment.
-                left_moves = left.interactive_on_id(s, aid)
-                right_moves = right.interactive_on_id(t, aid)
-                for s_next in left_moves or (s,):
-                    for t_next in right_moves or (t,):
-                        if (s_next, t_next) != (s, t):
-                            add_interactive(source, aid, intern((s_next, t_next)))
+        left_moves_of = left_on[s]
+        right_moves_of = right_on[t]
+        if left_moves_of or right_moves_of:
+            for aid in (left_enabled[s] | right_enabled[t]) & shared_ids:
+                if aid in left_out:
+                    driver_moves = left_moves_of.get(aid)
+                    if not driver_moves:
+                        continue
+                    reactions = right_moves_of.get(aid) or (t,)
+                    for s_next in driver_moves:
+                        for t_next in reactions:
+                            moves.append((aid, intern(s_next, t_next)))
+                elif aid in right_out:
+                    driver_moves = right_moves_of.get(aid)
+                    if not driver_moves:
+                        continue
+                    reactions = left_moves_of.get(aid) or (s,)
+                    for t_next in driver_moves:
+                        for s_next in reactions:
+                            moves.append((aid, intern(s_next, t_next)))
+                else:
+                    # Input of both components: driven by the environment.
+                    for s_next in left_moves_of.get(aid) or (s,):
+                        for t_next in right_moves_of.get(aid) or (t,):
+                            if s_next != s or t_next != t:
+                                moves.append((aid, intern(s_next, t_next)))
 
+        itrans[source] = list(dict.fromkeys(moves)) if len(moves) > 1 else moves
+
+    composite = IOIMC._from_lists(
+        name if name is not None else f"{left.name}||{right.name}",
+        signature,
+        itrans,
+        mtrans,
+        labels,
+        names,
+        initial,
+    )
     composite.validate()
     return composite
+
+
+#: The targets-by-action view of a state without a shared action.
+_NO_SHARED_MOVES: Dict[int, Tuple[int, ...]] = {}
+
+
+def _enabled_views(
+    itrans: List[List[Tuple[int, int]]], shared_ids: FrozenSet[int]
+) -> Tuple[List[FrozenSet[int]], List[Dict[int, Tuple[int, ...]]]]:
+    """Per state: the enabled action ids, and ``shared action id ->
+    targets`` in adjacency order."""
+    enabled = [frozenset(map(itemgetter(0), pairs)) for pairs in itrans]
+    targets_on: List[Dict[int, Tuple[int, ...]]] = []
+    for pairs, ids in zip(itrans, enabled):
+        if shared_ids.isdisjoint(ids):
+            targets_on.append(_NO_SHARED_MOVES)
+            continue
+        on: Dict[int, Tuple[int, ...]] = {}
+        for aid, target in pairs:
+            if aid in shared_ids:
+                existing = on.get(aid)
+                on[aid] = existing + (target,) if existing else (target,)
+        targets_on.append(on)
+    return enabled, targets_on
+
+
+def _urgent_states(
+    signature: ActionSignature, enabled: List[FrozenSet[int]], urgent_outputs: bool
+) -> List[bool]:
+    """Per state: whether it enables an urgent action."""
+    urgent = _urgent_ids(signature, urgent_outputs)
+    return [not urgent.isdisjoint(ids) for ids in enabled]
 
 
 def parallel_many(

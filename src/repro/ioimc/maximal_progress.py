@@ -10,8 +10,9 @@ reductions such as the elimination of vanishing states.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import FrozenSet, Optional, Sequence, Tuple
 
+from .actions import ActionSignature
 from .model import IOIMC
 
 
@@ -27,24 +28,41 @@ def apply_maximal_progress(
         are urgent as well; if ``False`` only internal actions make a state
         urgent (the classical open-IMC rule).
     """
-    pruned = model._skeleton(name)
-    for state in model.states():
-        pruned._set_interactive_raw(state, list(model.interactive_pairs(state)))
-        urgent = model.is_urgent(state) if urgent_outputs else not model.is_stable(state)
-        if not urgent:
-            pruned._set_markovian_raw(state, dict(model.markovian_dict(state)))
-    return pruned
+    urgent = _urgent_ids(model.signature, urgent_outputs)
+    return model._with_moves(
+        [list(pairs) for pairs in model._itrans],
+        [
+            {} if _has_move_in(pairs, urgent) else dict(rates)
+            for pairs, rates in zip(model._itrans, model._mtrans)
+        ],
+        name,
+    )
 
 
 def _prune_urgent_rates(model: IOIMC, urgent_outputs: bool = True) -> IOIMC:
     """:func:`apply_maximal_progress`, but ``model`` itself (no copy) when no
     urgent state has a Markovian transition — for pipelines that own it."""
-    mask = model.signature.urgent_mask if urgent_outputs else model.signature.internal_mask
-    mtrans = model._mtrans
-    enabled_mask = model.enabled_mask
-    if any(mtrans[state] and enabled_mask(state) & mask for state in model.states()):
+    urgent = _urgent_ids(model.signature, urgent_outputs)
+    if any(
+        rates and _has_move_in(pairs, urgent)
+        for pairs, rates in zip(model._itrans, model._mtrans)
+    ):
         return apply_maximal_progress(model, urgent_outputs)
     return model
+
+
+def _urgent_ids(signature: ActionSignature, urgent_outputs: bool) -> FrozenSet[int]:
+    """The ids of the actions that make a state urgent: outputs and internal
+    actions, or internal actions only under the open-IMC rule."""
+    return signature.urgent_ids if urgent_outputs else signature.internal_ids
+
+
+def _has_move_in(pairs: Sequence[Tuple[int, int]], ids: FrozenSet[int]) -> bool:
+    """Whether one of the ``(action_id, target)`` pairs has an action in ``ids``."""
+    for aid, _target in pairs:
+        if aid in ids:
+            return True
+    return False
 
 
 def count_pruned_transitions(model: IOIMC, urgent_outputs: bool = True) -> int:

@@ -6,7 +6,8 @@ paper).  This module provides an explicit-state representation together with
 the basic structural operations used throughout the library:
 
 * building models state by state (:meth:`IOIMC.add_state`,
-  :meth:`IOIMC.add_interactive`, :meth:`IOIMC.add_markovian`),
+  :meth:`IOIMC.add_interactive`, :meth:`IOIMC.add_markovian`), or whole
+  from per-state lists (the internal bulk constructor),
 * querying transitions and stability of states,
 * hiding and renaming actions, renaming rate parameters,
 * restriction to reachable states,
@@ -18,12 +19,22 @@ Representation
 Transitions are stored in array-backed adjacency form: per state a flat list
 of ``(action_id, target)`` pairs for interactive transitions (action ids come
 from the process-wide :data:`~repro.ioimc.actions.ACTIONS` interner) and a
-``target -> rate`` mapping for Markovian transitions.  Derived per-state data
-— the enabled-action id set, its bitmask, the action -> targets view and the
-stable/urgent flags — is computed lazily and cached; any mutation of a state
-invalidates that state's caches.  The hot paths (composition, bisimulation,
-maximal progress) work exclusively on the id-based API and never touch
-strings.
+``target -> rate`` mapping for Markovian transitions, next to per-state
+label and name lists.  Derived per-state data — the enabled-action id set,
+its bitmask, the action -> targets view and the stable/urgent flags — is
+computed lazily and cached; the per-state builder keeps those caches up to
+date as it adds moves.
+
+Two ways build a model.  The checked per-state API (``add_state``,
+``add_interactive``, ``add_markovian``) serves the converter's elementary
+models, the Galileo systems and tests.  Everything the aggregation loop
+makes — products, copies, hidden and renamed models, the reachable part,
+the settle steps and the quotients — is written whole: its builder fills
+the per-state lists in one pass and hands them to the bulk constructor
+(``IOIMC._from_lists``), which sets the counters and empty caches once and
+checks nothing.  These paths read their inputs through the same raw lists,
+not through the per-state queries, and work on interned ids, never on
+action names.
 
 Conventions
 -----------
@@ -106,20 +117,75 @@ class IOIMC:
     )
 
     def __init__(self, name: str, signature: ActionSignature):
+        self._adopt(name, signature, [], [], [], [], None)
+
+    @classmethod
+    def _from_lists(
+        cls,
+        name: str,
+        signature: ActionSignature,
+        itrans: List[List[Tuple[int, int]]],
+        mtrans: List[Dict[int, float]],
+        labels: List[FrozenSet[str]],
+        names: List[Optional[str]],
+        initial: Optional[int],
+    ) -> "IOIMC":
+        """A model made of the given per-state lists, taken as they are.
+
+        The bulk constructor of composition, the transformations and the
+        quotients.  The lists become the model's own, so the caller hands
+        over fresh ones.  Nothing is checked: each state's pairs are
+        distinct, every target is a state, every rate is positive and every
+        action id is in ``signature``.
+        """
+        model = cls.__new__(cls)
+        model._adopt(name, signature, itrans, mtrans, labels, names, initial)
+        return model
+
+    def _adopt(
+        self,
+        name: str,
+        signature: ActionSignature,
+        itrans: List[List[Tuple[int, int]]],
+        mtrans: List[Dict[int, float]],
+        labels: List[FrozenSet[str]],
+        names: List[Optional[str]],
+        initial: Optional[int],
+    ) -> None:
         self.name = name
         self.signature = signature
         #: Per state: flat adjacency list of ``(action_id, target)`` pairs.
-        self._itrans: List[List[Tuple[int, int]]] = []
+        self._itrans = itrans
         #: Per state: ``target -> accumulated rate``.
-        self._mtrans: List[Dict[int, float]] = []
-        self._labels: List[FrozenSet[str]] = []
-        self._state_names: List[Optional[str]] = []
-        self._initial: Optional[int] = None
-        self._num_itrans = 0
-        # Lazily built per-state caches (invalidated on mutation).
-        self._on_cache: List[Optional[Dict[int, Tuple[int, ...]]]] = []
-        self._enabled_cache: List[Optional[FrozenSet[int]]] = []
-        self._emask_cache: List[int] = []
+        self._mtrans = mtrans
+        self._labels = labels
+        self._state_names = names
+        self._initial = initial
+        self._num_itrans = sum(map(len, itrans))
+        # Lazily built per-state caches (the per-state builder updates them).
+        num = len(itrans)
+        self._on_cache: List[Optional[Dict[int, Tuple[int, ...]]]] = [None] * num
+        self._enabled_cache: List[Optional[FrozenSet[int]]] = [None] * num
+        self._emask_cache: List[int] = [-1] * num
+
+    def _with_moves(
+        self,
+        itrans: List[List[Tuple[int, int]]],
+        mtrans: List[Dict[int, float]],
+        name: Optional[str] = None,
+        signature: Optional[ActionSignature] = None,
+    ) -> "IOIMC":
+        """A model over this model's states (labels, names, initial state)
+        with the given fresh moves, built by :meth:`_from_lists`."""
+        return IOIMC._from_lists(
+            name if name is not None else self.name,
+            signature if signature is not None else self.signature,
+            itrans,
+            mtrans,
+            list(self._labels),
+            list(self._state_names),
+            self._initial,
+        )
 
     # ------------------------------------------------------------------ build
     def add_state(
@@ -153,8 +219,8 @@ class IOIMC:
     def add_interactive_id(self, source: int, aid: int, target: int) -> None:
         """Add an interactive transition by interned action id.
 
-        Fast path used by composition and the quotient constructions; the id
-        is assumed to belong to the signature (``validate`` checks it again).
+        The id is assumed to belong to the signature (``validate`` checks it
+        again).
         Deduplication goes through the per-action target buckets (O(bucket)
         instead of a scan over the state's whole adjacency), and the per-state
         caches are updated in place rather than invalidated.
@@ -176,22 +242,6 @@ class IOIMC:
         mask = self._emask_cache[source]
         if mask >= 0:
             self._emask_cache[source] = mask | (1 << aid)
-
-    def _add_interactive_bulk(
-        self, source: int, pairs: List[Tuple[int, int]]
-    ) -> None:
-        """Append pre-deduplicated ``(aid, target)`` pairs in one shot.
-
-        Quotient-construction fast path: the caller guarantees the pairs are
-        distinct, the targets valid and the ids in the signature, so the
-        per-pair bucket lookups of :meth:`add_interactive_id` are skipped and
-        the per-state caches are simply reset.
-        """
-        self._itrans[source].extend(pairs)
-        self._num_itrans += len(pairs)
-        self._on_cache[source] = None
-        self._enabled_cache[source] = None
-        self._emask_cache[source] = -1
 
     def add_markovian(self, source: int, rate: float, target: int) -> None:
         """Add a Markovian transition; parallel transitions accumulate rates."""
@@ -241,6 +291,13 @@ class IOIMC:
         self._check_state(state)
         name = self._state_names[state]
         return name if name is not None else str(state)
+
+    def _shown_names(self) -> List[str]:
+        """:meth:`state_name` of every state."""
+        return [
+            name if name is not None else str(state)
+            for state, name in enumerate(self._state_names)
+        ]
 
     def interactive_out(self, state: int) -> Iterator[Tuple[str, int]]:
         """Iterate over explicit interactive transitions ``(action, target)``."""
@@ -401,54 +458,24 @@ class IOIMC:
             itrans = [
                 [(remap[aid], target) for aid, target in pairs] for pairs in itrans
             ]
-        self.name = state["name"]
-        self.signature = state["signature"]
-        self._itrans = itrans
-        self._mtrans = state["mtrans"]
-        self._labels = state["labels"]
-        self._state_names = state["state_names"]
-        self._initial = state["initial"]
-        self._num_itrans = sum(len(pairs) for pairs in itrans)
-        num = len(itrans)
-        self._on_cache = [None] * num
-        self._enabled_cache = [None] * num
-        self._emask_cache = [-1] * num
+        self._adopt(
+            state["name"],
+            state["signature"],
+            itrans,
+            state["mtrans"],
+            state["labels"],
+            state["state_names"],
+            state["initial"],
+        )
 
     # -------------------------------------------------------- transformations
-    def _skeleton(self, name: Optional[str] = None, signature: Optional[ActionSignature] = None) -> "IOIMC":
-        """A copy with the same states/labels/initial but no transitions."""
-        clone = IOIMC(
-            name if name is not None else self.name,
-            signature if signature is not None else self.signature,
-        )
-        clone._labels = list(self._labels)
-        clone._state_names = list(self._state_names)
-        num = self.num_states
-        clone._itrans = [[] for _ in range(num)]
-        clone._mtrans = [{} for _ in range(num)]
-        clone._on_cache = [None] * num
-        clone._enabled_cache = [None] * num
-        clone._emask_cache = [-1] * num
-        clone._initial = self._initial
-        return clone
-
-    def _set_interactive_raw(self, state: int, pairs: List[Tuple[int, int]]) -> None:
-        """Replace the adjacency of ``state`` wholesale (no dedup, no checks)."""
-        self._num_itrans += len(pairs) - len(self._itrans[state])
-        self._itrans[state] = pairs
-        self._invalidate(state)
-
-    def _set_markovian_raw(self, state: int, rates: Dict[int, float]) -> None:
-        """Replace the Markovian transitions of ``state`` wholesale."""
-        self._mtrans[state] = rates
-
     def copy(self, name: Optional[str] = None) -> "IOIMC":
         """Deep copy of the model (optionally renamed)."""
-        clone = self._skeleton(name)
-        for state in self.states():
-            clone._set_interactive_raw(state, list(self._itrans[state]))
-            clone._set_markovian_raw(state, dict(self._mtrans[state]))
-        return clone
+        return self._with_moves(
+            [list(pairs) for pairs in self._itrans],
+            [dict(rates) for rates in self._mtrans],
+            name,
+        )
 
     def hide(self, actions: Iterable[str], name: Optional[str] = None) -> "IOIMC":
         """Return a copy in which the given output actions are internal.
@@ -456,34 +483,30 @@ class IOIMC:
         Hiding only reclassifies actions — the interned ids (and hence the
         whole transition structure) are unchanged, so this is a cheap copy.
         """
-        to_hide = frozenset(actions)
-        hidden = self._skeleton(
+        return self._with_moves(
+            [list(pairs) for pairs in self._itrans],
+            [dict(rates) for rates in self._mtrans],
             name if name is not None else f"hide({self.name})",
-            self.signature.hide(to_hide),
+            self.signature.hide(actions),
         )
-        for state in self.states():
-            hidden._set_interactive_raw(state, list(self._itrans[state]))
-            hidden._set_markovian_raw(state, dict(self._mtrans[state]))
-        return hidden
 
     def rename_actions(
         self, mapping: Mapping[str, str], name: Optional[str] = None
     ) -> "IOIMC":
         """Return a copy with actions renamed according to ``mapping``."""
-        renamed = self._skeleton(
-            name if name is not None else self.name,
-            self.signature.rename(mapping),
-        )
         id_map = {
             intern_action(old): intern_action(new) for old, new in mapping.items()
         }
-        for state in self.states():
-            renamed._set_interactive_raw(
-                state,
-                [(id_map.get(aid, aid), target) for aid, target in self._itrans[state]],
-            )
-            renamed._set_markovian_raw(state, dict(self._mtrans[state]))
-        return renamed
+        get = id_map.get
+        return self._with_moves(
+            [
+                [(get(aid, aid), target) for aid, target in pairs]
+                for pairs in self._itrans
+            ],
+            [dict(rates) for rates in self._mtrans],
+            name,
+            self.signature.rename(mapping),
+        )
 
     def rename_parameters(
         self, mapping: Mapping[str, str], nominals: Mapping[str, float]
@@ -492,21 +515,20 @@ class IOIMC:
         (:meth:`~repro.ioimc.rates.ParametricRate.renamed`), every renamed
         form taking its parameters' nominal values from ``nominals``; plain
         float rates are kept."""
-        renamed = self._skeleton()
-        for state in self.states():
-            renamed._set_interactive_raw(state, list(self._itrans[state]))
-            renamed._set_markovian_raw(
-                state,
+        return self._with_moves(
+            [list(pairs) for pairs in self._itrans],
+            [
                 {
                     target: (
                         rate.renamed(mapping, nominals)
                         if isinstance(rate, ParametricRate)
                         else rate
                     )
-                    for target, rate in self._mtrans[state].items()
-                },
-            )
-        return renamed
+                    for target, rate in rates.items()
+                }
+                for rates in self._mtrans
+            ],
+        )
 
     def reachable_states(self) -> FrozenSet[int]:
         """States reachable from the initial state via any transition."""
@@ -536,30 +558,24 @@ class IOIMC:
         reachable = sorted(self.reachable_states())
         if len(reachable) == self.num_states:
             return self
-        remap = {old: new for new, old in enumerate(reachable)}
-        restricted = IOIMC(name if name is not None else self.name, self.signature)
-        for old in reachable:
-            restricted.add_state(labels=self._labels[old], name=self._state_names[old])
-        for old in reachable:
-            new = remap[old]
-            restricted._set_interactive_raw(
-                new,
-                [
-                    (aid, remap[target])
-                    for aid, target in self._itrans[old]
-                    if target in remap
-                ],
-            )
-            restricted._set_markovian_raw(
-                new,
-                {
-                    remap[target]: rate
-                    for target, rate in self._mtrans[old].items()
-                    if target in remap
-                },
-            )
-        restricted.set_initial(remap[self.initial])
-        return restricted
+        # Every move of a reachable state ends in a reachable state.
+        remap = [-1] * self.num_states
+        for new, old in enumerate(reachable):
+            remap[old] = new
+        itrans = self._itrans
+        mtrans = self._mtrans
+        return IOIMC._from_lists(
+            name if name is not None else self.name,
+            self.signature,
+            [[(aid, remap[target]) for aid, target in itrans[old]] for old in reachable],
+            [
+                {remap[target]: rate for target, rate in mtrans[old].items()}
+                for old in reachable
+            ],
+            [self._labels[old] for old in reachable],
+            [self._state_names[old] for old in reachable],
+            remap[self.initial],
+        )
 
     def relabel_states(self, labelling: Mapping[int, Iterable[str]]) -> "IOIMC":
         """Return a copy with the labels of the given states replaced."""
@@ -605,11 +621,6 @@ class IOIMC:
         return f"IOIMC({self.name!r}, states={self.num_states}, transitions={self.num_transitions})"
 
     # ---------------------------------------------------------------- private
-    def _invalidate(self, state: int) -> None:
-        self._on_cache[state] = None
-        self._enabled_cache[state] = None
-        self._emask_cache[state] = -1
-
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.num_states:
             raise ModelError(

@@ -8,10 +8,12 @@ single :func:`aggregate` entry point, one pass over the model:
 2. maximal progress (urgency) pruning,
 3. removal of internal self-loops,
 4. compression of deterministic internal transitions (vanishing states whose
-   only behaviour is a single internal step), and reachability again,
+   only behaviour is a single internal step), and reachability again, only
+   if step 2 removed a move (steps 3 and 4 keep every state reachable),
 5. bisimulation minimisation (weak by default, strong as a cross-check),
-6. maximal progress and compression once more, then reachability: the
-   quotient can leave an urgent state with rates or a vanishing state,
+6. maximal progress and compression once more, then reachability if the
+   prune removed a move: the quotient can leave an urgent state with rates
+   or a vanishing state,
 7. a second minimisation, only if step 6 removed a state (its removal can
    expose a plain lumping).
 
@@ -109,18 +111,17 @@ def remove_internal_self_loops(model: IOIMC) -> IOIMC:
     spurious "unstable" states.
     """
     internal = model.signature.internal_ids
-    cleaned = model._skeleton()
-    for state in model.states():
-        cleaned._set_interactive_raw(
-            state,
+    return model._with_moves(
+        [
             [
                 (aid, target)
-                for aid, target in model.interactive_pairs(state)
+                for aid, target in pairs
                 if target != state or aid not in internal
-            ],
-        )
-        cleaned._set_markovian_raw(state, dict(model.markovian_dict(state)))
-    return cleaned
+            ]
+            for state, pairs in enumerate(model._itrans)
+        ],
+        [dict(rates) for rates in model._mtrans],
+    )
 
 
 def compress_deterministic_tau(model: IOIMC) -> IOIMC:
@@ -131,9 +132,10 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
     bisimulation preserving.  Chains of such states collapse in one pass.
     """
     internal = model.signature.internal_ids
+    itrans = model._itrans
+    mtrans = model._mtrans
     forward: Dict[int, int] = {}
-    for state in model.states():
-        pairs = model.interactive_pairs(state)
+    for state, pairs in enumerate(itrans):
         if len(pairs) != 1:
             continue
         aid, target = pairs[0]
@@ -141,7 +143,7 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
             continue
         if target == state:
             continue
-        if model.markovian_dict(state):
+        if mtrans[state]:
             continue
         forward[state] = target
 
@@ -170,28 +172,33 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
             state = forward[state]
         return state
 
-    resolved = {state: resolve(state) for state in model.states()}
-    keep = sorted(state for state in model.states() if state not in forward)
-    remap = {old: new for new, old in enumerate(keep)}
-
-    compressed = IOIMC(model.name, model.signature)
+    keep = [state for state in range(model.num_states) if state not in forward]
+    remap = [-1] * model.num_states
+    for new, old in enumerate(keep):
+        remap[old] = new
+    # Where every state's moves now lead, in the compressed numbering.
+    moved = [remap[resolve(state)] for state in range(model.num_states)]
+    compressed_itrans: List[List[Tuple[int, int]]] = []
+    compressed_mtrans: List[Dict[int, float]] = []
     for old in keep:
-        compressed.add_state(labels=model.labels(old), name=model.state_name(old))
-    for old in keep:
-        new = remap[old]
-        pairs: List[Tuple[int, int]] = []
-        for aid, target in model.interactive_pairs(old):
-            pair = (aid, remap[resolved[target]])
-            if pair not in pairs:
-                pairs.append(pair)
-        compressed._set_interactive_raw(new, pairs)
+        compressed_itrans.append(
+            list(dict.fromkeys((aid, moved[target]) for aid, target in itrans[old]))
+        )
         rates: Dict[int, float] = {}
-        for target, rate in model.markovian_dict(old).items():
-            resolved_target = remap[resolved[target]]
+        for target, rate in mtrans[old].items():
+            resolved_target = moved[target]
             rates[resolved_target] = rates.get(resolved_target, 0.0) + rate
-        compressed._set_markovian_raw(new, rates)
-    compressed.set_initial(remap[resolved[model.initial]])
-    return compressed
+        compressed_mtrans.append(rates)
+    names = model._shown_names()
+    return IOIMC._from_lists(
+        model.name,
+        model.signature,
+        compressed_itrans,
+        compressed_mtrans,
+        [model._labels[old] for old in keep],
+        [names[old] for old in keep],
+        moved[model.initial],
+    )
 
 
 def _drop_internal_self_loops(model: IOIMC) -> IOIMC:
@@ -200,8 +207,8 @@ def _drop_internal_self_loops(model: IOIMC) -> IOIMC:
     internal = model.signature.internal_ids
     if any(
         target == state and aid in internal
-        for state in model.states()
-        for aid, target in model.interactive_pairs(state)
+        for state, pairs in enumerate(model._itrans)
+        for aid, target in pairs
     ):
         return remove_internal_self_loops(model)
     return model
@@ -263,7 +270,13 @@ def _minimise(model: IOIMC, options: AggregationOptions) -> IOIMC:
 def _settle(model: IOIMC, options: AggregationOptions) -> IOIMC:
     """Maximal progress, internal self-loop removal and deterministic-tau
     compression, then reachability (steps 2-4, and step 6: a strong
-    quotient or a compressed tau-cycle can carry internal self-loops)."""
-    settled = _prune_urgent_rates(model, options.urgent_outputs)
-    settled = _drop_internal_self_loops(settled)
-    return compress_deterministic_tau(settled)._reachable_part()
+    quotient or a compressed tau-cycle can carry internal self-loops).
+
+    ``model`` has every state reachable, and only the maximal-progress
+    prune can cut a state off: dropping self-loops keeps every path, and
+    compression reroutes each path through a vanishing state to where that
+    state leads.  So reachability runs only after a prune.
+    """
+    pruned = _prune_urgent_rates(model, options.urgent_outputs)
+    settled = compress_deterministic_tau(_drop_internal_self_loops(pruned))
+    return settled._reachable_part() if pruned is not model else settled
