@@ -40,7 +40,7 @@ SWEEP = [(3, 2), (3, 3), (3, 4), (4, 3)]
 
 #: Larger configurations (more modules, deeper per-module chains) that the
 #: signature-refinement minimiser made impractical to sweep routinely; the
-#: splitter engine runs the full pipeline on them in well under a second.
+#: default engine runs the full pipeline on them in well under a second.
 LARGE_SWEEP = [(4, 5), (5, 4), (5, 5), (6, 5)]
 
 #: Isolated weak-minimisation workloads: (modules, events) pairs whose
@@ -232,7 +232,7 @@ def test_fused_composition_faster_than_compose_then_reduce(benchmark):
 @pytest.mark.benchmark(group="scalability-large")
 @pytest.mark.parametrize("num_modules,events_per_module", LARGE_SWEEP)
 def test_large_configurations_full_pipeline(benchmark, num_modules, events_per_module):
-    """Full pipeline on the configurations the splitter engine unlocked.
+    """Full pipeline on the configurations the signature engine could not reach.
 
     Also records the wall time of the *peak* weak-minimisation step (the
     largest tau-heavy intermediate product of the instance) — the number the
@@ -253,7 +253,7 @@ def test_large_configurations_full_pipeline(benchmark, num_modules, events_per_m
 
     record(
         benchmark,
-        experiment="E13 (large configurations, splitter minimiser)",
+        experiment="E13 (large configurations, default minimiser)",
         num_modules=num_modules,
         events_per_module=events_per_module,
         basic_events=num_modules * events_per_module,
@@ -272,43 +272,42 @@ def test_large_configurations_full_pipeline(benchmark, num_modules, events_per_m
 def _minimisation_comparison(benchmark, num_modules, events_per_module, repeats=3):
     workload = largest_minimisation_workload(num_modules, events_per_module)
 
-    def splitter():
+    def default():
         return minimize_weak(workload)
 
-    minimised = benchmark(splitter)
+    minimised = benchmark(default)
 
     # Same best-of-N policy on both sides: pytest-benchmark reports the min
-    # over its rounds for the splitter, so take the min of `repeats` manual
-    # runs for the signature reference (one slow outlier must not skew the
-    # recorded speedup either way).
+    # over its rounds for the default engine, so take the min of `repeats`
+    # manual runs for the signature reference (one slow outlier must not
+    # skew the recorded speedup either way).
     reference, signature_seconds = _best_of(
         lambda: minimize_weak(workload, algorithm="signature"), repeats
     )
-    splitter_seconds = _benchmark_min(benchmark, splitter, repeats)
+    default_seconds = _benchmark_min(benchmark, default, repeats)
 
     record(
         benchmark,
-        experiment="E14 (weak minimisation: splitter vs signature engine)",
+        experiment="E14 (weak minimisation: default vs signature engine)",
         num_modules=num_modules,
         events_per_module=events_per_module,
         input_states=workload.num_states,
         input_transitions=workload.num_transitions,
         minimised_states=minimised.num_states,
         timing_repeats=repeats,
-        splitter_wall_seconds=splitter_seconds,
+        default_wall_seconds=default_seconds,
         signature_wall_seconds=signature_seconds,
-        speedup=signature_seconds / splitter_seconds if splitter_seconds else None,
+        speedup=signature_seconds / default_seconds if default_seconds else None,
         peak_rss_kb=_peak_rss_kb(),
     )
     # Both engines must compute the identical quotient; the wall-clock gap is
     # recorded rather than asserted (timing assertions flake on loaded CI).
-    assert minimised.num_states == reference.num_states
-    assert minimised.num_transitions == reference.num_transitions
+    assert minimised.to_dot() == reference.to_dot()
 
 
 @pytest.mark.benchmark(group="scalability-minimisation")
 @pytest.mark.parametrize("num_modules,events_per_module", MINIMISATION_SWEEP)
-def test_weak_minimisation_splitter_vs_signature(benchmark, num_modules, events_per_module):
+def test_weak_minimisation_default_vs_signature(benchmark, num_modules, events_per_module):
     """The isolated weak-minimisation step, both engines, mid-size tier."""
     _minimisation_comparison(benchmark, num_modules, events_per_module)
 
@@ -329,9 +328,9 @@ def test_weak_minimisation_biggest_tier(benchmark, num_modules, events_per_modul
 def test_strong_minimisation_growth(benchmark, num_states):
     """E15 — grow the chain until the state count is the limit.
 
-    The strong smaller-half engine on the singleton-quotient tau chain: each
-    state is a distinct distance from the sink, so refinement cannot stop
-    early and the cost is a pure function of the state count.  One timed run
+    The strong refinement on the singleton-quotient tau chain: each state is
+    a distinct distance from the sink, so refinement cannot stop early and
+    the cost is a pure function of the state count.  One timed run
     per size (the workload is deterministic and seconds long — calibration
     rounds would only multiply the tier's runtime), with the process's peak
     RSS recorded next to the wall time.

@@ -8,6 +8,9 @@ the first argument) recording the numbers the perf trajectory tracks:
   cascaded-PAND family instance,
 * wall time of the fused compose+maximal-progress path vs the unfused
   compose-then-reduce baseline,
+* weak minimisation of the 8,581-state fused cascaded-PAND product: the
+  default engine vs the signature reference (identical quotient, gated
+  >= 4x), and a 3,000-state tau chain (identical quotient),
 * the modular plan's quotient reuse on repeated modules (aggregate()
   calls vs composition steps, same final model as the linked order) and the
   process's peak RSS,
@@ -192,47 +195,6 @@ def bench_fusion_step(num_modules: int, events_per_module: int) -> dict:
     }
 
 
-def bench_minimisation(num_modules: int = 3, events_per_module: int = 6) -> dict:
-    """Weak minimisation on a mid-size fused product: splitter vs signature.
-
-    Builds the largest tau-heavy intermediate the family instance produces —
-    the two biggest module chains, each fused with a consumer, composed, and
-    all outputs nobody else listens to hidden (exactly the shape the
-    aggregation engine hands the minimiser) — and minimises it with both
-    engines.  This is the perf-trajectory number of the splitter-refinement
-    PR: the largest CI-tier ``bench_scalability`` configuration must show the
-    splitter engine >= 3x faster while producing the identical quotient.
-    """
-    workload = largest_minimisation_workload(num_modules, events_per_module)
-
-    # Identical best-of-3 policy for both engines — the gated speedup must
-    # not be skewed by a one-off stall on either side.  The splitter engine
-    # is requested explicitly: the default is the closure engine since PR 8
-    # (see the minimisation_v3 section) and this row tracks the PR 6 pair.
-    splitter_model, splitter_seconds = _timed(
-        lambda: minimize_weak(workload, algorithm="splitter")
-    )
-    signature_model, signature_seconds = _timed(
-        lambda: minimize_weak(workload, algorithm="signature")
-    )
-    strong_model, strong_seconds = _timed(lambda: minimize_strong(workload))
-    return {
-        "num_modules": num_modules,
-        "events_per_module": events_per_module,
-        "input_states": workload.num_states,
-        "input_transitions": workload.num_transitions,
-        "splitter_states": splitter_model.num_states,
-        "signature_states": signature_model.num_states,
-        "splitter_transitions": splitter_model.num_transitions,
-        "signature_transitions": signature_model.num_transitions,
-        "strong_states": strong_model.num_states,
-        "splitter_wall_seconds": splitter_seconds,
-        "signature_wall_seconds": signature_seconds,
-        "strong_splitter_wall_seconds": strong_seconds,
-        "speedup": signature_seconds / splitter_seconds if splitter_seconds else None,
-    }
-
-
 def bench_quotient_reuse() -> dict:
     """Repeated modules aggregated once: the modular plan's quotient memo.
 
@@ -279,28 +241,32 @@ def bench_quotient_reuse() -> dict:
     }
 
 
-def bench_minimisation_v3(num_modules: int = 3, events_per_module: int = 6) -> dict:
-    """Minimisation v3: the closure-then-strong weak engine vs the PR 6
-    splitter engine (kept in-tree as ``algorithm="splitter"`` precisely so
-    this comparison and the differential tests stay honest).
+def bench_minimisation(num_modules: int = 3, events_per_module: int = 6) -> dict:
+    """Weak minimisation on a mid-size fused product: default vs signature.
 
     One workload, the 8581-state tau-heavy fused product of the (3, 6)
-    cascaded-PAND family.  The closure engine saturates the weak relation once
-    at construction and refines in batched frontier rounds, so this time the
-    target is a real speedup: >= 3x measured on an idle machine, gated >= 2x
-    in CI (loaded-runner margin).  The quotients must be byte-identical.
+    cascaded-PAND family: the two biggest module chains, each fused with a
+    consumer, composed, and all outputs nobody else listens to hidden
+    (exactly the shape the aggregation engine hands the minimiser).  The
+    default engine must be >= 4x faster than the signature reference (the
+    old gates asked 2x of the splitter over the signature engine and 2x of
+    the array closure engine over the splitter) and build a byte-identical
+    quotient.  The strong minimiser's time is recorded beside them.
 
-    Also records the saturation fallback: a deep pure-tau chain blows the
-    closure cap (saturating it is inherently quadratic), the engine falls
-    back to the splitter, and both routes agree on the quotient.
+    Also checks a 3000-state pure tau chain, whose per-state closures are
+    quadratic: the default engine's quotient must equal the signature
+    engine's.
     """
     from repro.ioimc import IOIMC, signature
 
     workload = largest_minimisation_workload(num_modules, events_per_module)
-    closure_model, closure_seconds = _timed(lambda: minimize_weak(workload))
-    splitter_model, splitter_seconds = _timed(
-        lambda: minimize_weak(workload, algorithm="splitter")
+    # Identical best-of-3 policy for both engines — the gated speedup must
+    # not be skewed by a one-off stall on either side.
+    default_model, default_seconds = _timed(lambda: minimize_weak(workload))
+    signature_model, signature_seconds = _timed(
+        lambda: minimize_weak(workload, algorithm="signature")
     )
+    strong_model, strong_seconds = _timed(lambda: minimize_strong(workload))
 
     chain = IOIMC("deep-tau-chain", signature(internals=("tick",)))
     for _ in range(3000):
@@ -309,24 +275,27 @@ def bench_minimisation_v3(num_modules: int = 3, events_per_module: int = 6) -> d
         chain.add_interactive(state, "tick", state + 1)
     chain.set_labels(chain.num_states - 1, {"failed"})
     chain.set_initial(0)
-    fallback_model = minimize_weak(chain)  # closure default, cap trips
-    fallback_reference = minimize_weak(chain, algorithm="splitter")
+    chain_model, chain_seconds = _timed(lambda: minimize_weak(chain), repeats=1)
+    chain_reference = minimize_weak(chain, algorithm="signature")
 
     return {
+        "num_modules": num_modules,
+        "events_per_module": events_per_module,
         "input_states": workload.num_states,
         "input_transitions": workload.num_transitions,
-        "quotient_states": closure_model.num_states,
-        "closure_wall_seconds": closure_seconds,
-        "splitter_wall_seconds": splitter_seconds,
-        "closure_speedup": (
-            splitter_seconds / closure_seconds if closure_seconds else None
-        ),
-        "identical_quotients": closure_model.to_dot() == splitter_model.to_dot(),
-        "saturation_fallback": {
+        "quotient_states": default_model.num_states,
+        "quotient_transitions": default_model.num_transitions,
+        "strong_states": strong_model.num_states,
+        "default_wall_seconds": default_seconds,
+        "signature_wall_seconds": signature_seconds,
+        "strong_wall_seconds": strong_seconds,
+        "speedup": signature_seconds / default_seconds if default_seconds else None,
+        "identical_quotients": default_model.to_dot() == signature_model.to_dot(),
+        "deep_tau_chain": {
             "chain_states": chain.num_states,
-            "identical_quotients": (
-                fallback_model.to_dot() == fallback_reference.to_dot()
-            ),
+            "quotient_states": chain_model.num_states,
+            "default_wall_seconds": chain_seconds,
+            "identical_quotients": chain_model.to_dot() == chain_reference.to_dot(),
         },
     }
 
@@ -600,9 +569,8 @@ def main(argv) -> int:
         "orderings": bench_orderings(*FAMILY_INSTANCE),
         "fusion": bench_fusion(*FAMILY_INSTANCE),
         "fusion_step": bench_fusion_step(3, 6),
-        "minimisation": bench_minimisation(3, 6),
         "quotient_reuse": bench_quotient_reuse(),
-        "minimisation_v3": bench_minimisation_v3(),
+        "minimisation": bench_minimisation(3, 6),
         "curve": bench_curve(),
         "batch": bench_batch(),
         "sweep": bench_sweep(),
@@ -618,24 +586,6 @@ def main(argv) -> int:
     if orderings["modular"]["peak_product_states"] > orderings["linked"]["peak_product_states"]:
         print("FAIL: modular ordering exceeded the linked peak", file=sys.stderr)
         return 1
-    minimisation = report["minimisation"]
-    if minimisation["splitter_states"] != minimisation["signature_states"] or (
-        minimisation["splitter_transitions"] != minimisation["signature_transitions"]
-    ):
-        print("FAIL: splitter and signature minimisers disagree", file=sys.stderr)
-        return 1
-    # Perf-trajectory target: >= 3x on this workload (measured ~6-7x on the
-    # development machine).  The hard CI gate sits at 2x so that CPU steal on
-    # a loaded shared runner cannot fail an unrelated PR, while any real
-    # regression of the splitter engine still trips it; the recorded
-    # `speedup` value is what the trajectory tracks.
-    if minimisation["speedup"] is None or minimisation["speedup"] < 2.0:
-        print(
-            "FAIL: splitter weak minimisation is not clearly faster than the "
-            "signature engine (>= 3x expected, 2x gated)",
-            file=sys.stderr,
-        )
-        return 1
     reuse = report["quotient_reuse"]
     if not reuse["same_final_model"] or reuse["reused_steps"] < 1:
         print(
@@ -644,26 +594,23 @@ def main(argv) -> int:
             file=sys.stderr,
         )
         return 1
-    v3 = report["minimisation_v3"]
-    if not v3["identical_quotients"]:
+    minimisation = report["minimisation"]
+    if not minimisation["identical_quotients"]:
+        print("FAIL: default and signature minimisers disagree", file=sys.stderr)
+        return 1
+    if not minimisation["deep_tau_chain"]["identical_quotients"]:
         print(
-            "FAIL: closure and splitter weak engines disagree on the quotient",
+            "FAIL: default and signature minimisers disagree on the deep tau chain",
             file=sys.stderr,
         )
         return 1
-    if not v3["saturation_fallback"]["identical_quotients"]:
+    # The default engine must be >= 4x faster than the signature reference
+    # on the 8581-state weak workload (measured 13.6x on a 2-vCPU host; the
+    # margin absorbs loaded shared runners).
+    if minimisation["speedup"] is None or minimisation["speedup"] < 4.0:
         print(
-            "FAIL: the saturation fallback produced a different quotient",
-            file=sys.stderr,
-        )
-        return 1
-    # Minimisation-v3 gate: the closure engine must beat the PR 6 splitter
-    # engine >= 2x on the 8581-state weak workload (measured ~2.7-2.9x on
-    # the development machine; the margin absorbs loaded shared runners).
-    if v3["closure_speedup"] is None or v3["closure_speedup"] < 2.0:
-        print(
-            "FAIL: closure weak minimisation is not >= 2x faster than the "
-            f"PR 6 splitter engine (got {v3['closure_speedup']})",
+            "FAIL: default weak minimisation is not >= 4x faster than the "
+            f"signature engine (got {minimisation['speedup']})",
             file=sys.stderr,
         )
         return 1

@@ -47,9 +47,9 @@ def tau_heavy_chain(num_states: int) -> IOIMC:
     Every state sits at a distinct distance from the chain's end, so no two
     states are bisimilar and the quotient equals the input — the refinement
     loop must split all the way down to singletons.  That makes the chain the
-    adversarial case for splitter scheduling: the PR 3 engine reprocesses
-    ever-larger blocks (quadratic splitter work) where the Paige-Tarjan
-    smaller-half discipline only ever queues the lighter side.
+    adversarial case for refinement scheduling: an engine that reprocesses
+    ever-larger blocks does quadratic work, where keeping the largest part
+    of every split in place re-signs each state only O(log n) times.
     """
     model = IOIMC(
         "tau-chain", signature(outputs=("observe",), internals=("tick",))

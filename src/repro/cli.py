@@ -655,10 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=ALGORITHMS,
             default=DEFAULTS.aggregation.minimiser,
             help=f"bisimulation refinement engine (default: "
-            f"{DEFAULTS.aggregation.minimiser}, the saturation-free "
-            "batched-frontier engine; 'splitter' is the per-splitter engine, "
-            "'signature' the slower reference implementation — all three "
-            "compute identical quotients)",
+            f"{DEFAULTS.aggregation.minimiser}, the incremental signature "
+            "refinement; 'signature' is the slower reference implementation "
+            "— both compute identical quotients)",
         )
 
     def add_tolerance(

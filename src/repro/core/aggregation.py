@@ -7,9 +7,9 @@ elementary models as built), the engine repeatedly
 2. parallel composes them (with maximal progress fused into the exploration
    by default, see :func:`repro.ioimc.composition.parallel`),
 3. hides every output signal that no remaining community member listens to,
-4. aggregates the result (weak bisimulation by default; the closure engine
+4. aggregates the result (weak bisimulation by default; the default engine
    of :mod:`repro.ioimc.bisimulation` unless ``AggregationOptions.minimiser``
-   selects another),
+   selects the signature reference),
 
 until a single I/O-IMC is left.  An elementary model is thus reduced, under
 the run's own aggregation options, in the first step that composes it.  The

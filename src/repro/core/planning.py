@@ -26,10 +26,10 @@ step; this module provides the two data structures that replace that rescan:
 The plan drives the ``ordering="modular"`` strategy of
 :class:`repro.core.aggregation.CompositionalAggregator`.  Collapsing a
 module group is dominated by the weak minimisation after each composition
-step; that step runs on the splitter-based refinement engine (see
-``AggregationOptions.minimiser`` and :mod:`repro.ioimc.partition`), which is
-what keeps deep module nests cheap enough for the scalability sweeps in
-``benchmarks/bench_scalability.py``.
+step; that step runs the incremental signature refinement of
+:mod:`repro.ioimc.bisimulation` (see ``AggregationOptions.minimiser``),
+which is what keeps deep module nests cheap enough for the scalability
+sweeps in ``benchmarks/bench_scalability.py``.
 """
 
 from __future__ import annotations

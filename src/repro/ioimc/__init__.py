@@ -31,12 +31,7 @@ from .composition import closed_actions, hide_closed, parallel, parallel_many
 from .maximal_progress import apply_maximal_progress, count_pruned_transitions
 from .model import IOIMC, InteractiveTransition, MarkovianTransition
 from .rates import ParametricRate, evaluate_rate, rate_parameters
-from .partition import (
-    DEFAULT_RATE_DIGITS,
-    RefinablePartition,
-    TauCondensation,
-    canonical_rate,
-)
+from .partition import DEFAULT_RATE_DIGITS, canonical_rate
 from .reduction import (
     AggregationOptions,
     AggregationStatistics,
@@ -49,8 +44,6 @@ __all__ = [
     "ACTIONS",
     "ALGORITHMS",
     "DEFAULT_RATE_DIGITS",
-    "RefinablePartition",
-    "TauCondensation",
     "canonical_rate",
     "ParametricRate",
     "evaluate_rate",

@@ -55,15 +55,15 @@ class AggregationOptions:
     respect_labels:
         Keep differently labelled states apart during minimisation.
     minimiser:
-        Bisimulation refinement engine: ``"closure"`` (default, saturation-free
-        closure-then-strong refinement with batched frontiers),
-        ``"splitter"`` (per-splitter partition refinement on the tau-SCC
-        condensation) or ``"signature"`` (the seed signature-refinement
-        reference).  All three compute identical quotients.
+        Bisimulation refinement engine: ``"closure"`` (default, the
+        incremental signature refinement of
+        :mod:`repro.ioimc.bisimulation`, after a pre-pass that collapses tau
+        chains and tau-SCCs) or ``"signature"`` (the seed
+        signature-refinement reference).  Both compute identical quotients.
     rate_digits:
         Significant digits compared when two aggregate Markovian rates are
         tested for equality during refinement (default
-        :data:`~repro.ioimc.partition.DEFAULT_RATE_DIGITS`); all engines
+        :data:`~repro.ioimc.partition.DEFAULT_RATE_DIGITS`); both engines
         honour the same precision.
     """
 

@@ -23,8 +23,7 @@ the worker's store lost) falls back to the in-process path, counted as
 propagates like an in-process one.  An unexpected exception in a handler
 becomes a logged 500 response instead of escaping to the transport.
 ``/metrics`` also carries the store's counters (its quotient memo's among
-them) and ``saturation_overflows``, the weak minimisations of the service
-process that fell back from the closure engine to the splitter engine.
+them).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from ..core.wire import check_fields
 from ..dft import galileo
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
-from ..ioimc.bisimulation import saturation_overflows
 from .store import SkeletonEntry, SkeletonStore, cache_key
 
 LOGGER = logging.getLogger("repro.service.app")
@@ -626,5 +624,4 @@ class AnalysisService:
         payload = self.metrics.snapshot()
         payload["schema"] = SERVICE_SCHEMA
         payload["store"] = self.store.stats()
-        payload["saturation_overflows"] = saturation_overflows()
         return payload

@@ -16,6 +16,7 @@ from repro.ioimc import (
     weak_bisimulation_partition,
 )
 from repro.systems import figure2_models
+from tests.partition_reference import strong_partition_splitter
 
 
 def erlang_like_chain() -> IOIMC:
@@ -207,36 +208,36 @@ DIFFERENTIAL_MODELS = [
 ]
 
 
-class TestSplitterVsSignature:
-    """The splitter engine must reproduce the signature partitions exactly."""
+class TestDefaultVsSignature:
+    """The default engine must reproduce the signature partitions exactly."""
 
     @pytest.mark.parametrize("name,factory", DIFFERENTIAL_MODELS)
     def test_strong_partitions_identical(self, name, factory):
         model = factory()
-        splitter = strong_bisimulation_partition(model, algorithm="splitter")
+        default = strong_bisimulation_partition(model, algorithm="closure")
         reference = strong_bisimulation_partition(model, algorithm="signature")
-        assert splitter == reference
+        assert default == reference
+        assert strong_partition_splitter(model) == reference
 
     @pytest.mark.parametrize("name,factory", DIFFERENTIAL_MODELS)
     def test_weak_partitions_identical(self, name, factory):
         model = factory()
-        splitter = weak_bisimulation_partition(model, algorithm="splitter")
+        default = weak_bisimulation_partition(model, algorithm="closure")
         reference = weak_bisimulation_partition(model, algorithm="signature")
-        assert splitter == reference
+        assert default == reference
 
     @pytest.mark.parametrize("name,factory", DIFFERENTIAL_MODELS)
     def test_weak_quotients_identical(self, name, factory):
         model = factory()
-        splitter = minimize_weak(model, algorithm="splitter")
+        default = minimize_weak(model, algorithm="closure")
         reference = minimize_weak(model, algorithm="signature")
-        assert splitter.num_states == reference.num_states
-        assert splitter.num_transitions == reference.num_transitions
+        assert default.to_dot() == reference.to_dot()
 
     @pytest.mark.parametrize("respect_labels", [True, False])
     def test_label_handling_matches(self, respect_labels):
         model = tau_cycle_with_escape()
         assert weak_bisimulation_partition(
-            model, respect_labels=respect_labels, algorithm="splitter"
+            model, respect_labels=respect_labels, algorithm="closure"
         ) == weak_bisimulation_partition(
             model, respect_labels=respect_labels, algorithm="signature"
         )
@@ -255,7 +256,7 @@ class TestSplitterVsSignature:
         model = tau_cycle_with_escape()
         partition = weak_bisimulation_partition(model, algorithm="signature")
         standalone = quotient_weak(model, partition).restrict_to_reachable()
-        fused = minimize_weak(model, algorithm="splitter")
+        fused = minimize_weak(model, algorithm="closure")
         assert standalone.num_states == fused.num_states
         assert standalone.num_transitions == fused.num_transitions
 
@@ -277,19 +278,19 @@ def close_rate_model(delta: float) -> IOIMC:
 class TestRatePrecision:
     """``rate_digits`` is honoured identically by both engines."""
 
-    @pytest.mark.parametrize("algorithm", ["splitter", "signature"])
+    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
     def test_rates_below_precision_merge(self, algorithm):
         model = close_rate_model(1e-12)
         partition = strong_bisimulation_partition(model, algorithm=algorithm)
         assert len(partition) == 3  # a and b lump: the difference is noise
 
-    @pytest.mark.parametrize("algorithm", ["splitter", "signature"])
+    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
     def test_rates_above_precision_split(self, algorithm):
         model = close_rate_model(1e-3)
         partition = strong_bisimulation_partition(model, algorithm=algorithm)
         assert len(partition) == 4
 
-    @pytest.mark.parametrize("algorithm", ["splitter", "signature"])
+    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
     def test_custom_precision_consistent(self, algorithm):
         model = close_rate_model(1e-3)
         coarse = strong_bisimulation_partition(
@@ -297,7 +298,7 @@ class TestRatePrecision:
         )
         assert len(coarse) == 3  # 2.0 vs 2.001 agree to 2 significant digits
 
-    @pytest.mark.parametrize("algorithm", ["splitter", "signature"])
+    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
     def test_weak_engine_honours_precision(self, algorithm):
         model = close_rate_model(1e-3)
         fine = weak_bisimulation_partition(model, algorithm=algorithm)

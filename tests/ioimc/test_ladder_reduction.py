@@ -13,14 +13,12 @@ below then check
   ``fdep`` product and 115 -> 79 -> 27 on a larger one);
 * that every ``aggregate()`` output is its own fixpoint and equals the
   round-loop reference of ``tests/reduction_reference.py``;
-* that the plain path builds the array closure engine's quotient, dot for
-  dot, on every input below the cut-off, at seeds 1-3;
-* that the signature engine, perfbench's oracle, never runs the plain path;
-* that the splitter engine, forced in as the closure engine's fallback,
-  builds the same quotients as the closure engine.
+* that the default refinement finds the signature engine's partition and
+  builds the reference quotient, dot for dot, on every input at seeds 1-3;
+* that the signature engine, perfbench's oracle, never runs the default
+  refinement.
 """
 
-import logging
 import random
 from dataclasses import replace
 from typing import List, NamedTuple, Tuple
@@ -39,7 +37,7 @@ from repro.systems import (
     pand_race_bank,
     random_dft,
 )
-from tests.ioimc.test_small_weak_path import assert_matches_closure_engine
+from tests.ioimc.test_weak_refinement import assert_matches_reference
 from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 #: ``perfbench/inputs.py``: the rate stream of a seed and its jitter range.
@@ -140,56 +138,31 @@ def test_every_aggregate_output_is_a_fixpoint(ladder):
         assert canonical_form(reduced) == canonical_form(reference), model.name
 
 
-def test_small_path_builds_the_closure_engine_quotient(ladder):
-    # Every ladder input is below the cut-off.
-    assert max(m.num_states for m in ladder.minimiser_inputs) < bisimulation.SMALL_WEAK_STATES
+def test_the_refinement_builds_the_reference_quotient(ladder):
     for model in ladder.minimiser_inputs:
-        assert_matches_closure_engine(model)
+        assert_matches_reference(model)
 
 
 @pytest.mark.parametrize("seed", [2, 3])
-def test_small_path_on_the_other_seeds(seed):
+def test_the_refinement_on_the_other_seeds(seed):
     # The seeds draw other rates for the same structures, so other rate
     # classes may split the same products.
-    inputs = record_ladder(seed).minimiser_inputs
-    assert max(m.num_states for m in inputs) < bisimulation.SMALL_WEAK_STATES
-    for model in inputs:
-        assert_matches_closure_engine(model)
+    for model in record_ladder(seed).minimiser_inputs:
+        assert_matches_reference(model)
 
 
-def test_the_signature_oracle_shares_nothing_with_the_plain_path(ladder, monkeypatch):
+def test_the_signature_oracle_shares_nothing_with_the_refinement(ladder, monkeypatch):
     expected = [minimize_weak(model).to_dot() for model in ladder.minimiser_inputs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the signature engine ran the plain path")
+        raise AssertionError("the signature engine ran the default refinement")
 
-    for name in ("_plain_weak_sets", "_plain_weak_partition", "_plain_weak_quotient"):
+    # The quotient of a signature partition is built from the plain sets,
+    # but neither the pre-pass nor the refinement loop runs.
+    for name in ("_weak_prepass", "_plain_partition", "_weak_partition_plain"):
         monkeypatch.setattr(bisimulation, name, refuse)
     actual = [
         minimize_weak(model, algorithm="signature").to_dot()
         for model in ladder.minimiser_inputs
     ]
-    assert actual == expected
-
-
-def test_splitter_fallback_matches_closure(ladder, monkeypatch, caplog):
-    models = [
-        model
-        for model in ladder.minimiser_inputs
-        if not bisimulation._has_no_internal_transitions(model)
-    ]
-    expected = [minimize_weak(model, algorithm="closure").to_dot() for model in models]
-    # A zero saturation budget overflows on every model with an SCC; with
-    # a zero cut-off no model takes the plain path, so every model reaches
-    # the array closure engine (all of them are below the real cut-off).
-    monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
-    monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
-    monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)
-    overflows = bisimulation.saturation_overflows()
-    with caplog.at_level(logging.INFO, logger="repro.ioimc.bisimulation"):
-        actual = [minimize_weak(model, algorithm="closure").to_dot() for model in models]
-    fallbacks = [r for r in caplog.records if "falling back" in r.getMessage()]
-    assert len(fallbacks) == len(models) > 100
-    # Every fallback is counted beside its log record.
-    assert bisimulation.saturation_overflows() - overflows == len(models)
     assert actual == expected

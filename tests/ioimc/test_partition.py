@@ -1,12 +1,14 @@
-"""Tests for the refinable partition and the tau-SCC condensation."""
+"""Tests for canonical rate keys, the reference engines' refinable
+partition, and weak refinement memory on tau-chains."""
 
 import tracemalloc
 
 import pytest
 
-from repro.ioimc import IOIMC, RefinablePartition, TauCondensation, signature
+from repro.ioimc import IOIMC, signature
 from repro.ioimc.bisimulation import weak_bisimulation_partition
-from repro.ioimc.partition import canonical_rate, refine
+from repro.ioimc.partition import canonical_rate
+from tests.partition_reference import RefinablePartition, refine
 
 
 class TestRefinablePartition:
@@ -109,67 +111,6 @@ def tau_chain(length: int, label_last: bool = True) -> IOIMC:
     return model
 
 
-class TestTauCondensation:
-    def test_chain_has_singleton_sccs(self):
-        cond = TauCondensation(tau_chain(4))
-        assert cond.num_sccs == 4
-        assert all(len(members) == 1 for members in cond.members)
-
-    def test_cycle_collapses_to_one_scc(self):
-        model = IOIMC("cycle", signature(internals=["tau"]))
-        for index in range(3):
-            model.add_state(initial=index == 0)
-        model.add_interactive(0, "tau", 1)
-        model.add_interactive(1, "tau", 2)
-        model.add_interactive(2, "tau", 0)
-        cond = TauCondensation(model)
-        assert cond.num_sccs == 1
-        assert sorted(cond.members[0]) == [0, 1, 2]
-
-    def test_visible_transitions_ignored(self):
-        model = IOIMC("mixed", signature(outputs=["go"], internals=["tau"]))
-        model.add_state(initial=True)
-        model.add_state()
-        model.add_interactive(0, "go", 1)
-        cond = TauCondensation(model)
-        assert cond.num_sccs == 2
-        assert cond.tau_succ == [[], []]
-
-    def test_successors_have_smaller_ids(self):
-        """Tarjan emits SCCs in reverse topological order — the invariant the
-        weak quotient's id-ordered closure sweep depends on."""
-        model = IOIMC("dag", signature(internals=["tau"]))
-        for index in range(6):
-            model.add_state(initial=index == 0)
-        # two cycles connected by tau edges plus a chain
-        model.add_interactive(0, "tau", 1)
-        model.add_interactive(1, "tau", 0)
-        model.add_interactive(1, "tau", 2)
-        model.add_interactive(2, "tau", 3)
-        model.add_interactive(3, "tau", 2)
-        model.add_interactive(3, "tau", 4)
-        model.add_interactive(4, "tau", 5)
-        cond = TauCondensation(model)
-        for scc, successors in enumerate(cond.tau_succ):
-            assert all(successor < scc for successor in successors)
-
-    def test_self_loop_is_singleton_scc(self):
-        model = IOIMC("loop", signature(internals=["tau"]))
-        model.add_state(initial=True)
-        model.add_interactive(0, "tau", 0)
-        cond = TauCondensation(model)
-        assert cond.num_sccs == 1
-        assert cond.tau_succ == [[]]  # condensed self edges are dropped
-
-    def test_backward_closure(self):
-        cond = TauCondensation(tau_chain(5))
-        last_scc = cond.scc_of[4]
-        closure = cond.backward_closure({last_scc})
-        assert closure == set(range(cond.num_sccs))
-        first_scc = cond.scc_of[0]
-        assert cond.backward_closure({first_scc}) == {first_scc}
-
-
 class TestCanonicalRate:
     def test_zero_stays_zero(self):
         assert canonical_rate(0.0) == 0.0
@@ -184,30 +125,28 @@ class TestCanonicalRate:
         assert canonical_rate(1.23456e-8, digits=3) == pytest.approx(1.235e-8)
 
 
-class TestCondensationMemory:
+class TestTauChainMemory:
     def test_tau_chain_memory_linear(self):
         """Acceptance regression: weak minimisation of a 2k-state tau-chain
-        must not materialise per-state closure frozensets (O(n^2) memory).
+        must not materialise per-state closures (O(n^2) memory).
 
-        The splitter engine shares closures per tau-SCC over the
-        condensation; its peak allocation on the 2000-state chain stays in
-        the single-digit MB range, while the per-state frozensets of the
+        The pre-pass forwards every unlabelled state into its successor, so
+        the refinement sees two states; the per-state frozensets of the
         signature reference need hundreds of MB equivalents.
         """
         model = tau_chain(2000)
         tracemalloc.start()
-        partition = weak_bisimulation_partition(model, algorithm="splitter")
+        partition = weak_bisimulation_partition(model)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # The chain collapses to (unlabelled states, labelled sink).
         assert len(partition) == 2
         # Per-state closures alone would exceed 100 MB on this model
-        # (sum of suffix closures ~ 2e6 entries); the condensation-backed
-        # engine stays linear in states + transitions.
+        # (sum of suffix closures ~ 2e6 entries).
         assert peak < 16 * 1024 * 1024
 
     def test_chain_collapses_like_signature_engine(self):
         model = tau_chain(60)
-        splitter = weak_bisimulation_partition(model, algorithm="splitter")
+        default = weak_bisimulation_partition(model)
         reference = weak_bisimulation_partition(model, algorithm="signature")
-        assert splitter == reference
+        assert default == reference

@@ -4,7 +4,8 @@ The reusable backbone for every future engine variant: a fixture corpus
 (paper systems + seeded ``random_dft`` trees including FDEP and shared-spare
 patterns) crossed with
 
-* the two bisimulation engines — ``splitter`` and ``signature`` — and
+* the two bisimulation engines — ``closure`` (the default) and
+  ``signature`` — and
 * the three sweep paths — serial shared-structure kernel, chunked process
   pool, and naive full-pipeline re-runs per sample —
 
@@ -55,7 +56,7 @@ from tests.sweep_reference import batches_of, per_sample_rows
 
 MISSION_TIMES = (0.5, 1.0)
 TOLERANCE = 1e-9
-MINIMISERS = ("splitter", "signature")
+MINIMISERS = ("closure", "signature")
 
 
 def _options(minimiser):
@@ -137,7 +138,7 @@ ORDERINGS = ("linked", "modular")
 
 
 def assert_aggregation_mode_cell(tree, query, bounds=False):
-    """{linked, modular ordering} x {smaller-half splitter, signature}.
+    """{linked, modular ordering} x {default refinement, signature}.
 
     Per engine the two orderings must reach the *same* final quotient (equal
     canonical forms, not just equal sizes); across engines the quotients
@@ -160,7 +161,7 @@ def assert_aggregation_mode_cell(tree, query, bounds=False):
         ), f"the modular plan changed the {minimiser} quotient"
 
     assert (
-        finals["splitter", "modular"].num_states == finals["signature", "modular"].num_states
+        finals["closure", "modular"].num_states == finals["signature", "modular"].num_states
     ), "the two engines disagree on the quotient size"
     baseline = results[MINIMISERS[0], "modular"]
     for result in results.values():

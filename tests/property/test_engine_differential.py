@@ -1,27 +1,22 @@
-"""Three-engine differential cells: closure vs splitter vs signature.
+"""Engine differential cells: the default refinement vs the signature oracle.
 
-The closure-then-strong weak engine must be *bit-identical* to the
-two older engines, not merely equivalent: every cell below asserts the
-engines produce byte-for-byte the same quotient dot rendering (the
-partitions are canonicalised by smallest member, so identical partitions
-force identical quotients) and measures that agree to ``1e-12``.
-
-Below ``SMALL_WEAK_STATES`` states ``algorithm="closure"`` runs the
-plain-Python path, which covers every model here; the model-level cells
-therefore also compare the array closure engine, called directly.
+The default engine must be *bit-identical* to the seed signature engine,
+not merely equivalent: every cell below asserts the two produce
+byte-for-byte the same quotient dot rendering (the partitions are
+canonicalised by smallest member, so identical partitions force identical
+quotients) and measures that agree to ``1e-12``.
 
 The corpus crosses the paper systems (figure 2 at the I/O-IMC level, the
 cardiac assist system, the cascaded PAND system, the mutex switch) with
 seeded random models whose tau back-edges create the internal cycles the
-condensation machinery exists for.
+pre-pass merges.
 
-A tracemalloc cell pins the closure engine's failure mode: saturating a
-deep tau-chain is inherently quadratic, so the engine must detect the blow
-up (saturation cap), fall back to the splitter engine and keep its peak
-memory linear in the chain length.
+A tracemalloc cell pins deep tau-chains: the pre-pass collapses them before
+any closure is built, so peak memory stays linear in the chain length.  A
+tau chain with an input move at every level does not collapse; its cell
+pins the quotient against the signature engine at 300 levels.
 """
 
-import logging
 import random
 import tracemalloc
 
@@ -37,14 +32,6 @@ from repro.ioimc import (
     parallel,
     signature,
 )
-from repro.ioimc import bisimulation
-from repro.ioimc.bisimulation import (
-    DEFAULT_RATE_DIGITS,
-    SATURATION_FLOOR,
-    _weak_engine,
-    _WeakClosureEngine,
-    _WeakSplitterEngine,
-)
 from repro.systems import (
     cardiac_assist_system,
     cascaded_pand_system,
@@ -52,7 +39,7 @@ from repro.systems import (
     mutually_exclusive_switch,
 )
 
-ENGINES = ("closure", "splitter", "signature")
+ENGINES = ("closure", "signature")
 MISSION_TIMES = (0.5, 1.0)
 TOLERANCE = 1e-12
 
@@ -61,12 +48,6 @@ PAPER_SYSTEMS = {
     "cps": cascaded_pand_system,
     "mutex": mutually_exclusive_switch,
 }
-
-
-def array_closure_dot(model: IOIMC, respect_labels: bool = True) -> str:
-    """The array closure engine's minimised ``model``, as a dot rendering."""
-    engine = _WeakClosureEngine(model, respect_labels, DEFAULT_RATE_DIGITS)
-    return engine.quotient()._reachable_part().to_dot()
 
 
 def random_tau_cycle_model(seed: int, num_states: int = 14) -> IOIMC:
@@ -99,7 +80,7 @@ def random_tau_cycle_model(seed: int, num_states: int = 14) -> IOIMC:
 
 
 class TestQuotientIdentity:
-    """Identical quotient dots across all three engines, per corpus cell."""
+    """Identical quotient dots across both engines, per corpus cell."""
 
     def test_figure2_cell(self):
         composed = parallel(*figure2_models(rate=1.5)).hide(["a"])
@@ -107,8 +88,7 @@ class TestQuotientIdentity:
             engine: minimize_weak(composed, algorithm=engine).to_dot()
             for engine in ENGINES
         }
-        assert dots["closure"] == dots["splitter"] == dots["signature"]
-        assert array_closure_dot(composed) == dots["closure"]
+        assert dots["closure"] == dots["signature"]
 
     @pytest.mark.parametrize("system", sorted(PAPER_SYSTEMS))
     def test_paper_system_cell(self, system):
@@ -123,11 +103,8 @@ class TestQuotientIdentity:
             measures[engine] = study.evaluate(
                 Unreliability(MISSION_TIMES)
             ).measures[0].values
-        assert dots["closure"] == dots["splitter"] == dots["signature"]
-        for engine in ("closure", "splitter"):
-            assert measures[engine] == pytest.approx(
-                measures["signature"], abs=TOLERANCE
-            )
+        assert dots["closure"] == dots["signature"]
+        assert measures["closure"] == pytest.approx(measures["signature"], abs=TOLERANCE)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_tau_cycle_cell(self, seed):
@@ -136,8 +113,7 @@ class TestQuotientIdentity:
             engine: minimize_weak(model, algorithm=engine).to_dot()
             for engine in ENGINES
         }
-        assert dots["closure"] == dots["splitter"] == dots["signature"]
-        assert array_closure_dot(model) == dots["closure"]
+        assert dots["closure"] == dots["signature"]
 
     @pytest.mark.parametrize("seed", [3, 8])
     @pytest.mark.parametrize("respect_labels", [True, False])
@@ -149,19 +125,7 @@ class TestQuotientIdentity:
             ).to_dot()
             for engine in ENGINES
         }
-        assert dots["closure"] == dots["splitter"] == dots["signature"]
-        assert array_closure_dot(model, respect_labels) == dots["closure"]
-
-    @pytest.mark.parametrize("seed", [0, 5, 11])
-    def test_halved_frontier_cell(self, seed, monkeypatch):
-        # A packed-key bound below the unit count makes every batched round
-        # of the closure engine halve its frontier down to single splitters.
-        model = random_tau_cycle_model(seed)
-        expected = minimize_weak(model, algorithm="signature").to_dot()
-        monkeypatch.setattr(_WeakClosureEngine, "_KEY_LIMIT", 8)
-        # A zero cut-off sends the model to the array engine.
-        monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
-        assert minimize_weak(model, algorithm="closure").to_dot() == expected
+        assert dots["closure"] == dots["signature"]
 
 
 def _tau_chain(num_states: int) -> IOIMC:
@@ -175,24 +139,27 @@ def _tau_chain(num_states: int) -> IOIMC:
     return model
 
 
-class TestClosureMemoryOnTauChains:
-    """The saturation cap keeps the closure path linear on deep tau-chains."""
+def _input_tau_chain(levels: int) -> IOIMC:
+    """A tau chain with an input move into the next level at every level:
+    no state's only move is one tau, so the pre-pass merges nothing and
+    the tau-closures are quadratic in the depth."""
+    model = IOIMC("input-tau-chain", signature(inputs=("go",), internals=("tick",)))
+    for _ in range(levels):
+        model.add_state()
+    for state in range(levels - 1):
+        model.add_interactive(state, "tick", state + 1)
+        model.add_interactive(state, "go", state + 1)
+    model.set_labels(levels - 1, {"failed"})
+    model.set_initial(0)
+    return model
 
-    def test_deep_chain_falls_back_to_splitter(self, caplog):
-        # A 3000-state tau-chain has ~n^2/2 closure entries — over the cap.
-        with caplog.at_level(logging.INFO, logger="repro.ioimc.bisimulation"):
-            engine = _weak_engine(_tau_chain(3000), True, DEFAULT_RATE_DIGITS, "closure")
-        assert isinstance(engine, _WeakSplitterEngine)
-        # The fallback is logged once, naming the SCC count and the cap.
-        (record,) = [r for r in caplog.records if r.name == "repro.ioimc.bisimulation"]
-        assert record.levelno == logging.INFO
-        message = record.getMessage()
-        assert "3000 tau-SCCs" in message
-        assert f"cap of {SATURATION_FLOOR} entries" in message
+
+class TestClosureMemoryOnTauChains:
+    """Deep tau-chains stay linear: the pre-pass collapses them first."""
 
     def test_peak_memory_linear_not_quadratic(self):
-        # Quadratic closure-matrix memory would quadruple from n to 2n; the
-        # cap-bounded build plus the splitter fallback must stay flat-ish.
+        # Quadratic closure memory would quadruple from n to 2n; the chain
+        # collapses in the pre-pass, before any closure is built.
         peaks = {}
         for num_states in (3000, 6000):
             model = _tau_chain(num_states)
@@ -203,3 +170,9 @@ class TestClosureMemoryOnTauChains:
             # {pre-failure states, failed}: the quotient itself is tiny.
             assert quotient.num_states == 2
         assert peaks[6000] <= 2.0 * peaks[3000]
+
+    def test_an_input_at_every_level_matches_signature(self):
+        model = _input_tau_chain(300)
+        quotient = minimize_weak(model)
+        assert quotient.to_dot() == minimize_weak(model, algorithm="signature").to_dot()
+        assert quotient.num_states == 2

@@ -1,17 +1,17 @@
-"""Property tests: the splitter and signature minimisers are interchangeable.
+"""Property tests: the default and signature minimisers are interchangeable.
 
-The tentpole claim of the splitter-refinement PR: the worklist-of-splitters
-engine (with its tau-SCC condensation on the weak path) computes exactly the
-partitions of the seed signature-refinement engine — same blocks, same
-quotients, same measures.  Pinned three ways:
+The default engine (one plain signature refinement, after the weak
+pre-pass) computes exactly the partitions of the seed signature-refinement
+engine — same blocks, same quotients, same measures.  Pinned three ways:
 
 * end to end on the paper's systems (Figure 2, CAS, CPS, mutex examples):
-  identical unreliability to <= 1e-12 and identical final model sizes;
+  identical unreliability to <= 1e-12 and identical final models;
 * on the intermediate fused products of random DFT corpora (Hypothesis):
-  identical strong and weak partitions;
-* on randomly generated internal-cycle models: the tau-SCC condensation
-  preserves the weak partition and quotient that the closure-based signature
-  reference computes.
+  identical strong and weak partitions, the strong ones also equal to the
+  Paige-Tarjan reference of ``tests/partition_reference.py``;
+* on randomly generated internal-cycle models: the pre-pass's merges of
+  tau-SCCs and tau chains preserve the weak partition and quotient that
+  the closure-based signature reference computes.
 """
 
 import pytest
@@ -40,6 +40,7 @@ from repro.systems import (
     mutually_exclusive_switch,
     random_dft,
 )
+from tests.partition_reference import strong_partition_splitter
 from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 MISSION_TIME = 1.0
@@ -62,23 +63,19 @@ class TestPaperSystemsEndToEnd:
     )
     def test_minimisers_agree_on_unreliability(self, factory):
         tree = factory()
-        splitter = Study(tree, _options("splitter"))
+        default = Study(tree, _options("closure"))
         reference = Study(tree, _options("signature"))
-        assert _unreliability(splitter) == pytest.approx(
+        assert _unreliability(default) == pytest.approx(
             _unreliability(reference), abs=1e-12
         )
-        assert splitter.final_ioimc.num_states == reference.final_ioimc.num_states
-        assert (
-            splitter.final_ioimc.num_transitions
-            == reference.final_ioimc.num_transitions
-        )
+        assert default.final_ioimc.to_dot() == reference.final_ioimc.to_dot()
 
     def test_figure2_agrees(self):
         model_a, model_b = figure2_models(rate=1.5)
         composed = parallel(model_a, model_b).hide(["a"])
-        assert weak_bisimulation_partition(
-            composed, algorithm="splitter"
-        ) == weak_bisimulation_partition(composed, algorithm="signature")
+        assert weak_bisimulation_partition(composed) == weak_bisimulation_partition(
+            composed, algorithm="signature"
+        )
 
 
 def _intermediate_product(tree):
@@ -107,12 +104,12 @@ class TestRandomCorpora:
     ):
         tree = random_dft(num_basic_events=num_basic_events, seed=seed, dynamic=dynamic)
         product = _intermediate_product(tree)
-        assert strong_bisimulation_partition(
-            product, algorithm="splitter"
-        ) == strong_bisimulation_partition(product, algorithm="signature")
-        assert weak_bisimulation_partition(
-            product, algorithm="splitter"
-        ) == weak_bisimulation_partition(product, algorithm="signature")
+        strong = strong_bisimulation_partition(product)
+        assert strong == strong_bisimulation_partition(product, algorithm="signature")
+        assert strong == strong_partition_splitter(product)
+        assert weak_bisimulation_partition(product) == weak_bisimulation_partition(
+            product, algorithm="signature"
+        )
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -121,9 +118,9 @@ class TestRandomCorpora:
     )
     def test_random_tree_measures_identical(self, num_basic_events, seed):
         tree = random_dft(num_basic_events=num_basic_events, seed=seed)
-        splitter = Study(tree, _options("splitter"))
+        default = Study(tree, _options("closure"))
         reference = Study(tree, _options("signature"))
-        assert _unreliability(splitter) == pytest.approx(
+        assert _unreliability(default) == pytest.approx(
             _unreliability(reference), abs=1e-12
         )
 
@@ -149,25 +146,24 @@ def random_tau_model(draw) -> IOIMC:
     return model
 
 
-class TestCondensationOnInternalCycles:
-    """The tau-SCC condensation preserves the weak quotient on cyclic models."""
+class TestPrePassOnInternalCycles:
+    """The weak pre-pass preserves the weak quotient on cyclic models."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_weak_partition_preserved(self, data):
         model = random_tau_model(data.draw)
-        splitter = weak_bisimulation_partition(model, algorithm="splitter")
+        default = weak_bisimulation_partition(model)
         reference = weak_bisimulation_partition(model, algorithm="signature")
-        assert splitter == reference
+        assert default == reference
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_weak_quotient_preserved(self, data):
         model = random_tau_model(data.draw)
-        fused = minimize_weak(model, algorithm="splitter")
+        default = minimize_weak(model)
         reference = minimize_weak(model, algorithm="signature")
-        assert fused.num_states == reference.num_states
-        assert fused.num_transitions == reference.num_transitions
+        assert default.to_dot() == reference.to_dot()
 
 
 class TestWeakMinimisationIdempotent:

@@ -22,12 +22,10 @@ from repro.core.measures import MTTF, Unreliability
 from repro.core.study import Study, StudyOptions
 from repro.core.sweep import RateSweep, SweepStudy
 from repro.dft import galileo
-from repro.ioimc import bisimulation
 from repro.service.app import AnalysisService, query_from_payload
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import _ServiceHandler, serve
 from repro.service.store import SkeletonStore
-from repro.systems import cardiac_assist_system
 
 AND_TREE = """
 toplevel "sys";
@@ -215,18 +213,6 @@ class TestDictHandlers:
         # Memory hits still count as store hits (one miss: the build).
         assert payload["store"]["hits"] == 3
         assert payload["store"]["misses"] == 1
-
-
-    def test_metrics_count_saturation_overflows(self, service, monkeypatch):
-        assert "saturation_overflows" in service.metrics_payload()
-        before = service.metrics_payload()["saturation_overflows"]
-        # A zero saturation budget overflows on every model with a tau-SCC;
-        # a zero cut-off sends every model to the array closure engine.
-        monkeypatch.setattr(bisimulation, "SMALL_WEAK_STATES", 0)
-        monkeypatch.setattr(bisimulation, "SATURATION_FLOOR", 0)
-        monkeypatch.setattr(bisimulation, "SATURATION_FACTOR", 0)
-        service.handle("POST", "/analyze", {"tree": galileo.write(cardiac_assist_system())})
-        assert service.metrics_payload()["saturation_overflows"] > before
 
 
 class TestWarmHitsFromMemory:
