@@ -24,7 +24,6 @@ from .aggregation import (
 from .conversion import (
     Community,
     CommunityMember,
-    ConversionOptions,
     DftToIoimcConverter,
     convert,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "CompositionStep",
     "CompositionalAggregationOptions",
     "CompositionalAggregator",
-    "ConversionOptions",
     "DesignProblem",
     "DftToIoimcConverter",
     "ImportanceRanking",

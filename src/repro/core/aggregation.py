@@ -86,6 +86,14 @@ ORDERING_STRATEGIES = ("linked", "sequential", "modular")
 DEFAULT_ORDERING = "modular"
 
 
+def check_ordering(ordering: str) -> None:
+    """Reject an ordering strategy the engine does not know."""
+    if ordering not in ORDERING_STRATEGIES:
+        raise CompositionError(
+            f"unknown ordering strategy {ordering!r}; choose one of {ORDERING_STRATEGIES}"
+        )
+
+
 @dataclass
 class CompositionStep(Record):
     """Record of one compose/hide/aggregate iteration."""
@@ -191,11 +199,7 @@ class CompositionalAggregationOptions:
     fuse: bool = True
 
     def __post_init__(self) -> None:
-        if self.ordering not in ORDERING_STRATEGIES:
-            raise CompositionError(
-                f"unknown ordering strategy {self.ordering!r}; "
-                f"choose one of {ORDERING_STRATEGIES}"
-            )
+        check_ordering(self.ordering)
 
 
 #: Quotients a :class:`QuotientMemo` keeps; beyond this many the least
@@ -275,10 +279,7 @@ def _renaming_key(model: IOIMC, options: AggregationOptions) -> _Key:
         (
             [sorted(labels) for labels in label_sets],
             options.method,
-            options.urgent_outputs,
-            options.respect_labels,
             options.minimiser,
-            options.rate_digits,
         )
     )
     key = b"".join(
@@ -500,10 +501,7 @@ class CompositionalAggregator:
         right = workspace.pop(key_b)
 
         composite = parallel(
-            left,
-            right,
-            fuse=self.options.fuse and self.options.aggregation.method != "none",
-            urgent_outputs=self.options.aggregation.urgent_outputs,
+            left, right, fuse=self.options.fuse and self.options.aggregation.method != "none"
         )
         product_states = composite.num_states
         product_transitions = composite.num_transitions

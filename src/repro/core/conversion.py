@@ -120,20 +120,11 @@ class Community:
         )
 
 
-@dataclass
-class ConversionOptions:
-    """Options controlling the DFT -> I/O-IMC conversion."""
-
-    #: Add the analysis monitor listening to the top event.
-    include_monitor: bool = True
-
-
 class DftToIoimcConverter:
     """Converts a validated :class:`DynamicFaultTree` into a :class:`Community`."""
 
-    def __init__(self, tree: DynamicFaultTree, options: Optional[ConversionOptions] = None):
+    def __init__(self, tree: DynamicFaultTree):
         self.tree = tree
-        self.options = options or ConversionOptions()
         tree.validate()
         self._relevant = self._relevant_elements()
         self._repairable = self._repairable_elements()
@@ -148,8 +139,8 @@ class DftToIoimcConverter:
         self._check_supported()
         behaviors = self._element_behaviors()
         behaviors.extend(self._auxiliary_behaviors())
-        if self.options.include_monitor:
-            behaviors.append(self._monitor_behavior())
+        # The monitor on the top event is what makes "failed" observable.
+        behaviors.append(self._monitor_behavior())
 
         community = Community(
             tree=self.tree,
@@ -549,6 +540,6 @@ class DftToIoimcConverter:
                     )
 
 
-def convert(tree: DynamicFaultTree, options: Optional[ConversionOptions] = None) -> Community:
+def convert(tree: DynamicFaultTree) -> Community:
     """Convenience wrapper: convert ``tree`` into its I/O-IMC community."""
-    return DftToIoimcConverter(tree, options).convert()
+    return DftToIoimcConverter(tree).convert()

@@ -73,8 +73,9 @@ from .aggregation import (
     CompositionalAggregator,
     QuotientMemo,
     StatisticsSummary,
+    check_ordering,
 )
-from .conversion import Community, ConversionOptions, DftToIoimcConverter
+from .conversion import Community, DftToIoimcConverter
 from .measures import (
     MTTF,
     ImportanceRanking,
@@ -100,7 +101,6 @@ QueryLike = Union[Query, Measure, Sequence[Measure]]
 class StudyOptions:
     """Options of the full compositional analysis pipeline."""
 
-    conversion: ConversionOptions = field(default_factory=ConversionOptions)
     aggregation: AggregationOptions = field(default_factory=AggregationOptions)
     ordering: str = DEFAULT_ORDERING
     #: Fuse maximal progress into composition (see the aggregation engine).
@@ -109,6 +109,7 @@ class StudyOptions:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
+        check_ordering(self.ordering)
         if not 0.0 < self.tolerance < 1.0:
             raise AnalysisError(
                 f"the truncation tolerance must be in (0, 1), got {self.tolerance}"
@@ -726,7 +727,7 @@ class Study:
         """The I/O-IMC community of the fault tree (cached)."""
         if self._community is None:
             start = _time.perf_counter()
-            converter = DftToIoimcConverter(self.tree, self.options.conversion)
+            converter = DftToIoimcConverter(self.tree)
             self._community = converter.convert()
             self._timings["conversion"] = _time.perf_counter() - start
         return self._community

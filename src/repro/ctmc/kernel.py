@@ -17,9 +17,10 @@ This module eliminates that rebuild, and steps many samples at once:
   *batch* of assignments as diagonal blocks of one stacked operator: the
   pattern is tiled once per batch size, and one vectorised scatter writes
   every block's ``data`` in place — zero sparse-structure allocations per
-  sample.  Small chains step a preallocated ``(blocks, n, n)`` dense stack
-  with one batched ``np.matmul`` (sparse dispatch overhead dwarfs the
-  arithmetic there); larger ones a block-diagonal CSR of ``P^T`` whose data
+  sample.  Chains of at most :data:`DENSE_STATE_LIMIT` states step a
+  preallocated ``(blocks, n, n)`` dense stack with one batched
+  ``np.matmul`` (sparse dispatch overhead dwarfs the arithmetic there);
+  larger ones a block-diagonal CSR of ``P^T`` whose data
   is refreshed by a precomputed permutation (``x @ P`` through scipy would
   otherwise construct a fresh transposed matrix on *every* step).  The
   stacked operator is capped at :data:`BATCH_OPERATOR_BYTES`.
@@ -58,7 +59,7 @@ from .transient import PoissonTermCache, validate_times
 #: Below this state count the kernel steps with a preallocated dense matrix:
 #: a CSR matvec costs ~10-20us of scipy dispatch regardless of size, which
 #: dominates the arithmetic of aggregated DFT models (tens of states).
-#: Overridable per buffer (``dense_limit=``).
+#: Read when a buffer is built.
 DENSE_STATE_LIMIT = 256
 
 #: The most bytes the stacked stepping operator of one batch may take: a
@@ -71,19 +72,6 @@ BATCH_OPERATOR_BYTES = 2 << 20
 HISTORY_BYTES = 1 << 18
 
 Assignment = Optional[Mapping[str, float]]
-
-
-def resolve_dense_limit(dense_limit: Optional[int] = None) -> int:
-    """The effective dense/sparse crossover for a new buffer.
-
-    An explicit ``dense_limit`` argument wins over the module default.
-    """
-    if dense_limit is None:
-        return DENSE_STATE_LIMIT
-    limit = int(dense_limit)
-    if limit < 0:
-        raise AnalysisError(f"the dense state limit must be >= 0, got {limit}")
-    return limit
 
 
 class _Tiling:
@@ -189,17 +177,12 @@ class CsrBuffer:
         "_diag",
     )
 
-    def __init__(
-        self,
-        skeleton: Union[CtmcSkeleton, CtmdpSkeleton],
-        dense_limit: Optional[int] = None,
-    ):
+    def __init__(self, skeleton: Union[CtmcSkeleton, CtmdpSkeleton]):
         # The buffer only reads num_states / edges / parameters, which CTMC
         # and CTMDP skeletons share: vanishing states of a CTMDP skeleton
         # simply have no outgoing edges, so their uniformised rows come out
         # as identity rows and the backward kernel overwrites them through
         # its vanishing-state resolver.
-        dense_limit = resolve_dense_limit(dense_limit)
         self.skeleton = skeleton
         num_states = skeleton.num_states
         edges = skeleton.edges
@@ -250,7 +233,7 @@ class CsrBuffer:
         self._nominals = nominals
         self.structure_builds = 1
         self.refills = 0
-        self._prepare(indptr, indices, num_states <= dense_limit)
+        self._prepare(indptr, indices, num_states <= DENSE_STATE_LIMIT)
 
     def _prepare(self, indptr: np.ndarray, indices: np.ndarray, dense: bool) -> None:
         """Derive the stepping structures of the pattern; load no sample."""
@@ -677,18 +660,11 @@ class TransientKernel(_SampleKernel):
     any batch) and :meth:`transient_distributions` (full state
     distributions of one sample, from any initial distribution).  Every
     concrete :class:`~repro.ctmc.ctmc.CTMC` curve runs on such a kernel too.
-    ``dense_limit`` overrides the dense/sparse stepping crossover of the
-    underlying buffer.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        skeleton: CtmcSkeleton,
-        dense_limit: Optional[int] = None,
-        buffer: Optional[CsrBuffer] = None,
-    ):
+    def __init__(self, skeleton: CtmcSkeleton, buffer: Optional[CsrBuffer] = None):
         if buffer is not None:
             # A prebuilt buffer (e.g. the CSR pattern a skeleton store cached
             # alongside the skeleton) skips the pattern build entirely.
@@ -697,7 +673,7 @@ class TransientKernel(_SampleKernel):
                     "the CSR buffer was preallocated for a different skeleton"
                 )
         else:
-            buffer = CsrBuffer(skeleton, dense_limit=dense_limit)
+            buffer = CsrBuffer(skeleton)
         super().__init__(skeleton, buffer)
 
     def probability_of_label_curve(
@@ -865,12 +841,8 @@ class CtmdpKernel(_SampleKernel):
 
     __slots__ = ("resolver", "_update")
 
-    def __init__(
-        self,
-        skeleton: CtmdpSkeleton,
-        dense_limit: Optional[int] = None,
-    ):
-        super().__init__(skeleton, CsrBuffer(skeleton, dense_limit=dense_limit))
+    def __init__(self, skeleton: CtmdpSkeleton):
+        super().__init__(skeleton, CsrBuffer(skeleton))
         self.resolver = VanishingResolver(skeleton.num_states, skeleton.choices)
         #: Update indices by label, and stacked by (label, blocks).
         self._update: Dict[object, np.ndarray] = {}

@@ -27,11 +27,11 @@ from .bisimulation import (
     strong_bisimulation_partition,
     weak_bisimulation_partition,
 )
-from .composition import closed_actions, hide_closed, parallel, parallel_many
+from .composition import parallel
 from .maximal_progress import apply_maximal_progress, count_pruned_transitions
 from .model import IOIMC, InteractiveTransition, MarkovianTransition
 from .rates import ParametricRate, evaluate_rate, rate_parameters
-from .partition import DEFAULT_RATE_DIGITS, canonical_rate
+from .partition import RATE_DIGITS, canonical_rate
 from .reduction import (
     AggregationOptions,
     AggregationStatistics,
@@ -43,7 +43,7 @@ from .reduction import (
 __all__ = [
     "ACTIONS",
     "ALGORITHMS",
-    "DEFAULT_RATE_DIGITS",
+    "RATE_DIGITS",
     "canonical_rate",
     "ParametricRate",
     "evaluate_rate",
@@ -63,15 +63,12 @@ __all__ = [
     "aggregate",
     "apply_maximal_progress",
     "build_ioimc",
-    "closed_actions",
     "compress_deterministic_tau",
     "count_pruned_transitions",
     "format_action",
-    "hide_closed",
     "minimize_strong",
     "minimize_weak",
     "parallel",
-    "parallel_many",
     "quotient_strong",
     "quotient_weak",
     "remove_internal_self_loops",

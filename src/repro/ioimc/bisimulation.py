@@ -84,7 +84,7 @@ from ..errors import ModelError
 from ..graph import strongly_connected_components
 from .actions import ActionSignature, intern_action
 from .model import IOIMC
-from .partition import DEFAULT_RATE_DIGITS, canonical_rate
+from .partition import canonical_rate
 
 Partition = List[FrozenSet[int]]
 
@@ -105,10 +105,8 @@ def _canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return sorted((frozenset(block) for block in blocks), key=min)
 
 
-def _initial_blocks(model: IOIMC, respect_labels: bool) -> Dict[int, int]:
+def _initial_blocks(model: IOIMC) -> Dict[int, int]:
     """Initial partition map: states grouped by their label sets."""
-    if not respect_labels:
-        return {state: 0 for state in model.states()}
     block_ids: Dict[FrozenSet[str], int] = {}
     block_of: Dict[int, int] = {}
     for state in model.states():
@@ -193,7 +191,6 @@ def _plain_sets(
     itrans: Sequence[Sequence[Tuple[int, int]]],
     rate_pairs: Sequence[Iterable[Tuple[int, object]]],
     signature: ActionSignature,
-    rate_digits: int,
     tau_succ: Optional[List[List[int]]],
     weak: bool,
 ) -> _PlainSets:
@@ -304,7 +301,7 @@ def _plain_sets(
         for target, rate in moves:
             key = keys.get(rate)
             if key is None:
-                key = keys[rate] = canonical_rate(rate, rate_digits)
+                key = keys[rate] = canonical_rate(rate)
             entries.append((target, rate, key))
         rate_moves.append(tuple(entries))
     return _PlainSets(
@@ -323,8 +320,6 @@ def _plain_sets(
 def _plain_partition(
     sets: _PlainSets,
     labels: Sequence[FrozenSet[str]],
-    respect_labels: bool,
-    rate_digits: int,
     work: Optional[List[int]] = None,
 ) -> Partition:
     """Signature refinement on :class:`_PlainSets`, signing each state
@@ -357,7 +352,7 @@ def _plain_partition(
     block_ids: Dict[object, int] = {}
     block_of: List[int] = []
     for state in range(num_states):
-        key = (labels[state] if respect_labels else None, sets.out_actions[state])
+        key = (labels[state], sets.out_actions[state])
         block_of.append(block_ids.setdefault(key, len(block_ids)))
     members: List[Set[int]] = [set() for _ in block_ids]
     for state in range(num_states):
@@ -394,7 +389,7 @@ def _plain_partition(
                 if key is None:
                     key = canonical.get(rate)
                     if key is None:
-                        key = canonical[rate] = canonical_rate(rate, rate_digits)
+                        key = canonical[rate] = canonical_rate(rate)
                 entries.append((block, key))
             vector = frozenset(entries)
             vector_id = vector_ids.get(vector)
@@ -497,48 +492,36 @@ def _plain_partition(
 # strong bisimulation
 # ---------------------------------------------------------------------------
 
-def strong_bisimulation_partition(
-    model: IOIMC,
-    respect_labels: bool = True,
-    algorithm: str = "closure",
-    rate_digits: int = DEFAULT_RATE_DIGITS,
-) -> Partition:
+def strong_bisimulation_partition(model: IOIMC, algorithm: str = "closure") -> Partition:
     """Coarsest strong bisimulation partition of ``model``.
 
-    Two states are equivalent iff (respecting labels) they enable the same
-    actions into the same equivalence classes (implicit input self-loops
-    included) and their aggregate Markovian rates into every *other* class
-    coincide (ordinary lumpability).
+    Two states are equivalent iff they carry the same labels, enable the
+    same actions into the same equivalence classes (implicit input
+    self-loops included) and their aggregate Markovian rates into every
+    *other* class coincide (ordinary lumpability).  Labels always split
+    blocks: they carry the ``failed`` flag the measures read.
     """
     _check_algorithm(algorithm)
     if algorithm == "signature":
-        return _strong_partition_signature(model, respect_labels, rate_digits)
-    return _strong_partition_plain(model, respect_labels, rate_digits)
+        return _strong_partition_signature(model)
+    return _strong_partition_plain(model)
 
 
-def _strong_partition_plain(
-    model: IOIMC,
-    respect_labels: bool,
-    rate_digits: int,
-    work: Optional[List[int]] = None,
-) -> Partition:
+def _strong_partition_plain(model: IOIMC, work: Optional[List[int]] = None) -> Partition:
     """The plain refinement under the strong relation."""
     sets = _plain_sets(
         model._itrans,
         [moves.items() for moves in model._mtrans],
         model.signature,
-        rate_digits,
         None,
         weak=False,
     )
-    return _plain_partition(sets, model._labels, respect_labels, rate_digits, work)
+    return _plain_partition(sets, model._labels, work)
 
 
-def _strong_partition_signature(
-    model: IOIMC, respect_labels: bool, rate_digits: int
-) -> Partition:
+def _strong_partition_signature(model: IOIMC) -> Partition:
     """Signature-refinement reference implementation (seed algorithm)."""
-    block_of = _initial_blocks(model, respect_labels)
+    block_of = _initial_blocks(model)
     input_ids = model.signature.input_ids
     while True:
         signatures: Dict[int, object] = {}
@@ -561,10 +544,7 @@ def _strong_partition_signature(
                 rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
             signatures[state] = (
                 frozenset((aid, frozenset(blocks)) for aid, blocks in interactive.items()),
-                frozenset(
-                    (block, canonical_rate(total, rate_digits))
-                    for block, total in rates.items()
-                ),
+                frozenset((block, canonical_rate(total)) for block, total in rates.items()),
             )
         block_of, changed = _refine_by_signature(block_of, signatures)
         if not changed:
@@ -576,15 +556,10 @@ def _strong_partition_signature(
 # weak bisimulation
 # ---------------------------------------------------------------------------
 
-def weak_bisimulation_partition(
-    model: IOIMC,
-    respect_labels: bool = True,
-    algorithm: str = "closure",
-    rate_digits: int = DEFAULT_RATE_DIGITS,
-) -> Partition:
+def weak_bisimulation_partition(model: IOIMC, algorithm: str = "closure") -> Partition:
     """Coarsest weak bisimulation partition of ``model``.
 
-    Two states are equivalent iff (respecting labels)
+    Two states are equivalent iff they carry the same labels and
 
     * for every visible action, the classes reachable via a weak move
       (``τ* a τ*``, implicit input self-loops included) coincide — except
@@ -607,8 +582,8 @@ def weak_bisimulation_partition(
     """
     _check_algorithm(algorithm)
     if algorithm == "signature":
-        return _weak_partition_signature(model, respect_labels, rate_digits)
-    return _weak_partition_plain(model, respect_labels, rate_digits).partition
+        return _weak_partition_signature(model)
+    return _weak_partition_plain(model).partition
 
 
 class _WeakRefinement(NamedTuple):
@@ -626,28 +601,22 @@ class _WeakRefinement(NamedTuple):
 
 
 def _weak_partition_plain(
-    model: IOIMC,
-    respect_labels: bool,
-    rate_digits: int,
-    work: Optional[List[int]] = None,
+    model: IOIMC, work: Optional[List[int]] = None
 ) -> _WeakRefinement:
     """The plain refinement under the weak relation, after the pre-pass."""
     tau_succ = _tau_successors(model)
     reduced = None
     if tau_succ is not None:
-        reduced = _weak_prepass(model, tau_succ, respect_labels)
+        reduced = _weak_prepass(model, tau_succ)
     if reduced is None:
         sets = _plain_sets(
             model._itrans,
             [moves.items() for moves in model._mtrans],
             model.signature,
-            rate_digits,
             tau_succ,
             weak=True,
         )
-        partition = _plain_partition(
-            sets, model._labels, respect_labels, rate_digits, work
-        )
+        partition = _plain_partition(sets, model._labels, work)
         return _WeakRefinement(partition, sets, None, tau_succ)
     class_of, itrans, rate_pairs, labels = reduced
     internal_ids = model.signature.internal_ids
@@ -658,11 +627,10 @@ def _weak_partition_plain(
         itrans,
         rate_pairs,
         model.signature,
-        rate_digits,
         reduced_tau if any(reduced_tau) else None,
         weak=True,
     )
-    reduced_partition = _plain_partition(sets, labels, respect_labels, rate_digits, work)
+    reduced_partition = _plain_partition(sets, labels, work)
     node_block = [0] * len(itrans)
     for block_id, block in enumerate(reduced_partition):
         for node in block:
@@ -677,7 +645,7 @@ def _weak_partition_plain(
 
 
 def _weak_prepass(
-    model: IOIMC, tau_succ: List[List[int]], respect_labels: bool
+    model: IOIMC, tau_succ: List[List[int]]
 ) -> Optional[Tuple[List[int], list, list, list]]:
     """Merge states that are weakly bisimilar for structural reasons.
 
@@ -716,7 +684,7 @@ def _weak_prepass(
             continue
         leaders: Dict[object, int] = {}
         for state in component:
-            leader = leaders.setdefault(labels[state] if respect_labels else None, state)
+            leader = leaders.setdefault(labels[state], state)
             if leader != state:
                 group[state] = leader
                 merged = True
@@ -750,7 +718,7 @@ def _weak_prepass(
             continue
         target = pairs[0][1]  # the state's one tau move
         leader = group[target]
-        if leader == state or (respect_labels and labels[target] != labels[state]):
+        if leader == state or labels[target] != labels[state]:
             continue
         if leader not in covered:
             covered[leader] = inputs_cover_closure(leader)
@@ -858,9 +826,7 @@ def _weak_visible_reach(
 
 
 
-def _weak_partition_signature(
-    model: IOIMC, respect_labels: bool, rate_digits: int
-) -> Partition:
+def _weak_partition_signature(model: IOIMC) -> Partition:
     """Signature-refinement reference implementation (seed algorithm)."""
     closures = _internal_closure(model)
     visible_reach = _weak_visible_reach(model, closures)
@@ -872,7 +838,7 @@ def _weak_partition_signature(
     timelocked = [not any(stable[target] for target in closure) for closure in closures]
     reaches_timelock = [any(timelocked[target] for target in closure) for closure in closures]
 
-    block_of = _initial_blocks(model, respect_labels)
+    block_of = _initial_blocks(model)
     while True:
         signatures: Dict[int, object] = {}
         for state in model.states():
@@ -902,10 +868,7 @@ def _weak_partition_signature(
                         continue  # ordinary lumpability: ignore intra-class rates
                     rates[block_of[succ]] = rates.get(block_of[succ], 0.0) + rate
                 rate_vectors.add(
-                    frozenset(
-                        (block, canonical_rate(total, rate_digits))
-                        for block, total in rates.items()
-                    )
+                    frozenset((block, canonical_rate(total)) for block, total in rates.items())
                 )
             if reaches_timelock[state]:
                 rate_vectors.add(frozenset())
@@ -1086,7 +1049,6 @@ def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -
         model._itrans,
         [moves.items() for moves in model._mtrans],
         model.signature,
-        DEFAULT_RATE_DIGITS,
         tau_succ,
         weak=True,
     )
@@ -1094,25 +1056,13 @@ def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -
     return _plain_weak_quotient(model, refinement, name)
 
 
-def minimize_strong(
-    model: IOIMC,
-    respect_labels: bool = True,
-    algorithm: str = "closure",
-    rate_digits: int = DEFAULT_RATE_DIGITS,
-) -> IOIMC:
+def minimize_strong(model: IOIMC, algorithm: str = "closure") -> IOIMC:
     """Minimise ``model`` modulo strong bisimulation."""
-    partition = strong_bisimulation_partition(
-        model, respect_labels=respect_labels, algorithm=algorithm, rate_digits=rate_digits
-    )
+    partition = strong_bisimulation_partition(model, algorithm=algorithm)
     return quotient_strong(model, partition)._reachable_part()
 
 
-def minimize_weak(
-    model: IOIMC,
-    respect_labels: bool = True,
-    algorithm: str = "closure",
-    rate_digits: int = DEFAULT_RATE_DIGITS,
-) -> IOIMC:
+def minimize_weak(model: IOIMC, algorithm: str = "closure") -> IOIMC:
     """Minimise ``model`` modulo weak bisimulation.
 
     The default engine builds one set of per-state tau-closure and
@@ -1129,11 +1079,11 @@ def minimize_weak(
     """
     _check_algorithm(algorithm)
     if algorithm == "signature":
-        partition = _weak_partition_signature(model, respect_labels, rate_digits)
+        partition = _weak_partition_signature(model)
         if _is_already_minimal(model, partition):
             return model._reachable_part()
         return quotient_weak(model, partition)._reachable_part()
-    refinement = _weak_partition_plain(model, respect_labels, rate_digits)
+    refinement = _weak_partition_plain(model)
     if _is_already_minimal(model, refinement.partition):
         return model._reachable_part()
     # The quotient is fresh and already carries ``model.name``.

@@ -49,11 +49,10 @@ usual aggregation pipeline afterwards yields the identical reduced model.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import CompositionError, SignatureError
 from .actions import ActionSignature
-from .maximal_progress import _urgent_ids
 from .model import IOIMC
 
 
@@ -63,14 +62,11 @@ def parallel(
     name: Optional[str] = None,
     *,
     fuse: bool = False,
-    urgent_outputs: bool = True,
 ) -> IOIMC:
     """Parallel compose two I/O-IMC and return the reachable composite.
 
     With ``fuse=True`` maximal progress and internal self-loop elimination are
-    applied on the fly (see the module docstring); ``urgent_outputs`` selects
-    the I/O-IMC urgency rule (outputs are urgent, the paper's semantics) or
-    the classical open-IMC rule (only internal actions urgent).
+    applied on the fly (see the module docstring).
     """
     try:
         signature = left.signature.merge(right.signature)
@@ -100,8 +96,8 @@ def parallel(
         # A composite state is urgent iff either component state is (a
         # component's enabled output or internal transition is always enabled
         # in the composite).
-        left_urgent = _urgent_states(lsig, left_enabled, urgent_outputs)
-        right_urgent = _urgent_states(rsig, right_enabled, urgent_outputs)
+        left_urgent = _urgent_states(lsig, left_enabled)
+        right_urgent = _urgent_states(rsig, right_enabled)
 
     left_labels, right_labels = left._labels, right._labels
     left_names, right_names = left._shown_names(), right._shown_names()
@@ -228,85 +224,7 @@ def _enabled_views(
     return enabled, targets_on
 
 
-def _urgent_states(
-    signature: ActionSignature, enabled: List[FrozenSet[int]], urgent_outputs: bool
-) -> List[bool]:
-    """Per state: whether it enables an urgent action."""
-    urgent = _urgent_ids(signature, urgent_outputs)
+def _urgent_states(signature: ActionSignature, enabled: List[FrozenSet[int]]) -> List[bool]:
+    """Per state: whether it enables an urgent (output or internal) action."""
+    urgent = signature.urgent_ids
     return [not urgent.isdisjoint(ids) for ids in enabled]
-
-
-def parallel_many(
-    models: Sequence[IOIMC],
-    name: Optional[str] = None,
-    *,
-    hide: bool = True,
-    keep: Iterable[str] = (),
-    fuse: bool = False,
-) -> IOIMC:
-    """Compose a sequence of I/O-IMC left to right, hiding as it goes.
-
-    After every intermediate fold the outputs that none of the models still to
-    be composed listens to are hidden (``hide_closed``), so the τ-diamonds
-    they would otherwise spawn can be pruned early and further compositions
-    do not have to track dead signals.  ``keep`` lists actions that must stay
-    observable regardless (e.g. a monitored top-level failure signal);
-    ``hide=False`` restores the fully visible naive fold (the escape hatch
-    used by the ordering-ablation benchmark).  ``fuse`` is forwarded to
-    :func:`parallel`.
-
-    The compositional aggregation engine in :mod:`repro.core.aggregation`
-    additionally interleaves bisimulation minimisation; this helper is the
-    light-weight variant for hand-driven pipelines and tests.
-    """
-    if not models:
-        raise CompositionError("cannot compose an empty collection of I/O-IMC")
-    if len(models) == 1:
-        single = models[0].copy()
-        if name is not None:
-            single.name = name
-        return single
-    keep_set = frozenset(keep)
-    composite = models[0]
-    for position in range(1, len(models)):
-        composite = parallel(composite, models[position], fuse=fuse)
-        if hide and position < len(models) - 1:
-            external: set = set()
-            for remaining in models[position + 1 :]:
-                external |= remaining.signature.inputs
-            composite = hide_closed(
-                composite, external_inputs=external, keep=keep_set
-            )
-    if name is not None:
-        composite.name = name
-    return composite
-
-
-def closed_actions(models: Iterable[IOIMC], keep: Iterable[str] = ()) -> frozenset:
-    """Output actions of ``models`` that no model outside the set listens to.
-
-    These are the actions that can safely be hidden once all the given models
-    have been composed.  ``keep`` lists actions that must stay observable
-    regardless (e.g. the monitored top-level failure signal).
-    """
-    keep_set = frozenset(keep)
-    outputs: set = set()
-    inputs: set = set()
-    for model in models:
-        outputs |= model.signature.outputs
-        inputs |= model.signature.inputs
-    return frozenset((outputs - keep_set) - (inputs - outputs))
-
-
-def hide_closed(model: IOIMC, external_inputs: Iterable[str], keep: Iterable[str] = ()) -> IOIMC:
-    """Hide every output of ``model`` not listened to by the remaining community.
-
-    ``external_inputs`` is the union of input actions of all models that have
-    not been composed into ``model`` yet; ``keep`` contains actions that must
-    never be hidden (monitored signals).
-    """
-    external = frozenset(external_inputs) | frozenset(keep)
-    hideable = model.signature.outputs - external
-    if not hideable:
-        return model
-    return model.hide(hideable, name=model.name)

@@ -1,8 +1,8 @@
 """Canonical rate keys for bisimulation refinement.
 
 Both refinement engines of :mod:`repro.ioimc.bisimulation` compare aggregate
-Markovian rates through :func:`canonical_rate`, at the precision of
-:data:`DEFAULT_RATE_DIGITS` unless the caller asks for another.
+Markovian rates through :func:`canonical_rate`, at the fixed precision of
+:data:`RATE_DIGITS`.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ import math
 
 from .rates import ParametricRate
 
-#: Default number of significant digits used when comparing aggregate
-#: Markovian rates during bisimulation refinement.  Surfaced on
-#: :class:`repro.ioimc.reduction.AggregationOptions` as ``rate_digits``.
-DEFAULT_RATE_DIGITS = 10
+#: Digits past the leading one compared when two aggregate Markovian rates
+#: are tested for equality during bisimulation refinement.
+RATE_DIGITS = 10
 
 
-def canonical_rate(value, digits: int = DEFAULT_RATE_DIGITS):
+def canonical_rate(value):
     """Canonical, hashable key of an aggregate rate for refinement.
 
-    Plain floats are rounded to ``digits`` significant digits, so
-    floating-point noise from rate aggregation cannot split blocks; both
+    Plain floats are rounded :data:`RATE_DIGITS` digits past their leading
+    digit, so floating-point noise from rate aggregation cannot split blocks; both
     refinement engines share this tolerance.
 
     :class:`~repro.ioimc.rates.ParametricRate` forms are keyed *structurally*
@@ -32,12 +31,12 @@ def canonical_rate(value, digits: int = DEFAULT_RATE_DIGITS):
     relies on it.
     """
     if isinstance(value, ParametricRate):
-        return value.canonical_key(lambda v: _round_significant(v, digits))
-    return _round_significant(value, digits)
+        return value.canonical_key(_round_significant)
+    return _round_significant(value)
 
 
-def _round_significant(value: float, digits: int) -> float:
+def _round_significant(value: float) -> float:
     if value == 0.0:
         return 0.0
     magnitude = int(math.floor(math.log10(abs(value))))
-    return round(value, digits - magnitude)
+    return round(value, RATE_DIGITS - magnitude)

@@ -37,41 +37,32 @@ from ..errors import ModelError
 from .bisimulation import ALGORITHMS, minimize_strong, minimize_weak
 from .maximal_progress import _prune_urgent_rates
 from .model import IOIMC
-from .partition import DEFAULT_RATE_DIGITS
 
 
 @dataclass
 class AggregationOptions:
-    """Configuration of the aggregation pipeline.
+    """Configuration of the aggregation pipeline: the relation and the engine.
+
+    The paper's semantics fixes everything else: output and internal actions are
+    urgent under maximal progress, differently labelled states never share
+    a block, and aggregate rates are compared
+    :data:`~repro.ioimc.partition.RATE_DIGITS` digits past their leading one.
 
     Attributes
     ----------
     method:
         ``"weak"`` (paper default), ``"strong"``, ``"tau"`` (only steps 1-4) or
         ``"none"`` (reachability restriction only).
-    urgent_outputs:
-        Whether output actions make a state urgent for maximal progress
-        (I/O-IMC semantics; ``True`` in the paper).
-    respect_labels:
-        Keep differently labelled states apart during minimisation.
     minimiser:
         Bisimulation refinement engine: ``"closure"`` (default, the
         incremental signature refinement of
         :mod:`repro.ioimc.bisimulation`, after a pre-pass that collapses tau
         chains and tau-SCCs) or ``"signature"`` (the seed
         signature-refinement reference).  Both compute identical quotients.
-    rate_digits:
-        Significant digits compared when two aggregate Markovian rates are
-        tested for equality during refinement (default
-        :data:`~repro.ioimc.partition.DEFAULT_RATE_DIGITS`); both engines
-        honour the same precision.
     """
 
     method: str = "weak"
-    urgent_outputs: bool = True
-    respect_labels: bool = True
     minimiser: str = "closure"
-    rate_digits: int = DEFAULT_RATE_DIGITS
 
     def __post_init__(self) -> None:
         if self.method not in {"weak", "strong", "tau", "none"}:
@@ -79,10 +70,6 @@ class AggregationOptions:
         if self.minimiser not in ALGORITHMS:
             raise ModelError(
                 f"unknown minimiser {self.minimiser!r}; choose one of {ALGORITHMS}"
-            )
-        if not isinstance(self.rate_digits, int) or self.rate_digits < 1:
-            raise ModelError(
-                f"rate_digits must be a positive integer, got {self.rate_digits!r}"
             )
 
 
@@ -233,13 +220,13 @@ def aggregate(
     # nothing to do, so an already-reduced model is not copied over and over.
     reduced = model._reachable_part()
     if options.method != "none":
-        reduced = _minimise(_settle(reduced, options), options)
+        reduced = _minimise(_settle(reduced), options)
         # The quotient can leave an urgent state with rates, or a vanishing
         # state whose removal exposes a plain lumping: settle both, and
         # minimise once more only in the second case.
-        settled = _settle(reduced, options)
+        settled = _settle(reduced)
         if settled.num_states < reduced.num_states:
-            settled = _settle(_minimise(settled, options), options)
+            settled = _settle(_minimise(settled, options))
         reduced = settled
 
     if reduced is model:
@@ -259,15 +246,10 @@ def _minimise(model: IOIMC, options: AggregationOptions) -> IOIMC:
         minimiser = minimize_strong
     else:
         return model
-    return minimiser(
-        model,
-        respect_labels=options.respect_labels,
-        algorithm=options.minimiser,
-        rate_digits=options.rate_digits,
-    )
+    return minimiser(model, algorithm=options.minimiser)
 
 
-def _settle(model: IOIMC, options: AggregationOptions) -> IOIMC:
+def _settle(model: IOIMC) -> IOIMC:
     """Maximal progress, internal self-loop removal and deterministic-tau
     compression, then reachability (steps 2-4, and step 6: a strong
     quotient or a compressed tau-cycle can carry internal self-loops).
@@ -277,6 +259,6 @@ def _settle(model: IOIMC, options: AggregationOptions) -> IOIMC:
     compression reroutes each path through a vanishing state to where that
     state leads.  So reachability runs only after a prune.
     """
-    pruned = _prune_urgent_rates(model, options.urgent_outputs)
+    pruned = _prune_urgent_rates(model)
     settled = compress_deterministic_tau(_drop_internal_self_loops(pruned))
     return settled._reachable_part() if pruned is not model else settled

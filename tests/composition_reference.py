@@ -23,14 +23,11 @@ def reference_parallel(
     name: Optional[str] = None,
     *,
     fuse: bool = False,
-    urgent_outputs: bool = True,
 ) -> IOIMC:
     """Parallel compose two I/O-IMC and return the reachable composite.
 
     With ``fuse=True`` maximal progress and internal self-loop elimination are
-    applied on the fly (see the module docstring); ``urgent_outputs`` selects
-    the I/O-IMC urgency rule (outputs are urgent, the paper's semantics) or
-    the classical open-IMC rule (only internal actions urgent).
+    applied on the fly (see the module docstring).
     """
     try:
         signature = left.signature.merge(right.signature)
@@ -80,14 +77,7 @@ def reference_parallel(
         # urgent and fused maximal progress prunes them up front.  A composite
         # state is urgent iff either component state is (a component's enabled
         # output or internal transition is always enabled in the composite).
-        if fuse:
-            if urgent_outputs:
-                urgent = left.is_urgent(s) or right.is_urgent(t)
-            else:
-                urgent = not (left.is_stable(s) and right.is_stable(t))
-        else:
-            urgent = False
-        if not urgent:
+        if not (fuse and (left.is_urgent(s) or right.is_urgent(t))):
             for rate, s_next in left.markovian_out(s):
                 add_markovian(source, rate, intern((s_next, t)))
             for rate, t_next in right.markovian_out(t):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ConversionOptions, DftToIoimcConverter, convert, signals
+from repro.core import DftToIoimcConverter, convert, signals
 from repro.dft import FaultTreeBuilder
 from repro.errors import ConversionError
 from repro.ioimc import reduction
@@ -23,10 +23,6 @@ class TestCommunityShape:
         names = member_names(community)
         assert names == {"BE(A)", "BE(B)", "Gate(Top)", "Monitor(Top)"}
         assert community.top_fire_action == signals.fire("Top")
-
-    def test_monitor_can_be_skipped(self, and_tree):
-        community = convert(and_tree, ConversionOptions(include_monitor=False))
-        assert "Monitor(Top)" not in member_names(community)
 
     def test_every_input_has_a_producer(self, shared_spare_tree):
         # The converter itself validates this; here we re-check explicitly.

@@ -257,11 +257,10 @@ class TestRenamedProductsHit:
         for options in (
             AggregationOptions(method="strong"),
             AggregationOptions(minimiser="signature"),
-            AggregationOptions(rate_digits=6),
         ):
             memo.aggregate(product, options)
         stats = memo.stats()
-        assert (stats["entries"], stats["hits"], stats["misses"]) == (4, 0, 4)
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (3, 0, 3)
 
 
 PARAMETRIC_TREES = {

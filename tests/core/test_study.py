@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.core.signals import FAILED_LABEL
 from repro.dft import galileo
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CompositionError
 from repro.systems import (
     cardiac_assist_system,
     pand_race_system,
@@ -204,6 +204,11 @@ class TestBatchStudy:
             StudyOptions(tolerance=0.0)
         with pytest.raises(AnalysisError):
             StudyOptions(tolerance=1.5)
+
+    def test_unknown_ordering_rejected_on_construction(self):
+        # Before any pipeline runs, and so before the options get a store key.
+        with pytest.raises(CompositionError, match="unknown ordering strategy 'bogus'"):
+            StudyOptions(ordering="bogus")
 
     def test_colliding_in_memory_names_get_index_suffixes(self):
         from repro.systems import random_dft

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.ctmc.kernel as kernel_module
 from repro.core import Study, signals
 from repro.core.sweep import with_rate_parameters
 from repro.ctmc import CTMC, CTMDP, CsrBuffer, CtmdpKernel, VanishingResolver
@@ -237,18 +238,22 @@ class TestBatchedCtmdpKernel:
 
     @pytest.mark.parametrize("dense_limit", [None, 0])
     @pytest.mark.parametrize("maximize", [True, False])
-    def test_batched_bounds_equal_per_sample_sweeps_bitwise(self, dense_limit, maximize):
+    def test_batched_bounds_equal_per_sample_sweeps_bitwise(
+        self, dense_limit, maximize, monkeypatch
+    ):
         from tests.kernel_reference import per_sample_bound_curve
 
+        if dense_limit is not None:
+            monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
         skeleton, samples = race_bank_samples()
-        kernel = CtmdpKernel(skeleton, dense_limit=dense_limit)
+        kernel = CtmdpKernel(skeleton)
         assert kernel.load_many(samples) == [None] * len(samples)
         assert len(set(kernel.buffer.block_rates)) == len(samples)
         curves = kernel.time_bounded_reachability_curve(
             signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
         )
         assert curves.shape == (len(samples), len(TIMES))
-        alone = CtmdpKernel(skeleton, dense_limit=dense_limit)
+        alone = CtmdpKernel(skeleton)
         for sample, curve in zip(samples, curves):
             expected = per_sample_bound_curve(
                 alone, sample, signals.FAILED_LABEL, TIMES, maximize, tolerance=1e-12

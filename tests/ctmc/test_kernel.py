@@ -57,9 +57,10 @@ ASSIGNMENTS = [
 class TestCsrBuffer:
     @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
     @pytest.mark.parametrize("assignment", ASSIGNMENTS)
-    def test_refill_matches_uniformized_matrix(self, assignment, dense_limit):
+    def test_refill_matches_uniformized_matrix(self, assignment, dense_limit, monkeypatch):
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
         skeleton, _ = tree_skeleton(parametric_tree())
-        buffer = CsrBuffer(skeleton, dense_limit=dense_limit)
+        buffer = CsrBuffer(skeleton)
         matrix, rate = buffer.refill(assignment)
         reference, ref_rate = skeleton.instantiate(assignment).uniformized_matrix()
         assert rate == ref_rate
@@ -114,30 +115,6 @@ class TestCsrBuffer:
             TransientKernel(skeleton_b, buffer=buffer)
 
 
-class TestDenseLimitResolution:
-    """The dense/sparse crossover: an explicit argument, else the module default."""
-
-    def test_explicit_argument_wins(self):
-        assert kernel_module.resolve_dense_limit(4) == 4
-
-    def test_module_default(self):
-        assert kernel_module.resolve_dense_limit() == kernel_module.DENSE_STATE_LIMIT
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(AnalysisError):
-            kernel_module.resolve_dense_limit(-1)
-
-    def test_kernel_threads_dense_limit_through(self):
-        skeleton, declared = tree_skeleton(parametric_tree())
-        forced_sparse = TransientKernel(skeleton, dense_limit=0)
-        default = TransientKernel(skeleton)
-        forced_sparse.load(declared)
-        default.load(declared)
-        sparse_curve = forced_sparse.probability_of_label_curve("failed", TIMES)
-        dense_curve = default.probability_of_label_curve("failed", TIMES)
-        assert sparse_curve == pytest.approx(dense_curve, abs=1e-12)
-
-
 class TestTransientKernel:
     @pytest.mark.parametrize("assignment", ASSIGNMENTS)
     def test_curve_matches_per_sample_instantiation(self, assignment):
@@ -152,13 +129,15 @@ class TestTransientKernel:
         )
         assert curve == pytest.approx(reference, abs=1e-12)
 
-    def test_sparse_path_curve_matches_dense_path(self):
+    def test_sparse_path_curve_matches_dense_path(self, monkeypatch):
         events = {f"{m}{i}": "lam" for m in ("A", "C", "D") for i in range(1, 5)}
         tree = with_rate_parameters(cascaded_pand_system(), events)
         skeleton, declared = tree_skeleton(tree)
         dense_kernel = TransientKernel(skeleton)
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", 0)
         sparse_kernel = TransientKernel(skeleton)
-        sparse_kernel.buffer = CsrBuffer(skeleton, dense_limit=0)
+        assert dense_kernel.buffer.dense is not None
+        assert sparse_kernel.buffer.dense is None
         assignment = dict(declared)
         assignment["lam"] = 0.8
         dense_kernel.load(assignment)
@@ -258,14 +237,15 @@ class TestBatchedBuffer:
     """refill_blocks stacks samples as diagonal blocks of one operator."""
 
     @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
-    def test_every_block_is_its_single_refill(self, dense_limit):
+    def test_every_block_is_its_single_refill(self, dense_limit, monkeypatch):
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
         skeleton, _ = tree_skeleton(parametric_tree())
         batch = [assignment for assignment in ASSIGNMENTS]
-        stacked = CsrBuffer(skeleton, dense_limit=dense_limit)
+        stacked = CsrBuffer(skeleton)
         assert stacked.refill_blocks(batch) == [None] * len(batch)
         assert stacked.blocks == len(batch)
         nnz = len(stacked.matrix.data) // len(batch)
-        single = CsrBuffer(skeleton, dense_limit=dense_limit)
+        single = CsrBuffer(skeleton)
         for block, assignment in enumerate(batch):
             matrix, rate = single.refill(assignment)
             assert stacked.block_rates[block] == rate
@@ -322,15 +302,16 @@ class TestBatchedBuffer:
 
 class TestBatchedTransientKernel:
     @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
-    def test_batched_curves_equal_per_sample_series_bitwise(self, dense_limit):
+    def test_batched_curves_equal_per_sample_series_bitwise(self, dense_limit, monkeypatch):
         from tests.kernel_reference import per_sample_label_curve
 
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
         skeleton, samples = cps_kernel_inputs()
-        kernel = TransientKernel(skeleton, dense_limit=dense_limit)
+        kernel = TransientKernel(skeleton)
         kernel.load_many(samples)
         curves = kernel.probability_of_label_curve("failed", TIMES)
         assert curves.shape == (len(samples), len(TIMES))
-        alone = TransientKernel(skeleton, dense_limit=dense_limit)
+        alone = TransientKernel(skeleton)
         for sample, curve in zip(samples, curves):
             assert np.array_equal(
                 curve, per_sample_label_curve(alone, sample, "failed", TIMES)

@@ -1,7 +1,9 @@
 """Tests for the Galileo format parser and writer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro import Study, Unreliability
 from repro.dft import (
     AndGate,
     BasicEvent,
@@ -14,7 +16,7 @@ from repro.dft import (
     VotingGate,
     galileo,
 )
-from repro.errors import FaultTreeError, GalileoSyntaxError
+from repro.errors import FaultTreeError, GalileoSyntaxError, ReproError
 from repro.systems import cardiac_assist_system, cascaded_pand_system
 
 CAS_TEXT = """
@@ -193,3 +195,52 @@ class TestRoundTrip:
         galileo.write_file(tree, str(path))
         parsed = galileo.parse_file(str(path))
         assert set(parsed.names()) == set(tree.names())
+
+
+CPS_TEXT = galileo.write(cascaded_pand_system())
+RATE_KEYS = ("lambda=", "dorm=", "repair=")
+BAD_NUMBERS = ("nan", "inf", "-inf", "1e999", "-1e999", "-1", "-0.5", "0", "-0.0")
+
+
+@st.composite
+def mutated_galileo(draw) -> str:
+    """The CAS or CPS text with one to four token mutations: a token
+    deleted, duplicated or swapped with another, or the number of a rate
+    slot replaced by a non-finite or non-positive one.  Lines are kept, so
+    a comment still ends at its line."""
+    text = draw(st.sampled_from([CAS_TEXT, CPS_TEXT]))
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        positions = [(row, col) for row, line in enumerate(lines) for col in range(len(line))]
+        slots = [
+            (row, col) for row, col in positions if lines[row][col].startswith(RATE_KEYS)
+        ]
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "poison"]))
+        if not positions or (kind == "poison" and not slots):
+            break
+        row, col = draw(st.sampled_from(slots if kind == "poison" else positions))
+        token = lines[row][col]
+        if kind == "delete":
+            del lines[row][col]
+        elif kind == "duplicate":
+            lines[row].insert(col, token)
+        elif kind == "swap":
+            other_row, other_col = draw(st.sampled_from(positions))
+            lines[row][col] = lines[other_row][other_col]
+            lines[other_row][other_col] = token
+        else:
+            key = token.split("=", 1)[0]
+            end = ";" if token.endswith(";") else ""
+            lines[row][col] = f"{key}={draw(st.sampled_from(BAD_NUMBERS))}{end}"
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@given(text=mutated_galileo())
+def test_fuzzed_galileo_fails_only_with_repro_errors(text):
+    # Parsing and analysing a malformed tree either succeeds or raises a
+    # ReproError (the CLI's exit 2, the service's HTTP 400): never another
+    # exception.
+    try:
+        Study(galileo.parse(text)).evaluate(Unreliability([1.0]))
+    except ReproError:
+        pass

@@ -15,8 +15,9 @@ from repro.ioimc import (
     strong_bisimulation_partition,
     weak_bisimulation_partition,
 )
+from repro.ioimc.bisimulation import ALGORITHMS
 from repro.systems import figure2_models
-from tests.partition_reference import strong_partition_splitter
+from tests.partition_reference import strong_partition_splitter, without_labels
 
 
 def erlang_like_chain() -> IOIMC:
@@ -68,9 +69,8 @@ class TestStrongBisimulation:
         s2 = model.add_state()
         model.add_markovian(s0, 1.0, s1)
         model.add_markovian(s0, 1.0, s2)
-        partition = strong_bisimulation_partition(model, respect_labels=False)
-        assert len(partition) == 1
-        assert len(strong_bisimulation_partition(model, respect_labels=True)) == 3
+        assert len(strong_bisimulation_partition(without_labels(model))) == 1
+        assert len(strong_bisimulation_partition(model)) == 3
 
     def test_absorbing_failed_region_lumps(self):
         """States that only keep failing internally collapse into one block."""
@@ -233,14 +233,14 @@ class TestDefaultVsSignature:
         reference = minimize_weak(model, algorithm="signature")
         assert default.to_dot() == reference.to_dot()
 
-    @pytest.mark.parametrize("respect_labels", [True, False])
-    def test_label_handling_matches(self, respect_labels):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_label_handling_matches(self, labelled):
         model = tau_cycle_with_escape()
+        if not labelled:
+            model = without_labels(model)
         assert weak_bisimulation_partition(
-            model, respect_labels=respect_labels, algorithm="closure"
-        ) == weak_bisimulation_partition(
-            model, respect_labels=respect_labels, algorithm="signature"
-        )
+            model, algorithm="closure"
+        ) == weak_bisimulation_partition(model, algorithm="signature")
 
     def test_unknown_algorithm_rejected(self):
         model = erlang_like_chain()
@@ -276,47 +276,36 @@ def close_rate_model(delta: float) -> IOIMC:
 
 
 class TestRatePrecision:
-    """``rate_digits`` is honoured identically by both engines."""
+    """Both engines, under both relations and in the pipeline, compare
+    aggregate rates at the fixed ``RATE_DIGITS`` precision: noise past the
+    tenth significant digit merges, a difference at the eighth splits."""
 
-    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
-    def test_rates_below_precision_merge(self, algorithm):
-        model = close_rate_model(1e-12)
-        partition = strong_bisimulation_partition(model, algorithm=algorithm)
+    RELATIONS = [strong_bisimulation_partition, weak_bisimulation_partition]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_differences_past_the_tenth_digit_merge(self, relation, algorithm):
+        # 2.0 and 2.000000000002 differ at the 13th significant digit.
+        partition = relation(close_rate_model(2e-12), algorithm=algorithm)
         assert len(partition) == 3  # a and b lump: the difference is noise
 
-    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
-    def test_rates_above_precision_split(self, algorithm):
-        model = close_rate_model(1e-3)
-        partition = strong_bisimulation_partition(model, algorithm=algorithm)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_differences_at_the_eighth_digit_split(self, relation, algorithm):
+        # 2.0 and 2.0000002 differ at the 8th significant digit.
+        partition = relation(close_rate_model(2e-7), algorithm=algorithm)
         assert len(partition) == 4
 
-    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
-    def test_custom_precision_consistent(self, algorithm):
-        model = close_rate_model(1e-3)
-        coarse = strong_bisimulation_partition(
-            model, algorithm=algorithm, rate_digits=2
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_pipeline_compares_at_the_same_precision(self, algorithm):
+        merged, _ = aggregate(
+            close_rate_model(2e-12), AggregationOptions(method="strong", minimiser=algorithm)
         )
-        assert len(coarse) == 3  # 2.0 vs 2.001 agree to 2 significant digits
-
-    @pytest.mark.parametrize("algorithm", ["closure", "signature"])
-    def test_weak_engine_honours_precision(self, algorithm):
-        model = close_rate_model(1e-3)
-        fine = weak_bisimulation_partition(model, algorithm=algorithm)
-        coarse = weak_bisimulation_partition(model, algorithm=algorithm, rate_digits=2)
-        assert len(fine) == 4
-        assert len(coarse) == 3
-
-    def test_aggregation_options_surface(self):
-        model = close_rate_model(1e-3)
-        fine, _ = aggregate(model, AggregationOptions(method="strong"))
-        coarse, _ = aggregate(
-            model, AggregationOptions(method="strong", rate_digits=2)
+        split, _ = aggregate(
+            close_rate_model(2e-7), AggregationOptions(method="strong", minimiser=algorithm)
         )
-        assert coarse.num_states < fine.num_states
-
-    def test_invalid_rate_digits_rejected(self):
-        with pytest.raises(ModelError):
-            AggregationOptions(rate_digits=0)
+        assert merged.num_states == 3
+        assert split.num_states == 4
 
     def test_invalid_minimiser_rejected(self):
         with pytest.raises(ModelError):

@@ -6,10 +6,7 @@ from repro.errors import CompositionError
 from repro.ioimc import (
     IOIMC,
     ActionType,
-    closed_actions,
-    hide_closed,
     parallel,
-    parallel_many,
     signature,
 )
 
@@ -104,36 +101,7 @@ class TestSynchronisation:
         r2 = relay.add_state()
         relay.add_interactive(r0, "a", r1)
         relay.add_interactive(r1, "b", r2)
-        composite = parallel_many([producer(), relay, consumer("b")])
+        composite = parallel(parallel(producer(), relay), consumer("b"))
         assert "received" in {
             label for s in composite.states() for label in composite.labels(s)
         }
-
-    def test_parallel_many_single_model(self):
-        single = parallel_many([producer()], name="alone")
-        assert single.name == "alone"
-        assert single.num_states == 3
-
-    def test_parallel_many_empty_rejected(self):
-        with pytest.raises(CompositionError):
-            parallel_many([])
-
-
-class TestHidingHelpers:
-    def test_closed_actions(self):
-        models = [producer("a"), consumer("a")]
-        assert closed_actions(models) == frozenset({"a"})
-        assert closed_actions(models, keep=["a"]) == frozenset()
-
-    def test_hide_closed_respects_external_listeners(self):
-        composite = parallel(producer("a"), consumer("a"))
-        # Another (not yet composed) model still listens to "a".
-        still_open = hide_closed(composite, external_inputs=["a"])
-        assert "a" in still_open.signature.outputs
-        closed = hide_closed(composite, external_inputs=[])
-        assert "a" in closed.signature.internals
-
-    def test_hide_closed_keep(self):
-        composite = parallel(producer("a"), consumer("a"))
-        kept = hide_closed(composite, external_inputs=[], keep=["a"])
-        assert "a" in kept.signature.outputs

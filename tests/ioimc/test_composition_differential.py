@@ -9,7 +9,7 @@ and the initial state.  They are compared
 
 * on every product of the cold-ladder trees of seeds 1-3 (the repository
   benchmark's ``cold_ladder`` inputs) and of the CPS and race-bank rate
-  sweep trees, under each ``fuse`` and ``urgent_outputs`` setting;
+  sweep trees, with and without ``fuse``;
 * on Hypothesis-drawn pairs: the producer/consumer and closed models of
   ``tests/property/test_property_ioimc.py``, and open pairs that exercise
   every synchronisation rule.
@@ -32,11 +32,7 @@ from tests.property.test_property_ioimc import (
     random_producer_consumer,
 )
 
-SETTINGS = [
-    {"fuse": fuse, "urgent_outputs": urgent}
-    for fuse in (True, False)
-    for urgent in (True, False)
-]
+SETTINGS = [{"fuse": fuse} for fuse in (True, False)]
 
 
 def assert_parallel_matches_reference(left: IOIMC, right: IOIMC, **kwargs) -> None:

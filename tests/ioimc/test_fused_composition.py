@@ -6,7 +6,6 @@ from repro.ioimc import (
     IOIMC,
     apply_maximal_progress,
     parallel,
-    parallel_many,
     remove_internal_self_loops,
     signature,
 )
@@ -89,67 +88,3 @@ class TestFusedEqualsComposeThenReduce:
         fused = parallel(left, right, fuse=True)
         plain = parallel(left, right)
         assert fused.num_states < plain.num_states
-
-    def test_open_imc_urgency_rule(self):
-        # urgent_outputs=False: outputs do not pre-empt Markovian delays.
-        left = IOIMC("l", signature(outputs=["go"]))
-        l0 = left.add_state(initial=True)
-        l1 = left.add_state()
-        left.add_interactive(l0, "go", l1)
-        left.add_markovian(l0, 1.0, l1)
-        right = IOIMC("r", signature(inputs=["go"]))
-        right.add_state(initial=True)
-        fused = parallel(left, right, fuse=True, urgent_outputs=False)
-        assert list(fused.markovian_out(fused.initial))
-
-
-class TestParallelManyHiding:
-    @staticmethod
-    def _chain():
-        producer = IOIMC("producer", signature(outputs=["a"]))
-        p0 = producer.add_state(initial=True)
-        p1 = producer.add_state()
-        producer.add_interactive(p0, "a", p1)
-        relay = IOIMC("relay", signature(inputs=["a"], outputs=["b"]))
-        r0 = relay.add_state(initial=True)
-        r1 = relay.add_state()
-        r2 = relay.add_state()
-        relay.add_interactive(r0, "a", r1)
-        relay.add_interactive(r1, "b", r2)
-        consumer = IOIMC("consumer", signature(inputs=["b"]))
-        c0 = consumer.add_state(initial=True)
-        c1 = consumer.add_state(labels=["received"])
-        consumer.add_interactive(c0, "b", c1)
-        return producer, relay, consumer
-
-    def test_intermediate_outputs_hidden_between_folds(self):
-        producer, relay, consumer = self._chain()
-        composite = parallel_many([producer, relay, consumer])
-        # "a" is not listened to after the relay has been absorbed, so the
-        # interleaved hiding turned it internal; "b" stays an output.
-        assert "a" in composite.signature.internals
-        assert "b" in composite.signature.outputs
-        assert "received" in {
-            label for s in composite.states() for label in composite.labels(s)
-        }
-
-    def test_hide_false_escape_hatch(self):
-        producer, relay, consumer = self._chain()
-        composite = parallel_many([producer, relay, consumer], hide=False)
-        assert "a" in composite.signature.outputs
-        assert "b" in composite.signature.outputs
-
-    def test_keep_protects_actions(self):
-        producer, relay, consumer = self._chain()
-        composite = parallel_many([producer, relay, consumer], keep=["a"])
-        assert "a" in composite.signature.outputs
-
-    def test_hidden_fold_equivalent_behaviour(self):
-        producer, relay, consumer = self._chain()
-        hidden = parallel_many([producer, relay, consumer])
-        naive = parallel_many([producer, relay, consumer], hide=False)
-        assert hidden.num_states == naive.num_states
-        received = lambda model: sum(
-            1 for s in model.states() if "received" in model.labels(s)
-        )
-        assert received(hidden) == received(naive)

@@ -28,14 +28,9 @@ class TestMaximalProgress:
         pruned = apply_maximal_progress(model_with_urgent_race())
         assert list(pruned.markovian_out(0)) == []
 
-    def test_output_preempts_markovian_by_default(self):
+    def test_output_preempts_markovian(self):
         pruned = apply_maximal_progress(model_with_urgent_race())
         assert list(pruned.markovian_out(2)) == []
-
-    def test_output_urgency_can_be_disabled(self):
-        pruned = apply_maximal_progress(model_with_urgent_race(), urgent_outputs=False)
-        assert list(pruned.markovian_out(0)) == []          # internal still urgent
-        assert list(pruned.markovian_out(2)) == [(2.0, 3)]  # output no longer urgent
 
     def test_stable_states_untouched(self):
         pruned = apply_maximal_progress(model_with_urgent_race())
@@ -50,7 +45,6 @@ class TestMaximalProgress:
 
     def test_count_pruned_transitions(self):
         assert count_pruned_transitions(model_with_urgent_race()) == 2
-        assert count_pruned_transitions(model_with_urgent_race(), urgent_outputs=False) == 1
 
     def test_idempotent(self):
         once = apply_maximal_progress(model_with_urgent_race())

@@ -3,8 +3,6 @@ partition, and weak refinement memory on tau-chains."""
 
 import tracemalloc
 
-import pytest
-
 from repro.ioimc import IOIMC, signature
 from repro.ioimc.bisimulation import weak_bisimulation_partition
 from repro.ioimc.partition import canonical_rate
@@ -117,12 +115,14 @@ class TestCanonicalRate:
 
     def test_significant_digits(self):
         assert canonical_rate(1.0 + 1e-13) == 1.0
+        assert canonical_rate(1.0 + 1e-7) != 1.0
         assert canonical_rate(1.0 + 1e-3) != 1.0
-        assert canonical_rate(1.0 + 1e-3, digits=2) == 1.0
 
     def test_scale_invariant(self):
         assert canonical_rate(1e6 + 1e-7) == 1e6
-        assert canonical_rate(1.23456e-8, digits=3) == pytest.approx(1.235e-8)
+        assert canonical_rate(1e6 + 0.1) != 1e6
+        assert canonical_rate(1.23456e-8 * (1 + 1e-13)) == canonical_rate(1.23456e-8)
+        assert canonical_rate(1.23456e-8 * (1 + 1e-7)) != canonical_rate(1.23456e-8)
 
 
 class TestTauChainMemory:

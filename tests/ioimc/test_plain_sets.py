@@ -28,7 +28,6 @@ from repro.ioimc import (
     weak_bisimulation_partition,
 )
 from repro.ioimc.bisimulation import (
-    DEFAULT_RATE_DIGITS,
     _internal_closure,
     _PlainSets,
     _plain_sets,
@@ -36,7 +35,7 @@ from repro.ioimc.bisimulation import (
     _weak_visible_reach,
 )
 from tests.ioimc.test_weak_refinement import seeded_model, small_models
-from tests.partition_reference import strong_partition_splitter
+from tests.partition_reference import strong_partition_splitter, without_labels
 
 
 def sets_of(model: IOIMC, weak: bool = True) -> _PlainSets:
@@ -45,7 +44,6 @@ def sets_of(model: IOIMC, weak: bool = True) -> _PlainSets:
         model._itrans,
         [moves.items() for moves in model._mtrans],
         model.signature,
-        DEFAULT_RATE_DIGITS,
         _tau_successors(model) if weak else None,
         weak,
     )
@@ -212,13 +210,13 @@ class TestAgainstTheSignatureEngineSets:
 
 class TestStrongRelation:
     @settings(deadline=None)
-    @given(model=small_models(), respect_labels=st.booleans())
-    def test_random_small_models(self, model, respect_labels):
-        default = strong_bisimulation_partition(model, respect_labels=respect_labels)
-        assert default == strong_bisimulation_partition(
-            model, respect_labels=respect_labels, algorithm="signature"
-        )
-        assert default == strong_partition_splitter(model, respect_labels=respect_labels)
+    @given(model=small_models(), labelled=st.booleans())
+    def test_random_small_models(self, model, labelled):
+        if not labelled:
+            model = without_labels(model)
+        default = strong_bisimulation_partition(model)
+        assert default == strong_bisimulation_partition(model, algorithm="signature")
+        assert default == strong_partition_splitter(model)
 
     @pytest.mark.parametrize("num_states,seed", [(60, 4), (500, 5), (2047, 6)])
     def test_seeded_models(self, num_states, seed):

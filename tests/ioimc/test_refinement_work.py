@@ -25,7 +25,6 @@ import pytest
 
 from repro.ioimc import IOIMC, signature, weak_bisimulation_partition
 from repro.ioimc.bisimulation import (
-    DEFAULT_RATE_DIGITS,
     _strong_partition_plain,
     _weak_partition_plain,
 )
@@ -83,9 +82,9 @@ def test_a_long_markovian_chain(relation):
     model = markovian_chain(4000)
     work = []
     if relation == "strong":
-        partition = _strong_partition_plain(model, True, DEFAULT_RATE_DIGITS, work)
+        partition = _strong_partition_plain(model, work)
     else:
-        partition = _weak_partition_plain(model, True, DEFAULT_RATE_DIGITS, work).partition
+        partition = _weak_partition_plain(model, work).partition
     # Every state is a distinct distance from the end: nothing lumps.
     assert len(partition) == model.num_states
     assert_within_bound(model, work)
@@ -94,7 +93,7 @@ def test_a_long_markovian_chain(relation):
 def test_a_pure_tau_chain():
     model = pure_tau_chain(6000)
     work = []
-    partition = _weak_partition_plain(model, True, DEFAULT_RATE_DIGITS, work).partition
+    partition = _weak_partition_plain(model, work).partition
     assert len(partition) == 2
     assert_within_bound(model, work)
 
@@ -102,7 +101,7 @@ def test_a_pure_tau_chain():
 def test_a_dense_tau_scc():
     model = random_tau_cycle_model(0, num_states=300)
     work = []
-    partition = _weak_partition_plain(model, True, DEFAULT_RATE_DIGITS, work).partition
+    partition = _weak_partition_plain(model, work).partition
     assert partition == weak_bisimulation_partition(model, algorithm="signature")
     assert_within_bound(model, work)
 
@@ -112,7 +111,7 @@ def test_a_64_input_alphabet(relation):
     model = wide_alphabet_chain(2000)
     work = []
     if relation == "strong":
-        _strong_partition_plain(model, True, DEFAULT_RATE_DIGITS, work)
+        _strong_partition_plain(model, work)
     else:
-        _weak_partition_plain(model, True, DEFAULT_RATE_DIGITS, work)
+        _weak_partition_plain(model, work)
     assert_within_bound(model, work)

@@ -47,23 +47,13 @@ def test_a_pruned_off_state_is_restricted_away(method):
     assert labels == {"fired", "done"}
 
 
-def test_without_urgent_outputs_nothing_is_cut_off():
-    # Under the open-IMC rule the output does not make state 0 urgent, so
-    # the rate stays and every state is kept.
-    reduced, _stats = aggregate(
-        _pruned_off_model(), AggregationOptions(method="tau", urgent_outputs=False)
-    )
-    assert reduced.num_states == 4
-    assert "failed" in {label for state in reduced.states() for label in reduced.labels(state)}
-
-
 def test_skipped_restrictions_on_the_ladder_remove_nothing():
     settle = reduction._settle
     counts = {"skipped": 0}
 
-    def checking(model, options):
-        settled = settle(model, options)
-        if _prune_urgent_rates(model, options.urgent_outputs) is model:
+    def checking(model):
+        settled = settle(model)
+        if _prune_urgent_rates(model) is model:
             counts["skipped"] += 1
             assert _all_reachable(settled), model.name
         return settled

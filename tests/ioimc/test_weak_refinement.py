@@ -42,7 +42,6 @@ from repro.ioimc import (
 )
 from repro.ioimc.bisimulation import (
     ALGORITHMS,
-    DEFAULT_RATE_DIGITS,
     Partition,
     _plain_weak_quotient,
     _tau_successors,
@@ -51,7 +50,7 @@ from repro.ioimc.bisimulation import (
 )
 from repro.ioimc.rates import ParametricRate
 from repro.systems import cascaded_pand_system, pand_race_bank
-from tests.partition_reference import reference_weak_quotient
+from tests.partition_reference import reference_weak_quotient, without_labels
 from tests.property.test_engine_differential import random_tau_cycle_model
 from tests.reduction_reference import canonical_form
 
@@ -160,17 +159,19 @@ def single_tau_model(num_states: int, seed: int) -> IOIMC:
     return model
 
 
-def refined_quotient(model: IOIMC, respect_labels: bool = True) -> Tuple[Partition, IOIMC]:
+def refined_quotient(model: IOIMC) -> Tuple[Partition, IOIMC]:
     """The refinement's partition and (unrestricted) quotient of ``model``."""
-    refinement = _weak_partition_plain(model, respect_labels, DEFAULT_RATE_DIGITS)
+    refinement = _weak_partition_plain(model)
     return refinement.partition, _plain_weak_quotient(model, refinement)
 
 
-def assert_matches_reference(model: IOIMC, respect_labels: bool = True) -> None:
-    partition, quotient = refined_quotient(model, respect_labels)
-    expected_partition = weak_bisimulation_partition(
-        model, respect_labels=respect_labels, algorithm="signature"
-    )
+def assert_matches_reference(model: IOIMC, labelled: bool = True) -> None:
+    """The refinement against the references, on ``model`` or, unless
+    ``labelled``, on ``model`` with its labels erased."""
+    if not labelled:
+        model = without_labels(model)
+    partition, quotient = refined_quotient(model)
+    expected_partition = weak_bisimulation_partition(model, algorithm="signature")
     assert partition == expected_partition, model.name
     full = reference_weak_quotient(model, expected_partition)
     assert quotient.to_dot() == full.to_dot(), model.name
@@ -178,22 +179,25 @@ def assert_matches_reference(model: IOIMC, respect_labels: bool = True) -> None:
     assert quotient._mtrans == full._mtrans, model.name
     # What minimize_weak returns — the quotient, or the input itself when it
     # is already minimal — is the full quotient up to state numbering.
-    result = minimize_weak(model, respect_labels=respect_labels)
+    result = minimize_weak(model)
     assert canonical_form(result) == canonical_form(full._reachable_part()), model.name
 
 
-def reduced_size(model: IOIMC, respect_labels: bool = True) -> int:
-    """States of the pre-pass's reduced model (the input's without one)."""
+def reduced_size(model: IOIMC, labelled: bool = True) -> int:
+    """States of the pre-pass's reduced model (the input's without one),
+    with the labels of ``model`` erased unless ``labelled``."""
+    if not labelled:
+        model = without_labels(model)
     tau_succ = _tau_successors(model)
-    reduced = None if tau_succ is None else _weak_prepass(model, tau_succ, respect_labels)
+    reduced = None if tau_succ is None else _weak_prepass(model, tau_succ)
     return model.num_states if reduced is None else len(reduced[1])
 
 
 class TestAgainstTheReferences:
     @settings(deadline=None)
-    @given(model=small_models(), respect_labels=st.booleans())
-    def test_random_small_models(self, model, respect_labels):
-        assert_matches_reference(model, respect_labels)
+    @given(model=small_models(), labelled=st.booleans())
+    def test_random_small_models(self, model, labelled):
+        assert_matches_reference(model, labelled)
 
     @settings(deadline=None)
     @given(
@@ -202,19 +206,19 @@ class TestAgainstTheReferences:
             st.integers(min_value=1, max_value=2047),
         ),
         seed=st.integers(min_value=0, max_value=2**32),
-        respect_labels=st.booleans(),
+        labelled=st.booleans(),
     )
-    def test_seeded_models(self, num_states, seed, respect_labels):
-        assert_matches_reference(seeded_model(num_states, seed), respect_labels)
+    def test_seeded_models(self, num_states, seed, labelled):
+        assert_matches_reference(seeded_model(num_states, seed), labelled)
 
     @settings(deadline=None)
     @given(
         num_states=st.integers(min_value=2, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32),
-        respect_labels=st.booleans(),
+        labelled=st.booleans(),
     )
-    def test_models_the_pre_pass_shrinks(self, num_states, seed, respect_labels):
-        assert_matches_reference(single_tau_model(num_states, seed), respect_labels)
+    def test_models_the_pre_pass_shrinks(self, num_states, seed, labelled):
+        assert_matches_reference(single_tau_model(num_states, seed), labelled)
 
     def test_rates_come_from_the_smallest_stable_member(self):
         # States 1 and 2 lump (their rates agree to ten digits) but list
@@ -363,16 +367,15 @@ class TestPrePass:
         assert reduced_size(model) == model.num_states
         assert_matches_reference(model)
 
-    @pytest.mark.parametrize("respect_labels", [True, False])
-    def test_forwarding_needs_equal_labels(self, respect_labels):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_forwarding_needs_equal_labels(self, labelled):
         model = tau_chain(2)
         model.add_interactive(1, "tau", 1)  # a divergent end
-        expected = 1 if not respect_labels else 2
-        assert reduced_size(model, respect_labels) == expected
-        assert_matches_reference(model, respect_labels)
+        assert reduced_size(model, labelled) == (2 if labelled else 1)
+        assert_matches_reference(model, labelled)
 
-    @pytest.mark.parametrize("respect_labels", [True, False])
-    def test_a_tau_cycle_with_mixed_labels_merges_per_label(self, respect_labels):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_a_tau_cycle_with_mixed_labels_merges_per_label(self, labelled):
         model = IOIMC("ring", signature(inputs=["i"], internals=["tau"]))
         for index in range(6):
             model.add_state(labels=("x",) if index % 2 else ())
@@ -381,8 +384,8 @@ class TestPrePass:
         model.add_interactive(2, "i", 0)  # an input some members lack
         model.add_markovian(0, 1.0, 3)  # rates of unstable states never count
         model.set_initial(0)
-        assert reduced_size(model, respect_labels) == (2 if respect_labels else 1)
-        assert_matches_reference(model, respect_labels)
+        assert reduced_size(model, labelled) == (2 if labelled else 1)
+        assert_matches_reference(model, labelled)
 
     @pytest.mark.parametrize("internal", [False, True], ids=["tau-free", "with-tau"])
     def test_a_wide_input_alphabet(self, internal):

@@ -13,6 +13,10 @@ beside the library's seed signature engine (``algorithm="signature"``):
   worklist is quadratic on long Markovian chains.
 * :func:`reference_weak_quotient` — the weak quotient built from the
   signature engine's per-state closure and reach frozensets.
+
+:func:`without_labels` erases every label of a model: refining it is
+refining the original while ignoring labels, which the property tests draw
+beside the labelled model.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from repro.ioimc import IOIMC
 from repro.ioimc.actions import intern_action
 from repro.ioimc.bisimulation import _internal_closure, _weak_visible_reach
-from repro.ioimc.partition import DEFAULT_RATE_DIGITS, canonical_rate
+from repro.ioimc.partition import canonical_rate
 
 
 class RefinablePartition:
@@ -371,10 +375,7 @@ def refine(
 
 
 def strong_partition_splitter(
-    model: IOIMC,
-    respect_labels: bool = True,
-    rate_digits: int = DEFAULT_RATE_DIGITS,
-    own_inputs_invisible: bool = False,
+    model: IOIMC, own_inputs_invisible: bool = False
 ) -> List[FrozenSet[int]]:
     """Paige-Tarjan three-way smaller-half refinement (on states).
 
@@ -410,8 +411,7 @@ def strong_partition_splitter(
     if num_states == 0:
         return []
     part = RefinablePartition(num_states)
-    if respect_labels:
-        part.split_by_key(0, model.labels)
+    part.split_by_key(0, model.labels)
 
     # Reverse adjacencies: everything a splitter needs is reachable from its
     # member states' in-edges.
@@ -592,7 +592,7 @@ def strong_partition_splitter(
 
         def rate_key(source: int):
             weight = weights.get(source)
-            key = None if weight is None else canonical_rate(weight, rate_digits)
+            key = None if weight is None else canonical_rate(weight)
             return (key, inputs.get(source, 0)) if inputs else key
 
         for marked, rest in part.split_marked():
@@ -666,3 +666,12 @@ def reference_weak_quotient(model: IOIMC, partition: Sequence[FrozenSet[int]]) -
         [f"B{block_id}" for block_id in range(len(partition))],
         block_of[model.initial],
     )
+
+
+def without_labels(model: IOIMC) -> IOIMC:
+    """A copy of ``model`` with every state's labels erased.
+
+    The minimisers always keep differently labelled states apart; on this
+    copy they refine the model as if its labels did not count.
+    """
+    return model.relabel_states({state: () for state in model.states()})

@@ -38,6 +38,7 @@ from repro.systems import (
     figure2_models,
     mutually_exclusive_switch,
 )
+from tests.partition_reference import without_labels
 
 ENGINES = ("closure", "signature")
 MISSION_TIMES = (0.5, 1.0)
@@ -116,15 +117,12 @@ class TestQuotientIdentity:
         assert dots["closure"] == dots["signature"]
 
     @pytest.mark.parametrize("seed", [3, 8])
-    @pytest.mark.parametrize("respect_labels", [True, False])
-    def test_label_handling_cell(self, seed, respect_labels):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_label_handling_cell(self, seed, labelled):
         model = random_tau_cycle_model(seed)
-        dots = {
-            engine: minimize_weak(
-                model, respect_labels=respect_labels, algorithm=engine
-            ).to_dot()
-            for engine in ENGINES
-        }
+        if not labelled:
+            model = without_labels(model)
+        dots = {engine: minimize_weak(model, algorithm=engine).to_dot() for engine in ENGINES}
         assert dots["closure"] == dots["signature"]
 
 

@@ -40,7 +40,7 @@ from repro.systems import (
     mutually_exclusive_switch,
     random_dft,
 )
-from tests.partition_reference import strong_partition_splitter
+from tests.partition_reference import strong_partition_splitter, without_labels
 from tests.reduction_reference import aggregate_to_fixpoint, canonical_form
 
 MISSION_TIME = 1.0
@@ -178,11 +178,13 @@ class TestWeakMinimisationIdempotent:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), respect_labels=st.booleans())
-    def test_random_models(self, algorithm, data, respect_labels):
+    @given(data=st.data(), labelled=st.booleans())
+    def test_random_models(self, algorithm, data, labelled):
         model = random_tau_model(data.draw)
-        once = minimize_weak(model, respect_labels=respect_labels, algorithm=algorithm)
-        twice = minimize_weak(once, respect_labels=respect_labels, algorithm=algorithm)
+        if not labelled:
+            model = without_labels(model)
+        once = minimize_weak(model, algorithm=algorithm)
+        twice = minimize_weak(once, algorithm=algorithm)
         assert canonical_form(twice) == canonical_form(once)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -39,31 +39,26 @@ def aggregate_to_fixpoint(
         return reduced, 0
     for rounds in range(1, MAX_ROUNDS + 1):
         size_before = (reduced.num_states, reduced.num_transitions)
-        reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
+        reduced = apply_maximal_progress(reduced)
         reduced = remove_internal_self_loops(reduced)
         reduced = compress_deterministic_tau(reduced)
         reduced = reduced.restrict_to_reachable()
         minimiser = {"weak": minimize_weak, "strong": minimize_strong}.get(options.method)
         if minimiser is not None:
-            reduced = minimiser(
-                reduced,
-                respect_labels=options.respect_labels,
-                algorithm=options.minimiser,
-                rate_digits=options.rate_digits,
-            )
-        reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
+            reduced = minimiser(reduced, algorithm=options.minimiser)
+        reduced = apply_maximal_progress(reduced)
         reduced = reduced.restrict_to_reachable()
         if (reduced.num_states, reduced.num_transitions) == size_before:
             return reduced, rounds
     raise AssertionError(f"no fixpoint after {MAX_ROUNDS} rounds for {model.name!r}")
 
 
-def canonical_form(model: IOIMC, digits: int = 10) -> tuple:
+def canonical_form(model: IOIMC) -> tuple:
     """A rendering of ``model`` that does not depend on its state numbering.
 
     States get colours by iterated refinement over labels, interactive
-    moves (action names) and Markovian rates (``digits`` significant
-    digits), with colour ids ranked by their sorted signatures, so equal
+    moves (action names) and Markovian rates (compared as the minimisers
+    compare them), with colour ids ranked by their sorted signatures, so equal
     models get equal colours.  The form lists every state's colour, labels
     and moves by target colour, plus the initial colour.  When all colours
     differ — always so for a bisimulation quotient — equal forms mean
@@ -79,7 +74,7 @@ def canonical_form(model: IOIMC, digits: int = 10) -> tuple:
         rates: Dict[int, float] = {}
         for target, rate in model.markovian_dict(state).items():
             rates[colour[target]] = rates.get(colour[target], 0.0) + rate
-        markovian = sorted((key, _rate_token(rate, digits)) for key, rate in rates.items())
+        markovian = sorted((key, _rate_token(rate)) for key, rate in rates.items())
         return tuple(interactive), tuple(markovian)
 
     def ranked(signatures: List[tuple]) -> List[int]:
@@ -99,8 +94,8 @@ def canonical_form(model: IOIMC, digits: int = 10) -> tuple:
     return colour[model.initial], tuple(rows)
 
 
-def _rate_token(rate, digits: int) -> tuple:
+def _rate_token(rate) -> tuple:
     """:func:`canonical_rate` tagged by kind, so that plain and parametric
     rates of one model stay comparable when states are ranked."""
-    token = canonical_rate(rate, digits)
+    token = canonical_rate(rate)
     return token if isinstance(token, tuple) else ("float", token)

@@ -13,6 +13,7 @@ import logging
 import os
 import pickle
 import shutil
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.service.store import (
     build_entry,
     cache_key,
 )
+from repro.systems import cardiac_assist_system
 
 TOLERANCE = 1e-9
 
@@ -73,6 +75,21 @@ class TestRoundTrip:
         # Tolerance is an evaluation-time knob, not a pipeline input.
         assert cache_key(tree, StudyOptions(tolerance=1e-6)) == base
 
+    def test_every_structural_option_changes_the_key(self):
+        # A pipeline option the key ignores lets a store serve one
+        # configuration's skeleton to another.
+        tree = cardiac_assist_system()
+        base = cache_key(tree, StudyOptions())
+        # The fingerprint the fixtures of tests/data/store_entries and the
+        # golden payloads carry.
+        assert base.endswith("-2d03c31c5500")
+        ignored = [
+            name
+            for name, options in _non_default_options(StudyOptions, StudyOptions)
+            if cache_key(tree, options) == base
+        ]
+        assert ignored == []
+
     def test_unpickled_buffer_keeps_skeleton_identity(self, store):
         entry, _ = store.get_or_build(_tree(), StudyOptions())
         loaded = store.load(entry.key)
@@ -105,6 +122,42 @@ class TestRoundTrip:
                 plain.measures[0].values[0], abs=TOLERANCE
             )
         assert store.stats()["entries"] == 1  # one shared structural entry
+
+
+#: A non-default value of each option whose values are names.
+OTHER_NAMES = {"ordering": "sequential", "method": "strong", "minimiser": "signature"}
+
+
+def _nested(build, name, inner):
+    """``build`` for the fields of the ``inner`` options held in ``name``."""
+    return lambda **values: build(**{name: inner(**values)})
+
+
+def _non_default_options(cls, build, prefix=""):
+    """``(field path, options)`` for every field of the ``cls`` options
+    (nested option dataclasses field by field) set to a non-default value,
+    the study's ``tolerance`` excepted; ``build`` turns ``cls`` keyword
+    arguments into :class:`StudyOptions`."""
+    for option in fields(cls):
+        if cls is StudyOptions and option.name == "tolerance":
+            continue  # evaluation only: rightly not in the key
+        default = getattr(cls(), option.name)
+        if is_dataclass(default):
+            yield from _non_default_options(
+                type(default),
+                _nested(build, option.name, type(default)),
+                f"{prefix}{option.name}.",
+            )
+            continue
+        if option.name in OTHER_NAMES:
+            other = OTHER_NAMES[option.name]
+        elif isinstance(default, bool):
+            other = not default
+        elif isinstance(default, int):
+            other = default + 1
+        else:
+            raise AssertionError(f"no non-default value for option {option.name!r}")
+        yield prefix + option.name, build(**{option.name: other})
 
 
 class TestCorruptionRobustness:
