@@ -24,6 +24,23 @@ class TestCommunityShape:
         assert names == {"BE(A)", "BE(B)", "Gate(Top)", "Monitor(Top)"}
         assert community.top_fire_action == signals.fire("Top")
 
+    @pytest.mark.parametrize(
+        "tree_fixture",
+        ["and_tree", "pand_tree", "shared_spare_tree", "fdep_tree", "repairable_and_tree"],
+    )
+    def test_monitor_listens_to_the_top_event(self, tree_fixture, request):
+        # The monitor is always part of the community: it is the one member
+        # that makes the top event's failure an observable state label.
+        tree = request.getfixturevalue(tree_fixture)
+        community = convert(tree)
+        monitors = [m for m in community.members if m.kind == "monitor"]
+        assert [m.name for m in monitors] == [f"Monitor({tree.top})"]
+        monitor = monitors[0].model
+        assert community.top_fire_action in monitor.signature.inputs
+        assert not monitor.signature.outputs
+        assert any("failed" in monitor.labels(s) for s in monitor.states())
+        assert "failed" not in monitor.labels(monitor.initial)
+
     def test_every_input_has_a_producer(self, shared_spare_tree):
         # The converter itself validates this; here we re-check explicitly.
         community = convert(shared_spare_tree)

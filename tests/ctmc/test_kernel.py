@@ -115,6 +115,33 @@ class TestCsrBuffer:
             TransientKernel(skeleton_b, buffer=buffer)
 
 
+class TestDenseCrossover:
+    """Chains of at most DENSE_STATE_LIMIT states step a dense matrix."""
+
+    def test_dense_at_the_limit(self, monkeypatch):
+        skeleton, _ = tree_skeleton(parametric_tree())
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", skeleton.num_states)
+        assert CsrBuffer(skeleton).dense is not None
+
+    def test_sparse_one_state_past_the_limit(self, monkeypatch):
+        skeleton, _ = tree_skeleton(parametric_tree())
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", skeleton.num_states - 1)
+        assert CsrBuffer(skeleton).dense is None
+
+    def test_forced_sparse_curve_matches_dense(self, monkeypatch):
+        skeleton, declared = tree_skeleton(parametric_tree())
+        dense_kernel = TransientKernel(skeleton)
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", 0)
+        sparse_kernel = TransientKernel(skeleton)
+        assert dense_kernel.buffer.dense is not None
+        assert sparse_kernel.buffer.dense is None
+        dense_kernel.load(declared)
+        sparse_kernel.load(declared)
+        sparse_curve = sparse_kernel.probability_of_label_curve("failed", TIMES)
+        dense_curve = dense_kernel.probability_of_label_curve("failed", TIMES)
+        assert sparse_curve == pytest.approx(dense_curve, abs=1e-12)
+
+
 class TestTransientKernel:
     @pytest.mark.parametrize("assignment", ASSIGNMENTS)
     def test_curve_matches_per_sample_instantiation(self, assignment):

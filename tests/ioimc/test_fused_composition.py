@@ -88,3 +88,16 @@ class TestFusedEqualsComposeThenReduce:
         fused = parallel(left, right, fuse=True)
         plain = parallel(left, right)
         assert fused.num_states < plain.num_states
+
+    def test_fused_output_preempts_markovian(self):
+        # An output is urgent: once it can fire, the rate beside it is cut.
+        left = IOIMC("l", signature(outputs=["go"]))
+        l0 = left.add_state(initial=True)
+        l1 = left.add_state()
+        left.add_interactive(l0, "go", l1)
+        left.add_markovian(l0, 1.0, l1)
+        right = IOIMC("r", signature(inputs=["go"]))
+        right.add_state(initial=True)
+        fused = parallel(left, right, fuse=True)
+        assert list(fused.markovian_out(fused.initial)) == []
+        assert _canonical(fused) == _canonical(_compose_then_reduce(left, right))

@@ -32,6 +32,22 @@ class TestMaximalProgress:
         pruned = apply_maximal_progress(model_with_urgent_race())
         assert list(pruned.markovian_out(2)) == []
 
+    def test_input_does_not_preempt_markovian(self):
+        # Inputs wait for the environment, so they are never urgent.
+        model = IOIMC("listener", signature(inputs=["go"]))
+        s0 = model.add_state(initial=True)
+        s1 = model.add_state()
+        model.add_interactive(s0, "go", s1)
+        model.add_markovian(s0, 1.0, s1)
+        assert list(apply_maximal_progress(model).markovian_out(s0)) == [(1.0, s1)]
+        assert count_pruned_transitions(model) == 0
+
+    def test_count_is_the_number_of_rates_removed(self):
+        model = model_with_urgent_race()
+        pruned = apply_maximal_progress(model)
+        rates = lambda m: sum(len(list(m.markovian_out(s))) for s in m.states())
+        assert rates(model) - rates(pruned) == count_pruned_transitions(model)
+
     def test_stable_states_untouched(self):
         pruned = apply_maximal_progress(model_with_urgent_race())
         assert list(pruned.markovian_out(1)) == [(1.0, 3)]

@@ -102,6 +102,25 @@ class TestAggregate:
         with pytest.raises(ModelError):
             AggregationOptions(method="magic")
 
+    @pytest.mark.parametrize("knob", ["urgent_outputs", "respect_labels", "rate_digits"])
+    def test_semantic_knobs_are_not_settable(self, knob):
+        # Urgency, label splitting and rate precision are fixed by the
+        # I/O-IMC semantics, so the options carry only relation and engine.
+        with pytest.raises(TypeError):
+            AggregationOptions(**{knob: False})
+
+    @pytest.mark.parametrize("method", ["weak", "strong"])
+    def test_labels_always_split_blocks(self, method):
+        # Two absorbing states that differ only in their label stay apart.
+        model = IOIMC("labelled", signature())
+        start = model.add_state(initial=True)
+        model.add_markovian(start, 1.0, model.add_state(labels=["failed"]))
+        model.add_markovian(start, 2.0, model.add_state())
+        reduced, _ = aggregate(model, AggregationOptions(method=method))
+        assert reduced.num_states == 3
+        labelled = [s for s in reduced.states() if "failed" in reduced.labels(s)]
+        assert len(labelled) == 1
+
     def test_aggregation_keeps_name(self):
         model = chain_with_taus()
         reduced, _ = aggregate(model)

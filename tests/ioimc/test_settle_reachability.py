@@ -47,6 +47,25 @@ def test_a_pruned_off_state_is_restricted_away(method):
     assert labels == {"fired", "done"}
 
 
+@pytest.mark.parametrize("method", ["weak", "strong", "tau"])
+def test_an_input_race_cuts_nothing_off(method):
+    # With an input in place of the output, state 0 is not urgent: the
+    # rate stays, so the state behind it stays reachable and labelled.
+    model = IOIMC("input-race", signature(inputs=["fire"]))
+    start = model.add_state(initial=True)
+    fired = model.add_state(labels=["fired"])
+    orphan = model.add_state(labels=["failed"])
+    done = model.add_state(labels=["done"])
+    model.add_interactive(start, "fire", fired)
+    model.add_markovian(start, 1.0, orphan)
+    model.add_markovian(orphan, 3.0, done)
+    model.add_markovian(fired, 2.0, done)
+    reduced, _stats = aggregate(model, AggregationOptions(method=method))
+    assert reduced.num_states == 4
+    labels = {label for state in reduced.states() for label in reduced.labels(state)}
+    assert labels == {"fired", "failed", "done"}
+
+
 def test_skipped_restrictions_on_the_ladder_remove_nothing():
     settle = reduction._settle
     counts = {"skipped": 0}
