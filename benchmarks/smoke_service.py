@@ -4,14 +4,20 @@ Starts ``python -m repro serve`` on an ephemeral port (``--port 0``), parses
 the advertised URL from its stdout, fires mixed concurrent requests
 (analyze / sweep / batch / healthz / metrics) from several client threads
 and asserts every served response is bit-identical to the in-process
-result on the same skeleton cache.  The server is torn down in a
-``finally`` block — a failing assertion must not leave an orphan process::
+result on the same skeleton cache.  ``--processes N`` starts the server
+with a worker pool of N processes, so ``/analyze``, ``/sweep`` and
+``/batch`` are evaluated by the pool; the smoke then also fails if a sweep
+did not run on the pool or the pool fell back to in-process evaluation.
+The server is torn down in a ``finally`` block — a failing assertion must
+not leave an orphan process::
 
     PYTHONPATH=src python benchmarks/smoke_service.py
+    PYTHONPATH=src python benchmarks/smoke_service.py --processes 2
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -54,7 +60,7 @@ def _strip(response: dict) -> dict:
     return slim
 
 
-def _start_server(cache_dir: str) -> subprocess.Popen:
+def _start_server(cache_dir: str, processes: int) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable,
@@ -65,6 +71,8 @@ def _start_server(cache_dir: str) -> subprocess.Popen:
             cache_dir,
             "--port",
             "0",
+            "--processes",
+            str(processes),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -92,10 +100,10 @@ def _read_url(process: subprocess.Popen) -> str:
     return banner["url"]
 
 
-def run() -> int:
+def run(processes: int = 0) -> int:
     cas_text = galileo.write(cardiac_assist_system())
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as cache_dir:
-        process = _start_server(cache_dir)
+        process = _start_server(cache_dir, processes)
         try:
             url = _read_url(process)
             client = ServiceClient(url)
@@ -145,6 +153,12 @@ def run() -> int:
                 if _strip(analyze) != local_analyze:
                     print("FAIL: served analyze differs from in-process", file=sys.stderr)
                     return 1
+                if processes and not sweep["options"].get("service_pool"):
+                    print("FAIL: sweep did not run on the worker pool", file=sys.stderr)
+                    return 1
+                if len(sweep["rows"]) != len(local_rows):
+                    print("FAIL: served sweep has the wrong row count", file=sys.stderr)
+                    return 1
                 for mine, theirs in zip(sweep["rows"], local_rows):
                     if (
                         mine["sample"] != theirs["sample"]
@@ -170,10 +184,17 @@ def run() -> int:
                     return 1
 
             metrics = client.metrics()
+            if metrics["pool_fallbacks"]:
+                print(
+                    f"FAIL: {metrics['pool_fallbacks']} pool fallback(s)",
+                    file=sys.stderr,
+                )
+                return 1
             analyze_metrics = metrics["endpoints"]["/analyze"]
             print(
                 f"service smoke ok: {len(rounds)} mixed rounds from "
-                f"{NUM_CLIENTS} clients, {analyze_metrics['requests']} analyze "
+                f"{NUM_CLIENTS} clients on {processes} pool workers, "
+                f"{analyze_metrics['requests']} analyze "
                 f"requests, p95 {analyze_metrics['p95_ms']:.1f} ms, "
                 f"{metrics['store']['entries']} cache entries"
             )
@@ -188,4 +209,11 @@ def run() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--processes",
+        type=int,
+        default=0,
+        help="worker pool size of the served process (default: 0, no pool)",
+    )
+    sys.exit(run(parser.parse_args().processes))

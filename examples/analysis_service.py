@@ -7,8 +7,7 @@ Walks the serving layer end to end:
 * analyze over HTTP — the first request of a structural class pays for the
   full pipeline (conversion, aggregation, minimisation), every later
   request of the same class is served from the cache,
-* run a parameter sweep with one shared uniformisation rate for the whole
-  grid, and
+* run a parameter sweep on the warmed skeleton, and
 * read the server's request metrics and cache statistics.
 
 Run with::
@@ -74,15 +73,10 @@ def main() -> None:
                 f"{cold / warm:.0f}x)"
             )
 
-            # 4. A sweep over the cached skeleton with one shared
-            #    uniformisation rate for the whole grid.
-            sweep = client.sweep(
-                PARAM_TREE,
-                axes={"lam": [0.1, 0.5, 1.0, 2.0]},
-                share_uniformisation=True,
-            )
-            print("sweep over lam (shared uniformisation rate "
-                  f"{sweep['options']['shared_uniformisation_rate']:.3f}):")
+            # 4. A sweep over the cached skeleton: one instantiation per
+            #    sample, no conversion or aggregation.
+            sweep = client.sweep(PARAM_TREE, axes={"lam": [0.1, 0.5, 1.0, 2.0]})
+            print(f"sweep over lam (skeleton cache {sweep['service']['cache']}):")
             for row in sweep["rows"]:
                 value = row["measures"][0]["values"][0]
                 print(f"  lam={row['sample']['lam']:<4} -> U(t=1) = {value:.6f}")

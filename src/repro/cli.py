@@ -16,16 +16,14 @@ and report reliability measures.  Sub-commands:
     ``--param lam=0.1:2.0:50`` sweeps a declared Galileo parameter (or a
     basic event by name) over a linspace grid; the per-sample solves run on
     a shared-structure uniformisation kernel and fan out over worker
-    processes with ``--processes N`` (``--chunk-size`` tunes the chunked
-    scheduling; rows are bit-identical to a serial run).  ``--json`` emits
-    schema ``repro.sweep/3``.
+    processes with ``--processes N`` (rows are bit-identical to a serial
+    run).  ``--json`` emits schema ``repro.sweep/3``.
 ``batch``
     Evaluate the same query over a corpus of ``.dft`` files (shell-style
     globs are expanded) with optional process parallelism, printing per-tree
     rows and aggregate timing.  ``--json`` emits schema ``repro.batch/1``;
     ``--output-jsonl FILE`` streams one ``repro.batch/2`` record per tree to
-    disk instead of materialising the rows (``--chunk-size`` tunes the
-    chunked scheduling).
+    disk instead of materialising the rows.
 ``optimize``
     Russian-doll branch-and-bound over a discrete design space (spare counts,
     repair-crew allocation) minimising the mission-time unreliability under a
@@ -259,7 +257,7 @@ def command_batch(args: argparse.Namespace) -> int:
             )
             return 2
         return _run_batch_streaming(args, batch)
-    result = batch.run(processes=args.processes, chunk_size=args.chunk_size)
+    result = batch.run(processes=args.processes)
     if args.json:
         print(result.to_json(indent=2))
     else:
@@ -317,12 +315,7 @@ def command_sweep(args: argparse.Namespace) -> int:
             print(f"error: sweep axis {name!r} given twice", file=sys.stderr)
             return 2
         axes[name] = values
-    spec = SweepSpec(
-        axes=axes,
-        query=_query_spec(args, args.bounds),
-        processes=args.processes,
-        share_uniformisation=args.share_uniformisation,
-    )
+    spec = SweepSpec(axes=axes, query=_query_spec(args, args.bounds), processes=args.processes)
     # Basic-event axes get their parameters and unknown axes fail here,
     # before conversion and aggregation run.
     tree = spec.prepare(_load_tree(args.tree))
@@ -332,8 +325,6 @@ def command_sweep(args: argparse.Namespace) -> int:
     result = study.run(
         spec.rate_sweep(isinstance(study.skeleton, CtmdpSkeleton)),
         processes=spec.processes,
-        chunk_size=args.chunk_size,
-        share_uniformisation=spec.share_uniformisation,
         gradients=args.gradients,
     )
     if args.json:
@@ -382,7 +373,7 @@ def _run_batch_streaming(args: argparse.Namespace, batch: BatchStudy) -> int:
 
     with open(args.output_jsonl, "w", encoding="utf-8") as handle:
         result = write_batch_jsonl(
-            counted(batch.iter_rows(processes=args.processes, chunk_size=args.chunk_size)),
+            counted(batch.iter_rows(processes=args.processes)),
             handle,
             processes=args.processes or 1,
         )
@@ -750,20 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rows are bit-identical to a serial run)",
     )
     sweep.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="samples per scheduling chunk (default: sized from the sample "
-        "count and worker count)",
-    )
-    sweep.add_argument(
-        "--share-uniformisation",
-        action="store_true",
-        help="pin one uniformisation rate (the grid's largest) for every "
-        "sample so the Poisson term table is computed once per grid; values "
-        "agree with per-sample rates to solver precision",
-    )
-    sweep.add_argument(
         "--gradients",
         action="store_true",
         help="attach analytic d(measure)/d(parameter) curves to every row "
@@ -827,13 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="number of worker processes (default: 1, serial)",
-    )
-    batch.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="trees per scheduling chunk (default: sized from the corpus and "
-        "worker count)",
     )
     batch.add_argument(
         "--output-jsonl",

@@ -85,20 +85,18 @@ class SweepSpec:
     """A query over exactly one of ``axes`` (parameter -> values, swept as a
     grid) or ``samples`` (a list of parameter -> rate assignments).
 
-    ``processes`` is the worker count of the per-sample solves and
-    ``share_uniformisation`` pins one uniformisation rate for every sample
-    (see :meth:`repro.core.sweep.SweepStudy.run`).
+    ``processes`` is the worker count of the per-sample solves (see
+    :meth:`repro.core.sweep.SweepStudy.run`).
     """
 
     axes: Optional[Mapping[str, Tuple[float, ...]]] = None
     samples: Optional[Tuple[Mapping[str, float], ...]] = None
     query: QuerySpec = QuerySpec()
     processes: int = 1
-    share_uniformisation: bool = False
 
     WIRE = Layout(
         "sweep request", Key("axes", omit=None), Key("samples", omit=None), "query",
-        "processes", "share_uniformisation", strict=True,
+        "processes", strict=True,
     )
 
     def __post_init__(self) -> None:
@@ -119,7 +117,6 @@ class SweepSpec:
         processes = self.processes
         if isinstance(processes, bool) or not isinstance(processes, int) or processes < 1:
             raise AnalysisError(f"'processes' must be an integer >= 1, got {processes!r}")
-        _flag("share_uniformisation", self.share_uniformisation)
 
     @classmethod
     def from_payload(cls, payload: object, envelope: Sequence[str] = ()) -> "SweepSpec":

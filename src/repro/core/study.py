@@ -475,13 +475,10 @@ class CompiledModel:
         assignment: Optional[Mapping[str, float]] = None,
         tolerance: float = 1e-12,
         on_error: str = "raise",
-        rate_floor: Optional[float] = None,
         gradients: bool = False,
     ) -> Evaluation:
         """Evaluate ``query`` under ``assignment``; see :func:`evaluate_skeleton_query`."""
-        return evaluate_skeleton_query(
-            self, query, assignment, tolerance, on_error, rate_floor, gradients
-        )
+        return evaluate_skeleton_query(self, query, assignment, tolerance, on_error, gradients)
 
     def evaluate_many(
         self,
@@ -489,7 +486,6 @@ class CompiledModel:
         assignments: Sequence[Optional[Mapping[str, float]]],
         tolerance: float = 1e-12,
         on_error: str = "raise",
-        rate_floor: Optional[float] = None,
         gradients: bool = False,
     ) -> List[Evaluation]:
         """Evaluate ``query`` under every assignment, one evaluation each.
@@ -501,9 +497,8 @@ class CompiledModel:
         (CTMDP) for all of them.  Every block keeps its own uniformisation rate and Poisson
         truncation, so an evaluation is bit-identical whatever batch it
         shares.  Concrete-model measures (MTTF, steady state) and gradient
-        sweeps run per sample.  ``rate_floor`` pins the uniformisation rate
-        (see :meth:`TransientKernel.load`); ``gradients`` attaches
-        per-parameter gradient curves of the max bound to each result.
+        sweeps run per sample.  ``gradients`` attaches per-parameter gradient
+        curves of the max bound to each result.
         A sample that fails as a whole — a non-positive rate, or any measure
         under ``on_error="raise"`` — carries its error in
         :attr:`Evaluation.error` and leaves the others untouched.
@@ -524,7 +519,6 @@ class CompiledModel:
                     assignments[begin : begin + size],
                     tolerance,
                     on_error,
-                    rate_floor,
                     gradients,
                 )
             )
@@ -539,15 +533,12 @@ class CompiledModel:
         assignments: List[Optional[Mapping[str, float]]],
         tolerance: float,
         on_error: str,
-        rate_floor: Optional[float],
         gradients: bool,
     ) -> List[Evaluation]:
         """One stacked kernel pass; each sample pays an equal share of it."""
         start = _time.perf_counter()
         kernel = self.kernel
-        errors: List[Optional[ReproError]] = list(
-            kernel.load_many(assignments, rate_floor=rate_floor)
-        )
+        errors: List[Optional[ReproError]] = list(kernel.load_many(assignments))
         loaded = _time.perf_counter()
         curves: Iterator = iter(())
         if kernel.blocks:
@@ -559,7 +550,7 @@ class CompiledModel:
                         evaluation
                         for single in assignments
                         for evaluation in self._evaluate_batch(
-                            query, [single], tolerance, on_error, rate_floor, gradients
+                            query, [single], tolerance, on_error, gradients
                         )
                     ]
                 errors = [error if known is None else known for known in errors]
@@ -578,7 +569,6 @@ class CompiledModel:
                         *next(curves),
                         tolerance,
                         on_error,
-                        rate_floor,
                         gradients,
                     )
                 except ReproError as failure:
@@ -603,7 +593,6 @@ class CompiledModel:
         bound_curves: Dict[float, Tuple[float, float]],
         tolerance: float,
         on_error: str,
-        rate_floor: Optional[float],
         gradients: bool,
     ) -> Tuple[Tuple[MeasureResult, ...], float, Optional[Dict[str, Tuple[float, ...]]]]:
         """One sample's own work: ``(measures, model build seconds, gradients)``."""
@@ -617,7 +606,7 @@ class CompiledModel:
         row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
         if gradients or _query_wants_gradients(query):
             gradient_kernel = self.gradient_kernel
-            gradient_kernel.load(assignment, rate_floor=rate_floor)
+            gradient_kernel.load(assignment)
             gradient_values = gradient_values_from_kernel(gradient_kernel, query, tolerance)
             if gradients:
                 _curve, grads = gradient_kernel.gradient_curve(
@@ -648,7 +637,6 @@ def evaluate_skeleton_query(
     assignment: Optional[Mapping[str, float]] = None,
     tolerance: float = 1e-12,
     on_error: str = "raise",
-    rate_floor: Optional[float] = None,
     gradients: bool = False,
 ) -> Evaluation:
     """Evaluate ``query`` on a compiled skeleton under ``assignment``.
@@ -664,9 +652,7 @@ def evaluate_skeleton_query(
     response bit-identical to the in-process result.  This function stays a
     module-level function so profilers can wrap single evaluations by name.
     """
-    (evaluation,) = model.evaluate_many(
-        query, [assignment], tolerance, on_error, rate_floor, gradients
-    )
+    (evaluation,) = model.evaluate_many(query, [assignment], tolerance, on_error, gradients)
     if evaluation.error is not None:
         raise evaluation.error
     return evaluation
@@ -1009,24 +995,18 @@ def chunked_pool_map(
     function,
     items: Sequence,
     workers: int,
-    chunk_size: Optional[int] = None,
     initializer=None,
     initargs: Tuple = (),
 ) -> Iterator:
     """Yield ``function(chunk)``'s results over ``items``' chunks, in order.
 
-    ``items`` are cut into chunks of ``chunk_size`` (default: about four per
-    worker, so stragglers rebalance, and at most 64) and at most
-    ``workers + 2`` chunks are in flight at any time, so huge inputs neither
-    materialise all results nor flood the executor.  Batch corpora and
-    rate sweeps share this scheduler.
+    ``items`` are cut into chunks of about four per worker, so stragglers
+    rebalance, and at most 64 items each; at most ``workers + 2`` chunks are
+    in flight at any time, so huge inputs neither materialise all results
+    nor flood the executor.  Batch corpora and rate sweeps share this
+    scheduler.
     """
-    if chunk_size is None:
-        chunk = max(1, min(64, len(items) // (workers * 4) or 1))
-    else:
-        chunk = int(chunk_size)
-        if chunk < 1:
-            raise AnalysisError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk = max(1, min(64, len(items) // (workers * 4) or 1))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=initializer, initargs=initargs
     ) as pool:
@@ -1094,17 +1074,13 @@ class BatchStudy:
     def __len__(self) -> int:
         return len(self._items)
 
-    def iter_rows(
-        self,
-        processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> Iterator[BatchRow]:
+    def iter_rows(self, processes: Optional[int] = None) -> Iterator[BatchRow]:
         """Yield per-tree rows as they are produced, in corpus order.
 
-        With ``processes > 1`` the corpus is cut into chunks of ``chunk_size``
-        trees (default: a multiple of the worker count) and at most a small
-        window of chunks is in flight at any time — so a million-tree corpus
-        neither materialises all rows nor floods the executor with futures.
+        With ``processes > 1`` the corpus is cut into chunks (see
+        :func:`chunked_pool_map`) and at most a small window of chunks is in
+        flight at any time — so a million-tree corpus neither materialises
+        all rows nor floods the executor with futures.
         """
         workers = resolve_workers(processes, len(self._items))
         jobs = [(item, self.query, self.options) for item in self._items]
@@ -1112,12 +1088,11 @@ class BatchStudy:
             for job in jobs:
                 yield _evaluate_batch_item(job)
             return
-        yield from chunked_pool_map(_evaluate_batch_chunk, jobs, workers, chunk_size)
+        yield from chunked_pool_map(_evaluate_batch_chunk, jobs, workers)
 
     def run(
         self,
         processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         sink: Optional[TextIO] = None,
     ) -> BatchResult:
         """Analyse every tree; ``processes > 1`` fans out over worker processes.
@@ -1129,7 +1104,7 @@ class BatchStudy:
         rows back.
         """
         workers = resolve_workers(processes, len(self._items))
-        rows_iter = self.iter_rows(processes=workers, chunk_size=chunk_size)
+        rows_iter = self.iter_rows(processes=workers)
         if sink is not None:
             return write_batch_jsonl(rows_iter, sink, processes=workers)
         start = _time.perf_counter()

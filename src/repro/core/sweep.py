@@ -64,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service imports us)
     from ..service.store import SkeletonStore
 
 from ..ctmc.builders import CtmcSkeleton, CtmdpSkeleton
-from ..ctmc.kernel import CsrBuffer
 from ..dft.elements import BasicEvent
 from ..dft.hashing import (
     canonical_assignment,
@@ -72,7 +71,7 @@ from ..dft.hashing import (
     translate_sample,
 )
 from ..dft.tree import DynamicFaultTree
-from ..errors import AnalysisError, FaultTreeError, ReproError
+from ..errors import AnalysisError, FaultTreeError
 from .measures import Query
 from .results import SweepResult, SweepRow
 from .study import (
@@ -209,10 +208,6 @@ class _SweepPlan:
     declared: Dict[str, float]
     query: Query
     tolerance: float
-    #: One uniformisation rate for the whole grid (>= every sample's natural
-    #: maximal exit rate): the kernel then reuses one Poisson term table
-    #: across all samples instead of rebuilding it per sample.
-    shared_rate: Optional[float] = None
     #: For cached (canonically parametrised) skeletons: user parameter name
     #: -> the canonical per-event parameters it fans out to.  ``None`` means
     #: the samples already name the skeleton's own parameters.
@@ -249,7 +244,6 @@ def _evaluate_rows(
         [plan.assignment_of(sample) for sample in samples],
         tolerance=plan.tolerance,
         on_error="record",
-        rate_floor=plan.shared_rate,
         gradients=plan.gradients,
     )
     rows = []
@@ -306,32 +300,10 @@ def _evaluate_sweep_chunk(samples: Sequence[Sample]) -> List[SweepRow]:
     return _evaluate_rows(model, plan, samples)
 
 
-def _scan_shared_rate(plan: _SweepPlan, samples: Sequence[Sample]) -> Optional[float]:
-    """The largest natural uniformisation rate over the whole sample grid.
-
-    Scans every sample's maximal exit rate on one scratch CSR buffer (rate
-    evaluation only — no stepping matrix is built).  Samples whose rates fail
-    to evaluate are skipped here; their rows fail identically with or without
-    a shared rate, so the scan never changes which rows error.  Works for
-    both skeleton kinds: the buffer only reads states, edges and parameters.
-    """
-    buffer = CsrBuffer(plan.skeleton)
-    shared: Optional[float] = None
-    for sample in samples:
-        try:
-            rate = buffer.max_exit_rate(plan.assignment_of(sample))
-        except ReproError:
-            continue
-        if shared is None or rate > shared:
-            shared = rate
-    return shared
-
-
 def iter_sweep_rows(
     plan: _SweepPlan,
     samples: Sequence[Sample],
     processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     model: Optional[CompiledModel] = None,
 ) -> Iterator[SweepRow]:
     """Yield one row per sample, in sample order, optionally process-parallel.
@@ -352,7 +324,6 @@ def iter_sweep_rows(
         _evaluate_sweep_chunk,
         samples,
         workers,
-        chunk_size,
         initializer=_init_sweep_worker,
         initargs=(plan,),
     )
@@ -390,8 +361,6 @@ class SweepStudy:
         self,
         sweep: RateSweep,
         processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        share_uniformisation: bool = False,
         gradients: bool = False,
     ) -> SweepResult:
         """Evaluate the sweep; sample failures become per-row errors.
@@ -402,14 +371,6 @@ class SweepStudy:
         worker compiles the skeleton once and evaluates each chunk as one
         batch).  Rows always come back in sample order and are
         bit-identical to a serial run.
-
-        ``share_uniformisation=True`` scans the grid for the largest natural
-        uniformisation rate and pins that one Lambda for every sample, so the
-        kernel's Poisson term table is computed once for the whole grid
-        instead of once per sample (the solve itself is unchanged:
-        uniformisation is exact for any Lambda >= the maximal exit rate, and
-        the differential tests pin agreement with per-sample rates to 1e-9).
-        Rows stay bit-identical between serial and parallel runs either way.
 
         ``gradients=True`` attaches analytic ∂measure/∂parameter curves to
         every row (:attr:`~repro.core.results.SweepRow.gradients`), computed
@@ -445,15 +406,9 @@ class SweepStudy:
             parameter_map=parameter_map,
             gradients=gradients,
         )
-        if share_uniformisation:
-            shared_rate = _scan_shared_rate(plan, sweep.samples)
-            if shared_rate is not None:
-                plan = replace(plan, shared_rate=shared_rate)
         samples_start = _time.perf_counter()
         rows = list(
-            iter_sweep_rows(
-                plan, sweep.samples, workers, chunk_size, self.study._compiled_model()
-            )
+            iter_sweep_rows(plan, sweep.samples, workers, self.study._compiled_model())
         )
         samples_seconds = _time.perf_counter() - samples_start
 
@@ -479,8 +434,6 @@ class SweepStudy:
         if self.skeleton_cache is not None:
             timings["cache"] = study_timings["cache"]
             options["skeleton_cache"] = "hit" if self.study._cache_hit else "miss"
-        if plan.shared_rate is not None:
-            options["shared_uniformisation_rate"] = plan.shared_rate
         if gradients:
             options["gradients"] = True
         return SweepResult(
@@ -499,18 +452,12 @@ def sweep(
     rate_sweep: RateSweep,
     options: Optional[StudyOptions] = None,
     processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     skeleton_cache: Optional["SkeletonStore"] = None,
-    share_uniformisation: bool = False,
     gradients: bool = False,
 ) -> SweepResult:
     """Evaluate ``rate_sweep`` on ``tree`` with a fresh :class:`SweepStudy`."""
     return SweepStudy(tree, options, skeleton_cache=skeleton_cache).run(
-        rate_sweep,
-        processes=processes,
-        chunk_size=chunk_size,
-        share_uniformisation=share_uniformisation,
-        gradients=gradients,
+        rate_sweep, processes=processes, gradients=gradients
     )
 
 

@@ -362,52 +362,14 @@ class CsrBuffer:
             values = values[positive]
         return values, errors
 
-    def _accumulate_exit(
-        self, values: np.ndarray, tiling: _Tiling
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-state exit rates of each block's edges, plus each natural Lambda.
-
-        The single accumulation point behind :meth:`max_exit_rate` and
-        :meth:`refill_blocks`, so the two cannot drift: both scatter the same
-        edge values in edge order and apply the same ``Lambda = 1.0``
-        fallback for a chain with no transitions at all.
-        """
-        blocks, num_states = len(values), self.skeleton.num_states
-        exit_rates = np.bincount(
-            tiling.source_index,
-            weights=values.ravel(),
-            minlength=blocks * num_states,
-        ).reshape(blocks, num_states)
-        rates = exit_rates.max(axis=1, initial=0.0)
-        rates[rates <= 0.0] = 1.0
-        return exit_rates, rates
-
-    def max_exit_rate(self, assignment: Assignment = None) -> float:
-        """The natural uniformisation rate (max exit rate) under ``assignment``.
-
-        The loaded blocks are not touched, so a sweep can scan its whole grid
-        for the largest Lambda before refilling (the shared-rate path of
-        :class:`TransientKernel`).
-        """
-        values, (error,) = self._evaluate_rates([assignment])
-        if error is not None:
-            raise error
-        return float(self._accumulate_exit(values, self._single)[1][0])
-
-    def refill_blocks(
-        self,
-        assignments: Sequence[Assignment],
-        rate_floor: Optional[float] = None,
-    ) -> List[Optional[ModelError]]:
+    def refill_blocks(self, assignments: Sequence[Assignment]) -> List[Optional[ModelError]]:
         """Load one diagonal block per assignment whose rates are all positive.
 
         Returns, per assignment, ``None`` (loaded, blocks in assignment
         order) or the error that kept it out; a failing assignment never
-        changes the other blocks.  ``rate_floor`` raises every block's
-        uniformisation rate to at least that value: uniformisation is exact
-        for any Lambda >= the maximal exit rate, and a sweep that fixes one
-        Lambda for a whole grid reuses one Poisson term table across all
-        samples (see :meth:`TransientKernel.load`).
+        changes the other blocks.  Each block is uniformised at its own
+        natural rate, its maximal exit rate (``Lambda = 1.0`` for a chain
+        with no transitions at all).
         """
         values, errors = self._evaluate_rates(assignments)
         blocks = len(values)
@@ -417,9 +379,14 @@ class CsrBuffer:
             self.block_rates = np.zeros(0)
             return errors
         tiling = self._tiling(blocks)
-        exit_rates, rates = self._accumulate_exit(values, tiling)
-        if rate_floor is not None:
-            rates = np.maximum(rates, float(rate_floor))
+        num_states = self.skeleton.num_states
+        exit_rates = np.bincount(
+            tiling.source_index,
+            weights=values.ravel(),
+            minlength=blocks * num_states,
+        ).reshape(blocks, num_states)
+        rates = exit_rates.max(axis=1, initial=0.0)
+        rates[rates <= 0.0] = 1.0
         nnz = len(self._indices)
         data = tiling.matrix.data.reshape(blocks, nnz)
         np.divide(
@@ -441,18 +408,14 @@ class CsrBuffer:
         self.refills += blocks
         return errors
 
-    def refill(
-        self,
-        assignment: Assignment = None,
-        rate_floor: Optional[float] = None,
-    ) -> Tuple[sparse.csr_matrix, float]:
+    def refill(self, assignment: Assignment = None) -> Tuple[sparse.csr_matrix, float]:
         """Load ``assignment`` as the only block; return (matrix, Lambda).
 
         Raises the :class:`~repro.errors.ModelError` of a non-positive rate;
         a failed refill leaves the buffer reusable — the next refill rewrites
         everything.
         """
-        (error,) = self.refill_blocks([assignment], rate_floor)
+        (error,) = self.refill_blocks([assignment])
         if error is not None:
             raise error
         return self.matrix, self.uniformisation_rate
@@ -550,33 +513,25 @@ class _SampleKernel:
         return cached
 
     # ------------------------------------------------------------- samples
-    def load(self, assignment: Assignment = None, rate_floor: Optional[float] = None) -> float:
-        """Refill the shared matrix for ``assignment`` alone; return Lambda.
-
-        With a ``rate_floor`` (>= every sample's natural maximal exit rate)
-        the uniformisation rate is pinned across samples, so the Poisson term
-        table of each requested time survives from one load to the next — a
-        grid sweep then builds its term arrays once instead of per sample.
-        """
-        (error,) = self._load([assignment], rate_floor, batched=False)
+    def load(self, assignment: Assignment = None) -> float:
+        """Refill the shared matrix for ``assignment`` alone; return Lambda."""
+        (error,) = self._load([assignment], batched=False)
         if error is not None:
             raise error
         return self.buffer.uniformisation_rate
 
-    def load_many(
-        self, assignments: Sequence[Assignment], rate_floor: Optional[float] = None
-    ) -> List[Optional[ModelError]]:
+    def load_many(self, assignments: Sequence[Assignment]) -> List[Optional[ModelError]]:
         """Load one block per assignment (see :meth:`CsrBuffer.refill_blocks`)."""
-        return self._load(assignments, rate_floor, batched=True)
+        return self._load(assignments, batched=True)
 
-    def _load(self, assignments, rate_floor, batched: bool) -> List[Optional[ModelError]]:
-        errors = self.buffer.refill_blocks(assignments, rate_floor=rate_floor)
+    def _load(self, assignments, batched: bool) -> List[Optional[ModelError]]:
+        errors = self.buffer.refill_blocks(assignments)
         # Every rate*time cache key changes with the uniformisation rate, so
         # entries of rates no longer loaded would accumulate forever without
         # ever hitting.  While the loaded rates stay within the previous set
-        # (a shared rate floor, one sample of the last batch, samples that
-        # happen to agree) the cached term arrays are exactly the ones the
-        # next curve evaluation needs — keep them.
+        # (one sample of the last batch, samples that happen to agree) the
+        # cached term arrays are exactly the ones the next curve evaluation
+        # needs — keep them.
         rates = frozenset(self.buffer.block_rates.tolist())
         if not rates <= self._loaded_rates:
             self.term_cache.clear()
@@ -874,10 +829,6 @@ class CtmdpKernel(_SampleKernel):
         return cached
 
     # ------------------------------------------------------------- samples
-    def max_exit_rate(self, assignment: Assignment = None) -> float:
-        """The natural uniformisation rate under ``assignment`` (scan only)."""
-        return self.buffer.max_exit_rate(assignment)
-
     def _column_stacks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The backward step buffers plus the resolver's view of the first.
 

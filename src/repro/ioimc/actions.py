@@ -30,19 +30,16 @@ class ActionInterner:
     """Process-wide interning table mapping action names to small integers.
 
     Action names are compared on every transition of every composition step;
-    interning them once lets the whole engine work on integers (set membership,
-    bit masks) instead of strings.  Ids are append-only and globally
-    consistent, so two models agree on the id of a shared action by
-    construction — no per-composition translation tables are needed.
+    interning them once lets the whole engine work on integer sets instead of
+    strings.  Ids are append-only and globally consistent, so two models
+    agree on the id of a shared action by construction — no per-composition
+    translation tables are needed.
 
-    Trade-offs of the process-global table: the bitmask views grow with the
-    total number of actions ever interned (a long-lived batch process pays a
-    few machine words per 64 known actions on each mask operation — fine for
-    thousands of actions, revisit with signature-local dense ids if a workload
-    interns millions), and ids baked into a model's transitions are only
-    meaningful in the process that created them — models must cross process
-    boundaries by name (e.g. Galileo/dot round-trips), never as pickled
-    id-based structures into a worker with a different interner.
+    Trade-off of the process-global table: ids baked into a model's
+    transitions are only meaningful in the process that created them —
+    models must cross process boundaries by name (e.g. Galileo/dot
+    round-trips), never as pickled id-based structures into a worker with a
+    different interner.
     """
 
     __slots__ = ("_ids", "_names")
@@ -89,13 +86,6 @@ def action_name(aid: int) -> str:
 def _intern_all(names: Iterable[str]) -> FrozenSet[int]:
     # Name order: first-seen ids must not depend on string hashing.
     return frozenset(ACTIONS.intern(name) for name in sorted(names))
-
-
-def _mask_of(ids: Iterable[int]) -> int:
-    mask = 0
-    for aid in ids:
-        mask |= 1 << aid
-    return mask
 
 
 class ActionType(enum.Enum):
@@ -196,21 +186,6 @@ class ActionSignature:
     def urgent_ids(self) -> FrozenSet[int]:
         """Interned ids of the locally controlled (output/internal) actions."""
         return self.output_ids | self.internal_ids
-
-    @cached_property
-    def input_mask(self) -> int:
-        """Bitset over action ids: inputs."""
-        return _mask_of(self.input_ids)
-
-    @cached_property
-    def internal_mask(self) -> int:
-        """Bitset over action ids: internal actions."""
-        return _mask_of(self.internal_ids)
-
-    @cached_property
-    def urgent_mask(self) -> int:
-        """Bitset over action ids: output and internal (urgent) actions."""
-        return _mask_of(self.urgent_ids)
 
     # ---------------------------------------------------------------- pickling
     # Only the name sets travel: the cached id views live in ``__dict__``

@@ -113,7 +113,6 @@ class IOIMC:
         "_num_itrans",
         "_on_cache",
         "_enabled_cache",
-        "_emask_cache",
     )
 
     def __init__(self, name: str, signature: ActionSignature):
@@ -166,7 +165,6 @@ class IOIMC:
         num = len(itrans)
         self._on_cache: List[Optional[Dict[int, Tuple[int, ...]]]] = [None] * num
         self._enabled_cache: List[Optional[FrozenSet[int]]] = [None] * num
-        self._emask_cache: List[int] = [-1] * num
 
     def _with_moves(
         self,
@@ -202,7 +200,6 @@ class IOIMC:
         self._state_names.append(name)
         self._on_cache.append(None)
         self._enabled_cache.append(None)
-        self._emask_cache.append(-1)
         if initial:
             self._initial = index
         return index
@@ -239,9 +236,6 @@ class IOIMC:
         enabled = self._enabled_cache[source]
         if enabled is not None and aid not in enabled:
             self._enabled_cache[source] = enabled | {aid}
-        mask = self._emask_cache[source]
-        if mask >= 0:
-            self._emask_cache[source] = mask | (1 << aid)
 
     def add_markovian(self, source: int, rate: float, target: int) -> None:
         """Add a Markovian transition; parallel transitions accumulate rates."""
@@ -363,17 +357,6 @@ class IOIMC:
             self._enabled_cache[state] = enabled
         return enabled
 
-    def enabled_mask(self, state: int) -> int:
-        """Bitset of the action ids enabled in ``state`` (cached)."""
-        self._check_state(state)
-        mask = self._emask_cache[state]
-        if mask < 0:
-            mask = 0
-            for aid, _target in self._itrans[state]:
-                mask |= 1 << aid
-            self._emask_cache[state] = mask
-        return mask
-
     def internal_successors(self, state: int) -> Tuple[int, ...]:
         """Targets of internal transitions from ``state``."""
         internal = self.signature.internal_ids
@@ -383,7 +366,7 @@ class IOIMC:
 
     def is_stable(self, state: int) -> bool:
         """A state is stable if it has no internal transition enabled."""
-        return not (self.enabled_mask(state) & self.signature.internal_mask)
+        return self.enabled_ids(state).isdisjoint(self.signature.internal_ids)
 
     def is_urgent(self, state: int) -> bool:
         """A state is urgent if an output or internal transition is enabled.
@@ -391,7 +374,7 @@ class IOIMC:
         In an urgent state no time may pass (maximal progress), hence its
         Markovian transitions can never fire.
         """
-        return bool(self.enabled_mask(state) & self.signature.urgent_mask)
+        return not self.enabled_ids(state).isdisjoint(self.signature.urgent_ids)
 
     def transitions(self) -> Iterator[object]:
         """Iterate over all transitions as dataclass records."""

@@ -452,8 +452,10 @@ class AnalysisService:
     def sweep(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /sweep``: one tree plus a :class:`SweepSpec` -> ``repro.sweep/3``.
 
-        The spec's ``processes`` asks for a per-request worker pool; the
-        service never starts more workers than it has CPUs.
+        A service with a worker pool fans the rows out over it.  Without one
+        (or if the pool fails), the spec's ``processes`` asks for a
+        per-request worker pool; the service never starts more workers than
+        it has CPUs.
         """
         spec = SweepSpec.from_payload(payload, envelope=("tree",))
         tree = spec.prepare(self._parse_tree(payload))
@@ -461,7 +463,7 @@ class AnalysisService:
         entry, hit = self._get_entry(tree, profile)
         rate_sweep = spec.rate_sweep(entry.nondeterministic)
         result = None
-        if self._pool is not None and not spec.share_uniformisation:
+        if self._pool is not None:
             result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, spec.query)
         if result is None:
             study = SweepStudy(tree, self.options, skeleton_cache=self.store)
@@ -471,9 +473,7 @@ class AnalysisService:
             with self._models_lock:
                 study.study.adopt_entry(*self._models.put(entry), hit=hit)
                 result = study.run(
-                    rate_sweep,
-                    processes=min(spec.processes, os.cpu_count() or 1),
-                    share_uniformisation=spec.share_uniformisation,
+                    rate_sweep, processes=min(spec.processes, os.cpu_count() or 1)
                 )
         return _served(result.to_dict(), entry, hit)
 
@@ -487,9 +487,7 @@ class AnalysisService:
         instead of spinning up a fresh per-request pool.  Rows come back in
         sample order with the same per-row measures as the inline engine.
         Returns ``None`` on any pool failure — the caller falls back to the
-        inline sweep engine (``share_uniformisation`` requests take the
-        inline path up front: the pinned Poisson table is per-plan state the
-        pooled rows do not share).
+        inline sweep engine.
         """
         start = _time.perf_counter()
         futures = []

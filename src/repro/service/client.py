@@ -131,11 +131,10 @@ class ServiceClient:
         axes: Optional[Mapping[str, Sequence[float]]] = None,
         samples: Optional[Sequence[Mapping[str, float]]] = None,
         processes: int = SweepSpec.processes,
-        share_uniformisation: bool = False,
         **query,
     ) -> Dict[str, object]:
         """``POST /sweep``: the raw ``repro.sweep/3`` response dict."""
-        spec = SweepSpec(axes, samples, QuerySpec(**query), processes, share_uniformisation)
+        spec = SweepSpec(axes, samples, QuerySpec(**query), processes)
         return self._request("POST", "/sweep", {"tree": _tree_text(tree), **spec.to_payload()})
 
     def batch(self, trees: Sequence[TreeLike], **query) -> Dict[str, object]:

@@ -68,14 +68,13 @@ LOGGER = logging.getLogger("repro.service.store")
 
 #: Leading bytes of every cache file ("Repro SKeleton Cache").
 MAGIC = b"RSKC"
-#: On-disk format version written by :meth:`SkeletonStore.store`.  Version 2
-#: compresses the payload with zlib level 1 and adds the cached canonical
-#: parameter list to the entry; version 1 (uncompressed) files remain
-#: readable — the checksum always covers the *uncompressed* pickle bytes.
+#: On-disk format version written by :meth:`SkeletonStore.store`, and the
+#: only one :meth:`SkeletonStore.load` reads (any other is evicted and
+#: rebuilt).  Version 2 compresses the payload with zlib level 1 and adds
+#: the cached canonical parameter list to the entry; the checksum covers the
+#: *uncompressed* pickle bytes.
 FORMAT_VERSION = 2
-#: Versions :meth:`SkeletonStore.load` still accepts.
-READABLE_VERSIONS = (1, 2)
-#: zlib compression level of version-2 payloads (pickled CSR buffers are
+#: zlib compression level of the payloads (pickled CSR buffers are
 #: highly compressible; level 1 is nearly free next to a pipeline run).
 COMPRESSION_LEVEL = 1
 #: Bytes before the pickled payload: magic, version, payload checksum.
@@ -135,8 +134,7 @@ class SkeletonEntry:
     statistics: Dict[str, object]
     timings: Dict[str, float] = field(default_factory=dict)
     #: Canonical parameter names declared by the class's canonical
-    #: parametrisation, in canonical order (format version 2; empty on
-    #: entries restored from version-1 files).
+    #: parametrisation, in canonical order.
     canonical_params: Tuple[str, ...] = ()
 
     @property
@@ -290,17 +288,15 @@ class SkeletonStore:
         if len(raw) < _HEADER_SIZE or raw[: len(MAGIC)] != MAGIC:
             return self._evict_corrupt(path, "truncated or foreign header")
         version = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 4], "big")
-        if version not in READABLE_VERSIONS:
+        if version != FORMAT_VERSION:
             return self._evict_corrupt(
-                path, f"format version {version} not in {READABLE_VERSIONS}"
+                path, f"format version {version} != {FORMAT_VERSION}"
             )
         checksum = raw[len(MAGIC) + 4 : _HEADER_SIZE]
-        payload = raw[_HEADER_SIZE:]
-        if version >= 2:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as error:
-                return self._evict_corrupt(path, f"undecompressable payload ({error})")
+        try:
+            payload = zlib.decompress(raw[_HEADER_SIZE:])
+        except zlib.error as error:
+            return self._evict_corrupt(path, f"undecompressable payload ({error})")
         if hashlib.sha256(payload).digest() != checksum:
             return self._evict_corrupt(path, "payload checksum mismatch")
         try:
@@ -309,8 +305,6 @@ class SkeletonStore:
             return self._evict_corrupt(path, f"unpicklable payload ({error})")
         if not isinstance(entry, SkeletonEntry):
             return self._evict_corrupt(path, "payload is not a skeleton entry")
-        if not hasattr(entry, "canonical_params"):
-            entry.canonical_params = ()  # restored from a version-1 file
         if entry.hash_version != HASH_VERSION:
             return self._evict_corrupt(
                 path,
@@ -512,16 +506,13 @@ class SkeletonStore:
             if len(raw) < _HEADER_SIZE or raw[: len(MAGIC)] != MAGIC:
                 continue
             version = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 4], "big")
-            body = len(raw) - _HEADER_SIZE
-            if version == 1:  # stored uncompressed
-                payload += body
-                compressed += body
-            elif version in READABLE_VERSIONS:
-                try:
-                    payload += len(zlib.decompress(raw[_HEADER_SIZE:]))
-                except zlib.error:
-                    continue
-                compressed += body
+            if version != FORMAT_VERSION:
+                continue
+            try:
+                payload += len(zlib.decompress(raw[_HEADER_SIZE:]))
+            except zlib.error:
+                continue
+            compressed += len(raw) - _HEADER_SIZE
         return {"payload_bytes": payload, "compressed_bytes": compressed}
 
     def stats(self) -> Dict[str, object]:

@@ -23,19 +23,24 @@ def small_tree(name: str, rate: float):
     return builder.build(top="top")
 
 
-@pytest.fixture
-def corpus(tmp_path):
-    """Three good Galileo files plus one corrupt one (an error row)."""
+def write_corpus(directory, good: int):
+    """``good`` Galileo files plus one corrupt one (an error row) last."""
     paths = []
-    for index in range(1, 4):
+    for index in range(1, good + 1):
         tree = small_tree(f"t{index}", 0.5 * index)
-        path = tmp_path / f"t{index}.dft"
+        path = directory / f"t{index}.dft"
         galileo.write_file(tree, str(path))
         paths.append(str(path))
-    bad = tmp_path / "bad.dft"
+    bad = directory / "bad.dft"
     bad.write_text("this is not galileo\n")
     paths.append(str(bad))
     return paths
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """Three good Galileo files plus one corrupt one (an error row)."""
+    return write_corpus(tmp_path, 3)
 
 
 class TestIterRows:
@@ -48,16 +53,15 @@ class TestIterRows:
         ]
         assert [row.ok for row in streamed] == [row.ok for row in collected]
 
-    def test_chunked_parallel_matches_serial_order(self, corpus):
-        batch = BatchStudy(corpus, Unreliability([1.0]))
-        serial = [row.name for row in batch.iter_rows()]
-        chunked = [row.name for row in batch.iter_rows(processes=2, chunk_size=1)]
+    # With 2 workers, 4 trees run as chunks of 1; 19 trees as nine chunks
+    # of 2 and a short last chunk of 1 (the corrupt file).
+    @pytest.mark.parametrize("good", [3, 18])
+    def test_chunked_parallel_matches_serial_order(self, tmp_path, good):
+        batch = BatchStudy(write_corpus(tmp_path, good), Unreliability([1.0]))
+        serial = [(row.name, row.ok) for row in batch.iter_rows()]
+        chunked = [(row.name, row.ok) for row in batch.iter_rows(processes=2)]
         assert chunked == serial
-
-    def test_chunk_size_must_be_positive(self, corpus):
-        batch = BatchStudy(corpus, Unreliability([1.0]))
-        with pytest.raises(AnalysisError, match="chunk_size"):
-            list(batch.iter_rows(processes=2, chunk_size=0))
+        assert [ok for _name, ok in serial] == [True] * good + [False]
 
     def test_processes_must_be_positive(self, corpus):
         batch = BatchStudy(corpus, Unreliability([1.0]))
@@ -125,7 +129,7 @@ class TestJsonlRoundTrip:
     def test_sink_records_are_self_describing(self, corpus):
         batch = BatchStudy(corpus, Unreliability([1.0]))
         sink = io.StringIO()
-        result = batch.run(sink=sink, processes=2, chunk_size=2)
+        result = batch.run(sink=sink, processes=2)
         # streaming mode returns the aggregate (rows live in the sink)
         assert result.rows == ()
         assert result.processes == 2

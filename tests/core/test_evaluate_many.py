@@ -2,8 +2,7 @@
 
 A row must not depend on the batch it shares: sweep rows are bit-identical
 whether every batch holds one sample, two, or the whole sweep, serially or
-in pool chunks — with shared uniformisation rates, gradients and MTTF
-queries too.  A failing sample keeps its own error and leaves the others
+in pool chunks — with gradients and MTTF queries too.  A failing sample keeps its own error and leaves the others
 untouched, and :meth:`CompiledModel.evaluate` is the batch of one.
 """
 
@@ -51,7 +50,6 @@ def spare_case():
 CASES = {"cps": cps_case, "race-bank": race_case, "spare": spare_case}
 RUNS = {
     "plain": {},
-    "shared-rate": {"share_uniformisation": True},
     "gradients": {"gradients": True},
 }
 
@@ -68,7 +66,7 @@ class TestBatchInvariance:
         for blocks in (1, 2):
             with batches_of(blocks):
                 assert_rows_bit_identical(whole.rows, study.run(sweep, **options).rows)
-        pooled = study.run(sweep, processes=2, chunk_size=2, **options)
+        pooled = study.run(sweep, processes=2, **options)
         assert_rows_bit_identical(whole.rows, pooled.rows)
         if options.get("gradients"):
             assert all(row.gradients for row in whole.rows)

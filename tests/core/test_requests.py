@@ -110,7 +110,7 @@ class TestSweepSpec:
             {"axes": {"lam": [1.0]}, "processes": 2.0},
             {"axes": {"lam": [1.0]}, "processes": True},
             {"axes": {"lam": [1.0]}, "processes": 0},
-            {"axes": {"lam": [1.0]}, "share_uniformisation": "true"},
+            {"axes": {"lam": [1.0]}, "share_uniformisation": True},
             {"axes": {"lam": [1.0]}, "query": None},
             {"axes": {"lam": [1.0]}, "query": {"bounds": 1}},
             {"axes": {"lam": [1.0]}, "share_uniformization": True},
@@ -131,8 +131,7 @@ class TestSweepSpec:
         "spec",
         [
             SweepSpec(axes={"lam": [0.5, 1], "mu": 2.0}, query=QuerySpec((1.0, 2.0), mttf=True)),
-            SweepSpec(samples=[{"lam": 0.5}, {"lam": 1.0, "mu": 3}], processes=3,
-                      share_uniformisation=True),
+            SweepSpec(samples=[{"lam": 0.5}, {"lam": 1.0, "mu": 3}], processes=3),
         ],
         ids=["axes", "samples"],
     )

@@ -18,6 +18,7 @@ import pytest
 import repro.core.sweep as sweep_module
 from repro import Query, RateSweep, SweepStudy, Unreliability, UnreliabilityBounds
 from repro.core.measures import MTTF
+from repro.core.study import chunked_pool_map
 from repro.core.sweep import _SweepPlan, iter_sweep_rows
 from repro.ctmc.builders import CtmcSkeleton
 from repro.dft import FaultTreeBuilder
@@ -88,29 +89,56 @@ class TestParallelEqualsSerial:
     @pytest.mark.parametrize("processes", PROCESS_COUNTS)
     def test_rows_and_json_are_bit_identical(self, serial_result, processes):
         serial, sweep = serial_result
-        parallel = SweepStudy(parametric_tree()).run(
-            sweep, processes=processes, chunk_size=3
-        )
+        parallel = SweepStudy(parametric_tree()).run(sweep, processes=processes)
         assert parallel.processes == processes
         assert_rows_bit_identical(serial.rows, parallel.rows)
         assert strip_timings(serial.to_dict()) == strip_timings(parallel.to_dict())
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 100])
-    def test_chunking_never_reorders_rows(self, serial_result, chunk_size):
-        serial, sweep = serial_result
-        parallel = SweepStudy(parametric_tree()).run(
-            sweep, processes=2, chunk_size=chunk_size
+    # With 2 workers the derived chunk is 1 item up to 15 items, then 2:
+    # 19 items run as nine chunks of 2 and a short last chunk of 1.
+    @pytest.mark.parametrize("count", [2, 7, 16, 19])
+    def test_chunking_never_reorders_rows(self, count):
+        sweep = RateSweep(
+            Unreliability([0.5, 1.0]) + MTTF(),
+            [{"lam": 0.1 + 0.13 * k, "mu": 0.5 + 0.25 * (k % 3)} for k in range(count)],
         )
+        serial = SweepStudy(parametric_tree()).run(sweep)
+        parallel = SweepStudy(parametric_tree()).run(sweep, processes=2)
+        assert parallel.processes == 2
         assert_rows_bit_identical(serial.rows, parallel.rows)
 
-    def test_invalid_worker_and_chunk_counts_are_rejected(self, serial_result):
+    def test_invalid_worker_counts_are_rejected(self, serial_result):
         _serial, sweep = serial_result
         study = SweepStudy(parametric_tree())
         for processes in (0, -1):
             with pytest.raises(AnalysisError, match="processes must be >= 1"):
                 study.run(sweep, processes=processes)
-        with pytest.raises(AnalysisError, match="chunk_size must be >= 1"):
-            study.run(sweep, processes=2, chunk_size=0)
+
+
+def _chunk_lengths(items):
+    """Pool entry point: each item paired with the length of its chunk."""
+    return [(item, len(items)) for item in items]
+
+
+@pytest.mark.parametrize(
+    "count, lengths",
+    [
+        (1, [1]),
+        (7, [1] * 7),
+        (16, [2] * 8),
+        (19, [2] * 9 + [1]),
+        (1000, [64] * 15 + [40]),
+    ],
+)
+def test_derived_chunks_cover_every_item_in_order(count, lengths):
+    """About four chunks per worker, at most 64 items each, the last one short."""
+    rows = list(chunked_pool_map(_chunk_lengths, list(range(count)), 2))
+    assert [item for item, _length in rows] == list(range(count))
+    chunks, index = [], 0
+    while index < count:
+        chunks.append(rows[index][1])
+        index += rows[index][1]
+    assert chunks == lengths
 
 
 class TestParallelGradientsEqualSerial:
@@ -135,7 +163,7 @@ class TestParallelGradientsEqualSerial:
     def test_gradient_rows_are_bit_identical(self, serial_gradients, processes):
         serial, sweep = serial_gradients
         parallel = SweepStudy(parametric_tree()).run(
-            sweep, gradients=True, processes=processes, chunk_size=3
+            sweep, gradients=True, processes=processes
         )
         assert all(row.gradients is not None for row in serial.rows)
         assert_rows_bit_identical(serial.rows, parallel.rows)
@@ -180,7 +208,7 @@ class TestErrorRowOrdering:
     @pytest.mark.parametrize("processes", PROCESS_COUNTS)
     def test_error_rows_keep_sample_order(self, processes):
         rows = list(
-            iter_sweep_rows(self.failing_plan(), self.SAMPLES, processes=processes, chunk_size=2)
+            iter_sweep_rows(self.failing_plan(), self.SAMPLES, processes=processes)
         )
         assert [row.sample for row in rows] == self.SAMPLES
         assert [row.ok for row in rows] == [True, False, True, False, True]
@@ -194,7 +222,7 @@ class TestErrorRowOrdering:
         """The per-sample instantiation reference fails on the same samples
         and agrees with the kernel rows on the others."""
         plan = self.failing_plan()
-        rows = list(iter_sweep_rows(plan, self.SAMPLES, processes=processes, chunk_size=2))
+        rows = list(iter_sweep_rows(plan, self.SAMPLES, processes=processes))
         reference = per_sample_rows(plan.skeleton, plan.query, self.SAMPLES, plan.declared)
         assert [row.ok for row in rows] == [row.ok for row in reference]
         for row, expected in zip(rows, reference):
@@ -215,9 +243,7 @@ class TestErrorRowOrdering:
         samples = [{"lam": 0.1 * step} for step in range(1, 26)]
         serial = list(iter_sweep_rows(plan, samples, processes=1))
         for processes in (2, 4):
-            parallel = list(
-                iter_sweep_rows(plan, samples, processes=processes, chunk_size=3)
-            )
+            parallel = list(iter_sweep_rows(plan, samples, processes=processes))
             assert_rows_bit_identical(serial, parallel)
             assert [row.error for row in serial] == [row.error for row in parallel]
 
@@ -257,7 +283,7 @@ class TestWorkerDeath:
         start = time.perf_counter()
         try:
             with pytest.raises(BrokenProcessPool):
-                result = study.run(sweep, processes=2, chunk_size=1)
+                result = study.run(sweep, processes=2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

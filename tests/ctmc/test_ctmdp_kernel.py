@@ -1,14 +1,15 @@
 """Tests for the shared-structure CTMDP kernel and the bound-path bugfixes.
 
-Covers the three correctness fixes this engine landed with:
+Covers the two correctness fixes this engine landed with:
 
 * the truncated-tail correction on the ``maximize=False`` branch (the min
   bound used to silently drop the Poisson tail mass),
 * the topological vanishing-state resolution (the reference engine's
   ``_resolve_vanishing`` used to round-robin all vanishing states for up to ``num_states + 1`` rounds —
   quadratic on long chains),
-* the deduplicated exit-rate accumulation shared by
-  ``CsrBuffer.max_exit_rate`` and ``refill``.
+
+plus the uniformisation rate of every refilled block: its own maximal exit
+rate, whatever batch it shares.
 """
 
 import math
@@ -123,18 +124,25 @@ class TestMinBoundTailCorrection:
         assert np.max(np.abs(coarse - fine)) <= 1e-6
 
 
-class TestAccumulateExit:
-    def test_scan_and_refill_report_identical_lambda(self):
+class TestRefillLambda:
+    ASSIGNMENTS = (None, {"T": 0.3, "A": 1.7, "B": 0.9})
+
+    def test_lambda_is_the_maximal_exit_rate(self):
         skeleton = envelope_of(with_rate_parameters(pand_race_system()))
         buffer = CsrBuffer(skeleton)
-        for assignment in (None, {"T": 0.3, "A": 1.7, "B": 0.9}):
-            scanned = buffer.max_exit_rate(
-                None if assignment is None else dict(assignment)
-            )
-            _matrix, refilled = buffer.refill(
-                None if assignment is None else dict(assignment)
-            )
-            assert scanned == refilled
+        for assignment in self.ASSIGNMENTS:
+            model = skeleton.instantiate(assignment)
+            expected = max(model.exit_rate(state) for state in model.states())
+            _matrix, refilled = buffer.refill(assignment)
+            assert refilled == pytest.approx(expected, rel=1e-14)
+
+    def test_each_block_keeps_its_single_sample_lambda(self):
+        skeleton = envelope_of(with_rate_parameters(pand_race_system()))
+        buffer = CsrBuffer(skeleton)
+        singles = [buffer.refill(assignment)[1] for assignment in self.ASSIGNMENTS]
+        assert buffer.refill_blocks(list(self.ASSIGNMENTS)) == [None, None]
+        assert buffer.block_rates.tolist() == singles
+        assert buffer.uniformisation_rate == max(singles)
 
 
 class TestCtmdpKernel:

@@ -111,9 +111,7 @@ def assert_matrix_cell(tree, study, query, samples, bounds=False):
     sweep = RateSweep(query, samples)
     serial = study.run(sweep)
     assert serial.num_failed == 0
-    assert_rows_match_bitwise(
-        serial.rows, study.run(sweep, processes=2, chunk_size=2).rows
-    )
+    assert_rows_match_bitwise(serial.rows, study.run(sweep, processes=2).rows)
     with batches_of(1):
         assert_rows_match_bitwise(serial.rows, study.run(sweep).rows)
     for row, sample in zip(serial.rows, samples):

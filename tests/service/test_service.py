@@ -142,14 +142,12 @@ class TestDictHandlers:
             "tree": PARAM_TREE,
             "axes": {"lam": [0.1, 0.5, 1.0]},
             "query": {"times": [1.0]},
-            "share_uniformisation": True,
         }
         status, served = service.handle("POST", "/sweep", request)
         assert status == 200
         tree = galileo.parse(PARAM_TREE, name="<request>")
         local = SweepStudy(tree, StudyOptions(), skeleton_cache=service.store).run(
-            RateSweep.grid(Unreliability([1.0]), lam=[0.1, 0.5, 1.0]),
-            share_uniformisation=True,
+            RateSweep.grid(Unreliability([1.0]), lam=[0.1, 0.5, 1.0])
         )
         for mine, theirs in zip(served["rows"], local.to_dict()["rows"]):
             assert mine["sample"] == theirs["sample"]

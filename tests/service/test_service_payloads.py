@@ -7,8 +7,8 @@ Hypothesis property replaces one top-level field, or one ``query`` field, of
 a valid ``/analyze``, ``/sweep`` or ``/batch`` payload with a value of each
 other JSON type; every answer must be a 200 or a 400.  The second puts a
 value of another JSON type into each boolean or number slot (the query
-flags, a mission time, ``processes``, ``share_uniformisation``, an axis or
-sample rate); every answer must be a 400.
+flags, a mission time, ``processes``, an axis or sample rate); every answer
+must be a 400.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ BASE_PAYLOADS = {
         "axes": {"lam": [0.4, 0.9]},
         "query": QUERY,
         "processes": 1,
-        "share_uniformisation": False,
     },
     "/sweep?samples": {
         "tree": PARAM_TREE,
@@ -114,7 +113,7 @@ class TestMalformedSweep:
             {"axes": {"lam": [1.0]}, "processes": "abc"},
             {"axes": {"lam": [1.0]}, "processes": 0},
             {"axes": {"lam": [1.0]}, "processes": 2.0},
-            {"axes": {"lam": [1.0]}, "share_uniformisation": "false"},
+            {"axes": {"lam": [1.0]}, "share_uniformisation": True},
             {"axes": {"lam": [1.0]}, "query": "abc"},
         ],
         ids=[
@@ -125,7 +124,7 @@ class TestMalformedSweep:
             "processes-string",
             "processes-zero",
             "processes-float",
-            "share-string",
+            "share-removed",
             "query-string",
         ],
     )
@@ -134,19 +133,14 @@ class TestMalformedSweep:
         assert status == 400, body
         assert "error" in body
 
-    def test_boolean_share_flag_is_honoured(self, service):
+    def test_removed_share_flag_is_named(self, service):
         status, body = service.handle(
             "POST",
             "/sweep",
             sweep_payload(axes={"lam": [0.4, 0.9]}, share_uniformisation=True),
         )
-        assert status == 200, body
-        assert "shared_uniformisation_rate" in body["options"]
-        status, body = service.handle(
-            "POST", "/sweep", sweep_payload(axes={"lam": [0.4, 0.9]})
-        )
-        assert status == 200, body
-        assert "shared_uniformisation_rate" not in body["options"]
+        assert status == 400, body
+        assert "share_uniformisation" in body["error"]
 
 
 class TestWorkerCap:
@@ -425,7 +419,6 @@ TYPED_SLOTS = [
     ("/batch", ("query", "bounds"), {"boolean"}),
     ("/batch", ("query", "times", 1), {"integer", "number"}),
     ("/sweep", ("processes",), {"integer"}),
-    ("/sweep", ("share_uniformisation",), {"boolean"}),
     ("/sweep", ("query", "mttf"), {"boolean"}),
     ("/sweep", ("query", "times", 0), {"integer", "number"}),
     ("/sweep", ("axes", "lam", 1), {"integer", "number"}),

@@ -298,7 +298,8 @@ class TestWarm:
 
 
 class TestFormatVersions:
-    """Format v2 (compressed, canonical params) must keep reading v1 files."""
+    """Only the written format (v2, compressed) is read; a version-1 file
+    is evicted, counted and rebuilt like any other unreadable entry."""
 
     def _as_v1_file(self, store, entry):
         """Rewrite ``entry`` on disk in the version-1 layout: uncompressed
@@ -319,27 +320,30 @@ class TestFormatVersions:
         restored = store.load(entry.key)
         assert restored.canonical_params == entry.canonical_params
 
-    def test_v1_file_still_readable(self, store):
+    def test_v1_file_evicted(self, store, caplog):
         entry, _ = store.get_or_build(_tree(), StudyOptions())
         self._as_v1_file(store, entry)
-        restored = store.load(entry.key)
-        assert restored is not None
-        assert restored.key == entry.key
-        assert restored.canonical_params == ()  # backfilled, never missing
-        assert store.stats()["corrupt_evictions"] == 0
+        with caplog.at_level(logging.WARNING, logger="repro.service.store"):
+            assert store.load(entry.key) is None
+        assert any("format version 1" in r.message for r in caplog.records)
+        assert not store.path_of(entry.key).exists()
+        assert store.stats()["corrupt_evictions"] == 1
 
-    def test_v1_and_v2_serve_identical_measures(self, store):
+    def test_v1_file_rebuilt_with_identical_measures(self, store):
         tree = _tree()
         entry, _ = store.get_or_build(tree, StudyOptions())
         fresh = Study(tree, StudyOptions(), skeleton_cache=store).evaluate(
             Unreliability([1.0])
         )
         self._as_v1_file(store, entry)
-        legacy = Study(tree, StudyOptions(), skeleton_cache=store).evaluate(
+        rebuilt = Study(tree, StudyOptions(), skeleton_cache=store).evaluate(
             Unreliability([1.0])
         )
-        assert legacy.options["skeleton_cache"] == "hit"
-        assert legacy.measures[0].values == fresh.measures[0].values
+        assert rebuilt.options["skeleton_cache"] == "miss"
+        assert rebuilt.measures[0].values == fresh.measures[0].values
+        assert store.stats()["corrupt_evictions"] == 1
+        blob = store.path_of(entry.key).read_bytes()
+        assert int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 4], "big") == FORMAT_VERSION
 
     def test_v2_payload_is_compressed(self, store):
         entry, _ = store.get_or_build(_tree(), StudyOptions())

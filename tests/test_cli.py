@@ -376,7 +376,7 @@ class TestSweepCommand:
             return payload
 
         serial = run([])
-        parallel = run(["--processes", "2", "--chunk-size", "2"])
+        parallel = run(["--processes", "2"])
         assert parallel == serial
 
     def test_sweep_results_match_analyze(self, parametric_file, capsys):
@@ -446,19 +446,7 @@ class TestBatchStreamingCli:
 
     def test_output_jsonl_streams_rows(self, corpus_dir, capsys):
         sink = corpus_dir / "rows.jsonl"
-        assert (
-            main(
-                [
-                    "batch",
-                    str(corpus_dir / "*.dft"),
-                    "--output-jsonl",
-                    str(sink),
-                    "--chunk-size",
-                    "2",
-                ]
-            )
-            == 0
-        )
+        assert main(["batch", str(corpus_dir / "*.dft"), "--output-jsonl", str(sink)]) == 0
         assert "rows streamed to" in capsys.readouterr().out
         records = [json.loads(line) for line in sink.read_text().splitlines()]
         assert [record["kind"] for record in records] == ["row"] * 3 + ["aggregate"]

@@ -194,7 +194,7 @@ class TestSkeletonCacheFlag:
         assert "Importance ranking" not in captured.out
         assert "without a skeleton cache" in captured.err
 
-    def test_sweep_with_cache_and_shared_rate(self, tmp_path, cache_dir, capsys):
+    def test_sweep_with_cache(self, tmp_path, cache_dir, capsys):
         path = tmp_path / "param.dft"
         path.write_text(
             'param lam = 0.5;\n'
@@ -211,12 +211,10 @@ class TestSkeletonCacheFlag:
             "--json",
             "--skeleton-cache",
             cache_dir,
-            "--share-uniformisation",
         ]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["options"]["skeleton_cache"] == "miss"
-        assert payload["options"]["shared_uniformisation_rate"] > 0
         assert main(args) == 0
         again = json.loads(capsys.readouterr().out)
         assert again["options"]["skeleton_cache"] == "hit"
