@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -78,7 +79,26 @@ def _start_server(cache_dir: str, processes: int) -> subprocess.Popen:
         stderr=subprocess.STDOUT,
         text=True,
         env={**os.environ, "PYTHONPATH": REPO_SRC},
+        # Its own process group holds the server and its pool workers.
+        start_new_session=True,
     )
+
+
+def _stop_server(process: subprocess.Popen) -> None:
+    """Interrupt the server as Ctrl-C would, so it shuts its worker pool
+    down, then kill whatever is left of its process group.  A plain
+    SIGTERM ends ``repro serve`` without that shutdown and leaves the pool
+    workers running."""
+    process.send_signal(signal.SIGINT)
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        pass
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10)
 
 
 def _read_url(process: subprocess.Popen) -> str:
@@ -199,12 +219,7 @@ def run(processes: int = 0) -> int:
                 f"{metrics['store']['entries']} cache entries"
             )
         finally:
-            process.terminate()
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=10)
+            _stop_server(process)
     return 0
 
 
