@@ -484,6 +484,43 @@ class TestWorkerPool:
             inline.close()
             pooled.close()
 
+    # A service with a pool answers /sweep over the pool only: one
+    # submission per sample, rows back in sample order.
+    @pytest.mark.parametrize(
+        "text, axes, query",
+        [
+            (
+                PARAM_TREE,
+                {"lam": [0.1 + 0.13 * k for k in range(19)]},
+                {"times": [0.5, 1.0], "mttf": True},
+            ),
+            (_nondet_tree_text(), {"T": [0.5, 1.5, 40.0]}, {"times": [0.25, 1.0]}),
+        ],
+        ids=["ctmc-19", "ctmdp-bounds"],
+    )
+    def test_pooled_sweep_rows_match_inline(self, tmp_path, text, axes, query):
+        request = {"tree": text, "axes": axes, "query": query, "processes": 1}
+        inline = AnalysisService(SkeletonStore(tmp_path / "a"))
+        pooled = AnalysisService(SkeletonStore(tmp_path / "b"), processes=1)
+        try:
+            status, inline_response = inline.handle("POST", "/sweep", request)
+            assert status == 200, inline_response
+            status, served = pooled.handle("POST", "/sweep", request)
+            assert status == 200, served
+            assert pooled.metrics_payload()["pool_fallbacks"] == 0
+        finally:
+            inline.close()
+            pooled.close()
+        assert served["options"]["service_pool"] is True
+        assert "service_pool" not in inline_response["options"]
+        assert served["aggregate"]["samples"] == len(next(iter(axes.values())))
+        assert [row["sample"] for row in served["rows"]] == [
+            row["sample"] for row in inline_response["rows"]
+        ]
+        assert [row["measures"] for row in served["rows"]] == [
+            row["measures"] for row in inline_response["rows"]
+        ]
+
 
 class TestPoolFallbacks:
     """Only a failure of the pool itself falls back in-process, and it is

@@ -442,6 +442,18 @@ def _with_slot(payload, slot, value):
     return copy
 
 
+@pytest.mark.parametrize("kind", sorted(JSON_TYPES))
+@given(data=st.data())
+def test_removed_share_field_of_any_type_gives_400(service, kind, data):
+    """``share_uniformisation`` is no sweep request field: any value of it is
+    refused, by name, whatever its type."""
+    value = data.draw(JSON_TYPES[kind], label=kind)
+    payload = dict(BASE_PAYLOADS["/sweep"], share_uniformisation=value)
+    status, body = service.handle("POST", "/sweep", payload)
+    assert status == 400, (status, body)
+    assert "share_uniformisation" in body["error"]
+
+
 @pytest.mark.parametrize("endpoint, slot, kind", list(_typed_cases()))
 @given(data=st.data())
 def test_payload_field_of_another_type_in_a_typed_slot_gives_400(

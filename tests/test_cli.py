@@ -401,6 +401,22 @@ class TestSweepCommand:
         assert main(["sweep", parametric_file, "--param", "lam=-1.0"]) == 2
         assert "positive finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("sweep", ["--share-uniformisation"]),
+            ("sweep", ["--chunk-size", "2"]),
+            ("batch", ["--chunk-size", "2"]),
+        ],
+        ids=["sweep-share-uniformisation", "sweep-chunk-size", "batch-chunk-size"],
+    )
+    def test_removed_tuning_flags_are_usage_errors(self, parametric_file, capsys, command, flags):
+        axis = ["--param", "lam=0.5"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, parametric_file, *axis, *flags])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
     def test_nondeterministic_tree_sweeps_bounds(self, nondeterministic_file, capsys):
         assert main(["sweep", nondeterministic_file, "--param", "A=0.5,1.5"]) == 0
         assert "in [" in capsys.readouterr().out
