@@ -84,12 +84,12 @@ def _start_server(cache_dir: str, processes: int) -> subprocess.Popen:
     )
 
 
-def _stop_server(process: subprocess.Popen) -> None:
-    """Interrupt the server as Ctrl-C would, so it shuts its worker pool
-    down, then kill whatever is left of its process group.  A plain
-    SIGTERM ends ``repro serve`` without that shutdown and leaves the pool
-    workers running."""
-    process.send_signal(signal.SIGINT)
+def _stop_server(process: subprocess.Popen) -> bool:
+    """Stop the server with SIGTERM, as ``kill`` or a container stop would,
+    then kill whatever is left of its process group.  Returns whether the
+    server exited 0 with nothing of its group left: on SIGTERM it shuts its
+    worker pool down before it exits."""
+    process.terminate()
     try:
         process.wait(timeout=10)
     except subprocess.TimeoutExpired:
@@ -97,8 +97,11 @@ def _stop_server(process: subprocess.Popen) -> None:
     try:
         os.killpg(process.pid, signal.SIGKILL)
     except ProcessLookupError:
-        pass
+        clean = True
+    else:
+        clean = False
     process.wait(timeout=10)
+    return clean and process.returncode == 0
 
 
 def _read_url(process: subprocess.Popen) -> str:
@@ -219,7 +222,14 @@ def run(processes: int = 0) -> int:
                 f"{metrics['store']['entries']} cache entries"
             )
         finally:
-            _stop_server(process)
+            stopped = _stop_server(process)
+    if not stopped:
+        print(
+            f"FAIL: the server exited {process.returncode} on SIGTERM or left "
+            "processes of its group running",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -56,6 +56,7 @@ import argparse
 import glob
 import json
 import os
+import signal
 import sys
 from typing import Iterable, List, Optional, Tuple
 
@@ -71,6 +72,7 @@ from .core import (
     with_rate_parameters,
 )
 from .core.requests import QuerySpec, SweepSpec
+from .core.study import resolve_workers
 from .ctmc.builders import CtmdpSkeleton
 from .dft import diftree_modules, galileo, independent_modules
 from .dft.visualization import to_dot
@@ -375,7 +377,7 @@ def _run_batch_streaming(args: argparse.Namespace, batch: BatchStudy) -> int:
         result = write_batch_jsonl(
             counted(batch.iter_rows(processes=args.processes)),
             handle,
-            processes=args.processes or 1,
+            processes=resolve_workers(args.processes, len(batch)),
         )
     print(
         f"{len(result)} trees analysed ({result.num_failed} failed) in "
@@ -506,6 +508,9 @@ def command_serve(args: argparse.Namespace) -> int:
         f"{'es' if args.processes != 1 else ''})",
         flush=True,
     )
+    # SIGTERM (kill, Popen.terminate, a container stop) stops the server as
+    # Ctrl-C does, so the pool is shut down too.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -651,12 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
             "— both compute identical quotients)",
         )
 
-    def add_tolerance(
-        sub: argparse.ArgumentParser,
-        text: str = "truncation tolerance of the uniformisation series "
-        f"(default: {DEFAULTS.tolerance:g})",
-    ) -> None:
-        sub.add_argument("--tolerance", type=float, default=DEFAULTS.tolerance, help=text)
+    def add_tolerance(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--tolerance", type=float, default=DEFAULTS.tolerance,
+            help="truncation tolerance of the uniformisation series "
+            f"(default: {DEFAULTS.tolerance:g})",
+        )
 
     def add_measures(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -886,7 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trees", nargs="+", help="paths or glob patterns of Galileo .dft files"
     )
     add_cache_dir(cache_warm)
-    add_tolerance(cache_warm, "truncation tolerance recorded with the built entries")
     add_common(cache_warm)
     cache_warm.set_defaults(handler=command_cache)
 

@@ -29,9 +29,11 @@ import time as _time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -154,45 +156,57 @@ def _query_bound_times(query: Query) -> Tuple[float, ...]:
     )
 
 
+class Readings(NamedTuple):
+    """What one sample's measures are read from.
+
+    ``point_values`` and ``bound_curves`` map each mission time to the
+    failed-state probability and its ``(lower, upper)`` bounds.
+    ``mean_time`` and ``unavailability`` solve the sample's MTTF and
+    steady-state unavailability when called; a CTMDP has neither.
+    """
+
+    point_values: Dict[float, float]
+    bound_curves: Dict[float, Tuple[float, float]]
+    mean_time: Optional[Callable[[], float]] = None
+    unavailability: Optional[Callable[[], float]] = None
+
+
 def _curves(
     solver: Union[TransientKernel, CtmdpKernel],
     query: Query,
     tolerance: float,
-    blocks: int,
-) -> List[Tuple[Dict[float, float], Dict[float, Tuple[float, float]]]]:
-    """Point values and bound curves at the union of all requested times.
+) -> List[Readings]:
+    """Every loaded sample's readings at the union of all requested times.
 
-    ``solver`` is a kernel with ``blocks`` loaded samples; the result holds
-    one ``(point values, bound curves)`` pair per sample.  A transient
-    kernel runs one forward series, and its bounds coincide with the point
-    values; a CTMDP kernel runs one bound-sweep pair and has no point
-    values.
+    One :class:`Readings` per sample ``solver`` has loaded.  A transient
+    kernel runs one forward series, its bounds coincide with the point
+    values, and each sample's MTTF and steady state are solved on the
+    sample's own block; a CTMDP kernel runs one bound-sweep pair and has no
+    point values.
     """
     if isinstance(solver, CtmdpKernel):
         times = _query_bound_times(query)
-        if not times:
-            return [({}, {}) for _block in range(blocks)]
         lower, upper = solver.reachability_bounds_curve(
             signals.FAILED_LABEL, times, tolerance=tolerance
         )
         return [
-            ({}, {time: bounds for time, bounds in zip(times, zip(lows, highs))})
+            Readings({}, {time: bounds for time, bounds in zip(times, zip(lows, highs))})
             for lows, highs in zip(
                 np.atleast_2d(lower).tolist(), np.atleast_2d(upper).tolist()
             )
         ]
     times = query.transient_times()
-    if not times:
-        return [({}, {}) for _block in range(blocks)]
     curves = solver.probability_of_label_curve(
         signals.FAILED_LABEL, times, tolerance=tolerance
     )
     return [
-        (
+        Readings(
             dict(zip(times, values)),
             {time: (value, value) for time, value in zip(times, values)},
+            partial(solver.mean_time_to_label, signals.FAILED_LABEL, block),
+            partial(solver.steady_state_probability_of_label, signals.FAILED_LABEL, block),
         )
-        for values in np.atleast_2d(curves).tolist()
+        for block, values in enumerate(np.atleast_2d(curves).tolist())
     ]
 
 
@@ -241,14 +255,11 @@ def gradient_values_from_kernel(
 
 
 def _evaluate_measure(
-    model: Optional[Union[CTMC, CTMDP]],
     measure: Measure,
-    point_values: Dict[float, float],
-    bound_curves: Dict[float, Tuple[float, float]],
-    nondeterministic: bool = False,
-    gradient_values: Optional[GradientValues] = None,
+    readings: Readings,
+    nondeterministic: bool,
+    gradient_values: Optional[GradientValues],
 ) -> MeasureResult:
-    nondeterministic = nondeterministic or isinstance(model, CTMDP)
     if isinstance(measure, Unreliability):
         if nondeterministic:
             raise AnalysisError(
@@ -259,12 +270,12 @@ def _evaluate_measure(
         return MeasureResult(
             kind=measure.kind,
             times=times,
-            values=tuple(point_values[time] for time in times),
+            values=tuple(readings.point_values[time] for time in times),
         )
     if isinstance(measure, UnreliabilityBounds):
         times = measure.times  # type: ignore[assignment]
-        lower = tuple(bound_curves[time][0] for time in times)
-        upper = tuple(bound_curves[time][1] for time in times)
+        lower = tuple(readings.bound_curves[time][0] for time in times)
+        upper = tuple(readings.bound_curves[time][1] for time in times)
         return MeasureResult(kind=measure.kind, times=times, lower=lower, upper=upper)
     if isinstance(measure, ImportanceRanking):
         if gradient_values is None or measure.direction not in gradient_values:
@@ -300,79 +311,43 @@ def _evaluate_measure(
                 "unavailability of non-deterministic models is not supported"
             )
         if measure.steady_state:
-            value = model.steady_state_probability_of_label(signals.FAILED_LABEL)
             return MeasureResult(
-                kind=measure.kind, values=(float(value),), steady_state=True
+                kind=measure.kind, values=(readings.unavailability(),), steady_state=True
             )
         assert measure.time is not None
         return MeasureResult(
             kind=measure.kind,
             times=(measure.time,),
-            values=(point_values[measure.time],),
+            values=(readings.point_values[measure.time],),
             steady_state=False,
         )
     if isinstance(measure, MTTF):
         if nondeterministic:
             raise AnalysisError("MTTF of non-deterministic models is not supported")
-        value = model.mean_time_to_label(signals.FAILED_LABEL)
-        return MeasureResult(kind=measure.kind, values=(float(value),))
+        return MeasureResult(kind=measure.kind, values=(readings.mean_time(),))
     raise AnalysisError(f"unsupported measure: {measure!r}")
 
 
-def _measure_needs_model(measure: Measure) -> bool:
-    """True iff ``measure`` reads the generator beyond transient point values."""
-    return isinstance(measure, MTTF) or (
-        isinstance(measure, Unavailability) and measure.steady_state
-    )
-
-
-def query_needs_model(query: QueryLike) -> bool:
-    """True iff evaluating ``query`` needs more than transient point values.
-
-    MTTF and steady-state unavailability read the generator itself; every
-    other measure is assembled from the failed-state occupancy curve alone,
-    so a purely transient query never builds a concrete CTMC per sample.
-    """
-    return any(_measure_needs_model(measure) for measure in _as_query(query))
-
-
 def measures_from_curves(
-    model: Optional[Union[CTMC, CTMDP]],
     query: Query,
-    point_values: Dict[float, float],
-    bound_curves: Dict[float, Tuple[float, float]],
+    readings: Readings,
     on_error: str = "raise",
     nondeterministic: bool = False,
     gradient_values: Optional[GradientValues] = None,
 ) -> Tuple[MeasureResult, ...]:
-    """Assemble every measure of ``query`` from precomputed curve values.
+    """Assemble every measure of ``query`` from one sample's readings.
 
-    ``model`` may be ``None`` when the query is purely transient (see
-    :func:`query_needs_model`); measures that do need the model then fail
-    individually under ``on_error="record"``.  ``nondeterministic=True``
-    marks a model-free evaluation as a CTMDP one (the kernel path), so
-    deterministic-only measures fail with the CTMDP diagnostics rather than
-    the missing-model one.  ``gradient_values`` feeds importance rankings.
+    ``nondeterministic=True`` marks a CTMDP evaluation, so
+    deterministic-only measures fail with the CTMDP diagnostics.
+    ``gradient_values`` feeds importance rankings.
     """
     if on_error not in ("raise", "record"):
         raise AnalysisError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     evaluated = []
     for measure in query:
         try:
-            if model is None and not nondeterministic and _measure_needs_model(measure):
-                raise AnalysisError(
-                    f"measure {measure.kind!r} needs the concrete Markov model, "
-                    "which was not instantiated"
-                )
             evaluated.append(
-                _evaluate_measure(
-                    model,
-                    measure,
-                    point_values,
-                    bound_curves,
-                    nondeterministic=nondeterministic,
-                    gradient_values=gradient_values,
-                )
+                _evaluate_measure(measure, readings, nondeterministic, gradient_values)
             )
         except AnalysisError as error:
             if on_error == "raise":
@@ -403,9 +378,9 @@ def _degenerate_envelope(skeleton: CtmcSkeleton) -> CtmdpSkeleton:
 class Evaluation(NamedTuple):
     """One evaluation of a :class:`CompiledModel` under one rate assignment.
 
-    ``load_seconds`` covers the rate refill (plus a concrete model build when
-    a measure reads the generator), ``solve_seconds`` the sweeps — each the
-    sample's share of its batch plus its own per-sample work; the optional
+    ``load_seconds`` covers the rate refill, ``solve_seconds`` the sweeps
+    and solves — each the sample's share of its batch, plus its own MTTF,
+    steady-state and gradient work in ``solve_seconds``; the optional
     ``gradients`` map each parameter to its gradient curve.  ``error`` is
     the error that failed the sample as a whole (a non-positive rate, or a
     measure under ``on_error="raise"``); its ``measures`` are then empty.
@@ -496,9 +471,10 @@ class CompiledModel:
         and runs one uniformisation series (CTMC) or one bound-sweep pair
         (CTMDP) for all of them.  Every block keeps its own uniformisation rate and Poisson
         truncation, so an evaluation is bit-identical whatever batch it
-        shares.  Concrete-model measures (MTTF, steady state) and gradient
-        sweeps run per sample.  ``gradients`` attaches per-parameter gradient
-        curves of the max bound to each result.
+        shares.  MTTF and steady-state solves read each sample's own block
+        of the loaded batch, and gradient sweeps run per sample; no
+        evaluation builds a concrete Markov model.  ``gradients`` attaches
+        per-parameter gradient curves of the max bound to each result.
         A sample that fails as a whole — a non-positive rate, or any measure
         under ``on_error="raise"`` — carries its error in
         :attr:`Evaluation.error` and leaves the others untouched.
@@ -543,7 +519,7 @@ class CompiledModel:
         curves: Iterator = iter(())
         if kernel.blocks:
             try:
-                curves = iter(_curves(kernel, query, tolerance, kernel.blocks))
+                curves = iter(_curves(kernel, query, tolerance))
             except ReproError as error:
                 if len(assignments) > 1:  # solve each alone: one bad sample fails one row
                     return [
@@ -560,28 +536,17 @@ class CompiledModel:
         evaluations = []
         for assignment, error in zip(assignments, errors):
             row_start = _time.perf_counter()
-            measures, model_seconds, row_gradients = (), 0.0, None
+            measures, row_gradients = (), None
             if error is None:
                 try:
-                    measures, model_seconds, row_gradients = self._finish(
-                        query,
-                        assignment,
-                        *next(curves),
-                        tolerance,
-                        on_error,
-                        gradients,
+                    measures, row_gradients = self._finish(
+                        query, assignment, next(curves), tolerance, on_error, gradients
                     )
                 except ReproError as failure:
                     error = failure
             own = _time.perf_counter() - row_start
             evaluations.append(
-                Evaluation(
-                    measures,
-                    load_share + model_seconds,
-                    solve_share + own - model_seconds,
-                    row_gradients,
-                    error,
-                )
+                Evaluation(measures, load_share, solve_share + own, row_gradients, error)
             )
         return evaluations
 
@@ -589,19 +554,12 @@ class CompiledModel:
         self,
         query: Query,
         assignment: Optional[Mapping[str, float]],
-        point_values: Dict[float, float],
-        bound_curves: Dict[float, Tuple[float, float]],
+        readings: Readings,
         tolerance: float,
         on_error: str,
         gradients: bool,
-    ) -> Tuple[Tuple[MeasureResult, ...], float, Optional[Dict[str, Tuple[float, ...]]]]:
-        """One sample's own work: ``(measures, model build seconds, gradients)``."""
-        concrete: Optional[CTMC] = None
-        model_seconds = 0.0
-        if not self.nondeterministic and query_needs_model(query):
-            start = _time.perf_counter()
-            concrete = self.skeleton.instantiate(assignment)  # type: ignore[assignment]
-            model_seconds = _time.perf_counter() - start
+    ) -> Tuple[Tuple[MeasureResult, ...], Optional[Dict[str, Tuple[float, ...]]]]:
+        """One sample's own work: ``(measures, gradients)``."""
         gradient_values: Optional[GradientValues] = None
         row_gradients: Optional[Dict[str, Tuple[float, ...]]] = None
         if gradients or _query_wants_gradients(query):
@@ -620,15 +578,13 @@ class CompiledModel:
                     for j, name in enumerate(gradient_kernel.parameters)
                 }
         measures = measures_from_curves(
-            concrete,
             query,
-            point_values,
-            bound_curves,
+            readings,
             on_error=on_error,
             nondeterministic=self.nondeterministic,
             gradient_values=gradient_values,
         )
-        return measures, model_seconds, row_gradients
+        return measures, row_gradients
 
 
 def evaluate_skeleton_query(
@@ -643,8 +599,6 @@ def evaluate_skeleton_query(
 
     The batch of one of :meth:`CompiledModel.evaluate_many` — the same code
     every sweep runs — raising the sample's error instead of returning it.
-    A concrete model is instantiated only when a measure reads the
-    generator itself.
 
     Every measure the library computes — ``Study`` with or without a
     skeleton cache, sweep rows, the optimiser and the service — runs through

@@ -9,10 +9,10 @@ with the measures needed by the paper:
 * steady-state probabilities (for unavailability of repairable systems),
 * mean time to absorption (mean time to failure).
 
-Transient measures run on the package's one uniformisation series,
-:class:`~repro.ctmc.kernel.TransientKernel`: the chain builds a kernel of its
-own edges on the first curve call and keeps it until a mutator changes the
-chain.  Steady-state analysis lives in :mod:`repro.ctmc.steady_state`.
+Every measure runs on :class:`~repro.ctmc.kernel.TransientKernel`, the
+package's one uniformisation series and generator solver: the chain builds
+a kernel of its own edges on the first measure call and keeps it until a
+mutator changes the chain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import (
 import numpy as np
 from scipy import sparse
 
-from ..errors import AnalysisError, ModelError
+from ..errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
     from .kernel import TransientKernel
@@ -232,14 +232,11 @@ class CTMC:
         return self._kernel().probability_of_label_curve(label, times, tolerance=tolerance)
 
     def steady_state_distribution(self) -> np.ndarray:
-        """Long-run distribution (see :mod:`repro.ctmc.steady_state`)."""
-        from .steady_state import steady_state_distribution
-
-        return steady_state_distribution(self)
+        """Long-run distribution (see :meth:`TransientKernel.steady_state_distribution`)."""
+        return self._kernel().steady_state_distribution()
 
     def steady_state_probability_of_label(self, label: str) -> float:
-        distribution = self.steady_state_distribution()
-        return float(sum(distribution[s] for s in self.states_with_label(label)))
+        return self._kernel().steady_state_probability_of_label(label)
 
     def mean_time_to_label(self, label: str) -> float:
         """Expected time until a ``label``-state is first entered (MTTF).
@@ -247,77 +244,9 @@ class CTMC:
         Raises :class:`~repro.errors.AnalysisError` if a ``label``-state is not
         reached with probability one from the initial state.
         """
-        goal = self.states_with_label(label)
-        if not goal:
-            raise AnalysisError(f"no state carries label {label!r}")
-        if self._initial in goal:
-            return 0.0
-        # Expected hitting times solve (Q restricted to non-goal) h = -1.
-        non_goal = [s for s in self.states() if s not in goal]
-        index = {s: i for i, s in enumerate(non_goal)}
-        n = len(non_goal)
-        matrix = np.zeros((n, n))
-        can_leave = np.zeros(n, dtype=bool)
-        for s in non_goal:
-            i = index[s]
-            exit_rate = self.exit_rate(s)
-            matrix[i, i] = -exit_rate
-            for target, rate in self.rates_from(s):
-                if target in goal:
-                    can_leave[i] = True
-                else:
-                    matrix[i, index[target]] += rate
-        # Reachability check: from the initial state a goal state must be
-        # reachable through non-goal states, otherwise the MTTF diverges.
-        if not self._goal_reachable(goal):
-            raise AnalysisError(
-                f"states labelled {label!r} are not reached with probability one; "
-                "the mean time to failure is infinite"
-            )
-        rhs = -np.ones(n)
-        try:
-            hitting = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError(
-                "mean time to failure is infinite (absorbing non-goal states exist)"
-            ) from exc
-        if np.any(hitting < -1e-9):
-            raise AnalysisError("mean time to failure computation produced negative times")
-        return float(hitting[index[self._initial]])
+        return self._kernel().mean_time_to_label(label)
 
     # ---------------------------------------------------------------- helpers
-    def _goal_reachable(self, goal: FrozenSet[int]) -> bool:
-        """True iff every state reachable from the initial state can reach goal."""
-        reachable = self._forward_reachable(self._initial)
-        can_reach_goal = self._backward_reachable(goal)
-        return all(state in can_reach_goal or state in goal for state in reachable)
-
-    def _forward_reachable(self, start: int) -> FrozenSet[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            state = frontier.pop()
-            for target, _rate in self.rates_from(state):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return frozenset(seen)
-
-    def _backward_reachable(self, goal: FrozenSet[int]) -> FrozenSet[int]:
-        predecessors: List[List[int]] = [[] for _ in range(self._num_states)]
-        for source in self.states():
-            for target, _rate in self.rates_from(source):
-                predecessors[target].append(source)
-        seen = set(goal)
-        frontier = list(goal)
-        while frontier:
-            state = frontier.pop()
-            for pred in predecessors[state]:
-                if pred not in seen:
-                    seen.add(pred)
-                    frontier.append(pred)
-        return frozenset(seen)
-
     def _check(self, state: int) -> None:
         if not 0 <= state < self._num_states:
             raise ModelError(f"state {state} out of range (0..{self._num_states - 1})")

@@ -24,7 +24,8 @@ This module eliminates that rebuild, and steps many samples at once:
   is refreshed by a precomputed permutation (``x @ P`` through scipy would
   otherwise construct a fresh transposed matrix on *every* step).  The
   stacked operator is capped at :data:`BATCH_OPERATOR_BYTES`.
-* :class:`TransientKernel` (forward label-probability curves) and
+* :class:`TransientKernel` (forward label-probability curves, plus the
+  MTTF and steady-state generator solves of each loaded block) and
   :class:`CtmdpKernel` (backward bound curves, plus the per-sample gradient
   sweep) own one buffer plus the Poisson term cache and the workspaces.
   Every block keeps its own uniformisation rate, Poisson terms and
@@ -39,7 +40,9 @@ process through :meth:`repro.core.study.CompiledModel.evaluate_many`; after
 the first batch every further one costs only the refill and the stacked
 uniformisation series itself.  A concrete :class:`~repro.ctmc.ctmc.CTMC` or
 :class:`~repro.ctmc.ctmdp.CTMDP` keeps a one-sample kernel of its own edges,
-so this module holds the only uniformisation series of the package.
+so this module holds the only uniformisation series of the package, its only
+generator solves, and the one dense/sparse crossover
+(:data:`DENSE_STATE_LIMIT`) of both.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import AnalysisError, ModelError
+from ..graph import bottom_components, strongly_connected_components
 from ..ioimc.rates import ParametricRate
 from .builders import CtmcSkeleton, CtmdpSkeleton
 from .ctmdp import VanishingResolver
@@ -59,7 +63,8 @@ from .transient import PoissonTermCache, validate_times
 #: Below this state count the kernel steps with a preallocated dense matrix:
 #: a CSR matvec costs ~10-20us of scipy dispatch regardless of size, which
 #: dominates the arithmetic of aggregated DFT models (tens of states).
-#: Read when a buffer is built.
+#: Read when a buffer is built, and by every MTTF or steady-state solve,
+#: which factorises a sparse matrix above it.
 DENSE_STATE_LIMIT = 256
 
 #: The most bytes the stacked stepping operator of one batch may take: a
@@ -128,8 +133,10 @@ class CsrBuffer:
     ``structure_builds`` and ``refills`` count exactly that split, so
     regression tests can pin "no pattern rebuild after the first sample".
 
-    After a refill ``blocks`` samples are loaded; ``block_rates`` holds each
-    block's uniformisation rate and ``uniformisation_rate`` the largest.
+    After a refill ``blocks`` samples are loaded; ``edge_rates`` holds each
+    block's evaluated edge rates (one row per block, in skeleton edge order),
+    ``block_rates`` each block's uniformisation rate and
+    ``uniformisation_rate`` the largest.
     ``matrix``, ``dense`` and ``transposed`` are the loaded batch's stacked
     operators (plain ``n x n`` matrices for one block).
     """
@@ -144,6 +151,7 @@ class CsrBuffer:
         "uniformisation_rate",
         "blocks",
         "block_rates",
+        "edge_rates",
         "_params",
         "_const",
         "_coeffs",
@@ -260,6 +268,7 @@ class CsrBuffer:
         self._use(self._single)
         self.blocks = 0
         self.block_rates = np.zeros(0)
+        self.edge_rates = np.zeros((0, len(self._const)))
         self.uniformisation_rate = 1.0
 
     def __getstate__(self) -> Dict[str, object]:
@@ -319,6 +328,7 @@ class CsrBuffer:
         self._use(self._single)
         self.blocks = 0
         self.block_rates = np.zeros(0)
+        self.edge_rates = self.edge_rates[:0]
         return True
 
     def _evaluate_rates(
@@ -374,6 +384,7 @@ class CsrBuffer:
         values, errors = self._evaluate_rates(assignments)
         blocks = len(values)
         self.blocks = blocks
+        self.edge_rates = values
         if not blocks:
             self._use(self._single)
             self.block_rates = np.zeros(0)
@@ -613,11 +624,13 @@ class TransientKernel(_SampleKernel):
     (:meth:`_forward_series`) runs on the in-place refreshed operator and
     feeds two reducers: :meth:`probability_of_label_curve` (label masses,
     any batch) and :meth:`transient_distributions` (full state
-    distributions of one sample, from any initial distribution).  Every
-    concrete :class:`~repro.ctmc.ctmc.CTMC` curve runs on such a kernel too.
+    distributions of one sample, from any initial distribution).  The MTTF
+    and steady-state generator solves read any loaded block's rates, on
+    reachability structure kept per label.  Every measure of a concrete
+    :class:`~repro.ctmc.ctmc.CTMC` runs on such a kernel too.
     """
 
-    __slots__ = ()
+    __slots__ = ("_structures",)
 
     def __init__(self, skeleton: CtmcSkeleton, buffer: Optional[CsrBuffer] = None):
         if buffer is not None:
@@ -630,6 +643,9 @@ class TransientKernel(_SampleKernel):
         else:
             buffer = CsrBuffer(skeleton)
         super().__init__(skeleton, buffer)
+        #: Per label (``None`` for the steady state): the states a generator
+        #: solve runs on, or the structural error it raises.
+        self._structures: Dict[Optional[str], Union[np.ndarray, AnalysisError]] = {}
 
     def probability_of_label_curve(
         self,
@@ -747,18 +763,142 @@ class TransientKernel(_SampleKernel):
                 return
             history[0] = buffer.step(history[count - 1], spare)
 
-    def point_values(
-        self,
-        label: str,
-        times: Sequence[float],
-        assignment: Assignment = None,
-        tolerance: float = 1e-12,
-    ) -> Dict[float, float]:
-        """Load ``assignment`` and map each time to its label probability."""
-        self.load(assignment)
-        times_list = validate_times(times)
-        curve = self.probability_of_label_curve(label, times_list, tolerance)
-        return dict(zip(times_list, (float(value) for value in curve)))
+    # ------------------------------------------------------ generator solves
+    def mean_time_to_label(self, label: str, block: int = 0) -> float:
+        """Expected time until loaded block ``block`` first enters a ``label``-state.
+
+        Solves ``Q h = -1`` on the non-``label`` states reached before a
+        ``label``-state, with the block's evaluated rates (the MTTF for the
+        ``failed`` label).  Raises :class:`~repro.errors.AnalysisError` if no
+        state carries ``label`` or a ``label``-state is not reached with
+        probability one from the initial state.
+        """
+        self._require_loaded("transient")
+        states = self._structure(label, lambda: self._hitting_states(label))
+        if not len(states):
+            return 0.0  # the initial state carries the label
+        hitting = self._solve(states, block, -np.ones(len(states)))
+        if np.any(hitting < -1e-9):
+            raise AnalysisError("mean time to failure computation produced negative times")
+        return float(hitting[np.searchsorted(states, self.skeleton.initial)])
+
+    def steady_state_distribution(self, block: int = 0) -> np.ndarray:
+        """Long-run state distribution of loaded block ``block``.
+
+        The chain must have exactly one bottom strongly-connected component
+        reachable from the initial state; the stationary distribution of that
+        component (zero elsewhere) is returned.
+        """
+        self._require_loaded("transient")
+        states = self._structure(None, self._bottom_states)
+        rhs = np.zeros(len(states))
+        rhs[-1] = 1.0
+        pi = self._solve(states, block, rhs, stationary=True)
+        if np.any(pi < -1e-9):
+            raise AnalysisError("stationary distribution has negative entries")
+        pi = np.clip(pi, 0.0, None)
+        distribution = np.zeros(self.skeleton.num_states)
+        distribution[states] = pi / pi.sum()
+        return distribution
+
+    def steady_state_probability_of_label(self, label: str, block: int = 0) -> float:
+        """Long-run probability of occupying a ``label``-state (unavailability)."""
+        return float(self.steady_state_distribution(block)[self.goal_indices(label)].sum())
+
+    def _solve(
+        self, states: np.ndarray, block: int, rhs: np.ndarray, stationary: bool = False
+    ) -> np.ndarray:
+        """Solve ``Q x = rhs`` for block ``block``'s generator on ``states``.
+
+        ``stationary`` solves ``Q^T x = rhs`` with the last equation replaced
+        by ``sum(x) = 1`` instead.  Dense up to :data:`DENSE_STATE_LIMIT`
+        states, a sparse LU factorisation above; a singular system raises
+        :class:`~repro.errors.AnalysisError`.
+        """
+        rates = self.buffer.edge_rates[block]
+        size = len(states)
+        position = np.full(self.skeleton.num_states, -1, dtype=np.int64)
+        position[states] = np.arange(size)
+        sources, targets = position[self.buffer._sources], position[self.buffer._targets]
+        # Every edge out of ``states`` takes its rate off the diagonal; one
+        # that stays among them also adds it off the diagonal.
+        leaving = sources >= 0
+        inside = leaving & (targets >= 0)
+        rows = np.concatenate([sources[inside], sources[leaving]])
+        cols = np.concatenate([targets[inside], sources[leaving]])
+        values = np.concatenate([rates[inside], -rates[leaving]])
+        if stationary:  # Q^T, its last row replaced by ones
+            keep = cols != size - 1
+            rows, cols = cols[keep], rows[keep]
+            rows = np.append(rows, [size - 1] * size)
+            cols = np.append(cols, range(size))
+            values = np.append(values[keep], [1.0] * size)
+        try:
+            if size <= DENSE_STATE_LIMIT:
+                matrix = np.bincount(rows * size + cols, weights=values, minlength=size * size)
+                return np.linalg.solve(matrix.reshape(size, size), rhs)
+            # Imported here: scipy.sparse.linalg adds about 10 MB and 0.1 s to
+            # every process, and only a solve above the crossover needs it.
+            from scipy.sparse.linalg import splu
+
+            matrix = sparse.csc_matrix((values, (rows, cols)), shape=(size, size))
+            return splu(matrix).solve(rhs)
+        except (np.linalg.LinAlgError, RuntimeError) as error:  # a singular matrix
+            raise AnalysisError(f"the generator equations are singular ({error})") from error
+
+    def _structure(self, key: Optional[str], build) -> np.ndarray:
+        """``build()``'s sorted states, or the error it raised, once per key."""
+        cached = self._structures.get(key)
+        if cached is None:
+            try:
+                cached = build()
+            except AnalysisError as error:
+                cached = error
+            self._structures[key] = cached
+        if isinstance(cached, AnalysisError):
+            raise AnalysisError(str(cached))
+        return cached
+
+    def _successor_lists(self) -> List[List[int]]:
+        successors: List[List[int]] = [[] for _ in range(self.skeleton.num_states)]
+        for source, target, _rate in self.skeleton.edges:
+            successors[source].append(target)
+        return successors
+
+    def _hitting_states(self, label: str) -> np.ndarray:
+        """The non-``label`` states reached before a ``label``-state."""
+        goal = self.goal_indices(label)
+        if not len(goal):
+            raise AnalysisError(f"no state carries label {label!r}")
+        successors = self._successor_lists()
+        reaches = [False] * self.skeleton.num_states
+        for state in goal.tolist():
+            successors[state] = []
+            reaches[state] = True
+        reached: List[int] = []
+        # Successors first: every edge leaving a component has its verdict.
+        for component in strongly_connected_components(successors, [self.skeleton.initial]):
+            if reaches[component[0]]:
+                continue  # a label state
+            if not any(reaches[t] for state in component for t in successors[state]):
+                raise AnalysisError(
+                    f"states labelled {label!r} are not reached with probability "
+                    "one; the mean time to failure is infinite"
+                )
+            for state in component:
+                reaches[state] = True
+            reached.extend(component)
+        return np.sort(np.asarray(reached, dtype=np.int64))
+
+    def _bottom_states(self) -> np.ndarray:
+        """The one bottom component reachable from the initial state."""
+        bottoms = bottom_components(self._successor_lists(), roots=[self.skeleton.initial])
+        if len(bottoms) > 1:
+            raise AnalysisError(
+                "the chain has several reachable terminal components; the long-run "
+                "distribution depends on which one is entered"
+            )
+        return np.asarray(bottoms[0], dtype=np.int64)
 
 
 class CtmdpKernel(_SampleKernel):

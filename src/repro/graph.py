@@ -2,11 +2,12 @@
 
 :func:`strongly_connected_components` is the one Tarjan pass of the
 package: the tau-SCC condensation of the weak-bisimulation engines, the
-vanishing-state plan of the CTMDP resolver and the bottom-SCC search of the
-steady-state solver all call it.  The graphs it sees are mostly tiny (a
-handful of states after every minimisation), so it is a plain-Python
-iterative pass: a ``scipy.sparse.csgraph`` call costs more in conversion and
-dispatch than the whole traversal.
+vanishing-state plan of the CTMDP resolver and the reachability and
+bottom-SCC structure of the transient kernel's generator solves all call
+it.  The graphs it sees are mostly tiny (a handful of states after every
+minimisation), so it is a plain-Python iterative pass: a
+``scipy.sparse.csgraph`` call costs more in conversion and dispatch than
+the whole traversal.
 """
 
 from __future__ import annotations
@@ -81,3 +82,19 @@ def strongly_connected_components(
                     if low[node] < low[parent]:
                         low[parent] = low[node]
     return components
+
+
+def bottom_components(
+    successors: Sequence[Sequence[int]],
+    roots: Optional[Iterable[int]] = None,
+) -> List[List[int]]:
+    """The components of :func:`strongly_connected_components` no edge leaves.
+
+    Same arguments and order; each component lists its members sorted.
+    """
+    bottoms = []
+    for component in strongly_connected_components(successors, roots):
+        members = set(component)
+        if all(target in members for node in component for target in successors[node]):
+            bottoms.append(sorted(component))
+    return bottoms

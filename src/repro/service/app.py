@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import signal
 import threading
 import time as _time
 from collections import OrderedDict, deque
@@ -223,6 +224,9 @@ _WORKER_MODELS: Optional[_ModelCache] = None
 
 def _init_service_worker(root: str, max_bytes: Optional[int]) -> None:
     global _WORKER_STORE, _WORKER_MODELS
+    # A worker forked from ``repro serve`` inherits the handler that turns
+    # SIGTERM into a KeyboardInterrupt; a worker ends on SIGTERM, as by default.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_STORE = SkeletonStore(root, max_bytes=max_bytes)
     _WORKER_MODELS = _ModelCache()
 
@@ -609,12 +613,11 @@ class AnalysisService:
         return response
 
     def healthz(self) -> Dict[str, object]:
-        stats = self.store.stats()
         return {
             "status": "ok",
             "schema": SERVICE_SCHEMA,
-            "store": stats["root"],
-            "entries": stats["entries"],
+            "store": str(self.store.root),
+            "entries": len(self.store.entries_on_disk()),
             "processes": self.processes,
         }
 

@@ -224,7 +224,8 @@ class SkeletonStore:
     def path_of(self, key: str) -> Path:
         return self.root / f"{key}{ENTRY_SUFFIX}"
 
-    def _entries_on_disk(self) -> List[Path]:
+    def entries_on_disk(self) -> List[Path]:
+        """The store's entry files (none of them is read)."""
         return [
             path
             for path in self.root.glob(f"*{ENTRY_SUFFIX}")
@@ -366,7 +367,7 @@ class SkeletonStore:
         """Unlink orphaned ``.tmp-*`` files left behind by crashed writers.
 
         A writer that dies between ``mkstemp`` and ``os.replace`` leaks its
-        temp file forever: the dot prefix hides it from ``_entries_on_disk``,
+        temp file forever: the dot prefix hides it from ``entries_on_disk``,
         so neither the byte cap nor ``clear`` ever touches it.  Temp files
         younger than :data:`TEMP_GRACE_SECONDS` may belong to a *live*
         concurrent writer and are left alone; older ones are reclaimed.
@@ -399,7 +400,7 @@ class SkeletonStore:
             return
         entries = []
         total = 0
-        for path in self._entries_on_disk():
+        for path in self.entries_on_disk():
             try:
                 status = path.stat()
             except OSError:
@@ -481,7 +482,7 @@ class SkeletonStore:
     def clear(self) -> int:
         """Delete every entry; returns how many files were removed."""
         removed = 0
-        for path in self._entries_on_disk():
+        for path in self.entries_on_disk():
             try:
                 path.unlink()
             except OSError:
@@ -517,7 +518,7 @@ class SkeletonStore:
 
     def stats(self) -> Dict[str, object]:
         """Disk usage and per-object counters, JSON-safe."""
-        entries = self._entries_on_disk()
+        entries = self.entries_on_disk()
         total = 0
         for path in entries:
             try:

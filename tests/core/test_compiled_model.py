@@ -16,9 +16,13 @@ from repro.core.measures import (
     UnreliabilityBounds,
 )
 from repro.core.study import CompiledModel, Study
-from repro.core.sweep import with_rate_parameters
+from repro.core.sweep import RateSweep, SweepStudy, with_rate_parameters
 from repro.ctmc import CTMC
-from repro.ctmc.builders import ctmc_skeleton_from_ioimc, ctmdp_skeleton_from_ioimc
+from repro.ctmc.builders import (
+    CtmcSkeleton,
+    ctmc_skeleton_from_ioimc,
+    ctmdp_skeleton_from_ioimc,
+)
 from repro.ctmc.kernel import CsrBuffer, CtmdpKernel, TransientKernel
 from repro.dft import galileo
 from repro.errors import AnalysisError
@@ -254,3 +258,57 @@ class TestStudyPaths:
         (cached,) = evaluate_query_on_model(model, Unreliability(TIMES))
         plain = Study(tree).evaluate(Unreliability(TIMES))
         assert cached.values == pytest.approx(plain["unreliability"].values, abs=1e-12)
+
+
+class TestNoConcreteModel:
+    """MTTF and steady-state unavailability are read off the kernel: no
+    evaluation path instantiates a concrete CTMC."""
+
+    QUERY = Unreliability(TIMES) + MTTF() + Unavailability()
+    #: The repairable AND's MTTF and its unavailability (lambda / (lambda + mu))^2.
+    EXPECTED = {"mttf": 2.5, "unavailability": 1.0 / 9.0}
+
+    @pytest.fixture(autouse=True)
+    def refuse_instantiation(self, monkeypatch):
+        def refuse(self, assignment=None):
+            raise AssertionError("an evaluation instantiated a concrete model")
+
+        monkeypatch.setattr(CtmcSkeleton, "instantiate", refuse)
+
+    def check(self, measures):
+        values = {measure["kind"]: measure for measure in measures}
+        assert all(measure.get("error") is None for measure in measures)
+        for kind, expected in self.EXPECTED.items():
+            assert values[kind]["values"][0] == pytest.approx(expected, rel=1e-12)
+
+    def test_study_without_a_cache(self):
+        result = Study(repairable_and_system()).evaluate(self.QUERY)
+        self.check(result.to_dict()["measures"])
+
+    def test_study_with_a_skeleton_cache(self, tmp_path):
+        store = SkeletonStore(tmp_path / "cache")
+        for _hit in range(2):
+            study = Study(repairable_and_system(), skeleton_cache=store)
+            self.check(study.evaluate(self.QUERY).to_dict()["measures"])
+
+    def test_serial_sweep(self):
+        tree = with_rate_parameters(repairable_and_system())
+        sweep = RateSweep(self.QUERY, samples=[{"A": 1.0}, {"A": 0.5}, {"A": 1.0}])
+        first, second, third = SweepStudy(tree).run(sweep).rows
+        self.check(first.to_dict()["measures"])
+        self.check(third.to_dict()["measures"])
+        assert second.ok and second.measures != first.measures
+
+    def test_service_analyze(self, tmp_path):
+        service = AnalysisService(SkeletonStore(tmp_path / "cache"))
+        request = {
+            "tree": galileo.write(repairable_and_system()),
+            "query": {"times": list(TIMES), "mttf": True, "unavailability": True},
+        }
+        try:
+            for cache in ("miss", "hit"):
+                status, response = service.handle("POST", "/analyze", request)
+                assert status == 200 and response["service"]["cache"] == cache
+                self.check(response["measures"])
+        finally:
+            service.close()

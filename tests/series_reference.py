@@ -14,15 +14,20 @@ with an independent implementation and never with itself:
 * the per-state Python backward value iteration of a CTMDP
   (:func:`time_bounded_reachability_curve_reference`) with its cached
   vanishing-state resolver;
+* the hand-assembled dense generator solves of the MTTF
+  (:func:`mean_time_to_label_dense`) and of the steady state
+  (:func:`steady_state_distribution_dense`), each behind its own
+  reachability walk;
 * :func:`evaluate_query_on_model`, which reads every measure of a query off
-  a concrete model through these loops (CTMDP bounds through the model's own
-  curve methods).
+  a concrete model through these loops and solves (CTMDP bounds through the
+  model's own curve methods).
 
 The benchmarks time some of these as their per-sample baselines.
 """
 
 import math
 import weakref
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,9 +37,16 @@ from scipy import stats
 from repro.core import signals
 from repro.core.measures import Query, UnreliabilityBounds
 from repro.core.results import MeasureResult
-from repro.core.study import GradientValues, QueryLike, _as_query, measures_from_curves
+from repro.core.study import (
+    GradientValues,
+    QueryLike,
+    Readings,
+    _as_query,
+    measures_from_curves,
+)
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.ctmdp import CTMDP, VanishingResolver
+from repro.ctmc.steady_state import bottom_strongly_connected_components
 from repro.ctmc.transient import SweepWeights, _check_term_arguments, validate_times
 from repro.errors import AnalysisError
 
@@ -317,6 +329,109 @@ def time_bounded_reachability_curve_reference(
 
 
 # --------------------------------------------------------------------------
+# dense generator solves
+# --------------------------------------------------------------------------
+
+def _forward_reachable(ctmc: CTMC, start: int, stop=frozenset()) -> set:
+    """States reachable from ``start``, entering but not leaving ``stop``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        if state in stop:
+            continue
+        for target, _rate in ctmc.rates_from(state):
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+def mean_time_to_label_dense(ctmc: CTMC, label: str) -> float:
+    """Expected time until a ``label``-state is first entered (MTTF).
+
+    Solves ``Q h = -1`` on a dense matrix over the non-``label`` states
+    reached before a ``label``-state, after checking that every one of them
+    can reach a ``label``-state.
+    """
+    goal = ctmc.states_with_label(label)
+    if not goal:
+        raise AnalysisError(f"no state carries label {label!r}")
+    if ctmc.initial in goal:
+        return 0.0
+    reached = sorted(_forward_reachable(ctmc, ctmc.initial, goal) - goal)
+    predecessors: Dict[int, List[int]] = {state: [] for state in ctmc.states()}
+    for source in ctmc.states():
+        for target, _rate in ctmc.rates_from(source):
+            predecessors[target].append(source)
+    reaches_goal = set(goal)
+    frontier = list(goal)
+    while frontier:
+        for source in predecessors[frontier.pop()]:
+            if source not in reaches_goal:
+                reaches_goal.add(source)
+                frontier.append(source)
+    if not reaches_goal.issuperset(reached):
+        raise AnalysisError(
+            f"states labelled {label!r} are not reached with probability one; "
+            "the mean time to failure is infinite"
+        )
+    index = {state: i for i, state in enumerate(reached)}
+    matrix = np.zeros((len(reached), len(reached)))
+    for state in reached:
+        i = index[state]
+        matrix[i, i] = -ctmc.exit_rate(state)
+        for target, rate in ctmc.rates_from(state):
+            if target in index:
+                matrix[i, index[target]] += rate
+    hitting = np.linalg.solve(matrix, -np.ones(len(reached)))
+    if np.any(hitting < -1e-9):
+        raise AnalysisError("mean time to failure computation produced negative times")
+    return float(hitting[index[ctmc.initial]])
+
+
+def steady_state_distribution_dense(ctmc: CTMC) -> np.ndarray:
+    """Long-run distribution from a dense solve on the one reachable bottom
+    component (``pi Q = 0``, one equation replaced by ``sum(pi) = 1``)."""
+    reachable = _forward_reachable(ctmc, ctmc.initial)
+    bottoms = [
+        component
+        for component in bottom_strongly_connected_components(ctmc)
+        if component[0] in reachable
+    ]
+    if len(bottoms) > 1:
+        raise AnalysisError(
+            "the chain has several reachable terminal components; the long-run "
+            "distribution depends on which one is entered"
+        )
+    (component,) = bottoms
+    index = {state: i for i, state in enumerate(component)}
+    n = len(component)
+    generator = np.zeros((n, n))
+    for state in component:
+        i = index[state]
+        for target, rate in ctmc.rates_from(state):
+            generator[i, index[target]] += rate
+            generator[i, i] -= rate
+    system = generator.T.copy()
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    if np.any(pi < -1e-9):
+        raise AnalysisError("stationary distribution has negative entries")
+    pi = np.clip(pi, 0.0, None)
+    distribution = np.zeros(ctmc.num_states)
+    distribution[component] = pi / pi.sum()
+    return distribution
+
+
+def steady_state_probability_of_label_dense(ctmc: CTMC, label: str) -> float:
+    distribution = steady_state_distribution_dense(ctmc)
+    return float(sum(distribution[state] for state in ctmc.states_with_label(label)))
+
+
+# --------------------------------------------------------------------------
 # measures of a concrete model
 # --------------------------------------------------------------------------
 
@@ -376,19 +491,26 @@ def evaluate_query_on_model(
 
     The concrete-model counterpart of :meth:`CompiledModel.evaluate_many`
     (which every :class:`Study` and sweep uses), kept as an independent
-    reference: one vectorised transient sweep over the union of all mission
-    times (or one bound-curve sweep pair for CTMDPs), then each measure
-    reads its values.
+    reference: one transient sweep over the union of all mission times (or
+    one bound-curve sweep pair for CTMDPs), the dense MTTF and steady-state
+    solves above, then each measure reads its values.
     Importance rankings need ``gradient_values`` from a parametric kernel (a
     concrete model carries evaluated floats, so it cannot be differentiated).
     """
     query = _as_query(query)
     point_values, bound_curves = _curves(model, query, tolerance)
+    readings = Readings(point_values, bound_curves)
+    if isinstance(model, CTMC):
+        readings = Readings(
+            point_values,
+            bound_curves,
+            partial(mean_time_to_label_dense, model, signals.FAILED_LABEL),
+            partial(steady_state_probability_of_label_dense, model, signals.FAILED_LABEL),
+        )
     return measures_from_curves(
-        model,
         query,
-        point_values,
-        bound_curves,
+        readings,
         on_error=on_error,
+        nondeterministic=isinstance(model, CTMDP),
         gradient_values=gradient_values,
     )

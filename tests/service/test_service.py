@@ -192,6 +192,18 @@ class TestDictHandlers:
         assert response["service"]["cache_hits"] == 1
         assert response["service"]["cache_misses"] == 1
 
+    def test_healthz_reads_no_entry_payload(self, service, monkeypatch):
+        service.handle("POST", "/analyze", {"tree": AND_TREE})
+        service.handle("POST", "/analyze", {"tree": PARAM_TREE})
+
+        def refuse(self, entries):
+            raise AssertionError("a health check inflated the store's entries")
+
+        monkeypatch.setattr(SkeletonStore, "_compression_on_disk", refuse)
+        status, health = service.handle("GET", "/healthz", None)
+        assert status == 200
+        assert health["entries"] == 2
+
     def test_metrics_accumulate(self, service):
         service.handle("POST", "/analyze", {"tree": AND_TREE})
         service.handle("POST", "/analyze", {"tree": BROKEN_TREE})

@@ -1,16 +1,20 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.cli import _analysis_options, build_parser, main
-from repro.core import StudyOptions
+from repro.core import BatchStudy, StudyOptions, Unreliability
 from repro.dft import galileo
+from repro.service.client import ServiceClient
 from repro.service.store import cache_key
 from repro.systems import (
     cardiac_assist_system,
@@ -266,6 +270,57 @@ class TestEntryPoint:
         assert callable(repro.cli.main)
 
 
+def _session_members(session: int):
+    """The pids of every live process in ``session``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if os.getsid(int(entry)) == session:
+                    members.append(int(entry))
+            except (ProcessLookupError, PermissionError):
+                continue
+    return members
+
+
+class TestServeCommand:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes through /proc")
+    def test_sigterm_shuts_the_worker_pool_down(self, tmp_path):
+        """SIGTERM stops ``repro serve --processes 2`` as Ctrl-C does: it
+        exits 0 and leaves no process of its session running."""
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--cache-dir", str(tmp_path),
+             "--port", "0", "--processes", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": repo_src},
+            start_new_session=True,
+        )
+        watchdog = threading.Timer(60.0, os.killpg, (process.pid, signal.SIGKILL))
+        watchdog.start()
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("serving on "), banner
+            response = ServiceClient(banner.split()[2]).analyze(
+                galileo.write(repairable_and_system()), times=[1.0]
+            )
+            assert response["measures"][0]["values"]
+            assert len(_session_members(process.pid)) > 1  # the pool's workers run
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            assert _session_members(process.pid) == []
+        finally:
+            watchdog.cancel()
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=10)
+            process.stdout.close()
+
+
 class TestOtherCommands:
     def test_baseline(self, cas_file, capsys):
         assert main(["baseline", cas_file]) == 0
@@ -507,6 +562,18 @@ class TestBatchStreamingCli:
         assert len(failed) == 1
         assert failed[0]["error"]
         assert records[-1]["failed"] == 1
+
+    def test_output_jsonl_records_the_workers_used(self, corpus_dir, capsys):
+        """Never more workers than trees, as ``BatchStudy.run(sink=...)`` records."""
+        sink = corpus_dir / "rows.jsonl"
+        pattern = str(corpus_dir / "*.dft")
+        assert (
+            main(["batch", pattern, "--processes", "8", "--output-jsonl", str(sink)]) == 0
+        )
+        aggregate = json.loads(sink.read_text().splitlines()[-1])
+        library = BatchStudy(sorted(corpus_dir.glob("*.dft")), Unreliability([1.0]))
+        streamed = library.run(processes=8, sink=io.StringIO())
+        assert aggregate["processes"] == streamed.processes == 3
 
     def test_json_and_output_jsonl_are_mutually_exclusive(self, corpus_dir, capsys):
         sink = corpus_dir / "rows.jsonl"

@@ -131,6 +131,16 @@ class TestCacheWarm:
         )
         assert "1 failed" in capsys.readouterr().out
 
+    def test_tolerance_flag_is_a_usage_error(self, cache_dir, corpus_dir, capsys):
+        """Entries hold skeletons, which no truncation tolerance changes."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["cache", "warm", str(corpus_dir / "*.dft"), "--cache-dir", cache_dir,
+                 "--tolerance", "1e-9"]
+            )
+        assert exit_info.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
 
 class TestCacheClear:
     def test_clear_reports_removed_count(self, cache_dir, corpus_dir, capsys):
