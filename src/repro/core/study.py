@@ -469,9 +469,13 @@ class CompiledModel:
         :attr:`~repro.ctmc.kernel.CsrBuffer.max_blocks` as they need: the
         kernel loads a batch as the diagonal blocks of one stacked operator
         and runs one uniformisation series (CTMC) or one bound-sweep pair
-        (CTMDP) for all of them.  Every block keeps its own uniformisation rate and Poisson
-        truncation, so an evaluation is bit-identical whatever batch it
-        shares.  MTTF and steady-state solves read each sample's own block
+        (CTMDP) for all of them.  Every block keeps its own uniformisation
+        rate and Poisson truncation, so an evaluation is bit-identical
+        whatever batch it shares.  The batches are cut from the assignments
+        in descending order of uniformisation rate, so a batch's blocks come
+        deepest first and the stacked series stops each of them at its own
+        truncation depth; evaluations come back in assignment order.
+        MTTF and steady-state solves read each sample's own block
         of the loaded batch, and gradient sweeps run per sample; no
         evaluation builds a concrete Markov model.  ``gradients`` attaches
         per-parameter gradient curves of the max bound to each result.
@@ -484,37 +488,60 @@ class CompiledModel:
         query = _as_query(query)
         assignments = list(assignments)
         kernel = self.kernel
+        start = _time.perf_counter()
+        rates, rate_errors = kernel.buffer.evaluate_rates(assignments)
+        order = list(range(len(assignments)))
+        if len(assignments) > 1:
+            # Fastest first (a stable sort keeps ties in assignment order): a
+            # block's truncation depth grows with its rate, so every batch's
+            # blocks retire from the stacked series back to front.
+            order = np.argsort(-kernel.buffer.uniformisation_rates(rates), kind="stable").tolist()
+            rates = rates[order]
         # As few batches as the cap allows, of even sizes.
         batches = max(1, -(-len(assignments) // kernel.buffer.max_blocks))
         size = max(1, -(-len(assignments) // batches))
-        evaluations: List[Evaluation] = []
+        # Each sample's share of evaluating the rates, counted as loading.
+        rate_seconds = (_time.perf_counter() - start) / max(1, len(assignments))
+        evaluations: List[Optional[Evaluation]] = [None] * len(assignments)
         for begin in range(0, len(assignments), size):
-            evaluations.extend(
-                self._evaluate_batch(
-                    query,
-                    assignments[begin : begin + size],
-                    tolerance,
-                    on_error,
-                    gradients,
-                )
+            batch = order[begin : begin + size]
+            results = self._evaluate_batch(
+                query,
+                [assignments[index] for index in batch],
+                rates[begin : begin + size],
+                [rate_errors[index] for index in batch],
+                rate_seconds,
+                tolerance,
+                on_error,
+                gradients,
             )
+            for index, evaluation in zip(batch, results):
+                evaluations[index] = evaluation
         # The stacked operator is rebuilt by the next batch; holding it in
         # between would only add its memory to every model a process keeps.
         kernel.release()
-        return evaluations
+        return evaluations  # type: ignore[return-value]
 
     def _evaluate_batch(
         self,
         query: Query,
         assignments: List[Optional[Mapping[str, float]]],
+        rates: np.ndarray,
+        rate_errors: List[Optional[ReproError]],
+        rate_seconds: float,
         tolerance: float,
         on_error: str,
         gradients: bool,
     ) -> List[Evaluation]:
-        """One stacked kernel pass; each sample pays an equal share of it."""
+        """One stacked kernel pass; each sample pays an equal share of it.
+
+        ``rates`` and ``rate_errors`` are the assignments' rows of
+        :meth:`~repro.ctmc.kernel.CsrBuffer.evaluate_rates`, which took
+        ``rate_seconds`` per sample.
+        """
         start = _time.perf_counter()
         kernel = self.kernel
-        errors: List[Optional[ReproError]] = list(kernel.load_many(assignments))
+        errors: List[Optional[ReproError]] = list(kernel.load_rates(rates, rate_errors))
         loaded = _time.perf_counter()
         curves: Iterator = iter(())
         if kernel.blocks:
@@ -524,14 +551,21 @@ class CompiledModel:
                 if len(assignments) > 1:  # solve each alone: one bad sample fails one row
                     return [
                         evaluation
-                        for single in assignments
+                        for index, single in enumerate(assignments)
                         for evaluation in self._evaluate_batch(
-                            query, [single], tolerance, on_error, gradients
+                            query,
+                            [single],
+                            rates[index : index + 1],
+                            rate_errors[index : index + 1],
+                            rate_seconds,
+                            tolerance,
+                            on_error,
+                            gradients,
                         )
                     ]
                 errors = [error if known is None else known for known in errors]
         solved = _time.perf_counter()
-        load_share = (loaded - start) / len(assignments)
+        load_share = rate_seconds + (loaded - start) / len(assignments)
         solve_share = (solved - loaded) / len(assignments)
         evaluations = []
         for assignment, error in zip(assignments, errors):

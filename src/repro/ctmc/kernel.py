@@ -29,11 +29,15 @@ This module eliminates that rebuild, and steps many samples at once:
   :class:`CtmdpKernel` (backward bound curves, plus the per-sample gradient
   sweep) own one buffer plus the Poisson term cache and the workspaces.
   Every block keeps its own uniformisation rate, Poisson terms and
-  truncation depth; the series runs to the deepest block and each block's
-  weights are applied to its own prefix of the recorded series.  A block's
-  stacked matvec slice, its row sums and its per-time dot products are the
-  same floating-point operations a batch of one performs, so a sample's
-  curve is bit-identical whatever batch it shares.
+  truncation depth; series step ``k`` runs only the leading blocks up to
+  the last one whose depth exceeds ``k``, and each block's weights are
+  applied to its own prefix of the recorded series.  With the blocks in
+  descending order of rate (as
+  :meth:`~repro.core.study.CompiledModel.evaluate_many` loads them) every
+  block stops at its own depth.  A block's stacked matvec slice, its row
+  sums and its per-time dot products are the same floating-point operations
+  a batch of one performs, so a sample's curve is bit-identical whatever
+  batch it shares and wherever in it.
 
 The rate-sweep engine (:mod:`repro.core.sweep`) drives one kernel per worker
 process through :meth:`repro.core.study.CompiledModel.evaluate_many`; after
@@ -84,10 +88,21 @@ class _Tiling:
 
     Built once per batch size: the block-diagonal CSR of ``P`` (and of
     ``P^T`` on the sparse path) or the dense ``(blocks, n, n)`` stack, plus
-    the per-block offsets of the edge scatter indices.
+    the per-block offsets of the edge scatter indices.  Both CSRs are
+    block-major, so the first ``m`` blocks are a prefix of their arrays:
+    :meth:`prefix` views them as an ``m``-block CSR, built once per ``m``
+    and refreshed by every refill of this tiling, since it shares ``data``.
     """
 
-    __slots__ = ("blocks", "matrix", "dense", "transposed", "slot_index", "source_index")
+    __slots__ = (
+        "blocks",
+        "matrix",
+        "dense",
+        "transposed",
+        "slot_index",
+        "source_index",
+        "_prefixes",
+    )
 
     def __init__(self, buffer: "CsrBuffer", blocks: int):
         num_states = buffer.skeleton.num_states
@@ -120,6 +135,26 @@ class _Tiling:
             self.transposed = diagonal(buffer._transposed_indptr, buffer._transposed_indices)
         self.slot_index = (buffer._slots + nnz * block).ravel()
         self.source_index = (buffer._sources + num_states * block).ravel()
+        self._prefixes: Dict[Tuple[int, bool], sparse.csr_matrix] = {}
+
+    def prefix(self, blocks: int, transposed: bool) -> sparse.csr_matrix:
+        """The first ``blocks`` diagonal blocks of ``matrix`` (or ``transposed``)."""
+        key = (blocks, transposed)
+        cached = self._prefixes.get(key)
+        if cached is None:
+            whole = self.transposed if transposed else self.matrix
+            size = blocks * (whole.shape[0] // self.blocks)
+            end = whole.indptr[size]
+            cached = sparse.csr_matrix(
+                (whole.data[:end], whole.indices[:end], whole.indptr[: size + 1]),
+                shape=(size, size),
+                copy=False,
+            )
+            # scipy copies a view of less than half its base array ("prune"),
+            # but the prefix must share the data every refill rewrites.
+            cached.data, cached.indices = whole.data[:end], whole.indices[:end]
+            self._prefixes[key] = cached
+        return cached
 
 
 class CsrBuffer:
@@ -138,7 +173,9 @@ class CsrBuffer:
     ``block_rates`` each block's uniformisation rate and
     ``uniformisation_rate`` the largest.
     ``matrix``, ``dense`` and ``transposed`` are the loaded batch's stacked
-    operators (plain ``n x n`` matrices for one block).
+    operators (plain ``n x n`` matrices for one block); :meth:`step` and
+    :meth:`step_forward` apply them to the first ``m`` blocks only, through
+    ``dense[:m]`` or the tiling's ``m``-block CSR prefix.
     """
 
     __slots__ = (
@@ -331,12 +368,12 @@ class CsrBuffer:
         self.edge_rates = self.edge_rates[:0]
         return True
 
-    def _evaluate_rates(
+    def evaluate_rates(
         self, assignments: Sequence[Assignment]
     ) -> Tuple[np.ndarray, List[Optional[ModelError]]]:
-        """Every edge rate of every assignment whose rates are all positive.
+        """Every edge rate of every assignment, one row each, and its error.
 
-        Returns the ``(loaded, edges)`` rate rows plus, per assignment,
+        Returns the ``(assignments, edges)`` rate rows plus, per assignment,
         ``None`` or the :class:`~repro.errors.ModelError` of a non-positive
         rate — exactly the error of the non-buffered
         :meth:`CtmcSkeleton.instantiate` path.  Each row is the same matvec a
@@ -369,8 +406,25 @@ class CsrBuffer:
                     f"({float(values[row].min())}); rate-sweep samples must keep every "
                     f"rate positive"
                 )
-            values = values[positive]
         return values, errors
+
+    def _exit_rates(
+        self, values: np.ndarray, source_index: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's per-state exit rates and its uniformisation rate, the
+        maximal exit rate (``1.0`` for a chain with no transitions at all)."""
+        count, num_states = len(values), self.skeleton.num_states
+        exit_rates = np.bincount(
+            source_index, weights=values.ravel(), minlength=count * num_states
+        ).reshape(count, num_states)
+        rates = exit_rates.max(axis=1, initial=0.0)
+        rates[rates <= 0.0] = 1.0
+        return exit_rates, rates
+
+    def uniformisation_rates(self, values: np.ndarray) -> np.ndarray:
+        """The uniformisation rate each row of :meth:`evaluate_rates` loads with."""
+        offsets = self.skeleton.num_states * np.arange(len(values), dtype=np.int64)
+        return self._exit_rates(values, (self._sources + offsets[:, None]).ravel())[1]
 
     def refill_blocks(self, assignments: Sequence[Assignment]) -> List[Optional[ModelError]]:
         """Load one diagonal block per assignment whose rates are all positive.
@@ -381,7 +435,14 @@ class CsrBuffer:
         natural rate, its maximal exit rate (``Lambda = 1.0`` for a chain
         with no transitions at all).
         """
-        values, errors = self._evaluate_rates(assignments)
+        return self.refill_rates(*self.evaluate_rates(assignments))
+
+    def refill_rates(
+        self, values: np.ndarray, errors: List[Optional[ModelError]]
+    ) -> List[Optional[ModelError]]:
+        """:meth:`refill_blocks` from the rows :meth:`evaluate_rates` returned."""
+        if any(errors):
+            values = values[[error is None for error in errors]]
         blocks = len(values)
         self.blocks = blocks
         self.edge_rates = values
@@ -390,14 +451,7 @@ class CsrBuffer:
             self.block_rates = np.zeros(0)
             return errors
         tiling = self._tiling(blocks)
-        num_states = self.skeleton.num_states
-        exit_rates = np.bincount(
-            tiling.source_index,
-            weights=values.ravel(),
-            minlength=blocks * num_states,
-        ).reshape(blocks, num_states)
-        rates = exit_rates.max(axis=1, initial=0.0)
-        rates[rates <= 0.0] = 1.0
+        exit_rates, rates = self._exit_rates(values, tiling.source_index)
         nnz = len(self._indices)
         data = tiling.matrix.data.reshape(blocks, nnz)
         np.divide(
@@ -431,35 +485,56 @@ class CsrBuffer:
             raise error
         return self.matrix, self.uniformisation_rate
 
-    def step(self, current: np.ndarray, workspace: np.ndarray) -> np.ndarray:
-        """One uniformised step ``current @ P`` of every block, into ``workspace``.
+    def step(
+        self, current: np.ndarray, workspace: np.ndarray, blocks: Optional[int] = None
+    ) -> np.ndarray:
+        """One uniformised step ``current @ P`` of the first ``blocks`` blocks.
 
         ``current`` and ``workspace`` are one block's ``(n,)`` vector, or one
-        row vector per block stacked as ``(blocks, 1, n)``; returns
-        ``workspace``.
+        row vector per loaded block stacked as ``(blocks, 1, n)``; the step
+        writes the first ``blocks`` (default: all) of ``workspace``, which it
+        returns, and leaves the others as they were.
         """
-        if self.dense is not None:
-            np.matmul(current, self.dense, out=workspace)
+        if blocks is None or blocks == self.blocks:
+            if self.dense is not None:
+                np.matmul(current, self.dense, out=workspace)
+            else:
+                # CSR-of-P^T matvec: computes x @ P without scipy materialising
+                # a transposed matrix per step (which `vector @ csr` would do).
+                workspace.ravel()[:] = self.transposed @ current.ravel()
+        elif self.dense is not None:
+            np.matmul(current[:blocks], self.dense[:blocks], out=workspace[:blocks])
         else:
-            # CSR-of-P^T matvec: computes x @ P without scipy materialising
-            # a transposed matrix per step (which `vector @ csr` would do).
-            workspace.ravel()[:] = self.transposed @ current.ravel()
+            size = blocks * self.skeleton.num_states
+            workspace.ravel()[:size] = (
+                self._current.prefix(blocks, transposed=True) @ current.ravel()[:size]
+            )
         return workspace
 
-    def step_forward(self, current: np.ndarray, workspace: np.ndarray) -> np.ndarray:
-        """One backward value-iteration step ``P @ current`` of every block.
+    def step_forward(
+        self, current: np.ndarray, workspace: np.ndarray, blocks: Optional[int] = None
+    ) -> np.ndarray:
+        """One backward value-iteration step ``P @ current`` of the first ``blocks`` blocks.
 
         The CTMDP kernel sweeps values backwards, so it multiplies from the
         left — the plain CSR (or the dense stack) is already the right
         operator, no transpose needed.  ``current`` and ``workspace`` are one
-        block's ``(n,)`` vector, or one column vector per block stacked as
-        ``(blocks, n, 1)``; the result goes into ``workspace``, which is
-        returned.
+        block's ``(n,)`` vector, or one column vector per loaded block stacked
+        as ``(blocks, n, 1)``; the step writes the first ``blocks`` (default:
+        all) of ``workspace``, which it returns, and leaves the others.
         """
-        if self.dense is not None:
-            np.matmul(self.dense, current, out=workspace)
+        if blocks is None or blocks == self.blocks:
+            if self.dense is not None:
+                np.matmul(self.dense, current, out=workspace)
+            else:
+                workspace.ravel()[:] = self.matrix @ current.ravel()
+        elif self.dense is not None:
+            np.matmul(self.dense[:blocks], current[:blocks], out=workspace[:blocks])
         else:
-            workspace.ravel()[:] = self.matrix @ current.ravel()
+            size = blocks * self.skeleton.num_states
+            workspace.ravel()[:size] = (
+                self._current.prefix(blocks, transposed=False) @ current.ravel()[:size]
+            )
         return workspace
 
 
@@ -526,17 +601,23 @@ class _SampleKernel:
     # ------------------------------------------------------------- samples
     def load(self, assignment: Assignment = None) -> float:
         """Refill the shared matrix for ``assignment`` alone; return Lambda."""
-        (error,) = self._load([assignment], batched=False)
+        (error,) = self._load(*self.buffer.evaluate_rates([assignment]), batched=False)
         if error is not None:
             raise error
         return self.buffer.uniformisation_rate
 
     def load_many(self, assignments: Sequence[Assignment]) -> List[Optional[ModelError]]:
         """Load one block per assignment (see :meth:`CsrBuffer.refill_blocks`)."""
-        return self._load(assignments, batched=True)
+        return self._load(*self.buffer.evaluate_rates(assignments), batched=True)
 
-    def _load(self, assignments, batched: bool) -> List[Optional[ModelError]]:
-        errors = self.buffer.refill_blocks(assignments)
+    def load_rates(
+        self, values: np.ndarray, errors: List[Optional[ModelError]]
+    ) -> List[Optional[ModelError]]:
+        """:meth:`load_many` from the rows :meth:`CsrBuffer.evaluate_rates` returned."""
+        return self._load(values, errors, batched=True)
+
+    def _load(self, values, errors, batched: bool) -> List[Optional[ModelError]]:
+        errors = self.buffer.refill_rates(values, errors)
         # Every rate*time cache key changes with the uniformisation rate, so
         # entries of rates no longer loaded would accumulate forever without
         # ever hitting.  While the loaded rates stay within the previous set
@@ -596,6 +677,23 @@ class _SampleKernel:
         count = len(times)
         terms = [arrays[start : start + count] for start in range(0, len(arrays), count)]
         return terms, [max(len(array) for array in row) for row in terms]
+
+
+def _active_blocks(depths: Sequence[int]) -> List[int]:
+    """How many leading blocks series step ``k`` computes, for ``k < max(depths)``.
+
+    Iterate ``k`` is needed by every block whose own depth exceeds ``k``, so
+    step ``k`` runs the prefix up to the last such block; the count never
+    grows with ``k``.  With blocks in descending depth order every block
+    stops at its own depth; in any order a block still gets each iterate it
+    reads, computed exactly as alone.
+    """
+    active: List[int] = []
+    for block in range(len(depths) - 1, -1, -1):
+        # The last block reaching past the steps counted so far.
+        if depths[block] > len(active):
+            active.extend([block + 1] * (depths[block] - len(active)))
+    return active
 
 
 def _weigh(terms: List[List[np.ndarray]], series: np.ndarray) -> np.ndarray:
@@ -677,7 +775,7 @@ class TransientKernel(_SampleKernel):
         shape = self._vector(row=True)
         goal_series = np.empty((depth,) + shape[:-1])
         total_series = np.empty((depth,) + shape[:-1])
-        for start, iterates in self._forward_series(depth):
+        for start, iterates in self._forward_series(depths):
             stop = start + len(iterates)
             np.add.reduce(iterates.take(goal, axis=-1), axis=-1, out=goal_series[start:stop])
             np.add.reduce(iterates, axis=-1, out=total_series[start:stop])
@@ -721,8 +819,8 @@ class TransientKernel(_SampleKernel):
         if not times_list:
             return result
 
-        (terms,), (depth,) = self._block_terms(times_list, tolerance)
-        for start, iterates in self._forward_series(depth, start_vector):
+        (terms,), depths = self._block_terms(times_list, tolerance)
+        for start, iterates in self._forward_series(depths, start_vector):
             for row, array in zip(result, terms):
                 weights = array[start : start + len(iterates)]
                 row += weights @ iterates[: len(weights)]
@@ -731,18 +829,23 @@ class TransientKernel(_SampleKernel):
         return result
 
     def _forward_series(
-        self, depth: int, initial_distribution: Optional[np.ndarray] = None
+        self, depths: Sequence[int], initial_distribution: Optional[np.ndarray] = None
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """The iterates ``pi(0) P^k``, ``k < depth``, of every loaded block.
+        """The iterates ``pi(0) P^k``, ``k < depths[b]``, of every loaded block ``b``.
 
-        Yields ``(start, iterates)`` chunks: ``iterates[i]`` is step
-        ``start + i``, in the shape :meth:`CsrBuffer.step` takes, prefixed
-        by the chunk axis.  The iterates live in a reused history of up to
-        :data:`HISTORY_BYTES`, valid until the generator resumes, so a step
-        costs one matvec call and a reducer sees many steps at once.
-        ``pi(0)`` is all mass on the initial state unless a one-block
-        ``initial_distribution`` is given.
+        Yields ``(start, iterates)`` chunks up to the deepest block:
+        ``iterates[i]`` is step ``start + i``, in the shape
+        :meth:`CsrBuffer.step` takes, prefixed by the chunk axis.  Step ``k``
+        computes only the leading blocks that still need it
+        (:func:`_active_blocks`); a block past its own depth keeps stale
+        entries, which no reader looks at.  The iterates live in a reused
+        history of up to :data:`HISTORY_BYTES`, valid until the generator
+        resumes, so a step costs one matvec call and a reducer sees many
+        steps at once.  ``pi(0)`` is all mass on the initial state unless a
+        one-block ``initial_distribution`` is given.
         """
+        active = _active_blocks(depths)
+        depth = len(active)
         shape = self._vector(row=True)
         chunk = max(1, min(depth, HISTORY_BYTES // (8 * self.buffer.blocks * shape[-1])))
         history, spare = self._buffers((chunk,) + shape, shape)
@@ -756,12 +859,12 @@ class TransientKernel(_SampleKernel):
         while True:
             count = min(chunk, depth - start)
             for step in range(1, count):
-                buffer.step(history[step - 1], history[step])
+                buffer.step(history[step - 1], history[step], active[start + step])
             yield start, history[:count]
             start += count
             if start == depth:
                 return
-            history[0] = buffer.step(history[count - 1], spare)
+            history[0] = buffer.step(history[count - 1], spare, active[start])
 
     # ------------------------------------------------------ generator solves
     def mean_time_to_label(self, label: str, block: int = 0) -> float:
@@ -1170,7 +1273,8 @@ class CtmdpKernel(_SampleKernel):
 
         buffer = self.buffer
         terms, depths = self._block_terms(times_list, tolerance)
-        depth = max(depths)
+        active = _active_blocks(depths)
+        depth = len(active)
         update = self.update_indices(label)
         stacked_update = self._stacked_update(label)
 
@@ -1195,7 +1299,9 @@ class CtmdpKernel(_SampleKernel):
                 derivative_series[step] = derivative[initial]
             if step + 1 == depth:
                 break
-            buffer.step_forward(current, workspace)
+            # Only the leading blocks that still need this step take it.
+            live = active[step + 1]
+            buffer.step_forward(current, workspace, live)
             if gradients:
                 # d(P v)/dparam = P dv + (dP/dparam) v, and dP/dparam has
                 # off-diagonal entries coeff_e/Lambda with the matching
@@ -1209,10 +1315,12 @@ class CtmdpKernel(_SampleKernel):
                 else:
                     propagated = buffer.matrix @ derivative
                 derivative[update] = propagated[update] + scatter[update]
-            flat[stacked_update] = stepped[stacked_update]
-            self.resolver.resolve(
-                resolved, maximize, companion=derivative if gradients else None
-            )
+            if live == blocks:  # a lone block's ``resolved`` is its (n,) vector
+                rows, values = stacked_update, resolved
+            else:
+                rows, values = stacked_update[: live * len(update)], resolved[:live]
+            flat[rows] = stepped[rows]
+            self.resolver.resolve(values, maximize, companion=derivative if gradients else None)
 
         series = np.ascontiguousarray(series.reshape(depth, blocks).T)
         results = _weigh(terms, series)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import SignatureError
 
@@ -86,6 +86,11 @@ def action_name(aid: int) -> str:
 def _intern_all(names: Iterable[str]) -> FrozenSet[int]:
     # Name order: first-seen ids must not depend on string hashing.
     return frozenset(ACTIONS.intern(name) for name in sorted(names))
+
+
+def _cached_ids(signature: "ActionSignature", view: str) -> Optional[FrozenSet[int]]:
+    """``signature``'s id view ``view`` if it was computed already, else ``None``."""
+    return signature.__dict__.get(view)
 
 
 class ActionType(enum.Enum):
@@ -187,6 +192,18 @@ class ActionSignature:
         """Interned ids of the locally controlled (output/internal) actions."""
         return self.output_ids | self.internal_ids
 
+    def _derive_ids(self, **views: Optional[FrozenSet[int]]) -> "ActionSignature":
+        """Store the id ``views`` that are not ``None`` as already computed.
+
+        :meth:`merge` and :meth:`hide` derive their result's views from the
+        operands' cached ones by set algebra; every name behind them is
+        interned already, so each equals what :func:`_intern_all` would give.
+        """
+        for view, ids in views.items():
+            if ids is not None:
+                self.__dict__[view] = ids
+        return self
+
     # ---------------------------------------------------------------- pickling
     # Only the name sets travel: the cached id views live in ``__dict__``
     # (``functools.cached_property``) and are meaningless under the receiving
@@ -232,10 +249,19 @@ class ActionSignature:
                 "only output actions can be hidden; not outputs: "
                 + ", ".join(sorted(unknown))
             )
-        return ActionSignature(
+        hidden = ActionSignature(
             inputs=self.inputs,
             outputs=self.outputs - to_hide,
             internals=self.internals | to_hide,
+        )
+        outputs, internals = _cached_ids(self, "output_ids"), _cached_ids(self, "internal_ids")
+        if outputs is None:
+            return hidden._derive_ids(input_ids=_cached_ids(self, "input_ids"))
+        hidden_ids = frozenset(ACTIONS.lookup(action) for action in to_hide)
+        return hidden._derive_ids(
+            input_ids=_cached_ids(self, "input_ids"),
+            output_ids=outputs - hidden_ids,
+            internal_ids=None if internals is None else internals | hidden_ids,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ActionSignature":
@@ -277,7 +303,18 @@ class ActionSignature:
                 "of the other: "
                 + ", ".join(sorted(internals & (inputs | outputs)))
             )
-        return ActionSignature(inputs=inputs, outputs=outputs, internals=internals)
+        merged = ActionSignature(inputs=inputs, outputs=outputs, internals=internals)
+
+        def union(view: str) -> Optional[FrozenSet[int]]:
+            mine, theirs = _cached_ids(self, view), _cached_ids(other, view)
+            return None if mine is None or theirs is None else mine | theirs
+
+        output_ids, input_ids = union("output_ids"), union("input_ids")
+        return merged._derive_ids(
+            input_ids=None if input_ids is None or output_ids is None else input_ids - output_ids,
+            output_ids=output_ids,
+            internal_ids=union("internal_ids"),
+        )
 
     # ------------------------------------------------------------------ dunder
     def __str__(self) -> str:

@@ -624,5 +624,5 @@ class AnalysisService:
     def metrics_payload(self) -> Dict[str, object]:
         payload = self.metrics.snapshot()
         payload["schema"] = SERVICE_SCHEMA
-        payload["store"] = self.store.stats()
+        payload["store"] = self.store.usage()
         return payload

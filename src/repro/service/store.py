@@ -516,8 +516,13 @@ class SkeletonStore:
             compressed += len(raw) - _HEADER_SIZE
         return {"payload_bytes": payload, "compressed_bytes": compressed}
 
-    def stats(self) -> Dict[str, object]:
-        """Disk usage and per-object counters, JSON-safe."""
+    def usage(self) -> Dict[str, object]:
+        """Disk usage and per-object counters, JSON-safe, reading no entry.
+
+        The sizes come from ``stat()`` and the rest from memory, so the
+        service's ``/metrics`` can report it on every request; :meth:`stats`
+        adds the compression figures, which inflate every entry file.
+        """
         entries = self.entries_on_disk()
         total = 0
         for path in entries:
@@ -525,7 +530,6 @@ class SkeletonStore:
                 total += path.stat().st_size
             except OSError:
                 continue
-        compression = self._compression_on_disk(entries)
         return {
             "root": str(self.root),
             "entries": len(entries),
@@ -534,17 +538,6 @@ class SkeletonStore:
             "hash_version": HASH_VERSION,
             "format_version": FORMAT_VERSION,
             "compression": f"zlib-{COMPRESSION_LEVEL}",
-            "payload_bytes": compression["payload_bytes"],
-            "compressed_bytes": compression["compressed_bytes"],
-            "compression_ratio": (
-                round(
-                    compression["payload_bytes"]
-                    / compression["compressed_bytes"],
-                    3,
-                )
-                if compression["compressed_bytes"]
-                else None
-            ),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
@@ -553,3 +546,18 @@ class SkeletonStore:
             "temp_reclaimed": self.temp_reclaimed,
             "quotient_memo": self.quotient_memo.stats(),
         }
+
+    def stats(self) -> Dict[str, object]:
+        """:meth:`usage` plus the payload and stored bytes of every entry."""
+        compression = self._compression_on_disk(self.entries_on_disk())
+        payload, compressed = compression["payload_bytes"], compression["compressed_bytes"]
+        stats: Dict[str, object] = {}
+        for key, value in self.usage().items():
+            stats[key] = value
+            if key == "compression":
+                stats["payload_bytes"] = payload
+                stats["compressed_bytes"] = compressed
+                stats["compression_ratio"] = (
+                    round(payload / compressed, 3) if compressed else None
+                )
+        return stats

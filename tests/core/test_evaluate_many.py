@@ -7,8 +7,11 @@ untouched, and :meth:`CompiledModel.evaluate` is the batch of one.
 """
 
 import math
+import random
 
 import pytest
+
+import repro.ctmc.kernel as kernel_module
 
 from repro import RateSweep, SweepStudy, Unreliability, UnreliabilityBounds
 from repro.core.measures import MTTF, ImportanceRanking
@@ -145,3 +148,81 @@ class TestFailingSamples:
 
     def test_no_assignments_give_no_evaluations(self):
         assert CompiledModel(dipping_skeleton()).evaluate_many(self.QUERY, []) == []
+
+
+#: Rate scales spread over 10x, with ties; -1 makes every rate negative.
+SCALES = (0.3, 1.0, 3.0, 1.0, 0.6, 2.2, 0.3, 1.4, -1.0)
+
+
+def scaled(tree, scales):
+    return [
+        {name: nominal * scale for name, nominal in tree.parameters.items()}
+        for scale in scales
+    ]
+
+
+def cps_scaled_case():
+    tree, _sweep = cps_case()
+    return tree, Unreliability([0.5, 1.0, 2.0]) + MTTF()
+
+
+def race_scaled_case():
+    tree, _sweep = race_case()
+    return tree, UnreliabilityBounds([0.25, 1.0, 2.0])
+
+
+class TestRateOrderedBatches:
+    """Batches are cut in descending uniformisation rate and every block
+    stops at its own depth; rows stay the batch of one, in sample order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dense_limit", [None, 0])
+    @pytest.mark.parametrize("case", ["cps", "race-bank"])
+    def test_rows_are_the_batch_of_one_in_any_sample_order(
+        self, case, dense_limit, seed, monkeypatch
+    ):
+        if dense_limit is not None:
+            monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
+        tree, query = {"cps": cps_scaled_case, "race-bank": race_scaled_case}[case]()
+        model = CompiledModel(SweepStudy(tree).skeleton)
+        assert (model.kernel.buffer.dense is None) == (dense_limit == 0)
+        scales = list(SCALES)
+        random.Random(seed).shuffle(scales)
+        assignments = scaled(tree, scales)
+        for blocks in (3, len(assignments)):
+            with batches_of(blocks):
+                batch = model.evaluate_many(query, assignments, on_error="record")
+            for scale, assignment, evaluation in zip(scales, assignments, batch):
+                if scale < 0:
+                    assert isinstance(evaluation.error, ModelError)
+                    assert "non-positive" in str(evaluation.error)
+                    assert evaluation.measures == ()
+                    continue
+                assert evaluation.error is None
+                alone = model.evaluate(query, assignment, on_error="record")
+                assert evaluation.measures == alone.measures
+
+    def test_sorted_race_bank_sweep_steps_less_than_sample_order(self, monkeypatch):
+        from tests.ctmc.test_kernel import count_block_steps
+
+        tree = with_rate_parameters(pand_race_bank(5))
+        model = CompiledModel(SweepStudy(tree).skeleton)
+        scales = [0.35 + 2.55 * index / 35 for index in range(36)]
+        random.Random(1).shuffle(scales)
+        assignments = scaled(tree, scales)
+        query = UnreliabilityBounds([0.25, 0.5, 1.0, 2.0])
+        kernel = model.kernel
+        batches = -(-len(assignments) // kernel.buffer.max_blocks)
+        assert batches > 1
+        size = -(-len(assignments) // batches)
+        counts = count_block_steps(monkeypatch, "step_forward")
+        # The batches cut in sample order, as before the rate ordering.
+        for begin in range(0, len(assignments), size):
+            kernel.load_many(assignments[begin : begin + size])
+            kernel.reachability_bounds_curve("failed", query.times, tolerance=1e-12)
+        in_sample_order = dict(counts)
+        counts.update(calls=0, blocks=0)
+        evaluations = model.evaluate_many(query, assignments)
+        assert all(evaluation.error is None for evaluation in evaluations)
+        assert counts["calls"] < in_sample_order["calls"]
+        assert counts["blocks"] < in_sample_order["blocks"]

@@ -312,3 +312,55 @@ class TestStackedResolver:
         resolver = VanishingResolver(3, ((1, 2), (), ()))
         with pytest.raises(AnalysisError, match="one vector at a time"):
             resolver.resolve(np.zeros((2, 3)), True, choice_out=np.zeros(3, dtype=np.int64))
+
+
+class TestRetiringCtmdpBlocks:
+    """The stacked backward sweep stops every block at its own depth."""
+
+    @pytest.mark.parametrize("dense_limit", [None, 0])
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_descending_rates_sweep_each_block_to_its_own_depth(
+        self, dense_limit, maximize, monkeypatch
+    ):
+        from tests.ctmc.test_kernel import count_block_steps, own_depths
+        from tests.kernel_reference import per_sample_bound_curve
+
+        if dense_limit is not None:
+            monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
+        skeleton, samples = race_bank_samples()
+        # Rates spread over 8x, with a tie, fastest first.
+        samples = [samples[2], samples[1], samples[1], samples[3], samples[0]]
+        depths = own_depths(skeleton, samples, TIMES, 1e-12)
+        assert depths == sorted(depths, reverse=True) and len(set(depths)) > 2
+        kernel = CtmdpKernel(skeleton)
+        kernel.load_many(samples)
+        counts = count_block_steps(monkeypatch, "step_forward")
+        curves = kernel.time_bounded_reachability_curve(
+            signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
+        )
+        assert counts["blocks"] == sum(depth - 1 for depth in depths)
+        alone = CtmdpKernel(skeleton)
+        for sample, curve in zip(samples, curves):
+            expected = per_sample_bound_curve(
+                alone, sample, signals.FAILED_LABEL, TIMES, maximize, tolerance=1e-12
+            )
+            assert np.array_equal(curve, expected)
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_any_block_order_keeps_every_curve(self, maximize, monkeypatch):
+        from tests.kernel_reference import per_sample_bound_curve
+
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", 0)
+        skeleton, samples = race_bank_samples()
+        samples = [samples[0], samples[2], samples[3], samples[1]]  # slow, fast, ...
+        kernel = CtmdpKernel(skeleton)
+        kernel.load_many(samples)
+        curves = kernel.time_bounded_reachability_curve(
+            signals.FAILED_LABEL, TIMES, maximize=maximize, tolerance=1e-12
+        )
+        alone = CtmdpKernel(skeleton)
+        for sample, curve in zip(samples, curves):
+            expected = per_sample_bound_curve(
+                alone, sample, signals.FAILED_LABEL, TIMES, maximize, tolerance=1e-12
+            )
+            assert np.array_equal(curve, expected)

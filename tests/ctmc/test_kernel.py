@@ -403,3 +403,114 @@ class TestBatchedTransientKernel:
             assert np.array_equal(
                 curve, per_sample_label_curve(alone, sample, "failed", TIMES)
             )
+
+
+def count_block_steps(monkeypatch, method):
+    """Wrap ``CsrBuffer.<method>``; the returned dict counts its calls and
+    sums the blocks each call steps."""
+    counts = {"calls": 0, "blocks": 0}
+    original = getattr(CsrBuffer, method)
+
+    def counted(self, current, workspace, blocks=None):
+        counts["calls"] += 1
+        counts["blocks"] += self.blocks if blocks is None else blocks
+        return original(self, current, workspace, blocks)
+
+    monkeypatch.setattr(CsrBuffer, method, counted)
+    return counts
+
+
+def own_depths(skeleton, samples, times, tolerance):
+    """Each sample's own Poisson truncation depth over ``times``."""
+    from repro.ctmc.transient import poisson_terms
+
+    buffer = CsrBuffer(skeleton)
+    depths = []
+    for sample in samples:
+        _matrix, rate = buffer.refill(sample)
+        depths.append(max(len(poisson_terms(rate * time, tolerance)) for time in times))
+    return depths
+
+
+class TestRetiringBlocks:
+    """Series step k runs only the leading blocks that still need it."""
+
+    @pytest.mark.parametrize(
+        "depths, active",
+        [
+            ([5, 3, 3], [3, 3, 3, 1, 1]),
+            ([3, 5, 2], [3, 3, 2, 2, 2]),
+            ([2, 2], [2, 2]),
+            ([4], [1, 1, 1, 1]),
+        ],
+    )
+    def test_active_prefix_reaches_the_last_block_still_needing_the_step(
+        self, depths, active
+    ):
+        assert kernel_module._active_blocks(depths) == active
+
+    @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
+    def test_descending_rates_stop_every_block_at_its_own_depth(
+        self, dense_limit, monkeypatch
+    ):
+        from tests.kernel_reference import per_sample_label_curve
+
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
+        skeleton, samples = cps_kernel_inputs()
+        samples = sorted(samples, key=lambda sample: -sample["lam"])
+        depths = own_depths(skeleton, samples, TIMES, 1e-12)
+        assert depths == sorted(depths, reverse=True) and len(set(depths)) > 1
+        kernel = TransientKernel(skeleton)
+        kernel.load_many(samples)
+        counts = count_block_steps(monkeypatch, "step")
+        curves = kernel.probability_of_label_curve("failed", TIMES)
+        assert counts["blocks"] == sum(depth - 1 for depth in depths)
+        assert counts["calls"] == max(depths) - 1
+        alone = TransientKernel(skeleton)
+        for sample, curve in zip(samples, curves):
+            assert np.array_equal(curve, per_sample_label_curve(alone, sample, "failed", TIMES))
+
+    def test_sparse_prefix_shares_the_tiling_and_follows_refills(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", 0)
+        skeleton, samples = cps_kernel_inputs()
+        buffer = CsrBuffer(skeleton)
+        buffer.refill_blocks(samples)
+        tiling = buffer._current
+
+        def assert_prefixes_match():
+            for blocks in (1, 2, 4):
+                size = blocks * skeleton.num_states
+                for transposed in (False, True):
+                    whole = tiling.transposed if transposed else tiling.matrix
+                    prefix = tiling.prefix(blocks, transposed)
+                    assert np.shares_memory(prefix.data, whole.data)
+                    assert (prefix.toarray() == whole.toarray()[:size, :size]).all()
+
+        assert_prefixes_match()
+        assert tiling.prefix(1, True) is tiling.prefix(1, True)
+        # The next batch of the same size rewrites the tiling in place, and
+        # the cached prefixes with it.
+        buffer.refill_blocks(samples[::-1])
+        assert buffer._current is tiling
+        assert_prefixes_match()
+
+    @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
+    def test_a_partial_step_leaves_the_retired_blocks_alone(self, dense_limit, monkeypatch):
+        monkeypatch.setattr(kernel_module, "DENSE_STATE_LIMIT", dense_limit)
+        skeleton, samples = cps_kernel_inputs()
+        buffer = CsrBuffer(skeleton)
+        buffer.refill_blocks(samples)
+        num_states = skeleton.num_states
+        rng = np.random.default_rng(3)
+        current = rng.random((len(samples), 1, num_states))
+        full = buffer.step(current, np.empty_like(current))
+        workspace = np.full_like(current, -1.0)
+        buffer.step(current, workspace, 2)
+        assert np.array_equal(workspace[:2], full[:2])
+        assert (workspace[2:] == -1.0).all()
+        column = current.reshape(len(samples), num_states, 1)
+        full = buffer.step_forward(column, np.empty_like(column))
+        workspace = np.full_like(column, -1.0)
+        buffer.step_forward(column, workspace, 3)
+        assert np.array_equal(workspace[:3], full[:3])
+        assert (workspace[3:] == -1.0).all()

@@ -1,9 +1,13 @@
 """Tests for action signatures."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.study import Study
 from repro.errors import SignatureError
 from repro.ioimc import ActionSignature, ActionType, format_action, signature
+from repro.ioimc.actions import _intern_all
+from repro.systems import cardiac_assist_system, cascaded_pand_system
 
 
 class TestActionSignature:
@@ -107,3 +111,77 @@ class TestMerging:
         assert format_action("fail_A", ActionType.OUTPUT) == "fail_A!"
         assert format_action("fail_A", ActionType.INPUT) == "fail_A?"
         assert format_action("fail_A", ActionType.INTERNAL) == "fail_A;"
+
+
+# The id views of merged and hidden signatures are derived from the
+# operands' cached views; each must equal a fresh interning of its names.
+VIEWS = (("input_ids", "inputs"), ("output_ids", "outputs"), ("internal_ids", "internals"))
+
+#: (left role, right role) pairs that merge without a signature error.
+MERGEABLE_ROLES = [
+    (None, "inputs"), ("inputs", None), ("inputs", "inputs"),
+    (None, "outputs"), ("outputs", None), ("outputs", "inputs"), ("inputs", "outputs"),
+    (None, "internals"), ("internals", None), ("internals", "internals"),
+]
+
+
+def assert_views_are_fresh(sig, seeded=()):
+    for view, names in VIEWS:
+        if view in seeded:
+            assert view in sig.__dict__
+        assert getattr(sig, view) == _intern_all(getattr(sig, names))
+
+
+def with_views(sig):
+    for view, _names in VIEWS:
+        getattr(sig, view)
+    return sig
+
+
+class TestDerivedIdViews:
+    @given(
+        roles=st.dictionaries(
+            st.sampled_from("abcdefgh"), st.sampled_from(MERGEABLE_ROLES), max_size=8
+        ),
+        hidden=st.sets(st.sampled_from("abcdefgh")),
+        cached=st.booleans(),
+    )
+    def test_merge_and_hide_views_equal_fresh_interning(self, roles, hidden, cached):
+        sides = [{view: set() for _view, view in VIEWS} for _ in range(2)]
+        for name, pair in roles.items():
+            for side, role in zip(sides, pair):
+                if role is not None:
+                    side[role].add(name)
+        left, right = (signature(**side) for side in sides)
+        if cached:
+            with_views(left), with_views(right)
+        merged = left.merge(right)
+        assert_views_are_fresh(merged, [view for view, _ in VIEWS] if cached else ())
+        with_views(merged)
+        closed = merged.hide(hidden & merged.outputs)
+        assert_views_are_fresh(closed, [view for view, _ in VIEWS])
+
+    def test_hide_derives_what_its_operand_cached(self):
+        sig = signature(inputs=["p"], outputs=["q", "r"], internals=["s"])
+        sig.output_ids
+        hidden = sig.hide(["q"])
+        assert "output_ids" in hidden.__dict__ and "internal_ids" not in hidden.__dict__
+        assert_views_are_fresh(hidden)
+
+    @pytest.mark.parametrize("system", [cardiac_assist_system, cascaded_pand_system])
+    def test_products_of_a_study(self, system, monkeypatch):
+        derived = []
+        for method in ("merge", "hide"):
+            original = getattr(ActionSignature, method)
+
+            def recording(self, *args, _original=original):
+                result = _original(self, *args)
+                derived.append(result)
+                return result
+
+            monkeypatch.setattr(ActionSignature, method, recording)
+        Study(system()).final_ioimc
+        seeded = [sig for sig in derived if any(view in sig.__dict__ for view, _ in VIEWS)]
+        assert seeded
+        for sig in derived:
+            assert_views_are_fresh(sig)

@@ -204,6 +204,21 @@ class TestDictHandlers:
         assert status == 200
         assert health["entries"] == 2
 
+    def test_metrics_inflate_no_entry(self, service, monkeypatch):
+        service.handle("POST", "/analyze", {"tree": AND_TREE})
+        service.handle("POST", "/analyze", {"tree": PARAM_TREE})
+        on_disk = sum(path.stat().st_size for path in service.store.entries_on_disk())
+
+        def refuse(self, entries):
+            raise AssertionError("/metrics inflated the store's entries")
+
+        monkeypatch.setattr(SkeletonStore, "_compression_on_disk", refuse)
+        for _ in range(3):
+            status, payload = service.handle("GET", "/metrics", None)
+            assert status == 200
+            assert payload["store"]["entries"] == 2
+            assert payload["store"]["total_bytes"] == on_disk
+
     def test_metrics_accumulate(self, service):
         service.handle("POST", "/analyze", {"tree": AND_TREE})
         service.handle("POST", "/analyze", {"tree": BROKEN_TREE})
