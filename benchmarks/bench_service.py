@@ -10,8 +10,12 @@ latency percentiles.  The ``service`` section is merged into an existing
 
     PYTHONPATH=src python benchmarks/bench_service.py [BENCH_fig2.json]
 
+It also times two store-warm ``/sweep`` requests (a 48-row and-or sweep
+and a 36-row race-bank bound sweep) in-process and on a worker pool.
+
 Fails (exit 1) if the warm path is not at least 10x faster than the cold
-path, if the warm load test's median latency reaches
+path, if a pooled sweep's rows differ from the in-process ones or did not
+run on the pool, if the warm load test's median latency reaches
 :data:`MAX_WARM_P50_MS` (a response stalled by Nagle's algorithm waits
 ~40 ms for the client's delayed ACK), if fewer than 4 clients were
 exercised, or if any served response is not bit-identical to the in-process
@@ -32,11 +36,12 @@ from pathlib import Path
 
 from repro.core.measures import Unreliability
 from repro.core.study import Study, StudyOptions
+from repro.core.sweep import with_rate_parameters
 from repro.dft import galileo
 from repro.service.client import ServiceClient
 from repro.service.server import serve
 from repro.service.store import SkeletonStore
-from repro.systems import cardiac_assist_system
+from repro.systems import cardiac_assist_system, pand_race_bank
 
 NUM_CLIENTS = 4
 REQUESTS_PER_CLIENT = 25
@@ -44,6 +49,10 @@ WARM_REPEATS = 5
 MISSION_TIMES = [0.5, 1.0, 2.0]
 SWEEP_ROWS = 48
 SWEEP_POOL_PROCESSES = 4
+#: The race-bank(5) bound sweep: 36 rate scales spread over [0.35, 2.9).
+RACE_CHANNELS = 5
+RACE_SAMPLES = 36
+RACE_TIMES = [0.25, 0.5, 1.0, 2.0]
 #: Ceiling on the warm load test's median latency (ms).
 MAX_WARM_P50_MS = 20.0
 
@@ -181,9 +190,19 @@ def bench_service() -> dict:
     }
 
 
-def _sweep_rows_per_second(processes: int) -> tuple:
-    """Warm sweep throughput against a server with ``processes`` workers."""
-    samples = [{"lam": 0.1 + 0.05 * k} for k in range(SWEEP_ROWS)]
+def _race_sweep() -> tuple:
+    """The race-bank bound sweep: Galileo text and rate-scaled samples."""
+    tree = with_rate_parameters(pand_race_bank(RACE_CHANNELS))
+    step = (2.9 - 0.35) / RACE_SAMPLES
+    return galileo.write(tree), [
+        {name: nominal * (0.35 + step * (k + 0.5)) for name, nominal in tree.parameters.items()}
+        for k in range(RACE_SAMPLES)
+    ]
+
+
+def _sweep_seconds(processes: int, text: str, samples, times) -> tuple:
+    """Best warm ``/sweep`` wall time against a server with ``processes``
+    workers, and the last response."""
     with tempfile.TemporaryDirectory(prefix="repro-sweep-bench-") as cache_dir:
         server = serve(cache_dir, port=0, processes=processes)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -192,14 +211,12 @@ def _sweep_rows_per_second(processes: int) -> tuple:
             client = ServiceClient(server.url)
             # Warm the skeleton store (and the worker kernels) first so the
             # measurement sees only row evaluation, not the cold build.
-            client.sweep(SWEEP_TREE, samples=samples[:1], times=MISSION_TIMES)
+            client.sweep(text, samples=samples[:1], times=times)
             best = float("inf")
             response = None
             for _ in range(WARM_REPEATS):
                 start = time.perf_counter()
-                response = client.sweep(
-                    SWEEP_TREE, samples=samples, times=MISSION_TIMES
-                )
+                response = client.sweep(text, samples=samples, times=times)
                 best = min(best, time.perf_counter() - start)
         finally:
             server.shutdown()
@@ -208,11 +225,12 @@ def _sweep_rows_per_second(processes: int) -> tuple:
     return best, response
 
 
-def bench_sweep_pool() -> dict:
-    """Satellite benchmark: `/sweep` rows through the persistent worker pool
-    vs the inline engine, same store-warm request."""
-    inline_seconds, inline_response = _sweep_rows_per_second(0)
-    pooled_seconds, pooled_response = _sweep_rows_per_second(SWEEP_POOL_PROCESSES)
+def _compare_sweep(text: str, samples, times) -> dict:
+    """One warm sweep through the persistent worker pool vs in-process."""
+    inline_seconds, inline_response = _sweep_seconds(0, text, samples, times)
+    pooled_seconds, pooled_response = _sweep_seconds(
+        SWEEP_POOL_PROCESSES, text, samples, times
+    )
     identical = [
         (row["sample"], row["measures"])
         for row in inline_response["rows"]
@@ -221,18 +239,29 @@ def bench_sweep_pool() -> dict:
         for row in pooled_response["rows"]
     ]
     return {
-        "rows": SWEEP_ROWS,
+        "rows": len(samples),
         "pool_processes": SWEEP_POOL_PROCESSES,
         "inline_seconds": inline_seconds,
         "pooled_seconds": pooled_seconds,
-        "inline_rows_per_second": SWEEP_ROWS / inline_seconds,
-        "pooled_rows_per_second": SWEEP_ROWS / pooled_seconds,
+        "inline_rows_per_second": len(samples) / inline_seconds,
+        "pooled_rows_per_second": len(samples) / pooled_seconds,
         "pooled_speedup": inline_seconds / pooled_seconds,
         "pooled_used_service_pool": bool(
             pooled_response["options"].get("service_pool", False)
         ),
         "rows_identical": identical,
     }
+
+
+def bench_sweep_pool() -> dict:
+    """Satellite benchmark: ``/sweep`` rows through the persistent worker
+    pool vs the inline engine, same store-warm request: the and-or sweep at
+    the top level, the race-bank bound sweep under ``race_bank``."""
+    section = _compare_sweep(
+        SWEEP_TREE, [{"lam": 0.1 + 0.05 * k} for k in range(SWEEP_ROWS)], MISSION_TIMES
+    )
+    section["race_bank"] = _compare_sweep(*_race_sweep(), RACE_TIMES)
+    return section
 
 
 def main(argv) -> int:
@@ -248,10 +277,12 @@ def main(argv) -> int:
     print(json.dumps({"service": section}, indent=2, sort_keys=True))
 
     failures = []
-    if not section["sweep_pool"]["rows_identical"]:
-        failures.append("pooled sweep rows differ from inline sweep rows")
-    if not section["sweep_pool"]["pooled_used_service_pool"]:
-        failures.append("pooled sweep fell back to the inline engine")
+    sweeps = {"and-or": section["sweep_pool"], "race-bank": section["sweep_pool"]["race_bank"]}
+    for name, sweep in sweeps.items():
+        if not sweep["rows_identical"]:
+            failures.append(f"pooled {name} sweep rows differ from inline sweep rows")
+        if not sweep["pooled_used_service_pool"]:
+            failures.append(f"pooled {name} sweep fell back to the inline engine")
     if section["warm_speedup"] < 10.0:
         failures.append(
             f"warm analyze only {section['warm_speedup']:.1f}x faster than cold "

@@ -86,7 +86,9 @@ class SweepSpec:
     grid) or ``samples`` (a list of parameter -> rate assignments).
 
     ``processes`` is the worker count of the per-sample solves (see
-    :meth:`repro.core.sweep.SweepStudy.run`).
+    :meth:`repro.core.sweep.SweepStudy.run`); a service without a worker
+    pool of its own runs them on a per-request pool of that many service
+    workers (see :class:`repro.service.app.AnalysisService`).
     """
 
     axes: Optional[Mapping[str, Tuple[float, ...]]] = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -773,24 +773,6 @@ class Study:
             self._timings["cache"] = _time.perf_counter() - start
         return self._cache_entry
 
-    def adopt_entry(self, entry, model: CompiledModel, hit: bool) -> None:
-        """Evaluate on an already fetched store entry and its compiled model.
-
-        For a Study with a skeleton cache whose caller holds the entry of
-        this tree's structural class in memory (the service's LRU): the
-        entry is neither read nor decoded again, and evaluations reuse the
-        model's kernels.
-        """
-        if self.skeleton_cache is None or model.skeleton is not entry.skeleton:
-            raise AnalysisError(
-                "only a skeleton-cached Study adopts a store entry, with that "
-                "entry's compiled model"
-            )
-        self._cache_entry, self._cache_hit = entry, hit
-        self._timings["cache"] = 0.0
-        self._compiled = model
-        self._assignment = canonical_assignment(self.tree)
-
     def _compiled_model(self) -> CompiledModel:
         """The skeleton's compiled model, with :attr:`_assignment` its rates.
 
@@ -985,27 +967,38 @@ def chunked_pool_map(
     workers: int,
     initializer=None,
     initargs: Tuple = (),
+    executor: Optional[Executor] = None,
 ) -> Iterator:
     """Yield ``function(chunk)``'s results over ``items``' chunks, in order.
 
     ``items`` are cut into chunks of about four per worker, so stragglers
     rebalance, and at most 64 items each; at most ``workers + 2`` chunks are
     in flight at any time, so huge inputs neither materialise all results
-    nor flood the executor.  Batch corpora and rate sweeps share this
-    scheduler.
+    nor flood the executor.  The chunks run on ``executor`` when one is
+    given (a running pool of ``workers`` processes, such as the service's,
+    which is left running); otherwise on a pool of ``workers`` processes
+    started with ``initializer`` and shut down at the end.  Batch corpora,
+    rate sweeps and the service's evaluations share this scheduler.
     """
+    if executor is None:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=initializer, initargs=initargs
+        ) as pool:
+            yield from chunked_pool_map(function, items, workers, executor=pool)
+        return
     chunk = max(1, min(64, len(items) // (workers * 4) or 1))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        pending: Deque = deque()
-        next_index = 0
+    pending: Deque = deque()
+    next_index = 0
+    try:
         while next_index < len(items) or pending:
             while next_index < len(items) and len(pending) < workers + 2:
                 batch = list(items[next_index : next_index + chunk])
-                pending.append(pool.submit(function, batch))
+                pending.append(executor.submit(function, batch))
                 next_index += len(batch)
             yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 class BatchStudy:

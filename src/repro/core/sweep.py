@@ -76,6 +76,7 @@ from .measures import Query
 from .results import SweepResult, SweepRow
 from .study import (
     CompiledModel,
+    Evaluation,
     QueryLike,
     Study,
     StudyOptions,
@@ -230,15 +231,40 @@ class _SweepPlan:
         return assignment
 
 
-def _evaluate_rows(
-    model: CompiledModel, plan: _SweepPlan, samples: Sequence[Mapping[str, float]]
+def evaluation_rows(
+    samples: Sequence[Mapping[str, float]], evaluations: Sequence[Evaluation]
 ) -> List[SweepRow]:
-    """The samples' rows from one batched evaluation; errors stay per row.
+    """One :class:`SweepRow` per sample from its :class:`Evaluation`.
 
     A row's times are its share of its batch (a serial run or one pool
     chunk, cut at the kernel's stacked-operator cap) plus its own
-    per-sample work.
+    per-sample work; a sample that failed as a whole is an error row.
+    Library sweeps and the service's ``/sweep`` both build their rows here.
     """
+    return [
+        SweepRow(
+            dict(sample),
+            (),
+            evaluation.load_seconds + evaluation.solve_seconds,
+            error=str(evaluation.error),
+        )
+        if evaluation.error is not None
+        else SweepRow(
+            dict(sample),
+            evaluation.measures,
+            evaluation.load_seconds + evaluation.solve_seconds,
+            instantiate_seconds=evaluation.load_seconds,
+            solve_seconds=evaluation.solve_seconds,
+            gradients=evaluation.gradients,
+        )
+        for sample, evaluation in zip(samples, evaluations)
+    ]
+
+
+def _evaluate_rows(
+    model: CompiledModel, plan: _SweepPlan, samples: Sequence[Mapping[str, float]]
+) -> List[SweepRow]:
+    """The samples' rows from one batched evaluation; errors stay per row."""
     evaluations = model.evaluate_many(
         plan.query,
         [plan.assignment_of(sample) for sample in samples],
@@ -246,30 +272,7 @@ def _evaluate_rows(
         on_error="record",
         gradients=plan.gradients,
     )
-    rows = []
-    for sample, evaluation in zip(samples, evaluations):
-        wall_seconds = evaluation.load_seconds + evaluation.solve_seconds
-        if evaluation.error is not None:
-            rows.append(
-                SweepRow(
-                    sample=dict(sample),
-                    measures=(),
-                    wall_seconds=wall_seconds,
-                    error=str(evaluation.error),
-                )
-            )
-            continue
-        rows.append(
-            SweepRow(
-                sample=dict(sample),
-                measures=evaluation.measures,
-                wall_seconds=wall_seconds,
-                instantiate_seconds=evaluation.load_seconds,
-                solve_seconds=evaluation.solve_seconds,
-                gradients=evaluation.gradients,
-            )
-        )
-    return rows
+    return evaluation_rows(samples, evaluations)
 
 
 def _compile(plan: _SweepPlan, model: Optional[CompiledModel] = None) -> CompiledModel:

@@ -17,8 +17,8 @@ pattern, Poisson terms and gradient kernel survive between requests.  The
 service still touches the store on such a hit (:meth:`SkeletonStore.touch`),
 so the store's hit counter and its on-disk LRU order stay truthful; hits
 answered from memory are counted as ``memory_hits`` in ``/metrics``.  A
-failure of the pool itself (a dead worker, a pickling or OS error, an entry
-the worker's store lost) falls back to the in-process path, counted as
+failure of a pool itself (a dead worker, a pickling or OS error, an entry
+the worker's store lost) recomputes the request in-process, counted as
 ``pool_fallbacks`` in ``/metrics`` and logged; any other worker exception
 propagates like an in-process one.  An unexpected exception in a handler
 becomes a logged 500 response instead of escaping to the transport.
@@ -35,24 +35,25 @@ import signal
 import threading
 import time as _time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.aggregation import StatisticsSummary
 from ..core.measures import Query
 from ..core.requests import QuerySpec, SweepSpec
-from ..core.results import (
-    BatchResult,
-    BatchRow,
-    MeasureResult,
-    StudyResult,
-    SweepResult,
-    SweepRow,
+from ..core.results import BatchResult, BatchRow, StudyResult, SweepResult
+from ..core.study import (
+    CompiledModel,
+    Evaluation,
+    StudyOptions,
+    chunked_pool_map,
+    resolve_workers,
 )
-from ..core.study import CompiledModel, StudyOptions
-from ..core.sweep import SweepStudy
+from ..core.sweep import evaluation_rows
 from ..core.wire import check_fields
 from ..dft import galileo
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
@@ -202,19 +203,41 @@ class _ModelCache:
 
     def evaluate(
         self,
-        key: str,
-        load_entry: Callable[[], SkeletonEntry],
-        assignment: Mapping[str, float],
+        items: Sequence[Tuple[str, Mapping[str, float]]],
+        load_entry: Callable[[str], SkeletonEntry],
         query: QuerySpec,
         tolerance: float,
-    ) -> Tuple[MeasureResult, ...]:
-        """Per-measure failures are recorded in the results, as the CLI does."""
-        entry = self.entry(key)
-        _entry, model = self.put(load_entry() if entry is None else entry)
-        return model.evaluate(
-            query.query(model.nondeterministic), assignment, tolerance=tolerance,
-            on_error="record",
-        ).measures
+        stacked: bool,
+    ) -> List[Evaluation]:
+        """The evaluations of ``items``, (store key, assignment) pairs, in order.
+
+        ``load_entry`` supplies the entry of a key this cache lacks.  Stacked
+        (a sweep's rows), each run of same-key items is one
+        :meth:`CompiledModel.evaluate_many`; otherwise each item is one
+        :meth:`CompiledModel.evaluate`, and a sample error is returned in
+        its evaluation.  Per-measure failures are recorded, as the CLI does.
+        """
+        evaluations: List[Evaluation] = []
+        for key, run in groupby(items, key=itemgetter(0)):
+            entry = self.entry(key)
+            model = self.put(load_entry(key) if entry is None else entry)[1]
+            model_query = query.query(model.nondeterministic)
+            assignments = [assignment for _key, assignment in run]
+            if stacked:
+                evaluations += model.evaluate_many(
+                    model_query, assignments, tolerance=tolerance, on_error="record"
+                )
+                continue
+            for assignment in assignments:
+                try:
+                    evaluations.append(
+                        model.evaluate(
+                            model_query, assignment, tolerance=tolerance, on_error="record"
+                        )
+                    )
+                except ReproError as error:
+                    evaluations.append(Evaluation((), 0.0, 0.0, error=error))
+        return evaluations
 
 
 #: A pool worker's store handle and compiled models (set by its initializer).
@@ -241,19 +264,15 @@ def _worker_entry(key: str) -> SkeletonEntry:
     return entry
 
 
-def _service_evaluate(
-    key: str,
-    assignment: Dict[str, float],
+def _service_chunk(
     query: QuerySpec,
     tolerance: float,
-) -> Tuple[Tuple[MeasureResult, ...], float]:
-    """One evaluation in a pool worker, with its worker-side wall time."""
+    stacked: bool,
+    items: Sequence[Tuple[str, Dict[str, float]]],
+) -> List[Evaluation]:
+    """Pool worker entry point: one chunk of items on the worker's models."""
     assert _WORKER_MODELS is not None
-    start = _time.perf_counter()
-    measures = _WORKER_MODELS.evaluate(
-        key, partial(_worker_entry, key), assignment, query, tolerance
-    )
-    return measures, _time.perf_counter() - start
+    return _WORKER_MODELS.evaluate(items, _worker_entry, query, tolerance, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +282,15 @@ def _service_evaluate(
 class AnalysisService:
     """Serves analyses from a skeleton store; every handler is dict -> dict.
 
-    ``processes > 0`` attaches a pool of worker processes that evaluate
-    ``/analyze`` requests, ``/batch`` rows and plain ``/sweep`` rows (each
-    worker keeps its own compiled models warm); ``processes = 0`` evaluates
-    in-process with one compiled model per cache key.  Either way the
-    service's own LRU answers warm structural hits without touching the
-    entry file beyond an mtime bump.
+    Every handler evaluates through :meth:`_evaluations`: (store key,
+    assignment) items cut into chunks.  ``processes > 0`` attaches a pool of
+    worker processes that run the chunks of ``/analyze`` requests,
+    ``/batch`` trees and ``/sweep`` rows (each worker keeps its own compiled
+    models warm, and runs a sweep chunk as one stacked series);
+    ``processes = 0`` evaluates in-process with one compiled model per cache
+    key, except that a sweep asking for ``processes > 1`` gets a per-request
+    pool of service workers.  Either way the service's own LRU answers warm
+    structural hits without touching the entry file beyond an mtime bump.
     """
 
     def __init__(
@@ -372,47 +394,44 @@ class AnalysisService:
             self._models.put(entry)
         return entry, hit
 
-    def _pool_fallback(self, error: BaseException) -> None:
-        """Count and log a pool failure the in-process path absorbs."""
-        self.metrics.record_pool_fallback()
-        LOGGER.warning("worker pool failed (%r); evaluating in-process", error)
+    def _evaluations(
+        self,
+        items: Sequence[Tuple[str, Dict[str, float]]],
+        entries: Mapping[str, SkeletonEntry],
+        query: QuerySpec,
+        stacked: bool = False,
+        processes: int = 1,
+    ) -> Tuple[List[Evaluation], int, bool]:
+        """``(evaluations, processes, on the service pool)`` of ``items``,
+        (store key, assignment) pairs whose entries ``entries`` holds.
 
-    def _submit(self, entry, assignment, query: QuerySpec) -> Optional[Future]:
-        """Queue one evaluation on the worker pool (``None``: evaluate here)."""
-        if self._pool is None:
-            return None
-        try:
-            return self._pool.submit(
-                _service_evaluate,
-                entry.key,
-                dict(assignment),
-                query,
-                self.options.tolerance,
-            )
-        except POOL_FAILURES as error:
-            self._pool_fallback(error)
-            return None
-
-    def _evaluate(
-        self, entry, assignment, query: QuerySpec, future: Optional[Future] = None
-    ) -> Tuple[Tuple[MeasureResult, ...], float]:
-        """One tree's measures and evaluation seconds.
-
-        Reads ``future`` (the tree's :meth:`_submit`) when there is one; a
-        pool failure, or no future at all, evaluates in-process, so the
-        response never depends on pool health.
+        The items run in chunks (:func:`~repro.core.study.chunked_pool_map`)
+        on the service's pool or, without one, on a per-request pool of
+        ``processes`` service workers, capped at the item count; else here.  A failure of the pool itself recomputes them here.
         """
-        if future is not None:
-            try:
-                return future.result()
-            except POOL_FAILURES as error:
-                self._pool_fallback(error)
-        start = _time.perf_counter()
+        work = partial(_service_chunk, query, self.options.tolerance, stacked)
+        workers = resolve_workers(processes, len(items))
+        try:
+            if self._pool is not None and items:
+                evaluations = chunked_pool_map(work, items, self.processes, executor=self._pool)
+                return list(evaluations), self.processes, True
+            if workers > 1:
+                evaluations = chunked_pool_map(
+                    work,
+                    items,
+                    workers,
+                    initializer=_init_service_worker,
+                    initargs=(str(self.store.root), self.store.max_bytes),
+                )
+                return list(evaluations), workers, False
+        except POOL_FAILURES as error:
+            self.metrics.record_pool_fallback()
+            LOGGER.warning("worker pool failed (%r); evaluating in-process", error)
         with self._models_lock:
-            measures = self._models.evaluate(
-                entry.key, lambda: entry, assignment, query, self.options.tolerance
+            evaluations = self._models.evaluate(
+                items, entries.__getitem__, query, self.options.tolerance, stacked
             )
-        return measures, _time.perf_counter() - start
+        return evaluations, 1, False
 
     def _wrap_study_result(
         self, tree, entry, hit, measures, evaluation: float
@@ -442,90 +461,63 @@ class AnalysisService:
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
         start = _time.perf_counter()
-        measures, _seconds = self._evaluate(
-            entry,
-            profile.assignment,
-            query,
-            self._submit(entry, profile.assignment, query),
+        (evaluation,), _processes, _pooled = self._evaluations(
+            [(entry.key, profile.assignment)], {entry.key: entry}, query
         )
+        if evaluation.error is not None:
+            raise evaluation.error
         result = self._wrap_study_result(
-            tree, entry, hit, measures, _time.perf_counter() - start
+            tree, entry, hit, evaluation.measures, _time.perf_counter() - start
         )
         return _served(result.to_dict(include_steps=False), entry, hit)
 
     def sweep(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /sweep``: one tree plus a :class:`SweepSpec` -> ``repro.sweep/3``.
 
-        A service with a worker pool fans the rows out over it.  Without one
-        (or if the pool fails), the spec's ``processes`` asks for a
-        per-request worker pool; the service never starts more workers than
-        it has CPUs.
+        The rows run as stacked chunks, one
+        :meth:`~repro.core.study.CompiledModel.evaluate_many` each, on the
+        service's worker pool; without one, the spec's ``processes`` asks
+        for a per-request pool of service workers, never more than the
+        service has CPUs (see :meth:`_evaluations`).
         """
         spec = SweepSpec.from_payload(payload, envelope=("tree",))
         tree = spec.prepare(self._parse_tree(payload))
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
         rate_sweep = spec.rate_sweep(entry.nondeterministic)
-        result = None
-        if self._pool is not None:
-            result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, spec.query)
-        if result is None:
-            study = SweepStudy(tree, self.options, skeleton_cache=self.store)
-            # The LRU's entry and compiled model: no second decode, and the
-            # rows run on the kernels the warm requests keep (under the lock
-            # that guards every use of them).
-            with self._models_lock:
-                study.study.adopt_entry(*self._models.put(entry), hit=hit)
-                result = study.run(
-                    rate_sweep, processes=min(spec.processes, os.cpu_count() or 1)
-                )
-        return _served(result.to_dict(), entry, hit)
-
-    def _sweep_pooled(
-        self, tree, profile: CanonicalProfile, entry, hit, rate_sweep, query: QuerySpec
-    ) -> Optional[SweepResult]:
-        """Fan the sweep's rows out over the service worker pool.
-
-        All rows are submitted concurrently, so one big ``POST /sweep``
-        saturates every pool worker (each holding warm compiled models)
-        instead of spinning up a fresh per-request pool.  Rows come back in
-        sample order with the same per-row measures as the inline engine.
-        Returns ``None`` on any pool failure — the caller falls back to the
-        inline sweep engine.
-        """
-        start = _time.perf_counter()
-        futures = []
-        for sample in rate_sweep.samples:
-            assignment = {
-                **profile.assignment,
-                **translate_sample(sample, profile.parameter_map),
-            }
-            future = self._submit(entry, assignment, query)
-            if future is None:
-                return None
-            futures.append(future)
-        try:
-            results = [future.result() for future in futures]
-        except POOL_FAILURES as error:
-            self._pool_fallback(error)
-            return None
-        rows = [
-            SweepRow(sample=dict(sample), measures=measures, wall_seconds=seconds)
-            for sample, (measures, seconds) in zip(rate_sweep.samples, results)
+        items = [
+            (entry.key, {**profile.assignment, **translate_sample(sample, profile.parameter_map)})
+            for sample in rate_sweep.samples
         ]
+        start = _time.perf_counter()
+        evaluations, processes, pooled = self._evaluations(
+            items,
+            {entry.key: entry},
+            spec.query,
+            stacked=True,
+            processes=min(spec.processes, os.cpu_count() or 1),
+        )
         samples_seconds = _time.perf_counter() - start
+        rows = evaluation_rows(rate_sweep.samples, evaluations)
         options = self.options.to_dict()
         options["skeleton_cache"] = "hit" if hit else "miss"
-        options["service_pool"] = True
-        return SweepResult(
+        if pooled:
+            options["service_pool"] = True
+        result = SweepResult(
             tree_name=tree.name,
             parameters=rate_sweep.parameters,
             rows=tuple(rows),
             model=entry.model,
             options=options,
-            timings={"samples": samples_seconds, "total": samples_seconds},
-            processes=self.processes,
+            timings={
+                "samples": samples_seconds,
+                "instantiate": sum(row.instantiate_seconds or 0.0 for row in rows),
+                "solve": sum(row.solve_seconds or 0.0 for row in rows),
+                "total": samples_seconds,
+            },
+            processes=processes,
         )
+        return _served(result.to_dict(), entry, hit)
 
     def batch(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /batch``: many trees, one query -> ``repro.batch/1``."""
@@ -539,9 +531,11 @@ class AnalysisService:
         misses = 0
         start = _time.perf_counter()
         # First pass (serial): parse every tree and resolve its skeleton.
-        # Each slot holds either an error row or the material an evaluation
-        # needs, so the pooled pass can submit all rows before gathering any.
+        # Each slot holds either an error row or the parsed tree's entry, so
+        # the parsed trees are evaluated together.
         prepared: List[object] = []
+        items: List[Tuple[str, Dict[str, float]]] = []
+        entries: Dict[str, SkeletonEntry] = {}
         for index, text in enumerate(trees):  # type: ignore[union-attr]
             row_start = _time.perf_counter()
             try:
@@ -554,7 +548,9 @@ class AnalysisService:
                 entry, hit = self._get_entry(tree, profile)
                 hits += 1 if hit else 0
                 misses += 0 if hit else 1
-                prepared.append((tree, profile, entry, hit, row_start))
+                prepared.append((tree, entry, hit, row_start))
+                items.append((entry.key, profile.assignment))
+                entries[entry.key] = entry
             except ReproError as error:
                 prepared.append(
                     BatchRow(
@@ -565,44 +561,33 @@ class AnalysisService:
                         wall_seconds=_time.perf_counter() - row_start,
                     )
                 )
-        # Second pass: evaluate the parsed rows — concurrently over the
-        # service pool when it is healthy, inline otherwise.
-        futures: Dict[int, Future] = {}
-        for index, item in enumerate(prepared):
-            if isinstance(item, BatchRow):
-                continue
-            _tree, profile, entry, _hit, _row_start = item
-            future = self._submit(entry, profile.assignment, query)
-            if future is None:
-                break  # no (healthy) pool: the rest evaluate in-process
-            futures[index] = future
+        # Second pass: evaluate the parsed trees, on the pool if there is one.
+        evaluations, processes, _pooled = self._evaluations(items, entries, query)
+        evaluated = iter(evaluations)
         rows = []
-        for index, item in enumerate(prepared):
+        for item in prepared:
             if isinstance(item, BatchRow):
                 rows.append(item)
                 continue
-            tree, profile, entry, hit, row_start = item
-            result, error = None, None
-            try:
-                measures, evaluation = self._evaluate(
-                    entry, profile.assignment, query, futures.get(index)
-                )
-                result = self._wrap_study_result(tree, entry, hit, measures, evaluation)
-            except ReproError as failure:
-                error = str(failure)
+            tree, entry, hit, row_start = item
+            evaluation = next(evaluated)
+            result, error = None, evaluation.error
+            if error is None:
+                seconds = evaluation.load_seconds + evaluation.solve_seconds
+                result = self._wrap_study_result(tree, entry, hit, evaluation.measures, seconds)
             rows.append(
                 BatchRow(
                     name=tree.name,
                     source=None,
                     result=result,
-                    error=error,
+                    error=None if error is None else str(error),
                     wall_seconds=_time.perf_counter() - row_start,
                 )
             )
         batch_result = BatchResult(
             rows=tuple(rows),
             wall_seconds=_time.perf_counter() - start,
-            processes=self.processes if futures else 1,
+            processes=processes,
         )
         response = batch_result.to_dict()
         response["service"] = {

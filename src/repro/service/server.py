@@ -62,6 +62,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would read to EOF: no answer until the client
+            # hangs up.  Where the next request would start is unknown too.
+            self.close_connection = True
             self._respond(400, {"error": "invalid Content-Length header"})
             return
         if length > MAX_BODY_BYTES:

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -139,6 +140,14 @@ def test_derived_chunks_cover_every_item_in_order(count, lengths):
         chunks.append(rows[index][1])
         index += rows[index][1]
     assert chunks == lengths
+
+
+def test_chunks_run_on_a_given_executor_and_leave_it_running():
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        rows = list(chunked_pool_map(_chunk_lengths, list(range(19)), 2, executor=executor))
+        assert [item for item, _length in rows] == list(range(19))
+        assert [length for _item, length in rows[:2]] == [2, 2]
+        assert executor.submit(len, "open").result() == 4
 
 
 class TestParallelGradientsEqualSerial:

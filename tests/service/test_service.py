@@ -10,6 +10,8 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import os
+import signal
 import socket
 import statistics
 import threading
@@ -413,6 +415,21 @@ class TestHttpRoundTrip:
             pytest.fail("expected a 400 response")
 
 
+class TestContentLength:
+    def test_negative_content_length_answers_400_at_once(self, http_server):
+        host, port = http_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=2.0) as connection:
+            connection.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+            )
+            response = http.client.HTTPResponse(connection)
+            response.begin()  # times out after 2 s if the server reads to EOF
+            body = json.loads(response.read().decode("utf-8"))
+        assert response.status == 400
+        assert body["error"] == "invalid Content-Length header"
+
+
 def _request(connection, method, path, payload=None):
     body = None if payload is None else json.dumps(payload).encode("utf-8")
     headers = {} if body is None else {"Content-Type": "application/json"}
@@ -511,8 +528,8 @@ class TestWorkerPool:
             inline.close()
             pooled.close()
 
-    # A service with a pool answers /sweep over the pool only: one
-    # submission per sample, rows back in sample order.
+    # A service with a pool answers /sweep over the pool only: the rows run
+    # as stacked chunks and come back in sample order, shaped as inline rows.
     @pytest.mark.parametrize(
         "text, axes, query",
         [
@@ -546,6 +563,28 @@ class TestWorkerPool:
         ]
         assert [row["measures"] for row in served["rows"]] == [
             row["measures"] for row in inline_response["rows"]
+        ]
+        assert [sorted(row) for row in served["rows"]] == [
+            sorted(row) for row in inline_response["rows"]
+        ]
+
+    def test_poolless_service_honours_sweep_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        request = {"tree": PARAM_TREE, "axes": {"lam": [0.1 + 0.2 * k for k in range(9)]}}
+        service = AnalysisService(SkeletonStore(tmp_path / "cache"))
+        try:
+            status, serial = service.handle("POST", "/sweep", request)
+            assert status == 200, serial
+            status, parallel = service.handle("POST", "/sweep", {**request, "processes": 2})
+            assert status == 200, parallel
+            assert service.metrics_payload()["pool_fallbacks"] == 0
+        finally:
+            service.close()
+        assert serial["aggregate"]["processes"] == 1
+        assert parallel["aggregate"]["processes"] == 2
+        assert "service_pool" not in parallel["options"]
+        assert [(row["sample"], row["measures"]) for row in parallel["rows"]] == [
+            (row["sample"], row["measures"]) for row in serial["rows"]
         ]
 
 
@@ -608,6 +647,32 @@ class TestPoolFallbacks:
             assert service.metrics_payload()["pool_fallbacks"] == 0
         finally:
             service.close()
+
+
+def test_killed_per_request_worker_falls_back(tmp_path, monkeypatch):
+    from repro.service import app
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    request = {"tree": PARAM_TREE, "axes": {"lam": [0.1, 0.4, 0.9, 1.6]}}
+    service = AnalysisService(SkeletonStore(tmp_path / "cache"))
+    try:
+        status, serial = service.handle("POST", "/sweep", request)
+        assert status == 200, serial
+        monkeypatch.setattr(app, "_init_service_worker", _dying_worker_init)
+        status, response = service.handle("POST", "/sweep", {**request, "processes": 2})
+        assert status == 200, response
+        assert service.metrics_payload()["pool_fallbacks"] == 1
+    finally:
+        service.close()
+    assert response["aggregate"]["processes"] == 1
+    assert [(row["sample"], row["measures"]) for row in response["rows"]] == [
+        (row["sample"], row["measures"]) for row in serial["rows"]
+    ]
+
+
+def _dying_worker_init(root, max_bytes):
+    """Service pool initializer whose worker is killed before it takes work."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _spawn_pool(service, initializer):

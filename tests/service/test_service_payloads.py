@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.core.study as study_module
-import repro.core.sweep as sweep_module
 import repro.service.app as app_module
 from repro.core.requests import QuerySpec
 from repro.core.study import resolve_workers
@@ -83,8 +82,9 @@ class RecordingPool:
 def stubbed_pool():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(study_module, "ProcessPoolExecutor", RecordingPool)
-        # The stand-in runs the worker initializer in this process.
-        patch.setattr(sweep_module, "_WORKER_STATE", None)
+        # The stand-in runs the service worker initializer in this process.
+        patch.setattr(app_module, "_WORKER_STORE", None)
+        patch.setattr(app_module, "_WORKER_MODELS", None)
         RecordingPool.created = []
         yield RecordingPool.created
 
@@ -163,13 +163,16 @@ class TestWorkerCap:
         assert status == 200, body
         assert stubbed_pool == [3]
 
-    def test_workers_are_capped_at_the_sample_count(self, service, stubbed_pool):
+    def test_workers_are_capped_at_the_sample_count(
+        self, service, stubbed_pool, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         del stubbed_pool[:]
         status, body = service.handle(
             "POST", "/sweep", sweep_payload(axes={"lam": [0.4, 0.9]}, processes=10**6)
         )
         assert status == 200, body
-        assert stubbed_pool == [min(2, os.cpu_count() or 1)]
+        assert stubbed_pool == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,7 @@ class RecordingServicePool:
         initializer(*initargs)
 
     def submit(self, function, *args):
-        self.submitted.append(args)
+        self.submitted.append((function, args))
         future = Future()
         future.set_result(function(*args))
         return future
@@ -400,10 +403,29 @@ def test_each_request_is_decoded_once_and_workers_get_the_spec(tmp_path, monkeyp
         service.close()
     assert decoded == [QUERY, QUERY]
     assert len(submitted) == 5
-    queries = [args[2] for args in submitted]
+    # Each submission is one chunk; the query rides in the worker function.
+    queries = [function.args[0] for function, _args in submitted]
     assert all(isinstance(query, QuerySpec) for query in queries)
     assert queries[0] is queries[1] is queries[2]
     assert queries[3] is queries[4]
+
+
+def test_pooled_sweep_submits_chunks_not_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(app_module, "ProcessPoolExecutor", RecordingServicePool)
+    monkeypatch.setattr(app_module, "_WORKER_STORE", None)
+    monkeypatch.setattr(app_module, "_WORKER_MODELS", None)
+    service = AnalysisService(SkeletonStore(tmp_path / "store"), processes=1)
+    try:
+        samples = [{"lam": 0.1 + 0.05 * k} for k in range(48)]
+        status, body = service.handle("POST", "/sweep", sweep_payload(samples=samples))
+        assert status == 200, body
+        submitted = service._pool.submitted
+    finally:
+        service.close()
+    assert body["options"]["service_pool"] is True
+    assert [row["sample"] for row in body["rows"]] == samples
+    # One worker: four chunks of twelve rows, each one stacked evaluation.
+    assert [len(args[0]) for _function, args in submitted] == [12] * 4
 
 
 # ---------------------------------------------------------------------------
