@@ -31,7 +31,10 @@ such as the cascaded PAND's identical cascades, or the channels of a
 parametric race bank whose per-event parameters differ only in name, are
 minimised once; concrete rates must still match exactly, so modules with
 staggered numeric rates are not.  The key also carries the aggregation
-options.  A cache-less run keeps its own memo for one
+options.  A product builds its key only when an earlier product of the
+memo had its pre-key (state count, initial state, role sizes and options):
+most products share it with none, and they miss without a key or a
+pickle.  A cache-less run keeps its own memo for one
 :meth:`CompositionalAggregator.run`; a
 :class:`~repro.service.store.SkeletonStore` owns one memo that every entry
 it builds shares.  A memo keeps at most :data:`QUOTIENT_MEMO_CAPACITY`
@@ -69,7 +72,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import CompositionError
@@ -206,6 +209,12 @@ class CompositionalAggregationOptions:
 #: recently used goes.  A service's stream of cold trees keeps most of its
 #: reuse well below it, and the bound keeps a long-lived store's memo small.
 QUOTIENT_MEMO_CAPACITY = 256
+#: Products a :class:`QuotientMemo` keeps unkeyed, as live models; beyond
+#: this many the oldest is keyed and pickled like any repeated one.  A
+#: cache-less run of a benchmark-ladder tree misses at most 24 times, so it
+#: keys none of its own; on a store's stream of parametric products a live
+#: product and its quotient take about 38 KB, several times the pickle.
+UNKEYED_MEMO_CAPACITY = 32
 
 
 class _Key(NamedTuple):
@@ -293,6 +302,45 @@ def _renaming_key(model: IOIMC, options: AggregationOptions) -> _Key:
     return _Key(names, parameters, nominals, key)
 
 
+def _pre_key(model: IOIMC, options: AggregationOptions) -> Tuple[object, ...]:
+    """What :func:`_renaming_key` starts from: state count, initial state,
+    the sizes of the three roles and the options.  Equal keys imply equal
+    pre-keys, so only a product whose pre-key an earlier one had can hit."""
+    sig = model.signature
+    return (
+        model.num_states,
+        model.initial,
+        len(sig.inputs),
+        len(sig.outputs),
+        len(sig.internals),
+        options.method,
+        options.minimiser,
+    )
+
+
+class _Quotient(NamedTuple):
+    """A keyed entry of :class:`QuotientMemo`."""
+
+    #: The pickled quotient.
+    blob: bytes
+    #: Its product's action and parameter names (:class:`_Key`).
+    names: Tuple[str, ...]
+    parameters: Tuple[str, ...]
+    pre_key: Tuple[object, ...]
+    #: When it was last asked for (the memo's clock).
+    used: int
+
+
+class _Pending(NamedTuple):
+    """A product whose pre-key no other kept product has, and its
+    quotient, kept as they are until a product with that pre-key asks."""
+
+    product: IOIMC
+    quotient: IOIMC
+    options: AggregationOptions
+    used: int
+
+
 class QuotientMemo:
     """``aggregate()``, each distinct product once, with a bounded memory.
 
@@ -304,13 +352,31 @@ class QuotientMemo:
     action and parameter for parameter, every renamed rate taking the asking
     model's nominal values.
 
-    A quotient is kept pickled: a kept model's parametric rates and lazy
-    per-state caches would cost several times its pickle, and no caller can
-    ever hold, or modify, what the memo keeps.  A hit unpickles a fresh
-    copy.  The memo keeps the :data:`QUOTIENT_MEMO_CAPACITY` most recently
-    used quotients, counts its hits and misses, and may be shared by the
-    runs of several threads (a lock guards the table; ``aggregate()`` runs
-    outside it).  A cache-less run makes its own; a
+    The full key is built only where a hit is possible.  Its cheap
+    projection, the pre-key (:func:`_pre_key`: state count, initial state,
+    role sizes and options), must repeat first.  A product whose pre-key no
+    kept product has is a miss: its product and quotient are kept as they
+    are, unkeyed, and nothing is pickled.  The first product that repeats
+    the pre-key builds both keys, its own and the kept product's, and moves
+    the kept quotient into the keyed table; from then on every product with
+    that pre-key is keyed on arrival.  Most products of a run never share
+    a pre-key, so most never pay for a key.
+
+    A keyed quotient is kept pickled: a kept model's parametric rates and
+    lazy per-state caches would cost several times its pickle, and a hit
+    unpickles a fresh copy, so no caller can hold what the table keeps.  An
+    unkeyed entry holds the product and the quotient the miss returned by
+    reference: the aggregation loop hands over a product it drops and only
+    reads the quotient, and a caller that modifies either while the memo
+    holds it voids later hits on that pre-key.
+
+    The memo keeps the :data:`QUOTIENT_MEMO_CAPACITY` most recently used
+    entries of both kinds, at most :data:`UNKEYED_MEMO_CAPACITY` of them
+    unkeyed (an older unkeyed entry is keyed, not dropped, so no hit is
+    lost), counts its hits and misses (an unkeyed miss is one), and may be
+    shared by the runs of several threads (a lock guards the tables;
+    ``aggregate()`` and key building run outside it).  A
+    cache-less run makes its own; a
     :class:`~repro.service.store.SkeletonStore` owns one for all its builds.
     """
 
@@ -318,48 +384,119 @@ class QuotientMemo:
         self.capacity = QUOTIENT_MEMO_CAPACITY
         self.hits = 0
         self.misses = 0
-        #: key -> (pickled quotient, its product's action and parameter names)
-        self._quotients: "OrderedDict[bytes, Tuple[bytes, Tuple[str, ...], Tuple[str, ...]]]" = (
-            OrderedDict()
-        )
+        #: key -> pickled quotient, least recently used first
+        self._quotients: "OrderedDict[bytes, _Quotient]" = OrderedDict()
+        #: pre-key -> unkeyed product and quotient, oldest first
+        self._pending: "OrderedDict[Tuple[object, ...], _Pending]" = OrderedDict()
+        #: Pre-keys whose products are keyed on arrival -> their keyed entries.
+        self._keyed: Dict[Tuple[object, ...], int] = {}
+        self._clock = count()
         self._lock = threading.Lock()
 
     def aggregate(self, model: IOIMC, options: AggregationOptions) -> IOIMC:
         """The quotient of ``model`` under ``options``."""
+        pre_key = _pre_key(model, options)
+        with self._lock:
+            keyed = pre_key in self._keyed
+            kept = None if keyed else self._claim(pre_key)
+            first = not keyed and kept is None
+            if first:
+                self.misses += 1
+        if first:
+            quotient, _stats = aggregate(model, options)
+            oldest = None
+            with self._lock:
+                keyed = pre_key in self._keyed
+                kept = None if keyed else self._claim(pre_key)
+                if not keyed and kept is None:
+                    self._pending[pre_key] = _Pending(model, quotient, options, next(self._clock))
+                    if len(self._pending) > UNKEYED_MEMO_CAPACITY:
+                        oldest = self._claim(next(iter(self._pending)))
+                    self._evict()
+            if keyed or kept is not None:
+                # A product with this pre-key came in meanwhile: key both.
+                if kept is not None:
+                    self._keep_pending(kept)
+                self._keep(_renaming_key(model, options), pre_key, quotient)
+            elif oldest is not None:
+                self._keep_pending(oldest)
+            return quotient
+        if kept is not None:
+            self._keep_pending(kept)
         asked = _renaming_key(model, options)
         with self._lock:
             known = self._quotients.get(asked.key)
             if known is None:
                 self.misses += 1
             else:
+                self._quotients[asked.key] = known._replace(used=next(self._clock))
                 self._quotients.move_to_end(asked.key)
                 self.hits += 1
         if known is not None:
-            blob, names, parameters = known
-            quotient = pickle.loads(blob)
-            mapping = {old: new for old, new in zip(names, asked.names) if old != new}
+            quotient = pickle.loads(known.blob)
+            mapping = {old: new for old, new in zip(known.names, asked.names) if old != new}
             if mapping:
                 quotient = quotient.rename_actions(mapping)
-            if parameters:
+            if known.parameters:
                 quotient = quotient.rename_parameters(
-                    dict(zip(parameters, asked.parameters)), asked.nominals
+                    dict(zip(known.parameters, asked.parameters)), asked.nominals
                 )
             quotient.name = model.name
             return quotient
         quotient, _stats = aggregate(model, options)
+        self._keep(asked, pre_key, quotient)
+        return quotient
+
+    def _claim(self, pre_key: Tuple[object, ...]) -> Optional[_Pending]:
+        """The unkeyed entry of ``pre_key``, taken out of the table, if there
+        is one; then products with that pre-key are keyed on arrival.  The
+        lock is held."""
+        kept = self._pending.pop(pre_key, None)
+        if kept is not None:
+            self._keyed.setdefault(pre_key, 0)
+        return kept
+
+    def _keep_pending(self, kept: _Pending) -> None:
+        """Key a claimed unkeyed entry and keep its quotient pickled."""
+        self._keep(
+            _renaming_key(kept.product, kept.options),
+            _pre_key(kept.product, kept.options),
+            kept.quotient,
+        )
+
+    def _keep(self, key: _Key, pre_key: Tuple[object, ...], quotient: IOIMC) -> None:
+        """Keep ``quotient`` pickled under ``key``."""
         blob = pickle.dumps(quotient, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
-            self._quotients[asked.key] = (blob, asked.names, asked.parameters)
-            self._quotients.move_to_end(asked.key)
-            while len(self._quotients) > self.capacity:
-                self._quotients.popitem(last=False)
-        return quotient
+            if key.key not in self._quotients:
+                self._keyed[pre_key] = self._keyed.get(pre_key, 0) + 1
+            self._quotients[key.key] = _Quotient(
+                blob, key.names, key.parameters, pre_key, next(self._clock)
+            )
+            self._quotients.move_to_end(key.key)
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used entries down to the capacity.  The lock
+        is held."""
+        while len(self._quotients) + len(self._pending) > self.capacity:
+            pending = next(iter(self._pending.values()), None)
+            keyed = next(iter(self._quotients.values()), None)
+            if keyed is None or (pending is not None and pending.used < keyed.used):
+                self._pending.popitem(last=False)
+                continue
+            _key, entry = self._quotients.popitem(last=False)
+            left = self._keyed[entry.pre_key] - 1
+            if left:
+                self._keyed[entry.pre_key] = left
+            else:
+                del self._keyed[entry.pre_key]
 
     def stats(self) -> Dict[str, int]:
         """``entries``, ``capacity``, ``hits`` and ``misses``, JSON-safe."""
         with self._lock:
             return {
-                "entries": len(self._quotients),
+                "entries": len(self._quotients) + len(self._pending),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,

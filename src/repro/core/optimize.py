@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..dft.elements import (
     BasicEvent,
@@ -56,7 +56,7 @@ from ..dft.elements import (
     SpareGate,
 )
 from ..dft.hashing import canonical_assignment
-from ..dft.modules import independent_modules, module_members, module_subtree
+from ..dft.modules import _independent_module_members, module_members, module_subtree
 from ..dft.tree import DynamicFaultTree
 from ..errors import AnalysisError
 from . import signals
@@ -478,6 +478,15 @@ class _ModuleTable:
         return best
 
 
+def _inner_modules(tree: DynamicFaultTree) -> Dict[str, FrozenSet[str]]:
+    """The members of every independent module but the top, innermost first."""
+    return {
+        root: members
+        for root, members in _independent_module_members(tree).items()
+        if root != tree.top
+    }
+
+
 def _choice_positions_by_module(
     problem: DesignProblem,
 ) -> Tuple[Dict[str, List[int]], List[int]]:
@@ -490,19 +499,18 @@ def _choice_positions_by_module(
     is the Russian-doll variable order the search assigns in.
     """
     tree = problem.tree
-    modules = [root for root in independent_modules(tree) if root != tree.top]
-    members = {root: module_members(tree, root) for root in modules}
+    members = _inner_modules(tree)
     by_module: Dict[str, List[int]] = {}
     rank: Dict[int, int] = {}
     for position, choice in enumerate(problem.choices):
         affected = choice.affected(tree)
-        for index, root in enumerate(modules):
-            if affected <= members[root]:
+        for index, (root, inside) in enumerate(members.items()):
+            if affected <= inside:
                 by_module.setdefault(root, []).append(position)
                 rank[position] = index
                 break
         else:
-            rank[position] = len(modules)
+            rank[position] = len(members)
     order = sorted(range(len(problem.choices)), key=lambda p: (rank[p], p))
     return by_module, order
 
@@ -519,11 +527,10 @@ def _build_tables(
     inner subproblem — the defining trick of Russian Doll Search.
     """
     tree = problem.tree
-    modules = [root for root in independent_modules(tree) if root != tree.top]
-    members = {root: module_members(tree, root) for root in modules}
+    members = _inner_modules(tree)
     optimistic = tuple(choice.num_options - 1 for choice in problem.choices)
     tables: Dict[str, _ModuleTable] = {}
-    for root in modules:  # innermost-first by construction
+    for root in members:  # innermost-first by construction
         positions = sorted(
             position
             for inner, inner_positions in by_module.items()

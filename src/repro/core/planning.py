@@ -46,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from ..dft.modules import independent_modules, module_members
+from ..dft.modules import _independent_module_members
 from ..ioimc.model import IOIMC
 
 
@@ -170,8 +170,8 @@ def build_plan(community) -> AggregationPlan:
     the synthetic residue group at the root.
     """
     tree = community.tree
-    roots = independent_modules(tree)
-    members_of = {root: module_members(tree, root) for root in roots}
+    members_of = _independent_module_members(tree)
+    roots = tuple(members_of)
     # Innermost lookup: smallest member set first (ties broken by name for
     # determinism; distinct modules of equal size are disjoint or nested).
     by_size = sorted(roots, key=lambda root: (len(members_of[root]), root))

@@ -440,7 +440,13 @@ class CsrBuffer:
     def refill_rates(
         self, values: np.ndarray, errors: List[Optional[ModelError]]
     ) -> List[Optional[ModelError]]:
-        """:meth:`refill_blocks` from the rows :meth:`evaluate_rates` returned."""
+        """:meth:`refill_blocks` from the rows :meth:`evaluate_rates` returned.
+
+        A row whose exit rates overflow (a state's rates sum to infinity)
+        gets a :class:`~repro.errors.ModelError` and stays out, as a row
+        with a non-positive rate does.
+        """
+        rows = values
         if any(errors):
             values = values[[error is None for error in errors]]
         blocks = len(values)
@@ -452,6 +458,18 @@ class CsrBuffer:
             return errors
         tiling = self._tiling(blocks)
         exit_rates, rates = self._exit_rates(values, tiling.source_index)
+        finite = np.isfinite(rates)
+        if not finite.all():
+            # The loaded rows are the assignments without an error, in order.
+            loaded = iter(finite.tolist())
+            errors = [
+                error if error is not None or next(loaded) else ModelError(
+                    "the Markovian exit rates of a state sum to inf: an exit rate "
+                    "past the largest float cannot be uniformised"
+                )
+                for error in errors
+            ]
+            return self.refill_rates(rows, errors)
         nnz = len(self._indices)
         data = tiling.matrix.data.reshape(blocks, nnz)
         np.divide(

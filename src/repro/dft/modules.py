@@ -26,9 +26,10 @@ Two notions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .elements import (
+    LOGIC_GATES,
     BasicEvent,
     FdepGate,
     InhibitionConstraint,
@@ -49,11 +50,16 @@ def module_members(tree: DynamicFaultTree, root: str) -> FrozenSet[str]:
     FDEP/inhibition constraint that affects a member, together with the full
     cone of the constraint's inputs (triggers and other dependents).
     """
+    return _members(tree, root, _constraints(tree))
+
+
+def _members(tree: DynamicFaultTree, root: str, constraints) -> FrozenSet[str]:
+    """:func:`module_members` with the tree's constraints given."""
     members: Set[str] = set(tree.descendants(root))
     changed = True
     while changed:
         changed = False
-        for constraint in _constraints(tree):
+        for constraint in constraints:
             if constraint.name in members:
                 continue
             if isinstance(constraint, FdepGate):
@@ -70,6 +76,18 @@ def module_members(tree: DynamicFaultTree, root: str) -> FrozenSet[str]:
     return frozenset(members)
 
 
+def _logic_parents(tree: DynamicFaultTree) -> Dict[str, Set[str]]:
+    """:meth:`~repro.dft.tree.DynamicFaultTree.logic_parents` of every
+    element that has one, from one pass over the tree."""
+    parents: Dict[str, Set[str]] = {}
+    for name in tree.names():
+        element = tree.element(name)
+        if isinstance(element, LOGIC_GATES):
+            for child in element.inputs:
+                parents.setdefault(child, set()).add(name)
+    return parents
+
+
 def is_independent_module(tree: DynamicFaultTree, root: str) -> bool:
     """True iff the module rooted at ``root`` only talks to the outside via ``root``.
 
@@ -78,14 +96,24 @@ def is_independent_module(tree: DynamicFaultTree, root: str) -> bool:
       also fails elements outside the module would couple the module to its
       environment, and vice versa).
     """
-    members = module_members(tree, root)
+    constraints = _constraints(tree)
+    members = _members(tree, root, constraints)
+    return _is_independent(root, members, _logic_parents(tree), constraints)
+
+
+def _is_independent(
+    root: str,
+    members: FrozenSet[str],
+    logic_parents: Dict[str, Set[str]],
+    constraints,
+) -> bool:
+    """:func:`is_independent_module` of ``root`` from its members, the
+    tree's logic-parent index and its constraints."""
+    no_parents: Set[str] = set()
     for member in members:
-        if member == root:
-            continue
-        for parent in tree.logic_parents(member):
-            if parent not in members:
-                return False
-    for constraint in _constraints(tree):
+        if member != root and not logic_parents.get(member, no_parents) <= members:
+            return False
+    for constraint in constraints:
         involved = set(constraint.inputs) | {constraint.name}
         inside = involved & members
         if inside and not involved <= members | {constraint.name}:
@@ -110,15 +138,31 @@ def module_is_dynamic(tree: DynamicFaultTree, root: str) -> bool:
 
 
 def independent_modules(tree: DynamicFaultTree) -> Tuple[str, ...]:
-    """All gates rooting an independent module (basic events excluded)."""
-    modules = []
+    """All gates rooting an independent module (basic events excluded), in
+    topological order."""
+    return tuple(_independent_module_members(tree))
+
+
+def _independent_module_members(tree: DynamicFaultTree) -> Dict[str, FrozenSet[str]]:
+    """``{root: module_members(tree, root)}`` of every gate rooting an
+    independent module, in topological order.
+
+    The logic parents and the constraints of the tree are indexed once, so
+    the whole tree costs one pass plus each candidate root's member set;
+    :func:`independent_modules`, the aggregation plan and the design
+    optimiser all read it.
+    """
+    constraints = _constraints(tree)
+    parents = _logic_parents(tree)
+    modules: Dict[str, FrozenSet[str]] = {}
     for name in tree.topological_order():
         element = tree.element(name)
         if isinstance(element, (BasicEvent, FdepGate, InhibitionConstraint)):
             continue
-        if is_independent_module(tree, name):
-            modules.append(name)
-    return tuple(modules)
+        members = _members(tree, name, constraints)
+        if _is_independent(name, members, parents, constraints):
+            modules[name] = members
+    return modules
 
 
 def module_subtree(tree: DynamicFaultTree, root: str) -> DynamicFaultTree:

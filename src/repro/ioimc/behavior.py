@@ -119,6 +119,7 @@ def build_ioimc(behavior: ElementBehavior, max_states: int = 100_000) -> IOIMC:
             model.add_markovian(source, rate, intern(successor))
 
     model.validate()
+    model._all_reachable = True  # explored from the initial state
     return model
 
 

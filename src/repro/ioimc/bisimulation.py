@@ -24,10 +24,11 @@ Two refinement engines compute each partition:
     in plain Python, at every size.  Per input, :func:`_plain_sets` builds
     each state's sets once: its tau-closure, what it reaches per visible
     action (weakly, ``τ* a τ*``, for the weak relation; implicit input
-    self-loops included) and the Markovian moves of the states that can let
-    time pass.  :func:`_plain_partition` then signs every state once and,
-    after the first round, re-signs only the states whose sets read a state
-    that changed block.  A splitting block keeps its id for its largest
+    self-loops included where a tau step folds them in) and the Markovian
+    moves of the states that can let time pass.  :func:`_plain_partition`
+    then signs every state once and, after the first round, re-signs only
+    the states whose sets read a state that changed block; an input that
+    reaches only the state's own block is left out of its signature.  A splitting block keeps its id for its largest
     part, so a state changes block at most log2(n) times.  The strong
     relation runs the same loop with singleton closures, internal actions
     treated as visible, rates on every state and no input own-block rule.
@@ -146,12 +147,15 @@ def _refine_by_signature(
 class _PlainSets(NamedTuple):
     """Per-state data of :func:`_plain_partition`, built once per input.
 
-    ``in_reach[s]`` holds, per input action in id order, the states ``s``
-    reaches with it — weakly (``τ* a τ*``) for the weak relation, in one
-    step for the strong one.  An implicit input self-loop counts, so every
-    state has every input.  ``out_actions[s]``/``out_reach[s]`` are the same
-    for the other actions ``s`` (weakly) enables: its outputs, plus its
-    internal actions under the strong relation.
+    ``input_moves[s]`` holds ``(input id, targets)`` pairs in id order: the
+    states ``s`` reaches with the input — weakly (``τ* a τ*``) for the weak
+    relation, in one step for the strong one.  An implicit input self-loop
+    counts, except at a state whose (weak) moves are its own (no internal
+    move leaves it): there the loop reaches only the state itself, which
+    no signature lists, so the pair is left out.
+    ``out_actions[s]``/``out_reach[s]`` are the same for the other actions
+    ``s`` (weakly) enables: its outputs, plus its internal actions under
+    the strong relation.
 
     With internal moves (weak relation only), ``closures[s]`` is the
     tau-closure of ``s`` and ``stable_closure[s]`` its stable members, plus
@@ -163,7 +167,7 @@ class _PlainSets(NamedTuple):
     """
 
     input_ids: List[int]
-    in_reach: List[Tuple[Tuple[int, ...], ...]]
+    input_moves: List[Tuple[Tuple[int, Tuple[int, ...]], ...]]
     out_actions: List[Tuple[int, ...]]
     out_reach: List[Tuple[Tuple[int, ...], ...]]
     closures: Optional[List[Tuple[int, ...]]]
@@ -173,6 +177,16 @@ class _PlainSets(NamedTuple):
     rate_keys: Dict[object, object]
     #: The weak relation's input own-block rule.
     own_block_rule: bool
+
+    @property
+    def in_reach(self) -> List[Tuple[Tuple[int, ...], ...]]:
+        """Per state, the targets of every input in id order, the left-out
+        implicit self-loops included: :attr:`input_moves` made dense."""
+        dense = []
+        for state, moves in enumerate(self.input_moves):
+            targets, own = dict(moves), (state,)
+            dense.append(tuple([targets.get(aid, own) for aid in self.input_ids]))
+        return dense
 
 
 def _tau_successors(model: IOIMC) -> Optional[List[List[int]]]:
@@ -226,8 +240,9 @@ def _plain_sets(
                 for member in component:
                     closures[member] = closure
 
-    # Moves leaving each state itself; an implicit input self-loop reaches
-    # the state's own closure.
+    # Moves leaving each state itself.  An implicit input self-loop is not
+    # among them: it reaches only the state itself, which no signature
+    # lists, and a tau predecessor folds it in below.
     direct: List[Dict[int, Set[int]]] = []
     for state in range(num_states):
         per_action: Dict[int, Set[int]] = {}
@@ -239,11 +254,6 @@ def _plain_sets(
                 per_action[aid].update(reach)
             else:
                 per_action[aid] = set(reach)
-        for aid in input_ids:
-            if aid not in per_action:  # an implicit input self-loop
-                per_action[aid] = (
-                    set(closures[state]) if closures is not None else {state}
-                )
         direct.append(per_action)
 
     # Weak moves: a component's own moves and its tau successors' weak
@@ -259,21 +269,36 @@ def _plain_sets(
                 continue  # a state without internal moves keeps its own
             per_action = {}
             for source in sources:
-                for aid, targets in weak_moves[source].items():
+                moves = weak_moves[source]
+                for aid, targets in moves.items():
                     if aid in per_action:
                         per_action[aid] |= targets
                     else:
                         per_action[aid] = set(targets)
+                if moves is direct[source]:
+                    # Not folded yet: its implicit input self-loops, which
+                    # reach its closure, are not in it.
+                    for aid in input_ids:
+                        if aid not in moves:
+                            if aid in per_action:
+                                per_action[aid].update(closures[source])
+                            else:
+                                per_action[aid] = set(closures[source])
             for member in component:
                 weak_moves[member] = per_action
 
-    in_reach: List[Tuple[Tuple[int, ...], ...]] = []
+    input_moves: List[Tuple[Tuple[int, Tuple[int, ...]], ...]] = []
     out_actions: List[Tuple[int, ...]] = []
     out_reach: List[Tuple[Tuple[int, ...], ...]] = []
-    num_inputs = len(input_ids)
-    for per_action in weak_moves:
-        in_reach.append(tuple([tuple(per_action[aid]) for aid in input_ids]))
-        if len(per_action) > num_inputs:
+    for state, per_action in enumerate(weak_moves):
+        if per_action is direct[state]:
+            # Its own moves only: an input it lacks is an implicit self-loop
+            # onto the state itself, which no signature lists.
+            inputs = sorted([aid for aid in per_action if aid in input_set])
+        else:
+            inputs = input_ids
+        input_moves.append(tuple([(aid, tuple(per_action[aid])) for aid in inputs]))
+        if len(per_action) > len(inputs):
             outputs = tuple(sorted([aid for aid in per_action if aid not in input_set]))
             out_reach.append(tuple([tuple(per_action[aid]) for aid in outputs]))
         else:
@@ -306,7 +331,7 @@ def _plain_sets(
         rate_moves.append(tuple(entries))
     return _PlainSets(
         input_ids,
-        in_reach,
+        input_moves,
         out_actions,
         out_reach,
         closures,
@@ -329,7 +354,11 @@ def _plain_partition(
     A state's signature is its rate vector (with internal moves: the blocks
     of its closure and the interned rate vectors of its stable closure
     members) and, per action, the blocks it reaches — for an input action
-    under the weak relation without its own block.  That is the relation of
+    under the weak relation without its own block.  Inputs are signed
+    sparsely, as ``(input id, blocks)`` pairs that leave out every input
+    reaching only the state's own block: under the weak relation its blocks
+    are empty, and under the strong one it signs as an input the state
+    lacks (an implicit self-loop).  That is the relation of
     :func:`_weak_partition_signature` or :func:`_strong_partition_signature`.
     Blocks keep their id when they split: the largest part stays, the other
     parts get fresh ids and their states count as moved, so a signature that
@@ -340,9 +369,9 @@ def _plain_partition(
     ``work``, when given, receives the number of states up for signing in
     each round (those in singleton blocks are skipped).
     """
-    num_states = len(sets.in_reach)
+    num_states = len(sets.input_moves)
     closures = sets.closures
-    in_reach = sets.in_reach
+    input_moves = sets.input_moves
     out_reach = sets.out_reach
     stable_closure = sets.stable_closure
     rate_moves = sets.rate_moves
@@ -413,13 +442,16 @@ def _plain_partition(
                 ]
             else:
                 signature = [vector_of[state]]
-            for targets in in_reach[state]:
+            for aid, targets in input_moves[state]:
                 blocks = frozenset(map(block_get, targets))
-                if own_block_rule and own in blocks:
-                    # Input own-block rule: an input move back into the
-                    # state's own class is invisible.
-                    blocks = blocks - {own}
-                signature.append(blocks)
+                if own in blocks:
+                    if len(blocks) == 1:
+                        continue  # reads only its own class, as a missing input
+                    if own_block_rule:
+                        # Input own-block rule: an input move back into the
+                        # state's own class is invisible.
+                        blocks = blocks - {own}
+                signature.append((aid, blocks))
             for targets in out_reach[state]:
                 signature.append(frozenset(map(block_get, targets)))
             signature = tuple(signature)
@@ -462,7 +494,7 @@ def _plain_partition(
             rate_sources = [[] for _ in range(num_states)]
             for state in range(num_states):
                 read = set(closures[state]) if has_internal else set()
-                for targets in in_reach[state]:
+                for _aid, targets in input_moves[state]:
                     read.update(targets)
                 for targets in out_reach[state]:
                     read.update(targets)
@@ -892,7 +924,11 @@ def _block_map(partition: Partition) -> Dict[int, int]:
 
 
 def quotient_strong(model: IOIMC, partition: Partition, name: str | None = None) -> IOIMC:
-    """Quotient of ``model`` under a strong bisimulation partition."""
+    """Quotient of ``model`` under a strong bisimulation partition.
+
+    Every block's representative matches each member's moves into other
+    blocks, so the quotient of a model marked as having every state
+    reachable is marked too."""
     block_of = _block_map(partition)
     input_ids = model.signature.input_ids
     itrans = model._itrans
@@ -922,6 +958,7 @@ def quotient_strong(model: IOIMC, partition: Partition, name: str | None = None)
         [model._labels[rep] for rep in representatives],
         [f"B{block_id}" for block_id in range(len(partition))],
         block_of[model.initial],
+        model._all_reachable,
     )
 
 
@@ -941,6 +978,12 @@ def _plain_weak_quotient(
     then tau moves by block; input own-block moves and tau self-block moves
     are left out, and the rates come from the block's smallest stable
     member.
+
+    Each block weakly matches every member's visible and tau moves into
+    other blocks, and every stable member's rates, so the quotient is
+    marked as having every state reachable when ``model`` is and no state
+    of it has both an internal move and a rate (the rates of such a state,
+    which maximal progress would prune, are left out).
     """
     partition, sets, class_of, tau_succ = refinement
     block_of = [0] * model.num_states
@@ -950,7 +993,7 @@ def _plain_weak_quotient(
     if class_of is None:
         node_block = block_of
     else:
-        node_block = [0] * len(sets.in_reach)
+        node_block = [0] * len(sets.input_moves)
         for state, node in enumerate(class_of):
             node_block[node] = block_of[state]
     internal_actions = sorted(model.signature.internals)
@@ -962,7 +1005,7 @@ def _plain_weak_quotient(
     for block_id, rep in enumerate(reps):
         node = rep if class_of is None else class_of[rep]
         visible = set()
-        for aid, targets in zip(sets.input_ids, sets.in_reach[node]):
+        for aid, targets in sets.input_moves[node]:
             for target in targets:
                 target_block = node_block[target]
                 if target_block != block_id:
@@ -1001,6 +1044,11 @@ def _plain_weak_quotient(
         [model._labels[rep] for rep in reps],
         [f"B{block_id}" for block_id in range(len(partition))],
         block_of[model.initial],
+        model._all_reachable
+        and (
+            tau_succ is None
+            or not any(rates and succs for rates, succs in zip(mtrans, tau_succ))
+        ),
     )
 
 
@@ -1057,7 +1105,11 @@ def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -
 
 
 def minimize_strong(model: IOIMC, algorithm: str = "closure") -> IOIMC:
-    """Minimise ``model`` modulo strong bisimulation."""
+    """Minimise ``model`` modulo strong bisimulation.
+
+    Returns the reachable part of the quotient.  The quotient of a model
+    marked as having every state reachable is marked too, so only an
+    unmarked input pays for a reachability search."""
     partition = strong_bisimulation_partition(model, algorithm=algorithm)
     return quotient_strong(model, partition)._reachable_part()
 
@@ -1076,6 +1128,13 @@ def minimize_weak(model: IOIMC, algorithm: str = "closure") -> IOIMC:
     reachable part comes back as it is (the input object itself when every
     state is reachable), which equals the quotient up to state names and
     move order.
+
+    Either way the result is restricted to the states reachable from its
+    initial one.  The quotient of an input marked as having every state
+    reachable (a product of :func:`~repro.ioimc.composition.parallel`, or
+    what :func:`~repro.ioimc.reduction.aggregate` hands on) is marked too,
+    unless a state with an internal move has rates; only an unmarked model
+    pays for the search.
     """
     _check_algorithm(algorithm)
     if algorithm == "signature":

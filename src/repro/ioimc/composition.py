@@ -195,6 +195,7 @@ def parallel(
         labels,
         names,
         initial,
+        all_reachable=True,  # explored from the initial pair
     )
     composite.validate()
     return composite

@@ -20,12 +20,15 @@ from .model import IOIMC
 def apply_maximal_progress(model: IOIMC) -> IOIMC:
     """Return a copy of ``model`` without Markovian transitions in urgent states."""
     urgent = model.signature.urgent_ids
+    # Dropping rates can cut states off, so the copy is not marked as
+    # all-reachable.
     return model._with_moves(
         [list(pairs) for pairs in model._itrans],
         [
             {} if _has_move_in(pairs, urgent) else dict(rates)
             for pairs, rates in zip(model._itrans, model._mtrans)
         ],
+        keeps_paths=False,
     )
 
 

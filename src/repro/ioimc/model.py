@@ -36,6 +36,15 @@ checks nothing.  These paths read their inputs through the same raw lists,
 not through the per-state queries, and work on interned ids, never on
 action names.
 
+Reachability is carried, not searched for: a model may be marked as having
+every state reachable from its initial one.  Builders that explore from
+the initial state (composition, :func:`~repro.ioimc.behavior.build_ioimc`)
+and the transformations that keep every path (copies, hiding, renaming,
+self-loop removal, compression, the minimisers' quotients, unpickling) mark
+what they make; the per-state mutators clear the mark, and the
+maximal-progress prune, which can cut states off, never sets it.
+``_reachable_part`` hands a marked model back as it is.
+
 Conventions
 -----------
 
@@ -113,6 +122,7 @@ class IOIMC:
         "_num_itrans",
         "_on_cache",
         "_enabled_cache",
+        "_all_reachable",
     )
 
     def __init__(self, name: str, signature: ActionSignature):
@@ -128,6 +138,7 @@ class IOIMC:
         labels: List[FrozenSet[str]],
         names: List[Optional[str]],
         initial: Optional[int],
+        all_reachable: bool = False,
     ) -> "IOIMC":
         """A model made of the given per-state lists, taken as they are.
 
@@ -135,10 +146,13 @@ class IOIMC:
         quotients.  The lists become the model's own, so the caller hands
         over fresh ones.  Nothing is checked: each state's pairs are
         distinct, every target is a state, every rate is positive and every
-        action id is in ``signature``.
+        action id is in ``signature``.  ``all_reachable`` is the caller's
+        word that every state is reachable from ``initial`` (see
+        :meth:`_reachable_part`).
         """
         model = cls.__new__(cls)
         model._adopt(name, signature, itrans, mtrans, labels, names, initial)
+        model._all_reachable = all_reachable
         return model
 
     def _adopt(
@@ -165,6 +179,10 @@ class IOIMC:
         num = len(itrans)
         self._on_cache: List[Optional[Dict[int, Tuple[int, ...]]]] = [None] * num
         self._enabled_cache: List[Optional[FrozenSet[int]]] = [None] * num
+        #: Whether every state is known to be reachable from the initial
+        #: state.  Builders that explore from it, and transformations that
+        #: keep every path, set it; every per-state mutator clears it.
+        self._all_reachable = False
 
     def _with_moves(
         self,
@@ -172,9 +190,15 @@ class IOIMC:
         mtrans: List[Dict[int, float]],
         name: Optional[str] = None,
         signature: Optional[ActionSignature] = None,
+        keeps_paths: bool = True,
     ) -> "IOIMC":
         """A model over this model's states (labels, names, initial state)
-        with the given fresh moves, built by :meth:`_from_lists`."""
+        with the given fresh moves, built by :meth:`_from_lists`.
+
+        It inherits this model's reachability mark unless ``keeps_paths`` is
+        false, as it must be when the new moves may reach less than the old
+        ones (every caller but the maximal-progress prune keeps each move or
+        drops only self-loops)."""
         return IOIMC._from_lists(
             name if name is not None else self.name,
             signature if signature is not None else self.signature,
@@ -183,6 +207,7 @@ class IOIMC:
             list(self._labels),
             list(self._state_names),
             self._initial,
+            keeps_paths and self._all_reachable,
         )
 
     # ------------------------------------------------------------------ build
@@ -193,6 +218,7 @@ class IOIMC:
         initial: bool = False,
     ) -> int:
         """Add a state and return its index."""
+        self._all_reachable = False
         index = len(self._itrans)
         self._itrans.append([])
         self._mtrans.append({})
@@ -224,6 +250,7 @@ class IOIMC:
         """
         self._check_state(source)
         self._check_state(target)
+        self._all_reachable = False
         buckets = self._on_cache[source]
         if buckets is None:
             buckets = self._build_on_cache(source)
@@ -243,11 +270,13 @@ class IOIMC:
         self._check_state(target)
         if not rate > 0.0:
             raise ModelError(f"Markovian rates must be positive, got {rate}")
+        self._all_reachable = False
         per_state = self._mtrans[source]
         per_state[target] = per_state.get(target, 0.0) + rate
 
     def set_initial(self, state: int) -> None:
         self._check_state(state)
+        self._all_reachable = False
         self._initial = state
 
     def set_labels(self, state: int, labels: Iterable[str]) -> None:
@@ -430,6 +459,7 @@ class IOIMC:
             "state_names": self._state_names,
             "initial": self._initial,
             "actions": {aid: names(aid) for aid in used},
+            "all_reachable": self._all_reachable,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -450,6 +480,7 @@ class IOIMC:
             state["state_names"],
             state["initial"],
         )
+        self._all_reachable = state.get("all_reachable", False)
 
     # -------------------------------------------------------- transformations
     def copy(self, name: Optional[str] = None) -> "IOIMC":
@@ -537,9 +568,17 @@ class IOIMC:
     def _reachable_part(self, name: Optional[str] = None) -> "IOIMC":
         """:meth:`restrict_to_reachable` without the copy when every state is
         reachable: then the model itself comes back, ``name`` ignored.  For
-        pipelines that own the model they restrict."""
+        pipelines that own the model they restrict.
+
+        A model marked as all-reachable (see :meth:`_from_lists`) comes back
+        without a search.  Otherwise the search runs, and its result, this
+        model or the restriction, is marked, so asking again costs nothing.
+        """
+        if self._all_reachable:
+            return self
         reachable = sorted(self.reachable_states())
         if len(reachable) == self.num_states:
+            self._all_reachable = True
             return self
         # Every move of a reachable state ends in a reachable state.
         remap = [-1] * self.num_states
@@ -558,6 +597,7 @@ class IOIMC:
             [self._labels[old] for old in reachable],
             [self._state_names[old] for old in reachable],
             remap[self.initial],
+            all_reachable=True,
         )
 
     def relabel_states(self, labelling: Mapping[int, Iterable[str]]) -> "IOIMC":

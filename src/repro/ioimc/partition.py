@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from ..errors import ModelError
 from .rates import ParametricRate
 
 #: Digits past the leading one compared when two aggregate Markovian rates
@@ -21,7 +22,8 @@ def canonical_rate(value):
 
     Plain floats are rounded :data:`RATE_DIGITS` digits past their leading
     digit, so floating-point noise from rate aggregation cannot split blocks; both
-    refinement engines share this tolerance.
+    refinement engines share this tolerance.  A sum that overflowed to
+    infinity is a :class:`~repro.errors.ModelError`.
 
     :class:`~repro.ioimc.rates.ParametricRate` forms are keyed *structurally*
     (each coefficient rounded the same way): two rates whose nominal values
@@ -38,5 +40,10 @@ def canonical_rate(value):
 def _round_significant(value: float) -> float:
     if value == 0.0:
         return 0.0
+    if not math.isfinite(value):
+        raise ModelError(
+            f"a sum of Markovian rates overflows to {value}: the rates of one "
+            "state into one class must sum below the largest float"
+        )
     magnitude = int(math.floor(math.log10(abs(value))))
     return round(value, RATE_DIGITS - magnitude)

@@ -8,8 +8,9 @@ single :func:`aggregate` entry point, one pass over the model:
 2. maximal progress (urgency) pruning,
 3. removal of internal self-loops,
 4. compression of deterministic internal transitions (vanishing states whose
-   only behaviour is a single internal step), and reachability again, only
-   if step 2 removed a move (steps 3 and 4 keep every state reachable),
+   only behaviour is a single internal step), and reachability again, a
+   search only if step 2 removed a move (steps 3 and 4 keep every state
+   reachable),
 5. bisimulation minimisation (weak by default, strong as a cross-check),
 6. maximal progress and compression once more, then reachability if the
    prune removed a move: the quotient can leave an urgent state with rates
@@ -177,6 +178,8 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
             rates[resolved_target] = rates.get(resolved_target, 0.0) + rate
         compressed_mtrans.append(rates)
     names = model._shown_names()
+    # Every path through a vanishing state now goes where that state led,
+    # so a model with every state reachable keeps that.
     return IOIMC._from_lists(
         model.name,
         model.signature,
@@ -185,6 +188,7 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
         [model._labels[old] for old in keep],
         [names[old] for old in keep],
         moved[model.initial],
+        model._all_reachable,
     )
 
 
@@ -207,8 +211,13 @@ def aggregate(
 ) -> tuple[IOIMC, AggregationStatistics]:
     """Run the full aggregation pipeline on ``model``.
 
-    Returns the reduced model (never ``model`` itself) together with
-    before/after statistics.
+    Returns the reduced model (never ``model`` itself), restricted to the
+    states reachable from its initial one, together with before/after
+    statistics.  Step 1 searches only when ``model`` is not marked as having
+    every state reachable (see :meth:`~repro.ioimc.model.IOIMC._reachable_part`);
+    the products of :func:`~repro.ioimc.composition.parallel` and the
+    models of :func:`~repro.ioimc.behavior.build_ioimc` are marked, so the
+    aggregation loop never searches before a maximal-progress prune.
     """
     options = options or AggregationOptions()
     stats = AggregationStatistics(
@@ -254,11 +263,12 @@ def _settle(model: IOIMC) -> IOIMC:
     compression, then reachability (steps 2-4, and step 6: a strong
     quotient or a compressed tau-cycle can carry internal self-loops).
 
-    ``model`` has every state reachable, and only the maximal-progress
-    prune can cut a state off: dropping self-loops keeps every path, and
-    compression reroutes each path through a vanishing state to where that
-    state leads.  So reachability runs only after a prune.
+    ``model`` is marked as having every state reachable, and only the
+    maximal-progress prune can cut a state off: dropping self-loops keeps
+    every path, and compression reroutes each path through a vanishing
+    state to where that state leads, so both keep the mark.  So the
+    reachability search runs only after a prune, which leaves its copy
+    unmarked.
     """
     pruned = _prune_urgent_rates(model)
-    settled = compress_deterministic_tau(_drop_internal_self_loops(pruned))
-    return settled._reachable_part() if pruned is not model else settled
+    return compress_deterministic_tau(_drop_internal_self_loops(pruned))._reachable_part()
