@@ -360,21 +360,6 @@ def _query_wants_gradients(query: Query) -> bool:
     return any(isinstance(measure, ImportanceRanking) for measure in query)
 
 
-def _degenerate_envelope(skeleton: CtmcSkeleton) -> CtmdpSkeleton:
-    """The choice-free CTMDP view of a CTMC skeleton (bounds coincide).
-
-    Used to differentiate deterministic models: the CTMDP kernel's gradient
-    sweep works unchanged on a skeleton with no vanishing choices.
-    """
-    return CtmdpSkeleton(
-        num_states=skeleton.num_states,
-        initial=skeleton.initial,
-        labels=skeleton.labels,
-        choices=((),) * skeleton.num_states,
-        edges=skeleton.edges,
-    )
-
-
 class Evaluation(NamedTuple):
     """One evaluation of a :class:`CompiledModel` under one rate assignment.
 
@@ -396,11 +381,12 @@ class Evaluation(NamedTuple):
 class CompiledModel:
     """A rate-independent skeleton together with its reusable solver kernels.
 
-    The kernel (a :class:`TransientKernel` for CTMC skeletons, reusing a
-    prebuilt :class:`~repro.ctmc.kernel.CsrBuffer` when one is given, or a
-    :class:`CtmdpKernel`) and the gradient kernel (the CTMDP kernel itself,
-    or the choice-free envelope of a CTMC skeleton) are built on first use
-    and kept, so every later evaluation only refills rate data.
+    The kernel (a :class:`TransientKernel` for CTMC skeletons, a
+    :class:`CtmdpKernel` for CTMDP ones, either reusing a prebuilt
+    :class:`~repro.ctmc.kernel.CsrBuffer` when one is given) and the
+    gradient kernel (the CTMDP kernel itself, or a :class:`CtmdpKernel` on
+    the choice-free CTMC skeleton with a buffer of its own) are built on
+    first use and kept, so every later evaluation only refills rate data.
     ``Study`` (with or without a skeleton cache), sweep rows, the optimiser
     and the service all evaluate skeletons through :meth:`evaluate_many`
     (:meth:`evaluate` is its batch of one).
@@ -426,10 +412,8 @@ class CompiledModel:
     def kernel(self) -> Union[TransientKernel, CtmdpKernel]:
         """The skeleton's bound or transient solver (built once)."""
         if self._kernel is None:
-            if isinstance(self.skeleton, CtmcSkeleton):
-                self._kernel = TransientKernel(self.skeleton, buffer=self._buffer)
-            else:
-                self._kernel = self.skeleton.ctmdp_kernel()
+            solver = TransientKernel if isinstance(self.skeleton, CtmcSkeleton) else CtmdpKernel
+            self._kernel = solver(self.skeleton, buffer=self._buffer)
         return self._kernel
 
     @property
@@ -437,10 +421,11 @@ class CompiledModel:
         """The parametric CTMDP kernel that differentiates this model."""
         if self._gradient_kernel is None:
             kernel = self.kernel
+            # A CTMC's own kernel keeps the loaded batch its MTTF and
+            # steady-state solves read, so the gradient sweep gets a buffer
+            # of its own.
             self._gradient_kernel = (
-                kernel
-                if isinstance(kernel, CtmdpKernel)
-                else _degenerate_envelope(self.skeleton).ctmdp_kernel()  # type: ignore[arg-type]
+                kernel if isinstance(kernel, CtmdpKernel) else CtmdpKernel(self.skeleton)
             )
         return self._gradient_kernel
 

@@ -9,8 +9,10 @@ non-deterministic models.
 Every uniformisation series runs in :mod:`repro.ctmc.kernel`: the forward
 series of :class:`TransientKernel` behind every CTMC curve, distribution and
 reachability probability, and the backward series of :class:`CtmdpKernel`
-behind every CTMDP bound.  Studies and sweeps load rate samples into kernels
-built from a skeleton; a concrete :class:`CTMC` or :class:`CTMDP` keeps one
+behind every CTMDP bound, gradient and scheduler.  A CTMC skeleton is the
+choice-free CTMDP skeleton, so the backward kernel differentiates CTMCs too.
+Studies and sweeps load rate samples into kernels built from a skeleton; a
+concrete :class:`CTMC` or :class:`CTMDP`, which share one base, keeps one
 kernel of its own edges.
 """
 

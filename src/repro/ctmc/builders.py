@@ -95,6 +95,9 @@ class CtmcSkeleton(_EdgeParameters):
     plain float or a :class:`~repro.ioimc.rates.ParametricRate`;
     :meth:`instantiate` evaluates the rates (under an optional parameter
     assignment) into a fresh :class:`CTMC` without touching the structure.
+    A CTMC skeleton is the choice-free CTMDP skeleton: its derived
+    :attr:`choices` let a :class:`~repro.ctmc.kernel.CtmdpKernel` run on it,
+    which is how deterministic models are differentiated.
     """
 
     num_states: int
@@ -102,6 +105,11 @@ class CtmcSkeleton(_EdgeParameters):
     labels: Tuple[FrozenSet[str], ...]
     state_names: Tuple[Optional[str], ...]
     edges: Tuple[Tuple[int, int, RateLike], ...]
+
+    @property
+    def choices(self) -> Tuple[Tuple[int, ...], ...]:
+        """No state is vanishing (derived, so pickles and store keys keep their fields)."""
+        return ((),) * self.num_states
 
     def instantiate(self, assignment: Optional[Mapping[str, float]] = None) -> CTMC:
         """A concrete CTMC with the rates evaluated under ``assignment``.

@@ -12,7 +12,9 @@ with the measures needed by the paper:
 Every measure runs on :class:`~repro.ctmc.kernel.TransientKernel`, the
 package's one uniformisation series and generator solver: the chain builds
 a kernel of its own edges on the first measure call and keeps it until a
-mutator changes the chain.
+mutator changes the chain.  States, rates, labels and that cached kernel
+live in :class:`_MarkovModel`, which :class:`~repro.ctmc.ctmdp.CTMDP`
+shares: a CTMC is the CTMDP without vanishing choice states.
 """
 
 from __future__ import annotations
@@ -38,23 +40,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
     from .kernel import TransientKernel
 
 
-class CTMC:
-    """An explicit-state labelled continuous-time Markov chain."""
+class _MarkovModel:
+    """What a concrete CTMC and CTMDP share: states, rates, labels, a kernel.
+
+    Every mutator bumps a structure version, so the kernel :meth:`_kernel`
+    caches is rebuilt exactly when the model changed.  A subclass names the
+    kernel its edges build in :meth:`_new_kernel`.
+    """
 
     def __init__(self, num_states: int, initial: int = 0):
         if num_states <= 0:
-            raise ModelError("a CTMC needs at least one state")
+            raise ModelError(f"a {type(self).__name__} needs at least one state")
         if not 0 <= initial < num_states:
             raise ModelError(f"initial state {initial} out of range")
         self._num_states = num_states
         self._initial = initial
         self._rates: List[Dict[int, float]] = [dict() for _ in range(num_states)]
         self._labels: List[FrozenSet[str]] = [frozenset() for _ in range(num_states)]
-        self._state_names: List[Optional[str]] = [None] * num_states
-        # Structure version: bumped by every mutator so the cached transient
-        # kernel is rebuilt exactly when needed (as CTMDP does).
         self._version = 0
-        self._engine: Optional[Tuple[int, "TransientKernel"]] = None
+        self._engine: Optional[Tuple[int, object]] = None
 
     # ------------------------------------------------------------------ build
     def add_rate(self, source: int, target: int, rate: float) -> None:
@@ -63,20 +67,19 @@ class CTMC:
         self._check(target)
         if not rate > 0.0:
             raise ModelError(f"rates must be positive, got {rate}")
+        self._check_tangible(source)
         if source == target:
-            # A rate back to the same state has no observable effect on a CTMC.
+            # A rate back to the same state has no observable effect.
             return
         self._rates[source][target] = self._rates[source].get(target, 0.0) + rate
         self._version += 1
 
+    def _check_tangible(self, source: int) -> None:
+        """Raise if ``source`` may not carry rates (every state may, here)."""
+
     def set_labels(self, state: int, labels: Iterable[str]) -> None:
         self._check(state)
         self._labels[state] = frozenset(labels)
-        self._version += 1
-
-    def set_state_name(self, state: int, name: str) -> None:
-        self._check(state)
-        self._state_names[state] = name
         self._version += 1
 
     def set_initial(self, state: int) -> None:
@@ -90,10 +93,6 @@ class CTMC:
         return self._num_states
 
     @property
-    def num_transitions(self) -> int:
-        return sum(len(row) for row in self._rates)
-
-    @property
     def initial(self) -> int:
         return self._initial
 
@@ -104,6 +103,56 @@ class CTMC:
         self._check(state)
         return self._labels[state]
 
+    def exit_rate(self, state: int) -> float:
+        self._check(state)
+        return sum(self._rates[state].values())
+
+    def states_with_label(self, label: str) -> FrozenSet[int]:
+        return frozenset(s for s in self.states() if label in self._labels[s])
+
+    # ---------------------------------------------------------------- kernel
+    def _edges(self) -> Tuple[Tuple[int, int, float], ...]:
+        return tuple(
+            (source, target, rate)
+            for source, row in enumerate(self._rates)
+            for target, rate in row.items()
+        )
+
+    def _new_kernel(self):
+        raise NotImplementedError
+
+    def _kernel(self):
+        """The (cached) kernel of this model's edges, its one sample loaded."""
+        cached = self._engine
+        if cached is None or cached[0] != self._version:
+            kernel = self._new_kernel()
+            kernel.load()
+            cached = (self._version, kernel)
+            self._engine = cached
+        return cached[1]
+
+    def _check(self, state: int) -> None:
+        if not 0 <= state < self._num_states:
+            raise ModelError(f"state {state} out of range (0..{self._num_states - 1})")
+
+
+class CTMC(_MarkovModel):
+    """An explicit-state labelled continuous-time Markov chain."""
+
+    def __init__(self, num_states: int, initial: int = 0):
+        super().__init__(num_states, initial)
+        self._state_names: List[Optional[str]] = [None] * num_states
+
+    def set_state_name(self, state: int, name: str) -> None:
+        self._check(state)
+        self._state_names[state] = name
+        self._version += 1
+
+    # ---------------------------------------------------------------- queries
+    @property
+    def num_transitions(self) -> int:
+        return sum(len(row) for row in self._rates)
+
     def state_name(self, state: int) -> str:
         self._check(state)
         name = self._state_names[state]
@@ -113,16 +162,9 @@ class CTMC:
         self._check(state)
         return iter(self._rates[state].items())
 
-    def exit_rate(self, state: int) -> float:
-        self._check(state)
-        return sum(self._rates[state].values())
-
     def is_absorbing(self, state: int) -> bool:
         self._check(state)
         return not self._rates[state]
-
-    def states_with_label(self, label: str) -> FrozenSet[int]:
-        return frozenset(s for s in self.states() if label in self._labels[s])
 
     def max_exit_rate(self) -> float:
         return max((self.exit_rate(s) for s in self.states()), default=0.0)
@@ -171,29 +213,19 @@ class CTMC:
         return vector
 
     # ---------------------------------------------------------------- measures
-    def _kernel(self) -> "TransientKernel":
-        """The (cached) transient kernel of this chain, its one sample loaded."""
+    def _new_kernel(self) -> "TransientKernel":
         from .builders import CtmcSkeleton
         from .kernel import TransientKernel
 
-        cached = self._engine
-        if cached is None or cached[0] != self._version:
-            skeleton = CtmcSkeleton(
+        return TransientKernel(
+            CtmcSkeleton(
                 num_states=self._num_states,
                 initial=self._initial,
                 labels=tuple(self._labels),
                 state_names=tuple(self._state_names),
-                edges=tuple(
-                    (source, target, rate)
-                    for source, row in enumerate(self._rates)
-                    for target, rate in row.items()
-                ),
+                edges=self._edges(),
             )
-            kernel = TransientKernel(skeleton)
-            kernel.load()
-            cached = (self._version, kernel)
-            self._engine = cached
-        return cached[1]
+        )
 
     def transient_distribution(
         self,
@@ -245,11 +277,6 @@ class CTMC:
         reached with probability one from the initial state.
         """
         return self._kernel().mean_time_to_label(label)
-
-    # ---------------------------------------------------------------- helpers
-    def _check(self, state: int) -> None:
-        if not 0 <= state < self._num_states:
-            raise ModelError(f"state {state} out of range (0..{self._num_states - 1})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CTMC(states={self.num_states}, transitions={self.num_transitions})"

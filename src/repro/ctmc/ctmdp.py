@@ -21,17 +21,22 @@ truncation error; it is reported as the optimistic/pessimistic bound pair used
 in the benchmarks.  The value iteration runs on the backward series of
 :class:`~repro.ctmc.kernel.CtmdpKernel`, which a model builds from its own
 edges and keeps until it changes; :class:`VanishingResolver` is the kernel's
-vanishing-state step.
+vanishing-state step.  :class:`CTMDP` shares its states, rates, labels and
+cached kernel with :class:`~repro.ctmc.ctmc.CTMC` and adds the choices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError, ModelError
 from ..graph import strongly_connected_components
+from .ctmc import _MarkovModel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
+    from .kernel import CtmdpKernel
 
 
 class VanishingResolver:
@@ -41,7 +46,8 @@ class VanishingResolver:
     vanishing-state dependency graph (vanishing state -> its vanishing
     successors).  Acyclic vanishing states are grouped into dependency
     *levels* — every state of a level depends only on strictly lower levels —
-    and each level resolves in one vectorised segmented reduction, so a chain
+    and each level resolves in one running max/min over its successor
+    columns, the same for a vector and a stack of blocks, so a chain
     of n vanishing states costs O(n) work instead of the O(n^2) round-robin
     fixpoint it used to.  Genuinely cyclic SCCs (cycles of instantaneous
     internal moves) keep the iterate-with-round-cap treatment, scoped to the
@@ -105,24 +111,17 @@ class VanishingResolver:
 
     @classmethod
     def _wave(cls, states: List[int], choices: Sequence[Tuple[int, ...]]) -> tuple:
-        targets = np.fromiter(
-            (target for state in states for target in choices[state]), dtype=np.int64
-        )
-        counts = np.fromiter(
-            (len(choices[state]) for state in states), dtype=np.int64, count=len(states)
-        )
-        offsets = np.zeros(len(states), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
         scalar = (
             tuple((state, choices[state]) for state in states)
             if len(states) < cls._SCALAR_LEVEL_LIMIT
             else None
         )
         # Every state's k-th successor as column k, padded with its first
-        # successor (max and min ignore a repeat): a stack of blocks takes a
-        # running max/min over the columns, where a segmented reduction
-        # would dispatch once per segment and block.
-        width = int(counts.max())
+        # successor (max and min ignore a repeat, and the first column that
+        # attains the optimum is still the first successor in choice order):
+        # a running max/min over the columns reduces a vector or a stack of
+        # blocks with one dispatch per column.
+        width = max(len(choices[state]) for state in states)
         columns = np.array(
             [
                 list(choices[state]) + [choices[state][0]] * (width - len(choices[state]))
@@ -130,15 +129,13 @@ class VanishingResolver:
             ],
             dtype=np.int64,
         ).T
-        return (
-            "wave",
-            np.asarray(states, dtype=np.int64),
-            targets,
-            offsets,
-            counts,
-            scalar,
-            columns,
-        )
+        # Prebuilt indices of each column (and of the states) into a vector
+        # and into a stack: they cost a fraction of building them per call.
+        keys = [np.ascontiguousarray(column) for column in columns]
+        keys.append(np.asarray(states, dtype=np.int64))
+        vector = tuple((key,) for key in keys)
+        stack = tuple((slice(None), key) for key in keys)
+        return ("wave", columns, scalar, vector, stack)
 
     def resolve(
         self,
@@ -165,38 +162,32 @@ class VanishingResolver:
             raise AnalysisError("successor tracking resolves one vector at a time")
         reducer = np.maximum if maximize else np.minimum
         for entry in self._plan:
-            if entry[0] == "wave":
-                _tag, states, targets, offsets, counts, scalar, columns = entry
-                if values.ndim > 1:
-                    best = values[:, columns[0]]
-                    for column in columns[1:]:
-                        reducer(best, values[:, column], out=best)
-                    values[:, states] = best
-                elif scalar is not None and not tracking:
-                    best_of = max if maximize else min
-                    for state, successors in scalar:
-                        values[state] = best_of(values[t] for t in successors)
+            if entry[0] == "cycle":
+                if values.ndim == 1:
+                    self._resolve_cycle(values, maximize, entry[1], companion, choice_out)
                 else:
-                    picked = values[targets]
-                    best = reducer.reduceat(picked, offsets)
-                    if tracking:
-                        # First successor attaining the optimum, per segment.
-                        matches = np.where(
-                            picked == np.repeat(best, counts),
-                            np.arange(len(targets)),
-                            len(targets),
-                        )
-                        chosen = targets[np.minimum.reduceat(matches, offsets)]
-                        if companion is not None:
-                            companion[states] = companion[chosen]
-                        if choice_out is not None:
-                            choice_out[states] = chosen
-                    values[states] = best
-            elif values.ndim == 1:
-                self._resolve_cycle(values, maximize, entry[1], companion, choice_out)
-            else:
-                for row in values:
-                    self._resolve_cycle(row, maximize, entry[1], None)
+                    for row in values:
+                        self._resolve_cycle(row, maximize, entry[1], None)
+                continue
+            _tag, columns, scalar, vector, stack = entry
+            if scalar is not None and values.ndim == 1 and not tracking:
+                best_of = max if maximize else min
+                for state, successors in scalar:
+                    values[state] = best_of(values[t] for t in successors)
+                continue
+            *keys, states = vector if values.ndim == 1 else stack
+            best = values[keys[0]]
+            for key in keys[1:]:
+                reducer(best, values[key], out=best)
+            if tracking:
+                # The first column attaining the optimum, per state.
+                first = np.argmax(values[columns] == best, axis=0)
+                chosen = columns[first, np.arange(columns.shape[1])]
+                if companion is not None:
+                    companion[vector[-1]] = companion[chosen]
+                if choice_out is not None:
+                    choice_out[vector[-1]] = chosen
+            values[states] = best
         return values
 
     @staticmethod
@@ -208,6 +199,10 @@ class VanishingResolver:
         choice_out: Optional[np.ndarray] = None,
     ) -> None:
         best_of = max if maximize else min
+
+        def ties(state: int, target: int) -> bool:
+            return bool(np.isclose(values[target], values[state], rtol=0.0, atol=1e-15))
+
         for _round in range(len(members) + 1):
             changed = False
             for state, targets in members:
@@ -222,54 +217,48 @@ class VanishingResolver:
                 "vanishing states do not stabilise: the model contains a cycle of "
                 "instantaneous internal moves"
             )
-        if companion is not None or choice_out is not None:
-            # Follow the converged selection; rows need as many hops to settle
-            # as the cycle's diameter, hence the same round cap.
-            for _round in range(len(members) + 1):
-                for state, targets in members:
-                    chosen = targets[0]
-                    for target in targets:
-                        if values[target] == values[state]:
-                            chosen = target
-                            break
-                    if companion is not None:
-                        companion[state] = companion[chosen]
-                    if choice_out is not None:
-                        choice_out[state] = chosen
+        if companion is None and choice_out is None:
+            return
+        # Every member ties with the member it came from, so the selection
+        # must lead out of the cycle: first the members with an optimal
+        # successor outside it, then, round by round, those whose optimal
+        # successor is settled.  A member that reaches no optimal exit
+        # attains its value by staying, so it keeps its first optimal one.
+        pending = dict(members)
+        settled: Dict[int, int] = {}
+        while pending:
+            ready = {}
+            for state, targets in pending.items():
+                exit_ = next((t for t in targets if t not in pending and ties(state, t)), None)
+                if exit_ is not None:
+                    ready[state] = exit_
+            if not ready:
+                for state, targets in pending.items():
+                    settled[state] = next((t for t in targets if ties(state, t)), targets[0])
+                break
+            settled.update(ready)
+            for state in ready:
+                del pending[state]
+        for state, chosen in settled.items():
+            if companion is not None:
+                companion[state] = companion[chosen]
+            if choice_out is not None:
+                choice_out[state] = chosen
 
 
-class CTMDP:
+class CTMDP(_MarkovModel):
     """A CTMC enriched with vanishing non-deterministic choice states."""
 
     def __init__(self, num_states: int, initial: int = 0):
-        if num_states <= 0:
-            raise ModelError("a CTMDP needs at least one state")
-        if not 0 <= initial < num_states:
-            raise ModelError(f"initial state {initial} out of range")
-        self._num_states = num_states
-        self._initial = initial
-        self._rates: List[Dict[int, float]] = [dict() for _ in range(num_states)]
+        super().__init__(num_states, initial)
         self._choices: List[Tuple[int, ...]] = [() for _ in range(num_states)]
-        self._labels: List[FrozenSet[str]] = [frozenset() for _ in range(num_states)]
-        # Structure version: bumped by every mutator so the cached
-        # backward-sweep kernel is rebuilt exactly when needed.
-        self._version = 0
-        self._engine: Optional[Tuple[int, object]] = None
 
     # ------------------------------------------------------------------ build
-    def add_rate(self, source: int, target: int, rate: float) -> None:
-        self._check(source)
-        self._check(target)
-        if not rate > 0.0:
-            raise ModelError(f"rates must be positive, got {rate}")
+    def _check_tangible(self, source: int) -> None:
         if self._choices[source]:
             raise ModelError(
                 f"state {source} is a vanishing choice state and cannot carry rates"
             )
-        if source == target:
-            return
-        self._rates[source][target] = self._rates[source].get(target, 0.0) + rate
-        self._version += 1
 
     def set_choices(self, source: int, targets: Iterable[int]) -> None:
         """Declare ``source`` vanishing with the given instantaneous successors."""
@@ -286,32 +275,7 @@ class CTMDP:
         self._choices[source] = target_tuple
         self._version += 1
 
-    def set_labels(self, state: int, labels: Iterable[str]) -> None:
-        self._check(state)
-        self._labels[state] = frozenset(labels)
-        self._version += 1
-
-    def set_initial(self, state: int) -> None:
-        self._check(state)
-        self._initial = state
-        self._version += 1
-
     # ---------------------------------------------------------------- queries
-    @property
-    def num_states(self) -> int:
-        return self._num_states
-
-    @property
-    def initial(self) -> int:
-        return self._initial
-
-    def states(self) -> range:
-        return range(self._num_states)
-
-    def labels(self, state: int) -> FrozenSet[str]:
-        self._check(state)
-        return self._labels[state]
-
     def is_vanishing(self, state: int) -> bool:
         self._check(state)
         return bool(self._choices[state])
@@ -324,41 +288,24 @@ class CTMDP:
         self._check(state)
         return tuple(self._rates[state].items())
 
-    def exit_rate(self, state: int) -> float:
-        self._check(state)
-        return sum(self._rates[state].values())
-
-    def states_with_label(self, label: str) -> FrozenSet[int]:
-        return frozenset(s for s in self.states() if label in self._labels[s])
-
     @property
     def has_nondeterminism(self) -> bool:
         return any(len(choice) > 1 for choice in self._choices)
 
     # --------------------------------------------------------------- analysis
-    def _kernel(self):
-        """The (cached) shared-structure backward-sweep kernel of this model."""
+    def _new_kernel(self) -> "CtmdpKernel":
         from .builders import CtmdpSkeleton
         from .kernel import CtmdpKernel
 
-        cached = self._engine
-        if cached is None or cached[0] != self._version:
-            skeleton = CtmdpSkeleton(
+        return CtmdpKernel(
+            CtmdpSkeleton(
                 num_states=self._num_states,
                 initial=self._initial,
                 labels=tuple(self._labels),
                 choices=tuple(self._choices),
-                edges=tuple(
-                    (source, target, rate)
-                    for source, row in enumerate(self._rates)
-                    for target, rate in row.items()
-                ),
+                edges=self._edges(),
             )
-            kernel = CtmdpKernel(skeleton)
-            kernel.load()
-            cached = (self._version, kernel)
-            self._engine = cached
-        return cached[1]
+        )
 
     def time_bounded_reachability_curve(
         self,
@@ -431,11 +378,6 @@ class CTMDP:
         """(minimum, maximum) probability of having reached ``label`` by ``time``."""
         lower, upper = self.reachability_bounds_curve(label, [time], tolerance=tolerance)
         return float(lower[0]), float(upper[0])
-
-    # ---------------------------------------------------------------- helpers
-    def _check(self, state: int) -> None:
-        if not 0 <= state < self._num_states:
-            raise ModelError(f"state {state} out of range (0..{self._num_states - 1})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         vanishing = sum(1 for s in self.states() if self._choices[s])

@@ -46,13 +46,16 @@ uniformisation series itself.  A concrete :class:`~repro.ctmc.ctmc.CTMC` or
 :class:`~repro.ctmc.ctmdp.CTMDP` keeps a one-sample kernel of its own edges,
 so this module holds the only uniformisation series of the package, its only
 generator solves, and the one dense/sparse crossover
-(:data:`DENSE_STATE_LIMIT`) of both.
+(:data:`DENSE_STATE_LIMIT`) of both.  Both kernels take a prebuilt buffer
+the same way, and :class:`CtmdpKernel` runs on a CTMC skeleton as the
+choice-free CTMDP: one backward sweep serves bounds, gradients and
+scheduler extraction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -575,7 +578,15 @@ class _SampleKernel:
         "_loaded_rates",
     )
 
-    def __init__(self, skeleton, buffer: CsrBuffer):
+    def __init__(
+        self, skeleton: Union[CtmcSkeleton, CtmdpSkeleton], buffer: Optional[CsrBuffer] = None
+    ):
+        # A prebuilt buffer (e.g. the CSR pattern a skeleton store cached
+        # alongside the skeleton) skips the pattern build entirely.
+        if buffer is None:
+            buffer = CsrBuffer(skeleton)
+        elif buffer.skeleton is not skeleton:
+            raise ModelError("the CSR buffer was preallocated for a different skeleton")
         self.skeleton = skeleton
         self.buffer = buffer
         self.term_cache = PoissonTermCache()
@@ -749,15 +760,6 @@ class TransientKernel(_SampleKernel):
     __slots__ = ("_structures",)
 
     def __init__(self, skeleton: CtmcSkeleton, buffer: Optional[CsrBuffer] = None):
-        if buffer is not None:
-            # A prebuilt buffer (e.g. the CSR pattern a skeleton store cached
-            # alongside the skeleton) skips the pattern build entirely.
-            if buffer.skeleton is not skeleton:
-                raise ModelError(
-                    "the CSR buffer was preallocated for a different skeleton"
-                )
-        else:
-            buffer = CsrBuffer(skeleton)
         super().__init__(skeleton, buffer)
         #: Per label (``None`` for the steady state): the states a generator
         #: solve runs on, or the structural error it raises.
@@ -778,7 +780,7 @@ class TransientKernel(_SampleKernel):
         across samples.
         """
         self._require_loaded("transient")
-        times_list = validate_times(times)
+        times_list = validate_times(times, tolerance)
         goal = self.goal_indices(label)
         blocks = self.buffer.blocks
         if not len(goal) or not times_list:
@@ -824,7 +826,7 @@ class TransientKernel(_SampleKernel):
                 "state distributions are computed one sample at a time; "
                 "load() a single assignment"
             )
-        times_list = validate_times(times)
+        times_list = validate_times(times, tolerance)
         num_states = self.skeleton.num_states
         start_vector = None
         if initial_distribution is not None:
@@ -1057,8 +1059,10 @@ class CtmdpKernel(_SampleKernel):
 
     __slots__ = ("resolver", "_update")
 
-    def __init__(self, skeleton: CtmdpSkeleton):
-        super().__init__(skeleton, CsrBuffer(skeleton))
+    def __init__(
+        self, skeleton: Union[CtmcSkeleton, CtmdpSkeleton], buffer: Optional[CsrBuffer] = None
+    ):
+        super().__init__(skeleton, buffer)
         self.resolver = VanishingResolver(skeleton.num_states, skeleton.choices)
         #: Update indices by label, and stacked by (label, blocks).
         self._update: Dict[object, np.ndarray] = {}
@@ -1119,12 +1123,6 @@ class CtmdpKernel(_SampleKernel):
         return cached
 
     # --------------------------------------------------------------- curves
-    def _initial_values(self, goal: np.ndarray, maximize: bool) -> np.ndarray:
-        values = np.zeros(self.skeleton.num_states)
-        values[goal] = 1.0
-        self.resolver.resolve(values, maximize)
-        return values
-
     def time_bounded_reachability_curve(
         self,
         label: str,
@@ -1219,50 +1217,22 @@ class CtmdpKernel(_SampleKernel):
             raise AnalysisError(
                 "schedulers are extracted one sample at a time; load() a single assignment"
             )
-        times_list = validate_times(times)
+        validate_times(times, tolerance)
         choices = self.skeleton.choices
-        contested = [
-            state
-            for state in range(self.skeleton.num_states)
-            if len(choices[state]) > 1
-        ]
-        if not contested or not times_list:
+        contested = [state for state, targets in enumerate(choices) if len(targets) > 1]
+        if not contested:
             return {}
-        goal = self.goal_indices(label)
-        if not len(goal):
-            return {}
-        values = np.zeros(self.skeleton.num_states)
-        values[goal] = 1.0
-        choice_now = np.full(self.skeleton.num_states, -1, dtype=np.int64)
-        self.resolver.resolve(values, maximize, choice_out=choice_now)
         counts: Dict[int, Dict[int, int]] = {state: {} for state in contested}
+        last: Dict[int, int] = {}
 
-        def record() -> None:
+        def record(chosen: np.ndarray) -> None:
             for state in contested:
-                picked = int(choice_now[state])
+                picked = last[state] = int(chosen[state])
                 counts[state][picked] = counts[state].get(picked, 0) + 1
 
-        record()
-        steps = 1
-        if len(self.buffer._sources):
-            _terms, (depth,) = self._block_terms(times_list, tolerance)
-            update = self._stacked_update(label)
-            current, workspace, vector = self._column_stacks()
-            vector[:] = values
-            flat, stepped = current.reshape(-1), workspace.reshape(-1)
-            for _step in range(depth - 1):
-                self.buffer.step_forward(current, workspace)
-                flat[update] = stepped[update]
-                self.resolver.resolve(vector, maximize, choice_out=choice_now)
-                record()
-                steps += 1
-        return {
-            state: (
-                int(choice_now[state]),
-                counts[state][int(choice_now[state])] / steps,
-            )
-            for state in contested
-        }
+        self._sweep(label, times, maximize, tolerance, with_gradients=False, recorder=record)
+        steps = sum(counts[contested[0]].values())
+        return {state: (picked, counts[state][picked] / steps) for state, picked in last.items()}
 
     def _sweep(
         self,
@@ -1271,10 +1241,16 @@ class CtmdpKernel(_SampleKernel):
         maximize: bool,
         tolerance: float,
         with_gradients: bool,
+        recorder: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(blocks, times)`` bound curves, plus the lone block's gradients."""
+        """``(blocks, times)`` bound curves, plus the lone block's gradients.
+
+        ``recorder``, given one loaded sample, receives the resolver's
+        argbest vector of every resolution: the initial values', then one
+        per series step.
+        """
         self._require_loaded("CTMDP")
-        times_list = validate_times(times)
+        times_list = validate_times(times, tolerance)
         blocks = self.buffer.blocks
         num_params = len(self.buffer._params)
         empty = np.zeros((len(times_list), num_params)) if with_gradients else None
@@ -1283,7 +1259,12 @@ class CtmdpKernel(_SampleKernel):
         goal = self.goal_indices(label)
         if not len(goal):
             return np.zeros((blocks, len(times_list))), empty
-        values = self._initial_values(goal, maximize)
+        chosen = None if recorder is None else np.full(self.skeleton.num_states, -1, dtype=np.int64)
+        values = np.zeros(self.skeleton.num_states)
+        values[goal] = 1.0
+        self.resolver.resolve(values, maximize, choice_out=chosen)
+        if recorder is not None:
+            recorder(chosen)
         initial = self.skeleton.initial
         if not len(self.buffer._sources):
             # No Markovian transitions anywhere: nothing ever moves.
@@ -1338,7 +1319,11 @@ class CtmdpKernel(_SampleKernel):
             else:
                 rows, values = stacked_update[: live * len(update)], resolved[:live]
             flat[rows] = stepped[rows]
-            self.resolver.resolve(values, maximize, companion=derivative if gradients else None)
+            self.resolver.resolve(
+                values, maximize, companion=derivative if gradients else None, choice_out=chosen
+            )
+            if recorder is not None:
+                recorder(chosen)
 
         series = np.ascontiguousarray(series.reshape(depth, blocks).T)
         results = _weigh(terms, series)

@@ -35,11 +35,13 @@ from ..errors import AnalysisError
 from .ctmc import CTMC
 
 
-def validate_times(times: Sequence[float]) -> List[float]:
+def validate_times(times: Sequence[float], tolerance: Optional[float] = None) -> List[float]:
     """Coerce mission times to floats, rejecting non-finite or negative ones.
 
     The single policy point for every timed evaluation surface (CTMC sweeps,
-    CTMDP bound sweeps, measure specs).
+    CTMDP bound sweeps, measure specs).  A curve entry point passes its
+    truncation ``tolerance`` too, so a bad one raises whether or not the
+    curve ends up computing a Poisson term.
     """
     times_list = [float(time) for time in times]
     for time in times_list:
@@ -47,6 +49,8 @@ def validate_times(times: Sequence[float]) -> List[float]:
             raise AnalysisError(
                 f"mission times must be finite and non-negative, got {time}"
             )
+    if tolerance is not None:
+        _check_tolerance(tolerance)
     return times_list
 
 
@@ -85,11 +89,15 @@ def _poisson_truncation(rates: np.ndarray, tolerance: float) -> np.ndarray:
 TERM_TABLE_BYTES = 1 << 28
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 < tolerance < 1.0:
+        raise AnalysisError(f"the truncation tolerance must be in (0, 1), got {tolerance}")
+
+
 def _check_term_arguments(rate: float, tolerance: float) -> None:
     if not math.isfinite(rate) or rate < 0.0:
         raise AnalysisError("the uniformisation rate times time must be finite and non-negative")
-    if not 0.0 < tolerance < 1.0:
-        raise AnalysisError(f"the truncation tolerance must be in (0, 1), got {tolerance}")
+    _check_tolerance(tolerance)
 
 
 def poisson_terms_many(rates: Sequence[float], tolerance: float) -> List[np.ndarray]:
@@ -257,6 +265,7 @@ def probability_reach_label(
     occupying coincide; for repairable systems they differ.  The computation
     makes the labelled states absorbing and runs a transient analysis.
     """
+    validate_times([time], tolerance)
     goal = ctmc.states_with_label(label)
     if not goal:
         return 0.0

@@ -134,10 +134,10 @@ def parallel(
             rates = mtrans[source]
             for s_next, rate in left_mtrans[s].items():
                 target = intern(s_next, t)
-                rates[target] = rates.get(target, 0.0) + rate
+                rates[target] = rates[target] + rate if target in rates else rate
             for t_next, rate in right_mtrans[t].items():
                 target = intern(s, t_next)
-                rates[target] = rates.get(target, 0.0) + rate
+                rates[target] = rates[target] + rate if target in rates else rate
 
         # Internal and non-shared visible actions interleave (internal actions
         # never synchronise; implicit input self-loops stay implicit).

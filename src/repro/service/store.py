@@ -121,8 +121,10 @@ class SkeletonEntry:
     The skeleton belongs to the *canonical parametrisation* of the hash
     class, so instantiating it under
     :func:`repro.dft.hashing.canonical_assignment` of any member tree yields
-    that tree's Markov model.  ``buffer`` (CTMC entries only) shares the
-    skeleton object, an identity pickling preserves.
+    that tree's Markov model.  ``buffer`` shares the skeleton object, an
+    identity pickling preserves; it is ``None`` in CTMDP entries written
+    before CTMDP kernels took a prebuilt buffer, whose kernels build the
+    pattern on load.
     """
 
     key: str
@@ -164,7 +166,7 @@ def build_entry(
     study = Study(canonical, options, quotient_memo=quotient_memo)
     skeleton = study.skeleton
     start = _time.perf_counter()
-    buffer = None if study.is_nondeterministic else CsrBuffer(skeleton)
+    buffer = CsrBuffer(skeleton)
     buffer_seconds = _time.perf_counter() - start
     study_timings = study.timings
     skeleton_seconds = study_timings.get("markov", 0.0) + buffer_seconds

@@ -615,3 +615,42 @@ class TestSkeletonParameters:
         assert skeleton.parameters is first
         assert pickle.dumps(skeleton) == before
         assert pickle.loads(before).parameters == first
+
+
+class TestCtmdpEntryBuffer:
+    """CTMDP entries carry their CSR pattern as CTMC entries do."""
+
+    def test_warm_ctmdp_entry_compiles_without_a_pattern_build(self, store, monkeypatch):
+        from repro.core.study import CompiledModel
+        from repro.ctmc import kernel as kernel_module
+
+        tree = galileo.parse(RACE, name="race")
+        entry, _ = store.get_or_build(tree, StudyOptions())
+        warm = SkeletonStore(store.root).load(entry.key)
+        assert warm is not None and warm.nondeterministic
+        assert warm.buffer is not None and warm.buffer.skeleton is warm.skeleton
+        builds = []
+        init = kernel_module.CsrBuffer.__init__
+
+        def counting(self, skeleton):
+            builds.append(skeleton)
+            init(self, skeleton)
+
+        monkeypatch.setattr(kernel_module.CsrBuffer, "__init__", counting)
+        model = CompiledModel(warm.skeleton, buffer=warm.buffer)
+        model.evaluate(UnreliabilityBounds([0.5, 1.0]))
+        assert model.kernel.buffer is warm.buffer
+        assert model.kernel.structure_builds == 1
+        assert builds == []
+
+    def test_ctmdp_entry_without_a_buffer_builds_the_pattern(self, tmp_path):
+        # CTMDP entries written before CTMDP kernels took a buffer have none.
+        shutil.copytree(ENTRY_DIR, tmp_path / "cache")
+        store = SkeletonStore(tmp_path / "cache")
+        tree = galileo.parse(RACE, name="old-entry")
+        entry = store.load(cache_key(tree, StudyOptions()))
+        assert entry is not None and entry.nondeterministic and entry.buffer is None
+        cached = Study(tree, skeleton_cache=store).evaluate(UnreliabilityBounds([1.0]))
+        fresh = Study(tree).evaluate(UnreliabilityBounds([1.0]))
+        assert cached.measures[0].lower == pytest.approx(fresh.measures[0].lower, abs=TOLERANCE)
+        assert cached.measures[0].upper == pytest.approx(fresh.measures[0].upper, abs=TOLERANCE)
