@@ -8,6 +8,8 @@ result on the same skeleton cache.  ``--processes N`` starts the server
 with a worker pool of N processes, so ``/analyze``, ``/sweep`` and
 ``/batch`` are evaluated by the pool; the smoke then also fails if a sweep
 did not run on the pool or the pool fell back to in-process evaluation.
+Either way it fails unless the service's request cache answered the
+repeated CAS texts: only each client's first CAS request may be parsed.
 The server is torn down in a ``finally`` block — a failing assertion must
 not leave an orphan process::
 
@@ -213,13 +215,23 @@ def run(processes: int = 0) -> int:
                     file=sys.stderr,
                 )
                 return 1
+            # One analyze and a batch of two CAS texts per round.
+            cas_texts = 3 * len(rounds)
+            if metrics["masked_hits"] < cas_texts - NUM_CLIENTS:
+                print(
+                    f"FAIL: the request cache answered {metrics['masked_hits']} of "
+                    f"{cas_texts} CAS texts ({metrics['masked_fallbacks']})",
+                    file=sys.stderr,
+                )
+                return 1
             analyze_metrics = metrics["endpoints"]["/analyze"]
             print(
                 f"service smoke ok: {len(rounds)} mixed rounds from "
                 f"{NUM_CLIENTS} clients on {processes} pool workers, "
                 f"{analyze_metrics['requests']} analyze "
                 f"requests, p95 {analyze_metrics['p95_ms']:.1f} ms, "
-                f"{metrics['store']['entries']} cache entries"
+                f"{metrics['store']['entries']} cache entries, "
+                f"{metrics['masked_hits']} request-cache hits"
             )
         finally:
             stopped = _stop_server(process)

@@ -41,9 +41,10 @@ resolved after all declarations have been read.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import GalileoSyntaxError
 from .elements import (
@@ -77,26 +78,59 @@ def _strip_comments(text: str) -> List[Tuple[int, str]]:
     return lines
 
 
-def _tokenize(line: str, number: int) -> List[str]:
-    """Split a statement into tokens, honouring double quotes."""
-    tokens = []
-    current = ""
-    in_quotes = False
-    for char in line:
-        if char == '"':
-            in_quotes = not in_quotes
-            continue
-        if char.isspace() and not in_quotes:
-            if current:
-                tokens.append(current)
-                current = ""
-            continue
-        current += char
-    if in_quotes:
+#: One token: a run of unquoted non-space characters and quoted segments.
+_TOKEN_RE = re.compile(r'(?:[^\s"]+|"[^"]*")+')
+#: A text whose quotes all pair up around runs of characters other than
+#: whitespace, ``;`` and ``/``: no pair crosses a line, a comment or a
+#: statement, and dropping the quotes leaves whitespace-separated tokens.
+_PLAIN_QUOTES_RE = re.compile(r'(?:[^"]*"[^"\s;/]*")*[^"]*')
+
+
+def _tokenize(statement: str, number: int) -> List[str]:
+    """Split a statement into tokens, honouring double quotes.
+
+    Whitespace outside quotes separates tokens; the quotes themselves are
+    dropped, so ``"a b"c`` is the one token ``a bc`` and a bare ``""`` is no
+    token at all.
+    """
+    if statement.count('"') % 2:
         raise GalileoSyntaxError("unterminated quoted name", number)
-    if current:
-        tokens.append(current)
+    tokens = []
+    for run in _TOKEN_RE.findall(statement):
+        if '"' in run:
+            run = run.replace('"', "")
+        if run:
+            tokens.append(run)
     return tokens
+
+
+def _scan(text: str) -> List[Tuple[int, List[str], bool]]:
+    """``(line number, tokens, declaration)`` of every ``;``-separated
+    statement of ``text``, comments removed.
+
+    ``declaration`` marks a bare ``param`` statement; a quoted ``"param"``
+    is an ordinary element name, as quoting escapes every other keyword.
+    """
+    plain = _PLAIN_QUOTES_RE.fullmatch(text) is not None
+    statements = []
+    for number, line in _strip_comments(text):
+        for statement in line.split(";"):
+            statement = statement.strip()
+            if statement:
+                if plain:
+                    tokens = statement.replace('"', "").split()
+                else:
+                    tokens = _tokenize(statement, number)
+                declaration = (
+                    bool(tokens) and tokens[0].lower() == "param" and statement[0] != '"'
+                )
+                statements.append((number, tokens, declaration))
+    return statements
+
+
+def _is_gate_keyword(keyword: str) -> bool:
+    lowered = keyword.lower()
+    return lowered in _GATE_KEYWORDS or _VOTING_RE.match(lowered) is not None
 
 
 #: Basic-event keys that may reference a declared rate parameter by name.
@@ -201,39 +235,79 @@ def _parse_param_declaration(
     return name, value
 
 
+class MaskedText(NamedTuple):
+    """A Galileo text with its rate literals cut out (:func:`mask_rates`)."""
+
+    #: sha256 of the token stream with every rate literal masked.
+    digest: bytes
+    #: The masked literals, in text order.
+    literals: Tuple[str, ...]
+    #: What each literal sets: ``(event, "lambda")``, ``(event, "repair")``
+    #: or ``(parameter, "param")``.
+    slots: Tuple[Tuple[str, str], ...]
+
+
+#: Stands for a masked literal; no token can hold a double quote.
+_MASK = '"'
+
+
+def mask_rates(text: str) -> MaskedText:
+    """The token stream of ``text`` with its rate literals masked.
+
+    A literal is masked where :func:`parse` reads it as a number: the value
+    of a basic event's ``lambda=``/``repair=`` token matching ``_PARAM_RE``,
+    and the value token of a bare ``param <name> = <value>`` declaration.
+    Every other token stays in the digest, so two texts with equal digests
+    that both parse give trees that differ in those rates alone.  A literal
+    such as ``lambda=e`` is masked too, although :func:`parse` may read it
+    as a parameter reference: the caller checks every literal with
+    ``float``.  Raises :class:`GalileoSyntaxError` where :func:`parse` fails
+    to tokenise.
+    """
+    parts: List[str] = []
+    literals: List[str] = []
+    slots: List[Tuple[str, str]] = []
+    for _number, tokens, declaration in _scan(text):
+        if declaration:
+            body = [position for position in range(1, len(tokens)) if tokens[position] != "="]
+            if len(body) == 2:
+                literals.append(tokens[body[1]])
+                slots.append((tokens[body[0]], "param"))
+                tokens = tokens.copy()
+                tokens[body[1]] = _MASK
+            parts.append("D" + "\n".join(tokens))
+            continue
+        if len(tokens) >= 2 and tokens[0].lower() != "toplevel" and not _is_gate_keyword(tokens[1]):
+            head = tokens[0]
+            tokens = tokens.copy()
+            for position in range(1, len(tokens)):
+                match = _PARAM_RE.match(tokens[position])
+                if match is not None:
+                    key = match.group(1).lower()
+                    if key in _PARAMETRISABLE_KEYS:
+                        literals.append(match.group(2))
+                        slots.append((head, key))
+                        tokens[position] = tokens[position][: match.start(2)] + _MASK
+        # Tokens hold neither a newline nor a ";", so the encoding is unique.
+        parts.append("S" + "\n".join(tokens))
+    encoded = ";".join(parts).encode("utf-8", "surrogatepass")
+    return MaskedText(hashlib.sha256(encoded).digest(), tuple(literals), tuple(slots))
+
+
 def parse(text: str, name: str = "galileo") -> DynamicFaultTree:
     """Parse a Galileo description into a :class:`DynamicFaultTree`."""
-    statements: List[Tuple[int, str]] = []
-    for number, line in _strip_comments(text):
-        for statement in line.split(";"):
-            statement = statement.strip()
-            if statement:
-                statements.append((number, statement))
-
+    statements = _scan(text)
     if not statements:
         raise GalileoSyntaxError("the description contains no statements")
 
     tree = DynamicFaultTree(name)
     toplevel: Optional[str] = None
 
-    # Pass 1: tokenize once and collect rate-parameter declarations (they may
-    # appear anywhere, including after the basic events that reference them).
-    # Only the *bare* keyword opens a declaration — a quoted ``"param"`` is an
-    # ordinary element name, exactly as quoting escapes every other keyword.
-    def _is_param_declaration(statement: str, tokens: List[str]) -> bool:
-        return (
-            bool(tokens)
-            and tokens[0].lower() == "param"
-            and not statement.lstrip().startswith('"')
-        )
-
-    tokenized: List[Tuple[int, str, List[str]]] = [
-        (number, statement, _tokenize(statement, number))
-        for number, statement in statements
-    ]
+    # Pass 1: collect rate-parameter declarations (they may appear anywhere,
+    # including after the basic events that reference them).
     declared: Dict[str, float] = {}
-    for number, statement, tokens in tokenized:
-        if not _is_param_declaration(statement, tokens):
+    for number, tokens, declaration in statements:
+        if not declaration:
             continue
         param_name, value = _parse_param_declaration(tokens, number)
         if param_name in declared:
@@ -245,12 +319,10 @@ def parse(text: str, name: str = "galileo") -> DynamicFaultTree:
         tree.declare_parameter(param_name, value)
 
     # Pass 2: elements.
-    for number, statement, tokens in tokenized:
-        if not tokens:
+    for number, tokens, declaration in statements:
+        if not tokens or declaration:
             continue
         head = tokens[0]
-        if _is_param_declaration(statement, tokens):
-            continue
         if head.lower() == "toplevel":
             if len(tokens) != 2:
                 raise GalileoSyntaxError("toplevel expects exactly one element name", number)
@@ -270,10 +342,10 @@ def parse(text: str, name: str = "galileo") -> DynamicFaultTree:
             inputs = tokens[2:]
             if voting_match:
                 threshold = int(voting_match.group(1))
-                declared = int(voting_match.group(2))
-                if declared != len(inputs):
+                listed = int(voting_match.group(2))
+                if listed != len(inputs):
                     raise GalileoSyntaxError(
-                        f"voting gate {head!r} declares {declared} inputs but lists "
+                        f"voting gate {head!r} declares {listed} inputs but lists "
                         f"{len(inputs)}",
                         number,
                     )

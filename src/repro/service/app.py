@@ -16,12 +16,19 @@ warm hit neither reads nor unpickles the entry file and a hot entry's CSR
 pattern, Poisson terms and gradient kernel survive between requests.  The
 service still touches the store on such a hit (:meth:`SkeletonStore.touch`),
 so the store's hit counter and its on-disk LRU order stay truthful; hits
-answered from memory are counted as ``memory_hits`` in ``/metrics``.  A
-failure of a pool itself (a dead worker, a pickling or OS error, an entry
-the worker's store lost) recomputes the request in-process, counted as
-``pool_fallbacks`` in ``/metrics`` and logged; any other worker exception
-propagates like an in-process one.  An unexpected exception in a handler
-becomes a logged 500 response instead of escaping to the transport.
+answered from memory are counted as ``memory_hits`` in ``/metrics``.  In
+front of that LRU, ``/analyze`` and ``/batch`` keep one more (the request
+cache): a text whose token stream, rate literals masked
+(:func:`repro.dft.galileo.mask_rates`), an earlier request recorded is
+neither parsed nor canonicalised; its literals are read by position into
+the canonical rate assignment.  ``/metrics`` counts its hits as
+``masked_hits`` and each fallback to the parse by reason (see
+:data:`MASKED_FALLBACKS`).  A failure of a pool itself (a dead worker, a
+pickling or OS error, an entry the worker's store lost) recomputes the
+request in-process, counted as ``pool_fallbacks`` in ``/metrics`` and
+logged; any other worker exception propagates like an in-process one.  An
+unexpected exception in a handler becomes a logged 500 response instead of
+escaping to the transport.
 ``/metrics`` also carries the store's counters (its quotient memo's among
 them).
 """
@@ -29,6 +36,7 @@ them).
 from __future__ import annotations
 
 import logging
+import math
 import os
 import pickle
 import signal
@@ -40,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.aggregation import StatisticsSummary
 from ..core.measures import Query
@@ -56,8 +64,14 @@ from ..core.study import (
 from ..core.sweep import evaluation_rows
 from ..core.wire import check_fields
 from ..dft import galileo
-from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
-from ..errors import AnalysisError, ReproError
+from ..dft.hashing import (
+    CANONICAL_FAILURE_PARAM,
+    CANONICAL_REPAIR_PARAM,
+    CanonicalProfile,
+    canonical_profile,
+    translate_sample,
+)
+from ..errors import AnalysisError, GalileoSyntaxError, ReproError
 from .store import SkeletonEntry, SkeletonStore, cache_key
 
 LOGGER = logging.getLogger("repro.service.app")
@@ -89,6 +103,16 @@ def _served(response: Dict[str, object], entry, hit: bool) -> Dict[str, object]:
     return response
 
 
+#: Why a request text missed the request cache and was parsed: no slot map
+#: was recorded for its masked token stream, the store entry it names has
+#: left the compiled-model cache, or a rate literal is not a positive finite
+#: number (the parse then raises the error).
+MASKED_FALLBACKS = ("unrecorded", "evicted", "literal")
+#: Every counted outcome of the request cache: a hit, a fallback, or a parsed
+#: text whose slot map could not be recorded (``unmapped``).
+MASKED_OUTCOMES = ("hit",) + MASKED_FALLBACKS + ("unmapped",)
+
+
 def _percentile(samples: Tuple[float, ...], fraction: float) -> float:
     if not samples:
         return 0.0
@@ -109,6 +133,7 @@ class ServiceMetrics:
         self._started = _time.time()
         self._pool_fallbacks = 0
         self._memory_hits = 0
+        self._masked = dict.fromkeys(MASKED_OUTCOMES, 0)
 
     def record(self, endpoint: str, seconds: float, ok: bool = True) -> None:
         with self._lock:
@@ -128,6 +153,11 @@ class ServiceMetrics:
         with self._lock:
             self._memory_hits += 1
 
+    def record_masked(self, outcome: str) -> None:
+        """Count one outcome of the request cache (see :data:`MASKED_OUTCOMES`)."""
+        with self._lock:
+            self._masked[outcome] += 1
+
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             endpoints = {}
@@ -144,6 +174,11 @@ class ServiceMetrics:
                 "endpoints": endpoints,
                 "pool_fallbacks": self._pool_fallbacks,
                 "memory_hits": self._memory_hits,
+                "masked_hits": self._masked["hit"],
+                "masked_fallbacks": {
+                    reason: self._masked[reason] for reason in MASKED_FALLBACKS
+                },
+                "masked_unmapped": self._masked["unmapped"],
             }
 
 
@@ -240,6 +275,72 @@ class _ModelCache:
         return evaluations
 
 
+#: Request texts whose resolution one service remembers.
+_REQUEST_CACHE_CAPACITY = 32
+
+
+class _MaskedEntry(NamedTuple):
+    """What resolving a request text gave, reusable for every text with the
+    same masked token stream (:func:`repro.dft.galileo.mask_rates`)."""
+
+    #: The store key.
+    key: str
+    #: ``(canonical parameter, index of the literal it takes)`` pairs, in the
+    #: order of the canonical assignment.
+    sources: Tuple[Tuple[str, int], ...]
+    #: The tree's summary after its name.
+    summary: str
+
+
+class _RequestCache:
+    """An LRU of :class:`_MaskedEntry` s keyed by masked-stream digest.
+
+    Not thread-safe: the service holds its model lock around every use.
+    """
+
+    def __init__(self, capacity: int = _REQUEST_CACHE_CAPACITY):
+        self.capacity = capacity
+        self._slots: "OrderedDict[bytes, _MaskedEntry]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def get(self, digest: bytes) -> Optional[_MaskedEntry]:
+        """The entry of ``digest`` (now the most recent), or ``None``."""
+        slot = self._slots.get(digest)
+        if slot is not None:
+            self._slots.move_to_end(digest)
+        return slot
+
+    def put(self, digest: bytes, slot: _MaskedEntry) -> None:
+        self._slots[digest] = slot
+        self._slots.move_to_end(digest)
+        while len(self._slots) > self.capacity:
+            self._slots.popitem(last=False)
+
+
+def _rate_values(literals: Sequence[str]) -> Optional[List[float]]:
+    """The rates the literals give, or ``None`` unless each is a positive
+    finite number."""
+    try:
+        values = [float(literal) for literal in literals]
+    except ValueError:
+        return None
+    if all(value > 0.0 and math.isfinite(value) for value in values):
+        return values
+    return None
+
+
+class _Resolution(NamedTuple):
+    """One request text resolved to its store entry and rate assignment."""
+
+    name: str
+    summary: str
+    entry: SkeletonEntry
+    hit: bool
+    assignment: Dict[str, float]
+
+
 #: A pool worker's store handle and compiled models (set by its initializer).
 _WORKER_STORE: Optional[SkeletonStore] = None
 _WORKER_MODELS: Optional[_ModelCache] = None
@@ -290,7 +391,9 @@ class AnalysisService:
     ``processes = 0`` evaluates in-process with one compiled model per cache
     key, except that a sweep asking for ``processes > 1`` gets a per-request
     pool of service workers.  Either way the service's own LRU answers warm
-    structural hits without touching the entry file beyond an mtime bump.
+    structural hits without touching the entry file beyond an mtime bump,
+    and its request cache spares warm ``/analyze`` and ``/batch`` texts the
+    parse (:meth:`_resolve`).
     """
 
     def __init__(
@@ -310,6 +413,7 @@ class AnalysisService:
         self._build_lock = threading.Lock()
         self._models_lock = threading.Lock()
         self._models = _ModelCache()
+        self._requests = _RequestCache()
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.processes > 0:
             self._pool = ProcessPoolExecutor(
@@ -365,12 +469,97 @@ class AnalysisService:
         return 200, response
 
     # -------------------------------------------------------------- handlers
-    def _parse_tree(self, payload: Mapping[str, object]):
+    @staticmethod
+    def _request_text(payload: Mapping[str, object]) -> str:
         text = payload.get("tree")
         if not isinstance(text, str) or not text.strip():
             raise AnalysisError("the request needs a 'tree' field holding a "
                                 "non-empty Galileo fault-tree description")
-        return galileo.parse(text, name="<request>")
+        return text
+
+    def _resolve(self, text: str, name: str) -> _Resolution:
+        """The store entry and canonical rate assignment of one request text.
+
+        A text whose masked token stream an earlier request recorded, with
+        every rate literal a positive finite number and its entry still in
+        the compiled-model LRU, is answered without parsing it; any other is
+        parsed and profiled, and its slot map recorded.
+        """
+        try:
+            masked = galileo.mask_rates(text)
+        except GalileoSyntaxError:
+            masked = None  # the parse below raises the same error
+        resolution = self._masked_resolution(masked, name)
+        if resolution is not None:
+            return resolution
+        tree = galileo.parse(text, name=name)
+        profile = canonical_profile(tree)
+        entry, hit = self._get_entry(tree, profile)
+        summary = tree.summary()
+        if masked is not None:
+            self._remember(masked, profile, entry.key, summary[len(name):])
+        return _Resolution(name, summary, entry, hit, profile.assignment)
+
+    def _masked_resolution(
+        self, masked: Optional[galileo.MaskedText], name: str
+    ) -> Optional[_Resolution]:
+        """The request cache's answer for ``masked``, or ``None``; the
+        outcome is counted in :attr:`metrics`."""
+        cached = entry = values = None
+        if masked is not None:
+            values = _rate_values(masked.literals)
+            with self._models_lock:
+                cached = self._requests.get(masked.digest)
+                if cached is not None and values is not None:
+                    entry = self._models.entry(cached.key)
+                    if entry is not None:
+                        self.store.touch(cached.key)
+                        self.metrics.record_memory_hit()
+        if cached is None:
+            self.metrics.record_masked("unrecorded")
+        elif values is None:
+            self.metrics.record_masked("literal")
+        elif entry is None:
+            self.metrics.record_masked("evicted")
+        else:
+            self.metrics.record_masked("hit")
+            assignment = {parameter: values[slot] for parameter, slot in cached.sources}
+            return _Resolution(name, name + cached.summary, entry, True, assignment)
+        return None
+
+    def _remember(
+        self, masked: galileo.MaskedText, profile: CanonicalProfile, key: str, summary: str
+    ) -> None:
+        """Record the slot map of a parsed text under its masked digest.
+
+        An event's ``lambda``/``repair`` literal feeds ``sf<i>``/``sr<i>`` of
+        the event's canonical index ``i``; a ``param`` literal feeds every
+        canonical parameter the declared one fans out to.  The map is kept
+        only if it rebuilds ``profile.assignment`` exactly from the literals.
+        """
+        index = {name: position for position, name in enumerate(profile.order)}
+        readers: Dict[str, int] = {}
+        clash = False
+        for slot, (name, kind) in enumerate(masked.slots):
+            if kind == "param":
+                targets = profile.parameter_map[name]
+            else:
+                template = CANONICAL_FAILURE_PARAM if kind == "lambda" else CANONICAL_REPAIR_PARAM
+                targets = (template.format(index=index[name]),)
+            for target in targets:
+                clash = clash or readers.setdefault(target, slot) != slot
+        values = _rate_values(masked.literals)
+        if (
+            clash
+            or values is None
+            or readers.keys() != profile.assignment.keys()
+            or {target: values[slot] for target, slot in readers.items()} != profile.assignment
+        ):
+            self.metrics.record_masked("unmapped")
+            return
+        sources = tuple((target, readers[target]) for target in profile.assignment)
+        with self._models_lock:
+            self._requests.put(masked.digest, _MaskedEntry(key, sources, summary))
 
     def _get_entry(
         self, tree, profile: CanonicalProfile
@@ -434,13 +623,14 @@ class AnalysisService:
         return evaluations, 1, False
 
     def _wrap_study_result(
-        self, tree, entry, hit, measures, evaluation: float
+        self, resolution: _Resolution, measures, evaluation: float
     ) -> StudyResult:
+        entry = resolution.entry
         options = self.options.to_dict()
-        options["skeleton_cache"] = "hit" if hit else "miss"
+        options["skeleton_cache"] = "hit" if resolution.hit else "miss"
         return StudyResult(
-            tree_name=tree.name,
-            tree_summary=tree.summary(),
+            tree_name=resolution.name,
+            tree_summary=resolution.summary,
             measures=measures,
             model=entry.model,
             statistics=StatisticsSummary(**entry.statistics),
@@ -451,25 +641,25 @@ class AnalysisService:
     def analyze(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /analyze``: one tree, one query -> ``repro.study/1``.
 
-        The tree is walked once: the request's
-        :class:`~repro.dft.hashing.CanonicalProfile` supplies both the cache
-        key's structural hash and the canonical rate assignment, so a cache
-        hit evaluates without touching the tree again.
+        The tree is resolved by :meth:`_resolve`: a text that differs from
+        an earlier one only in its rate literals is neither parsed nor
+        walked; otherwise one walk, the request's
+        :class:`~repro.dft.hashing.CanonicalProfile`, supplies both the
+        cache key's structural hash and the canonical rate assignment.
         """
         query = _request_query(payload, "tree")
-        tree = self._parse_tree(payload)
-        profile = canonical_profile(tree)
-        entry, hit = self._get_entry(tree, profile)
+        resolution = self._resolve(self._request_text(payload), "<request>")
+        entry = resolution.entry
         start = _time.perf_counter()
         (evaluation,), _processes, _pooled = self._evaluations(
-            [(entry.key, profile.assignment)], {entry.key: entry}, query
+            [(entry.key, resolution.assignment)], {entry.key: entry}, query
         )
         if evaluation.error is not None:
             raise evaluation.error
         result = self._wrap_study_result(
-            tree, entry, hit, evaluation.measures, _time.perf_counter() - start
+            resolution, evaluation.measures, _time.perf_counter() - start
         )
-        return _served(result.to_dict(include_steps=False), entry, hit)
+        return _served(result.to_dict(include_steps=False), entry, resolution.hit)
 
     def sweep(self, payload: Optional[Mapping[str, object]]) -> Dict[str, object]:
         """``POST /sweep``: one tree plus a :class:`SweepSpec` -> ``repro.sweep/3``.
@@ -481,7 +671,7 @@ class AnalysisService:
         service has CPUs (see :meth:`_evaluations`).
         """
         spec = SweepSpec.from_payload(payload, envelope=("tree",))
-        tree = spec.prepare(self._parse_tree(payload))
+        tree = spec.prepare(galileo.parse(self._request_text(payload), name="<request>"))
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
         rate_sweep = spec.rate_sweep(entry.nondeterministic)
@@ -530,9 +720,9 @@ class AnalysisService:
         hits = 0
         misses = 0
         start = _time.perf_counter()
-        # First pass (serial): parse every tree and resolve its skeleton.
-        # Each slot holds either an error row or the parsed tree's entry, so
-        # the parsed trees are evaluated together.
+        # First pass (serial): resolve every tree to its skeleton.  Each slot
+        # holds either an error row or the tree's resolution, so the resolved
+        # trees are evaluated together.
         prepared: List[object] = []
         items: List[Tuple[str, Dict[str, float]]] = []
         entries: Dict[str, SkeletonEntry] = {}
@@ -543,14 +733,12 @@ class AnalysisService:
                     raise AnalysisError(
                         f"batch tree #{index} must be a non-empty Galileo string"
                     )
-                tree = galileo.parse(text, name=f"<batch#{index}>")
-                profile = canonical_profile(tree)
-                entry, hit = self._get_entry(tree, profile)
-                hits += 1 if hit else 0
-                misses += 0 if hit else 1
-                prepared.append((tree, entry, hit, row_start))
-                items.append((entry.key, profile.assignment))
-                entries[entry.key] = entry
+                resolution = self._resolve(text, f"<batch#{index}>")
+                hits += 1 if resolution.hit else 0
+                misses += 0 if resolution.hit else 1
+                prepared.append((resolution, row_start))
+                items.append((resolution.entry.key, resolution.assignment))
+                entries[resolution.entry.key] = resolution.entry
             except ReproError as error:
                 prepared.append(
                     BatchRow(
@@ -561,7 +749,7 @@ class AnalysisService:
                         wall_seconds=_time.perf_counter() - row_start,
                     )
                 )
-        # Second pass: evaluate the parsed trees, on the pool if there is one.
+        # Second pass: evaluate the resolved trees, on the pool if there is one.
         evaluations, processes, _pooled = self._evaluations(items, entries, query)
         evaluated = iter(evaluations)
         rows = []
@@ -569,15 +757,15 @@ class AnalysisService:
             if isinstance(item, BatchRow):
                 rows.append(item)
                 continue
-            tree, entry, hit, row_start = item
+            resolution, row_start = item
             evaluation = next(evaluated)
             result, error = None, evaluation.error
             if error is None:
                 seconds = evaluation.load_seconds + evaluation.solve_seconds
-                result = self._wrap_study_result(tree, entry, hit, evaluation.measures, seconds)
+                result = self._wrap_study_result(resolution, evaluation.measures, seconds)
             rows.append(
                 BatchRow(
-                    name=tree.name,
+                    name=resolution.name,
                     source=None,
                     result=result,
                     error=None if error is None else str(error),
