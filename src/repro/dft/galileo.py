@@ -68,64 +68,44 @@ _SPARE_KEYWORDS = {"wsp", "csp", "hsp", "spare"}
 _GATE_KEYWORDS = {"and", "or", "pand", "seq", "fdep", "inhibit"} | _SPARE_KEYWORDS
 
 
-def _strip_comments(text: str) -> List[Tuple[int, str]]:
-    """Return (line number, content) pairs with comments removed."""
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if line:
-            lines.append((number, line))
-    return lines
-
-
-#: One token: a run of unquoted non-space characters and quoted segments.
-_TOKEN_RE = re.compile(r'(?:[^\s"]+|"[^"]*")+')
-#: A text whose quotes all pair up around runs of characters other than
-#: whitespace, ``;`` and ``/``: no pair crosses a line, a comment or a
-#: statement, and dropping the quotes leaves whitespace-separated tokens.
-_PLAIN_QUOTES_RE = re.compile(r'(?:[^"]*"[^"\s;/]*")*[^"]*')
-
-
-def _tokenize(statement: str, number: int) -> List[str]:
-    """Split a statement into tokens, honouring double quotes.
-
-    Whitespace outside quotes separates tokens; the quotes themselves are
-    dropped, so ``"a b"c`` is the one token ``a bc`` and a bare ``""`` is no
-    token at all.
-    """
-    if statement.count('"') % 2:
-        raise GalileoSyntaxError("unterminated quoted name", number)
-    tokens = []
-    for run in _TOKEN_RE.findall(statement):
-        if '"' in run:
-            run = run.replace('"', "")
-        if run:
-            tokens.append(run)
-    return tokens
-
-
 def _scan(text: str) -> List[Tuple[int, List[str], bool]]:
     """``(line number, tokens, declaration)`` of every ``;``-separated
     statement of ``text``, comments removed.
 
-    ``declaration`` marks a bare ``param`` statement; a quoted ``"param"``
-    is an ordinary element name, as quoting escapes every other keyword.
+    ``//`` starts a comment, even inside quotes.  Whitespace outside double
+    quotes separates tokens and the quotes themselves are dropped, so
+    ``"a b"c`` is the one token ``a bc`` and a bare ``""`` is no token at
+    all.  ``declaration`` marks a bare ``param`` statement; a quoted
+    ``"param"`` is an ordinary element name, as quoting escapes every other
+    keyword.
     """
-    plain = _PLAIN_QUOTES_RE.fullmatch(text) is not None
-    statements = []
-    for number, line in _strip_comments(text):
-        for statement in line.split(";"):
+    numbers: List[int] = []
+    statements: List[str] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        for statement in line.split("//", 1)[0].split(";"):
             statement = statement.strip()
             if statement:
-                if plain:
-                    tokens = statement.replace('"', "").split()
-                else:
-                    tokens = _tokenize(statement, number)
-                declaration = (
-                    bool(tokens) and tokens[0].lower() == "param" and statement[0] != '"'
-                )
-                statements.append((number, tokens, declaration))
-    return statements
+                if statement.count('"') % 2:
+                    raise GalileoSyntaxError("unterminated quoted name", number)
+                numbers.append(number)
+                statements.append(statement)
+    # Every statement closes its quotes and holds no line break.  Joined by
+    # a quoted "\r", the statements split at their quotes into pieces that
+    # alternate between outside and inside quotes.  The outside pieces,
+    # joined by the quote none of them holds and framed by a non-space
+    # character so runs at either end count, have each whitespace run
+    # turned into "\n" in one pass; inside pieces keep their whitespace.
+    pieces = '"\r"'.join(statements).split('"')
+    outside = "\n".join(("." + '"'.join(pieces[0::2]) + ".").split())[1:-1]
+    pieces[0::2] = outside.split('"')
+    scanned = []
+    for number, statement, part in zip(numbers, statements, "".join(pieces).split("\r")):
+        tokens = part.split("\n")
+        if "" in tokens:  # from a run of nothing but quotes, such as ""
+            tokens = [token for token in tokens if token]
+        declaration = bool(tokens) and tokens[0].lower() == "param" and statement[0] != '"'
+        scanned.append((number, tokens, declaration))
+    return scanned
 
 
 def _is_gate_keyword(keyword: str) -> bool:

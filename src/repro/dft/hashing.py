@@ -63,6 +63,14 @@ CANONICAL_REPAIR_PARAM = "sr{index}"
 #: Canonical element names of the parametrised clone.
 CANONICAL_ELEMENT_NAME = "n{index}"
 
+
+def canonical_rate_parameter(position: int, repair: bool = False) -> str:
+    """The canonical parameter of the failure rate (with ``repair``, of the
+    repair rate) of the basic event at ``position`` in the canonical order."""
+    template = CANONICAL_REPAIR_PARAM if repair else CANONICAL_FAILURE_PARAM
+    return template.format(index=position)
+
+
 _KIND_TAGS: Tuple[Tuple[type, str], ...] = (
     (BasicEvent, "be"),
     (AndGate, "and"),
@@ -309,12 +317,10 @@ def _canonical_elements(
                     failure_rate=element.failure_rate,
                     dormancy=element.dormancy,
                     repair_rate=element.repair_rate,
-                    failure_rate_param=CANONICAL_FAILURE_PARAM.format(
-                        index=index[name]
-                    ),
+                    failure_rate_param=canonical_rate_parameter(index[name]),
                     repair_rate_param=None
                     if element.repair_rate is None
-                    else CANONICAL_REPAIR_PARAM.format(index=index[name]),
+                    else canonical_rate_parameter(index[name], repair=True),
                 )
             )
         elif isinstance(element, AndGate):
@@ -390,12 +396,11 @@ def canonical_parametrisation(tree: DynamicFaultTree) -> DynamicFaultTree:
         element = tree.element(name)
         if isinstance(element, BasicEvent):
             clone.declare_parameter(
-                CANONICAL_FAILURE_PARAM.format(index=index[name]),
-                element.failure_rate,
+                canonical_rate_parameter(index[name]), element.failure_rate
             )
             if element.repair_rate is not None:
                 clone.declare_parameter(
-                    CANONICAL_REPAIR_PARAM.format(index=index[name]),
+                    canonical_rate_parameter(index[name], repair=True),
                     element.repair_rate,
                 )
     clone.add_all(_canonical_elements(tree, order))
@@ -419,11 +424,9 @@ def canonical_assignment(
         element = tree.element(name)
         if not isinstance(element, BasicEvent):
             continue
-        assignment[CANONICAL_FAILURE_PARAM.format(index=position)] = float(
-            element.failure_rate
-        )
+        assignment[canonical_rate_parameter(position)] = float(element.failure_rate)
         if element.repair_rate is not None:
-            assignment[CANONICAL_REPAIR_PARAM.format(index=position)] = float(
+            assignment[canonical_rate_parameter(position, repair=True)] = float(
                 element.repair_rate
             )
     return assignment
@@ -446,12 +449,10 @@ def canonical_parameter_map(
         if not isinstance(element, BasicEvent):
             continue
         if element.failure_rate_param is not None:
-            mapping[element.failure_rate_param].append(
-                CANONICAL_FAILURE_PARAM.format(index=position)
-            )
+            mapping[element.failure_rate_param].append(canonical_rate_parameter(position))
         if element.repair_rate_param is not None:
             mapping[element.repair_rate_param].append(
-                CANONICAL_REPAIR_PARAM.format(index=position)
+                canonical_rate_parameter(position, repair=True)
             )
     return {name: tuple(targets) for name, targets in mapping.items()}
 

@@ -65,10 +65,9 @@ from ..core.sweep import evaluation_rows
 from ..core.wire import check_fields
 from ..dft import galileo
 from ..dft.hashing import (
-    CANONICAL_FAILURE_PARAM,
-    CANONICAL_REPAIR_PARAM,
     CanonicalProfile,
     canonical_profile,
+    canonical_rate_parameter,
     translate_sample,
 )
 from ..errors import AnalysisError, GalileoSyntaxError, ReproError
@@ -193,30 +192,50 @@ class ServiceMetrics:
 POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, OSError, KeyError)
 
 
-class _ModelCache:
+#: Structures whose compiled models one process keeps.
+_MODEL_CACHE_CAPACITY = 8
+
+
+class _LRU(OrderedDict):
+    """An ordered mapping that keeps its ``capacity`` most recently used
+    keys.  Not thread-safe: the service holds one lock around every use."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def recall(self, key):
+        """The value of ``key`` (now the most recent), or ``None``."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def remember(self, key, value) -> None:
+        """Store ``value`` as the most recent; forget the oldest beyond capacity."""
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > self.capacity:
+            self.popitem(last=False)
+
+
+class _ModelCache(_LRU):
     """An LRU of decoded :class:`~repro.service.store.SkeletonEntry` s and
     their :class:`~repro.core.study.CompiledModel` s, keyed by entry key.
 
     Each slot pairs an entry with its model, so one capacity and one
     eviction order govern both: a hot entry is never read from disk or
     unpickled again, and its CSR pattern, Poisson terms and gradient kernel
-    survive between requests.  Not thread-safe: the service holds one lock
-    around every use.
+    survive between requests.
     """
 
-    def __init__(self, capacity: int = 8):
-        self.capacity = capacity
-        self._slots: "OrderedDict[str, Tuple[SkeletonEntry, CompiledModel]]" = (
-            OrderedDict()
-        )
+    def __init__(self, capacity: int = _MODEL_CACHE_CAPACITY):
+        super().__init__(capacity)
 
     def entry(self, key: str) -> Optional[SkeletonEntry]:
         """The cached entry of ``key`` (now the most recent), or ``None``."""
-        slot = self._slots.get(key)
-        if slot is None:
-            return None
-        self._slots.move_to_end(key)
-        return slot[0]
+        slot = self.recall(key)
+        return None if slot is None else slot[0]
 
     def put(self, entry: SkeletonEntry) -> Tuple[SkeletonEntry, CompiledModel]:
         """Cache ``entry`` (or mark its key most recent); returns the slot.
@@ -224,16 +243,10 @@ class _ModelCache:
         A slot already holding ``entry.key`` keeps its own (equal) entry
         object, which its model was compiled from.
         """
-        slot = self._slots.get(entry.key)
+        slot = self.recall(entry.key)
         if slot is None:
-            slot = self._slots[entry.key] = (
-                entry,
-                CompiledModel(entry.skeleton, buffer=entry.buffer),
-            )
-            while len(self._slots) > self.capacity:
-                self._slots.popitem(last=False)
-        else:
-            self._slots.move_to_end(entry.key)
+            slot = (entry, CompiledModel(entry.skeleton, buffer=entry.buffer))
+            self.remember(entry.key, slot)
         return slot
 
     def evaluate(
@@ -275,10 +288,6 @@ class _ModelCache:
         return evaluations
 
 
-#: Request texts whose resolution one service remembers.
-_REQUEST_CACHE_CAPACITY = 32
-
-
 class _MaskedEntry(NamedTuple):
     """What resolving a request text gave, reusable for every text with the
     same masked token stream (:func:`repro.dft.galileo.mask_rates`)."""
@@ -290,33 +299,6 @@ class _MaskedEntry(NamedTuple):
     sources: Tuple[Tuple[str, int], ...]
     #: The tree's summary after its name.
     summary: str
-
-
-class _RequestCache:
-    """An LRU of :class:`_MaskedEntry` s keyed by masked-stream digest.
-
-    Not thread-safe: the service holds its model lock around every use.
-    """
-
-    def __init__(self, capacity: int = _REQUEST_CACHE_CAPACITY):
-        self.capacity = capacity
-        self._slots: "OrderedDict[bytes, _MaskedEntry]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def get(self, digest: bytes) -> Optional[_MaskedEntry]:
-        """The entry of ``digest`` (now the most recent), or ``None``."""
-        slot = self._slots.get(digest)
-        if slot is not None:
-            self._slots.move_to_end(digest)
-        return slot
-
-    def put(self, digest: bytes, slot: _MaskedEntry) -> None:
-        self._slots[digest] = slot
-        self._slots.move_to_end(digest)
-        while len(self._slots) > self.capacity:
-            self._slots.popitem(last=False)
 
 
 def _rate_values(literals: Sequence[str]) -> Optional[List[float]]:
@@ -413,7 +395,10 @@ class AnalysisService:
         self._build_lock = threading.Lock()
         self._models_lock = threading.Lock()
         self._models = _ModelCache()
-        self._requests = _RequestCache()
+        # Masked digest -> _MaskedEntry.  An entry answers only while its
+        # model is in ``_models``, and each spelling of a structure records
+        # one, so this holds as many as ``_models`` holds models.
+        self._requests = _LRU(_MODEL_CACHE_CAPACITY)
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.processes > 0:
             self._pool = ProcessPoolExecutor(
@@ -492,6 +477,8 @@ class AnalysisService:
         resolution = self._masked_resolution(masked, name)
         if resolution is not None:
             return resolution
+        # ``parse`` scans the text again: a small share of a miss, and the
+        # parse stays one call that the perfbench tracer wraps by name.
         tree = galileo.parse(text, name=name)
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
@@ -509,7 +496,7 @@ class AnalysisService:
         if masked is not None:
             values = _rate_values(masked.literals)
             with self._models_lock:
-                cached = self._requests.get(masked.digest)
+                cached = self._requests.recall(masked.digest)
                 if cached is not None and values is not None:
                     entry = self._models.entry(cached.key)
                     if entry is not None:
@@ -544,8 +531,7 @@ class AnalysisService:
             if kind == "param":
                 targets = profile.parameter_map[name]
             else:
-                template = CANONICAL_FAILURE_PARAM if kind == "lambda" else CANONICAL_REPAIR_PARAM
-                targets = (template.format(index=index[name]),)
+                targets = (canonical_rate_parameter(index[name], repair=kind == "repair"),)
             for target in targets:
                 clash = clash or readers.setdefault(target, slot) != slot
         values = _rate_values(masked.literals)
@@ -559,7 +545,7 @@ class AnalysisService:
             return
         sources = tuple((target, readers[target]) for target in profile.assignment)
         with self._models_lock:
-            self._requests.put(masked.digest, _MaskedEntry(key, sources, summary))
+            self._requests.remember(masked.digest, _MaskedEntry(key, sources, summary))
 
     def _get_entry(
         self, tree, profile: CanonicalProfile

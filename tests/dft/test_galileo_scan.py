@@ -41,6 +41,8 @@ def _outcome(scan, text):
 @example(text='x\n"a b')  # the error carries its line number
 @example(text='"a//b"')  # a comment inside quotes still starts a comment
 @example(text='"param" lam = 1; param lam = 1')
+@example(text='a "" b;"c"d """"')  # runs of nothing but quotes vanish
+@example(text='" a\t"  "b";"c d" e')  # whitespace at the edges of quotes
 def test_token_scan_matches_reference(text):
     assert _outcome(galileo._scan, text) == _outcome(galileo_reference.scan, text)
 

@@ -1,7 +1,7 @@
 """The per-character Galileo tokeniser, kept as a test oracle.
 
-:func:`repro.dft.galileo._scan` splits statements into tokens with one
-compiled regular expression.  This module keeps the character loop it
+:func:`repro.dft.galileo._scan` splits every statement of a text into tokens
+in one pass of string operations.  This module keeps the character loop it
 replaced, and the statement pass around it, so the scan is always compared
 with an independent implementation.
 """

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.study import StudyOptions
 from repro.dft import BasicEvent, DynamicFaultTree, galileo
 from repro.dft.hashing import canonical_profile
-from repro.service.app import _REQUEST_CACHE_CAPACITY, AnalysisService
+from repro.service.app import _MODEL_CACHE_CAPACITY, AnalysisService
 from repro.service.store import SkeletonStore, cache_key
 from repro.systems import (
     cardiac_assist_system,
@@ -365,6 +365,7 @@ def test_eight_threads(services):
     texts = _jittered_texts(count=4)
     own = [AND_TREE.replace('"a"', f'"t{offset}"') for offset in range(8)]
     expected = {text: _strip(_analyze(cold, text)[1]) for text in texts + own}
+    warm._requests.capacity = 2 + len(own)  # room for every text recorded
     for nominal in CORPUS[:2]:
         _analyze(warm, nominal)
 
@@ -392,11 +393,11 @@ def test_eight_threads(services):
 
 def test_capacity_bounds_the_request_cache(services):
     warm, _cold = services
-    names = [f"e{index}" for index in range(_REQUEST_CACHE_CAPACITY + 5)]
+    names = [f"e{index}" for index in range(_MODEL_CACHE_CAPACITY + 5)]
     for name in names:  # renamed twins: one store entry, distinct texts
         _analyze(warm, AND_TREE.replace('"a"', f'"{name}"'))
-        assert len(warm._requests) <= _REQUEST_CACHE_CAPACITY
-    assert len(warm._requests) == _REQUEST_CACHE_CAPACITY
+        assert len(warm._requests) <= _MODEL_CACHE_CAPACITY
+    assert len(warm._requests) == _MODEL_CACHE_CAPACITY
     warm._requests.capacity = 3
     _analyze(warm, AND_TREE)
     assert len(warm._requests) == 3
